@@ -20,7 +20,6 @@ from .algorithms import (
     DrsParams,
     FixedPointOperator,
     drs_parts,
-    drs_step,
     fista_init,
     fista_step,
     pga_step,
@@ -417,13 +416,25 @@ def _build_nnls(cfg: ExperimentConfig) -> RunContext:
     f_prox = lambda z, t: prox_quadratic_ls(inst.A, inst.y, inst.lam, m, t, z, tol=inner_tol)
     g_prox = lambda v, t: nonneg_project(v)
 
+    # One-entry memo of the last DRS point: (private copy of z, y, z_next).
+    # The run loop records each iterate right after the map's last evaluation
+    # at that point, so the monitor and the objective reuse its CG solve.  The
+    # key is compared by value, so a caller that mutates its array or asks
+    # about another point gets a fresh solve.
+    memo: list = [None, None, None]
+
+    def parts(z: np.ndarray) -> list:
+        if memo[0] is None or not np.array_equal(memo[0], z):
+            _, y_part, z_next = drs_parts(f_prox, g_prox, drs, z)
+            memo[:] = [np.array(z, dtype=float), y_part, z_next]
+        return memo
+
     def feasible_point(z: np.ndarray) -> np.ndarray:
-        x, y_part, _ = drs_parts(f_prox, g_prox, drs, z)
-        return y_part
+        return parts(z)[1]
 
     op = FixedPointOperator(
         dimension=n,
-        apply=lambda z: drs_step(f_prox, g_prox, drs, z),
+        apply=lambda z: parts(z)[2],
         objective=lambda z: nnls_objective(inst, feasible_point(z)),
         monitor=feasible_point,
         name="nnls/drs",
@@ -585,8 +596,14 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TraceRecord], dict]:
     else:
         status = "max_iter"
 
-    rate = fit_linear_rate([r.residual_norm for r in records], tail_fraction=0.3)
     ident = identification_iter(patterns, window=cfg.window)
+    patterns.clear()  # about half of a long run's memory; free it before the fit
+    residuals = [r.residual_norm for r in records]
+    # The rate on the identified manifold; the trace's tail when nothing was
+    # identified or too few points follow identification.
+    rate = None if ident is None else fit_linear_rate(residuals[ident:], tail_fraction=1.0)
+    if rate is None or not rate.defined:
+        rate = fit_linear_rate(residuals, tail_fraction=0.3)
     summary = {
         "problem": cfg.problem_kind,
         "algorithm": cfg.algorithm,

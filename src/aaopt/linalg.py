@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = ["matvec", "spectral_norm_sq", "cg_solve_spd", "CgResult"]
 
@@ -123,8 +122,3 @@ def cg_solve_spd(
         rs = rs_new
     true_res = float(np.linalg.norm(apply(x) - b))
     return CgResult(x, iterations, true_res <= tol * nb, true_res)
-
-
-def is_sparse(A) -> bool:
-    """True when A is a scipy sparse matrix (CSR or convertible)."""
-    return sp.issparse(A)

@@ -1,10 +1,13 @@
 import math
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from aaopt.algorithms import pcd_sweep
+import aaopt.harness
+import aaopt.prox
+from aaopt.algorithms import DrsParams, drs_parts, pcd_sweep
 from aaopt.harness import (
     TRACE_HEADER,
     ConfigError,
@@ -21,7 +24,8 @@ from aaopt.harness import (
     write_summary,
     write_trace,
 )
-from aaopt.problems import gen_svm
+from aaopt.problems import gen_nnls, gen_svm, nnls_objective
+from aaopt.prox import prox_quadratic_ls
 
 LASSO_SMALL = {
     "problem.kind": "lasso",
@@ -288,6 +292,81 @@ def test_nnls_run_monitors_feasible_point():
     assert summary["status"] == "converged"
     assert all(math.isfinite(r.objective) for r in records)
     assert all(0 <= r.support_size <= 12 for r in records)
+
+
+NNLS_SMALL = {"problem.kind": "nnls", "algorithm.kind": "drs",
+              "problem.rows": "50", "problem.cols": "30", "run.seed": "0"}
+
+
+def nnls_reference_parts(ctx):
+    """drs_parts of the NNLS_SMALL operator, built without the harness."""
+    inst = gen_nnls(50, 30, lam=0.001, seed=0)
+    m = inst.A.shape[0]
+    # inner CG tolerance the builder derives from the default run.tol = 1e-10
+    f_prox = lambda z, t: prox_quadratic_ls(inst.A, inst.y, inst.lam, m, t, z, tol=1e-12)
+    drs = DrsParams(beta=ctx.beta, delta=1.0)
+    return inst, lambda z: drs_parts(f_prox, ctx.g_prox, drs, z)
+
+
+@pytest.mark.parametrize("aa", ["false", "true"])
+def test_nnls_run_solves_each_drs_point_once(monkeypatch, aa):
+    cfg = config_from_mapping({**NNLS_SMALL, "aa.enabled": aa})
+    ctx = build_operator(cfg)
+    caller = ["loop"]
+    calls = {"apply": 0, "monitor": 0, "objective": 0}
+    cg_calls = {"loop": 0, "apply": 0, "monitor": 0, "objective": 0}
+    real_cg = aaopt.prox.cg_solve_spd
+
+    def counted_cg(*args, **kwargs):
+        cg_calls[caller[0]] += 1
+        return real_cg(*args, **kwargs)
+
+    def inside(name, fn):
+        def wrapped(z):
+            calls[name] += 1
+            caller[0] = name
+            try:
+                return fn(z)
+            finally:
+                caller[0] = "loop"
+        return wrapped
+
+    ctx.op = replace(ctx.op, **{name: inside(name, getattr(ctx.op, name)) for name in calls})
+    monkeypatch.setattr(aaopt.prox, "cg_solve_spd", counted_cg)
+    monkeypatch.setattr(aaopt.harness, "build_operator", lambda _cfg: ctx)
+    records, summary = run_experiment(cfg)
+    assert summary["status"] == "converged"
+    assert calls["monitor"] == calls["objective"] == len(records)
+    if aa == "true":  # the engine both accepts and rejects on this run
+        assert any(r.accepted for r in records[1:]) and not all(r.accepted for r in records[1:])
+    else:
+        assert calls["apply"] == len(records)
+    assert cg_calls == {"loop": 0, "apply": calls["apply"], "monitor": 0, "objective": 0}
+
+
+def test_nnls_memoized_monitor_and_objective_match_direct_solve():
+    ctx = build_operator(config_from_mapping(NNLS_SMALL))
+    inst, parts = nnls_reference_parts(ctx)
+    z = ctx.x0
+    for _ in range(20):
+        h = ctx.op.apply(z)
+        _, y, z_next = parts(z)
+        assert np.array_equal(h, z_next)
+        assert np.array_equal(ctx.op.monitor(z), y)
+        assert ctx.op.objective(z) == nnls_objective(inst, y)
+        z = h
+
+
+def test_nnls_memo_is_not_stale_after_in_place_mutation():
+    ctx = build_operator(config_from_mapping(NNLS_SMALL))
+    _, parts = nnls_reference_parts(ctx)
+    z = ctx.x0.copy()
+    ctx.op.apply(z)
+    before = ctx.op.monitor(z)
+    z += 1.0
+    after = ctx.op.monitor(z)
+    assert np.array_equal(after, parts(z)[1])
+    assert not np.array_equal(after, before)
 
 
 def test_logreg_run_converges_with_smoothing_floor():
