@@ -43,7 +43,7 @@ from .harness import (
     write_trace,
 )
 from .linalg import CgResult, cg_solve_spd, matvec, spectral_norm_sq
-from .manifold import identification_iter, pattern_of, support_size
+from .manifold import IdentificationTracker, identification_iter, pattern_of, support_size
 from .problems import (
     LassoInstance,
     LogRegInstance,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -73,13 +74,15 @@ class AaConfig:
 class AaState:
     """Iteration state: current iterate plus newest-first histories.
 
-    h_hist[j] = H(x^(k-j)) and r_hist[j] = H(x^(k-j)) - x^(k-j); both lists
-    always have the same length, at most memory+1.
+    h_hist[j] = H(x^(k-j)), r_hist[j] = H(x^(k-j)) - x^(k-j) and
+    r_norms[j] = float(np.linalg.norm(r_hist[j])), cached when the residual
+    is stored; the three lists always have the same length, at most memory+1.
     """
 
     x: np.ndarray
     h_hist: list[np.ndarray] = field(default_factory=list)
     r_hist: list[np.ndarray] = field(default_factory=list)
+    r_norms: list[float] = field(default_factory=list)
     k: int = 0
     reject_streak: int = 0
 
@@ -107,7 +110,27 @@ def init_state(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray) -> AaS
     """Evaluate H(x0) once and seed the histories."""
     x0 = np.asarray(x0, dtype=float)
     h0 = np.asarray(apply(x0), dtype=float)
-    return AaState(x=x0, h_hist=[h0], r_hist=[h0 - x0])
+    r0 = h0 - x0
+    return AaState(x=x0, h_hist=[h0], r_hist=[r0], r_norms=[float(np.linalg.norm(r0))])
+
+
+@lru_cache(maxsize=64)
+def _difference_map(ncol: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (C, e0) with alpha = e0 + C theta summing to one for every theta.
+
+    C is the ncol x (ncol-1) backward-difference map: -1 on the diagonal and
+    +1 just below it.
+    """
+    p = ncol - 1
+    C = np.zeros((ncol, p))
+    diag = np.arange(p)
+    C[diag, diag] = -1.0
+    C[diag + 1, diag] = 1.0
+    e0 = np.zeros(ncol)
+    e0[0] = 1.0
+    C.setflags(write=False)
+    e0.setflags(write=False)
+    return C, e0
 
 
 def compute_alpha(R: np.ndarray, tau: float = 0.0) -> np.ndarray:
@@ -137,15 +160,7 @@ def compute_alpha(R: np.ndarray, tau: float = 0.0) -> np.ndarray:
     # consecutive column differences.
     D = R[:, :-1] - R[:, 1:]
     c0 = R[:, 0]
-    C = np.zeros((ncol, p))
-    C[0, 0] = -1.0
-    for j in range(1, p):
-        C[j, j - 1] = 1.0
-        C[j, j] = -1.0
-    C[p, p - 1] = 1.0
-
-    e0 = np.zeros(ncol)
-    e0[0] = 1.0
+    C, e0 = _difference_map(ncol)
     if tau > 0:
         root = math.sqrt(tau)
         lhs = np.vstack([D, root * C])
@@ -186,16 +201,20 @@ def aa_candidate(h_values: Sequence[np.ndarray], alpha: np.ndarray) -> np.ndarra
             "aa_candidate: %d stored evaluations but %d weights" % (len(h_values), alpha.shape[0])
         )
     out = alpha[0] * h_values[0]
+    term = np.empty_like(out)
     for j in range(1, alpha.shape[0]):
-        out = out + alpha[j] * h_values[j]
+        np.multiply(alpha[j], h_values[j], out=term)
+        out += term
     return out
 
 
-def _push(state: AaState, h_new: np.ndarray, r_new: np.ndarray, memory: int) -> None:
+def _push(state: AaState, h_new: np.ndarray, r_new: np.ndarray, r_norm: float, memory: int) -> None:
     state.h_hist.insert(0, h_new)
     state.r_hist.insert(0, r_new)
+    state.r_norms.insert(0, r_norm)
     del state.h_hist[memory + 1 :]
     del state.r_hist[memory + 1 :]
+    del state.r_norms[memory + 1 :]
 
 
 def safeguarded_step(
@@ -217,7 +236,7 @@ def safeguarded_step(
     alpha_l1 = float(np.sum(np.abs(alpha)))
     candidate = aa_candidate(state.h_hist, alpha)
 
-    best_stored = min(float(np.linalg.norm(r)) for r in state.r_hist)
+    best_stored = min(state.r_norms)
     accepted = False
     h_cand = r_cand = None
     if (cfg.alpha_cap is None or alpha_l1 <= cfg.alpha_cap) and np.all(np.isfinite(candidate)):
@@ -228,27 +247,24 @@ def safeguarded_step(
         accepted = np.isfinite(norm_cand) and norm_cand <= cfg.safeguard_factor * best_stored
 
     if accepted:
-        x_next, h_next, r_next = candidate, h_cand, r_cand
+        x_next, h_next, r_next, norm_next = candidate, h_cand, r_cand, norm_cand
         state.reject_streak = 0
     else:
         x_next = state.h_hist[0]  # plain step H(x^k), already evaluated
         h_next = np.asarray(apply(x_next), dtype=float)
         r_next = h_next - x_next
+        norm_next = float(np.linalg.norm(r_next))
         state.reject_streak += 1
         if state.reject_streak >= cfg.restart_after_rejects:
             state.h_hist.clear()
             state.r_hist.clear()
+            state.r_norms.clear()
             state.reject_streak = 0
 
-    _push(state, h_next, r_next, cfg.memory)
+    _push(state, h_next, r_next, norm_next, cfg.memory)
     state.x = x_next
     state.k += 1
-    diag = AaDiagnostics(
-        alpha=alpha,
-        alpha_l1=alpha_l1,
-        accepted=accepted,
-        residual_norm=float(np.linalg.norm(r_next)),
-    )
+    diag = AaDiagnostics(alpha=alpha, alpha_l1=alpha_l1, accepted=accepted, residual_norm=norm_next)
     return x_next, diag
 
 

@@ -26,7 +26,7 @@ from .algorithms import (
 )
 from .anderson import AaConfig, fit_linear_rate, init_state, safeguarded_step
 from .linalg import matvec, spectral_norm_sq
-from .manifold import identification_iter, pattern_of, support_size
+from .manifold import IdentificationTracker, pattern_of, support_size
 from .problems import (
     LassoInstance,
     LogRegInstance,
@@ -535,12 +535,12 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TraceRecord], dict]:
     op = ctx.op
     t_start = time.perf_counter()
     records: list[TraceRecord] = []
-    patterns: list[np.ndarray] = []
+    identification = IdentificationTracker(cfg.window)
     alpha_l1_max = 0.0
 
     def record(k: int, rnorm: float, alpha_l1: float, accepted: int, xvec: np.ndarray) -> None:
         pat = pattern_of(op.monitor_vector(xvec), cfg.zero_tol, ctx.bounds)
-        patterns.append(pat)
+        identification.push(pat)
         obj = float(op.objective(xvec)) if op.objective is not None else math.nan
         records.append(
             TraceRecord(
@@ -569,7 +569,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TraceRecord], dict]:
             record(k, rnorm, 0.0, 0, st.x)
     elif cfg.aa_enabled:
         state = init_state(op.apply, ctx.x0)
-        rnorm = float(np.linalg.norm(state.r_hist[0]))
+        rnorm = state.r_norms[0]
         record(0, rnorm, 0.0, 0, ctx.x0)
         while keep_going(rnorm, k):
             x, diag = safeguarded_step(op.apply, state, cfg.aa)
@@ -596,8 +596,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TraceRecord], dict]:
     else:
         status = "max_iter"
 
-    ident = identification_iter(patterns, window=cfg.window)
-    patterns.clear()  # about half of a long run's memory; free it before the fit
+    ident = identification.identified_at
     residuals = [r.residual_norm for r in records]
     # The rate on the identified manifold; the trace's tail when nothing was
     # identified or too few points follow identification.
@@ -661,17 +660,28 @@ def _fmt(value: float) -> str:
     return "%.17g" % value
 
 
+_TRACE_ROW = "%d,%.17g,%.17g,%.17g,%d,%d,%d\n"
+
+
 def write_trace(records: Sequence[TraceRecord], path: str) -> None:
-    """CSV with 17-significant-digit floats so values round-trip exactly."""
+    """CSV with 17-significant-digit floats so values round-trip exactly.
+
+    An existing file is overwritten in place and then cut to the new length,
+    never truncated to zero first: on ext4 (``auto_da_alloc``) closing a file
+    that was truncated to zero and rewritten forces a flush to disk, which
+    stalls each rewrite of a trace by tens of milliseconds.
+    """
     try:
-        with open(path, "w", encoding="utf-8") as handle:
+        try:
+            handle = open(path, "r+", encoding="utf-8")
+        except FileNotFoundError:
+            handle = open(path, "w", encoding="utf-8")
+        with handle:
             handle.write(TRACE_HEADER + "\n")
             for r in records:
-                handle.write(
-                    "%d,%s,%s,%s,%d,%d,%d\n"
-                    % (r.k, _fmt(r.residual_norm), _fmt(r.objective), _fmt(r.alpha_l1),
-                       r.accepted, r.support_size, r.elapsed_us)
-                )
+                handle.write(_TRACE_ROW % (r.k, r.residual_norm, r.objective, r.alpha_l1,
+                                           r.accepted, r.support_size, r.elapsed_us))
+            handle.truncate()
     except OSError as exc:
         raise OSError("writing trace to %s: %s" % (path, exc)) from exc
 

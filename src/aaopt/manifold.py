@@ -8,7 +8,7 @@ import numpy as np
 
 from .prox import BoxBounds
 
-__all__ = ["pattern_of", "identification_iter", "support_size"]
+__all__ = ["pattern_of", "IdentificationTracker", "identification_iter", "support_size"]
 
 
 def pattern_of(
@@ -37,23 +37,51 @@ def pattern_of(
     return out
 
 
+class IdentificationTracker:
+    """``identification_iter`` over a stream of patterns, without storing them.
+
+    Feed the int8 patterns of iterations 0, 1, ... in order with ``push``;
+    ``identified_at`` is then what ``identification_iter`` returns for the
+    patterns fed so far.  The final pattern may already have held for a full
+    window before it changed and came back, so the tracker remembers, for
+    each pattern that has held for ``window`` consecutive iterations, where
+    that run began the first time; its memory grows with the number of
+    such patterns, not with the number of iterations.
+    """
+
+    def __init__(self, window: int = 10) -> None:
+        if window < 1:
+            raise ValueError("identification: window must be >= 1")
+        self.window = window
+        self._count = 0
+        self._key: bytes | None = None  # the newest pattern's bytes
+        self._run_start = 0  # where the newest pattern's current run began
+        self._first_stable: dict[bytes, int] = {}
+
+    def push(self, pattern: np.ndarray) -> None:
+        key = np.asarray(pattern, dtype=np.int8).tobytes()
+        if key != self._key:
+            self._key = key
+            self._run_start = self._count
+        self._count += 1
+        if self._count - self._run_start == self.window:
+            self._first_stable.setdefault(key, self._run_start)
+
+    @property
+    def identified_at(self) -> int | None:
+        return self._first_stable.get(self._key)
+
+
 def identification_iter(patterns: Sequence[np.ndarray], window: int = 10) -> int | None:
     """First index k whose next ``window`` patterns all equal the final one.
 
     Returns None when no such run exists (including sequences shorter than
     the window).
     """
-    if window < 1:
-        raise ValueError("identification_iter: window must be >= 1")
-    n = len(patterns)
-    if n < window:
-        return None
-    final = np.asarray(patterns[-1])
-    stable = [bool(np.array_equal(np.asarray(q), final)) for q in patterns]
-    for k in range(n - window + 1):
-        if all(stable[k : k + window]):
-            return k
-    return None
+    tracker = IdentificationTracker(window)
+    for pattern in patterns:
+        tracker.push(pattern)
+    return tracker.identified_at
 
 
 def support_size(pattern: np.ndarray) -> int:

@@ -69,3 +69,17 @@ def affine_fixed_point(G: np.ndarray, c: np.ndarray) -> np.ndarray:
 def shrink_objective(t, v: float, w: float, s: float):
     """The 1-D model whose minimizer weighted shrinkage must return."""
     return 0.5 * (t - v) ** 2 + s * w * np.abs(t)
+
+
+def identification_brute_force(patterns, window: int):
+    """Earliest k such that patterns[k : k + window] all equal the last pattern.
+
+    Tries every start and compares every pattern of its window element by
+    element; None when no start qualifies (including fewer than ``window``
+    patterns).
+    """
+    n = len(patterns)
+    for k in range(n - window + 1):
+        if all(np.array_equal(patterns[j], patterns[-1]) for j in range(k, k + window)):
+            return k
+    return None

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aaopt.anderson import (
     AaConfig,
@@ -12,6 +14,7 @@ from aaopt.anderson import (
     safeguarded_step,
 )
 
+from aaopt.prox import soft_threshold
 from oracles import affine_fixed_point
 
 
@@ -124,6 +127,7 @@ def test_memory_one_column_reduces_to_plain_iteration():
         # drop the older column so only the newest remains
         del state.h_hist[1:]
         del state.r_hist[1:]
+        del state.r_norms[1:]
         x, _ = safeguarded_step(apply, state, cfg)
         x_plain = apply(x_plain)
         assert np.linalg.norm(x - x_plain) <= 1e-15
@@ -251,3 +255,62 @@ def test_config_validation():
         AaConfig(tikhonov=-1.0)
     with pytest.raises(ValueError):
         AaConfig(restart_after_rejects=0)
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    memory=st.integers(1, 5),
+    safeguard=st.sampled_from([1.0, 1.5]),
+    steps=st.integers(1, 30),
+)
+def test_history_and_norm_cache_stay_in_step(seed, n, memory, safeguard, steps):
+    # affine map plus a prox: nonsmooth, and contractive or not by the draw
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    G = rng.uniform(0.3, 1.2) * M / np.linalg.norm(M, 2)
+    c = rng.standard_normal(n)
+    lam = rng.uniform(0.0, 0.5)
+    apply = lambda x: soft_threshold(G @ x + c, lam)
+    cfg = AaConfig(memory=memory, safeguard_factor=safeguard, restart_after_rejects=1)
+    state = init_state(apply, rng.standard_normal(n))
+    for _ in range(steps):
+        window_min = min(state.r_norms)
+        _, diag = safeguarded_step(apply, state, cfg)
+        assert len(state.h_hist) == len(state.r_hist) == len(state.r_norms) <= memory + 1
+        assert all(cached == float(np.linalg.norm(r)) for r, cached in zip(state.r_hist, state.r_norms))
+        assert diag.residual_norm == state.r_norms[0]
+        if diag.accepted:
+            assert diag.residual_norm <= safeguard * window_min
+        else:
+            assert len(state.r_hist) == 1  # every rejection restarts
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    ncol=st.integers(1, 8),
+    spread=st.sampled_from([0.0, 1e-15, 1e-8, 1.0]),
+    max_exp=st.integers(0, 150),
+    auto_tau=st.booleans(),
+)
+def test_compute_alpha_sums_to_one_or_raises(seed, n, ncol, spread, max_exp, auto_tau):
+    # columns near one shared direction (collinear when spread is 0), each
+    # scaled by up to 10**+-max_exp
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal(n)[:, None] + spread * rng.standard_normal((n, ncol))
+    R = R * 10.0 ** rng.integers(-max_exp, max_exp, size=ncol, endpoint=True)
+    tau = 1e-10 * float(np.sum(R * R)) if auto_tau else 0.0
+    try:
+        alpha = compute_alpha(R, tau)
+    except np.linalg.LinAlgError:
+        return
+    assert alpha.shape == (ncol,)
+    assert np.all(np.isfinite(alpha))
+    assert abs(math.fsum(alpha) - 1.0) <= 1e-12

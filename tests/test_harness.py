@@ -423,6 +423,25 @@ def test_trace_roundtrip_is_exact(tmp_path):
     assert back == records
 
 
+def test_trace_overwrite_leaves_no_stale_tail(tmp_path):
+    long = [TraceRecord(k, 1.0 / (k + 1), -float(k), 0.5 * k, k % 2, k % 7, 1000 * k) for k in range(500)]
+    short = [TraceRecord(k, math.pi * k, 1e-300, 0.0, 1, 3, k) for k in range(7)]
+    path, fresh = tmp_path / "t.csv", tmp_path / "fresh.csv"
+    write_trace(long, str(path))
+    write_trace(short, str(path))
+    write_trace(short, str(fresh))
+    assert path.read_bytes() == fresh.read_bytes()
+    assert read_trace(str(path)) == short
+    write_trace(long, str(path))  # growing again over the shorter file
+    assert read_trace(str(path)) == long
+
+
+def test_write_trace_names_the_path_on_failure(tmp_path):
+    path = tmp_path / "missing" / "t.csv"
+    with pytest.raises(OSError, match="writing trace to .*missing"):
+        write_trace([TraceRecord(0, 1.0, 1.0, 0.0, 0, 0, 0)], str(path))
+
+
 def test_read_trace_requires_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("nope\n1,2,3,4,5,6,7\n", encoding="utf-8")

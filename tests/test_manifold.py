@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from aaopt.manifold import identification_iter, pattern_of, support_size
+from aaopt.manifold import IdentificationTracker, identification_iter, pattern_of, support_size
 from aaopt.prox import BoxBounds
+from oracles import identification_brute_force
 
 
 def test_pattern_signs_and_zero_band():
@@ -67,6 +70,8 @@ def test_identification_iter_short_sequences():
 def test_identification_iter_window_validation():
     with pytest.raises(ValueError):
         identification_iter([np.zeros(1, dtype=np.int8)], window=0)
+    with pytest.raises(ValueError):
+        IdentificationTracker(window=0)
 
 
 def test_identification_iter_monotone_in_window():
@@ -80,6 +85,36 @@ def test_identification_iter_monotone_in_window():
             k = n + 1 if k is None else k
             assert k >= prev
             prev = k
+
+
+def test_identification_is_the_first_full_window_not_the_last_change():
+    # the final pattern held for a full window, left, and came back briefly
+    a, b = np.array([1, 0], dtype=np.int8), np.array([0, 0], dtype=np.int8)
+    patterns = [b, a, a, a, b, b, a]
+    assert identification_iter(patterns, window=3) == 1
+    assert identification_iter(patterns, window=4) is None
+
+
+# Patterns drawn from a small alphabet, so runs of the final pattern that
+# start, break off and resume are common.
+ALPHABET = [np.array(p, dtype=np.int8) for p in ([0, 0, 0], [1, 0, -1], [1, 1, 0], [-1, 0, 0])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(symbols=st.lists(st.integers(0, len(ALPHABET) - 1), max_size=40), window=st.integers(1, 6))
+@example(symbols=[], window=1)
+@example(symbols=[1, 1], window=3)
+@example(symbols=[0, 1, 1, 1, 2, 1], window=1)
+@example(symbols=[0, 1, 1, 1, 2, 2, 2, 1], window=3)
+def test_streaming_identification_matches_brute_force(symbols, window):
+    patterns = [ALPHABET[s].copy() for s in symbols]
+    tracker = IdentificationTracker(window)
+    for n, pattern in enumerate(patterns, start=1):
+        tracker.push(pattern)
+        assert tracker.identified_at == identification_brute_force(patterns[:n], window)
+    assert identification_iter(patterns, window) == identification_brute_force(patterns, window)
+    if len(patterns) < window:
+        assert tracker.identified_at is None
 
 
 def test_support_size_counts_nonzero_symbols():
