@@ -17,22 +17,23 @@ def pattern_of(
     """Coordinatewise pattern as an int8 vector.
 
     Without bounds: -1 / 0 / +1 for negative / (within zero_tol of) zero /
-    positive.  With bounds: -1 at the lower bound, +1 at the upper bound
-    (within zero_tol; lower checked first), 0 in the interior.
+    positive, and 0 for NaN.  With bounds: -1 at the lower bound, +1 at the
+    upper bound (within zero_tol; lower checked first), 0 in the interior.
+    Bounds must broadcast to the shape of x.
     """
     if zero_tol < 0:
         raise ValueError("pattern_of: zero_tol must be nonnegative")
     x = np.asarray(x, dtype=float)
     if bounds is None:
-        out = np.sign(x).astype(np.int8)
-        out[np.abs(x) <= zero_tol] = 0
-        return out
-    lo = np.broadcast_to(np.asarray(bounds.lower, dtype=float), x.shape)
-    hi = np.broadcast_to(np.asarray(bounds.upper, dtype=float), x.shape)
-    out = np.zeros(x.shape, dtype=np.int8)
-    at_upper = np.isfinite(hi) & (x >= hi - zero_tol)
-    at_lower = np.isfinite(lo) & (x <= lo + zero_tol)
-    out[at_upper] = 1
+        # comparisons, so NaN reads as 0 rather than a cast of sign(NaN)
+        return np.subtract(x > zero_tol, x < -zero_tol, dtype=np.int8)
+    lo = np.asarray(bounds.lower, dtype=float)
+    hi = np.asarray(bounds.upper, dtype=float)
+    at_upper = (x >= hi - zero_tol) & np.isfinite(hi)
+    at_lower = (x <= lo + zero_tol) & np.isfinite(lo)
+    if at_upper.shape != x.shape or at_lower.shape != x.shape:
+        raise ValueError("pattern_of: bounds do not broadcast to the shape %s of x" % (x.shape,))
+    out = np.asarray(at_upper, dtype=np.int8)
     out[at_lower] = -1  # lower wins when a degenerate box pins both
     return out
 

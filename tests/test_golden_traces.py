@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from aaopt.harness import config_from_mapping, format_summary, run_experiment
+from aaopt.problems import gen_nnls, gen_svm
+from oracles import write_libsvm
 
 # (problem and AA keys, max_iter) per family; max_iter keeps the file fast.
 # lasso restarts on every rejection as in the README; the others keep the
@@ -55,8 +58,42 @@ GOLDEN = {
 }
 
 
-def golden_hash(family: str, algorithm: str, aa: bool, seed: int, trace_path: str) -> str:
+# The same svm and nnls cells with the matrix loaded through problem.dataset,
+# which makes it a CSR matrix.  The file holds the seed-0 instance with every
+# entry below 0.5 in magnitude left out, so the rows are genuinely sparse;
+# nnls keeps only the signs of its targets, since LIBSVM labels are +-1.
+CSR_CELLS = [
+    ("svm", "pcd", False), ("svm", "pcd", True),
+    ("nnls", "drs", False), ("nnls", "drs", True),
+]
+
+GOLDEN_CSR = {
+    ("svm", "pcd", False, 0): "185aa6a6193f93b7934cb79807b5ee8e9fdaf9382fdee208a02c6d7e9ecf3868",
+    ("svm", "pcd", False, 1): "128e1992e13fdb190535ba8a7e451fda376cade8c89693de83e5961bdf14e241",
+    ("svm", "pcd", True, 0): "f2a6c0e212b9f1f39a67585d5d9737ff08d760e59bb3b269c58f6f0cc1ce57a1",
+    ("svm", "pcd", True, 1): "cf22d5f398bf34935e3aae6c0c7912707786a545daf7dcdaeea313e15c5d6976",
+    ("nnls", "drs", False, 0): "932ad6fd08f7f56190874a50c425e1aae010f90fe4bd8a0dac643ad95a33da60",
+    ("nnls", "drs", False, 1): "a6b3b4d91a3b241bb1b7a5e6b923f84763ede6f03e8d14b6e11bdf04ca4d7fd6",
+    ("nnls", "drs", True, 0): "d699b7da1d85647bb1434095b35194af17561fd76505c4e677aa73e57fa81dfc",
+    ("nnls", "drs", True, 1): "8605f9dddeb9d0d7f90e452e6f38552ab85e4934bfb71bba5afa6d2d4aedf24e",
+}
+
+
+def write_csr_dataset(family: str, path: str) -> None:
+    if family == "svm":
+        inst = gen_svm(100, 20, seed=0)
+        write_libsvm(path, inst.A, inst.y)
+    else:
+        inst = gen_nnls(50, 30, seed=0)
+        write_libsvm(path, inst.A, np.where(inst.y >= 0.0, 1.0, -1.0))
+
+
+def golden_hash(
+    family: str, algorithm: str, aa: bool, seed: int, trace_path: str, dataset: str | None = None
+) -> str:
     problem, max_iter = FAMILIES[family]
+    if dataset is not None:
+        problem = {"problem.kind": problem["problem.kind"], "problem.dataset": dataset}
     kv = {
         **problem,
         "algorithm.kind": algorithm,
@@ -82,3 +119,12 @@ def golden_hash(family: str, algorithm: str, aa: bool, seed: int, trace_path: st
 def test_trace_and_summary_are_bitwise_unchanged(family, algorithm, aa, seed, tmp_path):
     got = golden_hash(family, algorithm, aa, seed, str(tmp_path / "trace.csv"))
     assert got == GOLDEN[(family, algorithm, aa, seed)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("family,algorithm,aa", CSR_CELLS)
+def test_csr_trace_and_summary_are_bitwise_unchanged(family, algorithm, aa, seed, tmp_path):
+    dataset = str(tmp_path / "data.libsvm")
+    write_csr_dataset(family, dataset)
+    got = golden_hash(family, algorithm, aa, seed, str(tmp_path / "trace.csv"), dataset)
+    assert got == GOLDEN_CSR[(family, algorithm, aa, seed)]

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import aaopt.harness
 import aaopt.prox
@@ -24,8 +26,9 @@ from aaopt.harness import (
     write_summary,
     write_trace,
 )
-from aaopt.problems import gen_nnls, gen_svm, nnls_objective
+from aaopt.problems import gen_nnls, gen_svm, load_libsvm, nnls_objective
 from aaopt.prox import prox_quadratic_ls
+from oracles import svm_pcd_sweep_reference, write_libsvm
 
 LASSO_SMALL = {
     "problem.kind": "lasso",
@@ -198,6 +201,52 @@ def test_svm_incremental_sweep_matches_generic_coordinate_descent():
             x,
         )
         assert np.linalg.norm(fast - slow) <= 1e-10 * (1.0 + np.linalg.norm(slow))
+
+
+SWEEP_ROWS, SWEEP_C = 15, 100.0
+
+
+@pytest.fixture(scope="module")
+def svm_sweeps(tmp_path_factory):
+    """(op.apply, A, y, beta) of a dense svm instance and of its CSR copy."""
+    inst = gen_svm(SWEEP_ROWS, 6, seed=3, C=SWEEP_C)
+    path = tmp_path_factory.mktemp("svm") / "data.libsvm"
+    write_libsvm(path, inst.A, inst.y)
+    X, y = load_libsvm(str(path))
+    sweeps = {}
+    for kind, keys, A, labels in (
+        ("dense", {"problem.rows": str(SWEEP_ROWS), "problem.cols": "6", "run.seed": "3"}, inst.A, inst.y),
+        ("csr", {"problem.dataset": str(path)}, X, y),
+    ):
+        ctx = build_operator(config_from_mapping({"problem.kind": "svm", "algorithm.kind": "pcd", **keys}))
+        sweeps[kind] = (ctx.op.apply, A, labels, ctx.beta)
+    return sweeps
+
+
+COORDINATE = st.one_of(
+    st.floats(0.0, SWEEP_C),  # inside the box
+    st.floats(-3.0 * SWEEP_C, 4.0 * SWEEP_C),  # AA-like extrapolations, mostly outside
+    st.sampled_from([0.0, -0.0, SWEEP_C]),  # exactly on a bound
+    st.floats(-1e150, 1e150),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["dense", "csr"]),
+       coords=st.lists(COORDINATE, min_size=SWEEP_ROWS, max_size=SWEEP_ROWS))
+@example(kind="dense", coords=[-0.0] * SWEEP_ROWS)
+@example(kind="csr", coords=[-0.0] * SWEEP_ROWS)
+@example(kind="dense", coords=[SWEEP_C] * SWEEP_ROWS)
+@example(kind="csr", coords=[1e150, -1e150] * 7 + [0.0])
+def test_svm_sweep_is_bitwise_the_reference_sweep(svm_sweeps, kind, coords):
+    apply, A, y, beta = svm_sweeps[kind]
+    x = np.array(coords)
+    before = x.tobytes()
+    got = apply(x)
+    want = svm_pcd_sweep_reference(A, y, SWEEP_C, beta, x)
+    assert x.tobytes() == before
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_logreg_builder_validates_smoothing_controls():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -36,12 +38,32 @@ def test_matvec_sparse_equals_dense():
     assert np.allclose(matvec(S, z, transpose=True), A.T @ z, atol=1e-14)
 
 
+def test_matvec_is_bitwise_the_matmul():
+    # matvec computes with .dot; it must give exactly what @ gives, for each
+    # memory layout and transposed view it can meet
+    rng = np.random.default_rng(8)
+    for m, n in [(1, 1), (1, 7), (7, 1), (13, 5), (40, 200), (300, 200)]:
+        A = rng.standard_normal((m, n))
+        A[rng.random((m, n)) < 0.5] = 0.0
+        x = rng.standard_normal(n)
+        z = rng.standard_normal(m)
+        for M in (A, np.asfortranarray(A), sp.csr_matrix(A)):
+            assert matvec(M, x).tobytes() == np.asarray(M @ x).tobytes()
+            assert matvec(M, z, transpose=True).tobytes() == np.asarray(M.T @ z).tobytes()
+            assert matvec(M.T, z).tobytes() == np.asarray(M.T @ z).tobytes()
+            assert matvec(M.T, x, transpose=True).tobytes() == np.asarray(M @ x).tobytes()
+
+
 def test_matvec_dimension_mismatch():
     A = np.zeros((3, 4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("dimension mismatch: matrix (3, 4) with vector of length 3")):
         matvec(A, np.zeros(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match=re.escape("dimension mismatch: matrix (4, 3) (transposed) with vector of length 4")
+    ):
         matvec(A, np.zeros(4), transpose=True)
+    with pytest.raises(ValueError, match=re.escape("matvec expects a 1-D vector, got shape (4, 1)")):
+        matvec(A, np.zeros((4, 1)))
 
 
 def test_spectral_norm_sq_diag():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from aaopt.manifold import IdentificationTracker, identification_iter, pattern_of, support_size
 from aaopt.prox import BoxBounds
-from oracles import identification_brute_force
+from oracles import identification_brute_force, pattern_of_reference
 
 
 def test_pattern_signs_and_zero_band():
@@ -42,6 +44,66 @@ def test_pattern_degenerate_box_prefers_lower():
     bounds = BoxBounds(lower=2.0, upper=2.0)
     out = pattern_of(np.array([2.0]), bounds=bounds)
     assert np.array_equal(out, np.array([-1], dtype=np.int8))
+
+
+# Values and bounds meet exactly often enough to exercise the tolerance band
+# edges; floats() without NaN includes +-inf.
+EDGES = [0.0, -0.0, 1.0, 1e-9, -1e-9, 1.0 + 1e-9, math.inf, -math.inf]
+VALUE = st.one_of(st.floats(allow_nan=False), st.sampled_from(EDGES))
+TOLERANCE = st.sampled_from([0.0, 1e-9, 0.5, math.inf])
+
+
+@st.composite
+def boxes(draw, n: int):
+    """None, scalar bounds or per-coordinate bounds, lower <= upper, some degenerate."""
+    kind = draw(st.sampled_from(["none", "scalar", "array"]))
+    if kind == "none":
+        return None
+    count = 1 if kind == "scalar" else n
+    pairs = []
+    for _ in range(count):
+        a, b = draw(VALUE), draw(VALUE)
+        if draw(st.booleans()):
+            b = a  # lower == upper
+        pairs.append((min(a, b), max(a, b)))
+    if kind == "scalar":
+        return BoxBounds(*pairs[0])
+    return BoxBounds(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), n=st.integers(0, 12), zero_tol=TOLERANCE)
+def test_pattern_matches_reference(data, n, zero_tol):
+    x = np.array(data.draw(st.lists(VALUE, min_size=n, max_size=n)), dtype=float)
+    bounds = data.draw(boxes(n))
+    # an infinite bound less an infinite tolerance is NaN; isfinite masks it out
+    with np.errstate(invalid="ignore"):
+        got = pattern_of(x, zero_tol, bounds)
+        want = pattern_of_reference(x, zero_tol, bounds)
+    assert got.dtype == np.int8 and got.shape == x.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.filterwarnings("error")
+def test_pattern_reads_nan_as_zero_without_warning():
+    x = np.array([np.nan, 2.0, -2.0, np.nan])
+    assert pattern_of(x).tolist() == [0, 1, -1, 0]
+    assert pattern_of(x, bounds=BoxBounds(-2.0, 2.0)).tolist() == [0, 1, -1, 0]
+
+
+def test_pattern_bounds_must_broadcast_to_the_shape_of_x():
+    x = np.array([0.0, 0.5, 1.0])
+    one = pattern_of(x, bounds=BoxBounds(np.zeros(1), np.ones(1)))
+    assert one.shape == x.shape and one.tolist() == [-1, 0, 1]
+    for bounds in (
+        BoxBounds(np.zeros(4), np.ones(4)),
+        BoxBounds(np.zeros((2, 3)), np.ones((2, 3))),
+        BoxBounds(0.0, np.ones((2, 3))),
+        BoxBounds(np.zeros((2, 3)), 1.0),
+    ):
+        for fn in (pattern_of, pattern_of_reference):
+            with pytest.raises(ValueError):
+                fn(x, bounds=bounds)
 
 
 def test_identification_iter_hand_example():
