@@ -63,7 +63,7 @@ from .prox import (
     BoxBounds,
     box_project,
     nonneg_project,
-    prox_quadratic_ls,
+    quadratic_ls_prox,
     soft_threshold,
     weighted_soft_threshold,
 )

@@ -50,7 +50,7 @@ from .problems import (
 from .prox import (
     BoxBounds,
     nonneg_project,
-    prox_quadratic_ls,
+    quadratic_ls_prox,
     soft_threshold,
     weighted_soft_threshold,
 )
@@ -360,11 +360,15 @@ def _build_svm(cfg: ExperimentConfig) -> RunContext:
             for i in range(m)
         ]
         row_norm_sq = np.array([float(d @ d) for _, d in rows])
+        # A.T as CSR, built once: the same sums in the same order as
+        # matvec(A, v, transpose=True), without building A.T per product
+        At = csr.T.tocsr()
+        objective = lambda x: svm_dual_objective(inst, x, At)
 
         def sweep(x: np.ndarray) -> np.ndarray:
             x = np.asarray(x, dtype=float)
             xs = x.tolist()
-            u = matvec(inst.A, inst.y * x, transpose=True)
+            u = At.dot(inst.y * x)
             for i, (idx, data) in enumerate(rows):
                 xi = xs[i]
                 v = xi - beta * (float(data.dot(u[idx])) - 1.0)
@@ -377,6 +381,7 @@ def _build_svm(cfg: ExperimentConfig) -> RunContext:
     else:
         Z = inst.y[:, None] * np.asarray(inst.A, dtype=float)
         row_norm_sq = np.einsum("ij,ij->i", Z, Z)
+        objective = lambda x: svm_dual_objective(inst, x)
 
         def sweep(x: np.ndarray) -> np.ndarray:
             x = np.asarray(x, dtype=float)
@@ -399,7 +404,7 @@ def _build_svm(cfg: ExperimentConfig) -> RunContext:
     op = FixedPointOperator(
         dimension=m,
         apply=sweep,
-        objective=lambda x: svm_dual_objective(inst, x),
+        objective=objective,
         name="svm/pcd",
     )
     x0 = _x0_rng(cfg.seed).standard_normal(m)
@@ -417,13 +422,14 @@ def _build_nnls(cfg: ExperimentConfig) -> RunContext:
     m, n = inst.A.shape
     beta = _resolve_beta(cfg, spectral_norm_sq(inst.A) / m)
     drs = DrsParams(beta=beta, delta=cfg.delta)
-    inner_tol = min(1e-12, cfg.tol * 1e-2)
-    f_prox = lambda z, t: prox_quadratic_ls(inst.A, inst.y, inst.lam, m, t, z, tol=inner_tol)
+    # factored here, so the set-up pays for it and every evaluation of H is
+    # one pair of triangular solves
+    f_prox = quadratic_ls_prox(inst.A, inst.y, inst.lam, m, beta)
     g_prox = lambda v, t: nonneg_project(v)
 
     # One-entry memo of the last DRS point: (private copy of z, y, z_next).
     # The run loop records each iterate right after the map's last evaluation
-    # at that point, so the monitor and the objective reuse its CG solve.  The
+    # at that point, so the monitor and the objective reuse its solve.  The
     # key is compared by value, so a caller that mutates its array or asks
     # about another point gets a fresh solve.
     memo: list = [None, None, None]

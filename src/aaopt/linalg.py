@@ -6,6 +6,7 @@ numpy arrays.  Nothing here allocates beyond the output vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -55,12 +56,15 @@ def spectral_norm_sq(A, tol: float = 1e-6, max_iter: int = 500) -> float:
     v = np.random.default_rng(0).standard_normal(cols)
     v /= np.linalg.norm(v)
     est = 0.0
+    At = A.T
     for _ in range(max_iter):
-        w = matvec(A, matvec(A, v), transpose=True)
-        nw = np.linalg.norm(w)
+        # the same products as matvec, and sqrt of w.dot(w) is np.linalg.norm
+        # of a 1-D vector, without their per-call checks and dispatch
+        w = At.dot(A.dot(v))
+        nw = math.sqrt(float(w.dot(w)))
         if nw == 0.0:
             return 0.0
-        new_est = float(v @ w)  # Rayleigh quotient, since ||v|| = 1
+        new_est = float(v.dot(w))  # Rayleigh quotient, since ||v|| = 1
         v = w / nw
         if abs(new_est - est) <= tol * abs(new_est):
             return new_est

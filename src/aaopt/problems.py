@@ -242,8 +242,10 @@ def svm_dual_grad(inst: SvmDualInstance, x: np.ndarray) -> np.ndarray:
     return inst.k_apply(x) - 1.0
 
 
-def svm_dual_objective(inst: SvmDualInstance, x: np.ndarray) -> float:
-    w = matvec(inst.A, inst.y * x, transpose=True)
+def svm_dual_objective(inst: SvmDualInstance, x: np.ndarray, At=None) -> float:
+    """0.5*||A.T (y .* x)||^2 - sum(x); ``At`` is an A.T the caller built once."""
+    v = inst.y * x
+    w = matvec(inst.A, v, transpose=True) if At is None else At.dot(v)
     return 0.5 * float(w @ w) - float(x.sum())
 
 

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .linalg import cg_solve_spd, matvec
+from .linalg import matvec
 
 __all__ = [
     "BoxBounds",
@@ -15,7 +16,7 @@ __all__ = [
     "weighted_soft_threshold",
     "box_project",
     "nonneg_project",
-    "prox_quadratic_ls",
+    "quadratic_ls_prox",
 ]
 
 
@@ -72,47 +73,45 @@ def nonneg_project(v: np.ndarray) -> np.ndarray:
     return np.maximum(np.asarray(v, dtype=float), 0.0)
 
 
-def prox_quadratic_ls(
-    A,
-    y: np.ndarray,
-    lam: float,
-    scale_m: float,
-    beta: float,
-    z: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int | None = None,
-) -> np.ndarray:
-    """Prox of f(x) = ||A x - y||^2 / (2*scale_m) + lam*||x||^2 at z, step beta.
+def quadratic_ls_prox(
+    A, y: np.ndarray, lam: float, scale_m: float, beta: float
+) -> Callable[[np.ndarray, float], np.ndarray]:
+    """prox_{beta f} for f(x) = ||A x - y||^2 / (2*scale_m) + lam*||x||^2.
 
-    Solves the SPD system (I/beta + A.T A/scale_m + 2*lam*I) x = z/beta +
-    A.T y/scale_m with conjugate gradients.  The returned x satisfies the
-    first-order condition ||grad f(x) + (x - z)/beta|| <= tol * (1 + ||z||)
-    unless CG hits its iteration cap, in which case a RuntimeWarning is
-    emitted and the best iterate is returned.
+    The prox at z solves (A.T A + s*I) x = A.T y + (scale_m/beta) z with
+    s = scale_m*(1/beta + 2*lam): the first-order condition
+    grad f(x) + (x - z)/beta = 0 multiplied by scale_m.  That matrix does not
+    depend on z, so this factory forms the dense n x n Gram matrix A.T A once
+    (for a CSR A too), takes its Cholesky factor with LAPACK dpotrf and hoists
+    A.T y.  Each call of the returned ``prox(z, t)`` builds one right-hand side
+    and runs one dpotrs pair of triangular solves; ``t`` must be ``beta``, the
+    step the factor was built for, and ``z`` is not modified.
+
+    Raises LinAlgError if the shifted Gram matrix is not positive definite.
     """
     if beta <= 0:
-        raise ValueError("prox_quadratic_ls: beta must be positive")
+        raise ValueError("quadratic_ls_prox: beta must be positive")
     if scale_m <= 0:
-        raise ValueError("prox_quadratic_ls: scale_m must be positive")
-    z = np.asarray(z, dtype=float)
-    rhs = z / beta + matvec(A, np.asarray(y, dtype=float), transpose=True) / scale_m
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        return v / beta + matvec(A, matvec(A, v), transpose=True) / scale_m + 2.0 * lam * v
-
-    nrhs = float(np.linalg.norm(rhs))
-    if nrhs == 0.0:
-        return np.zeros_like(z)
-    # CG stops on ||S x - rhs|| <= tol_cg * ||rhs||; S x - rhs is exactly the
-    # first-order residual grad f(x) + (x - z)/beta, so rescale the target.
-    tol_cg = tol * (1.0 + float(np.linalg.norm(z))) / nrhs
-    if max_iter is None:
-        max_iter = max(200, 2 * z.shape[0])
-    result = cg_solve_spd(apply, rhs, tol=tol_cg, max_iter=max_iter)
-    if not result.converged:
-        warnings.warn(
-            "prox_quadratic_ls: CG stopped at %d iterations with residual %.3e"
-            % (result.iterations, result.residual_norm),
-            RuntimeWarning,
+        raise ValueError("quadratic_ls_prox: scale_m must be positive")
+    gram = A.T @ A
+    gram = gram.toarray() if hasattr(gram, "toarray") else np.asarray(gram, dtype=float)
+    gram.flat[:: gram.shape[0] + 1] += scale_m * (1.0 / beta + 2.0 * lam)
+    # gram is symmetric and gram.T is Fortran-ordered, so LAPACK factors it in
+    # place without a copy
+    factor, info = dpotrf(gram.T, lower=True, clean=False, overwrite_a=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            "quadratic_ls_prox: shifted Gram matrix is not positive definite (dpotrf info %d)" % info
         )
-    return result.x
+    aty = matvec(A, np.asarray(y, dtype=float), transpose=True)
+    z_weight = scale_m / beta
+
+    def prox(z: np.ndarray, t: float) -> np.ndarray:
+        if t != beta:
+            raise ValueError("quadratic_ls_prox: factored for step %r, called with %r" % (beta, t))
+        x, _ = dpotrs(factor, aty + z_weight * np.asarray(z, dtype=float), lower=True, overwrite_b=True)
+        if not np.isfinite(x).all():
+            raise FloatingPointError("quadratic_ls_prox: non-finite result")
+        return x
+
+    return prox

@@ -58,7 +58,7 @@ from aaopt.problems import (
     svm_dual_grad,
     svm_dual_objective,
 )
-from aaopt.prox import nonneg_project, prox_quadratic_ls, weighted_soft_threshold
+from aaopt.prox import nonneg_project, quadratic_ls_prox, weighted_soft_threshold
 
 
 def _report(num: int, label: str, ok: bool, detail: str) -> None:
@@ -347,7 +347,7 @@ def test_criterion_07_nnls_relations():
 
     inst = gen_nnls(50, 30, lam=0.001, seed=0)
     beta = 1.0 / (spectral_norm_sq(inst.A) / inst.A.shape[0])
-    f_prox = lambda v, t: prox_quadratic_ls(inst.A, inst.y, inst.lam, inst.A.shape[0], t, v, tol=1e-12)
+    f_prox = quadratic_ls_prox(inst.A, inst.y, inst.lam, inst.A.shape[0], beta)
     x, y, _ = drs_parts(f_prox, lambda v, t: nonneg_project(v), DrsParams(beta=beta), z)
     fixed_gap = float(np.linalg.norm(x - y))
     pg = float(np.linalg.norm(y - nonneg_project(y - beta * nnls_grad(inst, y))))

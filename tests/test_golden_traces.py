@@ -5,15 +5,25 @@ writes its trace CSV, and hashes (SHA-256) the CSV with the ``elapsed_us``
 column dropped together with the summary block without ``elapsed_s``.  A
 change that moves any recorded number in its last bit changes the hash; one
 that only changes timing does not.  A change that is meant to move numbers
-regenerates the table with ``golden_hash`` and says so in CHANGES.md.
+regenerates the tables and says so in CHANGES.md; from the repository root,
+
+    python3 tests/test_golden_traces.py
+
+prints ``GOLDEN`` and ``GOLDEN_CSR`` as computed by the current source tree.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+if __name__ == "__main__":  # run as a script: import aaopt from this checkout
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from aaopt.harness import config_from_mapping, format_summary, run_experiment
 from aaopt.problems import gen_nnls, gen_svm
@@ -47,10 +57,10 @@ GOLDEN = {
     ("svm", "pcd", False, 1): "9673ca22ffe398bc4a6670001af4166ee1bb97275aeb5cb3829c016a0f0a0351",
     ("svm", "pcd", True, 0): "3ea50f409b81b66f62b28cbef368cbe5775e5d0f0f4bc625de81cb8bd0defefa",
     ("svm", "pcd", True, 1): "eb374d1b3570209265539c7e8e0f072f33e03437b826c5500c5b94882dcbe596",
-    ("nnls", "drs", False, 0): "71ae45875ad7cf27986a67df40d69946f1d9e7b0d253d556b9fb7787aa5e5357",
-    ("nnls", "drs", False, 1): "442090214c02cc9d7b9ddb22eade2d8e7bf4b5805ca76992323fd68e8205d83d",
-    ("nnls", "drs", True, 0): "a3bee84e99e12fa25f015199a4d0a7e435d6c681e2fc689ddb4b10036678b0e9",
-    ("nnls", "drs", True, 1): "30bdb7329d9a5b9b6f75806828880ad11ceec139d0ced3e5f0ef4aea428930cb",
+    ("nnls", "drs", False, 0): "e192d21fc1e8d4eed939348eb886600f0c4fd6fc018f30501f30042f837e605c",
+    ("nnls", "drs", False, 1): "8cc09e2ba9571792d965d6c766b8addd268d3eddf65460b5a885cf750ee545c7",
+    ("nnls", "drs", True, 0): "76d2e58ade610dbdc142f00a793bc2c80e3716115090120eb23ca63ebbab0a13",
+    ("nnls", "drs", True, 1): "fb543ce7d0b9bb40d64aaa77a2f70b3792f9963f926626a7c303f1c49e7df6f8",
     ("logreg", "irl1", False, 0): "c174bb07f37a1412ec69abe382c40043bf42573fd3b87677be06524d0a0b707d",
     ("logreg", "irl1", False, 1): "8c2937fd3758a1814a01d87844bbf8d1d8aa67ffb31f45225df37cf76724c74d",
     ("logreg", "irl1", True, 0): "0d5a1f322aacab8822e4d5db9cb255112a3d57be2d20214f3013f2243e094ce6",
@@ -72,10 +82,10 @@ GOLDEN_CSR = {
     ("svm", "pcd", False, 1): "128e1992e13fdb190535ba8a7e451fda376cade8c89693de83e5961bdf14e241",
     ("svm", "pcd", True, 0): "f2a6c0e212b9f1f39a67585d5d9737ff08d760e59bb3b269c58f6f0cc1ce57a1",
     ("svm", "pcd", True, 1): "cf22d5f398bf34935e3aae6c0c7912707786a545daf7dcdaeea313e15c5d6976",
-    ("nnls", "drs", False, 0): "932ad6fd08f7f56190874a50c425e1aae010f90fe4bd8a0dac643ad95a33da60",
-    ("nnls", "drs", False, 1): "a6b3b4d91a3b241bb1b7a5e6b923f84763ede6f03e8d14b6e11bdf04ca4d7fd6",
-    ("nnls", "drs", True, 0): "d699b7da1d85647bb1434095b35194af17561fd76505c4e677aa73e57fa81dfc",
-    ("nnls", "drs", True, 1): "8605f9dddeb9d0d7f90e452e6f38552ab85e4934bfb71bba5afa6d2d4aedf24e",
+    ("nnls", "drs", False, 0): "5689280b36a31f786cc3f3921bc7530b0ddea61cba8153fca01b80306d92a4ee",
+    ("nnls", "drs", False, 1): "ee9524e38c13a606582fe371d450bb25084e8bad7c777eb86ea80c40f040e820",
+    ("nnls", "drs", True, 0): "c9ab2a8caa764fced10018ffde0420b1fbdb6fff92a725cccc12445ef6ea7bf9",
+    ("nnls", "drs", True, 1): "acf5c4e38640f7d85a7d8a21487faa1a193d4451bd808c001885325f0e079588",
 }
 
 
@@ -128,3 +138,29 @@ def test_csr_trace_and_summary_are_bitwise_unchanged(family, algorithm, aa, seed
     write_csr_dataset(family, dataset)
     got = golden_hash(family, algorithm, aa, seed, str(tmp_path / "trace.csv"), dataset)
     assert got == GOLDEN_CSR[(family, algorithm, aa, seed)]
+
+
+def print_tables() -> None:
+    """Print GOLDEN and GOLDEN_CSR, ready to paste over the tables above."""
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = str(Path(tmp) / "trace.csv")
+        tables = {"GOLDEN": {}, "GOLDEN_CSR": {}}
+        for family, algorithm, aa in CELLS:
+            for seed in (0, 1):
+                tables["GOLDEN"][(family, algorithm, aa, seed)] = golden_hash(family, algorithm, aa, seed, trace)
+        for family, algorithm, aa in CSR_CELLS:
+            dataset = str(Path(tmp) / ("%s.libsvm" % family))
+            write_csr_dataset(family, dataset)
+            for seed in (0, 1):
+                tables["GOLDEN_CSR"][(family, algorithm, aa, seed)] = golden_hash(
+                    family, algorithm, aa, seed, trace, dataset
+                )
+    for name, table in tables.items():
+        print("%s = {" % name)
+        for key, digest in table.items():
+            print('    ("%s", "%s", %r, %d): "%s",' % (*key, digest))
+        print("}")
+
+
+if __name__ == "__main__":
+    print_tables()

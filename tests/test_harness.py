@@ -27,7 +27,7 @@ from aaopt.harness import (
     write_trace,
 )
 from aaopt.problems import gen_nnls, gen_svm, load_libsvm, nnls_objective
-from aaopt.prox import prox_quadratic_ls
+from aaopt.prox import quadratic_ls_prox
 from oracles import svm_pcd_sweep_reference, write_libsvm
 
 LASSO_SMALL = {
@@ -350,9 +350,7 @@ NNLS_SMALL = {"problem.kind": "nnls", "algorithm.kind": "drs",
 def nnls_reference_parts(ctx):
     """drs_parts of the NNLS_SMALL operator, built without the harness."""
     inst = gen_nnls(50, 30, lam=0.001, seed=0)
-    m = inst.A.shape[0]
-    # inner CG tolerance the builder derives from the default run.tol = 1e-10
-    f_prox = lambda z, t: prox_quadratic_ls(inst.A, inst.y, inst.lam, m, t, z, tol=1e-12)
+    f_prox = quadratic_ls_prox(inst.A, inst.y, inst.lam, inst.A.shape[0], ctx.beta)
     drs = DrsParams(beta=ctx.beta, delta=1.0)
     return inst, lambda z: drs_parts(f_prox, ctx.g_prox, drs, z)
 
@@ -363,12 +361,12 @@ def test_nnls_run_solves_each_drs_point_once(monkeypatch, aa):
     ctx = build_operator(cfg)
     caller = ["loop"]
     calls = {"apply": 0, "monitor": 0, "objective": 0}
-    cg_calls = {"loop": 0, "apply": 0, "monitor": 0, "objective": 0}
-    real_cg = aaopt.prox.cg_solve_spd
+    solves = {"loop": 0, "apply": 0, "monitor": 0, "objective": 0}
+    real_solve = aaopt.prox.dpotrs
 
-    def counted_cg(*args, **kwargs):
-        cg_calls[caller[0]] += 1
-        return real_cg(*args, **kwargs)
+    def counted_solve(*args, **kwargs):
+        solves[caller[0]] += 1
+        return real_solve(*args, **kwargs)
 
     def inside(name, fn):
         def wrapped(z):
@@ -381,7 +379,7 @@ def test_nnls_run_solves_each_drs_point_once(monkeypatch, aa):
         return wrapped
 
     ctx.op = replace(ctx.op, **{name: inside(name, getattr(ctx.op, name)) for name in calls})
-    monkeypatch.setattr(aaopt.prox, "cg_solve_spd", counted_cg)
+    monkeypatch.setattr(aaopt.prox, "dpotrs", counted_solve)
     monkeypatch.setattr(aaopt.harness, "build_operator", lambda _cfg: ctx)
     records, summary = run_experiment(cfg)
     assert summary["status"] == "converged"
@@ -390,7 +388,7 @@ def test_nnls_run_solves_each_drs_point_once(monkeypatch, aa):
         assert any(r.accepted for r in records[1:]) and not all(r.accepted for r in records[1:])
     else:
         assert calls["apply"] == len(records)
-    assert cg_calls == {"loop": 0, "apply": calls["apply"], "monitor": 0, "objective": 0}
+    assert solves == {"loop": 0, "apply": calls["apply"], "monitor": 0, "objective": 0}
 
 
 def test_nnls_memoized_monitor_and_objective_match_direct_solve():

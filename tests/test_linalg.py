@@ -3,6 +3,8 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aaopt.linalg import CgResult, cg_solve_spd, matvec, spectral_norm_sq
 
@@ -52,6 +54,38 @@ def test_matvec_is_bitwise_the_matmul():
             assert matvec(M, z, transpose=True).tobytes() == np.asarray(M.T @ z).tobytes()
             assert matvec(M.T, z).tobytes() == np.asarray(M.T @ z).tobytes()
             assert matvec(M.T, x, transpose=True).tobytes() == np.asarray(M @ x).tobytes()
+
+
+SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, 1e-300, 1e150, -1e150])
+
+
+@st.composite
+def csr_and_vector(draw):
+    """A CSR matrix, possibly with unsorted and duplicate column indices and
+    stored zeros, and a vector for its transposed product."""
+    m, n = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(size):
+        out = rng.standard_normal(size) * draw(st.sampled_from([1.0, 1e-8, 1e8]))
+        special = rng.random(size) < draw(st.sampled_from([0.0, 0.2]))
+        out[special] = rng.choice(SPECIAL, size=int(special.sum()))
+        return out
+
+    counts = rng.integers(0, 2 * n, size=m)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indices = rng.integers(0, n, size=int(indptr[-1]))
+    S = sp.csr_matrix((values(indices.size), indices, indptr), shape=(m, n))
+    return S, values(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=csr_and_vector())
+def test_csr_transpose_built_once_is_bitwise_the_transposed_matvec(case):
+    # the svm builder keeps A.T as CSR, built once, for its sweep and objective
+    S, v = case
+    At = S.T.tocsr()
+    assert At.dot(v).tobytes() == matvec(S, v, transpose=True).tobytes()
 
 
 def test_matvec_dimension_mismatch():

@@ -1,13 +1,14 @@
-import warnings
-
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aaopt.prox import (
     BoxBounds,
     box_project,
     nonneg_project,
-    prox_quadratic_ls,
+    quadratic_ls_prox,
     soft_threshold,
     weighted_soft_threshold,
 )
@@ -113,33 +114,83 @@ def test_soft_threshold_nonexpansive():
 
 def test_prox_quadratic_ls_zero_data_is_identity():
     z = np.array([1.0, -2.0, 0.5])
-    out = prox_quadratic_ls(np.zeros((2, 3)), np.zeros(2), 0.0, 1.0, 1.0, z)
+    out = quadratic_ls_prox(np.zeros((2, 3)), np.zeros(2), 0.0, 1.0, 1.0)(z, 1.0)
     assert np.allclose(out, z, atol=1e-12)
 
 
 def test_prox_quadratic_ls_scalar_example():
     # min 0.5*(x-2)^2 + 0.5*x^2 has minimizer 1
-    out = prox_quadratic_ls(np.eye(1), np.array([2.0]), 0.0, 1.0, 1.0, np.array([0.0]))
+    out = quadratic_ls_prox(np.eye(1), np.array([2.0]), 0.0, 1.0, 1.0)(np.array([0.0]), 1.0)
     assert out[0] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_prox_quadratic_ls_first_order_optimality():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        m, n = int(rng.integers(2, 15)), int(rng.integers(2, 12))
-        A = rng.standard_normal((m, n))
-        y = rng.standard_normal(m)
-        z = rng.standard_normal(n)
-        lam, beta = float(rng.random() * 0.1), float(rng.random() + 0.1)
-        x = prox_quadratic_ls(A, y, lam, float(m), beta, z, tol=1e-12)
-        grad = A.T @ (A @ x - y) / m + 2 * lam * x + (x - z) / beta
-        assert np.linalg.norm(grad) <= 1e-12 * (1 + np.linalg.norm(z))
+@st.composite
+def ls_problems(draw):
+    """(A, y, z, lam, beta): dense or CSR A with m < n, m = n or m > n."""
+    m, n = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((m, n))
+    if draw(st.booleans()):
+        A[rng.random((m, n)) < draw(st.floats(0.0, 0.9))] = 0.0
+        A = sp.csr_matrix(A)
+    y = rng.standard_normal(m)
+    z = rng.standard_normal(n) * draw(st.sampled_from([1.0, 1e-3, 1e3]))
+    lam = draw(st.sampled_from([0.0, 1e-3, 0.1, 10.0]))
+    beta = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return A, y, z, lam, beta
 
 
-def test_prox_quadratic_ls_warns_on_cg_cap():
-    rng = np.random.default_rng(6)
-    A = rng.standard_normal((30, 30))
-    y = rng.standard_normal(30)
-    z = rng.standard_normal(30)
-    with pytest.warns(RuntimeWarning):
-        prox_quadratic_ls(A, y, 0.0, 1.0, 1e6, z, tol=1e-14, max_iter=2)
+def dense(A) -> np.ndarray:
+    return A.toarray() if sp.issparse(A) else A
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=ls_problems())
+def test_prox_quadratic_ls_first_order_optimality(problem):
+    A, y, z, lam, beta = problem
+    m = A.shape[0]
+    z_before = z.copy()
+    x = quadratic_ls_prox(A, y, lam, float(m), beta)(z, beta)
+    assert np.array_equal(z, z_before)
+    D = dense(A)
+    grad = D.T @ (D @ x - y) / m + 2 * lam * x + (x - z) / beta
+    assert np.linalg.norm(grad) <= 1e-12 * (1 + np.linalg.norm(z))
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=ls_problems())
+def test_prox_quadratic_ls_matches_dense_solve(problem):
+    A, y, z, lam, beta = problem
+    m, n = A.shape
+    D = dense(A)
+    S = np.eye(n) / beta + D.T @ D / m + 2 * lam * np.eye(n)
+    want = np.linalg.solve(S, z / beta + D.T @ y / m)
+    got = quadratic_ls_prox(A, y, lam, float(m), beta)(z, beta)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_prox_quadratic_ls_is_built_for_one_step():
+    prox = quadratic_ls_prox(np.eye(2), np.ones(2), 0.0, 2.0, 0.5)
+    prox(np.zeros(2), 0.5)
+    with pytest.raises(ValueError, match="step"):
+        prox(np.zeros(2), 0.25)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_prox_quadratic_ls_rejects_non_finite_input(bad):
+    prox = quadratic_ls_prox(np.eye(3), np.ones(3), 0.0, 1.0, 1.0)
+    z = np.array([1.0, bad, 0.0])
+    with pytest.raises(FloatingPointError):
+        prox(z, 1.0)
+    assert np.array_equal(z, [1.0, bad, 0.0], equal_nan=True)
+
+
+def test_prox_quadratic_ls_argument_checks():
+    A, y = np.eye(2), np.ones(2)
+    with pytest.raises(ValueError):
+        quadratic_ls_prox(A, y, 0.0, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        quadratic_ls_prox(A, y, 0.0, 0.0, 1.0)
+    # lam = -1 shifts the diagonal of A.T A = I by 1 + 2*lam = -1
+    with pytest.raises(np.linalg.LinAlgError):
+        quadratic_ls_prox(A, y, -1.0, 1.0, 1.0)
