@@ -4,18 +4,14 @@ from .algorithms import (
     DrsParams,
     FistaState,
     FixedPointOperator,
-    Irl1State,
     admm_step,
     drs_parts,
-    drs_step,
     fista_init,
     fista_step,
     irl1_beta_window,
     irl1_step,
     pcd_sweep,
     pga_step,
-    pla_step,
-    ppa_step,
 )
 from .anderson import (
     AaConfig,
@@ -61,7 +57,6 @@ from .problems import (
 )
 from .prox import (
     BoxBounds,
-    box_project,
     nonneg_project,
     quadratic_ls_prox,
     soft_threshold,

@@ -1,8 +1,8 @@
 """Fixed-point maps for nonsmooth first-order algorithms.
 
-Each step function implements one application x -> H(x) of the underlying
-iteration, so any of them can be driven plainly or through the Anderson
-engine.  Prox callables follow the convention ``prox(v, t)`` = argmin
+Each step function (for pcd_sweep, the sweep it builds) implements one
+application x -> H(x) of the underlying iteration, so any of them can be
+driven plainly or through the Anderson engine.  Prox callables follow the convention ``prox(v, t)`` = argmin
 g(y) + ||y - v||^2 / (2 t).
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -19,18 +19,14 @@ from .prox import weighted_soft_threshold
 
 __all__ = [
     "FixedPointOperator",
-    "ppa_step",
     "pga_step",
     "FistaState",
     "fista_init",
     "fista_step",
-    "pla_step",
     "pcd_sweep",
     "DrsParams",
     "drs_parts",
-    "drs_step",
     "admm_step",
-    "Irl1State",
     "irl1_step",
     "irl1_beta_window",
 ]
@@ -68,13 +64,6 @@ def _require_finite(v: np.ndarray, what: str) -> np.ndarray:
     return v
 
 
-def ppa_step(g_prox: Prox, beta: float, x: np.ndarray) -> np.ndarray:
-    """Proximal-point step: H(x) = prox_{beta g}(x)."""
-    if beta <= 0:
-        raise ValueError("ppa_step: beta must be positive")
-    return g_prox(x, beta)
-
-
 def pga_step(grad_f: Grad, g_prox: Prox, beta: float, x: np.ndarray) -> np.ndarray:
     """Proximal-gradient step: H(x) = prox_{beta g}(x - beta grad f(x))."""
     if beta <= 0:
@@ -97,109 +86,91 @@ def fista_init(x0: np.ndarray) -> FistaState:
     return FistaState(x=x0, y=x0, t=1.0)
 
 
-def fista_step(state: FistaState, grad_f: Grad, g_prox: Prox, beta: float) -> FistaState:
-    """One FISTA update; the first step from fista_init equals pga_step.
+def fista_step(state: FistaState, apply: Callable[[np.ndarray], np.ndarray]) -> FistaState:
+    """One FISTA update with H = ``apply``, the proximal-gradient map pga_step.
 
-    This comparator is driven on its own momentum sequence and is never fed
-    to the Anderson engine.
+    The first step from fista_init equals one application of H.  This
+    comparator is driven on its own momentum sequence and is never fed to the
+    Anderson engine.
     """
-    x_new = pga_step(grad_f, g_prox, beta, state.y)
+    x_new = apply(state.y)
     t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * state.t**2))
     y_new = x_new + ((state.t - 1.0) / t_new) * (x_new - state.x)
     return FistaState(x=x_new, y=y_new, t=t_new)
 
 
-def pla_step(
-    f_prox: Prox | None,
-    h_value: Callable[[np.ndarray], np.ndarray] | None,
-    h_jac: Callable[[np.ndarray], np.ndarray] | None,
-    g_prox: Prox | None,
-    beta: float,
-    x: np.ndarray,
-    inner_tol: float = 1e-10,
-    max_inner: int | None = None,
-) -> np.ndarray:
-    """Prox-linear step: minimize f(h(x) + Jh(x)(y-x)) + g(y) + ||y-x||^2/(2 beta).
-
-    The convex inner subproblem is solved by Douglas--Rachford splitting with
-    the composed term handled through the prox of f (this needs J J^T to be a
-    multiple of the identity, which holds in particular whenever f is a
-    function of a single scalar residual).  Pass ``f_prox=None`` for f == 0
-    (the step reduces to prox_{beta g}, evaluated directly) and
-    ``g_prox=None`` for g == 0.
-
-    Returns the g-side prox output, whose inner optimality residual is at
-    most ``inner_tol``.
-    """
-    if beta <= 0:
-        raise ValueError("pla_step: beta must be positive")
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    if g_prox is None:
-        g_prox = lambda v, t: v
-    if f_prox is None:
-        return g_prox(x, beta)  # exact reduction to the proximal-point step
-    if h_value is None or h_jac is None:
-        raise ValueError("pla_step: h_value and h_jac are required when f is present")
-
-    b0 = np.asarray(h_value(x), dtype=float)
-    J = np.atleast_2d(np.asarray(h_jac(x), dtype=float))
-    if J.shape[1] != n:
-        raise ValueError("pla_step: Jacobian has %d columns, expected %d" % (J.shape[1], n))
-    G = J @ J.T
-    c = float(np.trace(G)) / G.shape[0]
-    if np.linalg.norm(G - c * np.eye(G.shape[0])) > 1e-8 * max(1.0, abs(c)):
-        raise ValueError("pla_step: composed prox needs J J^T proportional to the identity")
-    offset = b0 - J @ x  # ell(y) = J y + offset
-
-    t = beta  # inner DRS stepsize
-    s = beta * t / (beta + t)
-
-    def prox_composed(v: np.ndarray) -> np.ndarray:
-        # prox of y -> f(ell(y)); identity when the linearization is constant
-        if c <= 0:
-            return v
-        lv = J @ v + offset
-        return v + (J.T @ (f_prox(lv, c * t) - lv)) / c
-
-    def prox_quad_g(v: np.ndarray) -> np.ndarray:
-        # prox of y -> g(y) + ||y - x||^2/(2 beta)
-        return g_prox((t * x + beta * v) / (t + beta), s)
-
-    if max_inner is None:
-        max_inner = max(200, 10 * n)
-    z = x.copy()
-    y = x
-    for _ in range(max_inner):
-        xf = prox_composed(z)
-        y = prox_quad_g(2.0 * xf - z)
-        z = z + (y - xf)
-        if np.linalg.norm(xf - y) <= inner_tol * t:
-            break
-    return y
+def _per_row(value, m: int, what: str) -> list[float]:
+    if not isinstance(value, (int, float)):  # a plain scalar skips numpy
+        value = np.asarray(value, dtype=float)
+        if value.ndim:
+            if value.shape != (m,):
+                raise ValueError("pcd_sweep: %s has shape %s, expected (%d,)" % (what, value.shape, m))
+            return value.tolist()
+    return [float(value)] * m
 
 
-def pcd_sweep(
-    grad_f_coord: Callable[[int, np.ndarray], float],
-    g_prox_coord: Callable[[int, float, float], float],
-    beta: float,
-    x: np.ndarray,
-) -> np.ndarray:
-    """One full cyclic sweep of proximal coordinate descent.
+def pcd_sweep(Z, q, lower, upper, beta: float) -> Callable[[np.ndarray], np.ndarray]:
+    """One cyclic sweep of proximal coordinate descent, built once for many calls.
 
-    Coordinate i is updated to prox of its separable term at
-    x_i - beta * grad_f_coord(i, x) with the coordinates 0..i-1 already at
-    their new values (grad_f_coord sees the partially updated vector).
+    The problem is f(x) = 0.5*||Z.T x||^2 + q.T x on the box
+    lower <= x <= upper, with Z an m x n dense array or CSR matrix (one row
+    per coordinate) and q, lower, upper scalars or length-m vectors (bounds
+    may be infinite).  The returned ``sweep(x)`` updates coordinate i to
+    clip(x_i - beta*(z_i.u + q_i), lower_i, upper_i) for i = 0..m-1, each
+    against the coordinates already updated, while keeping u = Z.T x current.
+    It does not modify ``x``.
+
+    The rows are extracted here; the sweep holds the iterate as Python floats
+    and takes each row's dot with ndarray.dot, the same IEEE operations as
+    numpy scalars and ``@`` at a fraction of the dispatch cost.
     """
     if beta <= 0:
         raise ValueError("pcd_sweep: beta must be positive")
-    x = np.array(x, dtype=float, copy=True)
-    for i in range(x.shape[0]):
-        v = x[i] - beta * grad_f_coord(i, x)
-        if not np.isfinite(v):
-            raise FloatingPointError("pcd_sweep: non-finite gradient at coordinate %d" % i)
-        x[i] = g_prox_coord(i, v, beta)
-    return x
+    sparse = hasattr(Z, "tocsr") and not isinstance(Z, np.ndarray)
+    Z = Z.tocsr() if sparse else np.asarray(Z, dtype=float)
+    m = Z.shape[0]
+    q, lower, upper = _per_row(q, m, "q"), _per_row(lower, m, "lower"), _per_row(upper, m, "upper")
+
+    if sparse:
+        ptr = Z.indptr
+        rows = [(Z.indices[ptr[i] : ptr[i + 1]], Z.data[ptr[i] : ptr[i + 1]]) for i in range(m)]
+        # Z.T as CSR, built once, so each sweep's u costs one product
+        Zt = Z.T.tocsr()
+
+        def sweep(x: np.ndarray) -> np.ndarray:
+            x = np.asarray(x, dtype=float)
+            xs = x.tolist()
+            u = Zt.dot(x)
+            for i, ((idx, data), qi, lo, hi) in enumerate(zip(rows, q, lower, upper)):
+                xi = xs[i]
+                v = xi - beta * (float(data.dot(u[idx])) + qi)
+                new = min(max(v, lo), hi)
+                delta = new - xi
+                if delta != 0.0:
+                    u[idx] += delta * data
+                    xs[i] = new
+            return np.array(xs, dtype=float)
+
+        return sweep
+
+    rows = list(Z)
+    Zt = Z.T
+
+    def sweep(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        xs = x.tolist()
+        u = Zt.dot(x)
+        for i, (z, qi, lo, hi) in enumerate(zip(rows, q, lower, upper)):
+            xi = xs[i]
+            v = xi - beta * (float(z.dot(u)) + qi)
+            new = min(max(v, lo), hi)
+            delta = new - xi
+            if delta != 0.0:
+                u += delta * z
+                xs[i] = new
+        return np.array(xs, dtype=float)
+
+    return sweep
 
 
 @dataclass(frozen=True)
@@ -226,11 +197,6 @@ def drs_parts(
     x = f_prox(z, params.beta)
     y = g_prox(2.0 * x - z, params.beta)
     return x, y, z + params.delta * (y - x)
-
-
-def drs_step(f_prox: Prox, g_prox: Prox, params: DrsParams, z: np.ndarray) -> np.ndarray:
-    """The governing fixed-point map z -> z + delta*(R_beta(z) - prox_{beta f}(z))."""
-    return drs_parts(f_prox, g_prox, params, z)[2]
 
 
 def admm_step(
@@ -263,34 +229,24 @@ def admm_step(
     return u_new, v_new, w_new
 
 
-@dataclass(frozen=True)
-class Irl1State:
-    """Primal iterate and smoothing vector of the reweighted-l1 iteration."""
-
-    x: np.ndarray
-    eps: np.ndarray
-
-    def __post_init__(self):
-        if self.x.shape != self.eps.shape:
-            raise ValueError("Irl1State: x and eps must have the same shape")
-        if np.any(self.eps < 0):
-            raise ValueError("Irl1State: eps must be nonnegative")
-
-
 def irl1_step(
     grad_f: Grad,
     phi: RegularizerPhi,
     lam: float,
     beta: float,
     mu: float,
-    state: Irl1State,
-) -> Irl1State:
-    """One iteratively-reweighted-l1 step on the extended variable (x, eps).
+    theta: np.ndarray,
+) -> np.ndarray:
+    """One iteratively-reweighted-l1 step on the extended variable theta = (x, eps).
 
-    Weights are w_i = phi'(|x_i| + eps_i); the x-update is the closed-form
-    weighted shrinkage of the gradient step, and eps shrinks geometrically,
-    eps+ = mu * eps.  A weight that is undefined (e.g. the power penalty at
-    |x_i| + eps_i = 0) raises with the offending coordinate named.
+    Weights are w_i = phi'(|x_i| + max(eps_i, 0)); the x-update is the
+    closed-form weighted shrinkage of the gradient step, and eps shrinks
+    geometrically, eps+ = mu * eps.  Returns the new (x, eps) as one vector.
+
+    Anderson candidates may leave the domain eps >= 0, hence the clamp in the
+    weights.  Where |x_i| + max(eps_i, 0) is 0 the coordinate is pinned at 0
+    (the power penalty's infinite-weight limit), so the safeguard can judge
+    such a candidate by its residual.
     """
     if beta <= 0:
         raise ValueError("irl1_step: beta must be positive")
@@ -298,10 +254,19 @@ def irl1_step(
         raise ValueError("irl1_step: mu must lie in (0, 1)")
     if lam < 0:
         raise ValueError("irl1_step: lam must be nonnegative")
-    w = phi_deriv(phi, np.abs(state.x) + state.eps)
-    g = _require_finite(np.asarray(grad_f(state.x), dtype=float), "irl1_step: gradient")
-    x_new = weighted_soft_threshold(state.x - beta * g, w, beta * lam)
-    return Irl1State(x=x_new, eps=mu * state.eps)
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 1 or theta.shape[0] % 2:
+        raise ValueError("irl1_step: theta must be a vector (x, eps) of even length")
+    n = theta.shape[0] // 2
+    x, eps = theta[:n], theta[n:]
+    t = np.abs(x) + np.maximum(eps, 0.0)
+    inside = t > 0.0
+    w = np.zeros(n)
+    if inside.any():
+        w[inside] = phi_deriv(phi, t[inside])
+    g = _require_finite(np.asarray(grad_f(x), dtype=float), "irl1_step: gradient")
+    x_new = np.where(inside, weighted_soft_threshold(x - beta * g, w, beta * lam), 0.0)
+    return np.concatenate([x_new, mu * eps])
 
 
 def irl1_beta_window(kappa: float, lam: float, l_omega: float, mu: float) -> tuple[float, float]:

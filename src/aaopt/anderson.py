@@ -251,9 +251,14 @@ def safeguarded_step(
         state.reject_streak = 0
     else:
         x_next = state.h_hist[0]  # plain step H(x^k), already evaluated
-        h_next = np.asarray(apply(x_next), dtype=float)
-        r_next = h_next - x_next
-        norm_next = float(np.linalg.norm(r_next))
+        if h_cand is not None and len(state.h_hist) == 1:
+            # with one column alpha = [1] and the candidate is x_next bit for
+            # bit, so H was just evaluated there
+            h_next, r_next, norm_next = h_cand, r_cand, norm_cand
+        else:
+            h_next = np.asarray(apply(x_next), dtype=float)
+            r_next = h_next - x_next
+            norm_next = float(np.linalg.norm(r_next))
         state.reject_streak += 1
         if state.reject_streak >= cfg.restart_after_rejects:
             state.h_hist.clear()

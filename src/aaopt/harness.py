@@ -22,10 +22,12 @@ from .algorithms import (
     drs_parts,
     fista_init,
     fista_step,
+    irl1_step,
+    pcd_sweep,
     pga_step,
 )
 from .anderson import AaConfig, fit_linear_rate, init_state, safeguarded_step
-from .linalg import matvec, spectral_norm_sq
+from .linalg import spectral_norm_sq
 from .manifold import IdentificationTracker, pattern_of, support_size
 from .problems import (
     LassoInstance,
@@ -43,17 +45,10 @@ from .problems import (
     logreg_grad,
     logreg_objective,
     nnls_objective,
-    phi_deriv,
     subsample,
     svm_dual_objective,
 )
-from .prox import (
-    BoxBounds,
-    nonneg_project,
-    quadratic_ls_prox,
-    soft_threshold,
-    weighted_soft_threshold,
-)
+from .prox import BoxBounds, nonneg_project, quadratic_ls_prox, soft_threshold
 
 __all__ = [
     "ConfigError",
@@ -277,8 +272,6 @@ class RunContext:
     op: FixedPointOperator
     x0: np.ndarray
     bounds: BoxBounds | None = None
-    grad: Callable | None = None
-    g_prox: Callable | None = None
     beta: float | None = None
 
 
@@ -336,7 +329,7 @@ def _build_lasso(cfg: ExperimentConfig) -> RunContext:
         name="lasso/" + cfg.algorithm,
     )
     x0 = _x0_rng(cfg.seed).standard_normal(op.dimension)
-    return RunContext(op=op, x0=x0, grad=grad, g_prox=g_prox, beta=beta)
+    return RunContext(op=op, x0=x0, beta=beta)
 
 
 def _build_svm(cfg: ExperimentConfig) -> RunContext:
@@ -348,67 +341,30 @@ def _build_svm(cfg: ExperimentConfig) -> RunContext:
     else:
         inst = gen_svm(params.get("rows", 100), params.get("cols", 20), seed=cfg.seed, C=C)
     m = inst.A.shape[0]
-    # Both sweeps below take the same coordinate step.  The iterate is held as
-    # Python floats and each row's dot is ndarray.dot, which gives the same
-    # IEEE results as numpy scalars and ``@`` at a fraction of the dispatch
-    # cost; the sweep keeps u = Z^T x current.
+    # the dual is 0.5*||Z^T x||^2 - sum(x) on [0, C]^m with Z = y .* A
     if hasattr(inst.A, "tocsr") and not isinstance(inst.A, np.ndarray):
-        csr = inst.A.tocsr()
-        rows = [
-            (csr.indices[csr.indptr[i] : csr.indptr[i + 1]],
-             inst.y[i] * csr.data[csr.indptr[i] : csr.indptr[i + 1]])
-            for i in range(m)
-        ]
-        row_norm_sq = np.array([float(d @ d) for _, d in rows])
+        A = inst.A.tocsr()
+        Z = A.copy()  # A's sparsity structure, so the sweep sums in A's order
+        Z.data *= np.repeat(inst.y, np.diff(Z.indptr))
+        row_norm_sq = np.array([float(d @ d) for d in np.split(Z.data, Z.indptr[1:-1])])
         # A.T as CSR, built once: the same sums in the same order as
         # matvec(A, v, transpose=True), without building A.T per product
-        At = csr.T.tocsr()
+        At = A.T.tocsr()
         objective = lambda x: svm_dual_objective(inst, x, At)
-
-        def sweep(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            xs = x.tolist()
-            u = At.dot(inst.y * x)
-            for i, (idx, data) in enumerate(rows):
-                xi = xs[i]
-                v = xi - beta * (float(data.dot(u[idx])) - 1.0)
-                new = min(max(v, 0.0), C)
-                delta = new - xi
-                if delta != 0.0:
-                    u[idx] += delta * data
-                    xs[i] = new
-            return np.array(xs, dtype=float)
     else:
         Z = inst.y[:, None] * np.asarray(inst.A, dtype=float)
         row_norm_sq = np.einsum("ij,ij->i", Z, Z)
         objective = lambda x: svm_dual_objective(inst, x)
-
-        def sweep(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            xs = x.tolist()
-            u = matvec(inst.A, inst.y * x, transpose=True)
-            for i, z in enumerate(Z):
-                xi = xs[i]
-                v = xi - beta * (float(z.dot(u)) - 1.0)
-                new = min(max(v, 0.0), C)
-                delta = new - xi
-                if delta != 0.0:
-                    u += delta * z
-                    xs[i] = new
-            return np.array(xs, dtype=float)
-
     lipschitz = float(row_norm_sq.max()) if m else 0.0
     beta = _resolve_beta(cfg, lipschitz)
-
-    bounds = BoxBounds(0.0, C)
     op = FixedPointOperator(
         dimension=m,
-        apply=sweep,
+        apply=pcd_sweep(Z, -1.0, 0.0, C, beta),
         objective=objective,
         name="svm/pcd",
     )
     x0 = _x0_rng(cfg.seed).standard_normal(m)
-    return RunContext(op=op, x0=x0, bounds=bounds, beta=beta)
+    return RunContext(op=op, x0=x0, bounds=BoxBounds(0.0, C), beta=beta)
 
 
 def _build_nnls(cfg: ExperimentConfig) -> RunContext:
@@ -451,7 +407,7 @@ def _build_nnls(cfg: ExperimentConfig) -> RunContext:
         name="nnls/drs",
     )
     x0 = _x0_rng(cfg.seed).standard_normal(n)
-    return RunContext(op=op, x0=x0, grad=None, g_prox=g_prox, beta=beta)
+    return RunContext(op=op, x0=x0, beta=beta)
 
 
 def _build_logreg(cfg: ExperimentConfig) -> RunContext:
@@ -475,32 +431,15 @@ def _build_logreg(cfg: ExperimentConfig) -> RunContext:
     phi = RegularizerPhi("LPN", p)
     beta = _resolve_beta(cfg, spectral_norm_sq(inst.A) / (4.0 * m))
     grad = lambda x: logreg_grad(inst, x)
-
-    def apply(theta: np.ndarray) -> np.ndarray:
-        # Extended variable theta = (x, eps).  Anderson candidates may leave
-        # the domain eps >= 0; weights are evaluated at |x| + max(eps, 0) and
-        # the power penalty's infinite-weight limit at 0 pins the coordinate,
-        # so the safeguard can judge the candidate by its residual.  On the
-        # domain this matches irl1_step exactly.
-        x, eps = theta[:n], theta[n:]
-        t = np.abs(x) + np.maximum(eps, 0.0)
-        inside = t > 0.0
-        w = np.zeros(n)
-        if inside.any():
-            w[inside] = phi_deriv(phi, t[inside])
-        v = x - beta * grad(x)
-        x_new = np.where(inside, weighted_soft_threshold(v, w, beta * lam), 0.0)
-        return np.concatenate([x_new, mu * eps])
-
     op = FixedPointOperator(
         dimension=2 * n,
-        apply=apply,
+        apply=lambda theta: irl1_step(grad, phi, lam, beta, mu, theta),
         objective=lambda theta: logreg_objective(inst, theta[:n]),
         monitor=lambda theta: theta[:n],
         name="logreg/irl1",
     )
     x0 = np.concatenate([_x0_rng(cfg.seed).standard_normal(n), eps0 * np.ones(n)])
-    return RunContext(op=op, x0=x0, grad=grad, beta=beta)
+    return RunContext(op=op, x0=x0, beta=beta)
 
 
 _BUILDERS = {
@@ -534,6 +473,30 @@ class TraceRecord:
 TRACE_HEADER = "k,residual_norm,objective,alpha_l1,accepted,support_size,elapsed_us"
 
 
+def _plain_iterates(apply: Callable, x0: np.ndarray):
+    x = np.asarray(x0, dtype=float)
+    h = np.asarray(apply(x), dtype=float)
+    while True:
+        yield x, float(np.linalg.norm(h - x)), 0.0, 0
+        x = h
+        h = np.asarray(apply(x), dtype=float)
+
+
+def _aa_iterates(apply: Callable, x0: np.ndarray, aa: AaConfig):
+    state = init_state(apply, x0)
+    yield state.x, state.r_norms[0], 0.0, 0
+    while True:
+        x, diag = safeguarded_step(apply, state, aa)
+        yield x, diag.residual_norm, diag.alpha_l1, int(diag.accepted)
+
+
+def _fista_iterates(apply: Callable, x0: np.ndarray):
+    st = fista_init(x0)
+    while True:
+        yield st.x, float(np.linalg.norm(apply(st.x) - st.x)), 0.0, 0
+        st = fista_step(st, apply)
+
+
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[TraceRecord], dict]:
     """Run one configured experiment to tolerance, max_iter, or divergence.
 
@@ -548,57 +511,32 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TraceRecord], dict]:
     records: list[TraceRecord] = []
     identification = IdentificationTracker(cfg.window)
     alpha_l1_max = 0.0
-
-    def record(k: int, rnorm: float, alpha_l1: float, accepted: int, xvec: np.ndarray) -> None:
-        pat = pattern_of(op.monitor_vector(xvec), cfg.zero_tol, ctx.bounds)
+    # Each mode yields (iterate, residual norm, alpha_l1, accepted) for
+    # k = 0, 1, ...; the loop stops before it asks for an iterate it does not
+    # record, so no evaluation of H is wasted.
+    if cfg.algorithm == "fista":
+        iterates = _fista_iterates(op.apply, ctx.x0)
+    elif cfg.aa_enabled:
+        iterates = _aa_iterates(op.apply, ctx.x0, cfg.aa)
+    else:
+        iterates = _plain_iterates(op.apply, ctx.x0)
+    for k, (x, rnorm, alpha_l1, accepted) in enumerate(iterates):
+        alpha_l1_max = max(alpha_l1_max, alpha_l1)
+        pat = pattern_of(op.monitor_vector(x), cfg.zero_tol, ctx.bounds)
         identification.push(pat)
-        obj = float(op.objective(xvec)) if op.objective is not None else math.nan
         records.append(
             TraceRecord(
                 k=k,
                 residual_norm=float(rnorm),
-                objective=obj,
+                objective=float(op.objective(x)) if op.objective is not None else math.nan,
                 alpha_l1=float(alpha_l1),
-                accepted=int(accepted),
+                accepted=accepted,
                 support_size=support_size(pat),
                 elapsed_us=int((time.perf_counter() - t_start) * 1e6),
             )
         )
-
-    def keep_going(rnorm: float, k: int) -> bool:
-        return math.isfinite(rnorm) and cfg.tol < rnorm <= DIVERGENCE_LIMIT and k < cfg.max_iter
-
-    k = 0
-    if cfg.algorithm == "fista":
-        st = fista_init(ctx.x0)
-        rnorm = float(np.linalg.norm(op.residual(st.x)))
-        record(0, rnorm, 0.0, 0, st.x)
-        while keep_going(rnorm, k):
-            st = fista_step(st, ctx.grad, ctx.g_prox, ctx.beta)
-            rnorm = float(np.linalg.norm(op.residual(st.x)))
-            k += 1
-            record(k, rnorm, 0.0, 0, st.x)
-    elif cfg.aa_enabled:
-        state = init_state(op.apply, ctx.x0)
-        rnorm = state.r_norms[0]
-        record(0, rnorm, 0.0, 0, ctx.x0)
-        while keep_going(rnorm, k):
-            x, diag = safeguarded_step(op.apply, state, cfg.aa)
-            rnorm = diag.residual_norm
-            alpha_l1_max = max(alpha_l1_max, diag.alpha_l1)
-            k += 1
-            record(k, rnorm, diag.alpha_l1, int(diag.accepted), x)
-    else:
-        x = np.asarray(ctx.x0, dtype=float)
-        h = np.asarray(op.apply(x), dtype=float)
-        rnorm = float(np.linalg.norm(h - x))
-        record(0, rnorm, 0.0, 0, x)
-        while keep_going(rnorm, k):
-            x = h
-            h = np.asarray(op.apply(x), dtype=float)
-            rnorm = float(np.linalg.norm(h - x))
-            k += 1
-            record(k, rnorm, 0.0, 0, x)
+        if not (math.isfinite(rnorm) and cfg.tol < rnorm <= DIVERGENCE_LIMIT and k < cfg.max_iter):
+            break
 
     if math.isfinite(rnorm) and rnorm <= cfg.tol:
         status = "converged"

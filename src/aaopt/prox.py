@@ -14,7 +14,6 @@ __all__ = [
     "BoxBounds",
     "soft_threshold",
     "weighted_soft_threshold",
-    "box_project",
     "nonneg_project",
     "quadratic_ls_prox",
 ]
@@ -61,11 +60,6 @@ def weighted_soft_threshold(v: np.ndarray, w: np.ndarray, s: float) -> np.ndarra
     if w.shape != v.shape:
         raise ValueError("weighted_soft_threshold: weight shape %s != input shape %s" % (w.shape, v.shape))
     return _shrink(v, s * w)
-
-
-def box_project(v: np.ndarray, bounds: BoxBounds) -> np.ndarray:
-    """Euclidean projection onto the box."""
-    return np.clip(np.asarray(v, dtype=float), bounds.lower, bounds.upper)
 
 
 def nonneg_project(v: np.ndarray) -> np.ndarray:

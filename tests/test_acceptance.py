@@ -37,7 +37,6 @@ from aaopt.algorithms import (
     fista_step,
     irl1_beta_window,
     irl1_step,
-    Irl1State,
     pcd_sweep,
 )
 from aaopt.harness import build_operator, config_from_mapping, run_experiment
@@ -272,7 +271,7 @@ def lasso_battery():
         st = fista_init(ctx.x0)
         k = 0
         while np.linalg.norm(ctx.op.residual(st.x)) > 1e-10 and k < cap:
-            st = fista_step(st, ctx.grad, ctx.g_prox, ctx.beta)
+            st = fista_step(st, ctx.op.apply)
             k += 1
         fista_iters.append(k if np.linalg.norm(ctx.op.residual(st.x)) <= 1e-10 else math.inf)
     return {
@@ -426,16 +425,15 @@ def test_criterion_09_pcd_oracle():
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 5))
         M = rng.standard_normal((n, n))
-        P = M @ M.T + 0.5 * np.eye(n)
+        Z = np.hstack([M, math.sqrt(0.5) * np.eye(n)])
+        P = Z @ Z.T  # M M^T + 0.5 I
         q = rng.standard_normal(n)
         lo = -1.0 + 0.2 * rng.standard_normal(n)
         hi = lo + rng.uniform(0.5, 2.0, size=n)
         x0 = rng.uniform(lo, hi)
         beta = float(rng.uniform(0.1, 1.0))
 
-        grad_coord = lambda i, x: float((P @ x + q)[i])
-        prox_coord = lambda i, v, t: float(min(max(v, lo[i]), hi[i]))
-        got = pcd_sweep(grad_coord, prox_coord, beta, x0)
+        got = pcd_sweep(Z, q, lo, hi, beta)(x0)
 
         ref = np.array(x0, dtype=float)
         for i in range(n):
@@ -463,15 +461,15 @@ def test_criterion_10_irl1_contract():
     # changes before it stabilizes.
     phi = RegularizerPhi("LPN", 0.75)
     grad = lambda x: x - 3.0
-    st = Irl1State(x=np.array([-2.0]), eps=np.array([1.0]))
+    theta = np.array([-2.0, 1.0])  # (x, eps)
     ref = 1.0
     schedule_exact = True
-    patterns_1d = [pattern_of(st.x, 1e-9)]
+    patterns_1d = [pattern_of(theta[:1], 1e-9)]
     for _ in range(60):
-        st = irl1_step(grad, phi, 0.3, 0.5, 0.9, st)
+        theta = irl1_step(grad, phi, 0.3, 0.5, 0.9, theta)
         ref = ref * 0.9
-        schedule_exact &= st.eps[0] == ref
-        patterns_1d.append(pattern_of(st.x, 1e-9))
+        schedule_exact &= theta[1] == ref
+        patterns_1d.append(pattern_of(theta[:1], 1e-9))
     ident_1d = identification_iter(patterns_1d, window=10)
     sign_changed = patterns_1d[0][0] != patterns_1d[-1][0]
 

@@ -2,25 +2,24 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aaopt.algorithms import (
     DrsParams,
     FixedPointOperator,
     FistaState,
-    Irl1State,
     admm_step,
     drs_parts,
-    drs_step,
     fista_init,
     fista_step,
     irl1_beta_window,
     irl1_step,
     pcd_sweep,
     pga_step,
-    pla_step,
-    ppa_step,
 )
-from aaopt.problems import RegularizerPhi
+from aaopt.problems import RegularizerPhi, phi_deriv
 from aaopt.prox import soft_threshold
 
 
@@ -43,17 +42,7 @@ def test_fixed_point_operator_residual_and_monitor():
 
 
 # ---------------------------------------------------------------------------
-# proximal point / proximal gradient
-
-
-def test_ppa_step_is_prox_application():
-    x = np.array([3.0, -0.2, 1.0])
-    assert np.array_equal(ppa_step(l1_prox(1.0), 0.5, x), soft_threshold(x, 0.5))
-
-
-def test_ppa_step_rejects_bad_beta():
-    with pytest.raises(ValueError):
-        ppa_step(l1_prox(1.0), 0.0, np.ones(2))
+# proximal gradient
 
 
 def test_pga_step_hand_value():
@@ -97,18 +86,19 @@ def test_fista_first_step_matches_plain_gradient_step():
     a = np.array([2.0, -1.0, 0.3])
     grad = lambda x: x - a
     x0 = np.array([5.0, 5.0, 5.0])
-    st = fista_step(fista_init(x0), grad, l1_prox(0.2), 0.4)
-    assert np.array_equal(st.x, pga_step(grad, l1_prox(0.2), 0.4, x0))
+    apply = lambda x: pga_step(grad, l1_prox(0.2), 0.4, x)
+    st = fista_step(fista_init(x0), apply)
+    assert np.array_equal(st.x, apply(x0))
     # t0 = 1 means zero momentum on the first step
     assert np.array_equal(st.y, st.x)
 
 
 def test_fista_t_sequence_recurrence():
     st = fista_init(np.zeros(1))
-    grad = lambda x: x
+    apply = lambda x: pga_step(lambda v: v, l1_prox(0.0), 0.1, x)
     ts = [st.t]
     for _ in range(10):
-        st = fista_step(st, grad, l1_prox(0.0), 0.1)
+        st = fista_step(st, apply)
         ts.append(st.t)
     assert math.isclose(ts[1], (1.0 + math.sqrt(5.0)) / 2.0, rel_tol=1e-15)
     for k in range(10):
@@ -120,10 +110,10 @@ def test_fista_t_sequence_recurrence():
 def test_fista_converges_to_shrunk_minimizer():
     a = np.array([2.0, -0.15, 0.9, 0.0])
     star = soft_threshold(a, 0.3)
-    grad = lambda x: x - a
+    apply = lambda x: pga_step(lambda v: v - a, l1_prox(0.3), 0.4, x)
     st = fista_init(np.array([10.0, -10.0, 10.0, -10.0]))
     for _ in range(150):
-        st = fista_step(st, grad, l1_prox(0.3), 0.4)
+        st = fista_step(st, apply)
     assert np.linalg.norm(st.x - star) <= 1e-10
 
 
@@ -135,135 +125,76 @@ def test_fista_state_is_immutable():
 
 
 # ---------------------------------------------------------------------------
-# prox-linear
-
-
-def test_pla_without_f_reduces_to_prox_step():
-    x = np.array([3.0, -0.2, 1.0])
-    out = pla_step(None, None, None, l1_prox(1.0), 0.5, x)
-    assert np.array_equal(out, soft_threshold(x, 0.5))
-
-
-def test_pla_identity_composition_is_prox_of_f():
-    # h = id, g = 0: the step is argmin ||y||_1 + ||y - x||^2/(2 beta).
-    x = np.array([2.0, -0.3, 0.7, -5.0])
-    out = pla_step(
-        lambda v, s: soft_threshold(v, s),
-        lambda z: z,
-        lambda z: np.eye(4),
-        None,
-        0.7,
-        x,
-        inner_tol=1e-12,
-    )
-    assert np.linalg.norm(out - soft_threshold(x, 0.7)) <= 1e-10
-
-
-def test_pla_one_dim_robust_fit_hand_value():
-    # argmin |y - 1| + (y - 3)^2 / 2 = 2
-    out = pla_step(
-        lambda v, s: soft_threshold(v, s),
-        lambda z: z - 1.0,
-        lambda z: np.array([[1.0]]),
-        None,
-        1.0,
-        np.array([3.0]),
-        inner_tol=1e-12,
-    )
-    assert abs(out[0] - 2.0) <= 1e-9
-
-
-def test_pla_scaled_jacobian_matches_closed_form():
-    # f = 0.5||t||^2 composed with h(x) = 2x + b; quadratic subproblem has a
-    # closed form to compare against.
-    beta = 0.3
-    b = np.array([0.5, 1.0])
-    x = np.array([1.0, -2.0])
-    out = pla_step(
-        lambda v, s: v / (1.0 + s),
-        lambda z: 2.0 * z + b,
-        lambda z: 2.0 * np.eye(2),
-        None,
-        beta,
-        x,
-        inner_tol=1e-13,
-    )
-    want = (x / beta - 2.0 * b) / (4.0 + 1.0 / beta)
-    assert np.linalg.norm(out - want) <= 1e-9
-
-
-def test_pla_output_respects_g_domain():
-    # g the nonnegativity indicator: the returned iterate is its prox output,
-    # so the constraint holds exactly.
-    out = pla_step(
-        lambda v, s: soft_threshold(v, s),
-        lambda z: z + 2.0,
-        lambda z: np.array([[1.0]]),
-        lambda v, t: np.maximum(v, 0.0),
-        1.0,
-        np.array([-3.0]),
-    )
-    assert out.shape == (1,)
-    assert out[0] == 0.0
-
-
-def test_pla_rejects_nonspherical_jacobian():
-    with pytest.raises(ValueError):
-        pla_step(
-            lambda v, s: soft_threshold(v, s),
-            lambda z: z,
-            lambda z: np.array([[1.0, 0.0], [1.0, 1.0]]),
-            None,
-            1.0,
-            np.zeros(2),
-        )
-
-
-def test_pla_requires_h_when_f_present():
-    with pytest.raises(ValueError):
-        pla_step(lambda v, s: v, None, None, None, 1.0, np.zeros(2))
-
-
-# ---------------------------------------------------------------------------
 # coordinate descent
 
 
 def test_pcd_sweep_box_quadratic_hand_values():
+    # f = 0.5||x||^2 - a.x, i.e. Z = I and q = -a, on the box [0, 1]^2
     a = np.array([2.0, -1.0])
-    grad_coord = lambda i, x: x[i] - a[i]
-    prox_coord = lambda i, v, t: min(max(v, 0.0), 1.0)
-    out = pcd_sweep(grad_coord, prox_coord, 1.0, np.zeros(2))
+    sweep = pcd_sweep(np.eye(2), -a, 0.0, 1.0, 1.0)
+    out = sweep(np.zeros(2))
     assert np.array_equal(out, np.array([1.0, 0.0]))
     # the clipped point is the constrained minimizer, hence a fixed point
-    again = pcd_sweep(grad_coord, prox_coord, 1.0, out)
-    assert np.array_equal(again, out)
+    assert np.array_equal(sweep(out), out)
 
 
 def test_pcd_sweep_sees_partial_updates():
     # f = 0.5 (x0 + x1)^2: the second coordinate must be updated against the
     # already-updated first one.
-    grad_coord = lambda i, x: x[0] + x[1]
-    out = pcd_sweep(grad_coord, lambda i, v, t: v, 0.5, np.array([1.0, 1.0]))
+    out = pcd_sweep(np.ones((2, 1)), 0.0, -np.inf, np.inf, 0.5)(np.array([1.0, 1.0]))
     assert np.array_equal(out, np.array([0.0, 0.5]))  # a Jacobi pass would give (0, 0)
 
 
 def test_pcd_sweep_does_not_mutate_input():
     x = np.array([1.0, 1.0])
-    pcd_sweep(lambda i, x_: x_[i], lambda i, v, t: v, 0.5, x)
+    pcd_sweep(np.eye(2), 0.0, -np.inf, np.inf, 0.5)(x)
     assert np.array_equal(x, np.array([1.0, 1.0]))
-
-
-def test_pcd_sweep_nonfinite_names_coordinate():
-    def grad_coord(i, x):
-        return np.inf if i == 1 else 0.0
-
-    with pytest.raises(FloatingPointError, match="coordinate 1"):
-        pcd_sweep(grad_coord, lambda i, v, t: v, 1.0, np.zeros(3))
 
 
 def test_pcd_sweep_rejects_bad_beta():
     with pytest.raises(ValueError):
-        pcd_sweep(lambda i, x: 0.0, lambda i, v, t: v, 0.0, np.zeros(2))
+        pcd_sweep(np.eye(2), 0.0, -np.inf, np.inf, 0.0)
+
+
+def test_pcd_sweep_checks_per_coordinate_lengths():
+    with pytest.raises(ValueError, match="upper"):
+        pcd_sweep(np.eye(3), 0.0, 0.0, np.ones(2), 1.0)
+
+
+OPEN = st.sampled_from([False, False, True])  # a bound is infinite a third of the time
+
+
+@st.composite
+def box_quadratics(draw):
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 6))
+    # about half the entries exactly zero, so rows may be empty
+    values = draw(st.lists(st.floats(-10.0, 10.0), min_size=m * n, max_size=m * n))
+    keep = draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
+    Z = np.where(keep, values, 0.0).reshape(m, n)
+    q = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m)))
+    lower, upper = [], []
+    for _ in range(m):
+        a, b = sorted(draw(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2)))
+        lower.append(-math.inf if draw(OPEN) else a)
+        upper.append(math.inf if draw(OPEN) else b)
+    x = np.array(draw(st.lists(st.floats(-20.0, 20.0), min_size=m, max_size=m)))
+    scale = float(np.max(np.einsum("ij,ij->i", Z, Z)))
+    beta = draw(st.floats(0.05, 1.0)) / max(scale, 1e-3)
+    return Z, q, np.array(lower), np.array(upper), x, beta
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_quadratics())
+def test_pcd_sweep_on_csr_matches_the_dense_sweep(problem):
+    Z, q, lower, upper, x, beta = problem
+    before = x.tobytes()
+    dense = pcd_sweep(Z, q, lower, upper, beta)(x)
+    csr = pcd_sweep(sp.csr_matrix(Z), q, lower, upper, beta)(x)
+    assert x.tobytes() == before
+    assert csr.shape == dense.shape == x.shape
+    scale = 1.0 + float(np.max(np.abs(x))) + float(np.max(np.abs(dense)))
+    assert float(np.max(np.abs(csr - dense))) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +208,6 @@ def test_drs_params_validation():
         DrsParams(beta=1.0, delta=2.0)
     with pytest.raises(ValueError):
         DrsParams(beta=1.0, delta=0.0)
-
-
-def test_drs_step_is_third_part():
-    f_prox = lambda v, t: (v + t * 2.0) / (1.0 + t)
-    g_prox = l1_prox(0.5)
-    params = DrsParams(beta=0.8)
-    z = np.array([1.0, -2.0, 0.3])
-    assert np.array_equal(drs_step(f_prox, g_prox, params, z), drs_parts(f_prox, g_prox, params, z)[2])
 
 
 @pytest.mark.parametrize("delta", [1.0, 1.5])
@@ -380,50 +303,51 @@ def test_admm_rejects_bad_lam():
 # reweighted l1
 
 
-def test_irl1_state_validation():
-    with pytest.raises(ValueError):
-        Irl1State(x=np.zeros(2), eps=np.zeros(3))
-    with pytest.raises(ValueError):
-        Irl1State(x=np.zeros(2), eps=np.array([0.1, -0.1]))
-
-
 def test_irl1_step_hand_values():
     # LOG penalty with p = 1: weight at |0.8| + 0.2 = 1 is exactly 0.5, so
     # the shrinkage threshold is beta * lam * w = 0.25.
     phi = RegularizerPhi("LOG", 1.0)
-    state = Irl1State(x=np.array([0.8]), eps=np.array([0.2]))
-    out = irl1_step(lambda x: np.zeros_like(x), phi, 0.5, 1.0, 0.5, state)
-    assert out.x[0] == 0.8 - 0.25
-    assert out.eps[0] == 0.1
+    out = irl1_step(lambda x: np.zeros_like(x), phi, 0.5, 1.0, 0.5, np.array([0.8, 0.2]))
+    assert out[0] == 0.8 - 0.25
+    assert out[1] == 0.1
 
 
 def test_irl1_eps_decays_geometrically():
     phi = RegularizerPhi("EXP", 2.0)
-    state = Irl1State(x=np.ones(3), eps=np.array([1.0, 2.0, 4.0]))
+    theta = np.array([1.0, 1.0, 1.0, 1.0, 2.0, 4.0])
     for _ in range(5):
-        state = irl1_step(lambda x: np.zeros_like(x), phi, 0.1, 0.5, 0.5, state)
-    assert np.array_equal(state.eps, np.array([1.0, 2.0, 4.0]) * 0.5**5)
+        theta = irl1_step(lambda x: np.zeros_like(x), phi, 0.1, 0.5, 0.5, theta)
+    assert np.array_equal(theta[3:], np.array([1.0, 2.0, 4.0]) * 0.5**5)
 
 
-def test_irl1_step_lpn_zero_weight_names_coordinate():
+def test_irl1_step_pins_coordinates_where_the_power_weight_is_infinite():
+    # An eps below the domain counts as 0 in the weights.  Coordinate 0 then
+    # gets the weight 0.5 * 1^-0.5 (not 0.5 * 0.25^-0.5), so its threshold is
+    # beta * lam * 0.5 = 0.025.  At coordinates 1 and 2 |x_i| + max(eps_i, 0)
+    # is 0, where the LPN weight is undefined: they stay at 0 although the
+    # gradient pushes them away.
     phi = RegularizerPhi("LPN", 0.5)
-    state = Irl1State(x=np.array([1.0, 0.0]), eps=np.zeros(2))
     with pytest.raises(ValueError, match="coordinate 1"):
-        irl1_step(lambda x: np.zeros_like(x), phi, 0.1, 0.5, 0.5, state)
+        phi_deriv(phi, np.array([1.0, 0.0, 0.0]))
+    theta = np.array([1.0, 0.0, -0.0, -0.75, 0.0, -2.0])
+    out = irl1_step(lambda x: np.full_like(x, -1.0), phi, 0.1, 0.5, 0.5, theta)
+    assert out.tolist() == [1.0 + 0.5 - 0.025, 0.0, 0.0, -0.375, 0.0, -1.0]
 
 
 def test_irl1_step_parameter_validation():
     phi = RegularizerPhi("LOG", 1.0)
-    state = Irl1State(x=np.ones(1), eps=np.ones(1))
+    theta = np.ones(2)
     grad = lambda x: np.zeros_like(x)
     with pytest.raises(ValueError):
-        irl1_step(grad, phi, 0.1, 0.0, 0.5, state)
+        irl1_step(grad, phi, 0.1, 0.0, 0.5, theta)
     with pytest.raises(ValueError):
-        irl1_step(grad, phi, 0.1, 0.5, 1.0, state)
+        irl1_step(grad, phi, 0.1, 0.5, 1.0, theta)
     with pytest.raises(ValueError):
-        irl1_step(grad, phi, -0.1, 0.5, 0.5, state)
+        irl1_step(grad, phi, -0.1, 0.5, 0.5, theta)
+    with pytest.raises(ValueError, match="even length"):
+        irl1_step(grad, phi, 0.1, 0.5, 0.5, np.ones(3))
     with pytest.raises(FloatingPointError):
-        irl1_step(lambda x: x * np.inf, phi, 0.1, 0.5, 0.5, state)
+        irl1_step(lambda x: x * np.inf, phi, 0.1, 0.5, 0.5, theta)
 
 
 def test_irl1_beta_window_hand_values():

@@ -163,6 +163,30 @@ def test_safeguard_rejects_and_restarts():
     assert len(state.r_hist) <= 4
 
 
+def test_rejected_one_column_step_evaluates_h_once():
+    # With one stored column the candidate is H(x^k) itself.  H(x) = 2x makes
+    # its residual grow, so it is rejected, and the plain step falls back to
+    # that same point, where H was just evaluated.
+    calls = {"n": 0}
+
+    def apply(x):
+        calls["n"] += 1
+        return 2.0 * x
+
+    x0 = np.array([1.0, -0.5])
+    cfg = AaConfig(memory=3, restart_after_rejects=1)
+    state = init_state(apply, x0)
+    for k in range(1, 6):
+        before = calls["n"]
+        x, d = safeguarded_step(apply, state, cfg)
+        assert calls["n"] == before + 1
+        assert not d.accepted
+        assert np.array_equal(x, 2.0**k * x0)
+        assert len(state.h_hist) == 1
+        assert np.array_equal(state.h_hist[0], 2.0 * x) and np.array_equal(state.r_hist[0], x)
+        assert d.residual_norm == state.r_norms[0] == float(np.linalg.norm(x))
+
+
 def test_nonfinite_candidate_is_rejected_not_raised():
     # map explodes off the segment [0, 1]; candidate extrapolations outside
     # produce non-finite residuals and must fall back to the plain step

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from aaopt.prox import (
     BoxBounds,
-    box_project,
     nonneg_project,
     quadratic_ls_prox,
     soft_threshold,
@@ -71,23 +70,6 @@ def test_weighted_soft_threshold_matches_grid_oracle():
         hi = abs(v) + 1.0
         want = grid_minimize_1d(lambda t: shrink_objective(t, v, w, s), lo, hi)
         assert abs(got - want) <= 1e-8
-
-
-def test_box_project():
-    b = BoxBounds(np.array([0.0, -1.0]), np.array([1.0, 1.0]))
-    out = box_project(np.array([2.0, -3.0]), b)
-    assert np.array_equal(out, np.array([1.0, -1.0]))
-
-
-def test_box_project_idempotent_and_nonexpansive():
-    rng = np.random.default_rng(3)
-    b = BoxBounds(-1.0, 2.0)
-    for _ in range(1000):
-        x = rng.standard_normal(6) * 4
-        y = rng.standard_normal(6) * 4
-        px, py = box_project(x, b), box_project(y, b)
-        assert np.array_equal(box_project(px, b), px)
-        assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
 
 def test_bad_bounds_raise():

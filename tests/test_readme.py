@@ -1,4 +1,4 @@
-"""The README quick start: its config, run as documented, prints its summary block."""
+"""The README runs as documented: the quick-start config and the Library example."""
 
 import re
 from decimal import Decimal
@@ -34,3 +34,13 @@ def test_readme_quick_start_summary_matches_the_run():
             assert rounded == Decimal(shown), (key, printed[key], shown)
         else:
             assert printed[key] == shown, key
+
+
+def test_readme_library_example_converges(capsys):
+    code = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    namespace: dict = {}
+    exec(compile(code, str(README), "exec"), namespace)
+    residuals = namespace["residuals"]
+    assert residuals[-1] < 1e-10 and len(residuals) < 2000
+    assert namespace["fit"].defined
+    assert capsys.readouterr().out.split()[0] == str(len(residuals))
