@@ -59,7 +59,9 @@ class FixedPointOperator:
 
 
 def _require_finite(v: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(v)):
+    # a finite v.v rules out NaN and inf; only an overflowing dot of a
+    # finite vector needs the full scan
+    if not math.isfinite(float(v.dot(v))) and not np.isfinite(v).all():
         raise FloatingPointError("%s is non-finite" % what)
     return v
 

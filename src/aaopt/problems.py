@@ -227,14 +227,18 @@ def gen_logreg(
 # objectives and gradients
 
 
-def lasso_grad(inst: LassoInstance, x: np.ndarray) -> np.ndarray:
-    """Gradient of the smooth part 0.5||A x - y||^2."""
-    return matvec(inst.A, matvec(inst.A, x) - inst.y, transpose=True)
+def lasso_grad(inst: LassoInstance, x: np.ndarray, r=None) -> np.ndarray:
+    """Gradient of the smooth part 0.5||A x - y||^2; ``r`` is an A x - y the caller holds."""
+    if r is None:
+        r = matvec(inst.A, x) - inst.y
+    return matvec(inst.A, r, transpose=True)
 
 
-def lasso_objective(inst: LassoInstance, x: np.ndarray) -> float:
-    r = matvec(inst.A, x) - inst.y
-    return 0.5 * float(r @ r) + inst.lam * float(np.abs(x).sum())
+def lasso_objective(inst: LassoInstance, x: np.ndarray, r=None) -> float:
+    """0.5||A x - y||^2 + lam ||x||_1; ``r`` is an A x - y the caller holds."""
+    if r is None:
+        r = matvec(inst.A, x) - inst.y
+    return 0.5 * float(r.dot(r)) + inst.lam * float(np.abs(x).sum())
 
 
 def svm_dual_grad(inst: SvmDualInstance, x: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,16 +34,23 @@ class BoxBounds:
             raise ValueError("BoxBounds: lower exceeds upper somewhere")
 
 
-def _shrink(v: np.ndarray, thresh) -> np.ndarray:
-    # three-branch shrinkage; ties |v| == thresh map to exactly 0
-    return np.where(v > thresh, v - thresh, np.where(v < -thresh, v + thresh, 0.0))
-
-
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
-    """sign(v) * max(|v| - t, 0), i.e. the prox of t * ||.||_1."""
+    """sign(v) * max(|v| - t, 0), i.e. the prox of t * ||.||_1, for a vector v.
+
+    Bit for bit the three-branch form: v - t above t, v + t below -t, and
+    +0.0 in between, at ties |v| == t and at NaN.  It is computed as
+    v - clip(v, -t, t), which is exactly v - t, v + t or v - v = +0.0.  At
+    t == 0 numpy may clip -0.0 to +0.0 and leave -0.0 - +0.0 = -0.0, so that
+    case is v + 0.0 instead.  NaN passes the clip; its entries are zeroed
+    once a dot product of the result shows some entry is not finite.
+    """
     if t < 0:
         raise ValueError("soft_threshold: threshold must be nonnegative")
-    return _shrink(np.asarray(v, dtype=float), t)
+    v = np.asarray(v, dtype=float)
+    out = v + 0.0 if t == 0 else v - np.minimum(np.maximum(v, -t), t)
+    if not math.isfinite(float(out.dot(out))):
+        out = np.where(np.isnan(out), 0.0, out)
+    return out
 
 
 def weighted_soft_threshold(v: np.ndarray, w: np.ndarray, s: float) -> np.ndarray:
@@ -59,7 +67,9 @@ def weighted_soft_threshold(v: np.ndarray, w: np.ndarray, s: float) -> np.ndarra
         raise ValueError("weighted_soft_threshold: weights must be nonnegative")
     if w.shape != v.shape:
         raise ValueError("weighted_soft_threshold: weight shape %s != input shape %s" % (w.shape, v.shape))
-    return _shrink(v, s * w)
+    thresh = s * w
+    # three-branch shrinkage; ties |v| == thresh map to exactly 0
+    return np.where(v > thresh, v - thresh, np.where(v < -thresh, v + thresh, 0.0))
 
 
 def nonneg_project(v: np.ndarray) -> np.ndarray:

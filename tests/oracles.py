@@ -131,6 +131,16 @@ def svm_pcd_sweep_reference(A, y: np.ndarray, C: float, beta: float, x: np.ndarr
     return x
 
 
+def soft_threshold_reference(v, t: float) -> np.ndarray:
+    """Three-branch shrinkage: v - t above t, v + t below -t, else 0.0.
+
+    The library's ``soft_threshold`` as it stood before it moved to a clip;
+    ties |v| == t and NaN map to +0.0, and the two must agree bit for bit.
+    """
+    v = np.asarray(v, dtype=float)
+    return np.where(v > t, v - t, np.where(v < -t, v + t, 0.0))
+
+
 def pattern_of_reference(x, zero_tol: float = 1e-9, bounds=None) -> np.ndarray:
     """Activity pattern built by sign, broadcast bounds and masked writes.
 

@@ -9,7 +9,8 @@ regenerates the tables and says so in CHANGES.md; from the repository root,
 
     python3 tests/test_golden_traces.py
 
-prints ``GOLDEN`` and ``GOLDEN_CSR`` as computed by the current source tree.
+prints ``GOLDEN``, ``GOLDEN_CSR`` and ``GOLDEN_NPZ`` as computed by the
+current source tree.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ if __name__ == "__main__":  # run as a script: import aaopt from this checkout
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from aaopt.harness import config_from_mapping, format_summary, run_experiment
-from aaopt.problems import gen_nnls, gen_svm
+from aaopt.problems import gen_lasso, gen_nnls, gen_svm
 from oracles import write_libsvm
 
 # (problem and AA keys, max_iter) per family; max_iter keeps the file fast.
@@ -89,8 +90,29 @@ GOLDEN_CSR = {
 }
 
 
-def write_csr_dataset(family: str, path: str) -> None:
-    if family == "svm":
+# The lasso cells with the instance loaded through problem.dataset from an
+# .npz file.  The file holds the seed-0 instance of the lasso family with
+# lam = 0.02, so the run reads its lambda from the file.  Without the
+# family's aa.restart key the engine keeps its default of five rejections.
+NPZ_CELLS = [("lasso", "ista", False), ("lasso", "ista", True)]
+
+GOLDEN_NPZ = {
+    ("lasso", "ista", False, 0): "2d35b93dabf370c54eea7c8dc138634eb4c2e69690259e82053b24658872a4b6",
+    ("lasso", "ista", False, 1): "4359bad309f1a5060136240afb0c85e32d92d81ca3a4d162e09682ed84d7acc3",
+    ("lasso", "ista", True, 0): "a31444b04fcdd2d695a50e7e7a7fa1350dfb360330e92392c1a9b554670e99a6",
+    ("lasso", "ista", True, 1): "85740f38c724d11b1091b584b005e35477ee2b8ce6ebacc8fd69b227fcb61b39",
+}
+
+
+def dataset_name(family: str) -> str:
+    return family + (".npz" if family == "lasso" else ".libsvm")
+
+
+def write_dataset(family: str, path: str) -> None:
+    if family == "lasso":
+        inst = gen_lasso(40, 200, lam=0.01, seed=0)
+        np.savez(path, A=inst.A, y=inst.y, x_true=inst.x_true, lam=0.02)
+    elif family == "svm":
         inst = gen_svm(100, 20, seed=0)
         write_libsvm(path, inst.A, inst.y)
     else:
@@ -134,27 +156,37 @@ def test_trace_and_summary_are_bitwise_unchanged(family, algorithm, aa, seed, tm
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("family,algorithm,aa", CSR_CELLS)
 def test_csr_trace_and_summary_are_bitwise_unchanged(family, algorithm, aa, seed, tmp_path):
-    dataset = str(tmp_path / "data.libsvm")
-    write_csr_dataset(family, dataset)
+    dataset = str(tmp_path / dataset_name(family))
+    write_dataset(family, dataset)
     got = golden_hash(family, algorithm, aa, seed, str(tmp_path / "trace.csv"), dataset)
     assert got == GOLDEN_CSR[(family, algorithm, aa, seed)]
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("family,algorithm,aa", NPZ_CELLS)
+def test_npz_trace_and_summary_are_bitwise_unchanged(family, algorithm, aa, seed, tmp_path):
+    dataset = str(tmp_path / dataset_name(family))
+    write_dataset(family, dataset)
+    got = golden_hash(family, algorithm, aa, seed, str(tmp_path / "trace.csv"), dataset)
+    assert got == GOLDEN_NPZ[(family, algorithm, aa, seed)]
+
+
 def print_tables() -> None:
-    """Print GOLDEN and GOLDEN_CSR, ready to paste over the tables above."""
+    """Print GOLDEN, GOLDEN_CSR and GOLDEN_NPZ, ready to paste over the tables above."""
     with tempfile.TemporaryDirectory() as tmp:
         trace = str(Path(tmp) / "trace.csv")
-        tables = {"GOLDEN": {}, "GOLDEN_CSR": {}}
+        tables = {"GOLDEN": {}, "GOLDEN_CSR": {}, "GOLDEN_NPZ": {}}
         for family, algorithm, aa in CELLS:
             for seed in (0, 1):
                 tables["GOLDEN"][(family, algorithm, aa, seed)] = golden_hash(family, algorithm, aa, seed, trace)
-        for family, algorithm, aa in CSR_CELLS:
-            dataset = str(Path(tmp) / ("%s.libsvm" % family))
-            write_csr_dataset(family, dataset)
-            for seed in (0, 1):
-                tables["GOLDEN_CSR"][(family, algorithm, aa, seed)] = golden_hash(
-                    family, algorithm, aa, seed, trace, dataset
-                )
+        for table, cells in (("GOLDEN_CSR", CSR_CELLS), ("GOLDEN_NPZ", NPZ_CELLS)):
+            for family, algorithm, aa in cells:
+                dataset = str(Path(tmp) / dataset_name(family))
+                write_dataset(family, dataset)
+                for seed in (0, 1):
+                    tables[table][(family, algorithm, aa, seed)] = golden_hash(
+                        family, algorithm, aa, seed, trace, dataset
+                    )
     for name, table in tables.items():
         print("%s = {" % name)
         for key, digest in table.items():

@@ -8,8 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aaopt.harness
+import aaopt.linalg
+import aaopt.problems
 import aaopt.prox
-from aaopt.algorithms import DrsParams, drs_parts
+from aaopt.algorithms import DrsParams, drs_parts, pga_step
 from aaopt.harness import (
     TRACE_HEADER,
     ConfigError,
@@ -26,8 +28,16 @@ from aaopt.harness import (
     write_summary,
     write_trace,
 )
-from aaopt.problems import gen_nnls, gen_svm, load_libsvm, nnls_objective
-from aaopt.prox import nonneg_project, quadratic_ls_prox
+from aaopt.problems import (
+    gen_lasso,
+    gen_nnls,
+    gen_svm,
+    lasso_grad,
+    lasso_objective,
+    load_libsvm,
+    nnls_objective,
+)
+from aaopt.prox import nonneg_project, quadratic_ls_prox, soft_threshold
 from oracles import svm_pcd_sweep_reference, write_libsvm
 
 LASSO_SMALL = {
@@ -256,6 +266,32 @@ def test_logreg_builder_validates_smoothing_controls():
         build_operator(config_from_mapping({**base, "problem.eps0": "0"}))
 
 
+@pytest.mark.parametrize("kind,algorithm", [("lasso", "ista"), ("nnls", "drs"), ("logreg", "irl1")])
+@pytest.mark.parametrize("lam", ["-0.1", "-1e-300", "nan"])
+def test_config_rejects_negative_lambda(kind, algorithm, lam):
+    with pytest.raises(ConfigError, match="problem.lambda must be nonnegative"):
+        config_from_mapping({"problem.kind": kind, "algorithm.kind": algorithm, "problem.lambda": lam})
+    assert config_from_mapping({"problem.kind": kind, "algorithm.kind": algorithm,
+                                "problem.lambda": "0"}).params["lambda"] == 0.0
+
+
+@pytest.mark.parametrize("c", ["0", "-1", "nan"])
+def test_config_rejects_nonpositive_svm_c(c):
+    with pytest.raises(ConfigError, match="problem.c must be positive"):
+        config_from_mapping({"problem.kind": "svm", "algorithm.kind": "pcd", "problem.c": c})
+
+
+def test_lasso_dataset_with_negative_lam_is_rejected(tmp_path):
+    inst = gen_lasso(10, 20, seed=0)
+    path = str(tmp_path / "lasso.npz")
+    np.savez(path, A=inst.A, y=inst.y, x_true=inst.x_true, lam=-0.5)
+    cfg = config_from_mapping({"problem.kind": "lasso", "algorithm.kind": "ista", "problem.dataset": path})
+    with pytest.raises(ConfigError, match="lam must be nonnegative"):
+        build_operator(cfg)
+    # an explicit problem.lambda overrides the file's
+    build_operator(replace(cfg, params={**cfg.params, "lambda": 0.5}))
+
+
 # ---------------------------------------------------------------------------
 # runs
 
@@ -412,6 +448,107 @@ def test_nnls_memo_is_not_stale_after_in_place_mutation():
     after = ctx.op.monitor(z)
     assert np.array_equal(after, parts(z)[1])
     assert not np.array_equal(after, before)
+
+
+LASSO_MEMO = {**LASSO_SMALL, "problem.rows": "40", "problem.cols": "200", "problem.lambda": "0.01",
+              "run.seed": "0", "aa.restart": "1"}
+
+
+def lasso_reference(ctx):
+    """The LASSO_MEMO instance and its map, built without the harness's memo."""
+    inst = gen_lasso(40, 200, lam=0.01, seed=0)
+    g_prox = lambda v, t: soft_threshold(v, t * inst.lam)
+    return inst, lambda x: pga_step(lambda z: lasso_grad(inst, z), g_prox, ctx.beta, x)
+
+
+def count_forward_products(monkeypatch, caller: list, products: dict) -> None:
+    """Count A x products (not A^T r) by caller, wherever the lasso code forms them."""
+    real = aaopt.linalg.matvec
+
+    def counted(A, x, transpose=False):
+        if not transpose:
+            products[caller[0]] += 1
+        return real(A, x, transpose)
+
+    monkeypatch.setattr(aaopt.harness, "matvec", counted)
+    monkeypatch.setattr(aaopt.problems, "matvec", counted)
+
+
+@pytest.mark.parametrize("algorithm,aa", [("ista", "false"), ("ista", "true"), ("fista", "false")])
+def test_lasso_run_forms_one_residual_per_evaluation(monkeypatch, algorithm, aa):
+    cfg = config_from_mapping({**LASSO_MEMO, "algorithm.kind": algorithm, "aa.enabled": aa,
+                               "run.max_iter": "600", "run.tol": "1e-9"})
+    ctx = build_operator(cfg)
+    caller = ["loop"]
+    calls = {"apply": 0, "objective": 0}
+    products = {"loop": 0, "apply": 0, "objective": 0}
+
+    def inside(name, fn):
+        def wrapped(x):
+            calls[name] += 1
+            caller[0] = name
+            try:
+                return fn(x)
+            finally:
+                caller[0] = "loop"
+        return wrapped
+
+    ctx.op = replace(ctx.op, **{name: inside(name, getattr(ctx.op, name)) for name in calls})
+    count_forward_products(monkeypatch, caller, products)
+    monkeypatch.setattr(aaopt.harness, "build_operator", lambda _cfg: ctx)
+    records, _ = run_experiment(cfg)
+    assert calls["objective"] == len(records)
+    if aa == "true":  # the engine both accepts and rejects on this run
+        assert any(r.accepted for r in records[1:]) and not all(r.accepted for r in records[1:])
+    elif algorithm == "ista":
+        assert calls["apply"] == len(records)
+    # FISTA's first two steps evaluate H at y = x, a point the monitor has
+    # just evaluated, so they form no product
+    hits = 2 if algorithm == "fista" else 0
+    assert products == {"loop": 0, "apply": calls["apply"] - hits, "objective": 0}
+
+
+def test_lasso_memoized_map_and_objective_match_direct_evaluation():
+    ctx = build_operator(config_from_mapping(LASSO_MEMO))
+    inst, apply = lasso_reference(ctx)
+    x = ctx.x0
+    for _ in range(20):
+        h = ctx.op.apply(x)
+        assert h.tobytes() == apply(x).tobytes()
+        assert ctx.op.objective(x) == lasso_objective(inst, x)
+        x = h
+
+
+def test_lasso_memo_is_not_stale_after_in_place_mutation(monkeypatch):
+    ctx = build_operator(config_from_mapping(LASSO_MEMO))
+    inst, _ = lasso_reference(ctx)
+    products = {"test": 0}
+    count_forward_products(monkeypatch, ["test"], products)
+    x = ctx.x0.copy()
+    ctx.op.apply(x)
+    before = ctx.op.objective(x)
+    assert products["test"] == 1
+    x += 1.0
+    after = ctx.op.objective(x)
+    assert products["test"] == 2
+    assert after == lasso_objective(inst, x) and after != before
+
+
+def test_lasso_memo_treats_signed_zeros_as_different_points(monkeypatch):
+    ctx = build_operator(config_from_mapping(LASSO_MEMO))
+    inst, _ = lasso_reference(ctx)
+    products = {"test": 0}
+    count_forward_products(monkeypatch, ["test"], products)
+    x = soft_threshold(ctx.x0, 1.0)  # +0.0 off the support
+    ctx.op.apply(x)
+    negated = np.where(x == 0.0, -0.0, x)
+    assert np.array_equal(negated, x) and negated.tobytes() != x.tobytes()
+    got = ctx.op.objective(negated)
+    assert products["test"] == 2
+    assert got == lasso_objective(inst, negated)
+    got = ctx.op.objective(x)
+    assert products["test"] == 4
+    assert got == lasso_objective(inst, x)
 
 
 def test_logreg_run_converges_with_smoothing_floor():

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aaopt.prox import (
@@ -12,7 +14,7 @@ from aaopt.prox import (
     weighted_soft_threshold,
 )
 
-from oracles import grid_minimize_1d, shrink_objective
+from oracles import grid_minimize_1d, shrink_objective, soft_threshold_reference
 
 
 def test_soft_threshold_basic():
@@ -29,6 +31,35 @@ def test_soft_threshold_zero_threshold_is_identity():
 def test_soft_threshold_negative_threshold_raises():
     with pytest.raises(ValueError):
         soft_threshold(np.ones(2), -0.1)
+
+
+SPECIALS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308]
+
+
+@st.composite
+def shrink_inputs(draw):
+    """(v, t) with NaN, +-inf, +-0, subnormals and ties |v_i| == t mixed in."""
+    t = draw(st.one_of(st.sampled_from([0.0, -0.0, math.inf, math.nan]),
+                       st.floats(0.0, 1e300, allow_subnormal=True)))
+    entry = st.one_of(st.floats(), st.sampled_from(SPECIALS + [t, -t]))
+    return np.array(draw(st.lists(entry, max_size=24)), dtype=float), t
+
+
+@settings(max_examples=500, deadline=None)
+@given(shrink_inputs())
+@example((np.array([-0.0, 0.0, math.nan, 1.0, -1.0]), 0.0))
+@example((np.array([-0.0, 0.0, math.nan, 1.0, -1.0]), -0.0))
+@example((np.array([math.inf, -math.inf, 2.0, math.nan]), math.inf))
+@example((np.array([0.5, -0.5, 0.25, -0.0, 1e308, -1e308]), 0.5))
+def test_soft_threshold_is_bitwise_the_three_branch_form(case):
+    v, t = case
+    before = v.tobytes()
+    with np.errstate(all="ignore"):  # inf - inf and overflowing dots are the point here
+        got = soft_threshold(v, t)
+        want = soft_threshold_reference(v, t)
+    assert v.tobytes() == before
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_weighted_matches_uniform_bitwise():
