@@ -49,7 +49,6 @@ class FixedPointOperator:
     apply: Callable[[np.ndarray], np.ndarray]
     objective: Callable[[np.ndarray], float] | None = None
     monitor: Callable[[np.ndarray], np.ndarray] | None = None
-    name: str = ""
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         return self.apply(x) - x

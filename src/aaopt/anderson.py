@@ -58,15 +58,16 @@ class AaConfig:
     alpha_cap: float | None = None
 
     def __post_init__(self):
-        if self.memory < 1:
+        # negated comparisons, so NaN fails each check
+        if not self.memory >= 1:
             raise ValueError("AaConfig: memory must be >= 1")
-        if self.tikhonov is not None and self.tikhonov < 0:
+        if self.tikhonov is not None and not self.tikhonov >= 0:
             raise ValueError("AaConfig: tikhonov must be nonnegative")
-        if self.safeguard_factor < 1.0:
+        if not self.safeguard_factor >= 1.0:
             raise ValueError("AaConfig: safeguard_factor must be >= 1")
-        if self.restart_after_rejects < 1:
+        if not self.restart_after_rejects >= 1:
             raise ValueError("AaConfig: restart_after_rejects must be >= 1")
-        if self.alpha_cap is not None and self.alpha_cap < 1.0:
+        if self.alpha_cap is not None and not self.alpha_cap >= 1.0:
             raise ValueError("AaConfig: alpha_cap must be >= 1 (alpha sums to 1)")
 
 

@@ -68,17 +68,75 @@ __all__ = [
 
 DIVERGENCE_LIMIT = 1e12
 
-PROBLEM_KINDS = ("lasso", "nnls", "svm", "logreg")
-ALGORITHMS_FOR = {
-    "lasso": ("ista", "fista"),
-    "nnls": ("drs",),
-    "svm": ("pcd",),
-    "logreg": ("irl1",),
-}
-
 
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent experiment configs."""
+
+
+@dataclass(frozen=True)
+class ConfigKey:
+    """How a config key's text is read, the ExperimentConfig field it sets, and its range.
+
+    ``aa.x`` is AaConfig's ``x``, ``params.x`` the problem's ``x``.  A number must lie in
+    ``interval``, which NaN and +-inf never do; the word ``unset`` reads as None.
+    """
+
+    field: str
+    type: type = str
+    interval: str | None = None
+    unset: str | None = None
+
+    def parse(self, key: str, text: str):
+        if text == self.unset:
+            return None
+        try:
+            return _BOOLEANS[text.lower()] if self.type is bool else self.type(text)
+        except (KeyError, ValueError):
+            raise ConfigError("%s: expected %s, got %r" % (key, _EXPECTED[self.type], text)) from None
+
+    def check(self, key: str, value) -> None:
+        if self.interval is None or value is None:
+            return
+        lo, hi = (float(end) for end in self.interval[1:-1].split(","))
+        above = lo < value if self.interval[0] == "(" else lo <= value
+        below = value < hi if self.interval[-1] == ")" else value <= hi
+        if not (above and below):
+            raise ConfigError("%s must lie in %s, got %r" % (key, self.interval, value))
+
+
+_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
+             "false": False, "no": False, "off": False, "0": False}
+_EXPECTED = {int: "an integer", float: "a number", bool: "a boolean"}
+
+CONFIG_KEYS = {
+    "problem.kind": ConfigKey("problem_kind"),
+    "problem.rows": ConfigKey("params.rows", int, "[1, inf)"),
+    "problem.cols": ConfigKey("params.cols", int, "[1, inf)"),
+    "problem.lambda": ConfigKey("params.lambda", float, "[0, inf)"),
+    "problem.noise_var": ConfigKey("params.noise_var", float, "[0, inf)"),
+    "problem.c": ConfigKey("params.c", float, "(0, inf)"),
+    "problem.p": ConfigKey("params.p", float, "(0, 1)"),
+    "problem.mu": ConfigKey("params.mu", float, "(0, 1)"),
+    "problem.eps0": ConfigKey("params.eps0", float, "(0, inf)"),
+    "problem.dataset": ConfigKey("params.dataset"),
+    "problem.subsample": ConfigKey("params.subsample", int, "[1, inf)"),
+    "algorithm.kind": ConfigKey("algorithm"),
+    "algorithm.beta_rule": ConfigKey("beta_rule"),
+    "algorithm.beta": ConfigKey("beta", float, "(0, inf)"),
+    "algorithm.delta": ConfigKey("delta", float, "(0, 2)"),
+    "aa.enabled": ConfigKey("aa_enabled", bool),
+    "aa.memory": ConfigKey("aa.memory", int, "[1, 64]"),
+    "aa.tikhonov": ConfigKey("aa.tikhonov", float, "[0, inf)", unset="auto"),
+    "aa.safeguard": ConfigKey("aa.safeguard_factor", float, "[1, inf)"),
+    "aa.restart": ConfigKey("aa.restart_after_rejects", int, "[1, inf)"),
+    "aa.alpha_cap": ConfigKey("aa.alpha_cap", float, "[1, inf)", unset="none"),
+    "run.max_iter": ConfigKey("max_iter", int, "[1, inf)"),
+    "run.tol": ConfigKey("tol", float, "(0, inf)"),
+    "run.seed": ConfigKey("seed", int, "[0, inf)"),
+    "run.trace": ConfigKey("trace_path"),
+    "run.zero_tol": ConfigKey("zero_tol", float, "[0, inf)"),
+    "run.window": ConfigKey("window", int, "[1, inf)"),
+}
 
 
 @dataclass
@@ -99,37 +157,29 @@ class ExperimentConfig:
     window: int = 10
 
     def __post_init__(self):
-        if self.problem_kind not in PROBLEM_KINDS:
-            raise ConfigError("unknown problem kind %r" % self.problem_kind)
-        if self.algorithm not in ALGORITHMS_FOR[self.problem_kind]:
-            raise ConfigError(
-                "algorithm %r does not apply to problem %r (choose from %s)"
-                % (self.algorithm, self.problem_kind, ALGORITHMS_FOR[self.problem_kind])
-            )
-        if self.beta_rule not in ("one-over-L", "explicit"):
-            raise ConfigError("beta_rule must be 'one-over-L' or 'explicit'")
-        if self.beta_rule == "explicit" and (self.beta is None or self.beta <= 0):
-            raise ConfigError("explicit beta_rule needs algorithm.beta > 0")
+        family = FAMILIES.get(self.problem_kind)
+        if family is None:
+            raise ConfigError("problem.kind: unknown problem kind %r (choose from %s)"
+                              % (self.problem_kind, ", ".join(FAMILIES)))
+        if self.algorithm not in family.algorithms:
+            raise ConfigError("algorithm.kind %r does not apply to problem.kind %r (choose from %s)"
+                              % (self.algorithm, self.problem_kind, ", ".join(family.algorithms)))
+        # sizes and noise shape a generated instance; subsample thins a dataset file
+        unread = {"rows", "cols", "noise_var"} if "dataset" in self.params else {"subsample"}
+        read = sorted(set(family.defaults) - unread)
+        for name in sorted(set(self.params) - set(read)):
+            raise ConfigError("problem.%s is not read by this %s config (it reads problem.%s)"
+                              % (name, self.problem_kind, ", problem.".join(read)))
+        scopes = {"": vars(self), "aa": vars(self.aa), "params": self.params}
+        for key, spec in CONFIG_KEYS.items():
+            scope, _, name = spec.field.rpartition(".")
+            spec.check(key, scopes[scope].get(name))
+        family.check({**family.defaults, **self.params})
+        if (self.beta_rule, self.beta is None) not in (("one-over-L", True), ("explicit", False)):
+            raise ConfigError("algorithm.beta_rule is one-over-L, or explicit with algorithm.beta; "
+                              "got %r with algorithm.beta = %r" % (self.beta_rule, self.beta))
         if self.algorithm == "fista" and self.aa_enabled:
-            raise ConfigError("fista is a baseline comparator and is never accelerated")
-        if self.max_iter < 1:
-            raise ConfigError("run.max_iter must be >= 1")
-        if self.tol <= 0:
-            raise ConfigError("run.tol must be positive")
-        if not (1 <= self.aa.memory <= 64):
-            raise ConfigError("aa.memory must lie in [1, 64]")
-        # problem values, in negated form so NaN fails too; an absent key
-        # takes its builder's default, which is valid
-        params = self.params
-        if not params.get("lambda", 0.0) >= 0:
-            raise ConfigError("problem.lambda must be nonnegative")
-        if self.problem_kind == "svm" and not params.get("c", 1.0) > 0:
-            raise ConfigError("problem.c must be positive")
-        if self.problem_kind == "logreg":
-            if not (0.0 < params.get("mu", 0.5) < 1.0):
-                raise ConfigError("problem.mu must lie in (0, 1)")
-            if not params.get("eps0", 1.0) > 0:
-                raise ConfigError("problem.eps0 must be positive")
+            raise ConfigError("aa.enabled: algorithm.kind fista is a baseline, never accelerated")
 
 
 # ---------------------------------------------------------------------------
@@ -156,112 +206,23 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _as_int(kv: dict, key: str, default=None):
-    if key not in kv:
-        return default
-    try:
-        return int(kv[key])
-    except ValueError:
-        raise ConfigError("%s: expected an integer, got %r" % (key, kv[key])) from None
-
-
-def _as_float(kv: dict, key: str, default=None):
-    if key not in kv:
-        return default
-    try:
-        return float(kv[key])
-    except ValueError:
-        raise ConfigError("%s: expected a number, got %r" % (key, kv[key])) from None
-
-
-def _as_bool(kv: dict, key: str, default=None):
-    if key not in kv:
-        return default
-    value = kv[key].lower()
-    if value in ("true", "yes", "on", "1"):
-        return True
-    if value in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError("%s: expected a boolean, got %r" % (key, kv[key]))
-
-
-_PROBLEM_KEYS = {
-    "kind", "rows", "cols", "lambda", "noise_var", "c", "p", "mu", "eps0",
-    "dataset", "subsample",
-}
-_ALGORITHM_KEYS = {"kind", "beta_rule", "beta", "delta"}
-_AA_KEYS = {"enabled", "memory", "tikhonov", "safeguard", "restart", "alpha_cap"}
-_RUN_KEYS = {"max_iter", "tol", "seed", "trace", "zero_tol", "window"}
-_SECTIONS = {"problem": _PROBLEM_KEYS, "algorithm": _ALGORITHM_KEYS, "aa": _AA_KEYS, "run": _RUN_KEYS}
-
-
 def config_from_mapping(kv: dict[str, str]) -> ExperimentConfig:
     """Validate a parsed key/value mapping into an ExperimentConfig."""
-    for key in kv:
-        section, _, name = key.partition(".")
-        if section not in _SECTIONS or name not in _SECTIONS[section]:
+    for key in ("problem.kind", "algorithm.kind"):
+        if key not in kv:
+            raise ConfigError("%s is required" % key)
+    if "algorithm.delta" in kv and kv["algorithm.kind"] != "drs":
+        raise ConfigError("algorithm.delta is read only by drs, not by %s" % kv["algorithm.kind"])
+    scopes: dict = {"": {}, "aa": {}, "params": {}}
+    for key, text in kv.items():
+        spec = CONFIG_KEYS.get(key)
+        if spec is None:
             raise ConfigError("unknown config key %r" % key)
-    problem_kind = kv.get("problem.kind")
-    algorithm = kv.get("algorithm.kind")
-    if problem_kind is None:
-        raise ConfigError("problem.kind is required")
-    if algorithm is None:
-        raise ConfigError("algorithm.kind is required")
-    if problem_kind not in PROBLEM_KINDS:
-        raise ConfigError("unknown problem kind %r" % problem_kind)
-
-    params: dict = {}
-    for name in ("rows", "cols", "subsample"):
-        value = _as_int(kv, "problem." + name)
-        if value is not None:
-            params[name] = value
-    for name in ("lambda", "noise_var", "c", "p", "mu", "eps0"):
-        value = _as_float(kv, "problem." + name)
-        if value is not None:
-            params[name] = value
-    if "problem.dataset" in kv:
-        params["dataset"] = kv["problem.dataset"]
-
-    aa_kwargs: dict = {}
-    memory = _as_int(kv, "aa.memory")
-    if memory is not None:
-        aa_kwargs["memory"] = memory
-    if "aa.tikhonov" in kv and kv["aa.tikhonov"] != "auto":
-        aa_kwargs["tikhonov"] = _as_float(kv, "aa.tikhonov")
-    safeguard = _as_float(kv, "aa.safeguard")
-    if safeguard is not None:
-        aa_kwargs["safeguard_factor"] = safeguard
-    restart = _as_int(kv, "aa.restart")
-    if restart is not None:
-        aa_kwargs["restart_after_rejects"] = restart
-    if "aa.alpha_cap" in kv and kv["aa.alpha_cap"] != "none":
-        aa_kwargs["alpha_cap"] = _as_float(kv, "aa.alpha_cap")
-    try:
-        aa = AaConfig(**aa_kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    try:
-        return ExperimentConfig(
-            problem_kind=problem_kind,
-            algorithm=algorithm,
-            params=params,
-            beta_rule=kv.get("algorithm.beta_rule", "one-over-L"),
-            beta=_as_float(kv, "algorithm.beta"),
-            delta=_as_float(kv, "algorithm.delta", 1.0),
-            aa_enabled=_as_bool(kv, "aa.enabled", False),
-            aa=aa,
-            max_iter=_as_int(kv, "run.max_iter", 1000),
-            tol=_as_float(kv, "run.tol", 1e-10),
-            seed=_as_int(kv, "run.seed", 0),
-            trace_path=kv.get("run.trace"),
-            zero_tol=_as_float(kv, "run.zero_tol", 1e-9),
-            window=_as_int(kv, "run.window", 10),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        scope, _, name = spec.field.rpartition(".")
+        scopes[scope][name] = value = spec.parse(key, text)
+        if scope == "aa":  # AaConfig, built first, would name a bad value by its field
+            spec.check(key, value)
+    return ExperimentConfig(params=scopes["params"], aa=AaConfig(**scopes["aa"]), **scopes[""])
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -284,7 +245,6 @@ class RunContext:
     op: FixedPointOperator
     x0: np.ndarray
     bounds: BoxBounds | None = None
-    beta: float | None = None
 
 
 def _x0_rng(seed: int) -> np.random.Generator:
@@ -300,12 +260,17 @@ def _resolve_beta(cfg: ExperimentConfig, lipschitz: float) -> float:
     return 1.0 / lipschitz
 
 
-def _load_rows(params: dict, seed: int):
+def _instance(cfg: ExperimentConfig, params: dict, generate: Callable, make: Callable, **extra):
+    """``generate(rows, cols)``, or ``make(A, y)`` of the problem.dataset file's rows."""
+    if params["dataset"] is None:
+        return generate(params["rows"], params["cols"], seed=cfg.seed, **extra)
     X, y = load_libsvm(params["dataset"])
-    k = params.get("subsample")
-    if k is not None:
-        X, y = subsample(X, y, k, seed=seed)
-    return X, y
+    if params["subsample"] is not None:
+        try:
+            X, y = subsample(X, y, params["subsample"], seed=cfg.seed)
+        except ValueError as exc:  # more rows than the file has
+            raise ConfigError("problem.subsample: %s" % exc) from None
+    return make(A=X, y=y, **extra)
 
 
 def _last_point_memo(compute: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
@@ -331,14 +296,13 @@ def _last_point_memo(compute: Callable[[np.ndarray], object]) -> Callable[[np.nd
     return memoized
 
 
-def _build_lasso(cfg: ExperimentConfig) -> RunContext:
-    params = cfg.params
-    if "dataset" in params:
+def _build_lasso(cfg: ExperimentConfig, params: dict) -> RunContext:
+    if params["dataset"] is not None:
         try:
             data = np.load(params["dataset"])
         except OSError as exc:
             raise OSError("reading lasso instance from %s: %s" % (params["dataset"], exc)) from exc
-        lam = params.get("lambda", float(data["lam"]))
+        lam = params["lambda"] if "lambda" in cfg.params else float(data["lam"])
         if not lam >= 0:
             raise ConfigError("%s: lam must be nonnegative, got %r" % (params["dataset"], lam))
         inst = LassoInstance(
@@ -348,13 +312,8 @@ def _build_lasso(cfg: ExperimentConfig) -> RunContext:
             lam=lam,
         )
     else:
-        inst = gen_lasso(
-            params.get("rows", 40),
-            params.get("cols", 200),
-            params.get("lambda", 0.01),
-            params.get("noise_var", 1e-4),
-            seed=cfg.seed,
-        )
+        inst = gen_lasso(params["rows"], params["cols"], params["lambda"], params["noise_var"],
+                         seed=cfg.seed)
     lam = inst.lam
     beta = _resolve_beta(cfg, spectral_norm_sq(inst.A))
     g_prox = lambda v, t: soft_threshold(v, t * lam)
@@ -365,20 +324,19 @@ def _build_lasso(cfg: ExperimentConfig) -> RunContext:
         dimension=inst.A.shape[1],
         apply=lambda x: pga_step(grad, g_prox, beta, x),
         objective=lambda x: lasso_objective(inst, x, residual(x)),
-        name="lasso/" + cfg.algorithm,
     )
     x0 = _x0_rng(cfg.seed).standard_normal(op.dimension)
-    return RunContext(op=op, x0=x0, beta=beta)
+    return RunContext(op=op, x0=x0)
 
 
-def _build_svm(cfg: ExperimentConfig) -> RunContext:
-    params = cfg.params
-    C = params.get("c", 100.0)
-    if "dataset" in params:
-        X, y = _load_rows(params, cfg.seed)
-        inst = SvmDualInstance(A=X, y=y, C=C)
-    else:
-        inst = gen_svm(params.get("rows", 100), params.get("cols", 20), seed=cfg.seed, C=C)
+def _check_lasso_shape(params: dict) -> None:
+    """gen_lasso orthonormalises the rows and plants cols // 10 spikes."""
+    if params["dataset"] is None and not (params["rows"] < params["cols"] and params["cols"] >= 10):
+        raise ConfigError("lasso needs problem.rows < problem.cols and problem.cols >= 10")
+
+
+def _build_svm(cfg: ExperimentConfig, params: dict) -> RunContext:
+    inst = _instance(cfg, params, gen_svm, SvmDualInstance, C=params["c"])
     m = inst.A.shape[0]
     # the dual is 0.5*||Z^T x||^2 - sum(x) on [0, C]^m with Z = y .* A
     if hasattr(inst.A, "tocsr") and not isinstance(inst.A, np.ndarray):
@@ -398,22 +356,15 @@ def _build_svm(cfg: ExperimentConfig) -> RunContext:
     beta = _resolve_beta(cfg, lipschitz)
     op = FixedPointOperator(
         dimension=m,
-        apply=pcd_sweep(Z, -1.0, 0.0, C, beta),
+        apply=pcd_sweep(Z, -1.0, 0.0, inst.C, beta),
         objective=objective,
-        name="svm/pcd",
     )
     x0 = _x0_rng(cfg.seed).standard_normal(m)
-    return RunContext(op=op, x0=x0, bounds=BoxBounds(0.0, C), beta=beta)
+    return RunContext(op=op, x0=x0, bounds=BoxBounds(0.0, inst.C))
 
 
-def _build_nnls(cfg: ExperimentConfig) -> RunContext:
-    params = cfg.params
-    lam = params.get("lambda", 0.001)
-    if "dataset" in params:
-        X, y = _load_rows(params, cfg.seed)
-        inst = NnlsInstance(A=X, y=y, lam=lam)
-    else:
-        inst = gen_nnls(params.get("rows", 50), params.get("cols", 30), lam=lam, seed=cfg.seed)
+def _build_nnls(cfg: ExperimentConfig, params: dict) -> RunContext:
+    inst = _instance(cfg, params, gen_nnls, NnlsInstance, lam=params["lambda"])
     m, n = inst.A.shape
     beta = _resolve_beta(cfg, spectral_norm_sq(inst.A) / m)
     drs = DrsParams(beta=beta, delta=cfg.delta)
@@ -434,25 +385,14 @@ def _build_nnls(cfg: ExperimentConfig) -> RunContext:
         apply=lambda z: parts(z)[2],
         objective=lambda z: nnls_objective(inst, feasible_point(z)),
         monitor=feasible_point,
-        name="nnls/drs",
     )
     x0 = _x0_rng(cfg.seed).standard_normal(n)
-    return RunContext(op=op, x0=x0, beta=beta)
+    return RunContext(op=op, x0=x0)
 
 
-def _build_logreg(cfg: ExperimentConfig) -> RunContext:
-    params = cfg.params
-    lam = params.get("lambda", 0.001)
-    p = params.get("p", 0.75)
-    mu = params.get("mu", 0.9)
-    eps0 = params.get("eps0", 1.0)
-    if "dataset" in params:
-        X, y = _load_rows(params, cfg.seed)
-        inst = LogRegInstance(A=X, y=y, lam=lam, p=p)
-    else:
-        inst = gen_logreg(
-            params.get("rows", 100), params.get("cols", 30), lam=lam, p=p, seed=cfg.seed
-        )
+def _build_logreg(cfg: ExperimentConfig, params: dict) -> RunContext:
+    lam, p, mu = params["lambda"], params["p"], params["mu"]
+    inst = _instance(cfg, params, gen_logreg, LogRegInstance, lam=lam, p=p)
     m, n = inst.A.shape
     phi = RegularizerPhi("LPN", p)
     beta = _resolve_beta(cfg, spectral_norm_sq(inst.A) / (4.0 * m))
@@ -462,23 +402,44 @@ def _build_logreg(cfg: ExperimentConfig) -> RunContext:
         apply=lambda theta: irl1_step(grad, phi, lam, beta, mu, theta),
         objective=lambda theta: logreg_objective(inst, theta[:n]),
         monitor=lambda theta: theta[:n],
-        name="logreg/irl1",
     )
-    x0 = np.concatenate([_x0_rng(cfg.seed).standard_normal(n), eps0 * np.ones(n)])
-    return RunContext(op=op, x0=x0, beta=beta)
+    x0 = np.concatenate([_x0_rng(cfg.seed).standard_normal(n), params["eps0"] * np.ones(n)])
+    return RunContext(op=op, x0=x0)
 
 
-_BUILDERS = {
-    "lasso": _build_lasso,
-    "svm": _build_svm,
-    "nnls": _build_nnls,
-    "logreg": _build_logreg,
+@dataclass(frozen=True)
+class Family:
+    """A problem family: its algorithms, its builder, and the ``problem.*`` keys it reads.
+
+    ``defaults`` holds each key's default (None: unset unless given); ``build``
+    and ``check`` get ``cfg.params`` over them, and ``check`` vets more than ranges.
+    """
+
+    algorithms: tuple[str, ...]
+    build: Callable[[ExperimentConfig, dict], RunContext]
+    defaults: dict
+    check: Callable[[dict], None] = lambda params: None
+
+
+FAMILIES = {
+    # with problem.dataset, lasso's lambda defaults to the file's lam
+    "lasso": Family(("ista", "fista"), _build_lasso,
+                    {"rows": 40, "cols": 200, "lambda": 0.01, "noise_var": 1e-4, "dataset": None},
+                    _check_lasso_shape),
+    "nnls": Family(("drs",), _build_nnls,
+                   {"rows": 50, "cols": 30, "lambda": 0.001, "dataset": None, "subsample": None}),
+    "svm": Family(("pcd",), _build_svm,
+                  {"rows": 100, "cols": 20, "c": 100.0, "dataset": None, "subsample": None}),
+    "logreg": Family(("irl1",), _build_logreg,
+                     {"rows": 100, "cols": 30, "lambda": 0.001, "p": 0.75, "mu": 0.9, "eps0": 1.0,
+                      "dataset": None, "subsample": None}),
 }
 
 
 def build_operator(cfg: ExperimentConfig) -> RunContext:
     """Instantiate the problem and its fixed-point operator for a config."""
-    return _BUILDERS[cfg.problem_kind](cfg)
+    family = FAMILIES[cfg.problem_kind]
+    return family.build(cfg, {**family.defaults, **cfg.params})
 
 
 # ---------------------------------------------------------------------------
@@ -634,10 +595,6 @@ def run_sweep(cfg: ExperimentConfig, memories: Sequence[int]) -> list[dict]:
 # trace / summary I/O
 
 
-def _fmt(value: float) -> str:
-    return "%.17g" % value
-
-
 _TRACE_ROW = "%d,%.17g,%.17g,%.17g,%d,%d,%d\n"
 
 
@@ -689,18 +646,16 @@ def _summary_value(value) -> str:
     if value is None:
         return "none"
     if isinstance(value, float):
-        return _fmt(value)
+        return "%.17g" % value
     return str(value)
 
 
 def write_summary(summaries: Sequence[dict], path: str) -> None:
     """key=value blocks, one per run, separated by blank lines."""
-    blocks = []
-    for summary in summaries:
-        blocks.append("\n".join("%s=%s" % (k, _summary_value(v)) for k, v in summary.items()))
+    text = "\n\n".join(format_summary(summary) for summary in summaries) + "\n"
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n\n".join(blocks) + "\n")
+            handle.write(text)
     except OSError as exc:
         raise OSError("writing summary to %s: %s" % (path, exc)) from exc
 

@@ -1,4 +1,5 @@
 import math
+import re
 import textwrap
 from dataclasses import replace
 
@@ -55,6 +56,17 @@ def lasso_cfg(**extra) -> ExperimentConfig:
     kv = dict(LASSO_SMALL)
     kv.update(extra)
     return config_from_mapping(kv)
+
+
+def svm_beta(A, y) -> float:
+    """The harness's one-over-L step for an svm instance: 1 / max_i ||Z_i||^2, Z = y .* A.
+
+    Each row's squares are summed as the harness sums them; y = +-1 leaves them unchanged.
+    """
+    if isinstance(A, np.ndarray):
+        Z = y[:, None] * A
+        return 1.0 / float(np.einsum("ij,ij->i", Z, Z).max())
+    return 1.0 / max(float(d @ d) for d in np.split(A.data, A.indptr[1:-1]))
 
 
 def numeric_fields(records):
@@ -200,6 +212,7 @@ def test_svm_incremental_sweep_matches_generic_coordinate_descent():
     inst = gen_svm(12, 4, seed=5, C=10.0)
     Z = inst.y[:, None] * inst.A
     K = Z @ Z.T
+    beta = svm_beta(inst.A, inst.y)
     rng = np.random.default_rng(2)
     for _ in range(5):
         x = rng.uniform(-1.0, 11.0, size=12)
@@ -207,7 +220,7 @@ def test_svm_incremental_sweep_matches_generic_coordinate_descent():
         # Gauss-Seidel on the full kernel, without an incremental Z^T x
         slow = x.copy()
         for i in range(12):
-            slow[i] = min(max(slow[i] - ctx.beta * (K[i] @ slow - 1.0), 0.0), 10.0)
+            slow[i] = min(max(slow[i] - beta * (K[i] @ slow - 1.0), 0.0), 10.0)
         assert np.linalg.norm(fast - slow) <= 1e-10 * (1.0 + np.linalg.norm(slow))
 
 
@@ -227,7 +240,7 @@ def svm_sweeps(tmp_path_factory):
         ("csr", {"problem.dataset": str(path)}, X, y),
     ):
         ctx = build_operator(config_from_mapping({"problem.kind": "svm", "algorithm.kind": "pcd", **keys}))
-        sweeps[kind] = (ctx.op.apply, A, labels, ctx.beta)
+        sweeps[kind] = (ctx.op.apply, A, labels, svm_beta(A, labels))
     return sweeps
 
 
@@ -269,7 +282,7 @@ def test_logreg_builder_validates_smoothing_controls():
 @pytest.mark.parametrize("kind,algorithm", [("lasso", "ista"), ("nnls", "drs"), ("logreg", "irl1")])
 @pytest.mark.parametrize("lam", ["-0.1", "-1e-300", "nan"])
 def test_config_rejects_negative_lambda(kind, algorithm, lam):
-    with pytest.raises(ConfigError, match="problem.lambda must be nonnegative"):
+    with pytest.raises(ConfigError, match=re.escape("problem.lambda must lie in [0, inf)")):
         config_from_mapping({"problem.kind": kind, "algorithm.kind": algorithm, "problem.lambda": lam})
     assert config_from_mapping({"problem.kind": kind, "algorithm.kind": algorithm,
                                 "problem.lambda": "0"}).params["lambda"] == 0.0
@@ -277,7 +290,7 @@ def test_config_rejects_negative_lambda(kind, algorithm, lam):
 
 @pytest.mark.parametrize("c", ["0", "-1", "nan"])
 def test_config_rejects_nonpositive_svm_c(c):
-    with pytest.raises(ConfigError, match="problem.c must be positive"):
+    with pytest.raises(ConfigError, match=re.escape("problem.c must lie in (0, inf)")):
         config_from_mapping({"problem.kind": "svm", "algorithm.kind": "pcd", "problem.c": c})
 
 
@@ -381,11 +394,13 @@ NNLS_SMALL = {"problem.kind": "nnls", "algorithm.kind": "drs",
               "problem.rows": "50", "problem.cols": "30", "run.seed": "0"}
 
 
-def nnls_reference_parts(ctx):
+def nnls_reference_parts():
     """drs_parts of the NNLS_SMALL operator, built without the harness."""
     inst = gen_nnls(50, 30, lam=0.001, seed=0)
-    f_prox = quadratic_ls_prox(inst.A, inst.y, inst.lam, inst.A.shape[0], ctx.beta)
-    drs = DrsParams(beta=ctx.beta, delta=1.0)
+    m = inst.A.shape[0]
+    beta = 1.0 / (aaopt.linalg.spectral_norm_sq(inst.A) / m)  # one over L = ||A||^2 / m
+    f_prox = quadratic_ls_prox(inst.A, inst.y, inst.lam, m, beta)
+    drs = DrsParams(beta=beta, delta=1.0)
     return inst, lambda z: drs_parts(f_prox, lambda v, t: nonneg_project(v), drs, z)
 
 
@@ -427,7 +442,7 @@ def test_nnls_run_solves_each_drs_point_once(monkeypatch, aa):
 
 def test_nnls_memoized_monitor_and_objective_match_direct_solve():
     ctx = build_operator(config_from_mapping(NNLS_SMALL))
-    inst, parts = nnls_reference_parts(ctx)
+    inst, parts = nnls_reference_parts()
     z = ctx.x0
     for _ in range(20):
         h = ctx.op.apply(z)
@@ -440,7 +455,7 @@ def test_nnls_memoized_monitor_and_objective_match_direct_solve():
 
 def test_nnls_memo_is_not_stale_after_in_place_mutation():
     ctx = build_operator(config_from_mapping(NNLS_SMALL))
-    _, parts = nnls_reference_parts(ctx)
+    _, parts = nnls_reference_parts()
     z = ctx.x0.copy()
     ctx.op.apply(z)
     before = ctx.op.monitor(z)
@@ -454,11 +469,12 @@ LASSO_MEMO = {**LASSO_SMALL, "problem.rows": "40", "problem.cols": "200", "probl
               "run.seed": "0", "aa.restart": "1"}
 
 
-def lasso_reference(ctx):
+def lasso_reference():
     """The LASSO_MEMO instance and its map, built without the harness's memo."""
     inst = gen_lasso(40, 200, lam=0.01, seed=0)
+    beta = 1.0 / aaopt.linalg.spectral_norm_sq(inst.A)
     g_prox = lambda v, t: soft_threshold(v, t * inst.lam)
-    return inst, lambda x: pga_step(lambda z: lasso_grad(inst, z), g_prox, ctx.beta, x)
+    return inst, lambda x: pga_step(lambda z: lasso_grad(inst, z), g_prox, beta, x)
 
 
 def count_forward_products(monkeypatch, caller: list, products: dict) -> None:
@@ -510,7 +526,7 @@ def test_lasso_run_forms_one_residual_per_evaluation(monkeypatch, algorithm, aa)
 
 def test_lasso_memoized_map_and_objective_match_direct_evaluation():
     ctx = build_operator(config_from_mapping(LASSO_MEMO))
-    inst, apply = lasso_reference(ctx)
+    inst, apply = lasso_reference()
     x = ctx.x0
     for _ in range(20):
         h = ctx.op.apply(x)
@@ -521,7 +537,7 @@ def test_lasso_memoized_map_and_objective_match_direct_evaluation():
 
 def test_lasso_memo_is_not_stale_after_in_place_mutation(monkeypatch):
     ctx = build_operator(config_from_mapping(LASSO_MEMO))
-    inst, _ = lasso_reference(ctx)
+    inst, _ = lasso_reference()
     products = {"test": 0}
     count_forward_products(monkeypatch, ["test"], products)
     x = ctx.x0.copy()
@@ -536,7 +552,7 @@ def test_lasso_memo_is_not_stale_after_in_place_mutation(monkeypatch):
 
 def test_lasso_memo_treats_signed_zeros_as_different_points(monkeypatch):
     ctx = build_operator(config_from_mapping(LASSO_MEMO))
-    inst, _ = lasso_reference(ctx)
+    inst, _ = lasso_reference()
     products = {"test": 0}
     count_forward_products(monkeypatch, ["test"], products)
     x = soft_threshold(ctx.x0, 1.0)  # +0.0 off the support

@@ -1,10 +1,10 @@
-"""The README runs as documented: the quick-start config and the Library example."""
+"""The README runs as documented: the quick-start config, the Library example and the key table."""
 
 import re
 from decimal import Decimal
 from pathlib import Path
 
-from aaopt.harness import config_from_mapping, format_summary, parse_config_text, run_experiment
+from aaopt.harness import FAMILIES, config_from_mapping, format_summary, parse_config_text, run_experiment
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -44,3 +44,19 @@ def test_readme_library_example_converges(capsys):
     assert residuals[-1] < 1e-10 and len(residuals) < 2000
     assert namespace["fit"].defined
     assert capsys.readouterr().out.split()[0] == str(len(residuals))
+
+
+def test_readme_problem_key_table_matches_the_families():
+    """Each cell is the family's default, "unset" for None, or "—" for a key it does not read."""
+    text = README.read_text(encoding="utf-8")
+    lines = text[text.index("| key | `lasso`"):].split("\n\n", 1)[0].splitlines()
+    families = [cell.strip(" `") for cell in lines[0].strip("| ").split("|")[1:]]
+    assert sorted(families) == sorted(FAMILIES)
+    documented = {}
+    for line in lines[2:]:
+        key, *cells = (cell.strip(" `") for cell in line.strip().strip("|").split("|"))
+        for family, cell in zip(families, cells):
+            if cell != "—":
+                documented[(family, key)] = None if cell == "unset" else float(cell.split()[0])
+    assert documented == {(family, key): default for family, spec in FAMILIES.items()
+                          for key, default in spec.defaults.items()}
