@@ -38,13 +38,12 @@ from .harness import (
     write_summary,
     write_trace,
 )
-from .linalg import CgResult, cg_solve_spd, matvec, spectral_norm_sq
+from .linalg import CgResult, cg_solve_spd, spectral_norm_sq
 from .manifold import IdentificationTracker, identification_iter, pattern_of, support_size
 from .problems import (
     LassoInstance,
     LogRegInstance,
     NnlsInstance,
-    RegularizerPhi,
     SvmDualInstance,
     gen_lasso,
     gen_logreg,

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .problems import RegularizerPhi, phi_deriv
+from .problems import phi_deriv
 from .prox import weighted_soft_threshold
 
 __all__ = [
@@ -232,7 +232,7 @@ def admm_step(
 
 def irl1_step(
     grad_f: Grad,
-    phi: RegularizerPhi,
+    p: float,
     lam: float,
     beta: float,
     mu: float,
@@ -240,9 +240,10 @@ def irl1_step(
 ) -> np.ndarray:
     """One iteratively-reweighted-l1 step on the extended variable theta = (x, eps).
 
-    Weights are w_i = phi'(|x_i| + max(eps_i, 0)); the x-update is the
-    closed-form weighted shrinkage of the gradient step, and eps shrinks
-    geometrically, eps+ = mu * eps.  Returns the new (x, eps) as one vector.
+    Weights are w_i = phi'(|x_i| + max(eps_i, 0)) for the power penalty
+    phi(t) = t**p, 0 < p < 1; the x-update is the closed-form weighted
+    shrinkage of the gradient step, and eps shrinks geometrically,
+    eps+ = mu * eps.  Returns the new (x, eps) as one vector.
 
     Anderson candidates may leave the domain eps >= 0, hence the clamp in the
     weights.  Where |x_i| + max(eps_i, 0) is 0 the coordinate is pinned at 0
@@ -253,6 +254,8 @@ def irl1_step(
         raise ValueError("irl1_step: beta must be positive")
     if not (0.0 < mu < 1.0):
         raise ValueError("irl1_step: mu must lie in (0, 1)")
+    if not (0.0 < p < 1.0):
+        raise ValueError("irl1_step: p must lie in (0, 1)")
     if lam < 0:
         raise ValueError("irl1_step: lam must be nonnegative")
     theta = np.asarray(theta, dtype=float)
@@ -264,7 +267,7 @@ def irl1_step(
     inside = t > 0.0
     w = np.zeros(n)
     if inside.any():
-        w[inside] = phi_deriv(phi, t[inside])
+        w[inside] = phi_deriv(p, t[inside])
     g = _require_finite(np.asarray(grad_f(x), dtype=float), "irl1_step: gradient")
     x_new = np.where(inside, weighted_soft_threshold(x - beta * g, w, beta * lam), 0.0)
     return np.concatenate([x_new, mu * eps])

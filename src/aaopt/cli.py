@@ -8,6 +8,7 @@ import sys
 import numpy as np
 
 from .harness import (
+    FAMILIES,
     ConfigError,
     format_summary,
     load_config,
@@ -48,28 +49,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one experiment from a config file")
-    run_p.add_argument("config", help="path to a section.key = value config file")
-    run_p.add_argument("--tol", type=float, default=None, help="override run.tol")
-    run_p.add_argument("--max-iter", type=int, default=None, help="override run.max_iter")
-    run_p.add_argument("--seed", type=int, default=None, help="override run.seed")
-    run_p.add_argument("--summary", default=None, help="also write the summary block to this path")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--tol", type=float, default=None, help="override run.tol")
+    common.add_argument("--max-iter", type=int, default=None, help="override run.max_iter")
+    common.add_argument("--seed", type=int, default=None, help="override run.seed")
+    common.add_argument("--summary", default=None, help="also write the summary blocks to this path")
 
-    sweep_p = sub.add_parser("sweep", help="baseline plus accelerated runs over memory values")
+    run_p = sub.add_parser("run", parents=[common], help="run one experiment from a config file")
+    run_p.add_argument("config", help="path to a section.key = value config file")
+
+    sweep_p = sub.add_parser("sweep", parents=[common],
+                             help="baseline plus accelerated runs over memory values")
     sweep_p.add_argument("config", help="path to a config file")
     sweep_p.add_argument("--memory", default="5,10,15", help="comma-separated memory values")
-    sweep_p.add_argument("--tol", type=float, default=None, help="override run.tol")
-    sweep_p.add_argument("--max-iter", type=int, default=None, help="override run.max_iter")
-    sweep_p.add_argument("--seed", type=int, default=None, help="override run.seed")
-    sweep_p.add_argument("--summary", default=None, help="write all summary blocks to this path")
 
+    lasso = FAMILIES["lasso"].defaults
     gen_p = sub.add_parser("gen-lasso", help="generate a lasso instance and save it as .npz")
     gen_p.add_argument("rows", type=int)
     gen_p.add_argument("cols", type=int)
     gen_p.add_argument("seed", type=int)
     gen_p.add_argument("out", help="output .npz path (keys A, y, x_true, lam)")
-    gen_p.add_argument("--lambda", dest="lam", type=float, default=0.01)
-    gen_p.add_argument("--noise-var", type=float, default=1e-4)
+    gen_p.add_argument("--lambda", dest="lam", type=float, default=lasso["lambda"])
+    gen_p.add_argument("--noise-var", type=float, default=lasso["noise_var"])
     return parser
 
 

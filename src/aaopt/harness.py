@@ -27,13 +27,12 @@ from .algorithms import (
     pga_step,
 )
 from .anderson import AaConfig, fit_linear_rate, init_state, safeguarded_step
-from .linalg import matvec, spectral_norm_sq
+from .linalg import spectral_norm_sq
 from .manifold import IdentificationTracker, pattern_of, support_size
 from .problems import (
     LassoInstance,
     LogRegInstance,
     NnlsInstance,
-    RegularizerPhi,
     SvmDualInstance,
     gen_lasso,
     gen_logreg,
@@ -264,7 +263,12 @@ def _instance(cfg: ExperimentConfig, params: dict, generate: Callable, make: Cal
     """``generate(rows, cols)``, or ``make(A, y)`` of the problem.dataset file's rows."""
     if params["dataset"] is None:
         return generate(params["rows"], params["cols"], seed=cfg.seed, **extra)
-    X, y = load_libsvm(params["dataset"])
+    try:
+        X, y = load_libsvm(params["dataset"])
+        if 0 in X.shape:
+            raise ValueError("no rows or no features (a %d x %d matrix)" % X.shape)
+    except ValueError as exc:  # an empty matrix, malformed LIBSVM text, or not text at all
+        raise ConfigError("problem.dataset: %s: %s" % (params["dataset"], exc)) from None
     if params["subsample"] is not None:
         try:
             X, y = subsample(X, y, params["subsample"], seed=cfg.seed)
@@ -298,19 +302,19 @@ def _last_point_memo(compute: Callable[[np.ndarray], object]) -> Callable[[np.nd
 
 def _build_lasso(cfg: ExperimentConfig, params: dict) -> RunContext:
     if params["dataset"] is not None:
+        path = params["dataset"]
         try:
-            data = np.load(params["dataset"])
+            data = np.load(path)
+            A, y, x_true = (np.asarray(data[key], dtype=float) for key in ("A", "y", "x_true"))
+            lam = params["lambda"] if "lambda" in cfg.params else float(data["lam"])
         except OSError as exc:
-            raise OSError("reading lasso instance from %s: %s" % (params["dataset"], exc)) from exc
-        lam = params["lambda"] if "lambda" in cfg.params else float(data["lam"])
+            raise OSError("reading lasso instance from %s: %s" % (path, exc)) from exc
+        except (ValueError, EOFError, KeyError, IndexError, TypeError):  # not such an .npz file
+            raise ConfigError("problem.dataset: %s is not an .npz file with keys A, y, x_true and "
+                              "lam, as gen-lasso writes" % path) from None
         if not lam >= 0:
-            raise ConfigError("%s: lam must be nonnegative, got %r" % (params["dataset"], lam))
-        inst = LassoInstance(
-            A=np.asarray(data["A"], dtype=float),
-            y=np.asarray(data["y"], dtype=float),
-            x_true=np.asarray(data["x_true"], dtype=float),
-            lam=lam,
-        )
+            raise ConfigError("problem.dataset: %s: lam must be nonnegative, got %r" % (path, lam))
+        inst = LassoInstance(A=A, y=y, x_true=x_true, lam=lam)
     else:
         inst = gen_lasso(params["rows"], params["cols"], params["lambda"], params["noise_var"],
                          seed=cfg.seed)
@@ -318,7 +322,7 @@ def _build_lasso(cfg: ExperimentConfig, params: dict) -> RunContext:
     beta = _resolve_beta(cfg, spectral_norm_sq(inst.A))
     g_prox = lambda v, t: soft_threshold(v, t * lam)
     # A x - y, formed once per point for the gradient and the objective
-    residual = _last_point_memo(lambda x: matvec(inst.A, x) - inst.y)
+    residual = _last_point_memo(lambda x: inst.A.dot(x) - inst.y)
     grad = lambda x: lasso_grad(inst, x, residual(x))
     op = FixedPointOperator(
         dimension=inst.A.shape[1],
@@ -345,7 +349,7 @@ def _build_svm(cfg: ExperimentConfig, params: dict) -> RunContext:
         Z.data *= np.repeat(inst.y, np.diff(Z.indptr))
         row_norm_sq = np.array([float(d @ d) for d in np.split(Z.data, Z.indptr[1:-1])])
         # A.T as CSR, built once: the same sums in the same order as
-        # matvec(A, v, transpose=True), without building A.T per product
+        # A.T.dot(v), without building A.T per product
         At = A.T.tocsr()
         objective = lambda x: svm_dual_objective(inst, x, At)
     else:
@@ -370,7 +374,11 @@ def _build_nnls(cfg: ExperimentConfig, params: dict) -> RunContext:
     drs = DrsParams(beta=beta, delta=cfg.delta)
     # factored here, so the set-up pays for it and every evaluation of H is
     # one pair of triangular solves
-    f_prox = quadratic_ls_prox(inst.A, inst.y, inst.lam, m, beta)
+    try:
+        f_prox = quadratic_ls_prox(inst.A, inst.y, inst.lam, m, beta)
+    except np.linalg.LinAlgError:  # a shift m*(1/beta + 2*lambda) lost against A.T A
+        raise ConfigError("algorithm.beta = %r with problem.lambda = %r leaves the DRS prox's "
+                          "shifted Gram matrix not positive definite" % (beta, inst.lam)) from None
     g_prox = lambda v, t: nonneg_project(v)
 
     # (x, y, z_next) of the last DRS point: the monitor and the objective
@@ -394,12 +402,11 @@ def _build_logreg(cfg: ExperimentConfig, params: dict) -> RunContext:
     lam, p, mu = params["lambda"], params["p"], params["mu"]
     inst = _instance(cfg, params, gen_logreg, LogRegInstance, lam=lam, p=p)
     m, n = inst.A.shape
-    phi = RegularizerPhi("LPN", p)
     beta = _resolve_beta(cfg, spectral_norm_sq(inst.A) / (4.0 * m))
     grad = lambda x: logreg_grad(inst, x)
     op = FixedPointOperator(
         dimension=2 * n,
-        apply=lambda theta: irl1_step(grad, phi, lam, beta, mu, theta),
+        apply=lambda theta: irl1_step(grad, p, lam, beta, mu, theta),
         objective=lambda theta: logreg_objective(inst, theta[:n]),
         monitor=lambda theta: theta[:n],
     )

@@ -1,7 +1,8 @@
-"""Matrix-vector kernels shared by every solver in the package.
+"""Power iteration for a Lipschitz constant, and conjugate gradients.
 
-Matrices are plain numpy 2-D arrays or scipy CSR matrices; vectors are 1-D
-numpy arrays.  Nothing here allocates beyond the output vector.
+Matrices are numpy 2-D arrays or scipy CSR matrices.  Both have ``.dot`` and
+``.T``, so the package forms its products as ``A.dot(x)`` and ``A.T.dot(r)``
+on either, and numpy or scipy rejects a vector of the wrong length.
 """
 
 from __future__ import annotations
@@ -12,35 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["matvec", "spectral_norm_sq", "cg_solve_spd", "CgResult"]
-
-
-def _shape_of(A) -> tuple[int, int]:
-    shape = getattr(A, "shape", None)
-    if shape is None or len(shape) != 2:
-        raise ValueError("expected a 2-D matrix, got %r" % (A,))
-    return shape
-
-
-def matvec(A, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Compute A @ x (or A.T @ x) for a dense or CSR matrix.
-
-    Raises ValueError on a dimension mismatch instead of letting numpy
-    broadcast something silently.
-    """
-    rows, cols = _shape_of(A)
-    x = np.asarray(x)
-    if x.ndim != 1:
-        raise ValueError("matvec expects a 1-D vector, got shape %s" % (x.shape,))
-    need = rows if transpose else cols
-    if x.shape[0] != need:
-        raise ValueError(
-            "dimension mismatch: matrix %s %s vector of length %d"
-            % ((cols, rows) if transpose else (rows, cols), "(transposed) with" if transpose else "with", x.shape[0])
-        )
-    # .dot reaches the same BLAS kernels as @ with less dispatch per call
-    out = A.T.dot(x) if transpose else A.dot(x)
-    return np.asarray(out).ravel()
+__all__ = ["spectral_norm_sq", "cg_solve_spd", "CgResult"]
 
 
 def spectral_norm_sq(A, tol: float = 1e-6, max_iter: int = 500) -> float:
@@ -50,7 +23,7 @@ def spectral_norm_sq(A, tol: float = 1e-6, max_iter: int = 500) -> float:
     matrix returns 0.0.  Stops when the Rayleigh estimate changes by less than
     ``tol`` relatively, or after ``max_iter`` rounds.
     """
-    rows, cols = _shape_of(A)
+    rows, cols = A.shape
     if rows == 0 or cols == 0:
         return 0.0
     v = np.random.default_rng(0).standard_normal(cols)
@@ -58,8 +31,8 @@ def spectral_norm_sq(A, tol: float = 1e-6, max_iter: int = 500) -> float:
     est = 0.0
     At = A.T
     for _ in range(max_iter):
-        # the same products as matvec, and sqrt of w.dot(w) is np.linalg.norm
-        # of a 1-D vector, without their per-call checks and dispatch
+        # sqrt of w.dot(w) is np.linalg.norm of a 1-D vector, without its
+        # per-call dispatch
         w = At.dot(A.dot(v))
         nw = math.sqrt(float(w.dot(w)))
         if nw == 0.0:

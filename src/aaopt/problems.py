@@ -14,11 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .linalg import matvec
-
 __all__ = [
-    "PHI_FAMILIES",
-    "RegularizerPhi",
     "phi_value",
     "phi_deriv",
     "LassoInstance",
@@ -43,72 +39,28 @@ __all__ = [
     "subsample",
 ]
 
-PHI_FAMILIES = ("EXP", "LPN", "LOG", "FRA", "TAN")
 
-
-@dataclass(frozen=True)
-class RegularizerPhi:
-    """Concave penalty phi(t) on t >= 0 with shape parameter p.
-
-    Families: EXP 1-exp(-p t); LPN t^p with p in (0,1); LOG log(1+p t);
-    FRA t/(t+p); TAN arctan(p t).  All have positive nonincreasing
-    derivatives, which is what the reweighting scheme needs.
-    """
-
-    family: str
-    p: float
-
-    def __post_init__(self):
-        if self.family not in PHI_FAMILIES:
-            raise ValueError("unknown penalty family %r (choose from %s)" % (self.family, (PHI_FAMILIES,)))
-        if self.family == "LPN":
-            if not (0.0 < self.p < 1.0):
-                raise ValueError("LPN penalty needs p in (0, 1), got %g" % self.p)
-        elif self.p <= 0:
-            raise ValueError("%s penalty needs p > 0, got %g" % (self.family, self.p))
-
-
-def phi_value(phi: RegularizerPhi, t: np.ndarray) -> np.ndarray:
-    """Evaluate the penalty on t >= 0 elementwise."""
+def phi_value(p: float, t: np.ndarray) -> np.ndarray:
+    """The power penalty t**p, 0 < p < 1, on t >= 0 elementwise."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("phi_value: penalty arguments must be nonnegative")
-    p = phi.p
-    if phi.family == "EXP":
-        return 1.0 - np.exp(-p * t)
-    if phi.family == "LPN":
-        return np.power(t, p)
-    if phi.family == "LOG":
-        return np.log1p(p * t)
-    if phi.family == "FRA":
-        return t / (t + p)
-    return np.arctan(p * t)  # TAN
+    return np.power(t, p)
 
 
-def phi_deriv(phi: RegularizerPhi, t: np.ndarray) -> np.ndarray:
-    """Derivative phi'(t) elementwise; positive and nonincreasing on t >= 0.
+def phi_deriv(p: float, t: np.ndarray) -> np.ndarray:
+    """Derivative p * t**(p - 1) elementwise; positive and decreasing on t > 0.
 
-    The power penalty has an unbounded derivative at 0, so LPN raises on any
-    t_i == 0 and reports which coordinate hit it.
+    It is unbounded at 0, so any t_i == 0 raises and reports which coordinate
+    hit it.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("phi_deriv: penalty arguments must be nonnegative")
-    p = phi.p
-    if phi.family == "EXP":
-        return p * np.exp(-p * t)
-    if phi.family == "LPN":
-        bad = np.flatnonzero(t == 0.0)
-        if bad.size:
-            raise ValueError(
-                "phi_deriv: LPN derivative undefined at 0 (coordinate %d)" % int(bad[0])
-            )
-        return p * np.power(t, p - 1.0)
-    if phi.family == "LOG":
-        return p / (1.0 + p * t)
-    if phi.family == "FRA":
-        return p / (t + p) ** 2
-    return p / (1.0 + (p * t) ** 2)  # TAN
+    bad = np.flatnonzero(t == 0.0)
+    if bad.size:
+        raise ValueError("phi_deriv: derivative undefined at 0 (coordinate %d)" % int(bad[0]))
+    return p * np.power(t, p - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +87,7 @@ class SvmDualInstance:
 
     def k_apply(self, x: np.ndarray) -> np.ndarray:
         """(Z Z^T) x computed as two thin products, Z = y .* A."""
-        z = matvec(self.A, matvec(self.A, self.y * x, transpose=True))
+        z = self.A.dot(self.A.T.dot(self.y * x))
         return self.y * z
 
 
@@ -230,14 +182,14 @@ def gen_logreg(
 def lasso_grad(inst: LassoInstance, x: np.ndarray, r=None) -> np.ndarray:
     """Gradient of the smooth part 0.5||A x - y||^2; ``r`` is an A x - y the caller holds."""
     if r is None:
-        r = matvec(inst.A, x) - inst.y
-    return matvec(inst.A, r, transpose=True)
+        r = inst.A.dot(x) - inst.y
+    return inst.A.T.dot(r)
 
 
 def lasso_objective(inst: LassoInstance, x: np.ndarray, r=None) -> float:
     """0.5||A x - y||^2 + lam ||x||_1; ``r`` is an A x - y the caller holds."""
     if r is None:
-        r = matvec(inst.A, x) - inst.y
+        r = inst.A.dot(x) - inst.y
     return 0.5 * float(r.dot(r)) + inst.lam * float(np.abs(x).sum())
 
 
@@ -249,32 +201,32 @@ def svm_dual_grad(inst: SvmDualInstance, x: np.ndarray) -> np.ndarray:
 def svm_dual_objective(inst: SvmDualInstance, x: np.ndarray, At=None) -> float:
     """0.5*||A.T (y .* x)||^2 - sum(x); ``At`` is an A.T the caller built once."""
     v = inst.y * x
-    w = matvec(inst.A, v, transpose=True) if At is None else At.dot(v)
+    w = (inst.A.T if At is None else At).dot(v)
     return 0.5 * float(w @ w) - float(x.sum())
 
 
 def nnls_grad(inst: NnlsInstance, x: np.ndarray) -> np.ndarray:
     m = inst.A.shape[0]
-    return matvec(inst.A, matvec(inst.A, x) - inst.y, transpose=True) / m + 2.0 * inst.lam * x
+    return inst.A.T.dot(inst.A.dot(x) - inst.y) / m + 2.0 * inst.lam * x
 
 
 def nnls_objective(inst: NnlsInstance, x: np.ndarray) -> float:
     m = inst.A.shape[0]
-    r = matvec(inst.A, x) - inst.y
+    r = inst.A.dot(x) - inst.y
     return float(r @ r) / (2.0 * m) + inst.lam * float(x @ x)
 
 
 def logreg_loss(inst: LogRegInstance, x: np.ndarray) -> float:
     """Mean logistic loss, computed overflow-safe via logaddexp."""
-    t = inst.y * matvec(inst.A, x)
+    t = inst.y * inst.A.dot(x)
     return float(np.mean(np.logaddexp(0.0, -t)))
 
 
 def logreg_grad(inst: LogRegInstance, x: np.ndarray) -> np.ndarray:
     """Gradient of the mean logistic loss; sigmoid evaluated overflow-safe."""
     m = inst.A.shape[0]
-    t = inst.y * matvec(inst.A, x)
-    return -matvec(inst.A, inst.y * expit(-t), transpose=True) / m
+    t = inst.y * inst.A.dot(x)
+    return -inst.A.T.dot(inst.y * expit(-t)) / m
 
 
 def logreg_objective(inst: LogRegInstance, x: np.ndarray) -> float:

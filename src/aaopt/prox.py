@@ -9,8 +9,6 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .linalg import matvec
-
 __all__ = [
     "BoxBounds",
     "soft_threshold",
@@ -107,7 +105,7 @@ def quadratic_ls_prox(
         raise np.linalg.LinAlgError(
             "quadratic_ls_prox: shifted Gram matrix is not positive definite (dpotrf info %d)" % info
         )
-    aty = matvec(A, np.asarray(y, dtype=float), transpose=True)
+    aty = A.T.dot(np.asarray(y, dtype=float))
     z_weight = scale_m / beta
 
     def prox(z: np.ndarray, t: float) -> np.ndarray:

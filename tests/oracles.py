@@ -1,8 +1,8 @@
 """Brute-force oracles shared by the test modules.
 
 These deliberately avoid the library's own code paths: grid refinement for
-1-D minimization, central differences for gradients, triple loops for matrix
-products, and dense solves for affine fixed points.  ``write_libsvm`` writes
+1-D minimization, central differences for gradients, and dense solves for
+affine fixed points.  ``write_libsvm`` writes
 the sparse datasets that the CSR tests load.
 """
 
@@ -38,27 +38,6 @@ def central_diff_grad(fun, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         e[i] = h
         g[i] = (fun(x + e) - fun(x - e)) / (2.0 * h)
     return g
-
-
-def matvec_loops(A: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Triple-checked matrix-vector product via explicit loops."""
-    A = np.asarray(A, dtype=float)
-    m, n = A.shape
-    if transpose:
-        out = np.zeros(n)
-        for j in range(n):
-            acc = 0.0
-            for i in range(m):
-                acc += A[i, j] * x[i]
-            out[j] = acc
-        return out
-    out = np.zeros(m)
-    for i in range(m):
-        acc = 0.0
-        for j in range(n):
-            acc += A[i, j] * x[j]
-        out[i] = acc
-    return out
 
 
 def affine_fixed_point(G: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -43,7 +43,6 @@ from aaopt.harness import build_operator, config_from_mapping, run_experiment
 from aaopt.linalg import spectral_norm_sq
 from aaopt.manifold import identification_iter, pattern_of
 from aaopt.problems import (
-    RegularizerPhi,
     gen_lasso,
     gen_logreg,
     gen_nnls,
@@ -459,14 +458,13 @@ def test_criterion_10_irl1_contract():
     # Exact geometric schedule, independent sequential product as reference.
     # The start is on the wrong side of zero so the monitored sign actually
     # changes before it stabilizes.
-    phi = RegularizerPhi("LPN", 0.75)
     grad = lambda x: x - 3.0
     theta = np.array([-2.0, 1.0])  # (x, eps)
     ref = 1.0
     schedule_exact = True
     patterns_1d = [pattern_of(theta[:1], 1e-9)]
     for _ in range(60):
-        theta = irl1_step(grad, phi, 0.3, 0.5, 0.9, theta)
+        theta = irl1_step(grad, 0.75, 0.3, 0.5, 0.9, theta)
         ref = ref * 0.9
         schedule_exact &= theta[1] == ref
         patterns_1d.append(pattern_of(theta[:1], 1e-9))

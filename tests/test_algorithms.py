@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from aaopt.algorithms import (
     pga_step,
 )
 from aaopt.algorithms import _require_finite
-from aaopt.problems import RegularizerPhi, phi_deriv
+from aaopt.problems import phi_deriv
 from aaopt.prox import soft_threshold
 
 
@@ -322,19 +323,22 @@ def test_admm_rejects_bad_lam():
 
 
 def test_irl1_step_hand_values():
-    # LOG penalty with p = 1: weight at |0.8| + 0.2 = 1 is exactly 0.5, so
+    # p = 0.5: the weight at |0.8| + 0.2 = 1 is 0.5 * 1^-0.5 = 0.5 exactly, so
     # the shrinkage threshold is beta * lam * w = 0.25.
-    phi = RegularizerPhi("LOG", 1.0)
-    out = irl1_step(lambda x: np.zeros_like(x), phi, 0.5, 1.0, 0.5, np.array([0.8, 0.2]))
+    out = irl1_step(lambda x: np.zeros_like(x), 0.5, 0.5, 1.0, 0.5, np.array([0.8, 0.2]))
     assert out[0] == 0.8 - 0.25
     assert out[1] == 0.1
+    # p = 0.75: the weight at |1.5| + 14.5 = 16 is 0.75 * 16^-0.25 = 0.375, so
+    # the threshold is 0.125 * 0.375 and the gradient step moves x by 0.5 * 1.
+    out = irl1_step(lambda x: np.full_like(x, -1.0), 0.75, 0.25, 0.5, 0.5, np.array([1.5, 14.5]))
+    assert out[0] == pytest.approx(1.5 + 0.5 - 0.125 * 0.375, rel=1e-15)
+    assert out[1] == 7.25
 
 
 def test_irl1_eps_decays_geometrically():
-    phi = RegularizerPhi("EXP", 2.0)
     theta = np.array([1.0, 1.0, 1.0, 1.0, 2.0, 4.0])
     for _ in range(5):
-        theta = irl1_step(lambda x: np.zeros_like(x), phi, 0.1, 0.5, 0.5, theta)
+        theta = irl1_step(lambda x: np.zeros_like(x), 0.5, 0.1, 0.5, 0.5, theta)
     assert np.array_equal(theta[3:], np.array([1.0, 2.0, 4.0]) * 0.5**5)
 
 
@@ -344,28 +348,30 @@ def test_irl1_step_pins_coordinates_where_the_power_weight_is_infinite():
     # beta * lam * 0.5 = 0.025.  At coordinates 1 and 2 |x_i| + max(eps_i, 0)
     # is 0, where the LPN weight is undefined: they stay at 0 although the
     # gradient pushes them away.
-    phi = RegularizerPhi("LPN", 0.5)
     with pytest.raises(ValueError, match="coordinate 1"):
-        phi_deriv(phi, np.array([1.0, 0.0, 0.0]))
+        phi_deriv(0.5, np.array([1.0, 0.0, 0.0]))
     theta = np.array([1.0, 0.0, -0.0, -0.75, 0.0, -2.0])
-    out = irl1_step(lambda x: np.full_like(x, -1.0), phi, 0.1, 0.5, 0.5, theta)
+    out = irl1_step(lambda x: np.full_like(x, -1.0), 0.5, 0.1, 0.5, 0.5, theta)
     assert out.tolist() == [1.0 + 0.5 - 0.025, 0.0, 0.0, -0.375, 0.0, -1.0]
 
 
 def test_irl1_step_parameter_validation():
-    phi = RegularizerPhi("LOG", 1.0)
     theta = np.ones(2)
     grad = lambda x: np.zeros_like(x)
     with pytest.raises(ValueError):
-        irl1_step(grad, phi, 0.1, 0.0, 0.5, theta)
+        irl1_step(grad, 0.5, 0.1, 0.0, 0.5, theta)
     with pytest.raises(ValueError):
-        irl1_step(grad, phi, 0.1, 0.5, 1.0, theta)
+        irl1_step(grad, 0.5, 0.1, 0.5, 1.0, theta)
     with pytest.raises(ValueError):
-        irl1_step(grad, phi, -0.1, 0.5, 0.5, theta)
+        irl1_step(grad, 0.5, -0.1, 0.5, 0.5, theta)
+    # the power must stay in (0, 1)
+    for p in (1.0, 0.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match=re.escape("p must lie in (0, 1)")):
+            irl1_step(grad, p, 0.1, 0.5, 0.5, theta)
     with pytest.raises(ValueError, match="even length"):
-        irl1_step(grad, phi, 0.1, 0.5, 0.5, np.ones(3))
+        irl1_step(grad, 0.5, 0.1, 0.5, 0.5, np.ones(3))
     with pytest.raises(FloatingPointError):
-        irl1_step(lambda x: x * np.inf, phi, 0.1, 0.5, 0.5, theta)
+        irl1_step(lambda x: x * np.inf, 0.5, 0.1, 0.5, 0.5, theta)
 
 
 def test_irl1_beta_window_hand_values():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from aaopt.cli import main
+from aaopt.harness import FAMILIES
 
 LASSO_CFG = """\
 problem.kind = lasso
@@ -90,6 +91,13 @@ def test_gen_lasso_roundtrips_through_run(tmp_path, capsys):
     assert main(["run", str(cfg)]) == 0
     out = summary_map(capsys.readouterr().out)
     assert out["status"] == "converged"
+
+
+def test_gen_lasso_defaults_are_the_lasso_family_defaults(tmp_path, capsys):
+    npz = tmp_path / "inst.npz"
+    assert main(["gen-lasso", "12", "30", "7", str(npz)]) == 0
+    capsys.readouterr()
+    assert float(np.load(str(npz))["lam"]) == FAMILIES["lasso"].defaults["lambda"]
 
 
 def test_gen_lasso_rejects_bad_shape(tmp_path, capsys):

@@ -194,6 +194,42 @@ def test_probe_is_a_config_error_naming_its_key(datasets, family, extra, key):
     assert names(str(info.value), key), str(info.value)
 
 
+@pytest.fixture(scope="module")
+def bad_files(tmp_path_factory, datasets):
+    """problem.dataset files that hold no instance of the family given them."""
+    root = tmp_path_factory.mktemp("bad")
+    empty = root / "empty.libsvm"
+    empty.write_text("", encoding="utf-8")
+    inst = gen_lasso(10, 20, seed=0)
+    no_y = str(root / "no_y.npz")
+    np.savez(no_y, A=inst.A, x_true=inst.x_true, lam=inst.lam)
+    return {"empty": str(empty), "libsvm": datasets["svm"], "npz": datasets["lasso"],
+            "npz_without_y": no_y}
+
+
+@pytest.mark.parametrize("family,file", [("nnls", "empty"), ("logreg", "empty"), ("svm", "empty"),
+                                         ("lasso", "libsvm"), ("lasso", "npz_without_y"),
+                                         ("svm", "npz")])
+def test_a_dataset_file_without_an_instance_names_the_key_and_the_file(bad_files, family, file):
+    path = bad_files[file]
+    with pytest.raises(ConfigError) as info:
+        build_operator(config_from_mapping(base_config(family, path)))
+    message = str(info.value)
+    assert names(message, "problem.dataset") and path in message, message
+    if family == "lasso":  # and what the file should hold
+        assert "keys A, y, x_true and lam" in message, message
+
+
+def test_a_drs_prox_that_cannot_be_factored_names_beta_and_lambda():
+    # the shift m*(1/beta + 2*lambda) underflows against A.T A, which has rank 5 < 30
+    kv = {**GENERATED["nnls"], "problem.rows": "5", "problem.cols": "30", "problem.lambda": "0",
+          "algorithm.beta_rule": "explicit", "algorithm.beta": "1e300"}
+    with pytest.raises(ConfigError) as info:
+        build_operator(config_from_mapping(kv))
+    message = str(info.value)
+    assert names(message, "algorithm.beta") and names(message, "problem.lambda"), message
+
+
 def test_a_replaced_value_is_checked_again():
     cfg = config_from_mapping(README_LASSO)
     for change, key in (({"tol": math.nan}, "run.tol"), ({"window": 0}, "run.window"),

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import aaopt.harness
 import aaopt.linalg
-import aaopt.problems
 import aaopt.prox
 from aaopt.algorithms import DrsParams, drs_parts, pga_step
 from aaopt.harness import (
@@ -477,27 +476,42 @@ def lasso_reference():
     return inst, lambda x: pga_step(lambda z: lasso_grad(inst, z), g_prox, beta, x)
 
 
-def count_forward_products(monkeypatch, caller: list, products: dict) -> None:
-    """Count A x products (not A^T r) by caller, wherever the lasso code forms them."""
-    real = aaopt.linalg.matvec
+def build_counting_lasso(monkeypatch, cfg, caller: list, products: dict):
+    """build_operator(cfg), with A x products (not A^T r) counted by caller from then on.
 
-    def counted(A, x, transpose=False):
-        if not transpose:
-            products[caller[0]] += 1
-        return real(A, x, transpose)
+    The instance's matrix is an ndarray subclass, injected through the
+    harness's gen_lasso, whose ``dot`` counts and then returns the plain
+    product, so the run computes what it computes without it.
+    """
+    real = aaopt.harness.gen_lasso
+    shape = None
 
-    monkeypatch.setattr(aaopt.harness, "matvec", counted)
-    monkeypatch.setattr(aaopt.problems, "matvec", counted)
+    class CountingMatrix(np.ndarray):
+        def dot(self, x):
+            if self.shape == shape:  # A x; A.T is a view of the transposed shape
+                products[caller[0]] += 1
+            return np.asarray(self).dot(x)
+
+    def gen_counting(*args, **kwargs):
+        nonlocal shape
+        inst = real(*args, **kwargs)
+        shape = inst.A.shape
+        return replace(inst, A=inst.A.view(CountingMatrix))
+
+    monkeypatch.setattr(aaopt.harness, "gen_lasso", gen_counting)
+    ctx = build_operator(cfg)
+    products.update(dict.fromkeys(products, 0))  # the set-up's power iteration
+    return ctx
 
 
 @pytest.mark.parametrize("algorithm,aa", [("ista", "false"), ("ista", "true"), ("fista", "false")])
 def test_lasso_run_forms_one_residual_per_evaluation(monkeypatch, algorithm, aa):
     cfg = config_from_mapping({**LASSO_MEMO, "algorithm.kind": algorithm, "aa.enabled": aa,
                                "run.max_iter": "600", "run.tol": "1e-9"})
-    ctx = build_operator(cfg)
     caller = ["loop"]
     calls = {"apply": 0, "objective": 0}
     products = {"loop": 0, "apply": 0, "objective": 0}
+    ctx = build_counting_lasso(monkeypatch, cfg, caller, products)
 
     def inside(name, fn):
         def wrapped(x):
@@ -510,7 +524,6 @@ def test_lasso_run_forms_one_residual_per_evaluation(monkeypatch, algorithm, aa)
         return wrapped
 
     ctx.op = replace(ctx.op, **{name: inside(name, getattr(ctx.op, name)) for name in calls})
-    count_forward_products(monkeypatch, caller, products)
     monkeypatch.setattr(aaopt.harness, "build_operator", lambda _cfg: ctx)
     records, _ = run_experiment(cfg)
     assert calls["objective"] == len(records)
@@ -536,10 +549,9 @@ def test_lasso_memoized_map_and_objective_match_direct_evaluation():
 
 
 def test_lasso_memo_is_not_stale_after_in_place_mutation(monkeypatch):
-    ctx = build_operator(config_from_mapping(LASSO_MEMO))
-    inst, _ = lasso_reference()
     products = {"test": 0}
-    count_forward_products(monkeypatch, ["test"], products)
+    ctx = build_counting_lasso(monkeypatch, config_from_mapping(LASSO_MEMO), ["test"], products)
+    inst, _ = lasso_reference()
     x = ctx.x0.copy()
     ctx.op.apply(x)
     before = ctx.op.objective(x)
@@ -551,10 +563,9 @@ def test_lasso_memo_is_not_stale_after_in_place_mutation(monkeypatch):
 
 
 def test_lasso_memo_treats_signed_zeros_as_different_points(monkeypatch):
-    ctx = build_operator(config_from_mapping(LASSO_MEMO))
-    inst, _ = lasso_reference()
     products = {"test": 0}
-    count_forward_products(monkeypatch, ["test"], products)
+    ctx = build_counting_lasso(monkeypatch, config_from_mapping(LASSO_MEMO), ["test"], products)
+    inst, _ = lasso_reference()
     x = soft_threshold(ctx.x0, 1.0)  # +0.0 off the support
     ctx.op.apply(x)
     negated = np.where(x == 0.0, -0.0, x)
@@ -563,7 +574,7 @@ def test_lasso_memo_treats_signed_zeros_as_different_points(monkeypatch):
     assert products["test"] == 2
     assert got == lasso_objective(inst, negated)
     got = ctx.op.objective(x)
-    assert products["test"] == 4
+    assert products["test"] == 3
     assert got == lasso_objective(inst, x)
 
 

@@ -3,8 +3,6 @@ import pytest
 import scipy.sparse as sp
 
 from aaopt.problems import (
-    PHI_FAMILIES,
-    RegularizerPhi,
     gen_lasso,
     gen_logreg,
     gen_nnls,
@@ -29,66 +27,48 @@ from oracles import central_diff_grad
 
 
 # ---------------------------------------------------------------------------
-# penalty catalog
+# the power penalty t**p
 
 
 def test_phi_hand_values():
-    t = np.array([0.0, 1.0])
-    assert np.allclose(phi_value(RegularizerPhi("LOG", 1.0), t), [0.0, np.log(2.0)])
-    assert np.allclose(phi_value(RegularizerPhi("EXP", 2.0), t), [0.0, 1.0 - np.exp(-2.0)])
-    assert np.allclose(phi_value(RegularizerPhi("FRA", 1.0), t), [0.0, 0.5])
-    assert np.allclose(phi_value(RegularizerPhi("TAN", 1.0), t), [0.0, np.pi / 4.0])
-    assert np.allclose(phi_value(RegularizerPhi("LPN", 0.5), np.array([4.0])), [2.0])
+    assert np.allclose(phi_value(0.5, np.array([0.0, 1.0, 4.0])), [0.0, 1.0, 2.0])
+    assert np.allclose(phi_value(0.75, np.array([16.0])), [8.0])
+    assert np.allclose(phi_value(0.25, np.array([81.0])), [3.0])
 
 
 def test_phi_deriv_hand_values():
-    assert phi_deriv(RegularizerPhi("EXP", 2.0), np.array([0.0]))[0] == 2.0
-    assert phi_deriv(RegularizerPhi("LOG", 1.0), np.array([1.0]))[0] == 0.5
-    assert phi_deriv(RegularizerPhi("FRA", 1.0), np.array([1.0]))[0] == 0.25
-    assert phi_deriv(RegularizerPhi("TAN", 1.0), np.array([0.0]))[0] == 1.0
-    assert phi_deriv(RegularizerPhi("LPN", 0.5), np.array([4.0]))[0] == 0.25
+    assert phi_deriv(0.5, np.array([4.0]))[0] == 0.25
+    assert phi_deriv(0.5, np.array([1.0]))[0] == 0.5
+    assert phi_deriv(0.75, np.array([16.0]))[0] == pytest.approx(0.375, rel=1e-15)
+    assert phi_deriv(0.25, np.array([1.0 / 16.0]))[0] == pytest.approx(2.0, rel=1e-15)
 
 
-@pytest.mark.parametrize("family", PHI_FAMILIES)
-def test_phi_deriv_positive_and_nonincreasing(family):
-    phi = RegularizerPhi(family, 0.5)
+def test_phi_deriv_positive_and_nonincreasing():
     t = np.logspace(-6, 3, 120)
-    d = phi_deriv(phi, t)
-    assert np.all(d > 0)
-    assert np.all(np.diff(d) <= 1e-15)
+    for p in (0.1, 0.5, 0.9):
+        d = phi_deriv(p, t)
+        assert np.all(d > 0)
+        assert np.all(np.diff(d) <= 1e-15)
 
 
-@pytest.mark.parametrize("family", PHI_FAMILIES)
-def test_phi_deriv_matches_difference_quotient(family):
-    phi = RegularizerPhi(family, 0.8)
-    for t in (0.3, 1.0, 7.5):
-        f = lambda v: phi_value(phi, v)
-        num = float((f(np.array([t + 1e-6])) - f(np.array([t - 1e-6])))[0] / 2e-6)
-        assert abs(num - float(phi_deriv(phi, np.array([t]))[0])) <= 1e-7
+def test_phi_deriv_matches_difference_quotient():
+    for p in (0.25, 0.5, 0.8):
+        f = lambda v: phi_value(p, v)
+        for t in (0.3, 1.0, 7.5):
+            num = float((f(np.array([t + 1e-6])) - f(np.array([t - 1e-6])))[0] / 2e-6)
+            assert abs(num - float(phi_deriv(p, np.array([t]))[0])) <= 1e-7
 
 
 def test_phi_rejects_negative_arguments():
-    phi = RegularizerPhi("LOG", 1.0)
     with pytest.raises(ValueError):
-        phi_value(phi, np.array([-0.1]))
+        phi_value(0.5, np.array([-0.1]))
     with pytest.raises(ValueError):
-        phi_deriv(phi, np.array([-0.1]))
+        phi_deriv(0.5, np.array([-0.1]))
 
 
 def test_lpn_deriv_at_zero_names_coordinate():
     with pytest.raises(ValueError, match="coordinate 2"):
-        phi_deriv(RegularizerPhi("LPN", 0.5), np.array([1.0, 2.0, 0.0]))
-
-
-def test_regularizer_validation():
-    with pytest.raises(ValueError):
-        RegularizerPhi("BAD", 1.0)
-    with pytest.raises(ValueError):
-        RegularizerPhi("LPN", 1.0)  # power must stay below 1
-    with pytest.raises(ValueError):
-        RegularizerPhi("LPN", 0.0)
-    with pytest.raises(ValueError):
-        RegularizerPhi("LOG", 0.0)
+        phi_deriv(0.5, np.array([1.0, 2.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
