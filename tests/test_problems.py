@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from aaopt.algorithms import irl1_step
+from aaopt.harness import ConfigError, ExperimentConfig
 from aaopt.problems import (
     gen_lasso,
     gen_logreg,
@@ -69,6 +73,16 @@ def test_phi_rejects_negative_arguments():
 def test_lpn_deriv_at_zero_names_coordinate():
     with pytest.raises(ValueError, match="coordinate 2"):
         phi_deriv(0.5, np.array([1.0, 2.0, 0.0]))
+
+
+def test_regularizer_validation():
+    # the power must stay in (0, 1), both in a config and in the IRL1 step
+    for p in (1.0, 0.0):
+        with pytest.raises(ConfigError, match=re.escape("problem.p must lie in (0, 1)")):
+            ExperimentConfig("logreg", "irl1", params={"p": p})
+        with pytest.raises(ValueError, match=re.escape("p must lie in (0, 1)")):
+            irl1_step(lambda x: np.zeros_like(x), p, 0.1, 0.5, 0.5, np.ones(2))
+    ExperimentConfig("logreg", "irl1", params={"p": 0.5})
 
 
 # ---------------------------------------------------------------------------
