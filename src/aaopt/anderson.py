@@ -14,7 +14,7 @@ otherwise it falls back to the plain step H(x^k).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -73,19 +73,47 @@ class AaConfig:
 
 @dataclass
 class AaState:
-    """Iteration state: current iterate plus newest-first histories.
+    """Iteration state: the current iterate plus the newest-first history.
 
-    h_hist[j] = H(x^(k-j)), r_hist[j] = H(x^(k-j)) - x^(k-j) and
-    r_norms[j] = float(np.linalg.norm(r_hist[j])), cached when the residual
-    is stored; the three lists always have the same length, at most memory+1.
+    The history sits in two buffers with room for 2*(memory+1) entries,
+    allocated at the first step.  The ncol stored entries occupy the window
+    [head, head + ncol), newest first:
+
+    - ``hbuf`` is C-ordered with one evaluation per row; row head + j is
+      H(x^(k-j)).
+    - ``rbuf`` is C-ordered with one residual per column; column head + j is
+      r^j = H(x^(k-j)) - x^(k-j).  The window's columns are the weight
+      solve's residual matrix R as a view, with the element layout of a
+      column stack of the residuals.
+    - ``r_norms[j]`` caches the norm of r^j; its length is ncol, at most
+      memory+1.
+
+    A new entry goes in just before the window, so a step copies no stored
+    entry; only when the window reaches index 0 are the kept entries moved
+    to the end of the buffers.  ``h_hist`` and ``r_hist`` are read-only
+    (ncol x n) views of the stored evaluations and residuals, newest first.
     """
 
     x: np.ndarray
-    h_hist: list[np.ndarray] = field(default_factory=list)
-    r_hist: list[np.ndarray] = field(default_factory=list)
-    r_norms: list[float] = field(default_factory=list)
+    hbuf: np.ndarray
+    rbuf: np.ndarray
+    r_norms: list[float]
+    head: int = 0
     k: int = 0
     reject_streak: int = 0
+
+    @property
+    def h_hist(self) -> np.ndarray:
+        return _read_only(self.hbuf[self.head : self.head + len(self.r_norms)])
+
+    @property
+    def r_hist(self) -> np.ndarray:
+        return _read_only(self.rbuf[:, self.head : self.head + len(self.r_norms)].T)
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
@@ -108,11 +136,19 @@ class RateFit:
 
 
 def init_state(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray) -> AaState:
-    """Evaluate H(x0) once and seed the histories."""
+    """Evaluate H(x0) once and seed the history.
+
+    The buffers hold this one entry; the first step grows them to the
+    configured memory.
+    """
     x0 = np.asarray(x0, dtype=float)
+    if x0.ndim != 1:
+        raise ValueError("init_state: x0 must be a vector, got shape %s" % (x0.shape,))
     h0 = np.asarray(apply(x0), dtype=float)
     r0 = h0 - x0
-    return AaState(x=x0, h_hist=[h0], r_hist=[r0], r_norms=[float(np.linalg.norm(r0))])
+    return AaState(
+        x=x0, hbuf=h0[None, :].copy(), rbuf=r0[:, None].copy(), r_norms=[math.sqrt(float(r0.dot(r0)))]
+    )
 
 
 @lru_cache(maxsize=64)
@@ -147,11 +183,11 @@ def compute_alpha(R: np.ndarray, tau: float = 0.0) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     if R.ndim != 2 or R.shape[1] < 1:
         raise ValueError("compute_alpha: R must have at least one column")
-    if not np.all(np.isfinite(R)):
+    if not np.isfinite(R).all():
         raise ValueError("compute_alpha: residual matrix contains non-finite entries")
     if tau < 0:
         raise ValueError("compute_alpha: tau must be nonnegative")
-    ncol = R.shape[1]
+    n, ncol = R.shape
     if ncol == 1:
         return np.ones(1)
 
@@ -159,63 +195,84 @@ def compute_alpha(R: np.ndarray, tau: float = 0.0) -> np.ndarray:
     # alpha = e0 + C theta with C the backward-difference map; sum(alpha) = 1
     # holds for every theta, and R alpha = c0 - D theta with D the matrix of
     # consecutive column differences.
-    D = R[:, :-1] - R[:, 1:]
-    c0 = R[:, 0]
     C, e0 = _difference_map(ncol)
     if tau > 0:
+        # the stacked system [D; sqrt(tau) C] theta ~ [c0; -sqrt(tau) e0]
         root = math.sqrt(tau)
-        lhs = np.vstack([D, root * C])
-        rhs = np.concatenate([c0, -root * e0])
-        theta, _, _, _ = np.linalg.lstsq(lhs, rhs, rcond=None)
+        lhs = np.empty((n + ncol, p))
+        np.subtract(R[:, :-1], R[:, 1:], out=lhs[:n])
+        np.multiply(root, C, out=lhs[n:])
+        rhs = np.empty(n + ncol)
+        rhs[:n] = R[:, 0]
+        np.multiply(-root, e0, out=rhs[n:])
+        theta = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
     else:
-        theta, _, rank, _ = np.linalg.lstsq(D, c0, rcond=None)
+        theta, _, rank, _ = np.linalg.lstsq(R[:, :-1] - R[:, 1:], R[:, 0], rcond=None)
         if rank < p:
-            retry_tau = 1e-10 * float(np.sum(R * R))
+            retry_tau = 1e-10 * float((R * R).sum())
             if retry_tau > 0:
                 return compute_alpha(R, retry_tau)
 
     alpha = e0 + C @ theta
     total = float(alpha.sum())
-    if not np.isfinite(total) or total == 0.0:
+    if not math.isfinite(total) or total == 0.0:
         raise np.linalg.LinAlgError("compute_alpha: weight solve is singular")
-    alpha = alpha / total
+    alpha /= total
     # An ill-conditioned solve can return weights so large that plain float
     # summation no longer resolves the sum constraint (the safeguard rejects
     # such candidates, but the weights it sees must still sum to one).
     # Redistribute the compensated-summation slack: first into the largest
     # weight, then the leftover rounding into the smallest.
+    excess = math.fsum(alpha.tolist()) - 1.0
     for pick in (np.argmax, np.argmin):
-        excess = math.fsum(alpha) - 1.0
         if excess == 0.0:
             break
         alpha[int(pick(np.abs(alpha)))] -= excess
-    if not np.all(np.isfinite(alpha)) or abs(math.fsum(alpha) - 1.0) > 1e-12:
+        excess = math.fsum(alpha.tolist()) - 1.0
+    if not np.isfinite(alpha).all() or abs(excess) > 1e-12:
         raise np.linalg.LinAlgError("compute_alpha: weights failed the sum-to-one contract")
     return alpha
 
 
-def aa_candidate(h_values: Sequence[np.ndarray], alpha: np.ndarray) -> np.ndarray:
-    """Affine combination sum_j alpha_j h_values[j] (newest-first pairing)."""
+def aa_candidate(h_values: Sequence[np.ndarray] | np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Affine combination sum_j alpha_j h_values[j] (newest-first pairing).
+
+    ``h_values`` is a sequence of evaluations or their (ncol x n) stack.  The
+    weighted rows are added one at a time, in index order.
+    """
     alpha = np.asarray(alpha, dtype=float)
-    if len(h_values) != alpha.shape[0]:
-        raise ValueError(
-            "aa_candidate: %d stored evaluations but %d weights" % (len(h_values), alpha.shape[0])
-        )
-    out = alpha[0] * h_values[0]
-    term = np.empty_like(out)
-    for j in range(1, alpha.shape[0]):
-        np.multiply(alpha[j], h_values[j], out=term)
-        out += term
-    return out
+    H = np.asarray(h_values, dtype=float)
+    if H.shape[0] != alpha.shape[0]:
+        raise ValueError("aa_candidate: %d stored evaluations but %d weights" % (H.shape[0], alpha.shape[0]))
+    terms = alpha[:, None] * H
+    if terms.shape[1] > 1:
+        # axis 0 is the outer loop of a C-ordered stack; the initial -0.0
+        # keeps the first row's signed zeros
+        return np.add.reduce(terms, axis=0, initial=-0.0)
+    # numpy sums a single column pairwise; accumulate keeps the order
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
 def _push(state: AaState, h_new: np.ndarray, r_new: np.ndarray, r_norm: float, memory: int) -> None:
-    state.h_hist.insert(0, h_new)
-    state.r_hist.insert(0, r_new)
-    state.r_norms.insert(0, r_norm)
-    del state.h_hist[memory + 1 :]
-    del state.r_hist[memory + 1 :]
-    del state.r_norms[memory + 1 :]
+    """Store a new newest entry, keeping at most memory older ones."""
+    keep = min(len(state.r_norms), memory)
+    head = state.head
+    if head == 0 or state.hbuf.shape[0] < 2 * (memory + 1):
+        # no room before the window: move the kept entries to the end of
+        # buffers wide enough that the two ranges never overlap
+        hbuf, rbuf = state.hbuf, state.rbuf
+        width = max(hbuf.shape[0], 2 * (memory + 1))
+        if width > hbuf.shape[0]:
+            state.hbuf = np.empty((width, hbuf.shape[1]))
+            state.rbuf = np.empty((rbuf.shape[0], width))
+        state.hbuf[width - keep :] = hbuf[head : head + keep]
+        state.rbuf[:, width - keep :] = rbuf[:, head : head + keep]
+        head = width - keep
+    head -= 1
+    state.hbuf[head] = h_new
+    state.rbuf[:, head] = r_new
+    state.head = head
+    state.r_norms = [r_norm, *state.r_norms[:keep]]
 
 
 def safeguarded_step(
@@ -231,40 +288,40 @@ def safeguarded_step(
     residual norm fails the safeguard test; ``restart_after_rejects``
     consecutive rejections clear the history to the current iterate.
     """
-    R = np.column_stack(state.r_hist)
-    tau = cfg.tikhonov if cfg.tikhonov is not None else 1e-10 * float(np.sum(R * R))
+    head, ncol = state.head, len(state.r_norms)
+    R = state.rbuf[:, head : head + ncol]
+    tau = cfg.tikhonov if cfg.tikhonov is not None else 1e-10 * float((R * R).sum())
     alpha = compute_alpha(R, tau)
-    alpha_l1 = float(np.sum(np.abs(alpha)))
-    candidate = aa_candidate(state.h_hist, alpha)
+    alpha_l1 = float(np.abs(alpha).sum())
+    candidate = aa_candidate(state.hbuf[head : head + ncol], alpha)
 
     best_stored = min(state.r_norms)
     accepted = False
     h_cand = r_cand = None
-    if (cfg.alpha_cap is None or alpha_l1 <= cfg.alpha_cap) and np.all(np.isfinite(candidate)):
+    if (cfg.alpha_cap is None or alpha_l1 <= cfg.alpha_cap) and np.isfinite(candidate).all():
         h_cand = np.asarray(apply(candidate), dtype=float)
         r_cand = h_cand - candidate
-        norm_cand = float(np.linalg.norm(r_cand))
+        norm_cand = math.sqrt(float(r_cand.dot(r_cand)))
         # NaN residuals fail this comparison, i.e. reject
-        accepted = np.isfinite(norm_cand) and norm_cand <= cfg.safeguard_factor * best_stored
+        accepted = math.isfinite(norm_cand) and norm_cand <= cfg.safeguard_factor * best_stored
 
     if accepted:
         x_next, h_next, r_next, norm_next = candidate, h_cand, r_cand, norm_cand
         state.reject_streak = 0
     else:
-        x_next = state.h_hist[0]  # plain step H(x^k), already evaluated
-        if h_cand is not None and len(state.h_hist) == 1:
+        # plain step H(x^k), already evaluated; copied, as later pushes reuse its row
+        x_next = state.hbuf[head].copy()
+        if h_cand is not None and ncol == 1:
             # with one column alpha = [1] and the candidate is x_next bit for
             # bit, so H was just evaluated there
             h_next, r_next, norm_next = h_cand, r_cand, norm_cand
         else:
             h_next = np.asarray(apply(x_next), dtype=float)
             r_next = h_next - x_next
-            norm_next = float(np.linalg.norm(r_next))
+            norm_next = math.sqrt(float(r_next.dot(r_next)))
         state.reject_streak += 1
         if state.reject_streak >= cfg.restart_after_rejects:
-            state.h_hist.clear()
-            state.r_hist.clear()
-            state.r_norms.clear()
+            state.r_norms = []
             state.reject_streak = 0
 
     _push(state, h_next, r_next, norm_next, cfg.memory)

@@ -251,11 +251,15 @@ def _x0_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, 1]))
 
 
-def _resolve_beta(cfg: ExperimentConfig, lipschitz: float) -> float:
+def _resolve_beta(cfg: ExperimentConfig, params: dict, lipschitz: float) -> float:
     if cfg.beta_rule == "explicit":
         return float(cfg.beta)
     if lipschitz <= 0:
-        raise ConfigError("one-over-L beta rule needs a positive Lipschitz estimate")
+        dataset = params["dataset"]
+        source = "the generated instance" if dataset is None else "problem.dataset %s" % dataset
+        raise ConfigError("algorithm.beta_rule = one-over-L needs a positive Lipschitz estimate, but "
+                          "it is %r for %s; set algorithm.beta_rule = explicit with algorithm.beta"
+                          % (lipschitz, source))
     return 1.0 / lipschitz
 
 
@@ -314,12 +318,16 @@ def _build_lasso(cfg: ExperimentConfig, params: dict) -> RunContext:
                               "lam, as gen-lasso writes" % path) from None
         if not lam >= 0:
             raise ConfigError("problem.dataset: %s: lam must be nonnegative, got %r" % (path, lam))
+        if A.ndim != 2 or y.shape != A.shape[:1] or x_true.shape != A.shape[1:]:
+            raise ConfigError("problem.dataset: %s: A needs two axes, y one entry per row of A and "
+                              "x_true one per column; got A %s, y %s, x_true %s"
+                              % (path, A.shape, y.shape, x_true.shape))
         inst = LassoInstance(A=A, y=y, x_true=x_true, lam=lam)
     else:
         inst = gen_lasso(params["rows"], params["cols"], params["lambda"], params["noise_var"],
                          seed=cfg.seed)
     lam = inst.lam
-    beta = _resolve_beta(cfg, spectral_norm_sq(inst.A))
+    beta = _resolve_beta(cfg, params, spectral_norm_sq(inst.A))
     g_prox = lambda v, t: soft_threshold(v, t * lam)
     # A x - y, formed once per point for the gradient and the objective
     residual = _last_point_memo(lambda x: inst.A.dot(x) - inst.y)
@@ -357,7 +365,7 @@ def _build_svm(cfg: ExperimentConfig, params: dict) -> RunContext:
         row_norm_sq = np.einsum("ij,ij->i", Z, Z)
         objective = lambda x: svm_dual_objective(inst, x)
     lipschitz = float(row_norm_sq.max()) if m else 0.0
-    beta = _resolve_beta(cfg, lipschitz)
+    beta = _resolve_beta(cfg, params, lipschitz)
     op = FixedPointOperator(
         dimension=m,
         apply=pcd_sweep(Z, -1.0, 0.0, inst.C, beta),
@@ -370,7 +378,7 @@ def _build_svm(cfg: ExperimentConfig, params: dict) -> RunContext:
 def _build_nnls(cfg: ExperimentConfig, params: dict) -> RunContext:
     inst = _instance(cfg, params, gen_nnls, NnlsInstance, lam=params["lambda"])
     m, n = inst.A.shape
-    beta = _resolve_beta(cfg, spectral_norm_sq(inst.A) / m)
+    beta = _resolve_beta(cfg, params, spectral_norm_sq(inst.A) / m)
     drs = DrsParams(beta=beta, delta=cfg.delta)
     # factored here, so the set-up pays for it and every evaluation of H is
     # one pair of triangular solves
@@ -402,7 +410,7 @@ def _build_logreg(cfg: ExperimentConfig, params: dict) -> RunContext:
     lam, p, mu = params["lambda"], params["p"], params["mu"]
     inst = _instance(cfg, params, gen_logreg, LogRegInstance, lam=lam, p=p)
     m, n = inst.A.shape
-    beta = _resolve_beta(cfg, spectral_norm_sq(inst.A) / (4.0 * m))
+    beta = _resolve_beta(cfg, params, spectral_norm_sq(inst.A) / (4.0 * m))
     grad = lambda x: logreg_grad(inst, x)
     op = FixedPointOperator(
         dimension=2 * n,

@@ -3,10 +3,16 @@
 These deliberately avoid the library's own code paths: grid refinement for
 1-D minimization, central differences for gradients, and dense solves for
 affine fixed points.  ``write_libsvm`` writes
-the sparse datasets that the CSR tests load.
+the sparse datasets that the CSR tests load.  ``ListAaState`` with
+``list_aa_step`` is the Anderson engine as it stood before its history moved
+into buffers, kept as the reference the buffered engine must match bit for
+bit.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -152,3 +158,114 @@ def write_libsvm(path, A: np.ndarray, labels: np.ndarray, drop_below: float = 0.
         for row, label in zip(A, labels):
             feats = " ".join("%d:%.17g" % (j + 1, v) for j, v in enumerate(row) if abs(v) >= drop_below)
             handle.write("%d %s\n" % (label, feats))
+
+
+@dataclass
+class ListAaState:
+    """Newest-first history lists: h[j] = H(x^(k-j)), r[j] its residual."""
+
+    x: np.ndarray
+    h: list = field(default_factory=list)
+    r: list = field(default_factory=list)
+    norms: list = field(default_factory=list)
+    reject_streak: int = 0
+
+
+def list_init_state(apply, x0) -> ListAaState:
+    x0 = np.asarray(x0, dtype=float)
+    h0 = np.asarray(apply(x0), dtype=float)
+    r0 = h0 - x0
+    return ListAaState(x=x0, h=[h0], r=[r0], norms=[float(np.linalg.norm(r0))])
+
+
+def list_compute_alpha(R: np.ndarray, tau: float) -> np.ndarray:
+    """Sum-to-one weights by ``vstack`` and an SVD ``lstsq``, with the rank retry."""
+    ncol = R.shape[1]
+    if not np.all(np.isfinite(R)):
+        raise ValueError("non-finite residual matrix")
+    if ncol == 1:
+        return np.ones(1)
+    p = ncol - 1
+    D = R[:, :-1] - R[:, 1:]
+    c0 = R[:, 0]
+    C = np.zeros((ncol, p))
+    C[np.arange(p), np.arange(p)] = -1.0
+    C[np.arange(p) + 1, np.arange(p)] = 1.0
+    e0 = np.zeros(ncol)
+    e0[0] = 1.0
+    if tau > 0:
+        root = math.sqrt(tau)
+        lhs = np.vstack([D, root * C])
+        rhs = np.concatenate([c0, -root * e0])
+        theta, _, _, _ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    else:
+        theta, _, rank, _ = np.linalg.lstsq(D, c0, rcond=None)
+        if rank < p:
+            retry_tau = 1e-10 * float(np.sum(R * R))
+            if retry_tau > 0:
+                return list_compute_alpha(R, retry_tau)
+    alpha = e0 + C @ theta
+    total = float(alpha.sum())
+    if not np.isfinite(total) or total == 0.0:
+        raise np.linalg.LinAlgError("singular weight solve")
+    alpha = alpha / total
+    for pick in (np.argmax, np.argmin):
+        excess = math.fsum(alpha) - 1.0
+        if excess == 0.0:
+            break
+        alpha[int(pick(np.abs(alpha)))] -= excess
+    if not np.all(np.isfinite(alpha)) or abs(math.fsum(alpha) - 1.0) > 1e-12:
+        raise np.linalg.LinAlgError("weights failed the sum-to-one contract")
+    return alpha
+
+
+def list_aa_step(apply, state: ListAaState, cfg):
+    """One safeguarded AA step; returns (x_next, alpha, alpha_l1, accepted, norm).
+
+    ``cfg`` carries the fields of ``AaConfig``.  The residual matrix is a
+    ``column_stack`` copy, the candidate a sequential loop over the columns,
+    and the history shifts by ``insert(0)``.
+    """
+    R = np.column_stack(state.r)
+    tau = cfg.tikhonov if cfg.tikhonov is not None else 1e-10 * float(np.sum(R * R))
+    alpha = list_compute_alpha(R, tau)
+    alpha_l1 = float(np.sum(np.abs(alpha)))
+    candidate = alpha[0] * state.h[0]
+    for j in range(1, alpha.shape[0]):
+        candidate += alpha[j] * state.h[j]
+
+    best_stored = min(state.norms)
+    accepted = False
+    h_cand = r_cand = None
+    if (cfg.alpha_cap is None or alpha_l1 <= cfg.alpha_cap) and np.all(np.isfinite(candidate)):
+        h_cand = np.asarray(apply(candidate), dtype=float)
+        r_cand = h_cand - candidate
+        norm_cand = float(np.linalg.norm(r_cand))
+        accepted = bool(np.isfinite(norm_cand) and norm_cand <= cfg.safeguard_factor * best_stored)
+
+    if accepted:
+        x_next, h_next, r_next, norm_next = candidate, h_cand, r_cand, norm_cand
+        state.reject_streak = 0
+    else:
+        x_next = state.h[0]
+        if h_cand is not None and len(state.h) == 1:
+            h_next, r_next, norm_next = h_cand, r_cand, norm_cand
+        else:
+            h_next = np.asarray(apply(x_next), dtype=float)
+            r_next = h_next - x_next
+            norm_next = float(np.linalg.norm(r_next))
+        state.reject_streak += 1
+        if state.reject_streak >= cfg.restart_after_rejects:
+            state.h.clear()
+            state.r.clear()
+            state.norms.clear()
+            state.reject_streak = 0
+
+    state.h.insert(0, h_next)
+    state.r.insert(0, r_next)
+    state.norms.insert(0, norm_next)
+    del state.h[cfg.memory + 1 :]
+    del state.r[cfg.memory + 1 :]
+    del state.norms[cfg.memory + 1 :]
+    state.x = x_next
+    return x_next, alpha, alpha_l1, accepted, norm_next

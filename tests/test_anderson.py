@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aaopt.anderson import (
@@ -15,7 +15,7 @@ from aaopt.anderson import (
 )
 
 from aaopt.prox import soft_threshold
-from oracles import affine_fixed_point
+from oracles import affine_fixed_point, list_aa_step, list_init_state
 
 
 def run_aa(apply, x0, cfg, iters):
@@ -110,27 +110,21 @@ def test_affine_exactness_small_dims():
 
 
 def test_memory_one_column_reduces_to_plain_iteration():
-    # truncating history to a single column reproduces x <- H(x) exactly
+    # a step from a single stored column reproduces x <- H(x) bit for bit;
+    # init_state holds exactly the newest column, as a truncated history does
     rng = np.random.default_rng(6)
     G = 0.5 * np.eye(3)
     c = np.array([1.0, -2.0, 0.5])
     apply = lambda x: G @ x + c
 
-    class OneColumn(AaConfig):
-        pass
-
     cfg = AaConfig(memory=1, safeguard_factor=1.0)
-    x0 = rng.standard_normal(3)
-    state = init_state(apply, x0)
-    x_plain = x0.copy()
+    x = x_plain = rng.standard_normal(3)
     for _ in range(10):
-        # drop the older column so only the newest remains
-        del state.h_hist[1:]
-        del state.r_hist[1:]
-        del state.r_norms[1:]
+        state = init_state(apply, x)
+        assert len(state.h_hist) == len(state.r_hist) == len(state.r_norms) == 1
         x, _ = safeguarded_step(apply, state, cfg)
         x_plain = apply(x_plain)
-        assert np.linalg.norm(x - x_plain) <= 1e-15
+        assert x.tobytes() == x_plain.tobytes()
 
 
 def test_history_never_exceeds_memory_plus_one():
@@ -281,8 +275,71 @@ def test_config_validation():
         AaConfig(restart_after_rejects=0)
 
 
+def test_init_state_needs_a_vector():
+    with pytest.raises(ValueError):
+        init_state(lambda x: x, np.zeros((2, 2)))
+
+
+def test_history_views_are_read_only():
+    state, _ = run_aa(lambda x: 0.5 * x + 1.0, np.array([3.0, -1.0]), AaConfig(memory=3), 5)
+    with pytest.raises(ValueError):
+        state.h_hist[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        state.r_hist[0, 0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # properties
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    memory=st.integers(1, 10),
+    restart=st.integers(1, 4),
+    safeguard=st.sampled_from([1.0, 1.5, 10.0]),
+    tikhonov=st.sampled_from([None, 0.0, 1e-12, 1e-4]),
+    alpha_cap=st.sampled_from([None, 1.5, 20.0]),
+    steps=st.integers(1, 40),
+)
+# one coordinate and eight columns: numpy sums a lone column pairwise
+@example(seed=0, n=1, memory=7, restart=1, safeguard=1.0, tikhonov=None, alpha_cap=None, steps=8)
+def test_buffered_engine_matches_list_reference_bitwise(
+    seed, n, memory, restart, safeguard, tikhonov, alpha_cap, steps
+):
+    # A signed soft-threshold map: affine, shrunk, then reflected coordinate
+    # by coordinate, so thresholded entries come out as -0.0 as well as +0.0.
+    # The scale draws contractive and expansive maps, which with the caps and
+    # the strict safeguard make rejections and restarts frequent.
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    G = rng.uniform(0.3, 1.3) * M / max(np.linalg.norm(M, 2), 1e-12)
+    c = rng.standard_normal(n)
+    lam = rng.uniform(0.0, 1.0)
+    signs = rng.choice([-1.0, 1.0], size=n)
+    apply = lambda x: signs * soft_threshold(G @ x + c, lam)
+    cfg = AaConfig(memory=memory, tikhonov=tikhonov, safeguard_factor=safeguard,
+                   restart_after_rejects=restart, alpha_cap=alpha_cap)
+    x0 = rng.standard_normal(n)
+    state, ref = init_state(apply, x0), list_init_state(apply, x0)
+    assert state.r_norms == ref.norms
+    for _ in range(steps):
+        try:
+            want = list_aa_step(apply, ref, cfg)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            with pytest.raises(type(exc)):
+                safeguarded_step(apply, state, cfg)
+            return
+        x, diag = safeguarded_step(apply, state, cfg)
+        got = (x, diag.alpha, diag.alpha_l1, diag.accepted, diag.residual_norm)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2:] == want[2:]
+        assert state.x.tobytes() == ref.x.tobytes()
+        assert state.h_hist.tobytes() == np.array(ref.h).tobytes()
+        assert state.r_hist.tobytes() == np.array(ref.r).tobytes()
+        assert state.r_norms == ref.norms and state.reject_streak == ref.reject_streak
 
 
 @settings(max_examples=60, deadline=None)

@@ -220,6 +220,53 @@ def test_a_dataset_file_without_an_instance_names_the_key_and_the_file(bad_files
         assert "keys A, y, x_true and lam" in message, message
 
 
+@pytest.fixture(scope="module")
+def mismatched_npz(tmp_path_factory):
+    """Lasso .npz files whose arrays disagree in shape."""
+    root = tmp_path_factory.mktemp("mismatched")
+    inst = gen_lasso(10, 20, seed=0)
+    arrays = {"short_y": (inst.A, inst.y[:5], inst.x_true),
+              "long_x_true": (inst.A, inst.y, np.append(inst.x_true, 0.0)),
+              "flat_A": (inst.A.ravel(), inst.y, inst.x_true)}
+    paths = {}
+    for name, (A, y, x_true) in arrays.items():
+        paths[name] = str(root / (name + ".npz"))
+        np.savez(paths[name], A=A, y=y, x_true=x_true, lam=inst.lam)
+    return paths
+
+
+@pytest.mark.parametrize("file", ["short_y", "long_x_true", "flat_A"])
+def test_a_lasso_file_whose_shapes_disagree_names_the_file_and_the_shapes(mismatched_npz, file):
+    path = mismatched_npz[file]
+    with pytest.raises(ConfigError) as info:
+        build_operator(config_from_mapping(base_config("lasso", path)))
+    message = str(info.value)
+    assert names(message, "problem.dataset") and path in message, message
+    A_shape = np.load(path)["A"].shape
+    assert "A %s" % (A_shape,) in message, message
+
+
+@pytest.fixture(scope="module")
+def zero_data(tmp_path_factory):
+    """problem.dataset files whose matrix is all zeros, so the Lipschitz estimate is 0."""
+    root = tmp_path_factory.mktemp("zero")
+    libsvm = root / "zero.libsvm"
+    libsvm.write_text("1 1:0\n-1 1:0\n" * 4, encoding="utf-8")
+    npz = str(root / "zero.npz")
+    np.savez(npz, A=np.zeros((10, 20)), y=np.ones(10), x_true=np.zeros(20), lam=0.01)
+    return {"lasso": npz, "svm": str(libsvm), "nnls": str(libsvm), "logreg": str(libsvm)}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_a_zero_lipschitz_estimate_names_the_beta_rule_and_the_dataset(zero_data, family):
+    path = zero_data[family]
+    with pytest.raises(ConfigError) as info:
+        build_operator(config_from_mapping(base_config(family, path)))
+    message = str(info.value)
+    assert names(message, "algorithm.beta_rule") and names(message, "problem.dataset"), message
+    assert path in message, message
+
+
 def test_a_drs_prox_that_cannot_be_factored_names_beta_and_lambda():
     # the shift m*(1/beta + 2*lambda) underflows against A.T A, which has rank 5 < 30
     kv = {**GENERATED["nnls"], "problem.rows": "5", "problem.cols": "30", "problem.lambda": "0",
