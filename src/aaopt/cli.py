@@ -1,14 +1,11 @@
-"""Command-line entry points: run, sweep, gen-lasso."""
+"""Command-line entry points: run and sweep."""
 
 from __future__ import annotations
 
 import argparse
 import sys
 
-import numpy as np
-
 from .harness import (
-    FAMILIES,
     ConfigError,
     format_summary,
     load_config,
@@ -16,7 +13,6 @@ from .harness import (
     run_sweep,
     write_summary,
 )
-from .problems import gen_lasso
 
 
 def _apply_overrides(cfg, args):
@@ -62,15 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="baseline plus accelerated runs over memory values")
     sweep_p.add_argument("config", help="path to a config file")
     sweep_p.add_argument("--memory", default="5,10,15", help="comma-separated memory values")
-
-    lasso = FAMILIES["lasso"].defaults
-    gen_p = sub.add_parser("gen-lasso", help="generate a lasso instance and save it as .npz")
-    gen_p.add_argument("rows", type=int)
-    gen_p.add_argument("cols", type=int)
-    gen_p.add_argument("seed", type=int)
-    gen_p.add_argument("out", help="output .npz path (keys A, y, x_true, lam)")
-    gen_p.add_argument("--lambda", dest="lam", type=float, default=lasso["lambda"])
-    gen_p.add_argument("--noise-var", type=float, default=lasso["noise_var"])
     return parser
 
 
@@ -85,17 +72,12 @@ def main(argv: list[str] | None = None) -> int:
             print(text)
             if args.summary:
                 write_summary([summary], args.summary)
-        elif args.command == "sweep":
+        else:  # sweep
             cfg = _apply_overrides(load_config(args.config), args)
             summaries = run_sweep(cfg, _parse_memory_list(args.memory))
             print("\n\n".join(format_summary(s) for s in summaries))
             if args.summary:
                 write_summary(summaries, args.summary)
-        else:  # gen-lasso
-            inst = gen_lasso(args.rows, args.cols, args.lam, args.noise_var, seed=args.seed)
-            np.savez(args.out, A=inst.A, y=inst.y, x_true=inst.x_true, lam=inst.lam)
-            print("wrote %s (A: %dx%d, nnz(x_true)=%d)"
-                  % (args.out, inst.A.shape[0], inst.A.shape[1], int(np.count_nonzero(inst.x_true))))
     except (ConfigError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ reproduces identical numeric trace fields; only the timing column varies.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -120,8 +121,7 @@ CONFIG_KEYS = {
     "problem.dataset": ConfigKey("params.dataset"),
     "problem.subsample": ConfigKey("params.subsample", int, "[1, inf)"),
     "algorithm.kind": ConfigKey("algorithm"),
-    "algorithm.beta_rule": ConfigKey("beta_rule"),
-    "algorithm.beta": ConfigKey("beta", float, "(0, inf)"),
+    "algorithm.beta": ConfigKey("beta", float, "(0, inf)", unset="auto"),
     "algorithm.delta": ConfigKey("delta", float, "(0, 2)"),
     "aa.enabled": ConfigKey("aa_enabled", bool),
     "aa.memory": ConfigKey("aa.memory", int, "[1, 64]"),
@@ -143,9 +143,8 @@ class ExperimentConfig:
     problem_kind: str
     algorithm: str
     params: dict = field(default_factory=dict)
-    beta_rule: str = "one-over-L"
     beta: float | None = None
-    delta: float = 1.0
+    delta: float | None = None
     aa_enabled: bool = False
     aa: AaConfig = field(default_factory=AaConfig)
     max_iter: int = 1000
@@ -163,6 +162,8 @@ class ExperimentConfig:
         if self.algorithm not in family.algorithms:
             raise ConfigError("algorithm.kind %r does not apply to problem.kind %r (choose from %s)"
                               % (self.algorithm, self.problem_kind, ", ".join(family.algorithms)))
+        if self.delta is not None and self.algorithm != "drs":
+            raise ConfigError("algorithm.delta is read only by drs, not by %s" % self.algorithm)
         # sizes and noise shape a generated instance; subsample thins a dataset file
         unread = {"rows", "cols", "noise_var"} if "dataset" in self.params else {"subsample"}
         read = sorted(set(family.defaults) - unread)
@@ -174,9 +175,6 @@ class ExperimentConfig:
             scope, _, name = spec.field.rpartition(".")
             spec.check(key, scopes[scope].get(name))
         family.check({**family.defaults, **self.params})
-        if (self.beta_rule, self.beta is None) not in (("one-over-L", True), ("explicit", False)):
-            raise ConfigError("algorithm.beta_rule is one-over-L, or explicit with algorithm.beta; "
-                              "got %r with algorithm.beta = %r" % (self.beta_rule, self.beta))
         if self.algorithm == "fista" and self.aa_enabled:
             raise ConfigError("aa.enabled: algorithm.kind fista is a baseline, never accelerated")
 
@@ -210,8 +208,6 @@ def config_from_mapping(kv: dict[str, str]) -> ExperimentConfig:
     for key in ("problem.kind", "algorithm.kind"):
         if key not in kv:
             raise ConfigError("%s is required" % key)
-    if "algorithm.delta" in kv and kv["algorithm.kind"] != "drs":
-        raise ConfigError("algorithm.delta is read only by drs, not by %s" % kv["algorithm.kind"])
     scopes: dict = {"": {}, "aa": {}, "params": {}}
     for key, text in kv.items():
         spec = CONFIG_KEYS.get(key)
@@ -252,14 +248,13 @@ def _x0_rng(seed: int) -> np.random.Generator:
 
 
 def _resolve_beta(cfg: ExperimentConfig, params: dict, lipschitz: float) -> float:
-    if cfg.beta_rule == "explicit":
+    if cfg.beta is not None:
         return float(cfg.beta)
     if lipschitz <= 0:
         dataset = params["dataset"]
         source = "the generated instance" if dataset is None else "problem.dataset %s" % dataset
-        raise ConfigError("algorithm.beta_rule = one-over-L needs a positive Lipschitz estimate, but "
-                          "it is %r for %s; set algorithm.beta_rule = explicit with algorithm.beta"
-                          % (lipschitz, source))
+        raise ConfigError("algorithm.beta = auto (1/L) needs a positive Lipschitz estimate, but it "
+                          "is %r for %s; set algorithm.beta to a step size" % (lipschitz, source))
     return 1.0 / lipschitz
 
 
@@ -305,27 +300,9 @@ def _last_point_memo(compute: Callable[[np.ndarray], object]) -> Callable[[np.nd
 
 
 def _build_lasso(cfg: ExperimentConfig, params: dict) -> RunContext:
-    if params["dataset"] is not None:
-        path = params["dataset"]
-        try:
-            data = np.load(path)
-            A, y, x_true = (np.asarray(data[key], dtype=float) for key in ("A", "y", "x_true"))
-            lam = params["lambda"] if "lambda" in cfg.params else float(data["lam"])
-        except OSError as exc:
-            raise OSError("reading lasso instance from %s: %s" % (path, exc)) from exc
-        except (ValueError, EOFError, KeyError, IndexError, TypeError):  # not such an .npz file
-            raise ConfigError("problem.dataset: %s is not an .npz file with keys A, y, x_true and "
-                              "lam, as gen-lasso writes" % path) from None
-        if not lam >= 0:
-            raise ConfigError("problem.dataset: %s: lam must be nonnegative, got %r" % (path, lam))
-        if A.ndim != 2 or y.shape != A.shape[:1] or x_true.shape != A.shape[1:]:
-            raise ConfigError("problem.dataset: %s: A needs two axes, y one entry per row of A and "
-                              "x_true one per column; got A %s, y %s, x_true %s"
-                              % (path, A.shape, y.shape, x_true.shape))
-        inst = LassoInstance(A=A, y=y, x_true=x_true, lam=lam)
-    else:
-        inst = gen_lasso(params["rows"], params["cols"], params["lambda"], params["noise_var"],
-                         seed=cfg.seed)
+    # noise_var shapes a generated instance only
+    generate = lambda m, n, seed, lam: gen_lasso(m, n, lam, params["noise_var"], seed=seed)
+    inst = _instance(cfg, params, generate, LassoInstance, lam=params["lambda"])
     lam = inst.lam
     beta = _resolve_beta(cfg, params, spectral_norm_sq(inst.A))
     g_prox = lambda v, t: soft_threshold(v, t * lam)
@@ -379,7 +356,7 @@ def _build_nnls(cfg: ExperimentConfig, params: dict) -> RunContext:
     inst = _instance(cfg, params, gen_nnls, NnlsInstance, lam=params["lambda"])
     m, n = inst.A.shape
     beta = _resolve_beta(cfg, params, spectral_norm_sq(inst.A) / m)
-    drs = DrsParams(beta=beta, delta=cfg.delta)
+    drs = DrsParams(beta=beta, delta=1.0 if cfg.delta is None else cfg.delta)
     # factored here, so the set-up pays for it and every evaluation of H is
     # one pair of triangular solves
     try:
@@ -437,9 +414,9 @@ class Family:
 
 
 FAMILIES = {
-    # with problem.dataset, lasso's lambda defaults to the file's lam
     "lasso": Family(("ista", "fista"), _build_lasso,
-                    {"rows": 40, "cols": 200, "lambda": 0.01, "noise_var": 1e-4, "dataset": None},
+                    {"rows": 40, "cols": 200, "lambda": 0.01, "noise_var": 1e-4, "dataset": None,
+                     "subsample": None},
                     _check_lasso_shape),
     "nnls": Family(("drs",), _build_nnls,
                    {"rows": 50, "cols": 30, "lambda": 0.001, "dataset": None, "subsample": None}),
@@ -582,10 +559,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TraceRecord], dict]:
 def _variant_path(path: str | None, tag: str) -> str | None:
     if path is None:
         return None
-    stem, dot, ext = path.rpartition(".")
-    if not dot:
-        return "%s.%s" % (path, tag)
-    return "%s.%s.%s" % (stem, tag, ext)
+    stem, ext = os.path.splitext(path)  # the file name's extension, never a directory's
+    return "%s.%s%s" % (stem, tag, ext)
 
 
 def run_sweep(cfg: ExperimentConfig, memories: Sequence[int]) -> list[dict]:

@@ -69,12 +69,12 @@ def phi_deriv(p: float, t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LassoInstance:
-    """min 0.5||A x - y||^2 + lam ||x||_1 with row-orthonormal A."""
+    """min 0.5||A x - y||^2 + lam ||x||_1; ``x_true`` is gen_lasso's planted signal."""
 
     A: np.ndarray
     y: np.ndarray
-    x_true: np.ndarray
     lam: float
+    x_true: np.ndarray | None = None
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from aaopt.cli import main
-from aaopt.harness import FAMILIES
+from aaopt.problems import gen_lasso
+from oracles import write_libsvm
 
 LASSO_CFG = """\
 problem.kind = lasso
@@ -74,32 +75,16 @@ def test_sweep_rejects_bad_memory_list(cfg_path, capsys):
     assert "comma-separated integers" in capsys.readouterr().err
 
 
-def test_gen_lasso_roundtrips_through_run(tmp_path, capsys):
-    npz = tmp_path / "inst.npz"
-    assert main(["gen-lasso", "12", "30", "7", str(npz), "--lambda", "0.02"]) == 0
-    assert "wrote" in capsys.readouterr().out
-    data = np.load(str(npz))
-    assert data["A"].shape == (12, 30)
-    assert float(data["lam"]) == 0.02
-
+def test_run_reads_a_lasso_libsvm_dataset(tmp_path, capsys):
+    inst = gen_lasso(12, 30, seed=7)
+    data = tmp_path / "inst.libsvm"
+    write_libsvm(data, inst.A, np.where(inst.y >= 0.0, 1.0, -1.0), drop_below=0.1)
     cfg = tmp_path / "ds.cfg"
     cfg.write_text(
-        "problem.kind = lasso\nproblem.dataset = %s\nalgorithm.kind = ista\n"
-        "run.max_iter = 5000\nrun.tol = 1e-8\n" % npz,
+        "problem.kind = lasso\nproblem.dataset = %s\nproblem.lambda = 0.1\nalgorithm.kind = ista\n"
+        "run.max_iter = 8000\nrun.tol = 1e-8\n" % data,
         encoding="utf-8",
     )
     assert main(["run", str(cfg)]) == 0
     out = summary_map(capsys.readouterr().out)
     assert out["status"] == "converged"
-
-
-def test_gen_lasso_defaults_are_the_lasso_family_defaults(tmp_path, capsys):
-    npz = tmp_path / "inst.npz"
-    assert main(["gen-lasso", "12", "30", "7", str(npz)]) == 0
-    capsys.readouterr()
-    assert float(np.load(str(npz))["lam"]) == FAMILIES["lasso"].defaults["lambda"]
-
-
-def test_gen_lasso_rejects_bad_shape(tmp_path, capsys):
-    assert main(["gen-lasso", "30", "30", "0", str(tmp_path / "x.npz")]) == 2
-    assert "error:" in capsys.readouterr().err

@@ -48,12 +48,11 @@ DATASET_ROWS = 30
 
 @pytest.fixture(scope="module")
 def datasets(tmp_path_factory):
-    """One problem.dataset file per family: a lasso .npz, LIBSVM text for the rest."""
+    """One problem.dataset file of LIBSVM text per family."""
     root = tmp_path_factory.mktemp("datasets")
-    paths = {name: str(root / (name + (".npz" if name == "lasso" else ".libsvm"))) for name in FAMILIES}
-    inst = gen_lasso(10, 20, seed=0)
-    np.savez(paths["lasso"], A=inst.A, y=inst.y, x_true=inst.x_true, lam=inst.lam)
-    for name, inst in (("svm", gen_svm(DATASET_ROWS, 6, seed=0)),
+    paths = {name: str(root / (name + ".libsvm")) for name in FAMILIES}
+    for name, inst in (("lasso", gen_lasso(DATASET_ROWS, 60, seed=0)),
+                       ("svm", gen_svm(DATASET_ROWS, 6, seed=0)),
                        ("nnls", gen_nnls(DATASET_ROWS, 6, seed=0)),
                        ("logreg", gen_logreg(DATASET_ROWS, 6, seed=0))):
         # every entry kept, so no row of a subsample is all zeros
@@ -121,9 +120,8 @@ def values(key: str, family: str, datasets: dict) -> st.SearchStrategy:
     choices = {
         "problem.kind": [*FAMILIES, "ridge", ""],
         "algorithm.kind": sorted({a for f in FAMILIES.values() for a in f.algorithms} | {"newton"}),
-        "algorithm.beta_rule": ["one-over-L", "explicit", "fixed", "nan"],
         "run.trace": ["trace.csv", "nan"],
-        # a file of the family's own format: what a file holds is data, not a config value
+        # a file of the family's own data: what a file holds is data, not a config value
         "problem.dataset": [datasets[family]],
     }
     return st.sampled_from(choices[key])
@@ -137,7 +135,7 @@ def test_every_value_of_every_key_builds_or_names_the_key(datasets, family, key,
     dataset = data.draw(st.sampled_from([None, datasets[family]]), label="dataset")
     kv = base_config(family, dataset)
     if data.draw(st.booleans(), label="explicit beta"):
-        kv.update({"algorithm.beta_rule": "explicit", "algorithm.beta": "0.05"})
+        kv["algorithm.beta"] = "0.05"
     kv[key] = data.draw(values(key, family, datasets), label=key)
     builds_or_names(kv, key)
 
@@ -149,7 +147,7 @@ def test_every_value_of_every_key_builds_or_names_the_key(datasets, family, key,
 # "DATASET" stands for the family's problem.dataset file, which replaces the generated base
 PROBES = [
     # NaN values that ran and reported false results
-    ("lasso", {"algorithm.beta_rule": "explicit", "algorithm.beta": "nan"}, "algorithm.beta"),
+    ("lasso", {"algorithm.beta": "nan"}, "algorithm.beta"),
     ("lasso", {"run.tol": "nan"}, "run.tol"),
     ("lasso", {"run.zero_tol": "nan"}, "run.zero_tol"),
     ("lasso", {"aa.safeguard": "nan"}, "aa.safeguard"),
@@ -178,6 +176,8 @@ PROBES = [
     ("lasso", {"run.window": "0"}, "run.window"),
     ("svm", {"problem.dataset": "DATASET", "problem.subsample": str(DATASET_ROWS + 1)},
      "problem.subsample"),
+    ("lasso", {"problem.dataset": "DATASET", "problem.subsample": str(DATASET_ROWS + 1)},
+     "problem.subsample"),
 ]
 
 
@@ -195,82 +195,48 @@ def test_probe_is_a_config_error_naming_its_key(datasets, family, extra, key):
 
 
 @pytest.fixture(scope="module")
-def bad_files(tmp_path_factory, datasets):
-    """problem.dataset files that hold no instance of the family given them."""
+def bad_files(tmp_path_factory):
+    """problem.dataset files that hold no instance: an empty one, and a binary .npz."""
     root = tmp_path_factory.mktemp("bad")
     empty = root / "empty.libsvm"
     empty.write_text("", encoding="utf-8")
-    inst = gen_lasso(10, 20, seed=0)
-    no_y = str(root / "no_y.npz")
-    np.savez(no_y, A=inst.A, x_true=inst.x_true, lam=inst.lam)
-    return {"empty": str(empty), "libsvm": datasets["svm"], "npz": datasets["lasso"],
-            "npz_without_y": no_y}
+    npz = str(root / "inst.npz")
+    np.savez(npz, A=np.eye(3), y=np.ones(3))
+    return {"empty": str(empty), "npz": npz}
 
 
 @pytest.mark.parametrize("family,file", [("nnls", "empty"), ("logreg", "empty"), ("svm", "empty"),
-                                         ("lasso", "libsvm"), ("lasso", "npz_without_y"),
-                                         ("svm", "npz")])
+                                         ("lasso", "empty"), ("lasso", "npz"), ("svm", "npz")])
 def test_a_dataset_file_without_an_instance_names_the_key_and_the_file(bad_files, family, file):
     path = bad_files[file]
     with pytest.raises(ConfigError) as info:
         build_operator(config_from_mapping(base_config(family, path)))
     message = str(info.value)
     assert names(message, "problem.dataset") and path in message, message
-    if family == "lasso":  # and what the file should hold
-        assert "keys A, y, x_true and lam" in message, message
-
-
-@pytest.fixture(scope="module")
-def mismatched_npz(tmp_path_factory):
-    """Lasso .npz files whose arrays disagree in shape."""
-    root = tmp_path_factory.mktemp("mismatched")
-    inst = gen_lasso(10, 20, seed=0)
-    arrays = {"short_y": (inst.A, inst.y[:5], inst.x_true),
-              "long_x_true": (inst.A, inst.y, np.append(inst.x_true, 0.0)),
-              "flat_A": (inst.A.ravel(), inst.y, inst.x_true)}
-    paths = {}
-    for name, (A, y, x_true) in arrays.items():
-        paths[name] = str(root / (name + ".npz"))
-        np.savez(paths[name], A=A, y=y, x_true=x_true, lam=inst.lam)
-    return paths
-
-
-@pytest.mark.parametrize("file", ["short_y", "long_x_true", "flat_A"])
-def test_a_lasso_file_whose_shapes_disagree_names_the_file_and_the_shapes(mismatched_npz, file):
-    path = mismatched_npz[file]
-    with pytest.raises(ConfigError) as info:
-        build_operator(config_from_mapping(base_config("lasso", path)))
-    message = str(info.value)
-    assert names(message, "problem.dataset") and path in message, message
-    A_shape = np.load(path)["A"].shape
-    assert "A %s" % (A_shape,) in message, message
 
 
 @pytest.fixture(scope="module")
 def zero_data(tmp_path_factory):
-    """problem.dataset files whose matrix is all zeros, so the Lipschitz estimate is 0."""
-    root = tmp_path_factory.mktemp("zero")
-    libsvm = root / "zero.libsvm"
+    """A problem.dataset file whose matrix is all zeros, so the Lipschitz estimate is 0."""
+    libsvm = tmp_path_factory.mktemp("zero") / "zero.libsvm"
     libsvm.write_text("1 1:0\n-1 1:0\n" * 4, encoding="utf-8")
-    npz = str(root / "zero.npz")
-    np.savez(npz, A=np.zeros((10, 20)), y=np.ones(10), x_true=np.zeros(20), lam=0.01)
-    return {"lasso": npz, "svm": str(libsvm), "nnls": str(libsvm), "logreg": str(libsvm)}
+    return str(libsvm)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_a_zero_lipschitz_estimate_names_the_beta_rule_and_the_dataset(zero_data, family):
-    path = zero_data[family]
+    """The rule algorithm.beta = auto (1/L) cannot apply: the error names the key and the file."""
     with pytest.raises(ConfigError) as info:
-        build_operator(config_from_mapping(base_config(family, path)))
+        build_operator(config_from_mapping(base_config(family, zero_data)))
     message = str(info.value)
-    assert names(message, "algorithm.beta_rule") and names(message, "problem.dataset"), message
-    assert path in message, message
+    assert names(message, "algorithm.beta") and names(message, "problem.dataset"), message
+    assert "auto" in message and zero_data in message, message
 
 
 def test_a_drs_prox_that_cannot_be_factored_names_beta_and_lambda():
     # the shift m*(1/beta + 2*lambda) underflows against A.T A, which has rank 5 < 30
     kv = {**GENERATED["nnls"], "problem.rows": "5", "problem.cols": "30", "problem.lambda": "0",
-          "algorithm.beta_rule": "explicit", "algorithm.beta": "1e300"}
+          "algorithm.beta": "1e300"}
     with pytest.raises(ConfigError) as info:
         build_operator(config_from_mapping(kv))
     message = str(info.value)
@@ -281,7 +247,8 @@ def test_a_replaced_value_is_checked_again():
     cfg = config_from_mapping(README_LASSO)
     for change, key in (({"tol": math.nan}, "run.tol"), ({"window": 0}, "run.window"),
                         ({"params": {"c": 1.0}}, "problem.c"),
-                        ({"aa": replace(cfg.aa, memory=65)}, "aa.memory")):
+                        ({"aa": replace(cfg.aa, memory=65)}, "aa.memory"),
+                        ({"delta": 0.5}, "algorithm.delta")):  # read by drs only
         with pytest.raises(ConfigError, match=re.escape(key)):
             replace(cfg, **change)
 

@@ -9,8 +9,7 @@ regenerates the tables and says so in CHANGES.md; from the repository root,
 
     python3 tests/test_golden_traces.py
 
-prints ``GOLDEN``, ``GOLDEN_CSR`` and ``GOLDEN_NPZ`` as computed by the
-current source tree.
+prints ``GOLDEN`` and ``GOLDEN_CSR`` as computed by the current source tree.
 """
 
 from __future__ import annotations
@@ -69,16 +68,24 @@ GOLDEN = {
 }
 
 
-# The same svm and nnls cells with the matrix loaded through problem.dataset,
-# which makes it a CSR matrix.  The file holds the seed-0 instance with every
-# entry below 0.5 in magnitude left out, so the rows are genuinely sparse;
-# nnls keeps only the signs of its targets, since LIBSVM labels are +-1.
+# The same lasso, svm and nnls cells with the matrix loaded through
+# problem.dataset, which makes it a CSR matrix.  The file holds the seed-0
+# instance with every entry below 0.5 in magnitude left out (0.1 for lasso,
+# whose orthonormal rows have entries near 0.07), so the rows are genuinely
+# sparse; lasso and nnls keep only the signs of their targets, since LIBSVM
+# labels are +-1.  Without the family's problem keys, lasso keeps the default
+# of five rejections before a restart.
 CSR_CELLS = [
+    ("lasso", "ista", False), ("lasso", "ista", True),
     ("svm", "pcd", False), ("svm", "pcd", True),
     ("nnls", "drs", False), ("nnls", "drs", True),
 ]
 
 GOLDEN_CSR = {
+    ("lasso", "ista", False, 0): "58d8c69576f546c85fd62dae631117dc2f83a03e46778f08b1652017d9da7ecf",
+    ("lasso", "ista", False, 1): "79dc855ca8b0e5b9043869de74f645201b313d28eb7e7df465038941eed4e43a",
+    ("lasso", "ista", True, 0): "82d152227afb29f326a442d9e172717e4d007c91572da1d77fab0c4222f5c1d6",
+    ("lasso", "ista", True, 1): "535ce824036750286eee519cc0cb19d73a722597263de933180de945926b63d3",
     ("svm", "pcd", False, 0): "185aa6a6193f93b7934cb79807b5ee8e9fdaf9382fdee208a02c6d7e9ecf3868",
     ("svm", "pcd", False, 1): "128e1992e13fdb190535ba8a7e451fda376cade8c89693de83e5961bdf14e241",
     ("svm", "pcd", True, 0): "f2a6c0e212b9f1f39a67585d5d9737ff08d760e59bb3b269c58f6f0cc1ce57a1",
@@ -90,28 +97,10 @@ GOLDEN_CSR = {
 }
 
 
-# The lasso cells with the instance loaded through problem.dataset from an
-# .npz file.  The file holds the seed-0 instance of the lasso family with
-# lam = 0.02, so the run reads its lambda from the file.  Without the
-# family's aa.restart key the engine keeps its default of five rejections.
-NPZ_CELLS = [("lasso", "ista", False), ("lasso", "ista", True)]
-
-GOLDEN_NPZ = {
-    ("lasso", "ista", False, 0): "2d35b93dabf370c54eea7c8dc138634eb4c2e69690259e82053b24658872a4b6",
-    ("lasso", "ista", False, 1): "4359bad309f1a5060136240afb0c85e32d92d81ca3a4d162e09682ed84d7acc3",
-    ("lasso", "ista", True, 0): "a31444b04fcdd2d695a50e7e7a7fa1350dfb360330e92392c1a9b554670e99a6",
-    ("lasso", "ista", True, 1): "85740f38c724d11b1091b584b005e35477ee2b8ce6ebacc8fd69b227fcb61b39",
-}
-
-
-def dataset_name(family: str) -> str:
-    return family + (".npz" if family == "lasso" else ".libsvm")
-
-
 def write_dataset(family: str, path: str) -> None:
     if family == "lasso":
-        inst = gen_lasso(40, 200, lam=0.01, seed=0)
-        np.savez(path, A=inst.A, y=inst.y, x_true=inst.x_true, lam=0.02)
+        inst = gen_lasso(40, 200, seed=0)
+        write_libsvm(path, inst.A, np.where(inst.y >= 0.0, 1.0, -1.0), drop_below=0.1)
     elif family == "svm":
         inst = gen_svm(100, 20, seed=0)
         write_libsvm(path, inst.A, inst.y)
@@ -156,37 +145,27 @@ def test_trace_and_summary_are_bitwise_unchanged(family, algorithm, aa, seed, tm
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("family,algorithm,aa", CSR_CELLS)
 def test_csr_trace_and_summary_are_bitwise_unchanged(family, algorithm, aa, seed, tmp_path):
-    dataset = str(tmp_path / dataset_name(family))
+    dataset = str(tmp_path / (family + ".libsvm"))
     write_dataset(family, dataset)
     got = golden_hash(family, algorithm, aa, seed, str(tmp_path / "trace.csv"), dataset)
     assert got == GOLDEN_CSR[(family, algorithm, aa, seed)]
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("family,algorithm,aa", NPZ_CELLS)
-def test_npz_trace_and_summary_are_bitwise_unchanged(family, algorithm, aa, seed, tmp_path):
-    dataset = str(tmp_path / dataset_name(family))
-    write_dataset(family, dataset)
-    got = golden_hash(family, algorithm, aa, seed, str(tmp_path / "trace.csv"), dataset)
-    assert got == GOLDEN_NPZ[(family, algorithm, aa, seed)]
-
-
 def print_tables() -> None:
-    """Print GOLDEN, GOLDEN_CSR and GOLDEN_NPZ, ready to paste over the tables above."""
+    """Print GOLDEN and GOLDEN_CSR, ready to paste over the tables above."""
     with tempfile.TemporaryDirectory() as tmp:
         trace = str(Path(tmp) / "trace.csv")
-        tables = {"GOLDEN": {}, "GOLDEN_CSR": {}, "GOLDEN_NPZ": {}}
+        tables = {"GOLDEN": {}, "GOLDEN_CSR": {}}
         for family, algorithm, aa in CELLS:
             for seed in (0, 1):
                 tables["GOLDEN"][(family, algorithm, aa, seed)] = golden_hash(family, algorithm, aa, seed, trace)
-        for table, cells in (("GOLDEN_CSR", CSR_CELLS), ("GOLDEN_NPZ", NPZ_CELLS)):
-            for family, algorithm, aa in cells:
-                dataset = str(Path(tmp) / dataset_name(family))
-                write_dataset(family, dataset)
-                for seed in (0, 1):
-                    tables[table][(family, algorithm, aa, seed)] = golden_hash(
-                        family, algorithm, aa, seed, trace, dataset
-                    )
+        for family, algorithm, aa in CSR_CELLS:
+            dataset = str(Path(tmp) / (family + ".libsvm"))
+            write_dataset(family, dataset)
+            for seed in (0, 1):
+                tables["GOLDEN_CSR"][(family, algorithm, aa, seed)] = golden_hash(
+                    family, algorithm, aa, seed, trace, dataset
+                )
     for name, table in tables.items():
         print("%s = {" % name)
         for key, digest in table.items():

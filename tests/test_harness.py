@@ -29,6 +29,7 @@ from aaopt.harness import (
     write_trace,
 )
 from aaopt.problems import (
+    LassoInstance,
     gen_lasso,
     gen_nnls,
     gen_svm,
@@ -36,6 +37,7 @@ from aaopt.problems import (
     lasso_objective,
     load_libsvm,
     nnls_objective,
+    subsample,
 )
 from aaopt.prox import nonneg_project, quadratic_ls_prox, soft_threshold
 from oracles import svm_pcd_sweep_reference, write_libsvm
@@ -160,18 +162,20 @@ def test_config_aa_sentinels():
 
 
 def test_config_explicit_beta_rule():
-    with pytest.raises(ConfigError, match="beta"):
+    """algorithm.beta is an explicit step size, or auto for the 1/L rule."""
+    assert lasso_cfg(**{"algorithm.beta": "0.5"}).beta == 0.5
+    assert lasso_cfg(**{"algorithm.beta": "auto"}).beta is None
+    assert lasso_cfg().beta is None
+    with pytest.raises(ConfigError, match="algorithm.beta: expected a number"):
+        lasso_cfg(**{"algorithm.beta": "fixed"})
+    with pytest.raises(ConfigError, match="unknown config key 'algorithm.beta_rule'"):
         lasso_cfg(**{"algorithm.beta_rule": "explicit"})
-    cfg = lasso_cfg(**{"algorithm.beta_rule": "explicit", "algorithm.beta": "0.5"})
-    assert cfg.beta == 0.5
-    with pytest.raises(ConfigError, match="beta_rule"):
-        lasso_cfg(**{"algorithm.beta_rule": "fixed"})
 
 
 def test_config_defaults():
     cfg = config_from_mapping({"problem.kind": "lasso", "algorithm.kind": "ista"})
     assert cfg.max_iter == 1000 and cfg.tol == 1e-10 and cfg.seed == 0
-    assert cfg.window == 10 and cfg.zero_tol == 1e-9 and cfg.delta == 1.0
+    assert cfg.window == 10 and cfg.zero_tol == 1e-9 and cfg.delta is None
     assert not cfg.aa_enabled and cfg.aa.memory == 10
 
 
@@ -293,15 +297,71 @@ def test_config_rejects_nonpositive_svm_c(c):
         config_from_mapping({"problem.kind": "svm", "algorithm.kind": "pcd", "problem.c": c})
 
 
-def test_lasso_dataset_with_negative_lam_is_rejected(tmp_path):
-    inst = gen_lasso(10, 20, seed=0)
-    path = str(tmp_path / "lasso.npz")
-    np.savez(path, A=inst.A, y=inst.y, x_true=inst.x_true, lam=-0.5)
-    cfg = config_from_mapping({"problem.kind": "lasso", "algorithm.kind": "ista", "problem.dataset": path})
-    with pytest.raises(ConfigError, match="lam must be nonnegative"):
-        build_operator(cfg)
-    # an explicit problem.lambda overrides the file's
-    build_operator(replace(cfg, params={**cfg.params, "lambda": 0.5}))
+@pytest.fixture
+def lasso_libsvm(tmp_path):
+    """A 20 x 40 lasso instance as LIBSVM text: gen_lasso's design, the signs of its y."""
+    inst = gen_lasso(20, 40, seed=0)
+    path = tmp_path / "lasso.libsvm"
+    write_libsvm(path, inst.A, np.where(inst.y >= 0.0, 1.0, -1.0), drop_below=0.1)
+    return str(path)
+
+
+def final_iterate(monkeypatch, cfg):
+    """run_experiment(cfg) and the last iterate it recorded (the loop takes each one's objective)."""
+    build = aaopt.harness.build_operator
+    last = []
+
+    def recording_build(cfg):
+        ctx = build(cfg)
+        objective = ctx.op.objective
+
+        def recording_objective(x):
+            last.append(x.copy())
+            return objective(x)
+
+        ctx.op = replace(ctx.op, objective=recording_objective)
+        return ctx
+
+    monkeypatch.setattr(aaopt.harness, "build_operator", recording_build)
+    _, summary = run_experiment(cfg)
+    return last[-1], summary
+
+
+@pytest.mark.parametrize("aa", ["false", "true"])
+def test_lasso_libsvm_run_ends_at_a_first_order_point(monkeypatch, lasso_libsvm, aa):
+    lam = 0.05
+    cfg = config_from_mapping({"problem.kind": "lasso", "algorithm.kind": "ista", "aa.enabled": aa,
+                               "problem.dataset": lasso_libsvm, "problem.lambda": str(lam),
+                               "run.tol": "1e-10", "run.max_iter": "5000"})
+    x, summary = final_iterate(monkeypatch, cfg)
+    assert summary["status"] == "converged"
+    A, y = load_libsvm(lasso_libsvm)
+    gap = x - soft_threshold(x - A.T.dot(A.dot(x) - y), lam)
+    assert np.linalg.norm(gap) <= 1e-8, (np.linalg.norm(gap), summary["iterations"])
+
+
+def test_lasso_reads_zero_one_labels_as_plus_minus_one(lasso_libsvm, tmp_path):
+    A, y = load_libsvm(lasso_libsvm)
+    zero_one = str(tmp_path / "zero_one.libsvm")
+    write_libsvm(zero_one, A.toarray(), (y + 1.0) / 2.0, drop_below=0.1)
+    ops = [build_operator(config_from_mapping({"problem.kind": "lasso", "algorithm.kind": "ista",
+                                               "problem.dataset": path})).op
+           for path in (lasso_libsvm, zero_one)]
+    x = np.random.default_rng(1).standard_normal(40)
+    assert ops[0].objective(x) == ops[1].objective(x)
+    assert np.array_equal(ops[0].apply(x), ops[1].apply(x))
+
+
+def test_lasso_subsample_thins_the_dataset(lasso_libsvm):
+    cfg = config_from_mapping({"problem.kind": "lasso", "algorithm.kind": "ista", "run.seed": "4",
+                               "problem.dataset": lasso_libsvm, "problem.subsample": "12",
+                               "problem.lambda": "0.02"})
+    op = build_operator(cfg).op
+    X, y = subsample(*load_libsvm(lasso_libsvm), 12, seed=4)
+    inst = LassoInstance(A=X, y=y, lam=0.02)
+    x = np.random.default_rng(0).standard_normal(40)
+    assert X.shape == (12, 40)
+    assert op.objective(x) == lasso_objective(inst, x)
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +409,7 @@ def test_max_iter_one_yields_two_records():
 
 
 def test_divergent_run_is_flagged():
-    cfg = lasso_cfg(
-        **{"algorithm.beta_rule": "explicit", "algorithm.beta": "1000", "run.max_iter": "200"}
-    )
+    cfg = lasso_cfg(**{"algorithm.beta": "1000", "run.max_iter": "200"})
     _, summary = run_experiment(cfg)
     assert summary["status"] == "diverged"
     assert summary["final_residual"] > 1e12
@@ -615,6 +673,15 @@ def test_run_sweep_baseline_plus_memories(tmp_path):
         assert (tmp_path / name).exists()
     with pytest.raises(ConfigError):
         run_sweep(cfg, [])
+
+
+def test_sweep_trace_names_keep_their_directory(tmp_path):
+    runs = tmp_path / "runs.v2"
+    runs.mkdir()
+    cfg = lasso_cfg(**{"run.trace": str(runs / "trace"), "run.max_iter": "5", "run.tol": "1e-30"})
+    run_sweep(cfg, [5])
+    assert sorted(p.name for p in runs.iterdir()) == ["trace.baseline", "trace.m5"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.v2"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""The README runs as documented: the quick-start config, the Library example and the key table."""
+"""The README runs as documented: the quick-start config, the Library example, the keys and the CLI."""
 
+import argparse
 import re
 from decimal import Decimal
 from pathlib import Path
 
-from aaopt.harness import FAMILIES, config_from_mapping, format_summary, parse_config_text, run_experiment
+from aaopt.cli import build_parser
+from aaopt.harness import CONFIG_KEYS, FAMILIES, config_from_mapping, format_summary, parse_config_text, run_experiment
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -60,3 +62,27 @@ def test_readme_problem_key_table_matches_the_families():
                 documented[(family, key)] = None if cell == "unset" else float(cell.split()[0])
     assert documented == {(family, key): default for family, spec in FAMILIES.items()
                           for key, default in spec.defaults.items()}
+
+
+def readme_section(heading: str) -> str:
+    """The README text from ``heading`` to the next heading."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index("\n" + heading + "\n") + len(heading) + 2
+    return text[start:re.search(r"\n#+ ", text[start:]).start() + start]
+
+
+def test_readme_config_key_section_names_exactly_the_config_keys():
+    """Every ``section.key`` named in backticks, and each row of the problem table, is a key."""
+    section = readme_section("### Config keys")
+    named = set(re.findall(r"`((?:problem|algorithm|aa|run)\.\w+)`", section))
+    table = section[section.index("| key |"):].split("\n\n", 1)[0].splitlines()[2:]
+    named |= {"problem." + line.split("|")[1].strip(" `") for line in table}
+    assert named == set(CONFIG_KEYS)
+
+
+def test_readme_cli_block_lists_exactly_the_subcommands():
+    block = re.search(r"```\n(.*?)```", readme_section("### CLI"), re.S).group(1)
+    documented = [line.split()[1] for line in block.splitlines() if line.startswith("aaopt ")]
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(documented) == sorted(subparsers.choices)
