@@ -8,12 +8,15 @@ g(y) + ||y - v||^2 / (2 t).
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from . import _sweep
 from .problems import phi_deriv
 from .prox import weighted_soft_threshold
 
@@ -100,14 +103,19 @@ def fista_step(state: FistaState, apply: Callable[[np.ndarray], np.ndarray]) -> 
     return FistaState(x=x_new, y=y_new, t=t_new)
 
 
-def _per_row(value, m: int, what: str) -> list[float]:
+def _per_row(value, m: int, what: str) -> tuple[np.ndarray | None, float]:
+    """A scalar as (None, value); a length-m vector as (a float64 copy, 0.0)."""
     if not isinstance(value, (int, float)):  # a plain scalar skips numpy
-        value = np.asarray(value, dtype=float)
+        value = np.array(value, dtype=float)
         if value.ndim:
             if value.shape != (m,):
                 raise ValueError("pcd_sweep: %s has shape %s, expected (%d,)" % (what, value.shape, m))
-            return value.tolist()
-    return [float(value)] * m
+            return value, 0.0
+    return None, float(value)
+
+
+def _address(a: np.ndarray | None) -> int | None:
+    return None if a is None else a.__array_interface__["data"][0]
 
 
 def pcd_sweep(Z, q, lower, upper, beta: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -121,56 +129,69 @@ def pcd_sweep(Z, q, lower, upper, beta: float) -> Callable[[np.ndarray], np.ndar
     against the coordinates already updated, while keeping u = Z.T x current.
     It does not modify ``x``.
 
-    The rows are extracted here; the sweep holds the iterate as Python floats
-    and takes each row's dot with ndarray.dot, the same IEEE operations as
-    numpy scalars and ``@`` at a fraction of the dispatch cost.
+    numpy forms u = Z.T x once per sweep; the loop over the rows runs in C
+    (``_sweep.c``), with the same IEEE operations in the same order as the
+    Python loop it replaced, row dots through numpy's own BLAS ddot
+    included, so the results are bitwise equal to it.  gcc compiles the C
+    source on first use into the package's ``__pycache__``, or into
+    ``~/.cache/aaopt`` where the package cannot be written, and later runs
+    find it there (see ``aaopt._sweep``).  A CSR Z is checked in full first.
     """
     if beta <= 0:
         raise ValueError("pcd_sweep: beta must be positive")
+    lib = _sweep.library()
     sparse = hasattr(Z, "tocsr") and not isinstance(Z, np.ndarray)
-    Z = Z.tocsr() if sparse else np.asarray(Z, dtype=float)
-    m = Z.shape[0]
-    q, lower, upper = _per_row(q, m, "q"), _per_row(lower, m, "lower"), _per_row(upper, m, "upper")
-
     if sparse:
-        ptr = Z.indptr
-        rows = [(Z.indices[ptr[i] : ptr[i + 1]], Z.data[ptr[i] : ptr[i + 1]]) for i in range(m)]
+        Z = Z.tocsr()
+        # a new CSR on Z's arrays, checked in full: scipy builds a CSR without checking
+        # its column indices or that indptr does not decrease, and C indexes with both
+        try:
+            Z = type(Z)((Z.data.astype(float, copy=False), Z.indices, Z.indptr), shape=Z.shape)
+            Z.check_format(full_check=True)
+        except ValueError as exc:
+            raise ValueError("pcd_sweep: Z is not a valid CSR matrix: %s" % exc) from None
+    else:
+        Z = np.asarray(Z, dtype=float)
+    m, n = Z.shape
+    rows = [_per_row(q, m, "q"), _per_row(lower, m, "lower"), _per_row(upper, m, "upper")]
+    bounds = [arg for vector, scalar in rows for arg in (_address(vector), scalar)] + [float(beta)]
+
+    # the iterate and u pass as ctypes arrays, which check their buffers' size
+    Xm, Un = ctypes.c_double * m, ctypes.c_double * n
+    if sparse:
+        indptr = np.ascontiguousarray(Z.indptr, dtype=np.int64)
+        indices = np.ascontiguousarray(Z.indices, dtype=np.int64)
         # Z.T as CSR, built once, so each sweep's u costs one product
         Zt = Z.T.tocsr()
-
-        def sweep(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            xs = x.tolist()
-            u = Zt.dot(x)
-            for i, ((idx, data), qi, lo, hi) in enumerate(zip(rows, q, lower, upper)):
-                xi = xs[i]
-                v = xi - beta * (float(data.dot(u[idx])) + qi)
-                new = min(max(v, lo), hi)
-                delta = new - xi
-                if delta != 0.0:
-                    u[idx] += delta * data
-                    xs[i] = new
-            return np.array(xs, dtype=float)
-
-        return sweep
-
-    rows = list(Z)
-    Zt = Z.T
+        data = np.ascontiguousarray(Z.data)
+        longest = int(np.diff(indptr).max()) if m else 0
+        call = functools.partial(lib.aaopt_pcd_csr, m, _address(indptr), _address(indices),
+                                 _address(data), longest, *bounds)
+        buffers = (indptr, indices, data)
+    else:
+        Zt = Z.T
+        # numpy hands a row whose stride BLAS cannot take to ddot as a
+        # contiguous copy, so the C loop reads such rows from one
+        whole = all(s % Z.itemsize == 0 for s in Z.strides)
+        if not (Z.flags.aligned and whole and Z.strides[1] > 0):
+            Z = np.ascontiguousarray(Z)
+        row_stride, col_stride = (s // Z.itemsize for s in Z.strides)
+        call = functools.partial(lib.aaopt_pcd_dense, m, n, _address(Z), row_stride, col_stride, *bounds)
+        buffers = (Z,)
 
     def sweep(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        xs = x.tolist()
+        if x.shape != (m,):
+            raise ValueError("pcd_sweep: x has shape %s, expected (%d,)" % (x.shape, m))
         u = Zt.dot(x)
-        for i, (z, qi, lo, hi) in enumerate(zip(rows, q, lower, upper)):
-            xi = xs[i]
-            v = xi - beta * (float(z.dot(u)) + qi)
-            new = min(max(v, lo), hi)
-            delta = new - xi
-            if delta != 0.0:
-                u += delta * z
-                xs[i] = new
-        return np.array(xs, dtype=float)
+        out = x.copy()
+        # only the CSR call can fail, when it cannot allocate its row buffer
+        if call(Xm.from_buffer(out), Un.from_buffer(u)):
+            raise MemoryError("pcd_sweep: no memory to gather a row of Z")
+        return out
 
+    # the compiled call holds these arrays' addresses; they live as long as the sweep
+    sweep.buffers = buffers + tuple(vector for vector, _ in rows if vector is not None)
     return sweep
 
 

@@ -308,7 +308,9 @@ def _build_lasso(cfg: ExperimentConfig, params: dict) -> RunContext:
     g_prox = lambda v, t: soft_threshold(v, t * lam)
     # A x - y, formed once per point for the gradient and the objective
     residual = _last_point_memo(lambda x: inst.A.dot(x) - inst.y)
-    grad = lambda x: lasso_grad(inst, x, residual(x))
+    # a CSR A.T, built once, sums as A.T.dot(r) does without a transpose per product
+    At = inst.A.T.tocsr() if hasattr(inst.A, "tocsr") and not isinstance(inst.A, np.ndarray) else None
+    grad = lambda x: lasso_grad(inst, x, residual(x), At)
     op = FixedPointOperator(
         dimension=inst.A.shape[1],
         apply=lambda x: pga_step(grad, g_prox, beta, x),

@@ -179,11 +179,14 @@ def gen_logreg(
 # objectives and gradients
 
 
-def lasso_grad(inst: LassoInstance, x: np.ndarray, r=None) -> np.ndarray:
-    """Gradient of the smooth part 0.5||A x - y||^2; ``r`` is an A x - y the caller holds."""
+def lasso_grad(inst: LassoInstance, x: np.ndarray, r=None, At=None) -> np.ndarray:
+    """Gradient of the smooth part 0.5||A x - y||^2.
+
+    ``r`` is an A x - y the caller holds, and ``At`` an A.T the caller built once.
+    """
     if r is None:
         r = inst.A.dot(x) - inst.y
-    return inst.A.T.dot(r)
+    return (inst.A.T if At is None else At).dot(r)
 
 
 def lasso_objective(inst: LassoInstance, x: np.ndarray, r=None) -> float:
@@ -303,6 +306,8 @@ def load_libsvm(path: str) -> tuple[sp.csr_matrix, np.ndarray]:
             return parse_libsvm(handle)
     except OSError as exc:
         raise OSError("reading LIBSVM data from %s: %s" % (path, exc)) from exc
+    except UnicodeDecodeError as exc:  # a binary file, such as an .npz archive
+        raise ValueError("not LIBSVM text: the file is not UTF-8 (%s)" % exc.reason) from None
 
 
 def subsample(X, y: np.ndarray, k: int, seed: int = 0):

@@ -213,6 +213,8 @@ def test_a_dataset_file_without_an_instance_names_the_key_and_the_file(bad_files
         build_operator(config_from_mapping(base_config(family, path)))
     message = str(info.value)
     assert names(message, "problem.dataset") and path in message, message
+    if file == "npz":
+        assert "not LIBSVM text" in message, message
 
 
 @pytest.fixture(scope="module")
