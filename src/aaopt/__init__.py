@@ -1,7 +1,6 @@
 """Anderson acceleration for nonsmooth fixed-point optimization algorithms."""
 
 from .algorithms import (
-    DrsParams,
     FistaState,
     FixedPointOperator,
     admm_step,

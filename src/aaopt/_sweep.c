@@ -9,8 +9,8 @@
  *   - the box step is max(v, lo) then min(w, hi) as Python picks them;
  *   - u[j] = u[j] + delta*z[j], with no FMA (build with -ffp-contract=off).
  *
- * q, lower and upper are arrays of length m, or NULL for the scalar that
- * follows them.  x (length m) and u = Z.T x are updated in place.
+ * q, lower, upper and x are arrays of length m; x and u = Z.T x are
+ * updated in place.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -39,17 +39,14 @@ static double coordinate(double xi, double d, double qi, double lo, double hi, d
     return hi < w ? hi : w;
 }
 
-#define AT(a, a0, i) ((a) ? (a)[i] : (a0))
-
 void aaopt_pcd_dense(int64_t m, int64_t n, const double *Z, int64_t row_stride, int64_t col_stride,
-                     const double *q, double q0, const double *lo, double lo0,
-                     const double *hi, double hi0, double beta, double *x, double *u)
+                     const double *q, const double *lo, const double *hi, double beta,
+                     double *x, double *u)
 {
     for (int64_t i = 0; i < m; i++) {
         const double *z = Z + i * row_stride;
         double xi = x[i];
-        double next = coordinate(xi, row_dot(n, z, col_stride, u), AT(q, q0, i),
-                                 AT(lo, lo0, i), AT(hi, hi0, i), beta);
+        double next = coordinate(xi, row_dot(n, z, col_stride, u), q[i], lo[i], hi[i], beta);
         double delta = next - xi;
         if (delta != 0.0) {
             for (int64_t j = 0; j < n; j++)
@@ -61,8 +58,8 @@ void aaopt_pcd_dense(int64_t m, int64_t n, const double *Z, int64_t row_stride, 
 
 /* Returns -1 if the gather buffer cannot be allocated, else 0. */
 int aaopt_pcd_csr(int64_t m, const int64_t *indptr, const int64_t *indices, const double *data,
-                  int64_t max_row, const double *q, double q0, const double *lo, double lo0,
-                  const double *hi, double hi0, double beta, double *x, double *u)
+                  int64_t max_row, const double *q, const double *lo, const double *hi,
+                  double beta, double *x, double *u)
 {
     /* u[idx] of the current row, gathered so that ddot reads it with stride 1 */
     double *g = malloc((max_row > 0 ? max_row : 1) * sizeof(double));
@@ -75,8 +72,7 @@ int aaopt_pcd_csr(int64_t m, const int64_t *indptr, const int64_t *indices, cons
         for (int64_t k = 0; k < len; k++)
             g[k] = u[idx[k]];
         double xi = x[i];
-        double next = coordinate(xi, row_dot(len, z, 1, g), AT(q, q0, i),
-                                 AT(lo, lo0, i), AT(hi, hi0, i), beta);
+        double next = coordinate(xi, row_dot(len, z, 1, g), q[i], lo[i], hi[i], beta);
         double delta = next - xi;
         if (delta != 0.0) {
             /* u[idx] += delta*data: gather, add, then scatter in order */

@@ -32,8 +32,8 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 DDOT_SYMBOL = "scipy_cblas_ddot64_"
 
 _i64, _f64, _ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-# both sweeps end with q, lower, upper (each an array or NULL, then a scalar), beta, x, u
-_TAIL = [_ptr, _f64, _ptr, _f64, _ptr, _f64, _f64, _ptr, _ptr]
+# both sweeps end with the arrays q, lower, upper, then beta, x, u
+_TAIL = [_ptr, _ptr, _ptr, _f64, _ptr, _ptr]
 _SIGNATURES = {
     "aaopt_set_ddot": ([_ptr], None),
     "aaopt_pcd_dense": ([_i64, _i64, _ptr, _i64, _i64] + _TAIL, None),

@@ -2,8 +2,8 @@
 
 Each step function (for pcd_sweep, the sweep it builds) implements one
 application x -> H(x) of the underlying iteration, so any of them can be
-driven plainly or through the Anderson engine.  Prox callables follow the convention ``prox(v, t)`` = argmin
-g(y) + ||y - v||^2 / (2 t).
+driven plainly or through the Anderson engine.  A prox callable is built for
+its map's step beta: ``prox(v)`` = argmin g(y) + ||y - v||^2 / (2 beta).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.blas import ddot
 
 from . import _sweep
 from .problems import phi_deriv
@@ -27,14 +28,13 @@ __all__ = [
     "fista_init",
     "fista_step",
     "pcd_sweep",
-    "DrsParams",
     "drs_parts",
     "admm_step",
     "irl1_step",
     "irl1_beta_window",
 ]
 
-Prox = Callable[[np.ndarray, float], np.ndarray]
+Prox = Callable[[np.ndarray], np.ndarray]
 Grad = Callable[[np.ndarray], np.ndarray]
 
 
@@ -53,27 +53,28 @@ class FixedPointOperator:
     objective: Callable[[np.ndarray], float] | None = None
     monitor: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(x) - x
-
     def monitor_vector(self, x: np.ndarray) -> np.ndarray:
         return x if self.monitor is None else self.monitor(x)
 
 
 def _require_finite(v: np.ndarray, what: str) -> np.ndarray:
     # a finite v.v rules out NaN and inf; only an overflowing dot of a
-    # finite vector needs the full scan
-    if not math.isfinite(float(v.dot(v))) and not np.isfinite(v).all():
+    # finite vector needs the full scan.  BLAS ddot overflows without
+    # numpy's warning, but it takes no empty vector.
+    if v.size and not math.isfinite(ddot(v, v)) and not np.isfinite(v).all():
         raise FloatingPointError("%s is non-finite" % what)
     return v
 
 
 def pga_step(grad_f: Grad, g_prox: Prox, beta: float, x: np.ndarray) -> np.ndarray:
-    """Proximal-gradient step: H(x) = prox_{beta g}(x - beta grad f(x))."""
+    """Proximal-gradient step: H(x) = prox_{beta g}(x - beta grad f(x)).
+
+    ``g_prox`` is prox_{beta g}, built for this ``beta``.
+    """
     if beta <= 0:
         raise ValueError("pga_step: beta must be positive")
     g = _require_finite(np.asarray(grad_f(x), dtype=float), "pga_step: gradient")
-    return g_prox(x - beta * g, beta)
+    return g_prox(x - beta * g)
 
 
 @dataclass(frozen=True)
@@ -103,19 +104,16 @@ def fista_step(state: FistaState, apply: Callable[[np.ndarray], np.ndarray]) -> 
     return FistaState(x=x_new, y=y_new, t=t_new)
 
 
-def _per_row(value, m: int, what: str) -> tuple[np.ndarray | None, float]:
-    """A scalar as (None, value); a length-m vector as (a float64 copy, 0.0)."""
-    if not isinstance(value, (int, float)):  # a plain scalar skips numpy
-        value = np.array(value, dtype=float)
-        if value.ndim:
-            if value.shape != (m,):
-                raise ValueError("pcd_sweep: %s has shape %s, expected (%d,)" % (what, value.shape, m))
-            return value, 0.0
-    return None, float(value)
+def _per_row(value, m: int, what: str) -> np.ndarray:
+    """A scalar or a length-m vector as a new float64 array of length m."""
+    value = np.asarray(value, dtype=float)
+    if value.ndim and value.shape != (m,):
+        raise ValueError("pcd_sweep: %s has shape %s, expected (%d,)" % (what, value.shape, m))
+    return np.full(m, value)
 
 
-def _address(a: np.ndarray | None) -> int | None:
-    return None if a is None else a.__array_interface__["data"][0]
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
 
 
 def pcd_sweep(Z, q, lower, upper, beta: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -153,8 +151,8 @@ def pcd_sweep(Z, q, lower, upper, beta: float) -> Callable[[np.ndarray], np.ndar
     else:
         Z = np.asarray(Z, dtype=float)
     m, n = Z.shape
-    rows = [_per_row(q, m, "q"), _per_row(lower, m, "lower"), _per_row(upper, m, "upper")]
-    bounds = [arg for vector, scalar in rows for arg in (_address(vector), scalar)] + [float(beta)]
+    rows = (_per_row(q, m, "q"), _per_row(lower, m, "lower"), _per_row(upper, m, "upper"))
+    bounds = [_address(row) for row in rows] + [float(beta)]
 
     # the iterate and u pass as ctypes arrays, which check their buffers' size
     Xm, Un = ctypes.c_double * m, ctypes.c_double * n
@@ -191,34 +189,23 @@ def pcd_sweep(Z, q, lower, upper, beta: float) -> Callable[[np.ndarray], np.ndar
         return out
 
     # the compiled call holds these arrays' addresses; they live as long as the sweep
-    sweep.buffers = buffers + tuple(vector for vector, _ in rows if vector is not None)
+    sweep.buffers = buffers + rows
     return sweep
 
 
-@dataclass(frozen=True)
-class DrsParams:
-    """Stepsize beta and relaxation delta in (0, 2) for Douglas--Rachford."""
-
-    beta: float
-    delta: float = 1.0
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("DrsParams: beta must be positive")
-        if not (0.0 < self.delta < 2.0):
-            raise ValueError("DrsParams: delta must lie in (0, 2)")
-
-
 def drs_parts(
-    f_prox: Prox, g_prox: Prox, params: DrsParams, z: np.ndarray
+    f_prox: Prox, g_prox: Prox, delta: float, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One DRS update, returning (x, y, z_next).
+    """One DRS update with relaxation delta in (0, 2), returning (x, y, z_next).
 
-    x = prox_{beta f}(z), y = prox_{beta g}(2x - z), z_next = z + delta(y - x).
+    x = prox_{beta f}(z), y = prox_{beta g}(2x - z), z_next = z + delta(y - x),
+    with both proxes built for one step beta.
     """
-    x = f_prox(z, params.beta)
-    y = g_prox(2.0 * x - z, params.beta)
-    return x, y, z + params.delta * (y - x)
+    if not (0.0 < delta < 2.0):
+        raise ValueError("drs_parts: delta must lie in (0, 2)")
+    x = f_prox(z)
+    y = g_prox(2.0 * x - z)
+    return x, y, z + delta * (y - x)
 
 
 def admm_step(

@@ -18,7 +18,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algorithms import (
-    DrsParams,
     FixedPointOperator,
     drs_parts,
     fista_init,
@@ -303,9 +302,9 @@ def _build_lasso(cfg: ExperimentConfig, params: dict) -> RunContext:
     # noise_var shapes a generated instance only
     generate = lambda m, n, seed, lam: gen_lasso(m, n, lam, params["noise_var"], seed=seed)
     inst = _instance(cfg, params, generate, LassoInstance, lam=params["lambda"])
-    lam = inst.lam
     beta = _resolve_beta(cfg, params, spectral_norm_sq(inst.A))
-    g_prox = lambda v, t: soft_threshold(v, t * lam)
+    threshold = beta * inst.lam
+    g_prox = lambda v: soft_threshold(v, threshold)
     # A x - y, formed once per point for the gradient and the objective
     residual = _last_point_memo(lambda x: inst.A.dot(x) - inst.y)
     # a CSR A.T, built once, sums as A.T.dot(r) does without a transpose per product
@@ -358,7 +357,7 @@ def _build_nnls(cfg: ExperimentConfig, params: dict) -> RunContext:
     inst = _instance(cfg, params, gen_nnls, NnlsInstance, lam=params["lambda"])
     m, n = inst.A.shape
     beta = _resolve_beta(cfg, params, spectral_norm_sq(inst.A) / m)
-    drs = DrsParams(beta=beta, delta=1.0 if cfg.delta is None else cfg.delta)
+    delta = 1.0 if cfg.delta is None else cfg.delta
     # factored here, so the set-up pays for it and every evaluation of H is
     # one pair of triangular solves
     try:
@@ -366,11 +365,9 @@ def _build_nnls(cfg: ExperimentConfig, params: dict) -> RunContext:
     except np.linalg.LinAlgError:  # a shift m*(1/beta + 2*lambda) lost against A.T A
         raise ConfigError("algorithm.beta = %r with problem.lambda = %r leaves the DRS prox's "
                           "shifted Gram matrix not positive definite" % (beta, inst.lam)) from None
-    g_prox = lambda v, t: nonneg_project(v)
-
     # (x, y, z_next) of the last DRS point: the monitor and the objective
     # reuse the map's solve
-    parts = _last_point_memo(lambda z: drs_parts(f_prox, g_prox, drs, z))
+    parts = _last_point_memo(lambda z: drs_parts(f_prox, nonneg_project, delta, z))
 
     def feasible_point(z: np.ndarray) -> np.ndarray:
         return parts(z)[1]

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.blas import ddot
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = [
@@ -40,13 +41,14 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     v - clip(v, -t, t), which is exactly v - t, v + t or v - v = +0.0.  At
     t == 0 numpy may clip -0.0 to +0.0 and leave -0.0 - +0.0 = -0.0, so that
     case is v + 0.0 instead.  NaN passes the clip; its entries are zeroed
-    once a dot product of the result shows some entry is not finite.
+    once a dot product of the result shows some entry is not finite.  That
+    dot is BLAS ddot, which overflows to inf without numpy's warning.
     """
     if t < 0:
         raise ValueError("soft_threshold: threshold must be nonnegative")
     v = np.asarray(v, dtype=float)
     out = v + 0.0 if t == 0 else v - np.minimum(np.maximum(v, -t), t)
-    if not math.isfinite(float(out.dot(out))):
+    if out.size and not math.isfinite(ddot(out, out)):
         out = np.where(np.isnan(out), 0.0, out)
     return out
 
@@ -77,7 +79,7 @@ def nonneg_project(v: np.ndarray) -> np.ndarray:
 
 def quadratic_ls_prox(
     A, y: np.ndarray, lam: float, scale_m: float, beta: float
-) -> Callable[[np.ndarray, float], np.ndarray]:
+) -> Callable[[np.ndarray], np.ndarray]:
     """prox_{beta f} for f(x) = ||A x - y||^2 / (2*scale_m) + lam*||x||^2.
 
     The prox at z solves (A.T A + s*I) x = A.T y + (scale_m/beta) z with
@@ -85,9 +87,8 @@ def quadratic_ls_prox(
     grad f(x) + (x - z)/beta = 0 multiplied by scale_m.  That matrix does not
     depend on z, so this factory forms the dense n x n Gram matrix A.T A once
     (for a CSR A too), takes its Cholesky factor with LAPACK dpotrf and hoists
-    A.T y.  Each call of the returned ``prox(z, t)`` builds one right-hand side
-    and runs one dpotrs pair of triangular solves; ``t`` must be ``beta``, the
-    step the factor was built for, and ``z`` is not modified.
+    A.T y.  Each call of the returned ``prox(z)`` builds one right-hand side
+    and runs one dpotrs pair of triangular solves; ``z`` is not modified.
 
     Raises LinAlgError if the shifted Gram matrix is not positive definite.
     """
@@ -108,9 +109,7 @@ def quadratic_ls_prox(
     aty = A.T.dot(np.asarray(y, dtype=float))
     z_weight = scale_m / beta
 
-    def prox(z: np.ndarray, t: float) -> np.ndarray:
-        if t != beta:
-            raise ValueError("quadratic_ls_prox: factored for step %r, called with %r" % (beta, t))
+    def prox(z: np.ndarray) -> np.ndarray:
         x, _ = dpotrs(factor, aty + z_weight * np.asarray(z, dtype=float), lower=True, overwrite_b=True)
         if not np.isfinite(x).all():
             raise FloatingPointError("quadratic_ls_prox: non-finite result")

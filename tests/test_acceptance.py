@@ -30,11 +30,8 @@ from aaopt.anderson import (
     safeguarded_step,
 )
 from aaopt.algorithms import (
-    DrsParams,
     admm_step,
     drs_parts,
-    fista_init,
-    fista_step,
     irl1_beta_window,
     irl1_step,
     pcd_sweep,
@@ -239,40 +236,28 @@ def test_criterion_04_gradient_checks():
 # criteria 5 and 6 share one battery of desk-scale lasso runs
 
 
+def _iterations(summary: dict) -> float:
+    return summary["iterations"] if summary["status"] == "converged" else math.inf
+
+
 @pytest.fixture(scope="module")
 def lasso_battery():
     t0 = time.perf_counter()
     aa_runs = []
     ista_iters = []
     fista_iters = []
-    cap = 20000
     for seed in range(10):
         base = {
             "problem.kind": "lasso", "problem.rows": "40", "problem.cols": "200",
             "problem.lambda": "0.01", "algorithm.kind": "ista",
-            "run.seed": seed, "run.tol": "1e-10", "run.max_iter": cap,
+            "run.seed": seed, "run.tol": "1e-10", "run.max_iter": 20000,
             "run.zero_tol": "1e-4",
         }
         aa_cfg = _cfg({**base, "aa.enabled": "true", "aa.memory": "10",
                        "aa.safeguard": "1.0", "aa.restart": "1"})
         aa_runs.append(run_experiment(aa_cfg))
-
-        ctx = build_operator(_cfg(base))
-        x = ctx.x0
-        h = ctx.op.apply(x)
-        k = 0
-        while np.linalg.norm(h - x) > 1e-10 and k < cap:
-            x = h
-            h = ctx.op.apply(x)
-            k += 1
-        ista_iters.append(k if np.linalg.norm(h - x) <= 1e-10 else math.inf)
-
-        st = fista_init(ctx.x0)
-        k = 0
-        while np.linalg.norm(ctx.op.residual(st.x)) > 1e-10 and k < cap:
-            st = fista_step(st, ctx.op.apply)
-            k += 1
-        fista_iters.append(k if np.linalg.norm(ctx.op.residual(st.x)) <= 1e-10 else math.inf)
+        ista_iters.append(_iterations(run_experiment(_cfg({**base, "aa.enabled": "false"}))[1]))
+        fista_iters.append(_iterations(run_experiment(_cfg({**base, "algorithm.kind": "fista"}))[1]))
     return {
         "aa": aa_runs,
         "ista": ista_iters,
@@ -286,7 +271,7 @@ def test_criterion_05_lasso_wins_and_identification(lasso_battery):
     idents = 0
     for seed in range(10):
         _, summary = lasso_battery["aa"][seed]
-        aa_iters = summary["iterations"] if summary["status"] == "converged" else math.inf
+        aa_iters = _iterations(summary)
         if aa_iters < lasso_battery["ista"][seed] and aa_iters < lasso_battery["fista"][seed]:
             wins += 1
         ident = summary["identification_iter"]
@@ -346,7 +331,7 @@ def test_criterion_07_nnls_relations():
     inst = gen_nnls(50, 30, lam=0.001, seed=0)
     beta = 1.0 / (spectral_norm_sq(inst.A) / inst.A.shape[0])
     f_prox = quadratic_ls_prox(inst.A, inst.y, inst.lam, inst.A.shape[0], beta)
-    x, y, _ = drs_parts(f_prox, lambda v, t: nonneg_project(v), DrsParams(beta=beta), z)
+    x, y, _ = drs_parts(f_prox, nonneg_project, 1.0, z)
     fixed_gap = float(np.linalg.norm(x - y))
     pg = float(np.linalg.norm(y - nonneg_project(y - beta * nnls_grad(inst, y))))
     ok = fixed_gap <= 1e-8 and pg <= 1e-8
@@ -385,15 +370,16 @@ def test_criterion_08_admm_drs_correspondence():
         rhs = -q2 - B.T @ v - lam * (B.T @ (A @ u - b))
         return np.linalg.solve(P2 + lam * B.T @ B, rhs)
 
-    def f_prox(z, t):
+    t = 1.0 / lam  # the DRS step
+
+    def f_prox(z):
         u = np.linalg.solve(P1 + (A.T @ A) / t, -q1 + (A.T @ z) / t)
         return A @ u
 
-    def g_prox(z, t):
+    def g_prox(z):
         w = np.linalg.solve(P2 + (B.T @ B) / t, -q2 + (B.T @ (b - z)) / t)
         return b - B @ w
 
-    params = DrsParams(beta=1.0 / lam, delta=1.0)
     u = np.zeros(n)
     v = np.zeros(n)
     w = np.zeros(n)
@@ -401,7 +387,7 @@ def test_criterion_08_admm_drs_correspondence():
     worst = 0.0
     for _ in range(50):
         z_prev = z
-        x_drs, y_drs, z = drs_parts(f_prox, g_prox, params, z)
+        x_drs, y_drs, z = drs_parts(f_prox, g_prox, 1.0, z)
         u, v, w = admm_step(phi1_min, phi2_min, A, B, b, lam, (u, v, w))
         worst = max(
             worst,

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aaopt.algorithms import (
-    DrsParams,
     FixedPointOperator,
     FistaState,
     admm_step,
@@ -25,18 +24,18 @@ from aaopt.problems import phi_deriv
 from aaopt.prox import soft_threshold
 
 
-def l1_prox(lam):
-    return lambda v, t: soft_threshold(v, lam * t)
+def l1_prox(lam, beta):
+    """prox_{beta * lam * ||.||_1}."""
+    return lambda v: soft_threshold(v, lam * beta)
 
 
 # ---------------------------------------------------------------------------
 # operator wrapper
 
 
-def test_fixed_point_operator_residual_and_monitor():
+def test_fixed_point_operator_monitor():
     op = FixedPointOperator(dimension=3, apply=lambda x: 0.5 * x)
     x = np.array([2.0, -4.0, 0.0])
-    assert np.array_equal(op.residual(x), -0.5 * x)
     assert op.monitor_vector(x) is x  # defaults to the iterate itself
 
     op2 = FixedPointOperator(dimension=3, apply=lambda x: x, monitor=lambda x: x[:2])
@@ -51,20 +50,20 @@ def test_pga_step_hand_value():
     # f(x) = 0.5||x - a||^2, g = 0.3 ||.||_1, beta = 1: one step from a lands
     # on the exact minimizer soft(a, 0.3).
     a = np.array([1.0, -0.1, 0.5])
-    out = pga_step(lambda x: x - a, l1_prox(0.3), 1.0, a)
+    out = pga_step(lambda x: x - a, l1_prox(0.3, 1.0), 1.0, a)
     assert np.array_equal(out, soft_threshold(a, 0.3))
 
 
 def test_pga_step_fixed_point_at_minimizer():
     a = np.array([1.0])
     star = soft_threshold(a, 0.3)  # argmin 0.5(x-1)^2 + 0.3|x|
-    out = pga_step(lambda x: x - a, l1_prox(0.3), 1.0, star)
+    out = pga_step(lambda x: x - a, l1_prox(0.3, 1.0), 1.0, star)
     assert np.allclose(out, star, atol=1e-15)
 
 
 def test_pga_step_nonfinite_gradient_raises():
     with pytest.raises(FloatingPointError):
-        pga_step(lambda x: x * np.nan, l1_prox(1.0), 1.0, np.ones(3))
+        pga_step(lambda x: x * np.nan, l1_prox(1.0, 1.0), 1.0, np.ones(3))
 
 
 @settings(max_examples=500, deadline=None)
@@ -84,9 +83,20 @@ def test_require_finite_raises_iff_an_entry_is_not_finite(entries):
                 _require_finite(v, "v")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_huge_finite_gradients_pass_silently_and_non_finite_ones_raise(bad):
+    huge = np.array([1e200, -1e200, 3.0])  # finite, but huge.huge overflows
+    assert _require_finite(huge, "v") is huge
+    out = pga_step(lambda x: huge, l1_prox(0.5, 1.0), 1.0, np.zeros(3))
+    assert np.array_equal(out, [-1e200, 1e200, -2.5])
+    with pytest.raises(FloatingPointError, match="gradient is non-finite"):
+        pga_step(lambda x: np.array([1e200, bad, 3.0]), l1_prox(0.5, 1.0), 1.0, np.zeros(3))
+
+
 def test_pga_step_rejects_bad_beta():
     with pytest.raises(ValueError):
-        pga_step(lambda x: x, l1_prox(1.0), -1.0, np.ones(2))
+        pga_step(lambda x: x, l1_prox(1.0, 1.0), -1.0, np.ones(2))
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +115,7 @@ def test_fista_first_step_matches_plain_gradient_step():
     a = np.array([2.0, -1.0, 0.3])
     grad = lambda x: x - a
     x0 = np.array([5.0, 5.0, 5.0])
-    apply = lambda x: pga_step(grad, l1_prox(0.2), 0.4, x)
+    apply = lambda x: pga_step(grad, l1_prox(0.2, 0.4), 0.4, x)
     st = fista_step(fista_init(x0), apply)
     assert np.array_equal(st.x, apply(x0))
     # t0 = 1 means zero momentum on the first step
@@ -114,7 +124,7 @@ def test_fista_first_step_matches_plain_gradient_step():
 
 def test_fista_t_sequence_recurrence():
     st = fista_init(np.zeros(1))
-    apply = lambda x: pga_step(lambda v: v, l1_prox(0.0), 0.1, x)
+    apply = lambda x: pga_step(lambda v: v, l1_prox(0.0, 0.1), 0.1, x)
     ts = [st.t]
     for _ in range(10):
         st = fista_step(st, apply)
@@ -129,7 +139,7 @@ def test_fista_t_sequence_recurrence():
 def test_fista_converges_to_shrunk_minimizer():
     a = np.array([2.0, -0.15, 0.9, 0.0])
     star = soft_threshold(a, 0.3)
-    apply = lambda x: pga_step(lambda v: v - a, l1_prox(0.3), 0.4, x)
+    apply = lambda x: pga_step(lambda v: v - a, l1_prox(0.3, 0.4), 0.4, x)
     st = fista_init(np.array([10.0, -10.0, 10.0, -10.0]))
     for _ in range(150):
         st = fista_step(st, apply)
@@ -220,25 +230,23 @@ def test_pcd_sweep_on_csr_matches_the_dense_sweep(problem):
 # Douglas--Rachford
 
 
-def test_drs_params_validation():
-    with pytest.raises(ValueError):
-        DrsParams(beta=0.0)
-    with pytest.raises(ValueError):
-        DrsParams(beta=1.0, delta=2.0)
-    with pytest.raises(ValueError):
-        DrsParams(beta=1.0, delta=0.0)
+def test_drs_parts_rejects_delta_outside_0_2():
+    identity = lambda v: v
+    for delta in (0.0, 2.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            drs_parts(identity, identity, delta, np.ones(2))
 
 
 @pytest.mark.parametrize("delta", [1.0, 1.5])
 def test_drs_converges_to_shrunk_minimizer(delta):
     # min 0.5||x - a||^2 + 0.4||x||_1 has minimizer soft(a, 0.4)
     a = np.array([2.0, -0.2, 1.0, 0.05])
-    f_prox = lambda v, t: (v + t * a) / (1.0 + t)
-    g_prox = l1_prox(0.4)
-    params = DrsParams(beta=0.7, delta=delta)
+    beta = 0.7
+    f_prox = lambda v: (v + beta * a) / (1.0 + beta)
+    g_prox = l1_prox(0.4, beta)
     z = np.zeros(4)
     for _ in range(300):
-        x, y, z = drs_parts(f_prox, g_prox, params, z)
+        x, y, z = drs_parts(f_prox, g_prox, delta, z)
     star = soft_threshold(a, 0.4)
     assert np.linalg.norm(x - star) <= 1e-10
     assert np.linalg.norm(y - star) <= 1e-10
@@ -288,21 +296,22 @@ def test_admm_tracks_drs_on_image_functions():
 
     phi1_min, phi2_min = _coupled_quadratic_minimizers(P1, q1, P2, q2, A, B, b, lam)
 
-    def f_prox(z, t):
+    t = 1.0 / lam  # the DRS step
+
+    def f_prox(z):
         u = np.linalg.solve(P1 + (A.T @ A) / t, -q1 + (A.T @ z) / t)
         return A @ u
 
-    def g_prox(z, t):
+    def g_prox(z):
         w = np.linalg.solve(P2 + (B.T @ B) / t, -q2 + (B.T @ (b - z)) / t)
         return b - B @ w
 
-    params = DrsParams(beta=1.0 / lam, delta=1.0)
     u = np.zeros(2)
     v = np.zeros(2)
     w = np.zeros(2)
     z = b - B @ w - v / lam
     for _ in range(25):
-        x_drs, y_drs, z = drs_parts(f_prox, g_prox, params, z)
+        x_drs, y_drs, z = drs_parts(f_prox, g_prox, 1.0, z)
         u, v, w = admm_step(phi1_min, phi2_min, A, B, b, lam, (u, v, w))
         assert np.allclose(A @ u, x_drs, atol=1e-10)
         assert np.allclose(b - B @ w, y_drs, atol=1e-10)

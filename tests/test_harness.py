@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import aaopt.harness
 import aaopt.linalg
 import aaopt.prox
-from aaopt.algorithms import DrsParams, drs_parts, pga_step
+from aaopt.algorithms import drs_parts, pga_step
 from aaopt.harness import (
     TRACE_HEADER,
     ConfigError,
@@ -457,8 +457,7 @@ def nnls_reference_parts():
     m = inst.A.shape[0]
     beta = 1.0 / (aaopt.linalg.spectral_norm_sq(inst.A) / m)  # one over L = ||A||^2 / m
     f_prox = quadratic_ls_prox(inst.A, inst.y, inst.lam, m, beta)
-    drs = DrsParams(beta=beta, delta=1.0)
-    return inst, lambda z: drs_parts(f_prox, lambda v, t: nonneg_project(v), drs, z)
+    return inst, lambda z: drs_parts(f_prox, nonneg_project, 1.0, z)
 
 
 @pytest.mark.parametrize("aa", ["false", "true"])
@@ -530,7 +529,7 @@ def lasso_reference():
     """The LASSO_MEMO instance and its map, built without the harness's memo."""
     inst = gen_lasso(40, 200, lam=0.01, seed=0)
     beta = 1.0 / aaopt.linalg.spectral_norm_sq(inst.A)
-    g_prox = lambda v, t: soft_threshold(v, t * inst.lam)
+    g_prox = lambda v: soft_threshold(v, beta * inst.lam)
     return inst, lambda x: pga_step(lambda z: lasso_grad(inst, z), g_prox, beta, x)
 
 

@@ -9,9 +9,11 @@ the bounds and huge coordinates.
 
 from __future__ import annotations
 
+import ctypes
 import gc
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -305,6 +307,33 @@ def test_only_an_svm_build_needs_numpy_core(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.splitlines() == ["lasso built", "nnls built", "svm needs numpy._core"]
+
+
+C_TYPES = {"void": None, "int": ctypes.c_int, "int64_t": ctypes.c_int64, "double": ctypes.c_double}
+
+
+def c_type(declaration: str):
+    """The ctypes type of a C parameter or return type; any pointer passes as c_void_p."""
+    if "*" in declaration:
+        return ctypes.c_void_p
+    return C_TYPES[declaration.replace("const", "").split()[0]]
+
+
+def test_the_declared_signatures_match_the_c_prototypes():
+    # an argtypes list that disagrees with the C prototype corrupts memory silently
+    source = _sweep.SOURCE.read_text(encoding="utf-8")
+    found = {}
+    for ret, name, params in re.findall(r"^(\w+)\s+(aaopt_\w+)\(([^)]*)\)", source, re.M):
+        found[name] = ([c_type(p) for p in params.split(",")], c_type(ret))
+    assert found == _sweep._SIGNATURES
+
+
+def test_the_source_compiles_clean_under_strict_warnings(tmp_path):
+    # FLAGS itself stays without -Werror, so a newer gcc's new warning cannot stop a user's first build
+    out = subprocess.run([_sweep.COMPILER, *_sweep.FLAGS, "-Wall", "-Wextra", "-Werror",
+                          "-o", str(tmp_path / "sweep.so"), str(_sweep.SOURCE)],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_a_missing_ddot_names_the_symbol_and_the_source(tmp_path, monkeypatch):
