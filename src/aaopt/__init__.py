@@ -38,7 +38,13 @@ from .harness import (
     write_trace,
 )
 from .linalg import CgResult, cg_solve_spd, spectral_norm_sq
-from .manifold import IdentificationTracker, identification_iter, pattern_of, support_size
+from .manifold import (
+    IdentificationTracker,
+    identification_iter,
+    pattern_limits,
+    pattern_of,
+    support_size,
+)
 from .problems import (
     LassoInstance,
     LogRegInstance,

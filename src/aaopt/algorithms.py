@@ -152,6 +152,10 @@ def pcd_sweep(Z, q, lower, upper, beta: float) -> Callable[[np.ndarray], np.ndar
         Z = np.asarray(Z, dtype=float)
     m, n = Z.shape
     rows = (_per_row(q, m, "q"), _per_row(lower, m, "lower"), _per_row(upper, m, "upper"))
+    # a NaN bound would drop out of the clip unnoticed
+    for name, row in (("lower", rows[1]), ("upper", rows[2])):
+        if np.isnan(row).any():
+            raise ValueError("pcd_sweep: %s is NaN somewhere" % name)
     bounds = [_address(row) for row in rows] + [float(beta)]
 
     # the iterate and u pass as ctypes arrays, which check their buffers' size

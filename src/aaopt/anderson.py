@@ -336,17 +336,19 @@ def fit_linear_rate(residual_norms: Sequence[float], tail_fraction: float = 0.3)
 
     Fits log ||r_k|| ~ a + k*log(gamma) over the last ``tail_fraction`` of the
     sequence and reports gamma = exp(slope) with the r^2 of the fit.  Exact
-    zeros end the usable range (only points before the first zero are used);
-    fewer than 5 usable tail points yields ``defined=False``.
+    zeros and non-finite norms end the usable range (only points before the
+    first of them are used); fewer than 5 usable tail points yields
+    ``defined=False``.
     """
     r = np.asarray(residual_norms, dtype=float)
     if not (0 < tail_fraction <= 1):
         raise ValueError("fit_linear_rate: tail_fraction must be in (0, 1]")
     if np.any(r < 0):
         raise ValueError("fit_linear_rate: residual norms must be nonnegative")
-    zeros = np.flatnonzero(r == 0.0)
-    if zeros.size:
-        r = r[: zeros[0]]
+    # negated, so NaN ends the range too
+    unusable = np.flatnonzero(~((r > 0.0) & (r < math.inf)))
+    if unusable.size:
+        r = r[: unusable[0]]
     n = r.shape[0]
     n_tail = int(math.ceil(tail_fraction * n))
     if n_tail < 5:

@@ -28,7 +28,7 @@ from .algorithms import (
 )
 from .anderson import AaConfig, fit_linear_rate, init_state, safeguarded_step
 from .linalg import spectral_norm_sq
-from .manifold import IdentificationTracker, pattern_of, support_size
+from .manifold import IdentificationTracker, pattern_limits, pattern_of, support_size
 from .problems import (
     LassoInstance,
     LogRegInstance,
@@ -490,6 +490,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TraceRecord], dict]:
     t_start = time.perf_counter()
     records: list[TraceRecord] = []
     identification = IdentificationTracker(cfg.window)
+    limits = pattern_limits(cfg.zero_tol, ctx.bounds)
     alpha_l1_max = 0.0
     # Each mode yields (iterate, residual norm, alpha_l1, accepted) for
     # k = 0, 1, ...; the loop stops before it asks for an iterate it does not
@@ -502,7 +503,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TraceRecord], dict]:
         iterates = _plain_iterates(op.apply, ctx.x0)
     for k, (x, rnorm, alpha_l1, accepted) in enumerate(iterates):
         alpha_l1_max = max(alpha_l1_max, alpha_l1)
-        pat = pattern_of(op.monitor_vector(x), cfg.zero_tol, ctx.bounds)
+        pat = pattern_of(op.monitor_vector(x), limits)
         identification.push(pat)
         # positional fields: keywords cost a frozen dataclass 0.2 us a record
         records.append(

@@ -2,39 +2,66 @@
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from .prox import BoxBounds
 
-__all__ = ["pattern_of", "IdentificationTracker", "identification_iter", "support_size"]
+__all__ = [
+    "pattern_limits",
+    "pattern_of",
+    "IdentificationTracker",
+    "identification_iter",
+    "support_size",
+]
 
 
-def pattern_of(
-    x: np.ndarray, zero_tol: float = 1e-9, bounds: BoxBounds | None = None
-) -> np.ndarray:
-    """Coordinatewise pattern as an int8 vector.
+def pattern_limits(zero_tol: float = 1e-9, bounds: BoxBounds | None = None) -> tuple:
+    """The limits ``(lower, upper)`` that ``pattern_of`` compares against, built once.
 
-    Without bounds: -1 / 0 / +1 for negative / (within zero_tol of) zero /
-    positive, and 0 for NaN.  With bounds: -1 at the lower bound, +1 at the
-    upper bound (within zero_tol; lower checked first), 0 in the interior.
-    Bounds must broadcast to the shape of x.
+    Without bounds: -1 / 0 / +1 for x < -zero_tol / |x| <= zero_tol /
+    x > zero_tol, so the limits are the neighbours of -zero_tol and zero_tol
+    away from zero (x > t exactly when x >= nextafter(t, inf)).  With bounds:
+    -1 for x <= lower + zero_tol, else +1 for x >= upper - zero_tol, else 0;
+    an infinite bound is never active, so its limit is NaN, which no
+    comparison meets.  Where the upper limit would not lie above the lower
+    one, it moves to just above it (NaN above +inf), so the lower bound wins
+    a degenerate box without a masked write.  Scalar limits are floats,
+    per-coordinate ones arrays.
     """
-    if zero_tol < 0:
-        raise ValueError("pattern_of: zero_tol must be nonnegative")
-    x = np.asarray(x, dtype=float)
+    # a negated comparison, so NaN fails the check
+    if not zero_tol >= 0:
+        raise ValueError("pattern_limits: zero_tol must be nonnegative")
     if bounds is None:
-        # comparisons, so NaN reads as 0 rather than a cast of sign(NaN)
-        return np.subtract(x > zero_tol, x < -zero_tol, dtype=np.int8)
+        if zero_tol == math.inf:  # nothing lies beyond an infinite tolerance
+            return math.nan, math.nan
+        return math.nextafter(-zero_tol, -math.inf), math.nextafter(zero_tol, math.inf)
     lo = np.asarray(bounds.lower, dtype=float)
     hi = np.asarray(bounds.upper, dtype=float)
-    at_upper = (x >= hi - zero_tol) & np.isfinite(hi)
-    at_lower = (x <= lo + zero_tol) & np.isfinite(lo)
-    if at_upper.shape != x.shape or at_lower.shape != x.shape:
+    # lo + tol may overflow to inf, a limit every x but NaN meets; an infinite
+    # bound with an infinite tol makes NaN, which the isfinite mask replaces anyway
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower = np.where(np.isfinite(lo), lo + zero_tol, math.nan)
+        upper = np.where(np.isfinite(hi), hi - zero_tol, math.nan)
+        above = np.where(lower < math.inf, np.nextafter(lower, math.inf), math.nan)
+        upper = np.where(upper <= lower, above, upper)
+    return tuple(float(a) if a.ndim == 0 else a for a in (lower, upper))
+
+
+def pattern_of(x: np.ndarray, limits: tuple) -> np.ndarray:
+    """Coordinatewise activity pattern of x as an int8 vector.
+
+    ``limits`` is ``pattern_limits(zero_tol, bounds)``: -1 where
+    x <= lower, +1 where x >= upper, 0 elsewhere and at NaN.  The limits
+    must broadcast to the shape of x.
+    """
+    lower, upper = limits
+    x = np.asarray(x, dtype=float)
+    out = np.subtract(x >= upper, x <= lower, dtype=np.int8)
+    if out.shape != x.shape:
         raise ValueError("pattern_of: bounds do not broadcast to the shape %s of x" % (x.shape,))
-    out = np.asarray(at_upper, dtype=np.int8)
-    out[at_lower] = -1  # lower wins when a degenerate box pins both
     return out
 
 

@@ -29,6 +29,10 @@ class BoxBounds:
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
         hi = np.asarray(self.upper, dtype=float)
+        # NaN > x is False, so the order check alone would let a NaN bound through
+        for name, bound in (("lower", lo), ("upper", hi)):
+            if np.isnan(bound).any():
+                raise ValueError("BoxBounds: %s is NaN somewhere" % name)
         if np.any(lo > hi):
             raise ValueError("BoxBounds: lower exceeds upper somewhere")
 

@@ -38,7 +38,7 @@ from aaopt.algorithms import (
 )
 from aaopt.harness import build_operator, config_from_mapping, run_experiment
 from aaopt.linalg import spectral_norm_sq
-from aaopt.manifold import identification_iter, pattern_of
+from aaopt.manifold import identification_iter, pattern_limits, pattern_of
 from aaopt.problems import (
     gen_lasso,
     gen_logreg,
@@ -448,12 +448,13 @@ def test_criterion_10_irl1_contract():
     theta = np.array([-2.0, 1.0])  # (x, eps)
     ref = 1.0
     schedule_exact = True
-    patterns_1d = [pattern_of(theta[:1], 1e-9)]
+    limits = pattern_limits(1e-9)
+    patterns_1d = [pattern_of(theta[:1], limits)]
     for _ in range(60):
         theta = irl1_step(grad, 0.75, 0.3, 0.5, 0.9, theta)
         ref = ref * 0.9
         schedule_exact &= theta[1] == ref
-        patterns_1d.append(pattern_of(theta[:1], 1e-9))
+        patterns_1d.append(pattern_of(theta[:1], limits))
     ident_1d = identification_iter(patterns_1d, window=10)
     sign_changed = patterns_1d[0][0] != patterns_1d[-1][0]
 

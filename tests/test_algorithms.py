@@ -185,6 +185,17 @@ def test_pcd_sweep_rejects_bad_beta():
         pcd_sweep(np.eye(2), 0.0, -np.inf, np.inf, 0.0)
 
 
+@pytest.mark.parametrize("lower,upper,name", [
+    (np.nan, 1.0, "lower"),
+    (-1.0, np.nan, "upper"),
+    (np.array([-1.0, np.nan]), 1.0, "lower"),
+])
+def test_pcd_sweep_rejects_nan_bounds(lower, upper, name):
+    # the clip would drop a NaN bound and return a point outside the box
+    with pytest.raises(ValueError, match=name):
+        pcd_sweep(np.eye(2), -1.0, lower, upper, 0.5)
+
+
 def test_pcd_sweep_checks_per_coordinate_lengths():
     with pytest.raises(ValueError, match="upper"):
         pcd_sweep(np.eye(3), 0.0, 0.0, np.ones(2), 1.0)

@@ -258,6 +258,17 @@ def test_fit_linear_rate_truncates_at_zero():
     assert fit.gamma == pytest.approx(0.5, abs=1e-9)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fit_linear_rate_truncates_at_a_non_finite_norm(bad):
+    r = [0.5**k for k in range(20)] + [bad, 0.3, 0.2]
+    fit = fit_linear_rate(r, tail_fraction=1.0)
+    assert fit.defined
+    assert fit.gamma == pytest.approx(0.5, abs=1e-9)
+    short = fit_linear_rate([1.0, 0.5, bad] + [0.25] * 10, tail_fraction=1.0)
+    assert not short.defined and math.isnan(short.gamma)
+
+
 def test_fit_linear_rate_undefined_when_too_short():
     fit = fit_linear_rate([1.0, 0.5, 0.25], tail_fraction=1.0)
     assert not fit.defined

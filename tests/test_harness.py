@@ -408,6 +408,31 @@ def test_max_iter_one_yields_two_records():
     assert summary["iterations"] == 1
 
 
+@pytest.mark.parametrize("keys", [
+    {"problem.kind": "lasso", "algorithm.kind": "ista"},
+    {"problem.kind": "svm", "algorithm.kind": "pcd", "aa.enabled": "true"},
+])
+def test_run_builds_the_pattern_limits_once(monkeypatch, keys):
+    # the limits depend only on run.zero_tol and the box, so building them
+    # per recorded iterate is waste that this pins out
+    calls = {"pattern_limits": 0, "pattern_of": 0}
+
+    def spy(name):
+        original = getattr(aaopt.harness, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(aaopt.harness, name, counted)
+
+    spy("pattern_limits")
+    spy("pattern_of")
+    records, summary = run_experiment(config_from_mapping({**keys, "run.max_iter": "100", "run.tol": "1e-300"}))
+    assert summary["iterations"] == 100 and len(records) == 101
+    assert calls == {"pattern_limits": 1, "pattern_of": 101}
+
+
 def test_divergent_run_is_flagged():
     cfg = lasso_cfg(**{"algorithm.beta": "1000", "run.max_iter": "200"})
     _, summary = run_experiment(cfg)

@@ -5,52 +5,61 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aaopt.manifold import IdentificationTracker, identification_iter, pattern_of, support_size
+from aaopt.manifold import (
+    IdentificationTracker,
+    identification_iter,
+    pattern_limits,
+    pattern_of,
+    support_size,
+)
 from aaopt.prox import BoxBounds
 from oracles import identification_brute_force, pattern_of_reference
 
 
 def test_pattern_signs_and_zero_band():
     x = np.array([0.5, -2.0, 1e-12, 0.0, -1e-10])
-    out = pattern_of(x)
+    out = pattern_of(x, pattern_limits())
     assert out.dtype == np.int8
     assert np.array_equal(out, np.array([1, -1, 0, 0, 0], dtype=np.int8))
 
 
 def test_pattern_zero_tolerance_is_inclusive():
-    out = pattern_of(np.array([1e-9, -1e-9, 1.1e-9]), zero_tol=1e-9)
+    out = pattern_of(np.array([1e-9, -1e-9, 1.1e-9]), pattern_limits(1e-9))
     assert np.array_equal(out, np.array([0, 0, 1], dtype=np.int8))
 
 
 def test_pattern_rejects_negative_tolerance():
-    with pytest.raises(ValueError):
-        pattern_of(np.zeros(2), zero_tol=-1.0)
+    for zero_tol in (-1.0, math.nan):  # NaN fails the check too
+        with pytest.raises(ValueError, match="zero_tol"):
+            pattern_limits(zero_tol)
 
 
 def test_pattern_box_bounds():
     bounds = BoxBounds(lower=0.0, upper=10.0)
     x = np.array([0.0, 1e-10, 5.0, 10.0 - 1e-10, 10.0])
-    out = pattern_of(x, zero_tol=1e-9, bounds=bounds)
+    out = pattern_of(x, pattern_limits(1e-9, bounds))
     assert np.array_equal(out, np.array([-1, -1, 0, 1, 1], dtype=np.int8))
 
 
 def test_pattern_infinite_bounds_are_never_active():
     bounds = BoxBounds(lower=-np.inf, upper=np.inf)
-    out = pattern_of(np.array([-1e30, 0.0, 1e30]), bounds=bounds)
+    out = pattern_of(np.array([-1e30, 0.0, 1e30]), pattern_limits(bounds=bounds))
     assert np.array_equal(out, np.zeros(3, dtype=np.int8))
 
 
 def test_pattern_degenerate_box_prefers_lower():
     bounds = BoxBounds(lower=2.0, upper=2.0)
-    out = pattern_of(np.array([2.0]), bounds=bounds)
+    out = pattern_of(np.array([2.0]), pattern_limits(bounds=bounds))
     assert np.array_equal(out, np.array([-1], dtype=np.int8))
 
 
 # Values and bounds meet exactly often enough to exercise the tolerance band
 # edges; floats() without NaN includes +-inf.
-EDGES = [0.0, -0.0, 1.0, 1e-9, -1e-9, 1.0 + 1e-9, math.inf, -math.inf]
+# Huge bounds with a huge tolerance overflow lo + tol to inf, and 5e-324 is
+# the smallest subnormal, one step from zero.
+EDGES = [0.0, -0.0, 1.0, 1e-9, -1e-9, 1.0 + 1e-9, math.inf, -math.inf, 1.7e308, -1.7e308, 5e-324]
 VALUE = st.one_of(st.floats(allow_nan=False), st.sampled_from(EDGES))
-TOLERANCE = st.sampled_from([0.0, 1e-9, 0.5, math.inf])
+TOLERANCE = st.sampled_from([0.0, 5e-324, 1e-9, 0.5, 1e308, math.inf])
 
 
 @st.composite
@@ -76,9 +85,10 @@ def boxes(draw, n: int):
 def test_pattern_matches_reference(data, n, zero_tol):
     x = np.array(data.draw(st.lists(VALUE, min_size=n, max_size=n)), dtype=float)
     bounds = data.draw(boxes(n))
-    # an infinite bound less an infinite tolerance is NaN; isfinite masks it out
-    with np.errstate(invalid="ignore"):
-        got = pattern_of(x, zero_tol, bounds)
+    got = pattern_of(x, pattern_limits(zero_tol, bounds))
+    # the reference's infinite bound less an infinite tolerance is NaN, and
+    # a huge bound plus a huge tolerance overflows; isfinite masks both out
+    with np.errstate(invalid="ignore", over="ignore"):
         want = pattern_of_reference(x, zero_tol, bounds)
     assert got.dtype == np.int8 and got.shape == x.shape
     assert np.array_equal(got, want)
@@ -87,13 +97,13 @@ def test_pattern_matches_reference(data, n, zero_tol):
 @pytest.mark.filterwarnings("error")
 def test_pattern_reads_nan_as_zero_without_warning():
     x = np.array([np.nan, 2.0, -2.0, np.nan])
-    assert pattern_of(x).tolist() == [0, 1, -1, 0]
-    assert pattern_of(x, bounds=BoxBounds(-2.0, 2.0)).tolist() == [0, 1, -1, 0]
+    assert pattern_of(x, pattern_limits()).tolist() == [0, 1, -1, 0]
+    assert pattern_of(x, pattern_limits(bounds=BoxBounds(-2.0, 2.0))).tolist() == [0, 1, -1, 0]
 
 
 def test_pattern_bounds_must_broadcast_to_the_shape_of_x():
     x = np.array([0.0, 0.5, 1.0])
-    one = pattern_of(x, bounds=BoxBounds(np.zeros(1), np.ones(1)))
+    one = pattern_of(x, pattern_limits(bounds=BoxBounds(np.zeros(1), np.ones(1))))
     assert one.shape == x.shape and one.tolist() == [-1, 0, 1]
     for bounds in (
         BoxBounds(np.zeros(4), np.ones(4)),
@@ -101,9 +111,10 @@ def test_pattern_bounds_must_broadcast_to_the_shape_of_x():
         BoxBounds(0.0, np.ones((2, 3))),
         BoxBounds(np.zeros((2, 3)), 1.0),
     ):
-        for fn in (pattern_of, pattern_of_reference):
-            with pytest.raises(ValueError):
-                fn(x, bounds=bounds)
+        with pytest.raises(ValueError):
+            pattern_of(x, pattern_limits(bounds=bounds))
+        with pytest.raises(ValueError):
+            pattern_of_reference(x, bounds=bounds)
 
 
 def test_identification_iter_hand_example():

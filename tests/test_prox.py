@@ -114,6 +114,17 @@ def test_bad_bounds_raise():
         BoxBounds(np.array([1.0]), np.array([0.0]))
 
 
+@pytest.mark.parametrize("lower,upper,name", [
+    (np.nan, 1.0, "lower"),
+    (0.0, np.nan, "upper"),
+    (np.array([0.0, np.nan]), 1.0, "lower"),
+    (0.0, np.array([1.0, np.nan]), "upper"),
+])
+def test_nan_bounds_raise_and_name_the_bound(lower, upper, name):
+    with pytest.raises(ValueError, match=name):
+        BoxBounds(lower, upper)
+
+
 def test_nonneg_project():
     out = nonneg_project(np.array([-2.0, 0.0, 3.0]))
     assert np.array_equal(out, np.array([0.0, 0.0, 3.0]))
