@@ -1,4 +1,4 @@
-"""Build, cache and load the compiled coordinate sweep in ``_sweep.c``.
+"""Build, cache and load the compiled kernels in ``_kernels.c``.
 
 The library is compiled by gcc on first use and cached under a name keyed
 by a hash of the source and the compiler flags, so an edited source or
@@ -8,10 +8,13 @@ that can be written: the package's ``__pycache__``, else ``~/.cache/aaopt``
 written under a temporary name and moved into place with ``os.replace``, so
 concurrent processes never load a partial file.
 
-The row dots call the cblas ``ddot`` that ``ndarray.dot`` reaches, taken
-from numpy's own BLAS, so the compiled sweep sums exactly as numpy does.
-That BLAS is the scipy-openblas64 of numpy's PyPI wheels (numpy >= 2.0); a
-numpy built on another BLAS exports no ``DDOT_SYMBOL`` and cannot run it.
+The coordinate sweep's row dots call the cblas ``ddot`` that ``ndarray.dot``
+reaches, and the Anderson weight solve calls the LAPACK ``dgelsd`` that
+numpy's SVD least-squares solver reaches, both taken from numpy's own BLAS,
+so the kernels compute exactly what numpy computes.  That BLAS is the
+scipy-openblas64 of numpy's PyPI wheels (numpy >= 2.0); a numpy built on
+another BLAS exports no ``DDOT_SYMBOL`` or ``DGELSD_SYMBOL`` and cannot run
+them.
 """
 
 from __future__ import annotations
@@ -23,21 +26,23 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-SOURCE = Path(__file__).with_name("_sweep.c")
+SOURCE = Path(__file__).with_name("_kernels.c")
 # "~" is expanded when the first directory cannot be written, not at import
 CACHE_DIRS = (Path(__file__).with_name("__pycache__"), Path("~/.cache/aaopt"))
 COMPILER = "gcc"
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 # numpy's BLAS is a 64-bit-int OpenBLAS with a scipy_ symbol prefix
 DDOT_SYMBOL = "scipy_cblas_ddot64_"
+DGELSD_SYMBOL = "scipy_dgelsd_64_"
 
 _i64, _f64, _ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 # both sweeps end with the arrays q, lower, upper, then beta, x, u
 _TAIL = [_ptr, _ptr, _ptr, _f64, _ptr, _ptr]
 _SIGNATURES = {
-    "aaopt_set_ddot": ([_ptr], None),
+    "aaopt_set_blas": ([_ptr, _ptr], None),
     "aaopt_pcd_dense": ([_i64, _i64, _ptr, _i64, _i64] + _TAIL, None),
     "aaopt_pcd_csr": ([_i64, _ptr, _ptr, _ptr, _i64] + _TAIL, ctypes.c_int),
+    "aaopt_aa_weights": ([_i64, _i64, _ptr, _i64, _i64, _f64, _ptr], _i64),
 }
 
 _loaded: ctypes.CDLL | None = None
@@ -51,7 +56,7 @@ def library_path(cache_dir: Path) -> Path:
     """Where the library for the current source and flags is cached."""
     digest = hashlib.sha256(SOURCE.read_bytes())
     digest.update(" ".join((COMPILER,) + FLAGS).encode())
-    return Path(cache_dir) / ("_sweep-%s.so" % digest.hexdigest()[:16])
+    return Path(cache_dir) / ("_kernels-%s.so" % digest.hexdigest()[:16])
 
 
 def compile_library(target: Path) -> None:
@@ -77,19 +82,24 @@ def compile_library(target: Path) -> None:
             os.remove(tmp)
 
 
-def _ddot_address() -> int:
-    from numpy._core import _multiarray_umath  # numpy >= 2.0; only the sweep needs it
+def address(a) -> int:
+    """The address of an array's first element."""
+    return a.__array_interface__["data"][0]
+
+
+def _blas_address(symbol: str, use: str) -> int:
+    from numpy._core import _multiarray_umath  # numpy >= 2.0; only the kernels need it
 
     blas = ctypes.CDLL(_multiarray_umath.__file__)
     try:
-        return ctypes.cast(getattr(blas, DDOT_SYMBOL), ctypes.c_void_p).value
+        return ctypes.cast(getattr(blas, symbol), ctypes.c_void_p).value
     except AttributeError:
-        raise OSError("numpy's BLAS exports no %s, which %s calls for its row dots"
-                      % (DDOT_SYMBOL, SOURCE.name)) from None
+        raise OSError("numpy's BLAS exports no %s, which %s calls for %s"
+                      % (symbol, SOURCE.name, use)) from None
 
 
 def load(cache_dir: Path) -> ctypes.CDLL:
-    """The compiled sweep, built into ``cache_dir`` unless it is cached there."""
+    """The compiled kernels, built into ``cache_dir`` unless they are cached there."""
     path = library_path(cache_dir)
     if not path.exists():
         compile_library(path)
@@ -97,7 +107,8 @@ def load(cache_dir: Path) -> ctypes.CDLL:
     for name, (argtypes, restype) in _SIGNATURES.items():
         fn = getattr(lib, name)
         fn.argtypes, fn.restype = argtypes, restype
-    lib.aaopt_set_ddot(_ddot_address())
+    lib.aaopt_set_blas(_blas_address(DDOT_SYMBOL, "its row dots"),
+                       _blas_address(DGELSD_SYMBOL, "the Anderson weight solve"))
     return lib
 
 

@@ -17,7 +17,8 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.blas import ddot
 
-from . import _sweep
+from . import _kernels
+from ._kernels import address
 from .problems import phi_deriv
 from .prox import weighted_soft_threshold
 
@@ -112,10 +113,6 @@ def _per_row(value, m: int, what: str) -> np.ndarray:
     return np.full(m, value)
 
 
-def _address(a: np.ndarray) -> int:
-    return a.__array_interface__["data"][0]
-
-
 def pcd_sweep(Z, q, lower, upper, beta: float) -> Callable[[np.ndarray], np.ndarray]:
     """One cyclic sweep of proximal coordinate descent, built once for many calls.
 
@@ -128,16 +125,16 @@ def pcd_sweep(Z, q, lower, upper, beta: float) -> Callable[[np.ndarray], np.ndar
     It does not modify ``x``.
 
     numpy forms u = Z.T x once per sweep; the loop over the rows runs in C
-    (``_sweep.c``), with the same IEEE operations in the same order as the
+    (``_kernels.c``), with the same IEEE operations in the same order as the
     Python loop it replaced, row dots through numpy's own BLAS ddot
     included, so the results are bitwise equal to it.  gcc compiles the C
     source on first use into the package's ``__pycache__``, or into
     ``~/.cache/aaopt`` where the package cannot be written, and later runs
-    find it there (see ``aaopt._sweep``).  A CSR Z is checked in full first.
+    find it there (see ``aaopt._kernels``).  A CSR Z is checked in full first.
     """
     if beta <= 0:
         raise ValueError("pcd_sweep: beta must be positive")
-    lib = _sweep.library()
+    lib = _kernels.library()
     sparse = hasattr(Z, "tocsr") and not isinstance(Z, np.ndarray)
     if sparse:
         Z = Z.tocsr()
@@ -152,11 +149,14 @@ def pcd_sweep(Z, q, lower, upper, beta: float) -> Callable[[np.ndarray], np.ndar
         Z = np.asarray(Z, dtype=float)
     m, n = Z.shape
     rows = (_per_row(q, m, "q"), _per_row(lower, m, "lower"), _per_row(upper, m, "upper"))
-    # a NaN bound would drop out of the clip unnoticed
+    # a NaN bound would drop out of the clip unnoticed, and in an empty box
+    # the clip would pick the upper bound
     for name, row in (("lower", rows[1]), ("upper", rows[2])):
         if np.isnan(row).any():
             raise ValueError("pcd_sweep: %s is NaN somewhere" % name)
-    bounds = [_address(row) for row in rows] + [float(beta)]
+    if (rows[1] > rows[2]).any():
+        raise ValueError("pcd_sweep: lower exceeds upper somewhere")
+    bounds = [address(row) for row in rows] + [float(beta)]
 
     # the iterate and u pass as ctypes arrays, which check their buffers' size
     Xm, Un = ctypes.c_double * m, ctypes.c_double * n
@@ -167,8 +167,8 @@ def pcd_sweep(Z, q, lower, upper, beta: float) -> Callable[[np.ndarray], np.ndar
         Zt = Z.T.tocsr()
         data = np.ascontiguousarray(Z.data)
         longest = int(np.diff(indptr).max()) if m else 0
-        call = functools.partial(lib.aaopt_pcd_csr, m, _address(indptr), _address(indices),
-                                 _address(data), longest, *bounds)
+        call = functools.partial(lib.aaopt_pcd_csr, m, address(indptr), address(indices),
+                                 address(data), longest, *bounds)
         buffers = (indptr, indices, data)
     else:
         Zt = Z.T
@@ -178,7 +178,7 @@ def pcd_sweep(Z, q, lower, upper, beta: float) -> Callable[[np.ndarray], np.ndar
         if not (Z.flags.aligned and whole and Z.strides[1] > 0):
             Z = np.ascontiguousarray(Z)
         row_stride, col_stride = (s // Z.itemsize for s in Z.strides)
-        call = functools.partial(lib.aaopt_pcd_dense, m, n, _address(Z), row_stride, col_stride, *bounds)
+        call = functools.partial(lib.aaopt_pcd_dense, m, n, address(Z), row_stride, col_stride, *bounds)
         buffers = (Z,)
 
     def sweep(x: np.ndarray) -> np.ndarray:

@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg.blas import ddot
+
+from . import _kernels
+from ._kernels import address
 
 __all__ = [
     "AaConfig",
@@ -151,23 +154,13 @@ def init_state(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray) -> AaS
     )
 
 
-@lru_cache(maxsize=64)
-def _difference_map(ncol: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (C, e0) with alpha = e0 + C theta summing to one for every theta.
-
-    C is the ncol x (ncol-1) backward-difference map: -1 on the diagonal and
-    +1 just below it.
-    """
-    p = ncol - 1
-    C = np.zeros((ncol, p))
-    diag = np.arange(p)
-    C[diag, diag] = -1.0
-    C[diag + 1, diag] = 1.0
-    e0 = np.zeros(ncol)
-    e0[0] = 1.0
-    C.setflags(write=False)
-    e0.setflags(write=False)
-    return C, e0
+_NONFINITE_R = "compute_alpha: residual matrix contains non-finite entries"
+# aaopt_aa_weights's negative returns
+_WEIGHT_FAILURES = {
+    -1: (ValueError, _NONFINITE_R),
+    -2: (np.linalg.LinAlgError, "SVD did not converge in Linear Least Squares"),
+    -3: (MemoryError, "compute_alpha: no memory for the weight solve"),
+}
 
 
 def compute_alpha(R: np.ndarray, tau: float = 0.0) -> np.ndarray:
@@ -179,41 +172,41 @@ def compute_alpha(R: np.ndarray, tau: float = 0.0) -> np.ndarray:
     problem is solved with an SVD, and the weights are renormalized before
     being returned.  A rank-deficient system with tau = 0 is retried once
     with tau = 1e-10 * ||R||_F^2.
+
+    The solve runs in C (``aaopt_aa_weights`` in ``_kernels.c``), which
+    reads R in place, writes the system exactly as numpy's SVD least-squares
+    solver would and calls the same LAPACK dgelsd of numpy's own BLAS, so
+    the weights are numpy's bit for bit.  The first solve with two or more
+    columns loads the compiled library (see ``aaopt._kernels``).
     """
     R = np.asarray(R, dtype=float)
     if R.ndim != 2 or R.shape[1] < 1:
         raise ValueError("compute_alpha: R must have at least one column")
-    if not np.isfinite(R).all():
-        raise ValueError("compute_alpha: residual matrix contains non-finite entries")
-    if tau < 0:
-        raise ValueError("compute_alpha: tau must be nonnegative")
     n, ncol = R.shape
-    if ncol == 1:
+    # negated, so NaN fails too
+    bad_tau = not 0.0 <= tau < math.inf
+    if ncol == 1 or bad_tau:
+        # no C call here, so R is scanned in Python; as in C, its check comes first
+        if not np.isfinite(R).all():
+            raise ValueError(_NONFINITE_R)
+        if bad_tau:
+            raise ValueError("compute_alpha: tau must be finite and nonnegative")
         return np.ones(1)
 
-    p = ncol - 1
-    # alpha = e0 + C theta with C the backward-difference map; sum(alpha) = 1
-    # holds for every theta, and R alpha = c0 - D theta with D the matrix of
-    # consecutive column differences.
-    C, e0 = _difference_map(ncol)
-    if tau > 0:
-        # the stacked system [D; sqrt(tau) C] theta ~ [c0; -sqrt(tau) e0]
-        root = math.sqrt(tau)
-        lhs = np.empty((n + ncol, p))
-        np.subtract(R[:, :-1], R[:, 1:], out=lhs[:n])
-        np.multiply(root, C, out=lhs[n:])
-        rhs = np.empty(n + ncol)
-        rhs[:n] = R[:, 0]
-        np.multiply(-root, e0, out=rhs[n:])
-        theta = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
-    else:
-        theta, _, rank, _ = np.linalg.lstsq(R[:, :-1] - R[:, 1:], R[:, 0], rcond=None)
-        if rank < p:
-            retry_tau = 1e-10 * float((R * R).sum())
-            if retry_tau > 0:
-                return compute_alpha(R, retry_tau)
+    # an aligned R has whole-element strides in every dimension longer than one
+    held = R if R.flags.aligned else R.copy()
+    alpha = np.empty(ncol)
+    rank = _kernels.library().aaopt_aa_weights(
+        n, ncol, address(held), held.strides[0] // 8, held.strides[1] // 8,
+        math.sqrt(tau) if tau > 0 else 0.0, address(alpha))
+    if rank < 0:
+        error, message = _WEIGHT_FAILURES[rank]
+        raise error(message)
+    if tau == 0 and rank < ncol - 1:
+        retry_tau = 1e-10 * float((R * R).sum())
+        if retry_tau > 0:
+            return compute_alpha(R, retry_tau)
 
-    alpha = e0 + C @ theta
     total = float(alpha.sum())
     if not math.isfinite(total) or total == 0.0:
         raise np.linalg.LinAlgError("compute_alpha: weight solve is singular")
@@ -290,7 +283,10 @@ def safeguarded_step(
     """
     head, ncol = state.head, len(state.r_norms)
     R = state.rbuf[:, head : head + ncol]
-    tau = cfg.tikhonov if cfg.tikhonov is not None else 1e-10 * float((R * R).sum())
+    tau = cfg.tikhonov
+    if tau is None:
+        # one column needs no solve, and huge residuals would make the sum inf
+        tau = 1e-10 * float((R * R).sum()) if ncol > 1 else 0.0
     alpha = compute_alpha(R, tau)
     alpha_l1 = float(np.abs(alpha).sum())
     candidate = aa_candidate(state.hbuf[head : head + ncol], alpha)
@@ -298,7 +294,11 @@ def safeguarded_step(
     best_stored = min(state.r_norms)
     accepted = False
     h_cand = r_cand = None
-    if (cfg.alpha_cap is None or alpha_l1 <= cfg.alpha_cap) and np.isfinite(candidate).all():
+    # a finite c.c rules out NaN and inf; only an overflowing dot of a finite
+    # candidate needs the full scan.  BLAS ddot takes no empty vector.
+    if (cfg.alpha_cap is None or alpha_l1 <= cfg.alpha_cap) and (
+        not candidate.size or math.isfinite(ddot(candidate, candidate)) or np.isfinite(candidate).all()
+    ):
         h_cand = np.asarray(apply(candidate), dtype=float)
         r_cand = h_cand - candidate
         norm_cand = math.sqrt(float(r_cand.dot(r_cand)))

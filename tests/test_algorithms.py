@@ -196,6 +196,23 @@ def test_pcd_sweep_rejects_nan_bounds(lower, upper, name):
         pcd_sweep(np.eye(2), -1.0, lower, upper, 0.5)
 
 
+@pytest.mark.parametrize("lower,upper", [
+    (1.0, 0.0),
+    (0.0, -np.inf),
+    (np.array([-1.0, 2.0]), np.array([1.0, 1.5])),
+    (0.0, np.array([1.0, -1.0])),
+])
+def test_pcd_sweep_rejects_an_empty_box(lower, upper):
+    # the clip would return the upper bound from every point
+    with pytest.raises(ValueError, match="lower exceeds upper"):
+        pcd_sweep(np.eye(2), 0.0, lower, upper, 0.5)
+
+
+def test_pcd_sweep_takes_a_box_of_one_point():
+    sweep = pcd_sweep(np.eye(2), 0.0, np.array([1.0, -2.0]), np.array([1.0, -2.0]), 0.5)
+    assert np.array_equal(sweep(np.array([5.0, 5.0])), [1.0, -2.0])
+
+
 def test_pcd_sweep_checks_per_coordinate_lengths():
     with pytest.raises(ValueError, match="upper"):
         pcd_sweep(np.eye(3), 0.0, 0.0, np.ones(2), 1.0)

@@ -15,7 +15,7 @@ from aaopt.anderson import (
 )
 
 from aaopt.prox import soft_threshold
-from oracles import affine_fixed_point, list_aa_step, list_init_state
+from oracles import affine_fixed_point, list_aa_step, list_compute_alpha, list_init_state
 
 
 def run_aa(apply, x0, cfg, iters):
@@ -67,6 +67,92 @@ def test_compute_alpha_reduces_residual_norm():
 def test_compute_alpha_rejects_nonfinite():
     with pytest.raises(ValueError):
         compute_alpha(np.array([[np.nan, 1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("R", [np.array([[np.inf], [1.0]]), np.array([[1.0, 2.0], [np.nan, 0.0]])])
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.nan])
+def test_a_non_finite_residual_matrix_is_named_first(R, tau):
+    # one column included: its weight needs no solve, but R is still checked
+    with pytest.raises(ValueError, match="residual matrix contains non-finite entries"):
+        compute_alpha(R, tau)
+
+
+@pytest.mark.parametrize("ncol", [1, 3])
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, -1.0])
+def test_compute_alpha_rejects_a_bad_tau_without_calling_lapack(tau, ncol, capfd):
+    # NaN used to fall through to the unregularised solve, and inf made
+    # LAPACK print a complaint about an illegal argument before failing
+    R = np.arange(1.0, 1.0 + 4 * ncol).reshape(4, ncol) ** 2
+    with pytest.raises(ValueError, match="compute_alpha: tau must be finite and nonnegative"):
+        compute_alpha(R, tau)
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")  # the norms are inf
+def test_a_one_column_step_takes_residuals_whose_squares_overflow():
+    # the automatic tau of such a history is inf, but one column needs no solve
+    apply = lambda x: x + np.array([1e160, -3e160]) * (1.5 + np.sin(x / 1e160))
+    state = init_state(apply, np.zeros(2))
+    cfg = AaConfig(memory=3, restart_after_rejects=1)
+    for _ in range(4):
+        assert len(state.r_norms) == 1
+        safeguarded_step(apply, state, cfg)
+
+
+def laid_out_residuals(R: np.ndarray, layout: str) -> np.ndarray:
+    """R in the given memory layout, each with the values of R."""
+    n, ncol = R.shape
+    if layout == "F":
+        return np.asfortranarray(R)
+    if layout == "window":  # the engine's view: columns of a wider C-ordered buffer
+        buf = np.full((n, ncol + 5), np.nan)
+        buf[:, 2 : 2 + ncol] = R
+        return buf[:, 2 : 2 + ncol]
+    if layout == "reversed":
+        return np.ascontiguousarray(R[::-1, ::-1])[::-1, ::-1]
+    if layout == "unaligned":
+        return np.frombuffer(b"\0" + R.tobytes(), dtype=float, offset=1).reshape(n, ncol)
+    return np.ascontiguousarray(R)
+
+
+@st.composite
+def weight_systems(draw):
+    n = draw(st.one_of(st.integers(1, 12), st.integers(1, 300)))
+    ncol = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "collinear", "small integers"]))
+    if kind == "small integers":  # exact zeros of both signs, exact ties
+        R = rng.choice([0.0, -0.0, 1.0, -1.0, 2.0], size=(n, ncol))
+    else:
+        spread = draw(st.sampled_from([0.0, 1e-15, 1e-8])) if kind == "collinear" else 1.0
+        R = rng.standard_normal(n)[:, None] + spread * rng.standard_normal((n, ncol))
+    max_exp = draw(st.integers(0, 150))
+    R = R * 10.0 ** rng.integers(-max_exp, max_exp, size=ncol, endpoint=True)
+    tau = draw(st.one_of(st.just(0.0), st.just("auto"), st.floats(1e-300, 1e3)))
+    if tau == "auto":
+        tau = 1e-10 * float((R * R).sum())
+    return laid_out_residuals(R, draw(st.sampled_from(["C", "F", "window", "reversed", "unaligned"]))), tau
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=weight_systems())
+@example(case=(np.array([[1.0, 2.0, 4.0]]), 0.0))  # underdetermined: one row, two unknowns
+@example(case=(np.array([[1.0, 1.0], [2.0, 2.0]]), 0.0))  # rank deficient: retried with tau > 0
+@example(case=(np.zeros((3, 3)), 0.0))  # rank 0 and no retry
+@example(case=(np.array([[-0.0, -1.0], [1.0, 1.0]]), 0.0))
+def test_compute_alpha_is_bitwise_the_lstsq_reference(case):
+    R, tau = case
+    before = R.tobytes()
+    try:
+        want = list_compute_alpha(R, tau)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        with pytest.raises(type(exc)):
+            compute_alpha(R, tau)
+    else:
+        got = compute_alpha(R, tau)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert R.tobytes() == before
 
 
 def test_aa_candidate_scalar_example():

@@ -1,7 +1,9 @@
-"""The compiled coordinate sweep: bitwise equal to the Python loop, and its loader.
+"""The compiled coordinate sweep: bitwise equal to the Python loop, and the loader
+of the compiled kernels.
 
-``pcd_sweep`` runs its row loop in C (``aaopt/_sweep.c``), compiled on first
-use and cached.  ``oracles.pcd_sweep_reference`` is the Python loop it
+``pcd_sweep`` runs its row loop in C (``aaopt/_kernels.c``), compiled on first
+use and cached; the Anderson weight solve in the same library is checked in
+``test_anderson.py``.  ``oracles.pcd_sweep_reference`` is the Python loop it
 replaced; the two must agree byte for byte on every layout of Z numpy and
 scipy can hand over, on every kind of bound, and on signed zeros, values at
 the bounds and huge coordinates.
@@ -25,7 +27,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aaopt import _sweep
+from aaopt import _kernels
 from aaopt.algorithms import pcd_sweep
 from oracles import pcd_sweep_reference
 
@@ -71,6 +73,8 @@ def sweeps(draw):
     q = per_row(draw, m, VALUE)
     bound = st.one_of(st.just(-math.inf), st.just(math.inf), VALUE)
     lower, upper = per_row(draw, m, bound), per_row(draw, m, bound)
+    if np.any(np.greater(lower, upper)):  # an empty box is rejected; order it
+        lower, upper = np.minimum(lower, upper), np.maximum(lower, upper)
     # coordinates at the bounds, at signed zeros, or anywhere up to 1e150
     ends = np.concatenate([np.atleast_1d(lower), np.atleast_1d(upper)])
     special = st.sampled_from([float(v) for v in ends if math.isfinite(v)] + [0.0, -0.0])
@@ -157,42 +161,42 @@ def cache_files(directory) -> list[str]:
 
 @pytest.fixture
 def compiles(monkeypatch):
-    """Counts the compiles that ``_sweep.load`` asks for."""
+    """Counts the compiles that ``_kernels.load`` asks for."""
     calls = []
-    real = _sweep.compile_library
+    real = _kernels.compile_library
 
     def counting(target):
         calls.append(target)
         real(target)
 
-    monkeypatch.setattr(_sweep, "compile_library", counting)
+    monkeypatch.setattr(_kernels, "compile_library", counting)
     return calls
 
 
 def test_a_cold_cache_compiles_once_and_a_warm_one_never(tmp_path, compiles, monkeypatch):
-    lib = _sweep.load(tmp_path)
+    lib = _kernels.load(tmp_path)
     assert len(compiles) == 1
-    assert cache_files(tmp_path) == [_sweep.library_path(tmp_path).name]  # no temporary left
+    assert cache_files(tmp_path) == [_kernels.library_path(tmp_path).name]  # no temporary left
     assert callable(lib.aaopt_pcd_dense) and callable(lib.aaopt_pcd_csr)
 
     def no_compiler(target):
         raise AssertionError("compiled although %s is cached" % target)
 
-    monkeypatch.setattr(_sweep, "compile_library", no_compiler)
-    _sweep.load(tmp_path)
-    assert cache_files(tmp_path) == [_sweep.library_path(tmp_path).name]
+    monkeypatch.setattr(_kernels, "compile_library", no_compiler)
+    _kernels.load(tmp_path)
+    assert cache_files(tmp_path) == [_kernels.library_path(tmp_path).name]
 
 
 def test_a_changed_source_builds_a_new_file(tmp_path, compiles, monkeypatch):
-    first = _sweep.library_path(tmp_path)
-    _sweep.load(tmp_path)
-    edited = tmp_path / "src" / "_sweep.c"
+    first = _kernels.library_path(tmp_path)
+    _kernels.load(tmp_path)
+    edited = tmp_path / "src" / "_kernels.c"
     edited.parent.mkdir()
-    edited.write_text(_sweep.SOURCE.read_text(encoding="utf-8") + "/* edited */\n", encoding="utf-8")
-    monkeypatch.setattr(_sweep, "SOURCE", edited)
-    second = _sweep.library_path(tmp_path)
+    edited.write_text(_kernels.SOURCE.read_text(encoding="utf-8") + "/* edited */\n", encoding="utf-8")
+    monkeypatch.setattr(_kernels, "SOURCE", edited)
+    second = _kernels.library_path(tmp_path)
     assert second != first
-    _sweep.load(tmp_path)
+    _kernels.load(tmp_path)
     assert compiles == [first, second]
     assert first.exists() and second.exists()
 
@@ -202,7 +206,7 @@ def test_concurrent_builds_leave_one_complete_library(tmp_path):
 
     def build():
         try:
-            _sweep.load(tmp_path)
+            _kernels.load(tmp_path)
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -213,22 +217,22 @@ def test_concurrent_builds_leave_one_complete_library(tmp_path):
         t.join(timeout=120)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert cache_files(tmp_path) == [_sweep.library_path(tmp_path).name]
+    assert cache_files(tmp_path) == [_kernels.library_path(tmp_path).name]
 
 
 def test_a_missing_compiler_names_gcc_and_the_source(tmp_path, monkeypatch):
     monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
-    with pytest.raises(OSError, match=r"gcc not found.*_sweep\.c"):
-        _sweep.load(tmp_path / "cache")
+    with pytest.raises(OSError, match=r"gcc not found.*_kernels\.c"):
+        _kernels.load(tmp_path / "cache")
     assert cache_files(tmp_path / "cache") == []
 
 
 def test_a_failed_compile_names_gcc_and_the_source(tmp_path, monkeypatch):
-    broken = tmp_path / "_sweep.c"
+    broken = tmp_path / "_kernels.c"
     broken.write_text("#error not C\n", encoding="utf-8")
-    monkeypatch.setattr(_sweep, "SOURCE", broken)
-    with pytest.raises(OSError, match=r"gcc failed to compile .*_sweep\.c"):
-        _sweep.load(tmp_path / "cache")
+    monkeypatch.setattr(_kernels, "SOURCE", broken)
+    with pytest.raises(OSError, match=r"gcc failed to compile .*_kernels\.c"):
+        _kernels.load(tmp_path / "cache")
     assert cache_files(tmp_path / "cache") == []
 
 
@@ -239,15 +243,15 @@ def read_only(monkeypatch):
     The refusal is patched in: mode bits do not stop root, who may run the suite.
     """
     refused = []
-    real = _sweep.tempfile.mkstemp
+    real = _kernels.tempfile.mkstemp
 
     def mkstemp(*args, dir=None, **kwargs):
         if dir is not None and Path(dir) in refused:
             raise PermissionError(13, "Permission denied", str(dir))
         return real(*args, dir=dir, **kwargs)
 
-    monkeypatch.setattr(_sweep.tempfile, "mkstemp", mkstemp)
-    monkeypatch.setattr(_sweep, "_loaded", None)
+    monkeypatch.setattr(_kernels.tempfile, "mkstemp", mkstemp)
+    monkeypatch.setattr(_kernels, "_loaded", None)
     return refused
 
 
@@ -255,19 +259,19 @@ def test_a_read_only_package_cache_falls_back_to_the_user_cache(tmp_path, monkey
     package, user = tmp_path / "package", tmp_path / "user"
     package.mkdir()
     read_only.append(package)
-    monkeypatch.setattr(_sweep, "CACHE_DIRS", (package, user))
-    lib = _sweep.library()
+    monkeypatch.setattr(_kernels, "CACHE_DIRS", (package, user))
+    lib = _kernels.library()
     assert callable(lib.aaopt_pcd_dense)
     assert cache_files(package) == []
-    assert cache_files(user) == [_sweep.library_path(user).name]
+    assert cache_files(user) == [_kernels.library_path(user).name]
 
 
 def test_a_library_already_in_a_read_only_cache_is_loaded_from_it(tmp_path, monkeypatch, read_only):
     package, user = tmp_path / "package", tmp_path / "user"
-    _sweep.load(package)  # built when the package was installed
+    _kernels.load(package)  # built when the package was installed
     read_only.append(package)
-    monkeypatch.setattr(_sweep, "CACHE_DIRS", (package, user))
-    _sweep.library()
+    monkeypatch.setattr(_kernels, "CACHE_DIRS", (package, user))
+    _kernels.library()
     assert not user.exists()
 
 
@@ -276,13 +280,13 @@ def test_no_writable_cache_names_every_directory_and_the_source(tmp_path, monkey
     for d in (package, user):
         d.mkdir()
         read_only.append(d)
-    monkeypatch.setattr(_sweep, "CACHE_DIRS", (package, user))
+    monkeypatch.setattr(_kernels, "CACHE_DIRS", (package, user))
     with pytest.raises(OSError) as info:  # the CLI reports an OSError
-        _sweep.library()
+        _kernels.library()
     message = str(info.value)
-    assert "_sweep.c" in message and str(package) in message and str(user) in message
+    assert "_kernels.c" in message and str(package) in message and str(user) in message
     assert "Permission denied" in message
-    assert _sweep._loaded is None
+    assert _kernels._loaded is None
 
 
 def test_only_an_svm_build_needs_numpy_core(tmp_path):
@@ -295,18 +299,28 @@ def test_only_an_svm_build_needs_numpy_core(tmp_path):
         "        raise ImportError('no numpy._core, as in numpy < 2.0')",
         "    return real(name, globals, *args)",
         "builtins.__import__ = imports",
-        "from aaopt.harness import build_operator, config_from_mapping",
+        "from aaopt.harness import build_operator, config_from_mapping, run_experiment",
         "for kind, alg in (('lasso', 'ista'), ('nnls', 'drs'), ('svm', 'pcd')):",
         "    try:",
         "        build_operator(config_from_mapping({'problem.kind': kind, 'algorithm.kind': alg}))",
         "        print(kind, 'built')",
         "    except ImportError:",
         "        print(kind, 'needs numpy._core')",
+        # the first weight solve with two columns loads the compiled kernels
+        "for memory in ('1', '5'):",
+        "    cfg = config_from_mapping({'problem.kind': 'lasso', 'algorithm.kind': 'ista',",
+        "                               'aa.enabled': 'true', 'aa.memory': memory, 'run.max_iter': '3'})",
+        "    try:",
+        "        run_experiment(cfg)",
+        "        print('lasso aa ran')",
+        "    except ImportError:",
+        "        print('lasso aa needs numpy._core')",
     ])
-    src = str(Path(_sweep.__file__).parents[1])
+    src = str(Path(_kernels.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.splitlines() == ["lasso built", "nnls built", "svm needs numpy._core"]
+    assert out.stdout.splitlines() == ["lasso built", "nnls built", "svm needs numpy._core",
+                                       "lasso aa needs numpy._core", "lasso aa needs numpy._core"]
 
 
 C_TYPES = {"void": None, "int": ctypes.c_int, "int64_t": ctypes.c_int64, "double": ctypes.c_double}
@@ -321,22 +335,28 @@ def c_type(declaration: str):
 
 def test_the_declared_signatures_match_the_c_prototypes():
     # an argtypes list that disagrees with the C prototype corrupts memory silently
-    source = _sweep.SOURCE.read_text(encoding="utf-8")
+    source = _kernels.SOURCE.read_text(encoding="utf-8")
     found = {}
     for ret, name, params in re.findall(r"^(\w+)\s+(aaopt_\w+)\(([^)]*)\)", source, re.M):
         found[name] = ([c_type(p) for p in params.split(",")], c_type(ret))
-    assert found == _sweep._SIGNATURES
+    assert found == _kernels._SIGNATURES
 
 
 def test_the_source_compiles_clean_under_strict_warnings(tmp_path):
     # FLAGS itself stays without -Werror, so a newer gcc's new warning cannot stop a user's first build
-    out = subprocess.run([_sweep.COMPILER, *_sweep.FLAGS, "-Wall", "-Wextra", "-Werror",
-                          "-o", str(tmp_path / "sweep.so"), str(_sweep.SOURCE)],
+    out = subprocess.run([_kernels.COMPILER, *_kernels.FLAGS, "-Wall", "-Wextra", "-Werror",
+                          "-o", str(tmp_path / "kernels.so"), str(_kernels.SOURCE)],
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
 
 
 def test_a_missing_ddot_names_the_symbol_and_the_source(tmp_path, monkeypatch):
-    monkeypatch.setattr(_sweep, "DDOT_SYMBOL", "no_such_ddot64_")
-    with pytest.raises(OSError, match=r"no_such_ddot64_.*_sweep\.c"):
-        _sweep.load(tmp_path)
+    monkeypatch.setattr(_kernels, "DDOT_SYMBOL", "no_such_ddot64_")
+    with pytest.raises(OSError, match=r"no_such_ddot64_.*_kernels\.c"):
+        _kernels.load(tmp_path)
+
+
+def test_a_missing_dgelsd_names_the_symbol_and_the_source(tmp_path, monkeypatch):
+    monkeypatch.setattr(_kernels, "DGELSD_SYMBOL", "no_such_dgelsd_64_")
+    with pytest.raises(OSError, match=r"no_such_dgelsd_64_.*_kernels\.c"):
+        _kernels.load(tmp_path)
