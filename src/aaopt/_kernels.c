@@ -1,14 +1,12 @@
 /*
  * The compiled kernels: one cyclic sweep of proximal coordinate descent,
- * dense and CSR, and the Anderson weight solve.  Both call routines of
- * numpy's own BLAS, set once by aaopt_set_blas, so they compute exactly
- * what numpy computes.
+ * dense and CSR, and the Anderson weight solve.  They call the ddot and
+ * dgelsd of scipy's Cython API, set once by aaopt_set_blas.
  *
  * The sweep's arithmetic is the Python sweep's, operation for operation, so
  * the results are bitwise equal to it:
- *   - a row dot is numpy's DOUBLE_dot: d = 0.0; d += ddot(...), through the
- *     ddot that numpy's own BLAS exports; a length-1 row is a plain product
- *     and an empty row 0.0, as ndarray.dot gives them;
+ *   - a row dot is numpy's DOUBLE_dot: d = 0.0; d += ddot(...); a length-1
+ *     row is a plain product and an empty row 0.0, as ndarray.dot gives them;
  *   - the box step is max(v, lo) then min(w, hi) as Python picks them;
  *   - u[j] = u[j] + delta*z[j], with no FMA (build with -ffp-contract=off).
  *
@@ -20,13 +18,12 @@
 #include <stdint.h>
 #include <stdlib.h>
 
-typedef double (*ddot_fn)(int64_t n, const double *x, int64_t incx,
-                          const double *y, int64_t incy);
-/* LAPACK's dgelsd with 64-bit integers, every argument by reference */
-typedef void (*dgelsd_fn)(const int64_t *m, const int64_t *n, const int64_t *nrhs,
-                          double *a, const int64_t *lda, double *b, const int64_t *ldb,
-                          double *s, const double *rcond, int64_t *rank, double *work,
-                          const int64_t *lwork, int64_t *iwork, int64_t *info);
+/* Fortran BLAS and LAPACK, every argument by reference; the callers check the int sizes */
+typedef double (*ddot_fn)(const int *n, const double *x, const int *incx, const double *y,
+                          const int *incy);
+typedef void (*dgelsd_fn)(const int *m, const int *n, const int *nrhs, double *a, const int *lda,
+                          double *b, const int *ldb, double *s, const double *rcond, int *rank,
+                          double *work, const int *lwork, int *iwork, int *info);
 
 static ddot_fn ddot;
 static dgelsd_fn dgelsd;
@@ -39,11 +36,12 @@ void aaopt_set_blas(void *ddot_address, void *dgelsd_address)
 
 static double row_dot(int64_t n, const double *z, int64_t inc, const double *u)
 {
+    int len = (int)n, zinc = (int)inc, one = 1;
     double d = 0.0;
     if (n == 1)
         return z[0] * u[0];
     if (n > 1)
-        d += ddot(n, z, inc, u, 1);
+        d += ddot(&len, z, &zinc, u, &one);
     return d;
 }
 
@@ -77,7 +75,7 @@ int aaopt_pcd_csr(int64_t m, const int64_t *indptr, const int64_t *indices, cons
                   double beta, double *x, double *u)
 {
     /* u[idx] of the current row, gathered so that ddot reads it with stride 1 */
-    double *g = malloc((max_row > 0 ? max_row : 1) * sizeof(double));
+    double *g = malloc((size_t)(max_row > 0 ? max_row : 1) * sizeof(double));
     if (!g)
         return -1;
     for (int64_t i = 0; i < m; i++) {
@@ -111,14 +109,14 @@ int aaopt_pcd_csr(int64_t m, const int64_t *indptr, const int64_t *indices, cons
  * diagonal, +1 just below it); with root == 0 only the n x p system D,
  * R[:, 0] is solved.  The Fortran-ordered system, its -0.0 entries, rcond =
  * eps*max(rows, p), the workspace query and the queried lwork are those of
- * numpy's lstsq, so theta is its theta bit for bit.  p >= 1, so
- * max(rows, p) is also b's leading dimension.  alpha (length ncol)
- * gets e0 + C theta: every other term of that product is an exact zero, and
- * 0.0 + turns a -0.0 into the +0.0 the product gives.
+ * numpy's lstsq, so theta is its theta bit for bit.  p >= 1, so max(rows, p)
+ * is also b's leading dimension.  alpha (length ncol) gets e0 + C theta:
+ * every other term of that product is an exact zero, and 0.0 + turns a -0.0
+ * into the +0.0 the product gives.
  *
  * Returns the rank of the system, or AAOPT_NONFINITE if R has a NaN or
- * infinite entry, AAOPT_NO_CONVERGENCE if dgelsd reports info != 0, or
- * AAOPT_NO_MEMORY.
+ * infinite entry, AAOPT_NO_CONVERGENCE if dgelsd reports info != 0 or an
+ * entry of D overflows (numpy's lstsq fails on both), or AAOPT_NO_MEMORY.
  */
 #define AAOPT_NONFINITE (-1)
 #define AAOPT_NO_CONVERGENCE (-2)
@@ -132,21 +130,25 @@ int64_t aaopt_aa_weights(int64_t n, int64_t ncol, const double *R, int64_t row_s
             if (!isfinite(R[i * row_stride + j * col_stride]))
                 return AAOPT_NONFINITE;
 
-    int64_t p = ncol - 1, nrhs = 1, rank = 0, info = 0, query = -1;
-    int64_t m = root > 0.0 ? n + ncol : n;
-    int64_t lda = m > 1 ? m : 1, ldb = m > p ? m : p, min_mp = m < p ? m : p;
+    int p = (int)(ncol - 1), nrhs = 1, rank = 0, info = 0, query = -1;
+    int m = (int)(root > 0.0 ? n + ncol : n);
+    int lda = m > 1 ? m : 1, ldb = m > p ? m : p, min_mp = m < p ? m : p;
     double rcond = DBL_EPSILON * (double)ldb;
     /* a (lda x p), b (ldb), then s (min_mp); b's rows past m are zero */
-    double *a = calloc(lda * p + ldb + min_mp, sizeof(double));
+    size_t a_size = (size_t)lda * (size_t)p;
+    double *a = calloc(a_size + (size_t)ldb + (size_t)min_mp, sizeof(double));
     if (!a)
         return AAOPT_NO_MEMORY;
-    double *b = a + lda * p, *s = b + ldb, *work = NULL;
+    double *b = a + a_size, *s = b + ldb, *work = NULL;
 
-    for (int64_t j = 0; j < p; j++) {
-        double *col = a + j * lda;
+    for (int j = 0; j < p; j++) {
+        double *col = a + (size_t)j * (size_t)lda;
         for (int64_t i = 0; i < n; i++) {
             const double *r = R + i * row_stride + j * col_stride;
             col[i] = r[0] - r[col_stride];
+            /* dgelsd would print a DLASCL error, and may never return */
+            if (!isfinite(col[i]))
+                info = 1;
         }
         if (root > 0.0) {
             col[n + j] = -root;
@@ -161,19 +163,21 @@ int64_t aaopt_aa_weights(int64_t n, int64_t ncol, const double *R, int64_t row_s
             b[n + i] = -0.0;
     }
 
-    int64_t status = AAOPT_NO_CONVERGENCE, iwork_query;
+    int64_t status = AAOPT_NO_CONVERGENCE;
+    int iwork_query;
     double work_query;
-    dgelsd(&m, &p, &nrhs, a, &lda, b, &ldb, s, &rcond, &rank, &work_query, &query,
-           &iwork_query, &info);
+    if (info == 0)
+        dgelsd(&m, &p, &nrhs, a, &lda, b, &ldb, s, &rcond, &rank, &work_query, &query,
+               &iwork_query, &info);
     if (info == 0) {
-        int64_t lwork = (int64_t)work_query;
-        size_t size = (size_t)lwork * sizeof(double) + (size_t)iwork_query * sizeof(int64_t);
+        int lwork = (int)work_query; /* which dgelsd computed as an int */
+        size_t size = (size_t)lwork * sizeof(double) + (size_t)iwork_query * sizeof(int);
         work = malloc(size ? size : 1);
         if (!work)
             status = AAOPT_NO_MEMORY;
         else {
             dgelsd(&m, &p, &nrhs, a, &lda, b, &ldb, s, &rcond, &rank, work, &lwork,
-                   (int64_t *)(work + lwork), &info);
+                   (int *)(work + lwork), &info);
             if (info == 0)
                 status = rank;
         }
@@ -181,7 +185,7 @@ int64_t aaopt_aa_weights(int64_t n, int64_t ncol, const double *R, int64_t row_s
     if (status >= 0) {
         /* b holds theta; with m == 0 dgelsd returns at once and theta stays 0 */
         alpha[0] = 1.0 - b[0];
-        for (int64_t i = 1; i < p; i++)
+        for (int i = 1; i < p; i++)
             alpha[i] = 0.0 + (b[i - 1] - b[i]);
         alpha[p] = 0.0 + b[p - 1];
     }

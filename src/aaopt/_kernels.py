@@ -8,13 +8,10 @@ that can be written: the package's ``__pycache__``, else ``~/.cache/aaopt``
 written under a temporary name and moved into place with ``os.replace``, so
 concurrent processes never load a partial file.
 
-The coordinate sweep's row dots call the cblas ``ddot`` that ``ndarray.dot``
-reaches, and the Anderson weight solve calls the LAPACK ``dgelsd`` that
-numpy's SVD least-squares solver reaches, both taken from numpy's own BLAS,
-so the kernels compute exactly what numpy computes.  That BLAS is the
-scipy-openblas64 of numpy's PyPI wheels (numpy >= 2.0); a numpy built on
-another BLAS exports no ``DDOT_SYMBOL`` or ``DGELSD_SYMBOL`` and cannot run
-them.
+The coordinate sweep's row dots call BLAS ``ddot`` and the Anderson weight
+solve calls LAPACK ``dgelsd``, both taken from the function pointers that
+scipy's documented Cython API (``scipy.linalg.cython_blas`` and
+``cython_lapack``) publishes in every scipy build, whatever its BLAS.
 """
 
 from __future__ import annotations
@@ -26,14 +23,15 @@ import subprocess
 import tempfile
 from pathlib import Path
 
+from scipy.linalg import cython_blas, cython_lapack
+
 SOURCE = Path(__file__).with_name("_kernels.c")
 # "~" is expanded when the first directory cannot be written, not at import
 CACHE_DIRS = (Path(__file__).with_name("__pycache__"), Path("~/.cache/aaopt"))
 COMPILER = "gcc"
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
-# numpy's BLAS is a 64-bit-int OpenBLAS with a scipy_ symbol prefix
-DDOT_SYMBOL = "scipy_cblas_ddot64_"
-DGELSD_SYMBOL = "scipy_dgelsd_64_"
+# scipy's BLAS and LAPACK take their sizes as C ints
+C_INT_MAX = 2**31 - 1
 
 _i64, _f64, _ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 # both sweeps end with the arrays q, lower, upper, then beta, x, u
@@ -87,17 +85,6 @@ def address(a) -> int:
     return a.__array_interface__["data"][0]
 
 
-def _blas_address(symbol: str, use: str) -> int:
-    from numpy._core import _multiarray_umath  # numpy >= 2.0; only the kernels need it
-
-    blas = ctypes.CDLL(_multiarray_umath.__file__)
-    try:
-        return ctypes.cast(getattr(blas, symbol), ctypes.c_void_p).value
-    except AttributeError:
-        raise OSError("numpy's BLAS exports no %s, which %s calls for %s"
-                      % (symbol, SOURCE.name, use)) from None
-
-
 def load(cache_dir: Path) -> ctypes.CDLL:
     """The compiled kernels, built into ``cache_dir`` unless they are cached there."""
     path = library_path(cache_dir)
@@ -107,8 +94,12 @@ def load(cache_dir: Path) -> ctypes.CDLL:
     for name, (argtypes, restype) in _SIGNATURES.items():
         fn = getattr(lib, name)
         fn.argtypes, fn.restype = argtypes, restype
-    lib.aaopt_set_blas(_blas_address(DDOT_SYMBOL, "its row dots"),
-                       _blas_address(DGELSD_SYMBOL, "the Anderson weight solve"))
+    # scipy's Cython API holds each routine's address in a capsule named by its C signature
+    api, obj = ctypes.pythonapi, ctypes.py_object
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, obj)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(_ptr, obj, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
+    capsules = cython_blas.__pyx_capi__["ddot"], cython_lapack.__pyx_capi__["dgelsd"]
+    lib.aaopt_set_blas(*(get_pointer(c, get_name(c)) for c in capsules))
     return lib
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg.blas import ddot
 
 from . import _kernels
-from ._kernels import address
+from ._kernels import C_INT_MAX, address
 from .problems import phi_deriv
 from .prox import weighted_soft_threshold
 
@@ -126,18 +126,23 @@ def pcd_sweep(Z, q, lower, upper, beta: float) -> Callable[[np.ndarray], np.ndar
 
     numpy forms u = Z.T x once per sweep; the loop over the rows runs in C
     (``_kernels.c``), with the same IEEE operations in the same order as the
-    Python loop it replaced, row dots through numpy's own BLAS ddot
-    included, so the results are bitwise equal to it.  gcc compiles the C
-    source on first use into the package's ``__pycache__``, or into
-    ``~/.cache/aaopt`` where the package cannot be written, and later runs
-    find it there (see ``aaopt._kernels``).  A CSR Z is checked in full first.
+    Python loop it replaced; its row dots call the BLAS ddot of scipy's
+    Cython API, so a row of Z may hold at most 2**31 - 1 entries.  gcc
+    compiles the C source on first use into the package's ``__pycache__``,
+    or into ``~/.cache/aaopt`` where the package cannot be written, and later
+    runs find it there (see ``aaopt._kernels``).  A CSR Z is checked in full
+    first.
     """
     if beta <= 0:
         raise ValueError("pcd_sweep: beta must be positive")
     lib = _kernels.library()
     sparse = hasattr(Z, "tocsr") and not isinstance(Z, np.ndarray)
+    Z = Z.tocsr() if sparse else np.asarray(Z)
+    m, n = Z.shape
+    longest = (int(np.diff(Z.indptr).max()) if m else 0) if sparse else n  # before anything copies Z
+    if longest > C_INT_MAX:
+        raise ValueError("pcd_sweep: a row of Z has %d entries, more than BLAS takes" % longest)
     if sparse:
-        Z = Z.tocsr()
         # a new CSR on Z's arrays, checked in full: scipy builds a CSR without checking
         # its column indices or that indptr does not decrease, and C indexes with both
         try:
@@ -146,8 +151,7 @@ def pcd_sweep(Z, q, lower, upper, beta: float) -> Callable[[np.ndarray], np.ndar
         except ValueError as exc:
             raise ValueError("pcd_sweep: Z is not a valid CSR matrix: %s" % exc) from None
     else:
-        Z = np.asarray(Z, dtype=float)
-    m, n = Z.shape
+        Z = Z.astype(float, copy=False)
     rows = (_per_row(q, m, "q"), _per_row(lower, m, "lower"), _per_row(upper, m, "upper"))
     # a NaN bound would drop out of the clip unnoticed, and in an empty box
     # the clip would pick the upper bound
@@ -166,7 +170,6 @@ def pcd_sweep(Z, q, lower, upper, beta: float) -> Callable[[np.ndarray], np.ndar
         # Z.T as CSR, built once, so each sweep's u costs one product
         Zt = Z.T.tocsr()
         data = np.ascontiguousarray(Z.data)
-        longest = int(np.diff(indptr).max()) if m else 0
         call = functools.partial(lib.aaopt_pcd_csr, m, address(indptr), address(indices),
                                  address(data), longest, *bounds)
         buffers = (indptr, indices, data)
@@ -175,7 +178,7 @@ def pcd_sweep(Z, q, lower, upper, beta: float) -> Callable[[np.ndarray], np.ndar
         # numpy hands a row whose stride BLAS cannot take to ddot as a
         # contiguous copy, so the C loop reads such rows from one
         whole = all(s % Z.itemsize == 0 for s in Z.strides)
-        if not (Z.flags.aligned and whole and Z.strides[1] > 0):
+        if not (Z.flags.aligned and whole and 0 < Z.strides[1] // Z.itemsize <= C_INT_MAX):
             Z = np.ascontiguousarray(Z)
         row_stride, col_stride = (s // Z.itemsize for s in Z.strides)
         call = functools.partial(lib.aaopt_pcd_dense, m, n, address(Z), row_stride, col_stride, *bounds)

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg.blas import ddot
 
 from . import _kernels
-from ._kernels import address
+from ._kernels import C_INT_MAX, address
 
 __all__ = [
     "AaConfig",
@@ -175,8 +175,8 @@ def compute_alpha(R: np.ndarray, tau: float = 0.0) -> np.ndarray:
 
     The solve runs in C (``aaopt_aa_weights`` in ``_kernels.c``), which
     reads R in place, writes the system exactly as numpy's SVD least-squares
-    solver would and calls the same LAPACK dgelsd of numpy's own BLAS, so
-    the weights are numpy's bit for bit.  The first solve with two or more
+    solver would and calls LAPACK dgelsd through scipy's Cython API, so the
+    system may have at most 2**31 - 1 rows.  The first solve with two or more
     columns loads the compiled library (see ``aaopt._kernels``).
     """
     R = np.asarray(R, dtype=float)
@@ -192,6 +192,8 @@ def compute_alpha(R: np.ndarray, tau: float = 0.0) -> np.ndarray:
         if bad_tau:
             raise ValueError("compute_alpha: tau must be finite and nonnegative")
         return np.ones(1)
+    if max(n + ncol if tau > 0 else n, ncol) > C_INT_MAX:  # the rows and columns of the system
+        raise ValueError("compute_alpha: R of shape %s makes a system larger than LAPACK takes" % (R.shape,))
 
     # an aligned R has whole-element strides in every dimension longer than one
     held = R if R.flags.aligned else R.copy()

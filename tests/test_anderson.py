@@ -15,6 +15,7 @@ from aaopt.anderson import (
 )
 
 from aaopt.prox import soft_threshold
+from conftest import zeros_view
 from oracles import affine_fixed_point, list_aa_step, list_compute_alpha, list_init_state
 
 
@@ -86,6 +87,22 @@ def test_compute_alpha_rejects_a_bad_tau_without_calling_lapack(tau, ncol, capfd
     with pytest.raises(ValueError, match="compute_alpha: tau must be finite and nonnegative"):
         compute_alpha(R, tau)
     assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0])
+def test_an_overflowing_column_difference_fails_without_calling_lapack(tau, capfd):
+    # R is finite but 1e308 - (-1e308) is not; given it, dgelsd printed a
+    # DLASCL error before failing, and on some systems never returned
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge in Linear Least Squares"):
+        compute_alpha(np.array([[1e308, -1e308], [1.0, 2.0]]), tau)
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("shape, tau", [((2**31, 2), 0.0), ((2**31 - 2, 2), 1.0), ((1, 2**31), 0.0)])
+def test_a_weight_system_larger_than_lapack_takes_is_rejected_before_any_copy(shape, tau, no_big_allocation):
+    # scipy's dgelsd takes C int sizes; with tau > 0 the system has ncol more rows than R
+    with pytest.raises(ValueError, match="makes a system larger than LAPACK takes"):
+        compute_alpha(zeros_view(shape), tau)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")  # the norms are inf
