@@ -3,8 +3,9 @@
 A config is a flat ``section.key = value`` file (``#`` starts a comment).
 ``run_experiment`` builds the problem instance and its fixed-point operator,
 drives it plainly or through the Anderson engine, and returns the per
-iteration trace plus a key=value summary block.  Identical config + seed
-reproduces identical numeric trace fields; only the timing column varies.
+iteration trace, kept in columns, plus a key=value summary block.
+Identical config + seed reproduces identical numeric trace fields; only the
+timing column varies.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from array import array
+from collections.abc import Callable, Sequence
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -53,6 +55,7 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "TraceRecord",
+    "Trace",
     "TRACE_HEADER",
     "parse_config_text",
     "config_from_mapping",
@@ -450,6 +453,26 @@ class TraceRecord:
 
 TRACE_HEADER = "k,residual_norm,objective,alpha_l1,accepted,support_size,elapsed_us"
 
+TRACE_BLOCK = 16  # iterates whose activity patterns are taken in one call; 8 to 128 time level
+
+
+class Trace(Sequence):
+    """A run's trace, one typed column per TraceRecord field after k; records are built when read."""
+
+    def __init__(self) -> None:
+        self.columns = tuple(array(code) for code in "dddbqq")
+        (self.residual_norm, self.objective, self.alpha_l1, self.accepted, self.support_size,
+         self.elapsed_us) = self.columns
+
+    def __len__(self) -> int:
+        return len(self.residual_norm)
+
+    def __getitem__(self, index):
+        k = range(len(self))[index]  # an index out of range raises IndexError
+        if isinstance(k, range):
+            return [self[i] for i in k]
+        return TraceRecord(k, *(column[k] for column in self.columns))
+
 
 def _plain_iterates(apply: Callable, x0: np.ndarray):
     x = np.asarray(x0, dtype=float)
@@ -477,7 +500,7 @@ def _fista_iterates(apply: Callable, x0: np.ndarray):
         st = fista_step(st, apply)
 
 
-def run_experiment(cfg: ExperimentConfig) -> tuple[list[TraceRecord], dict]:
+def run_experiment(cfg: ExperimentConfig) -> tuple[Trace, dict]:
     """Run one configured experiment to tolerance, max_iter, or divergence.
 
     Returns the iteration trace (record k=0 is the initial point) and a
@@ -485,13 +508,14 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TraceRecord], dict]:
     operator; for the FISTA comparator it is the proximal-gradient residual
     evaluated at the momentum method's main iterate.
     """
+    if cfg.trace_path:  # fail now, not after the whole run
+        _check_writable(cfg.trace_path)
     ctx = build_operator(cfg)
     op = ctx.op
     t_start = time.perf_counter()
-    records: list[TraceRecord] = []
+    trace = Trace()
     identification = IdentificationTracker(cfg.window)
     limits = pattern_limits(cfg.zero_tol, ctx.bounds)
-    alpha_l1_max = 0.0
     # Each mode yields (iterate, residual norm, alpha_l1, accepted) for
     # k = 0, 1, ...; the loop stops before it asks for an iterate it does not
     # record, so no evaluation of H is wasted.
@@ -501,23 +525,28 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TraceRecord], dict]:
         iterates = _aa_iterates(op.apply, ctx.x0, cfg.aa)
     else:
         iterates = _plain_iterates(op.apply, ctx.x0)
+    objective = op.objective if op.objective is not None else lambda x: math.nan
+    residual, objectives, alphas, accepts, _, elapsed = (column.append for column in trace.columns)
+    tol, max_iter, clock = cfg.tol, cfg.max_iter, time.perf_counter
+    monitors, rows = None, 0  # the monitor vectors whose patterns are not taken yet
     for k, (x, rnorm, alpha_l1, accepted) in enumerate(iterates):
-        alpha_l1_max = max(alpha_l1_max, alpha_l1)
-        pat = pattern_of(op.monitor_vector(x), limits)
-        identification.push(pat)
-        # positional fields: keywords cost a frozen dataclass 0.2 us a record
-        records.append(
-            TraceRecord(
-                k,
-                float(rnorm),
-                float(op.objective(x)) if op.objective is not None else math.nan,
-                float(alpha_l1),
-                accepted,
-                support_size(pat),
-                int((time.perf_counter() - t_start) * 1e6),
-            )
-        )
-        if not (math.isfinite(rnorm) and cfg.tol < rnorm <= DIVERGENCE_LIMIT and k < cfg.max_iter):
+        vector = op.monitor_vector(x)
+        if monitors is None:
+            monitors = np.empty((TRACE_BLOCK, np.size(vector)))
+        monitors[rows] = vector
+        rows += 1
+        residual(rnorm)
+        objectives(objective(x))
+        alphas(alpha_l1)
+        accepts(accepted)
+        elapsed(int((clock() - t_start) * 1e6))
+        done = not (tol < rnorm <= DIVERGENCE_LIMIT and k < max_iter)  # NaN and +-inf fail both
+        if rows == TRACE_BLOCK or done:
+            patterns = pattern_of(monitors[:rows], limits)
+            trace.support_size.extend(support_size(patterns).tolist())
+            identification.push_block(patterns)
+            rows = 0
+        if done:
             break
 
     if math.isfinite(rnorm) and rnorm <= cfg.tol:
@@ -528,7 +557,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TraceRecord], dict]:
         status = "max_iter"
 
     ident = identification.identified_at
-    residuals = [r.residual_norm for r in records]
+    residuals = np.frombuffer(trace.residual_norm)
     # The rate on the identified manifold; the trace's tail when nothing was
     # identified or too few points follow identification.
     rate = None if ident is None else fit_linear_rate(residuals[ident:], tail_fraction=1.0)
@@ -542,18 +571,19 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TraceRecord], dict]:
         "seed": cfg.seed,
         "status": status,
         "iterations": k,
-        "final_residual": records[-1].residual_norm,
-        "final_objective": records[-1].objective,
+        "final_residual": trace.residual_norm[-1],
+        "final_objective": trace.objective[-1],
         "gamma_hat": rate.gamma,
         "rate_r2": rate.r_squared,
         "rate_defined": rate.defined,
         "identification_iter": ident,
-        "alpha_l1_max": alpha_l1_max,
+        # record 0's weight is 0.0, so this is the running max from 0.0
+        "alpha_l1_max": max(trace.alpha_l1),
         "elapsed_s": time.perf_counter() - t_start,
     }
     if cfg.trace_path:
-        write_trace(records, cfg.trace_path)
-    return records, summary
+        write_trace(trace, cfg.trace_path)
+    return trace, summary
 
 
 def _variant_path(path: str | None, tag: str) -> str | None:
@@ -588,14 +618,28 @@ def run_sweep(cfg: ExperimentConfig, memories: Sequence[int]) -> list[dict]:
 _TRACE_ROW = "%d,%.17g,%.17g,%.17g,%d,%d,%d\n"
 
 
+def _check_writable(path: str) -> None:
+    """Fail as write_trace would on a path it cannot write, leaving the file as it was."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise OSError("writing trace to %s: %s" % (path, exc)) from exc
+    if not existed:
+        os.remove(path)
+
+
 def write_trace(records: Sequence[TraceRecord], path: str) -> None:
     """CSV with 17-significant-digit floats so values round-trip exactly.
 
     An existing file is overwritten in place and then cut to the new length,
     never truncated to zero first: on ext4 (``auto_da_alloc``) closing a file
     that was truncated to zero and rewritten forces a flush to disk, which
-    stalls each rewrite of a trace by tens of milliseconds.
+    stalls each rewrite of a trace by tens of milliseconds.  A Trace's rows
+    are formatted straight from its columns.
     """
+    rows = (zip(range(len(records)), *records.columns) if isinstance(records, Trace)
+            else map(astuple, records))
     try:
         try:
             handle = open(path, "r+", encoding="utf-8")
@@ -603,15 +647,14 @@ def write_trace(records: Sequence[TraceRecord], path: str) -> None:
             handle = open(path, "w", encoding="utf-8")
         with handle:
             handle.write(TRACE_HEADER + "\n")
-            for r in records:
-                handle.write(_TRACE_ROW % (r.k, r.residual_norm, r.objective, r.alpha_l1,
-                                           r.accepted, r.support_size, r.elapsed_us))
+            handle.writelines(map(_TRACE_ROW.__mod__, rows))
             handle.truncate()
     except OSError as exc:
         raise OSError("writing trace to %s: %s" % (path, exc)) from exc
 
 
 def read_trace(path: str) -> list[TraceRecord]:
+    """The records of a trace CSV; a malformed or blank row raises ValueError naming its line."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
@@ -620,13 +663,15 @@ def read_trace(path: str) -> list[TraceRecord]:
     if not lines or lines[0] != TRACE_HEADER:
         raise ValueError("%s: missing trace header" % path)
     out = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        k, rn, obj, al1, acc, sup, el = line.split(",")
-        out.append(
-            TraceRecord(int(k), float(rn), float(obj), float(al1), int(acc), int(sup), int(el))
-        )
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            k, rn, obj, al1, acc, sup, el = line.split(",")
+            record = TraceRecord(int(k), float(rn), float(obj), float(al1), int(acc), int(sup), int(el))
+            if record.k != len(out):
+                raise ValueError("k is %d, not the row's index %d" % (record.k, len(out)))
+        except ValueError as exc:
+            raise ValueError("%s line %d: %s" % (path, lineno, exc)) from None
+        out.append(record)
     return out
 
 

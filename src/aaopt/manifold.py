@@ -68,7 +68,8 @@ def pattern_of(x: np.ndarray, limits: tuple) -> np.ndarray:
 class IdentificationTracker:
     """``identification_iter`` over a stream of patterns, without storing them.
 
-    Feed the int8 patterns of iterations 0, 1, ... in order with ``push``;
+    Feed the int8 patterns of iterations 0, 1, ... in order, one at a time
+    with ``push`` or a block of rows at a time with ``push_block``;
     ``identified_at`` is then what ``identification_iter`` returns for the
     patterns fed so far.  The final pattern may already have held for a full
     window before it changed and came back, so the tracker remembers, for
@@ -87,13 +88,24 @@ class IdentificationTracker:
         self._first_stable: dict[bytes, int] = {}
 
     def push(self, pattern: np.ndarray) -> None:
-        key = np.asarray(pattern, dtype=np.int8).tobytes()
-        if key != self._key:
-            self._key = key
-            self._run_start = self._count
-        self._count += 1
-        if self._count - self._run_start == self.window:
-            self._first_stable.setdefault(key, self._run_start)
+        self.push_block(np.reshape(pattern, (1, -1)))
+
+    def push_block(self, patterns: np.ndarray) -> None:
+        """``push`` each row of a 2-D block of patterns, first row first."""
+        rows = np.ascontiguousarray(patterns, dtype=np.int8)
+        raw, (n, width) = rows.tobytes(), rows.shape
+        count, key, start = self._count, self._key, self._run_start
+        if key is not None and raw == key * n:  # the newest pattern holds throughout
+            if count < start + self.window <= count + n:
+                self._first_stable.setdefault(key, start)
+        else:
+            for j in range(n):
+                row = raw[j * width : (j + 1) * width]
+                if row != key:
+                    key, start = row, count + j
+                if count + j + 1 - start == self.window:
+                    self._first_stable.setdefault(key, start)
+        self._count, self._key, self._run_start = count + n, key, start
 
     @property
     def identified_at(self) -> int | None:
@@ -112,6 +124,7 @@ def identification_iter(patterns: Sequence[np.ndarray], window: int = 10) -> int
     return tracker.identified_at
 
 
-def support_size(pattern: np.ndarray) -> int:
-    """Number of coordinates off the pattern's zero/interior symbol."""
-    return int(np.count_nonzero(np.asarray(pattern)))
+def support_size(pattern: np.ndarray):
+    """Coordinates off the zero/interior symbol: an int, or an array of one per row of a block."""
+    counts = np.asarray(pattern, dtype=bool).sum(axis=-1)  # count_nonzero's sum, without its dispatch
+    return int(counts) if np.ndim(counts) == 0 else counts

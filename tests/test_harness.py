@@ -1,6 +1,8 @@
+import gc
 import math
 import re
 import textwrap
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,10 +14,13 @@ import aaopt.harness
 import aaopt.linalg
 import aaopt.prox
 from aaopt.algorithms import drs_parts, pga_step
+from aaopt.manifold import identification_iter, pattern_limits, pattern_of, support_size
 from aaopt.harness import (
+    TRACE_BLOCK,
     TRACE_HEADER,
     ConfigError,
     ExperimentConfig,
+    Trace,
     TraceRecord,
     build_operator,
     config_from_mapping,
@@ -414,7 +419,8 @@ def test_max_iter_one_yields_two_records():
 ])
 def test_run_builds_the_pattern_limits_once(monkeypatch, keys):
     # the limits depend only on run.zero_tol and the box, so building them
-    # per recorded iterate is waste that this pins out
+    # per recorded iterate is waste that this pins out; the patterns are
+    # taken a block of TRACE_BLOCK iterates at a time
     calls = {"pattern_limits": 0, "pattern_of": 0}
 
     def spy(name):
@@ -430,7 +436,149 @@ def test_run_builds_the_pattern_limits_once(monkeypatch, keys):
     spy("pattern_of")
     records, summary = run_experiment(config_from_mapping({**keys, "run.max_iter": "100", "run.tol": "1e-300"}))
     assert summary["iterations"] == 100 and len(records) == 101
-    assert calls == {"pattern_limits": 1, "pattern_of": 101}
+    assert calls == {"pattern_limits": 1, "pattern_of": math.ceil(101 / aaopt.harness.TRACE_BLOCK)}
+
+
+def spied_run(monkeypatch, cfg, **wrappers):
+    """run_experiment(cfg) with each named operator field wrapped: ``name=lambda fn: new_fn``."""
+    build = aaopt.harness.build_operator
+
+    def spying_build(cfg):
+        ctx = build(cfg)
+        ctx.op = replace(ctx.op, **{name: wrap(getattr(ctx.op, name)) for name, wrap in wrappers.items()})
+        spying_build.ctx = ctx
+        return ctx
+
+    monkeypatch.setattr(aaopt.harness, "build_operator", spying_build)
+    return run_experiment(cfg), spying_build.ctx
+
+
+BLOCK_EDGE_RUNS = {
+    "lasso": {"problem.kind": "lasso", "algorithm.kind": "ista", "problem.lambda": "0.3"},
+    "svm": {"problem.kind": "svm", "algorithm.kind": "pcd", "aa.enabled": "true", "problem.c": "0.01"},
+}
+
+
+def block_edge_cfg(family: str, max_iter: int) -> ExperimentConfig:
+    return config_from_mapping({**BLOCK_EDGE_RUNS[family], "run.max_iter": str(max_iter),
+                                "run.tol": "1e-300", "run.window": "3"})
+
+
+# a run of max_iter iterations records max_iter + 1 iterates, so these end
+# short of a block, on a block's edge and past it
+@pytest.mark.parametrize("max_iter", [TRACE_BLOCK - 2, TRACE_BLOCK - 1, TRACE_BLOCK, TRACE_BLOCK + 1,
+                                      2 * TRACE_BLOCK])
+@pytest.mark.parametrize("family", BLOCK_EDGE_RUNS)
+def test_block_patterns_match_a_pattern_per_iterate(monkeypatch, family, max_iter):
+    monitors = []
+
+    def capture(monitor):
+        def captured(x):
+            monitors.append(np.array(x if monitor is None else monitor(x)))  # unset: the iterate
+            return monitors[-1]
+        return captured
+
+    cfg = block_edge_cfg(family, max_iter)
+    (trace, summary), ctx = spied_run(monkeypatch, cfg, monitor=capture)
+    limits = pattern_limits(cfg.zero_tol, ctx.bounds)
+    patterns = [pattern_of(v, limits) for v in monitors]
+    assert len(trace) == len(monitors) == max_iter + 1
+    assert list(trace.support_size) == [support_size(p) for p in patterns]
+    assert summary["identification_iter"] == identification_iter(patterns, cfg.window)
+
+
+def test_block_edge_runs_identify_across_an_edge():
+    # the runs above are not all unidentified: with max_iter = 16 the lasso
+    # run's final pattern holds over iterates 14, 15 and 16, across the edge
+    # of its 16-row blocks; with max_iter = 32 svm's holds from 18
+    assert TRACE_BLOCK == 16
+    assert run_experiment(block_edge_cfg("lasso", 16))[1]["identification_iter"] == 14
+    assert run_experiment(block_edge_cfg("svm", 32))[1]["identification_iter"] == 18
+
+
+def test_a_trace_that_cannot_be_written_fails_before_the_run(monkeypatch, tmp_path):
+    calls = {"apply": 0}
+
+    def counted(fn):
+        def apply(x):
+            calls["apply"] += 1
+            return fn(x)
+        return apply
+
+    path = tmp_path / "missing" / "t.csv"
+    with pytest.raises(OSError, match=r"^writing trace to .*missing/t\.csv: \[Errno 2\] No such file"):
+        spied_run(monkeypatch, lasso_cfg(**{"run.trace": str(path)}), apply=counted)
+    assert calls == {"apply": 0}
+
+
+@pytest.mark.parametrize("old", [True, False], ids=["old-trace", "no-trace"])
+def test_a_run_that_raises_leaves_the_trace_path_as_it_was(monkeypatch, tmp_path, old):
+    path = tmp_path / "t.csv"
+    if old:
+        write_trace([TraceRecord(k, 1.0 / (k + 1), 2.0, 0.0, 0, 3, k) for k in range(50)], str(path))
+        before = path.read_bytes()
+
+    def failing(fn):
+        calls = []
+
+        def apply(x):
+            calls.append(None)
+            if len(calls) > 5:
+                raise FloatingPointError("a map that fails")
+            return fn(x)
+        return apply
+
+    with pytest.raises(FloatingPointError, match="a map that fails"):
+        spied_run(monkeypatch, lasso_cfg(**{"run.trace": str(path)}), apply=failing)
+    if old:
+        assert path.read_bytes() == before
+    else:
+        assert not path.exists()
+
+
+def test_trace_reads_as_a_sequence_of_records():
+    trace, _ = run_experiment(lasso_cfg(**{"aa.enabled": "true", "run.max_iter": "40", "run.tol": "1e-30"}))
+    records = list(trace)
+    assert isinstance(trace, Trace) and len(trace) == len(records) == 41
+    assert all(type(r) is TraceRecord for r in records)
+    assert [trace[k] for k in range(len(trace))] == records
+    assert [trace[k] for k in range(-len(trace), 0)] == records
+    assert [r.k for r in records] == list(range(41))
+    for index in (41, -42):
+        with pytest.raises(IndexError):
+            trace[index]
+    for cut in (slice(None), slice(1, None), slice(5, 30, 7), slice(None, None, -3), slice(-3, 100),
+                slice(40, 2)):
+        assert trace[cut] == records[cut]
+    assert any(r.accepted for r in trace[1:]) and trace[-1].residual_norm == trace.residual_norm[-1]
+
+
+def test_write_trace_writes_a_trace_as_its_records(tmp_path):
+    trace, _ = run_experiment(lasso_cfg(**{"aa.enabled": "true", "run.max_iter": "60", "run.tol": "1e-30"}))
+    columns, records = tmp_path / "columns.csv", tmp_path / "records.csv"
+    write_trace(trace, str(columns))
+    write_trace(list(trace), str(records))
+    assert columns.read_bytes() == records.read_bytes()
+    assert read_trace(str(columns)) == list(trace)
+
+
+def test_a_run_holds_at_most_64_bytes_per_record():
+    # the columns take 41 bytes a record; a TraceRecord and an activity
+    # pattern held per record take about 200, which this bound rules out
+    cfg = config_from_mapping({"problem.kind": "lasso", "algorithm.kind": "ista",
+                               "run.tol": "1e-10", "run.max_iter": "20000"})
+    run_experiment(replace(cfg, max_iter=20))  # imports and caches, outside the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace, _ = run_experiment(cfg)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace) >= 10000
+    assert held <= 64 * len(trace), (held, len(trace))
 
 
 def test_divergent_run_is_flagged():
@@ -746,6 +894,27 @@ def test_read_trace_requires_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("nope\n1,2,3,4,5,6,7\n", encoding="utf-8")
     with pytest.raises(ValueError, match="missing trace header"):
+        read_trace(str(path))
+
+
+@pytest.mark.parametrize("row,why", [
+    ("1,0.5,2,0,0,3", "expected 7|not enough values"),
+    ("1,0.5,2,0,zero,3,7", "invalid literal for int"),
+    ("1,0.5,2,0,0,3,7,8", "too many values"),
+    ("5,0.5,2,0,0,3,7", "k is 5, not the row's index 1"),
+    ("", "not enough values"),
+], ids=["six-fields", "not-an-integer", "eight-fields", "k-out-of-order", "blank"])
+def test_read_trace_names_the_line_of_a_malformed_row(tmp_path, row, why):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([TRACE_HEADER, "0,1,2,0,0,3,7", row, "2,0.25,2,0,0,3,9"]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^%s line 3: .*(%s)" % (re.escape(str(path)), why)):
+        read_trace(str(path))
+
+
+def test_read_trace_rejects_a_trace_whose_k_goes_back(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([TRACE_HEADER, "5,1,2,0,0,3,7", "1,1,2,0,0,3,8"]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^%s line 2: k is 5, not the row's index 0" % re.escape(str(path))):
         read_trace(str(path))
 
 

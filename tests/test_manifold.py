@@ -190,6 +190,32 @@ def test_streaming_identification_matches_brute_force(symbols, window):
         assert tracker.identified_at is None
 
 
+@settings(max_examples=300, deadline=None)
+@given(symbols=st.lists(st.integers(0, len(ALPHABET) - 1), max_size=60), window=st.integers(1, 6),
+       cuts=st.lists(st.integers(0, 60), max_size=8), order=st.sampled_from("CF"))
+@example(symbols=[1] * 20, window=3, cuts=[16], order="C")
+@example(symbols=[0, 1, 1] + [1] * 16, window=4, cuts=[3], order="C")
+@example(symbols=[2] * 5 + [1] * 3 + [2] * 8, window=5, cuts=[5, 8], order="F")
+def test_any_split_into_blocks_identifies_as_one_at_a_time(symbols, window, cuts, order):
+    patterns = [ALPHABET[s] for s in symbols]
+    bounds = sorted({0, len(patterns), *(c for c in cuts if c <= len(patterns))})
+    single, blocks = IdentificationTracker(window), IdentificationTracker(window)
+    for lo, hi in zip(bounds, bounds[1:]):
+        blocks.push_block(np.array(patterns[lo:hi], order=order))
+        for pattern in patterns[lo:hi]:
+            single.push(pattern)
+        assert blocks.identified_at == single.identified_at == identification_brute_force(patterns[:hi], window)
+    blocks.push_block(np.empty((0, 3), dtype=np.int8))
+    assert blocks.identified_at == identification_brute_force(patterns, window)
+
+
+def test_support_size_of_a_block_counts_each_row():
+    block = np.array([[1, 0, -1, 0], [0, 0, 0, 0], [-1, -1, 1, 1]], dtype=np.int8)
+    counts = support_size(block)
+    assert counts.tolist() == [support_size(row) for row in block] == [2, 0, 4]
+    assert type(support_size(block[0])) is int
+
+
 def test_support_size_counts_nonzero_symbols():
     assert support_size(np.array([1, 0, -1, 0], dtype=np.int8)) == 2
     assert support_size(np.zeros(4, dtype=np.int8)) == 0
