@@ -43,15 +43,16 @@ Grad = Callable[[np.ndarray], np.ndarray]
 class FixedPointOperator:
     """A fixed-point map together with optional run-time diagnostics.
 
-    ``apply`` must be deterministic.  ``objective`` (if given) evaluates the
-    merit function being minimized at an iterate; ``monitor`` maps an iterate
-    to the vector whose sign/activity pattern identifies the active manifold
-    (defaults to the iterate itself).
+    ``apply`` must be deterministic.  ``monitor`` maps an iterate to the
+    vector whose sign/activity pattern identifies the active manifold
+    (defaults to the iterate itself).  ``objective`` (if given) takes a block
+    of monitor vectors, one per row, and returns the merit function being
+    minimized at each row's iterate as an array of one value per row.
     """
 
     dimension: int
     apply: Callable[[np.ndarray], np.ndarray]
-    objective: Callable[[np.ndarray], float] | None = None
+    objective: Callable[[np.ndarray], np.ndarray] | None = None
     monitor: Callable[[np.ndarray], np.ndarray] | None = None
 
     def monitor_vector(self, x: np.ndarray) -> np.ndarray:

@@ -355,12 +355,17 @@ def fit_linear_rate(residual_norms: Sequence[float], tail_fraction: float = 0.3)
     n_tail = int(math.ceil(tail_fraction * n))
     if n_tail < 5:
         return RateFit(math.nan, math.nan, defined=False)
-    k = np.arange(n - n_tail, n, dtype=float)
-    logr = np.log(r[n - n_tail :])
-    slope, intercept = np.polyfit(k, logr, 1)
-    fitted = slope * k + intercept
-    ss_res = float(np.sum((logr - fitted) ** 2))
-    ss_tot = float(np.sum((logr - logr.mean()) ** 2))
+    # the least-squares line about the means of k and log r, in closed form:
+    # two arrays of the tail's length, worked in place
+    dk = np.arange(n_tail, dtype=float)
+    dk -= (n_tail - 1) / 2.0
+    dlog = np.log(r[n - n_tail :])
+    dlog -= dlog.mean()
+    slope = float(dk @ dlog) / float(dk @ dk)
+    ss_tot = float(dlog @ dlog)
+    dk *= slope
+    dlog -= dk  # the fit's residuals
+    ss_res = float(dlog @ dlog)
     if ss_tot <= 1e-30:
         r2 = 1.0 if ss_res <= 1e-20 else 0.0
     else:

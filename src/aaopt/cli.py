@@ -30,11 +30,11 @@ def _apply_overrides(cfg, args):
 
 def _parse_memory_list(text: str) -> list[int]:
     try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",")]  # an empty value fails too
     except ValueError:
         raise ConfigError("--memory expects comma-separated integers, got %r" % text) from None
-    if not values:
-        raise ConfigError("--memory expects at least one value")
+    if len(set(values)) < len(values):  # each run writes its trace under its memory value
+        raise ConfigError("--memory lists a value twice in %r" % text)
     return values
 
 

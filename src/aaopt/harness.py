@@ -278,29 +278,6 @@ def _instance(cfg: ExperimentConfig, params: dict, generate: Callable, make: Cal
     return make(A=X, y=y, **extra)
 
 
-def _last_point_memo(compute: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
-    """``compute`` behind a one-entry memo keyed by the bytes of its point.
-
-    The run loop records each iterate right after the map's last evaluation
-    at that point, so the monitor and the objective reuse that evaluation's
-    work.  Equal bytes are equal values, so a hit returns what a fresh call
-    would; a caller that mutates its array or asks about another point, -0.0
-    where the key holds +0.0 included, gets a fresh call.
-    """
-    key = None
-    value = None
-
-    def memoized(x: np.ndarray):
-        nonlocal key, value
-        point = np.asarray(x, dtype=float).tobytes()
-        if point != key:
-            value = compute(x)
-            key = point
-        return value
-
-    return memoized
-
-
 def _build_lasso(cfg: ExperimentConfig, params: dict) -> RunContext:
     # noise_var shapes a generated instance only
     generate = lambda m, n, seed, lam: gen_lasso(m, n, lam, params["noise_var"], seed=seed)
@@ -308,15 +285,13 @@ def _build_lasso(cfg: ExperimentConfig, params: dict) -> RunContext:
     beta = _resolve_beta(cfg, params, spectral_norm_sq(inst.A))
     threshold = beta * inst.lam
     g_prox = lambda v: soft_threshold(v, threshold)
-    # A x - y, formed once per point for the gradient and the objective
-    residual = _last_point_memo(lambda x: inst.A.dot(x) - inst.y)
     # a CSR A.T, built once, sums as A.T.dot(r) does without a transpose per product
     At = inst.A.T.tocsr() if hasattr(inst.A, "tocsr") and not isinstance(inst.A, np.ndarray) else None
-    grad = lambda x: lasso_grad(inst, x, residual(x), At)
+    grad = lambda x: lasso_grad(inst, x, At)
     op = FixedPointOperator(
         dimension=inst.A.shape[1],
         apply=lambda x: pga_step(grad, g_prox, beta, x),
-        objective=lambda x: lasso_objective(inst, x, residual(x)),
+        objective=lambda X: lasso_objective(inst, X),
     )
     x0 = _x0_rng(cfg.seed).standard_normal(op.dimension)
     return RunContext(op=op, x0=x0)
@@ -337,20 +312,15 @@ def _build_svm(cfg: ExperimentConfig, params: dict) -> RunContext:
         Z = A.copy()  # A's sparsity structure, so the sweep sums in A's order
         Z.data *= np.repeat(inst.y, np.diff(Z.indptr))
         row_norm_sq = np.array([float(d @ d) for d in np.split(Z.data, Z.indptr[1:-1])])
-        # A.T as CSR, built once: the same sums in the same order as
-        # A.T.dot(v), without building A.T per product
-        At = A.T.tocsr()
-        objective = lambda x: svm_dual_objective(inst, x, At)
     else:
         Z = inst.y[:, None] * np.asarray(inst.A, dtype=float)
         row_norm_sq = np.einsum("ij,ij->i", Z, Z)
-        objective = lambda x: svm_dual_objective(inst, x)
     lipschitz = float(row_norm_sq.max()) if m else 0.0
     beta = _resolve_beta(cfg, params, lipschitz)
     op = FixedPointOperator(
         dimension=m,
         apply=pcd_sweep(Z, -1.0, 0.0, inst.C, beta),
-        objective=objective,
+        objective=lambda X: svm_dual_objective(inst, X),
     )
     x0 = _x0_rng(cfg.seed).standard_normal(m)
     return RunContext(op=op, x0=x0, bounds=BoxBounds(0.0, inst.C))
@@ -368,17 +338,27 @@ def _build_nnls(cfg: ExperimentConfig, params: dict) -> RunContext:
     except np.linalg.LinAlgError:  # a shift m*(1/beta + 2*lambda) lost against A.T A
         raise ConfigError("algorithm.beta = %r with problem.lambda = %r leaves the DRS prox's "
                           "shifted Gram matrix not positive definite" % (beta, inst.lam)) from None
-    # (x, y, z_next) of the last DRS point: the monitor and the objective
-    # reuse the map's solve
-    parts = _last_point_memo(lambda z: drs_parts(f_prox, nonneg_project, delta, z))
+    # (x, y, z_next) of the last DRS point, keyed by its bytes: the run loop
+    # records each iterate right after the map's last evaluation there, so
+    # the monitor reuses that solve.  Equal bytes are equal values; a mutated
+    # array or another point, -0.0 where the key holds +0.0 included, is solved.
+    last = [None, None]
+
+    def parts(z: np.ndarray) -> tuple:
+        point = np.asarray(z, dtype=float).tobytes()
+        if point != last[0]:
+            last[:] = point, drs_parts(f_prox, nonneg_project, delta, z)
+        return last[1]
 
     def feasible_point(z: np.ndarray) -> np.ndarray:
         return parts(z)[1]
 
+    # a block's A y - b, held here so that a run allocates none (a dense A only)
+    residuals = np.empty((TRACE_BLOCK, m)) if isinstance(inst.A, np.ndarray) else None
     op = FixedPointOperator(
         dimension=n,
         apply=lambda z: parts(z)[2],
-        objective=lambda z: nnls_objective(inst, feasible_point(z)),
+        objective=lambda Y: nnls_objective(inst, Y, residuals),
         monitor=feasible_point,
     )
     x0 = _x0_rng(cfg.seed).standard_normal(n)
@@ -394,7 +374,7 @@ def _build_logreg(cfg: ExperimentConfig, params: dict) -> RunContext:
     op = FixedPointOperator(
         dimension=2 * n,
         apply=lambda theta: irl1_step(grad, p, lam, beta, mu, theta),
-        objective=lambda theta: logreg_objective(inst, theta[:n]),
+        objective=lambda X: logreg_objective(inst, X),
         monitor=lambda theta: theta[:n],
     )
     x0 = np.concatenate([_x0_rng(cfg.seed).standard_normal(n), params["eps0"] * np.ones(n)])
@@ -453,7 +433,7 @@ class TraceRecord:
 
 TRACE_HEADER = "k,residual_norm,objective,alpha_l1,accepted,support_size,elapsed_us"
 
-TRACE_BLOCK = 16  # iterates whose activity patterns are taken in one call; 8 to 128 time level
+TRACE_BLOCK = 16  # iterates whose objectives and patterns are taken in one call; 8 to 128 time level
 
 
 class Trace(Sequence):
@@ -525,10 +505,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Trace, dict]:
         iterates = _aa_iterates(op.apply, ctx.x0, cfg.aa)
     else:
         iterates = _plain_iterates(op.apply, ctx.x0)
-    objective = op.objective if op.objective is not None else lambda x: math.nan
-    residual, objectives, alphas, accepts, _, elapsed = (column.append for column in trace.columns)
+    objective = op.objective if op.objective is not None else lambda block: np.full(len(block), math.nan)
+    residual, _, alphas, accepts, _, elapsed = (column.append for column in trace.columns)
     tol, max_iter, clock = cfg.tol, cfg.max_iter, time.perf_counter
-    monitors, rows = None, 0  # the monitor vectors whose patterns are not taken yet
+    monitors, rows = None, 0  # the monitor vectors whose objectives and patterns are not taken yet
     for k, (x, rnorm, alpha_l1, accepted) in enumerate(iterates):
         vector = op.monitor_vector(x)
         if monitors is None:
@@ -536,12 +516,12 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Trace, dict]:
         monitors[rows] = vector
         rows += 1
         residual(rnorm)
-        objectives(objective(x))
         alphas(alpha_l1)
         accepts(accepted)
         elapsed(int((clock() - t_start) * 1e6))
         done = not (tol < rnorm <= DIVERGENCE_LIMIT and k < max_iter)  # NaN and +-inf fail both
         if rows == TRACE_BLOCK or done:
+            trace.objective.extend(objective(monitors[:rows]).tolist())
             patterns = pattern_of(monitors[:rows], limits)
             trace.support_size.extend(support_size(patterns).tolist())
             identification.push_block(patterns)
@@ -597,6 +577,8 @@ def run_sweep(cfg: ExperimentConfig, memories: Sequence[int]) -> list[dict]:
     """Baseline run plus one accelerated run per memory value."""
     if not memories:
         raise ConfigError("sweep needs at least one memory value")
+    for m in memories:  # before the baseline runs, and as the config would name it
+        CONFIG_KEYS["aa.memory"].check("aa.memory", m)
     summaries = []
     base = replace(cfg, aa_enabled=False, trace_path=_variant_path(cfg.trace_path, "baseline"))
     summaries.append(run_experiment(base)[1])

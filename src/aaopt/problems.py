@@ -2,7 +2,9 @@
 
 All generators are deterministic functions of their integer seed.  Matrices
 are dense numpy arrays except where a dataset is loaded from a LIBSVM file,
-which produces CSR.
+which produces CSR.  Each objective takes a block X of points, one per row,
+and returns one value per row from one matrix product over the block; a
+single point gives a single value.
 """
 
 from __future__ import annotations
@@ -179,21 +181,30 @@ def gen_logreg(
 # objectives and gradients
 
 
-def lasso_grad(inst: LassoInstance, x: np.ndarray, r=None, At=None) -> np.ndarray:
-    """Gradient of the smooth part 0.5||A x - y||^2.
-
-    ``r`` is an A x - y the caller holds, and ``At`` an A.T the caller built once.
-    """
-    if r is None:
-        r = inst.A.dot(x) - inst.y
-    return (inst.A.T if At is None else At).dot(r)
+def lasso_grad(inst: LassoInstance, x: np.ndarray, At=None) -> np.ndarray:
+    """Gradient of the smooth part 0.5||A x - y||^2; ``At`` is an A.T the caller built once."""
+    return (inst.A.T if At is None else At).dot(inst.A.dot(x) - inst.y)
 
 
-def lasso_objective(inst: LassoInstance, x: np.ndarray, r=None) -> float:
-    """0.5||A x - y||^2 + lam ||x||_1; ``r`` is an A x - y the caller holds."""
-    if r is None:
-        r = inst.A.dot(x) - inst.y
-    return 0.5 * float(r.dot(r)) + inst.lam * float(np.abs(x).sum())
+def _row_dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    return np.einsum("...i,...i->...", U, V)
+
+
+def _residuals(A, X: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    """The rows of X A^T - y, in ``out`` if given (a dense A only).  In ``out`` y is
+    taken off row by row, as a broadcast subtraction would copy y once per row."""
+    if out is None:
+        return X @ A.T - y  # a CSR A computes (A @ X.T).T
+    R = np.matmul(X, A.T, out=out[: len(X)])
+    for row in R:
+        row -= y
+    return R
+
+
+def lasso_objective(inst: LassoInstance, X: np.ndarray) -> np.ndarray:
+    """0.5||A x - y||^2 + lam ||x||_1 for each row x of X."""
+    R = _residuals(inst.A, X, inst.y)
+    return 0.5 * _row_dots(R, R) + inst.lam * np.abs(X).sum(axis=-1)
 
 
 def svm_dual_grad(inst: SvmDualInstance, x: np.ndarray) -> np.ndarray:
@@ -201,11 +212,10 @@ def svm_dual_grad(inst: SvmDualInstance, x: np.ndarray) -> np.ndarray:
     return inst.k_apply(x) - 1.0
 
 
-def svm_dual_objective(inst: SvmDualInstance, x: np.ndarray, At=None) -> float:
-    """0.5*||A.T (y .* x)||^2 - sum(x); ``At`` is an A.T the caller built once."""
-    v = inst.y * x
-    w = (inst.A.T if At is None else At).dot(v)
-    return 0.5 * float(w @ w) - float(x.sum())
+def svm_dual_objective(inst: SvmDualInstance, X: np.ndarray) -> np.ndarray:
+    """0.5*||A.T (y .* x)||^2 - sum(x) for each row x of X."""
+    W = (X * inst.y) @ inst.A
+    return 0.5 * _row_dots(W, W) - X.sum(axis=-1)
 
 
 def nnls_grad(inst: NnlsInstance, x: np.ndarray) -> np.ndarray:
@@ -213,16 +223,16 @@ def nnls_grad(inst: NnlsInstance, x: np.ndarray) -> np.ndarray:
     return inst.A.T.dot(inst.A.dot(x) - inst.y) / m + 2.0 * inst.lam * x
 
 
-def nnls_objective(inst: NnlsInstance, x: np.ndarray) -> float:
-    m = inst.A.shape[0]
-    r = inst.A.dot(x) - inst.y
-    return float(r @ r) / (2.0 * m) + inst.lam * float(x @ x)
+def nnls_objective(inst: NnlsInstance, X: np.ndarray, out=None) -> np.ndarray:
+    """(1/2M)||A x - y||^2 + lam||x||^2 for each row x of X; ``out`` holds A x - y if given."""
+    R = _residuals(inst.A, X, inst.y, out)
+    return _row_dots(R, R) / (2.0 * inst.A.shape[0]) + inst.lam * _row_dots(X, X)
 
 
-def logreg_loss(inst: LogRegInstance, x: np.ndarray) -> float:
-    """Mean logistic loss, computed overflow-safe via logaddexp."""
-    t = inst.y * inst.A.dot(x)
-    return float(np.mean(np.logaddexp(0.0, -t)))
+def logreg_loss(inst: LogRegInstance, X: np.ndarray) -> np.ndarray:
+    """Mean logistic loss for each row x of X, computed overflow-safe via logaddexp."""
+    T = inst.y * (X @ inst.A.T)
+    return np.logaddexp(0.0, -T).mean(axis=-1)
 
 
 def logreg_grad(inst: LogRegInstance, x: np.ndarray) -> np.ndarray:
@@ -232,8 +242,9 @@ def logreg_grad(inst: LogRegInstance, x: np.ndarray) -> np.ndarray:
     return -inst.A.T.dot(inst.y * expit(-t)) / m
 
 
-def logreg_objective(inst: LogRegInstance, x: np.ndarray) -> float:
-    return logreg_loss(inst, x) + inst.lam * float(np.sum(np.abs(x) ** inst.p))
+def logreg_objective(inst: LogRegInstance, X: np.ndarray) -> np.ndarray:
+    """Mean logistic loss + lam * sum |x_i|^p for each row x of X."""
+    return logreg_loss(inst, X) + inst.lam * (np.abs(X) ** inst.p).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------

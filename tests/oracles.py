@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's own code paths: grid refinement for
 1-D minimization, central differences for gradients, and dense solves for
-affine fixed points.  ``write_libsvm`` writes
+affine fixed points.  ``objective_terms`` is each family's objective at one
+point, the reference for the block objectives, and ``polyfit_rate_reference``
+the rate fit by ``np.polyfit``.  ``write_libsvm`` writes
 the sparse datasets that the CSR tests load.  ``ListAaState`` with
 ``list_aa_step`` is the Anderson engine as it stood before its history moved
 into buffers, kept as the reference the buffered engine must match bit for
@@ -226,6 +228,40 @@ def pattern_of_reference(x, zero_tol: float = 1e-9, bounds=None) -> np.ndarray:
     out[at_upper] = 1
     out[at_lower] = -1  # lower wins when a degenerate box pins both
     return out
+
+
+def objective_terms(kind: str, inst, x: np.ndarray) -> list[float]:
+    """The terms whose sum is a family's objective at one point x, each an fsum.
+
+    One matrix-vector product for this point alone against a dense copy of
+    the instance's matrix; the library takes a block of points through one
+    matrix product, and the two agree to a few ulps of these terms' sizes.
+    """
+    A = inst.A.toarray() if hasattr(inst.A, "toarray") else np.asarray(inst.A, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if kind == "svm":
+        w = A.T @ (inst.y * x)
+        return [0.5 * math.fsum(w * w), -math.fsum(x)]
+    if kind == "logreg":
+        t = inst.y * (A @ x)
+        return [math.fsum(np.logaddexp(0.0, -t)) / A.shape[0], inst.lam * math.fsum(np.abs(x) ** inst.p)]
+    r = A @ x - inst.y
+    if kind == "lasso":
+        return [0.5 * math.fsum(r * r), inst.lam * math.fsum(np.abs(x))]
+    return [math.fsum(r * r) / (2.0 * A.shape[0]), inst.lam * math.fsum(x * x)]  # nnls
+
+
+def polyfit_rate_reference(tail) -> tuple[float, float]:
+    """(gamma, r^2) of a line fitted to log(tail) by ``np.polyfit``: ``fit_linear_rate`` as it
+    stood before its closed form, over a tail of positive finite norms."""
+    k = np.arange(len(tail), dtype=float)
+    logr = np.log(np.asarray(tail, dtype=float))
+    slope, intercept = np.polyfit(k, logr, 1)
+    ss_res = float(np.sum((logr - (slope * k + intercept)) ** 2))
+    ss_tot = float(np.sum((logr - logr.mean()) ** 2))
+    if ss_tot <= 1e-30:
+        return float(np.exp(slope)), 1.0 if ss_res <= 1e-20 else 0.0
+    return float(np.exp(slope)), 1.0 - ss_res / ss_tot
 
 
 def write_libsvm(path, A: np.ndarray, labels: np.ndarray, drop_below: float = 0.5) -> None:

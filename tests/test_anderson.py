@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,13 @@ from aaopt.anderson import (
 
 from aaopt.prox import soft_threshold
 from conftest import zeros_view
-from oracles import affine_fixed_point, list_aa_step, list_compute_alpha, list_init_state
+from oracles import (
+    affine_fixed_point,
+    list_aa_step,
+    list_compute_alpha,
+    list_init_state,
+    polyfit_rate_reference,
+)
 
 
 def run_aa(apply, x0, cfg, iters):
@@ -370,6 +377,35 @@ def test_fit_linear_rate_truncates_at_a_non_finite_norm(bad):
     assert fit.gamma == pytest.approx(0.5, abs=1e-9)
     short = fit_linear_rate([1.0, 0.5, bad] + [0.25] * 10, tail_fraction=1.0)
     assert not short.defined and math.isnan(short.gamma)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(5, 3000), rho=st.floats(0.9, 0.9999), noise=st.floats(0.0, 1.0),
+       tail_fraction=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_fit_linear_rate_fits_the_polyfit_line(n, rho, noise, tail_fraction, seed):
+    # rho**3000 stays far above the smallest float, so no norm truncates the sequence
+    r = rho ** np.arange(n) * np.exp(noise * np.random.default_rng(seed).standard_normal(n))
+    fit = fit_linear_rate(r, tail_fraction)
+    n_tail = math.ceil(tail_fraction * n)
+    assert fit.defined == (n_tail >= 5)
+    if fit.defined:
+        gamma, r2 = polyfit_rate_reference(r[n - n_tail:])
+        assert fit.gamma == pytest.approx(gamma, rel=1e-12)
+        assert fit.r_squared == pytest.approx(r2, rel=1e-9, abs=1e-12)
+
+
+def test_fit_linear_rate_allocates_at_most_32_bytes_a_point():
+    # a long plain leg fits its whole identified tail; np.polyfit took about 64 B a point
+    r = 0.999 ** np.arange(20001) * (1.0 + 0.01 * np.random.default_rng(0).random(20001))
+    fit_linear_rate(r, tail_fraction=1.0)
+    tracemalloc.start()
+    try:
+        fit = fit_linear_rate(r, tail_fraction=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.defined and fit.gamma == pytest.approx(0.999, rel=1e-4)
+    assert peak <= 32 * r.size, peak
 
 
 def test_fit_linear_rate_undefined_when_too_short():

@@ -75,6 +75,21 @@ def test_sweep_rejects_bad_memory_list(cfg_path, capsys):
     assert "comma-separated integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("memory,why", [
+    ("5,,5", "--memory expects comma-separated integers, got '5,,5'"),
+    ("5,", "--memory expects comma-separated integers, got '5,'"),
+    ("5,10,5", "--memory lists a value twice in '5,10,5'"),
+    ("0", "aa.memory must lie in [1, 64], got 0"),
+    ("65", "aa.memory must lie in [1, 64], got 65"),
+])
+def test_sweep_rejects_a_bad_memory_value_before_any_run(tmp_path, memory, why, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(LASSO_CFG + "run.trace = %s\n" % (tmp_path / "t.csv"), encoding="utf-8")
+    assert main(["sweep", str(cfg), "--memory", memory]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % why
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]  # no trace written
+
+
 def test_run_reads_a_lasso_libsvm_dataset(tmp_path, capsys):
     inst = gen_lasso(12, 30, seed=7)
     data = tmp_path / "inst.libsvm"

@@ -13,7 +13,8 @@ tables and says so in CHANGES.md; from the repository root,
     python3 tests/test_golden_traces.py
 
 prints ``GOLDEN`` and ``GOLDEN_CSR`` as computed by the current source tree,
-then every field that differs from the committed tables.
+then every field that differs from the committed tables, and ends with one
+line per table: how many cells moved, and which fields besides ``sha256``.
 """
 
 from __future__ import annotations
@@ -55,41 +56,41 @@ FIELDS = ("sha256", "iterations", "rejections", "identification_iter", "final_re
 
 GOLDEN = {
     ("lasso", "ista", False, 0): (
-        "ae299ed15b8b95455613888bf1a200d68ebe25ffb71e173642a6349824769861", 1500, 0, 1129, 0.0003027451237377348),
+        "931cd5e66cb309fba2fba5f93c724f74096516e01e6ea53ff14e9125862b0ed9", 1500, 0, 1129, 0.0003027451237377348),
     ("lasso", "ista", False, 1): (
-        "1584ce6e58a31e7948b1f01f42c57e1008d2fbdf8a62b63464073f98721cd05e", 1500, 0, 1269, 0.00019066421291868258),
+        "9e78b14c5392ec7614d43390cd39ea5c587614d538fae345910b630cfed27e6b", 1500, 0, 1269, 0.00019066421291868258),
     ("lasso", "ista", True, 0): (
-        "1ec33192f2f0125ae3e0b7a34e66a02992f059dcddb51a215cdd277a6c38569b", 583, 87, 482, 9.62863262766949e-11),
+        "23fce070e3cb0fab59bc3567dc2f697ffd3adc311e9cd656e9382983892bd30d", 583, 87, 482, 9.62863262766949e-11),
     ("lasso", "ista", True, 1): (
-        "72942e85439782d12d0eca2d4d3a6d70e152c27aa9c0033696d29566389fe2e1", 653, 75, 396, 9.780620215512286e-11),
+        "67c4133a1f549af985230326b692e93de026e71645846169861293d88e7be478", 653, 75, 396, 9.780620215512286e-11),
     ("lasso", "fista", False, 0): (
-        "836794efc895be228452c14803978333a18a6bc091090b4e385294dc95defdb5", 1500, 0, 174, 6.79126844304827e-07),
+        "4539388ddf6fc29699c5c773d58ffa655a30a33e1fe5b1cc438b126acfcb7f65", 1500, 0, 174, 6.79126844304827e-07),
     ("lasso", "fista", False, 1): (
-        "0f078c29f793722430ffcc261e488317268f2f7d2a242a6b16e6d9b368487576", 1500, 0, 204, 2.1275229875515146e-06),
+        "0a4450c00a1eabe82e276e30c0ea09af0617464ebf7a80631d92464159a0d014", 1500, 0, 204, 2.1275229875515146e-06),
     ("svm", "pcd", False, 0): (
-        "fde5236ba4ada1073dcf4f7a46566e570467a9f799fb518fcdb5ba520090e682", 400, 0, 330, 0.017953053555458717),
+        "1edc9212ca3b573580ff0b53006f9570deffc4a44df322d552eb1646390def62", 400, 0, 330, 0.017953053555458717),
     ("svm", "pcd", False, 1): (
-        "9673ca22ffe398bc4a6670001af4166ee1bb97275aeb5cb3829c016a0f0a0351", 400, 0, 383, 0.0013572779959019827),
+        "29026a9210abb252c5eaf36e869dd09ebb82e5237c5e924b287a00e53072fea3", 400, 0, 383, 0.0013572779959019827),
     ("svm", "pcd", True, 0): (
-        "3ea50f409b81b66f62b28cbef368cbe5775e5d0f0f4bc625de81cb8bd0defefa", 190, 95, 137, 8.738037839419379e-11),
+        "f543a0455c201ec1406fd23db8dcfcb1126c6d80e8093e14b5ff2777a578d716", 190, 95, 137, 8.738037839419379e-11),
     ("svm", "pcd", True, 1): (
-        "eb374d1b3570209265539c7e8e0f072f33e03437b826c5500c5b94882dcbe596", 175, 75, 148, 9.384547544934582e-11),
+        "6e7d9b401d44a5ca1601679be5b344a7eefaccd5d1dae50d9f8c897d9a82f08c", 175, 75, 148, 9.384547544934582e-11),
     ("nnls", "drs", False, 0): (
-        "e192d21fc1e8d4eed939348eb886600f0c4fd6fc018f30501f30042f837e605c", 300, 0, 86, 1.4029411513765396e-06),
+        "9a79895f036ff8be69483458d9a405204a5a5f183f9ca9107541726352582e75", 300, 0, 86, 1.4029411513765396e-06),
     ("nnls", "drs", False, 1): (
-        "8cc09e2ba9571792d965d6c766b8addd268d3eddf65460b5a885cf750ee545c7", 300, 0, 92, 9.87199493600815e-09),
+        "d527abf7611ce64103ce533f91615ee73c037c9bf75fb5fe0934462218f62309", 300, 0, 92, 9.87199493600815e-09),
     ("nnls", "drs", True, 0): (
-        "76d2e58ade610dbdc142f00a793bc2c80e3716115090120eb23ca63ebbab0a13", 61, 6, 27, 4.7541951401316775e-11),
+        "ada19db07a24fa287fe0fdd1d50e73c4211730fe2b6ba5ae6932420a30bf5e8f", 61, 6, 27, 4.7541951401316775e-11),
     ("nnls", "drs", True, 1): (
-        "fb543ce7d0b9bb40d64aaa77a2f70b3792f9963f926626a7c303f1c49e7df6f8", 59, 5, 31, 4.825439320329522e-11),
+        "588accbe2ada752943d0e2a0e31ff7fc45293d420a34cdd0ce6c8d2087e0e7fe", 59, 5, 31, 4.825439320329522e-11),
     ("logreg", "irl1", False, 0): (
-        "c174bb07f37a1412ec69abe382c40043bf42573fd3b87677be06524d0a0b707d", 300, 0, 58, 5.5677985521675604e-08),
+        "546eea8798a483ad18f3be1e003e398fefa9e9786977b4d87e38373a9cf8ed68", 300, 0, 58, 5.5677985521675604e-08),
     ("logreg", "irl1", False, 1): (
-        "8c2937fd3758a1814a01d87844bbf8d1d8aa67ffb31f45225df37cf76724c74d", 300, 0, 51, 1.3251636111757961e-07),
+        "fb8b23c5507a6b57d54f1103a548744e41f854cf058ad3cf2401175baf913af5", 300, 0, 51, 1.3251636111757961e-07),
     ("logreg", "irl1", True, 0): (
-        "0d5a1f322aacab8822e4d5db9cb255112a3d57be2d20214f3013f2243e094ce6", 68, 8, 32, 6.725943616494415e-11),
+        "473cd3c5429132b52b08caaecc9d35a06f10dd363938d338b1de3a8f799534ca", 68, 8, 32, 6.725943616494415e-11),
     ("logreg", "irl1", True, 1): (
-        "ce6fb08857627dd2720d92e71ba99f4ece0fc24a9e9d213851ec2b265da3f360", 62, 2, 27, 9.594861356667695e-11),
+        "5327114215ab231f67ccac96dcd0bd6ccf7200d08fd252702670234e76f6112d", 62, 2, 27, 9.594861356667695e-11),
 }
 
 
@@ -108,29 +109,29 @@ CSR_CELLS = [
 
 GOLDEN_CSR = {
     ("lasso", "ista", False, 0): (
-        "58d8c69576f546c85fd62dae631117dc2f83a03e46778f08b1652017d9da7ecf", 1500, 0, 1474, 0.003001636648751936),
+        "ab80ed8c22b6befca74646bba4838dc7651422f290360b5011c329f031cd1798", 1500, 0, 1474, 0.003001636648751936),
     ("lasso", "ista", False, 1): (
-        "79dc855ca8b0e5b9043869de74f645201b313d28eb7e7df465038941eed4e43a", 1500, 0, 1148, 0.0018742140900652223),
+        "a5db6554a046713aa4806bbfc259ba6366c561af4d4665f293614e1f9a5ed415", 1500, 0, 1148, 0.0018742140900652223),
     ("lasso", "ista", True, 0): (
-        "82d152227afb29f326a442d9e172717e4d007c91572da1d77fab0c4222f5c1d6", 1352, 573, 1035, 7.623351100767888e-11),
+        "3febbab3b1fc72fefab194ccb397094fe4bcaa44cd28455fc58d2c25528a585d", 1352, 573, 1035, 7.623351100767888e-11),
     ("lasso", "ista", True, 1): (
-        "535ce824036750286eee519cc0cb19d73a722597263de933180de945926b63d3", 1500, 440, 868, 3.0321109842299654e-06),
+        "8090929830ce51e05252b495c3ce8d509f50b31b2069120515ec953e4e7d0457", 1500, 440, 868, 3.0321109842299654e-06),
     ("svm", "pcd", False, 0): (
-        "185aa6a6193f93b7934cb79807b5ee8e9fdaf9382fdee208a02c6d7e9ecf3868", 400, 0, 341, 0.008748418608834478),
+        "9a2eecb9ec98e19dee950e76ecac5efdfc0e9b7592f6489d8b95004afe3f65b7", 400, 0, 341, 0.008748418608834478),
     ("svm", "pcd", False, 1): (
-        "128e1992e13fdb190535ba8a7e451fda376cade8c89693de83e5961bdf14e241", 400, 0, 289, 0.008953047122368003),
+        "5067080212300d1fc20d5879a75356469230dff70d4c21e74d77cc1c244c14bf", 400, 0, 289, 0.008953047122368003),
     ("svm", "pcd", True, 0): (
-        "f2a6c0e212b9f1f39a67585d5d9737ff08d760e59bb3b269c58f6f0cc1ce57a1", 159, 61, 97, 7.16461569548593e-11),
+        "07616dac2f590265065e231a4f458df8f3e64495a0c3964d2bebd2e3cb836348", 159, 61, 97, 7.16461569548593e-11),
     ("svm", "pcd", True, 1): (
-        "cf22d5f398bf34935e3aae6c0c7912707786a545daf7dcdaeea313e15c5d6976", 193, 89, 130, 8.974284376141008e-11),
+        "d55cdef8f2e3be359d22ae7b21346f524e5b191d5a8960d5e372b9b01485d7fa", 193, 89, 130, 8.974284376141008e-11),
     ("nnls", "drs", False, 0): (
-        "5689280b36a31f786cc3f3921bc7530b0ddea61cba8153fca01b80306d92a4ee", 290, 0, 43, 9.917355524908626e-11),
+        "d8dbcdadddfea175d03dcbe3d7bed53281f1463dc44050e73b304f40278d67bb", 290, 0, 43, 9.917355524908626e-11),
     ("nnls", "drs", False, 1): (
-        "ee9524e38c13a606582fe371d450bb25084e8bad7c777eb86ea80c40f040e820", 244, 0, 17, 9.427504997064315e-11),
+        "692ae322e50c4d79e0bbbbaadf918a9398fcbda8d8369e873e72233972b198fb", 244, 0, 17, 9.427504997064315e-11),
     ("nnls", "drs", True, 0): (
-        "c9ab2a8caa764fced10018ffde0420b1fbdb6fff92a725cccc12445ef6ea7bf9", 47, 10, 19, 9.198699023978511e-11),
+        "bc42f89e8e4592806626077f919ef46101fa118abfc5449c7369e36a91993cf4", 47, 10, 19, 9.198699023978511e-11),
     ("nnls", "drs", True, 1): (
-        "acf5c4e38640f7d85a7d8a21487faa1a193d4451bd808c001885325f0e079588", 47, 9, 13, 7.473962077276369e-11),
+        "80701207802fe2aec705e08fdf07959ea3b7ce5c1b7a38cb288c17e9b59f6580", 47, 9, 13, 7.473962077276369e-11),
 }
 
 
@@ -217,16 +218,25 @@ def print_tables() -> None:
                 tables["GOLDEN_CSR"][(family, algorithm, aa, seed)] = golden_cell(
                     family, algorithm, aa, seed, trace, dataset
                 )
-    changes = []
+    changes, tallies = [], []
     for name, table in tables.items():
         print("%s = {" % name)
+        cells, fields = 0, set()
         for key, cell in table.items():
             print('    ("%s", "%s", %r, %d): (' % key)
             print('        "%s", %r, %r, %r, %r),' % cell)
-            changes += ["%s %s" % (name, line) for line in moved(key, cell, globals()[name][key])]
+            want = globals()[name][key]
+            lines = moved(key, cell, want)
+            changes += ["%s %s" % (name, line) for line in lines]
+            cells += bool(lines)
+            fields.update(f for f, old, new in zip(FIELDS, want, cell) if repr(old) != repr(new))
         print("}")
+        others = [f for f in FIELDS[1:] if f in fields]
+        tallies.append("# %s: %d of %d cells moved; fields other than sha256 that moved: %s"
+                       % (name, cells, len(table), ", ".join(others) or "none"))
     print("\n# Against the committed tables:")
     print("\n".join(changes) if changes else "# nothing moved")
+    print("\n".join(tallies))
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ from aaopt.problems import (
     subsample,
 )
 from aaopt.prox import nonneg_project, quadratic_ls_prox, soft_threshold
-from oracles import svm_pcd_sweep_reference, write_libsvm
+from oracles import objective_terms, svm_pcd_sweep_reference, write_libsvm
 
 LASSO_SMALL = {
     "problem.kind": "lasso",
@@ -312,7 +312,8 @@ def lasso_libsvm(tmp_path):
 
 
 def final_iterate(monkeypatch, cfg):
-    """run_experiment(cfg) and the last iterate it recorded (the loop takes each one's objective)."""
+    """run_experiment(cfg) and the last iterate it recorded: the last row of the last block
+    whose objectives the loop takes (for lasso the monitor is the iterate)."""
     build = aaopt.harness.build_operator
     last = []
 
@@ -320,9 +321,9 @@ def final_iterate(monkeypatch, cfg):
         ctx = build(cfg)
         objective = ctx.op.objective
 
-        def recording_objective(x):
-            last.append(x.copy())
-            return objective(x)
+        def recording_objective(block):
+            last.append(block[-1].copy())
+            return objective(block)
 
         ctx.op = replace(ctx.op, objective=recording_objective)
         return ctx
@@ -402,7 +403,8 @@ def test_plain_trace_replays_exactly():
     for rec in records:
         h = ctx.op.apply(x)
         assert rec.residual_norm == float(np.linalg.norm(h - x))
-        assert rec.objective == float(ctx.op.objective(x))
+        # a block's product need not sum as one point's does, so to a tolerance
+        assert math.isclose(rec.objective, ctx.op.objective(x), rel_tol=1e-12)
         x = h
 
 
@@ -494,6 +496,53 @@ def test_block_edge_runs_identify_across_an_edge():
     assert TRACE_BLOCK == 16
     assert run_experiment(block_edge_cfg("lasso", 16))[1]["identification_iter"] == 14
     assert run_experiment(block_edge_cfg("svm", 32))[1]["identification_iter"] == 18
+
+
+@pytest.mark.parametrize("keys", [
+    {"problem.kind": "lasso", "algorithm.kind": "ista"},
+    {"problem.kind": "nnls", "algorithm.kind": "drs", "aa.enabled": "true"},
+])
+def test_a_run_takes_its_objectives_a_block_at_a_time(monkeypatch, keys):
+    blocks = []
+
+    def counted(objective):
+        def block_objective(block):
+            blocks.append(len(block))
+            return objective(block)
+        return block_objective
+
+    cfg = config_from_mapping({**keys, "run.max_iter": "100", "run.tol": "1e-300"})
+    (trace, _), _ = spied_run(monkeypatch, cfg, objective=counted)
+    assert len(trace) == 101 and sum(blocks) == 101
+    assert len(blocks) == math.ceil(101 / TRACE_BLOCK) == 7
+
+
+@pytest.mark.parametrize("max_iter", [TRACE_BLOCK - 1, TRACE_BLOCK, TRACE_BLOCK + 1])
+@pytest.mark.parametrize("family", BLOCK_EDGE_RUNS)
+def test_block_objectives_match_an_objective_per_iterate(monkeypatch, family, max_iter):
+    monitors, values = [], []
+
+    def capture_monitor(monitor):
+        def captured(x):
+            monitors.append(np.array(x if monitor is None else monitor(x)))  # unset: the iterate
+            return monitors[-1]
+        return captured
+
+    def capture_objective(objective):
+        def captured(block):
+            values.extend(objective(block).tolist())
+            return np.array(values[-len(block):])
+        captured.unwrapped = objective
+        return captured
+
+    cfg = block_edge_cfg(family, max_iter)
+    (trace, summary), ctx = spied_run(monkeypatch, cfg, monitor=capture_monitor, objective=capture_objective)
+    assert len(trace.objective) == len(values) == len(monitors) == max_iter + 1
+    assert list(trace.objective) == values
+    assert summary["final_objective"] == trace[-1].objective == values[-1]
+    objective = ctx.op.objective.unwrapped
+    for value, monitor in zip(values, monitors):  # one point's product sums apart from a block's
+        assert math.isclose(value, objective(monitor[None])[0], rel_tol=1e-12)
 
 
 def test_a_trace_that_cannot_be_written_fails_before_the_run(monkeypatch, tmp_path):
@@ -661,7 +710,8 @@ def test_nnls_run_solves_each_drs_point_once(monkeypatch, aa):
     monkeypatch.setattr(aaopt.harness, "build_operator", lambda _cfg: ctx)
     records, summary = run_experiment(cfg)
     assert summary["status"] == "converged"
-    assert calls["monitor"] == calls["objective"] == len(records)
+    assert calls["monitor"] == len(records)
+    assert calls["objective"] == math.ceil(len(records) / TRACE_BLOCK)
     if aa == "true":  # the engine both accepts and rejects on this run
         assert any(r.accepted for r in records[1:]) and not all(r.accepted for r in records[1:])
     else:
@@ -678,7 +728,7 @@ def test_nnls_memoized_monitor_and_objective_match_direct_solve():
         _, y, z_next = parts(z)
         assert np.array_equal(h, z_next)
         assert np.array_equal(ctx.op.monitor(z), y)
-        assert ctx.op.objective(z) == nnls_objective(inst, y)
+        assert ctx.op.objective(ctx.op.monitor(z)[None]) == nnls_objective(inst, y[None])  # at the monitor
         z = h
 
 
@@ -694,12 +744,29 @@ def test_nnls_memo_is_not_stale_after_in_place_mutation():
     assert not np.array_equal(after, before)
 
 
-LASSO_MEMO = {**LASSO_SMALL, "problem.rows": "40", "problem.cols": "200", "problem.lambda": "0.01",
-              "run.seed": "0", "aa.restart": "1"}
+def test_nnls_memo_treats_signed_zeros_as_different_points(monkeypatch):
+    solves = []
+    real_solve = aaopt.prox.dpotrs
+    monkeypatch.setattr(aaopt.prox, "dpotrs", lambda *a, **k: solves.append(None) or real_solve(*a, **k))
+    ctx = build_operator(config_from_mapping(NNLS_SMALL))
+    _, parts = nnls_reference_parts()
+    z = soft_threshold(ctx.x0, 1.0)  # +0.0 off the support
+    negated = np.where(z == 0.0, -0.0, z)
+    assert np.array_equal(negated, z) and negated.tobytes() != z.tobytes()
+    want = {point.tobytes(): parts(point)[1].tobytes() for point in (z, negated)}
+    solves.clear()
+    ctx.op.apply(z)
+    assert ctx.op.monitor(z).tobytes() == want[z.tobytes()] and len(solves) == 1
+    assert ctx.op.monitor(negated).tobytes() == want[negated.tobytes()] and len(solves) == 2
+    assert ctx.op.monitor(z).tobytes() == want[z.tobytes()] and len(solves) == 3
+
+
+LASSO_40X200 = {**LASSO_SMALL, "problem.rows": "40", "problem.cols": "200", "problem.lambda": "0.01",
+                "run.seed": "0", "aa.restart": "1"}
 
 
 def lasso_reference():
-    """The LASSO_MEMO instance and its map, built without the harness's memo."""
+    """The LASSO_40X200 instance and its map, built without the harness."""
     inst = gen_lasso(40, 200, lam=0.01, seed=0)
     beta = 1.0 / aaopt.linalg.spectral_norm_sq(inst.A)
     g_prox = lambda v: soft_threshold(v, beta * inst.lam)
@@ -707,11 +774,11 @@ def lasso_reference():
 
 
 def build_counting_lasso(monkeypatch, cfg, caller: list, products: dict):
-    """build_operator(cfg), with A x products (not A^T r) counted by caller from then on.
+    """build_operator(cfg), with products by A (not by A^T) counted by caller from then on.
 
     The instance's matrix is an ndarray subclass, injected through the
-    harness's gen_lasso, whose ``dot`` counts and then returns the plain
-    product, so the run computes what it computes without it.
+    harness's gen_lasso, that counts ``A.dot(x)`` and ``X @ A.T`` and then
+    returns the plain product, so the run computes what it computes without it.
     """
     real = aaopt.harness.gen_lasso
     shape = None
@@ -721,6 +788,11 @@ def build_counting_lasso(monkeypatch, cfg, caller: list, products: dict):
             if self.shape == shape:  # A x; A.T is a view of the transposed shape
                 products[caller[0]] += 1
             return np.asarray(self).dot(x)
+
+        def __rmatmul__(self, X):
+            if self.shape == shape[::-1]:  # X A^T, a block's product
+                products[caller[0]] += 1
+            return X @ np.asarray(self)
 
     def gen_counting(*args, **kwargs):
         nonlocal shape
@@ -736,7 +808,7 @@ def build_counting_lasso(monkeypatch, cfg, caller: list, products: dict):
 
 @pytest.mark.parametrize("algorithm,aa", [("ista", "false"), ("ista", "true"), ("fista", "false")])
 def test_lasso_run_forms_one_residual_per_evaluation(monkeypatch, algorithm, aa):
-    cfg = config_from_mapping({**LASSO_MEMO, "algorithm.kind": algorithm, "aa.enabled": aa,
+    cfg = config_from_mapping({**LASSO_40X200, "algorithm.kind": algorithm, "aa.enabled": aa,
                                "run.max_iter": "600", "run.tol": "1e-9"})
     caller = ["loop"]
     calls = {"apply": 0, "objective": 0}
@@ -756,56 +828,25 @@ def test_lasso_run_forms_one_residual_per_evaluation(monkeypatch, algorithm, aa)
     ctx.op = replace(ctx.op, **{name: inside(name, getattr(ctx.op, name)) for name in calls})
     monkeypatch.setattr(aaopt.harness, "build_operator", lambda _cfg: ctx)
     records, _ = run_experiment(cfg)
-    assert calls["objective"] == len(records)
+    assert calls["objective"] == math.ceil(len(records) / TRACE_BLOCK)
     if aa == "true":  # the engine both accepts and rejects on this run
         assert any(r.accepted for r in records[1:]) and not all(r.accepted for r in records[1:])
     elif algorithm == "ista":
         assert calls["apply"] == len(records)
-    # FISTA's first two steps evaluate H at y = x, a point the monitor has
-    # just evaluated, so they form no product
-    hits = 2 if algorithm == "fista" else 0
-    assert products == {"loop": 0, "apply": calls["apply"] - hits, "objective": 0}
+    # one A x per evaluation of H, and one product per block of objectives
+    assert products == {"loop": 0, "apply": calls["apply"], "objective": calls["objective"]}
 
 
-def test_lasso_memoized_map_and_objective_match_direct_evaluation():
-    ctx = build_operator(config_from_mapping(LASSO_MEMO))
+def test_lasso_map_and_objective_match_direct_evaluation():
+    ctx = build_operator(config_from_mapping(LASSO_40X200))
     inst, apply = lasso_reference()
     x = ctx.x0
     for _ in range(20):
         h = ctx.op.apply(x)
         assert h.tobytes() == apply(x).tobytes()
-        assert ctx.op.objective(x) == lasso_objective(inst, x)
+        terms = objective_terms("lasso", inst, x)
+        assert math.isclose(ctx.op.objective(x), math.fsum(terms), rel_tol=1e-12)
         x = h
-
-
-def test_lasso_memo_is_not_stale_after_in_place_mutation(monkeypatch):
-    products = {"test": 0}
-    ctx = build_counting_lasso(monkeypatch, config_from_mapping(LASSO_MEMO), ["test"], products)
-    inst, _ = lasso_reference()
-    x = ctx.x0.copy()
-    ctx.op.apply(x)
-    before = ctx.op.objective(x)
-    assert products["test"] == 1
-    x += 1.0
-    after = ctx.op.objective(x)
-    assert products["test"] == 2
-    assert after == lasso_objective(inst, x) and after != before
-
-
-def test_lasso_memo_treats_signed_zeros_as_different_points(monkeypatch):
-    products = {"test": 0}
-    ctx = build_counting_lasso(monkeypatch, config_from_mapping(LASSO_MEMO), ["test"], products)
-    inst, _ = lasso_reference()
-    x = soft_threshold(ctx.x0, 1.0)  # +0.0 off the support
-    ctx.op.apply(x)
-    negated = np.where(x == 0.0, -0.0, x)
-    assert np.array_equal(negated, x) and negated.tobytes() != x.tobytes()
-    got = ctx.op.objective(negated)
-    assert products["test"] == 2
-    assert got == lasso_objective(inst, negated)
-    got = ctx.op.objective(x)
-    assert products["test"] == 3
-    assert got == lasso_objective(inst, x)
 
 
 def test_logreg_run_converges_with_smoothing_floor():

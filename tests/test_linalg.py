@@ -32,8 +32,8 @@ def csr_and_vector(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=csr_and_vector())
 def test_csr_transpose_built_once_is_bitwise_the_transposed_matvec(case):
-    # the svm builder keeps A.T as CSR, built once, for its objective, and the
-    # lasso builder for its gradient; it must sum exactly as A.T.dot(v) does
+    # the lasso builder keeps A.T as CSR, built once, for its gradient; it
+    # must sum exactly as A.T.dot(v) does
     S, v = case
     At = S.T.tocsr()
     assert At.dot(v).tobytes() == S.T.dot(v).tobytes()

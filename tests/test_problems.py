@@ -1,11 +1,16 @@
+import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from aaopt.algorithms import irl1_step
-from aaopt.harness import ConfigError, ExperimentConfig
+from aaopt.harness import ConfigError, ExperimentConfig, build_operator, config_from_mapping
 from aaopt.problems import (
     gen_lasso,
     gen_logreg,
@@ -27,7 +32,7 @@ from aaopt.problems import (
     svm_dual_objective,
 )
 
-from oracles import central_diff_grad
+from oracles import central_diff_grad, objective_terms, write_libsvm
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +208,50 @@ def test_logreg_objective_adds_power_penalty():
     x = np.zeros(7)
     x[0] = 16.0
     assert np.isclose(logreg_objective(inst, x), logreg_loss(inst, x) + 0.5 * 16.0**0.75)
+
+
+# (keys, the instance they build) per family; nnls at the bench's 300 x 200,
+# where a block's product sums differently below 12 rows than from 12 up
+OBJECTIVE_FAMILIES = {
+    "lasso": ({"problem.kind": "lasso", "algorithm.kind": "ista"},
+              lambda: gen_lasso(40, 200, 0.01, 1e-4, seed=0)),
+    "svm": ({"problem.kind": "svm", "algorithm.kind": "pcd"}, lambda: gen_svm(100, 20, seed=0)),
+    "nnls": ({"problem.kind": "nnls", "algorithm.kind": "drs", "problem.rows": "300", "problem.cols": "200"},
+             lambda: gen_nnls(300, 200, seed=0)),
+    "logreg": ({"problem.kind": "logreg", "algorithm.kind": "irl1"}, lambda: gen_logreg(100, 30, seed=0)),
+}
+
+
+@pytest.fixture(scope="module")
+def objectives(tmp_path_factory):
+    """(op.objective, its instance) per family and layout; csr reads the matrix from a LIBSVM file."""
+    out = {}
+    for family, (keys, generate) in OBJECTIVE_FAMILIES.items():
+        inst = generate()
+        out[family, "dense"] = build_operator(config_from_mapping(keys)).op.objective, inst
+        path = str(tmp_path_factory.mktemp(family) / "data.libsvm")
+        write_libsvm(path, inst.A, np.where(inst.y >= 0.0, 1.0, -1.0), drop_below=0.1)
+        A, y = load_libsvm(path)
+        kind = {key: keys[key] for key in ("problem.kind", "algorithm.kind")}
+        op = build_operator(config_from_mapping({**kind, "problem.dataset": path})).op
+        out[family, "csr"] = op.objective, replace(inst, A=A, y=y)
+    return out
+
+
+@pytest.mark.parametrize("layout", ["dense", "csr"])
+@pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_block_objective_matches_a_per_row_formula(objectives, family, layout, data):
+    objective, inst = objectives[family, layout]
+    rows = data.draw(st.integers(1, 16), label="rows")
+    width = inst.A.shape[0 if family == "svm" else 1]  # the monitor: svm's dual x, the others' primal x
+    X = data.draw(hnp.arrays(float, (rows, width), elements=st.floats(-10.0, 10.0)), label="X")
+    got = objective(X)
+    assert got.shape == (rows,)
+    for x, value in zip(X, got):
+        terms = objective_terms(family, inst, x)
+        assert abs(value - math.fsum(terms)) <= 1e-12 * math.fsum(map(abs, terms)), (value, terms)
 
 
 # ---------------------------------------------------------------------------
