@@ -1,12 +1,9 @@
 """Anderson acceleration for nonsmooth fixed-point optimization algorithms."""
 
 from .algorithms import (
-    FistaState,
     FixedPointOperator,
     admm_step,
     drs_parts,
-    fista_init,
-    fista_step,
     irl1_beta_window,
     irl1_step,
     pcd_sweep,

@@ -25,9 +25,6 @@ from .prox import weighted_soft_threshold
 __all__ = [
     "FixedPointOperator",
     "pga_step",
-    "FistaState",
-    "fista_init",
-    "fista_step",
     "pcd_sweep",
     "drs_parts",
     "admm_step",
@@ -77,33 +74,6 @@ def pga_step(grad_f: Grad, g_prox: Prox, beta: float, x: np.ndarray) -> np.ndarr
         raise ValueError("pga_step: beta must be positive")
     g = _require_finite(np.asarray(grad_f(x), dtype=float), "pga_step: gradient")
     return g_prox(x - beta * g)
-
-
-@dataclass(frozen=True)
-class FistaState:
-    """Momentum state (x, y, t) of the accelerated proximal gradient method."""
-
-    x: np.ndarray
-    y: np.ndarray
-    t: float
-
-
-def fista_init(x0: np.ndarray) -> FistaState:
-    x0 = np.asarray(x0, dtype=float)
-    return FistaState(x=x0, y=x0, t=1.0)
-
-
-def fista_step(state: FistaState, apply: Callable[[np.ndarray], np.ndarray]) -> FistaState:
-    """One FISTA update with H = ``apply``, the proximal-gradient map pga_step.
-
-    The first step from fista_init equals one application of H.  This
-    comparator is driven on its own momentum sequence and is never fed to the
-    Anderson engine.
-    """
-    x_new = apply(state.y)
-    t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * state.t**2))
-    y_new = x_new + ((state.t - 1.0) / t_new) * (x_new - state.x)
-    return FistaState(x=x_new, y=y_new, t=t_new)
 
 
 def _per_row(value, m: int, what: str) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 A config is a flat ``section.key = value`` file (``#`` starts a comment).
 ``run_experiment`` builds the problem instance and its fixed-point operator,
-drives it plainly or through the Anderson engine, and returns the per
-iteration trace, kept in columns, plus a key=value summary block.
+drives it plainly, through the Anderson engine or as the FISTA baseline, and
+returns the per iteration trace, kept in columns, plus a key=value summary
+block.
 Identical config + seed reproduces identical numeric trace fields; only the
 timing column varies.
 """
@@ -22,8 +23,6 @@ import numpy as np
 from .algorithms import (
     FixedPointOperator,
     drs_parts,
-    fista_init,
-    fista_step,
     irl1_step,
     pcd_sweep,
     pga_step,
@@ -473,11 +472,17 @@ def _aa_iterates(apply: Callable, x0: np.ndarray, aa: AaConfig):
 
 
 def _fista_iterates(apply: Callable, x0: np.ndarray):
-    st = fista_init(x0)
+    # the FISTA baseline runs its own momentum sequence and is never fed to
+    # the engine; with t = 1 its first step is one application of H
+    x = y = np.asarray(x0, dtype=float)
+    t = 1.0
     while True:
-        d = apply(st.x) - st.x
-        yield st.x, math.sqrt(float(d.dot(d))), 0.0, 0
-        st = fista_step(st, apply)
+        d = apply(x) - x
+        yield x, math.sqrt(float(d.dot(d))), 0.0, 0
+        x_new = apply(y)
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t**2))
+        y = x_new + ((t - 1.0) / t_new) * (x_new - x)
+        x, t = x_new, t_new
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[Trace, dict]:
@@ -577,8 +582,10 @@ def run_sweep(cfg: ExperimentConfig, memories: Sequence[int]) -> list[dict]:
     """Baseline run plus one accelerated run per memory value."""
     if not memories:
         raise ConfigError("sweep needs at least one memory value")
-    for m in memories:  # before the baseline runs, and as the config would name it
+    for i, m in enumerate(memories):  # before the baseline runs, and as the config would name it
         CONFIG_KEYS["aa.memory"].check("aa.memory", m)
+        if m in memories[:i]:  # each run writes its trace under its memory value
+            raise ConfigError("sweep lists aa.memory %r twice" % m)
     summaries = []
     base = replace(cfg, aa_enabled=False, trace_path=_variant_path(cfg.trace_path, "baseline"))
     summaries.append(run_experiment(base)[1])

@@ -87,11 +87,6 @@ class SvmDualInstance:
     y: np.ndarray
     C: float
 
-    def k_apply(self, x: np.ndarray) -> np.ndarray:
-        """(Z Z^T) x computed as two thin products, Z = y .* A."""
-        z = self.A.dot(self.A.T.dot(self.y * x))
-        return self.y * z
-
 
 @dataclass(frozen=True)
 class NnlsInstance:
@@ -208,8 +203,8 @@ def lasso_objective(inst: LassoInstance, X: np.ndarray) -> np.ndarray:
 
 
 def svm_dual_grad(inst: SvmDualInstance, x: np.ndarray) -> np.ndarray:
-    """Gradient (Z Z^T) x - 1 of the dual objective."""
-    return inst.k_apply(x) - 1.0
+    """Gradient (Z Z^T) x - 1 of the dual objective, Z = y .* A, as two thin products."""
+    return inst.y * inst.A.dot(inst.A.T.dot(inst.y * x)) - 1.0
 
 
 def svm_dual_objective(inst: SvmDualInstance, X: np.ndarray) -> np.ndarray:

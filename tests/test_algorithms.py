@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 
 from aaopt.algorithms import (
     FixedPointOperator,
-    FistaState,
     admm_step,
     drs_parts,
-    fista_init,
-    fista_step,
     irl1_beta_window,
     irl1_step,
     pcd_sweep,
@@ -97,60 +94,6 @@ def test_huge_finite_gradients_pass_silently_and_non_finite_ones_raise(bad):
 def test_pga_step_rejects_bad_beta():
     with pytest.raises(ValueError):
         pga_step(lambda x: x, l1_prox(1.0, 1.0), -1.0, np.ones(2))
-
-
-# ---------------------------------------------------------------------------
-# accelerated comparator
-
-
-def test_fista_init_state():
-    x0 = np.array([1.0, 2.0])
-    st = fista_init(x0)
-    assert np.array_equal(st.x, x0)
-    assert np.array_equal(st.y, x0)
-    assert st.t == 1.0
-
-
-def test_fista_first_step_matches_plain_gradient_step():
-    a = np.array([2.0, -1.0, 0.3])
-    grad = lambda x: x - a
-    x0 = np.array([5.0, 5.0, 5.0])
-    apply = lambda x: pga_step(grad, l1_prox(0.2, 0.4), 0.4, x)
-    st = fista_step(fista_init(x0), apply)
-    assert np.array_equal(st.x, apply(x0))
-    # t0 = 1 means zero momentum on the first step
-    assert np.array_equal(st.y, st.x)
-
-
-def test_fista_t_sequence_recurrence():
-    st = fista_init(np.zeros(1))
-    apply = lambda x: pga_step(lambda v: v, l1_prox(0.0, 0.1), 0.1, x)
-    ts = [st.t]
-    for _ in range(10):
-        st = fista_step(st, apply)
-        ts.append(st.t)
-    assert math.isclose(ts[1], (1.0 + math.sqrt(5.0)) / 2.0, rel_tol=1e-15)
-    for k in range(10):
-        want = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * ts[k] ** 2))
-        assert math.isclose(ts[k + 1], want, rel_tol=1e-15)
-    assert all(b > a for a, b in zip(ts, ts[1:]))
-
-
-def test_fista_converges_to_shrunk_minimizer():
-    a = np.array([2.0, -0.15, 0.9, 0.0])
-    star = soft_threshold(a, 0.3)
-    apply = lambda x: pga_step(lambda v: v - a, l1_prox(0.3, 0.4), 0.4, x)
-    st = fista_init(np.array([10.0, -10.0, 10.0, -10.0]))
-    for _ in range(150):
-        st = fista_step(st, apply)
-    assert np.linalg.norm(st.x - star) <= 1e-10
-
-
-def test_fista_state_is_immutable():
-    st = fista_init(np.zeros(2))
-    with pytest.raises(AttributeError):
-        st.t = 2.0
-    assert isinstance(st, FistaState)
 
 
 # ---------------------------------------------------------------------------

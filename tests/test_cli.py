@@ -78,7 +78,7 @@ def test_sweep_rejects_bad_memory_list(cfg_path, capsys):
 @pytest.mark.parametrize("memory,why", [
     ("5,,5", "--memory expects comma-separated integers, got '5,,5'"),
     ("5,", "--memory expects comma-separated integers, got '5,'"),
-    ("5,10,5", "--memory lists a value twice in '5,10,5'"),
+    ("5,10,5", "sweep lists aa.memory 5 twice"),
     ("0", "aa.memory must lie in [1, 64], got 0"),
     ("65", "aa.memory must lie in [1, 64], got 65"),
 ])

@@ -3,7 +3,8 @@
 Each module's ``__all__`` is the package's surface.  A name that nothing in
 ``src/aaopt`` uses is code that only the tests run, so it either gets a caller
 or goes, unless it is listed below with the reason it stays.  The package's
-``__init__.py`` re-exports everything and is left out of the search.
+``__init__.py`` is left out of the search: it re-exports most of those names,
+and each one it imports must be in its module's ``__all__``.
 """
 
 from __future__ import annotations
@@ -63,3 +64,13 @@ def test_every_export_has_a_caller_in_the_package():
     assert unused == [], "exported but never used in src/aaopt: %s" % unused
     stale = sorted(n for n in ALLOWED_WITHOUT_CALLER if n not in exports or n in used)
     assert stale == [], "allowlisted names that are gone or now have a caller: %s" % stale
+
+
+def test_the_package_reexports_only_exported_names():
+    trees = modules()
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = [(node.module, alias.name) for node in init.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    assert imported
+    outside = sorted("%s.%s" % (mod, name) for mod, name in imported if name not in exported(trees[mod]))
+    assert outside == [], "imported by __init__.py but not in the module's __all__: %s" % outside

@@ -644,6 +644,21 @@ def test_fista_run_has_no_mixing_weights():
     assert all(r.alpha_l1 == 0.0 and r.accepted == 0 for r in records)
 
 
+def test_fista_first_step_is_one_application_of_h():
+    # t starts at 1, so the first step carries no momentum: both runs reach x1 = H(x0)
+    fista, _ = run_experiment(lasso_cfg(**{"algorithm.kind": "fista", "run.max_iter": "1"}))
+    ista, _ = run_experiment(lasso_cfg(**{"run.max_iter": "1"}))
+    bits = lambda r: (r.residual_norm.hex(), r.objective.hex())
+    assert bits(fista[1]) == bits(ista[1])
+
+
+def test_fista_converges_to_the_ista_objective():
+    _, fista = run_experiment(lasso_cfg(**{"algorithm.kind": "fista"}))
+    _, ista = run_experiment(lasso_cfg())
+    assert fista["status"] == ista["status"] == "converged"  # both reach run.tol
+    assert math.isclose(fista["final_objective"], ista["final_objective"], rel_tol=1e-8)
+
+
 def test_aa_run_reports_mixing_weights():
     records, summary = run_experiment(lasso_cfg(**{"aa.enabled": "true", "aa.memory": "5"}))
     assert summary["aa"] is True and summary["memory"] == 5
@@ -886,6 +901,13 @@ def test_run_sweep_baseline_plus_memories(tmp_path):
         assert (tmp_path / name).exists()
     with pytest.raises(ConfigError):
         run_sweep(cfg, [])
+
+
+def test_run_sweep_refuses_a_repeated_memory_before_any_run(tmp_path):
+    cfg = lasso_cfg(**{"run.trace": str(tmp_path / "t.csv"), "run.max_iter": "5"})
+    with pytest.raises(ConfigError, match="^sweep lists aa.memory 5 twice$"):
+        run_sweep(cfg, [5, 5])
+    assert list(tmp_path.iterdir()) == []  # not even the baseline's trace
 
 
 def test_sweep_trace_names_keep_their_directory(tmp_path):
