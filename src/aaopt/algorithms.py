@@ -20,7 +20,7 @@ from scipy.linalg.blas import ddot
 from . import _kernels
 from ._kernels import C_INT_MAX, address
 from .problems import phi_deriv
-from .prox import weighted_soft_threshold
+from .prox import BoxBounds, weighted_soft_threshold
 
 __all__ = [
     "FixedPointOperator",
@@ -70,7 +70,7 @@ def pga_step(grad_f: Grad, g_prox: Prox, beta: float, x: np.ndarray) -> np.ndarr
 
     ``g_prox`` is prox_{beta g}, built for this ``beta``.
     """
-    if beta <= 0:
+    if not beta > 0:  # negated, so NaN fails too
         raise ValueError("pga_step: beta must be positive")
     g = _require_finite(np.asarray(grad_f(x), dtype=float), "pga_step: gradient")
     return g_prox(x - beta * g)
@@ -84,13 +84,14 @@ def _per_row(value, m: int, what: str) -> np.ndarray:
     return np.full(m, value)
 
 
-def pcd_sweep(Z, q, lower, upper, beta: float) -> Callable[[np.ndarray], np.ndarray]:
+def pcd_sweep(Z, q, box: BoxBounds, beta: float) -> Callable[[np.ndarray], np.ndarray]:
     """One cyclic sweep of proximal coordinate descent, built once for many calls.
 
     The problem is f(x) = 0.5*||Z.T x||^2 + q.T x on the box
     lower <= x <= upper, with Z an m x n dense array or CSR matrix (one row
-    per coordinate) and q, lower, upper scalars or length-m vectors (bounds
-    may be infinite).  The returned ``sweep(x)`` updates coordinate i to
+    per coordinate), q a scalar or a length-m vector, and ``box`` the
+    bounds, each a scalar or a length-m vector, already checked by
+    ``BoxBounds``.  The returned ``sweep(x)`` updates coordinate i to
     clip(x_i - beta*(z_i.u + q_i), lower_i, upper_i) for i = 0..m-1, each
     against the coordinates already updated, while keeping u = Z.T x current.
     It does not modify ``x``.
@@ -104,7 +105,7 @@ def pcd_sweep(Z, q, lower, upper, beta: float) -> Callable[[np.ndarray], np.ndar
     runs find it there (see ``aaopt._kernels``).  A CSR Z is checked in full
     first.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("pcd_sweep: beta must be positive")
     lib = _kernels.library()
     sparse = hasattr(Z, "tocsr") and not isinstance(Z, np.ndarray)
@@ -123,14 +124,7 @@ def pcd_sweep(Z, q, lower, upper, beta: float) -> Callable[[np.ndarray], np.ndar
             raise ValueError("pcd_sweep: Z is not a valid CSR matrix: %s" % exc) from None
     else:
         Z = Z.astype(float, copy=False)
-    rows = (_per_row(q, m, "q"), _per_row(lower, m, "lower"), _per_row(upper, m, "upper"))
-    # a NaN bound would drop out of the clip unnoticed, and in an empty box
-    # the clip would pick the upper bound
-    for name, row in (("lower", rows[1]), ("upper", rows[2])):
-        if np.isnan(row).any():
-            raise ValueError("pcd_sweep: %s is NaN somewhere" % name)
-    if (rows[1] > rows[2]).any():
-        raise ValueError("pcd_sweep: lower exceeds upper somewhere")
+    rows = (_per_row(q, m, "q"), _per_row(box.lower, m, "lower"), _per_row(box.upper, m, "upper"))
     bounds = [address(row) for row in rows] + [float(beta)]
 
     # the iterate and u pass as ctypes arrays, which check their buffers' size
@@ -236,13 +230,13 @@ def irl1_step(
     (the power penalty's infinite-weight limit), so the safeguard can judge
     such a candidate by its residual.
     """
-    if beta <= 0:
+    if not beta > 0:  # negated, so NaN fails too
         raise ValueError("irl1_step: beta must be positive")
     if not (0.0 < mu < 1.0):
         raise ValueError("irl1_step: mu must lie in (0, 1)")
     if not (0.0 < p < 1.0):
         raise ValueError("irl1_step: p must lie in (0, 1)")
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("irl1_step: lam must be nonnegative")
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or theta.shape[0] % 2:

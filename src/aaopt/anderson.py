@@ -49,16 +49,12 @@ class AaConfig:
         iff its residual norm is <= theta * (smallest stored residual norm).
     restart_after_rejects : consecutive rejections that trigger a history
         restart from the current iterate.
-    alpha_cap : optional bound on sum|alpha_i|; a candidate whose weights
-        exceed it is rejected without evaluating the map.  None disables the
-        check (the sum is still reported in the diagnostics).
     """
 
     memory: int = 10
     tikhonov: float | None = None
     safeguard_factor: float = 1.0
     restart_after_rejects: int = 5
-    alpha_cap: float | None = None
 
     def __post_init__(self):
         # negated comparisons, so NaN fails each check
@@ -70,8 +66,6 @@ class AaConfig:
             raise ValueError("AaConfig: safeguard_factor must be >= 1")
         if not self.restart_after_rejects >= 1:
             raise ValueError("AaConfig: restart_after_rejects must be >= 1")
-        if self.alpha_cap is not None and not self.alpha_cap >= 1.0:
-            raise ValueError("AaConfig: alpha_cap must be >= 1 (alpha sums to 1)")
 
 
 @dataclass
@@ -102,7 +96,6 @@ class AaState:
     rbuf: np.ndarray
     r_norms: list[float]
     head: int = 0
-    k: int = 0
     reject_streak: int = 0
 
     @property
@@ -170,8 +163,8 @@ def compute_alpha(R: np.ndarray, tau: float = 0.0) -> np.ndarray:
     eliminated by the difference parametrization a = e_0 + C theta (which
     enforces the sum exactly), the resulting unconstrained least-squares
     problem is solved with an SVD, and the weights are renormalized before
-    being returned.  A rank-deficient system with tau = 0 is retried once
-    with tau = 1e-10 * ||R||_F^2.
+    being returned.  With tau = 0 there is no ridge: a rank-deficient system
+    gets LAPACK's minimum-norm solution.
 
     The solve runs in C (``aaopt_aa_weights`` in ``_kernels.c``), which
     reads R in place, writes the system exactly as numpy's SVD least-squares
@@ -204,10 +197,6 @@ def compute_alpha(R: np.ndarray, tau: float = 0.0) -> np.ndarray:
     if rank < 0:
         error, message = _WEIGHT_FAILURES[rank]
         raise error(message)
-    if tau == 0 and rank < ncol - 1:
-        retry_tau = 1e-10 * float((R * R).sum())
-        if retry_tau > 0:
-            return compute_alpha(R, retry_tau)
 
     total = float(alpha.sum())
     if not math.isfinite(total) or total == 0.0:
@@ -279,9 +268,9 @@ def safeguarded_step(
 
     Returns the next iterate and the step diagnostics.  The candidate is
     rejected (falling back to the plain step H(x^k), which is already stored)
-    when its weights exceed ``alpha_cap``, when it is non-finite, or when its
-    residual norm fails the safeguard test; ``restart_after_rejects``
-    consecutive rejections clear the history to the current iterate.
+    when it is non-finite or when its residual norm fails the safeguard test;
+    ``restart_after_rejects`` consecutive rejections clear the history to the
+    current iterate.
     """
     head, ncol = state.head, len(state.r_norms)
     R = state.rbuf[:, head : head + ncol]
@@ -298,9 +287,7 @@ def safeguarded_step(
     h_cand = r_cand = None
     # a finite c.c rules out NaN and inf; only an overflowing dot of a finite
     # candidate needs the full scan.  BLAS ddot takes no empty vector.
-    if (cfg.alpha_cap is None or alpha_l1 <= cfg.alpha_cap) and (
-        not candidate.size or math.isfinite(ddot(candidate, candidate)) or np.isfinite(candidate).all()
-    ):
+    if not candidate.size or math.isfinite(ddot(candidate, candidate)) or np.isfinite(candidate).all():
         h_cand = np.asarray(apply(candidate), dtype=float)
         r_cand = h_cand - candidate
         norm_cand = math.sqrt(float(r_cand.dot(r_cand)))
@@ -328,7 +315,6 @@ def safeguarded_step(
 
     _push(state, h_next, r_next, norm_next, cfg.memory)
     state.x = x_next
-    state.k += 1
     diag = AaDiagnostics(alpha=alpha, alpha_l1=alpha_l1, accepted=accepted, residual_norm=norm_next)
     return x_next, diag
 

@@ -75,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
             print("\n\n".join(format_summary(s) for s in summaries))
             if args.summary:
                 write_summary(summaries, args.summary)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, FloatingPointError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     return 0

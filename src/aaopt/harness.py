@@ -129,7 +129,6 @@ CONFIG_KEYS = {
     "aa.tikhonov": ConfigKey("aa.tikhonov", float, "[0, inf)", unset="auto"),
     "aa.safeguard": ConfigKey("aa.safeguard_factor", float, "[1, inf)"),
     "aa.restart": ConfigKey("aa.restart_after_rejects", int, "[1, inf)"),
-    "aa.alpha_cap": ConfigKey("aa.alpha_cap", float, "[1, inf)", unset="none"),
     "run.max_iter": ConfigKey("max_iter", int, "[1, inf)"),
     "run.tol": ConfigKey("tol", float, "(0, inf)"),
     "run.seed": ConfigKey("seed", int, "[0, inf)"),
@@ -251,11 +250,11 @@ def _x0_rng(seed: int) -> np.random.Generator:
 def _resolve_beta(cfg: ExperimentConfig, params: dict, lipschitz: float) -> float:
     if cfg.beta is not None:
         return float(cfg.beta)
-    if lipschitz <= 0:
+    if not 0 < lipschitz < math.inf:  # negated, so NaN fails too
         dataset = params["dataset"]
         source = "the generated instance" if dataset is None else "problem.dataset %s" % dataset
-        raise ConfigError("algorithm.beta = auto (1/L) needs a positive Lipschitz estimate, but it "
-                          "is %r for %s; set algorithm.beta to a step size" % (lipschitz, source))
+        raise ConfigError("algorithm.beta = auto (1/L) needs a positive finite Lipschitz estimate, "
+                          "but it is %r for %s; set algorithm.beta to a step size" % (lipschitz, source))
     return 1.0 / lipschitz
 
 
@@ -316,13 +315,14 @@ def _build_svm(cfg: ExperimentConfig, params: dict) -> RunContext:
         row_norm_sq = np.einsum("ij,ij->i", Z, Z)
     lipschitz = float(row_norm_sq.max()) if m else 0.0
     beta = _resolve_beta(cfg, params, lipschitz)
+    box = BoxBounds(0.0, inst.C)
     op = FixedPointOperator(
         dimension=m,
-        apply=pcd_sweep(Z, -1.0, 0.0, inst.C, beta),
+        apply=pcd_sweep(Z, -1.0, box, beta),
         objective=lambda X: svm_dual_objective(inst, X),
     )
     x0 = _x0_rng(cfg.seed).standard_normal(m)
-    return RunContext(op=op, x0=x0, bounds=BoxBounds(0.0, inst.C))
+    return RunContext(op=op, x0=x0, bounds=box)
 
 
 def _build_nnls(cfg: ExperimentConfig, params: dict) -> RunContext:

@@ -20,8 +20,9 @@ def spectral_norm_sq(A, tol: float = 1e-6, max_iter: int = 500) -> float:
     """Largest eigenvalue of A.T @ A (squared spectral norm) by power iteration.
 
     Deterministic: the start vector comes from a fixed-seed generator.  A zero
-    matrix returns 0.0.  Stops when the Rayleigh estimate changes by less than
-    ``tol`` relatively, or after ``max_iter`` rounds.
+    matrix returns 0.0, and inf comes at the first norm that is not finite.
+    Stops when the Rayleigh estimate changes by less than ``tol`` relatively,
+    or after ``max_iter`` rounds.
     """
     rows, cols = A.shape
     if rows == 0 or cols == 0:
@@ -35,8 +36,8 @@ def spectral_norm_sq(A, tol: float = 1e-6, max_iter: int = 500) -> float:
         # per-call dispatch
         w = At.dot(A.dot(v))
         nw = math.sqrt(float(w.dot(w)))
-        if nw == 0.0:
-            return 0.0
+        if not 0.0 < nw < math.inf:  # a zero matrix, or a product that overflows or holds NaN
+            return 0.0 if nw == 0.0 else math.inf
         new_est = float(v.dot(w))  # Rayleigh quotient, since ||v|| = 1
         v = w / nw
         if abs(new_est - est) <= tol * abs(new_est):

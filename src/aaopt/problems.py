@@ -9,6 +9,7 @@ single point gives a single value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -252,8 +253,8 @@ def parse_libsvm(lines: Iterable[str] | IO[str]) -> tuple[sp.csr_matrix, np.ndar
     Each nonempty line is ``<label> <index>:<value> ...`` with 1-based,
     strictly ascending indices.  The matrix width is the largest index seen.
     Labels must form a subset of {-1,+1} or {0,1}; the latter is remapped to
-    {-1,+1}.  Malformed tokens and nonascending indices raise with the line
-    number.  An empty stream yields a 0 x 0 matrix.
+    {-1,+1}.  Malformed tokens, non-finite feature values and nonascending
+    indices raise with the line number.  An empty stream yields a 0 x 0 matrix.
     """
     rows: list[int] = []
     cols: list[int] = []
@@ -280,6 +281,8 @@ def parse_libsvm(lines: Iterable[str] | IO[str]) -> tuple[sp.csr_matrix, np.ndar
                 val = float(val_s)
             except ValueError:
                 raise ValueError("line %d: malformed feature token %r" % (lineno, token)) from None
+            if not math.isfinite(val):
+                raise ValueError("line %d: feature value %r is not finite" % (lineno, token))
             if idx < 1:
                 raise ValueError("line %d: index %d is not 1-based" % (lineno, idx))
             if idx <= prev:

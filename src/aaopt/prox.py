@@ -48,7 +48,7 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     once a dot product of the result shows some entry is not finite.  That
     dot is BLAS ddot, which overflows to inf without numpy's warning.
     """
-    if t < 0:
+    if not t >= 0:  # negated, so NaN fails too
         raise ValueError("soft_threshold: threshold must be nonnegative")
     v = np.asarray(v, dtype=float)
     out = v + 0.0 if t == 0 else v - np.minimum(np.maximum(v, -t), t)
@@ -65,7 +65,7 @@ def weighted_soft_threshold(v: np.ndarray, w: np.ndarray, s: float) -> np.ndarra
     """
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    if s < 0:
+    if not s >= 0:  # negated, so NaN fails too
         raise ValueError("weighted_soft_threshold: scale must be nonnegative")
     if np.any(w < 0):
         raise ValueError("weighted_soft_threshold: weights must be nonnegative")
@@ -96,9 +96,9 @@ def quadratic_ls_prox(
 
     Raises LinAlgError if the shifted Gram matrix is not positive definite.
     """
-    if beta <= 0:
+    if not beta > 0:  # negated, so NaN fails too
         raise ValueError("quadratic_ls_prox: beta must be positive")
-    if scale_m <= 0:
+    if not scale_m > 0:
         raise ValueError("quadratic_ls_prox: scale_m must be positive")
     gram = A.T @ A
     gram = gram.toarray() if hasattr(gram, "toarray") else np.asarray(gram, dtype=float)

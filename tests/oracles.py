@@ -295,7 +295,7 @@ def list_init_state(apply, x0) -> ListAaState:
 
 
 def list_compute_alpha(R: np.ndarray, tau: float) -> np.ndarray:
-    """Sum-to-one weights by ``vstack`` and an SVD ``lstsq``, with the rank retry."""
+    """Sum-to-one weights by ``vstack`` and an SVD ``lstsq``; with tau = 0, its minimum-norm solution."""
     ncol = R.shape[1]
     if not np.all(np.isfinite(R)):
         raise ValueError("non-finite residual matrix")
@@ -315,11 +315,7 @@ def list_compute_alpha(R: np.ndarray, tau: float) -> np.ndarray:
         rhs = np.concatenate([c0, -root * e0])
         theta, _, _, _ = np.linalg.lstsq(lhs, rhs, rcond=None)
     else:
-        theta, _, rank, _ = np.linalg.lstsq(D, c0, rcond=None)
-        if rank < p:
-            retry_tau = 1e-10 * float(np.sum(R * R))
-            if retry_tau > 0:
-                return list_compute_alpha(R, retry_tau)
+        theta = np.linalg.lstsq(D, c0, rcond=None)[0]
     alpha = e0 + C @ theta
     total = float(alpha.sum())
     if not np.isfinite(total) or total == 0.0:
@@ -353,7 +349,7 @@ def list_aa_step(apply, state: ListAaState, cfg):
     best_stored = min(state.norms)
     accepted = False
     h_cand = r_cand = None
-    if (cfg.alpha_cap is None or alpha_l1 <= cfg.alpha_cap) and np.all(np.isfinite(candidate)):
+    if np.all(np.isfinite(candidate)):
         h_cand = np.asarray(apply(candidate), dtype=float)
         r_cand = h_cand - candidate
         norm_cand = float(np.linalg.norm(r_cand))

@@ -53,7 +53,7 @@ from aaopt.problems import (
     svm_dual_grad,
     svm_dual_objective,
 )
-from aaopt.prox import nonneg_project, quadratic_ls_prox, weighted_soft_threshold
+from aaopt.prox import BoxBounds, nonneg_project, quadratic_ls_prox, weighted_soft_threshold
 
 
 def _report(num: int, label: str, ok: bool, detail: str) -> None:
@@ -147,7 +147,8 @@ def test_criterion_02_alpha_contract():
 
     # Direct solves including the ill-conditioned shapes an extended-variable
     # run produces: near-parallel geometric columns at extreme scales, exact
-    # duplicates (tau=0 retry path), and generic Gaussian batches.
+    # duplicates (with tau = 0 LAPACK gives the minimum-norm solution), and
+    # generic Gaussian batches.
     rng = np.random.default_rng(2024)
     u = rng.standard_normal(60)
     for scale in (1e-8, 1.0, 1e8):
@@ -418,7 +419,7 @@ def test_criterion_09_pcd_oracle():
         x0 = rng.uniform(lo, hi)
         beta = float(rng.uniform(0.1, 1.0))
 
-        got = pcd_sweep(Z, q, lo, hi, beta)(x0)
+        got = pcd_sweep(Z, q, BoxBounds(lo, hi), beta)(x0)
 
         ref = np.array(x0, dtype=float)
         for i in range(n):

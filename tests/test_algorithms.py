@@ -18,7 +18,7 @@ from aaopt.algorithms import (
 )
 from aaopt.algorithms import _require_finite
 from aaopt.problems import phi_deriv
-from aaopt.prox import soft_threshold
+from aaopt.prox import BoxBounds, quadratic_ls_prox, soft_threshold, weighted_soft_threshold
 
 
 def l1_prox(lam, beta):
@@ -96,6 +96,32 @@ def test_pga_step_rejects_bad_beta():
         pga_step(lambda x: x, l1_prox(1.0, 1.0), -1.0, np.ones(2))
 
 
+NAN_STEPS = [
+    ("pga_step: beta must be positive",
+     lambda: pga_step(lambda x: x, l1_prox(1.0, 1.0), math.nan, np.ones(2))),
+    ("pcd_sweep: beta must be positive",
+     lambda: pcd_sweep(np.eye(2), 0.0, BoxBounds(0.0, 1.0), math.nan)),
+    ("irl1_step: beta must be positive",
+     lambda: irl1_step(lambda x: x, 0.5, 0.1, math.nan, 0.5, np.ones(4))),
+    ("irl1_step: lam must be nonnegative",
+     lambda: irl1_step(lambda x: x, 0.5, math.nan, 0.5, 0.5, np.ones(4))),
+    ("quadratic_ls_prox: beta must be positive",
+     lambda: quadratic_ls_prox(np.eye(2), np.ones(2), 0.0, 1.0, math.nan)),
+    ("quadratic_ls_prox: scale_m must be positive",
+     lambda: quadratic_ls_prox(np.eye(2), np.ones(2), 0.0, math.nan, 1.0)),
+    ("soft_threshold: threshold must be nonnegative", lambda: soft_threshold(np.ones(2), math.nan)),
+    ("weighted_soft_threshold: scale must be nonnegative",
+     lambda: weighted_soft_threshold(np.ones(2), np.ones(2), math.nan)),
+]
+
+
+@pytest.mark.parametrize("message, call", NAN_STEPS, ids=[m.split(" must")[0] for m, _ in NAN_STEPS])
+def test_a_nan_step_is_refused(message, call):
+    # pga_step and pcd_sweep returned NaN vectors for a NaN beta without complaint
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # coordinate descent
 
@@ -103,7 +129,7 @@ def test_pga_step_rejects_bad_beta():
 def test_pcd_sweep_box_quadratic_hand_values():
     # f = 0.5||x||^2 - a.x, i.e. Z = I and q = -a, on the box [0, 1]^2
     a = np.array([2.0, -1.0])
-    sweep = pcd_sweep(np.eye(2), -a, 0.0, 1.0, 1.0)
+    sweep = pcd_sweep(np.eye(2), -a, BoxBounds(0.0, 1.0), 1.0)
     out = sweep(np.zeros(2))
     assert np.array_equal(out, np.array([1.0, 0.0]))
     # the clipped point is the constrained minimizer, hence a fixed point
@@ -113,19 +139,19 @@ def test_pcd_sweep_box_quadratic_hand_values():
 def test_pcd_sweep_sees_partial_updates():
     # f = 0.5 (x0 + x1)^2: the second coordinate must be updated against the
     # already-updated first one.
-    out = pcd_sweep(np.ones((2, 1)), 0.0, -np.inf, np.inf, 0.5)(np.array([1.0, 1.0]))
+    out = pcd_sweep(np.ones((2, 1)), 0.0, BoxBounds(-np.inf, np.inf), 0.5)(np.array([1.0, 1.0]))
     assert np.array_equal(out, np.array([0.0, 0.5]))  # a Jacobi pass would give (0, 0)
 
 
 def test_pcd_sweep_does_not_mutate_input():
     x = np.array([1.0, 1.0])
-    pcd_sweep(np.eye(2), 0.0, -np.inf, np.inf, 0.5)(x)
+    pcd_sweep(np.eye(2), 0.0, BoxBounds(-np.inf, np.inf), 0.5)(x)
     assert np.array_equal(x, np.array([1.0, 1.0]))
 
 
 def test_pcd_sweep_rejects_bad_beta():
     with pytest.raises(ValueError):
-        pcd_sweep(np.eye(2), 0.0, -np.inf, np.inf, 0.0)
+        pcd_sweep(np.eye(2), 0.0, BoxBounds(-np.inf, np.inf), 0.0)
 
 
 @pytest.mark.parametrize("lower,upper,name", [
@@ -134,9 +160,10 @@ def test_pcd_sweep_rejects_bad_beta():
     (np.array([-1.0, np.nan]), 1.0, "lower"),
 ])
 def test_pcd_sweep_rejects_nan_bounds(lower, upper, name):
-    # the clip would drop a NaN bound and return a point outside the box
-    with pytest.raises(ValueError, match=name):
-        pcd_sweep(np.eye(2), -1.0, lower, upper, 0.5)
+    # the clip would drop a NaN bound and return a point outside the box;
+    # the sweep takes a BoxBounds, which refuses one
+    with pytest.raises(ValueError, match="BoxBounds: %s is NaN somewhere" % name):
+        pcd_sweep(np.eye(2), -1.0, BoxBounds(lower, upper), 0.5)
 
 
 @pytest.mark.parametrize("lower,upper", [
@@ -146,19 +173,19 @@ def test_pcd_sweep_rejects_nan_bounds(lower, upper, name):
     (0.0, np.array([1.0, -1.0])),
 ])
 def test_pcd_sweep_rejects_an_empty_box(lower, upper):
-    # the clip would return the upper bound from every point
-    with pytest.raises(ValueError, match="lower exceeds upper"):
-        pcd_sweep(np.eye(2), 0.0, lower, upper, 0.5)
+    # the clip would return the upper bound from every point; BoxBounds refuses the box
+    with pytest.raises(ValueError, match="BoxBounds: lower exceeds upper somewhere"):
+        pcd_sweep(np.eye(2), 0.0, BoxBounds(lower, upper), 0.5)
 
 
 def test_pcd_sweep_takes_a_box_of_one_point():
-    sweep = pcd_sweep(np.eye(2), 0.0, np.array([1.0, -2.0]), np.array([1.0, -2.0]), 0.5)
+    sweep = pcd_sweep(np.eye(2), 0.0, BoxBounds(np.array([1.0, -2.0]), np.array([1.0, -2.0])), 0.5)
     assert np.array_equal(sweep(np.array([5.0, 5.0])), [1.0, -2.0])
 
 
 def test_pcd_sweep_checks_per_coordinate_lengths():
     with pytest.raises(ValueError, match="upper"):
-        pcd_sweep(np.eye(3), 0.0, 0.0, np.ones(2), 1.0)
+        pcd_sweep(np.eye(3), 0.0, BoxBounds(0.0, np.ones(2)), 1.0)
 
 
 OPEN = st.sampled_from([False, False, True])  # a bound is infinite a third of the time
@@ -189,8 +216,8 @@ def box_quadratics(draw):
 def test_pcd_sweep_on_csr_matches_the_dense_sweep(problem):
     Z, q, lower, upper, x, beta = problem
     before = x.tobytes()
-    dense = pcd_sweep(Z, q, lower, upper, beta)(x)
-    csr = pcd_sweep(sp.csr_matrix(Z), q, lower, upper, beta)(x)
+    dense = pcd_sweep(Z, q, BoxBounds(lower, upper), beta)(x)
+    csr = pcd_sweep(sp.csr_matrix(Z), q, BoxBounds(lower, upper), beta)(x)
     assert x.tobytes() == before
     assert csr.shape == dense.shape == x.shape
     scale = 1.0 + float(np.max(np.abs(x))) + float(np.max(np.abs(dense)))

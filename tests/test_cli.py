@@ -103,3 +103,16 @@ def test_run_reads_a_lasso_libsvm_dataset(tmp_path, capsys):
     assert main(["run", str(cfg)]) == 0
     out = summary_map(capsys.readouterr().out)
     assert out["status"] == "converged"
+
+
+def test_a_map_that_raises_floating_point_error_is_an_error_line(tmp_path, capsys):
+    # entries of 1e200 with a fixed step make the lasso gradient overflow; this
+    # used to end in a FloatingPointError traceback and exit status 1
+    data = tmp_path / "huge.libsvm"
+    data.write_text("1 1:1e200 2:3e200\n-1 1:-2e200 2:1e200\n", encoding="utf-8")
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("problem.kind = lasso\nproblem.dataset = %s\nalgorithm.kind = ista\n"
+                   "algorithm.beta = 1\n" % data, encoding="utf-8")
+    assert main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: pga_step: gradient is non-finite\n" and captured.out == ""

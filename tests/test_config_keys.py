@@ -8,13 +8,14 @@ family declares in ``FAMILIES``.
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aaopt.anderson import AaConfig
 from aaopt.harness import (
     CONFIG_KEYS,
     FAMILIES,
@@ -151,7 +152,7 @@ PROBES = [
     ("lasso", {"run.tol": "nan"}, "run.tol"),
     ("lasso", {"run.zero_tol": "nan"}, "run.zero_tol"),
     ("lasso", {"aa.safeguard": "nan"}, "aa.safeguard"),
-    ("lasso", {"aa.alpha_cap": "nan"}, "aa.alpha_cap"),
+    ("lasso", {"aa.alpha_cap": "50"}, "aa.alpha_cap"),  # a removed key, refused as unknown
     ("lasso", {"aa.tikhonov": "nan"}, "aa.tikhonov"),
     # keys that did nothing
     ("lasso", {"problem.c": "1"}, "problem.c"),
@@ -196,17 +197,22 @@ def test_probe_is_a_config_error_naming_its_key(datasets, family, extra, key):
 
 @pytest.fixture(scope="module")
 def bad_files(tmp_path_factory):
-    """problem.dataset files that hold no instance: an empty one, and a binary .npz."""
+    """problem.dataset files that hold no instance: an empty one, a binary .npz, and one
+    whose feature values are not all finite."""
     root = tmp_path_factory.mktemp("bad")
     empty = root / "empty.libsvm"
     empty.write_text("", encoding="utf-8")
     npz = str(root / "inst.npz")
     np.savez(npz, A=np.eye(3), y=np.ones(3))
-    return {"empty": str(empty), "npz": npz}
+    nonfinite = root / "nonfinite.libsvm"
+    nonfinite.write_text("1 1:0.5 2:1\n-1 1:nan 2:1\n1 2:inf\n", encoding="utf-8")
+    return {"empty": str(empty), "npz": npz, "nonfinite": str(nonfinite)}
 
 
 @pytest.mark.parametrize("family,file", [("nnls", "empty"), ("logreg", "empty"), ("svm", "empty"),
-                                         ("lasso", "empty"), ("lasso", "npz"), ("svm", "npz")])
+                                         ("lasso", "empty"), ("lasso", "npz"), ("svm", "npz"),
+                                         ("lasso", "nonfinite"), ("nnls", "nonfinite"),
+                                         ("svm", "nonfinite"), ("logreg", "nonfinite")])
 def test_a_dataset_file_without_an_instance_names_the_key_and_the_file(bad_files, family, file):
     path = bad_files[file]
     with pytest.raises(ConfigError) as info:
@@ -215,24 +221,34 @@ def test_a_dataset_file_without_an_instance_names_the_key_and_the_file(bad_files
     assert names(message, "problem.dataset") and path in message, message
     if file == "npz":
         assert "not LIBSVM text" in message, message
+    if file == "nonfinite":
+        assert "line 2: feature value '1:nan' is not finite" in message, message
 
 
 @pytest.fixture(scope="module")
-def zero_data(tmp_path_factory):
-    """A problem.dataset file whose matrix is all zeros, so the Lipschitz estimate is 0."""
-    libsvm = tmp_path_factory.mktemp("zero") / "zero.libsvm"
-    libsvm.write_text("1 1:0\n-1 1:0\n" * 4, encoding="utf-8")
-    return str(libsvm)
+def unusable_lipschitz_data(tmp_path_factory):
+    """problem.dataset files whose Lipschitz estimate is 0 (an all-zero matrix) or
+    overflows (entries of 1e200, whose squares are not finite)."""
+    root = tmp_path_factory.mktemp("lipschitz")
+    zero, huge = root / "zero.libsvm", root / "huge.libsvm"
+    zero.write_text("1 1:0\n-1 1:0\n" * 4, encoding="utf-8")
+    huge.write_text("1 1:1e200 2:3e200\n-1 1:-2e200 2:1e200\n" * 2, encoding="utf-8")
+    return [str(zero), str(huge)]
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # svm's row norms
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_a_zero_lipschitz_estimate_names_the_beta_rule_and_the_dataset(zero_data, family):
-    """The rule algorithm.beta = auto (1/L) cannot apply: the error names the key and the file."""
-    with pytest.raises(ConfigError) as info:
-        build_operator(config_from_mapping(base_config(family, zero_data)))
-    message = str(info.value)
-    assert names(message, "algorithm.beta") and names(message, "problem.dataset"), message
-    assert "auto" in message and zero_data in message, message
+def test_a_zero_lipschitz_estimate_names_the_beta_rule_and_the_dataset(unusable_lipschitz_data, family):
+    """The rule algorithm.beta = auto (1/L) cannot apply: the error names the key and the file.
+
+    An overflowing estimate made a step of 0 or NaN, refused by the map as
+    "beta must be positive" without naming a key."""
+    for path in unusable_lipschitz_data:
+        with pytest.raises(ConfigError) as info:
+            build_operator(config_from_mapping(base_config(family, path)))
+        message = str(info.value)
+        assert names(message, "algorithm.beta") and names(message, "problem.dataset"), message
+        assert "auto" in message and path in message, message
 
 
 def test_a_drs_prox_that_cannot_be_factored_names_beta_and_lambda():
@@ -256,7 +272,15 @@ def test_a_replaced_value_is_checked_again():
 
 
 # ---------------------------------------------------------------------------
-# tooling: the keys a builder reads are the keys its family declares
+# tooling: the keys a builder reads are the keys its family declares, and each
+# AaConfig field has one aa.* key
+
+
+def test_aaconfig_fields_and_the_aa_keys_match_one_to_one():
+    # aa.enabled is ExperimentConfig's; a knob added to one side only fails here
+    keyed = sorted(spec.field for key, spec in CONFIG_KEYS.items()
+                   if key.startswith("aa.") and key != "aa.enabled")
+    assert keyed == sorted("aa." + f.name for f in fields(AaConfig))
 
 
 class ReadRecorder(dict):

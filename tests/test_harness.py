@@ -158,12 +158,8 @@ def test_config_value_type_errors():
 
 
 def test_config_aa_sentinels():
-    cfg = lasso_cfg(**{"aa.tikhonov": "auto", "aa.alpha_cap": "none"})
-    assert cfg.aa.tikhonov is None
-    assert cfg.aa.alpha_cap is None
-    cfg = lasso_cfg(**{"aa.tikhonov": "0", "aa.alpha_cap": "50"})
-    assert cfg.aa.tikhonov == 0.0
-    assert cfg.aa.alpha_cap == 50.0
+    assert lasso_cfg(**{"aa.tikhonov": "auto"}).aa.tikhonov is None
+    assert lasso_cfg(**{"aa.tikhonov": "0"}).aa.tikhonov == 0.0
 
 
 def test_config_explicit_beta_rule():

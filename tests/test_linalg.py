@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -46,6 +48,18 @@ def test_spectral_norm_sq_diag():
 
 def test_spectral_norm_sq_zero_matrix():
     assert spectral_norm_sq(np.zeros((4, 3))) == 0.0
+
+
+@pytest.mark.parametrize("A", [
+    np.full((5, 4), 1e200),  # the products overflow to inf
+    np.random.default_rng(0).standard_normal((5, 4)) * 1e155,  # w.w overflows and v goes NaN
+    np.array([[1.0, np.nan], [0.0, 1.0]]),
+    sp.csr_matrix(np.array([[1e200, 0.0], [3e200, -1e200]])),
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's dot warns of the overflow
+def test_spectral_norm_sq_is_inf_at_a_non_finite_norm(A):
+    # it returned inf or NaN by chance, and 1/L then made a step size of 0 or NaN
+    assert spectral_norm_sq(A) == math.inf
 
 
 def test_spectral_norm_sq_row_orthonormal_is_one():

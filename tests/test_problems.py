@@ -301,6 +301,10 @@ def test_parse_libsvm_error_messages_carry_line_numbers():
         parse_libsvm(["1 1:abc"])
     with pytest.raises(ValueError, match="no ':'"):
         parse_libsvm(["1 17"])
+    # such values used to load, and the run crashed or printed a summary of NaNs
+    for token in ("1:nan", "2:inf", "2:-inf", "1:NaN"):
+        with pytest.raises(ValueError, match="line 2: feature value %r is not finite" % token):
+            parse_libsvm(["1 1:1.0", "-1 %s" % token])
 
 
 def test_parse_libsvm_empty_stream():

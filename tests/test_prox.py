@@ -59,6 +59,10 @@ def shrink_inputs(draw):
 @example((np.array([0.5, -0.5, 0.25, -0.0, 1e308, -1e308]), 0.5))
 def test_soft_threshold_is_bitwise_the_three_branch_form(case):
     v, t = case
+    if math.isnan(t):  # a NaN threshold is refused, as a negative one is
+        with pytest.raises(ValueError, match="soft_threshold: threshold must be nonnegative"):
+            soft_threshold(v, t)
+        return
     before = v.tobytes()
     with np.errstate(all="ignore"):  # inf - inf and overflowing dots are the point here
         got = soft_threshold(v, t)

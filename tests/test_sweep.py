@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from aaopt import _kernels
 from aaopt.algorithms import pcd_sweep
+from aaopt.prox import BoxBounds
 from conftest import zeros_view
 from oracles import pcd_sweep_reference
 
@@ -94,7 +95,8 @@ def test_compiled_sweep_is_bitwise_the_python_loop(case):
     Z, q, lower, upper, beta, x = case
     inputs = [np.asarray(a).tobytes() for a in (q, lower, upper, x)]
     dense_before = None if sp.issparse(Z) else Z.tobytes()
-    got, want = pcd_sweep(Z, q, lower, upper, beta), pcd_sweep_reference(Z, q, lower, upper, beta)
+    got = pcd_sweep(Z, q, BoxBounds(lower, upper), beta)
+    want = pcd_sweep_reference(Z, q, lower, upper, beta)
     a, b = x, x
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries overflow, on both sides
         for _ in range(3):  # chained, so each sweep starts from a point the last one produced
@@ -112,7 +114,8 @@ def test_a_sweep_built_from_temporaries_keeps_its_buffers(sparse):
     x = rng.uniform(-1.0, 2.0, size=40)
     scaled = lambda: sp.csr_matrix(2.0 * Z) if sparse else 2.0 * Z
     # every array handed over is a temporary: the sweep alone keeps it alive
-    sweep = pcd_sweep(scaled(), np.linspace(-1.0, 1.0, 40), -np.ones(40), np.full(40, 1.5), 0.01)
+    sweep = pcd_sweep(scaled(), np.linspace(-1.0, 1.0, 40), BoxBounds(-np.ones(40), np.full(40, 1.5)),
+                      0.01)
     gc.collect()
     litter = [np.full(size, np.nan) for size in (9, 40, 360, 400) for _ in range(20)]
     want = pcd_sweep_reference(scaled(), np.linspace(-1.0, 1.0, 40), -np.ones(40), np.full(40, 1.5), 0.01)
@@ -124,7 +127,7 @@ def test_a_sweep_built_from_temporaries_keeps_its_buffers(sparse):
 def test_an_iterate_of_the_wrong_shape_is_rejected(x):
     for Z in (np.eye(3), sp.identity(3, format="csr")):
         with pytest.raises(ValueError, match=r"x has shape .*expected \(3,\)"):
-            pcd_sweep(Z, 0.0, -1.0, 1.0, 0.5)(x)
+            pcd_sweep(Z, 0.0, BoxBounds(-1.0, 1.0), 0.5)(x)
 
 
 @pytest.mark.parametrize("indices, indptr, why", [
@@ -136,13 +139,13 @@ def test_an_invalid_csr_is_rejected_before_any_c_call(indices, indptr, why):
     # scipy builds each of these without complaint; C would read or write out of bounds
     Z = sp.csr_matrix((np.ones(2), np.array(indices), np.array(indptr)), shape=(2, 3))
     with pytest.raises(ValueError, match="Z is not a valid CSR matrix: " + why):
-        pcd_sweep(Z, 0.0, -1.0, 1.0, 0.5)
+        pcd_sweep(Z, 0.0, BoxBounds(-1.0, 1.0), 0.5)
 
 
 def test_a_row_longer_than_blas_takes_is_rejected_before_any_copy(no_big_allocation):
     # scipy's ddot takes a C int length; a zero-stride Z would be copied whole
     with pytest.raises(ValueError, match="a row of Z has 2147483648 entries, more than BLAS takes"):
-        pcd_sweep(zeros_view((2, 2**31)), 0.0, -1.0, 1.0, 0.5)
+        pcd_sweep(zeros_view((2, 2**31)), 0.0, BoxBounds(-1.0, 1.0), 0.5)
 
 
 def test_a_csr_row_longer_than_blas_takes_is_rejected_before_any_copy(no_big_allocation):
@@ -151,7 +154,7 @@ def test_a_csr_row_longer_than_blas_takes_is_rejected_before_any_copy(no_big_all
     Z.data, Z.indices = zeros_view((2**31,)), zeros_view((2**31,), np.int64)
     Z.indptr = np.array([0, 0, 2**31])
     with pytest.raises(ValueError, match="a row of Z has 2147483648 entries, more than BLAS takes"):
-        pcd_sweep(Z, 0.0, -1.0, 1.0, 0.5)
+        pcd_sweep(Z, 0.0, BoxBounds(-1.0, 1.0), 0.5)
 
 
 def test_a_csr_is_checked_without_changing_it():
@@ -162,7 +165,7 @@ def test_a_csr_is_checked_without_changing_it():
     held = (Z.data, Z.indices, Z.indptr)
     before = [a.tobytes() for a in held]
     want = pcd_sweep_reference(Z, 0.5, -1.0, 1.0, 0.25)(np.ones(2))
-    assert pcd_sweep(Z, 0.5, -1.0, 1.0, 0.25)(np.ones(2)).tobytes() == want.tobytes()
+    assert pcd_sweep(Z, 0.5, BoxBounds(-1.0, 1.0), 0.25)(np.ones(2)).tobytes() == want.tobytes()
     assert all(a is b for a, b in zip((Z.data, Z.indices, Z.indptr), held))
     assert [a.tobytes() for a in held] == before
 
