@@ -309,7 +309,8 @@ def _build_svm(cfg: ExperimentConfig, params: dict) -> RunContext:
         A = inst.A.tocsr()
         Z = A.copy()  # A's sparsity structure, so the sweep sums in A's order
         Z.data *= np.repeat(inst.y, np.diff(Z.indptr))
-        row_norm_sq = np.array([float(d @ d) for d in np.split(Z.data, Z.indptr[1:-1])])
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, as einsum's below
+            row_norm_sq = np.array([float(d @ d) for d in np.split(Z.data, Z.indptr[1:-1])])
     else:
         Z = inst.y[:, None] * np.asarray(inst.A, dtype=float)
         row_norm_sq = np.einsum("ij,ij->i", Z, Z)

@@ -31,18 +31,21 @@ def spectral_norm_sq(A, tol: float = 1e-6, max_iter: int = 500) -> float:
     v /= np.linalg.norm(v)
     est = 0.0
     At = A.T
-    for _ in range(max_iter):
-        # sqrt of w.dot(w) is np.linalg.norm of a 1-D vector, without its
-        # per-call dispatch
-        w = At.dot(A.dot(v))
-        nw = math.sqrt(float(w.dot(w)))
-        if not 0.0 < nw < math.inf:  # a zero matrix, or a product that overflows or holds NaN
-            return 0.0 if nw == 0.0 else math.inf
-        new_est = float(v.dot(w))  # Rayleigh quotient, since ||v|| = 1
-        v = w / nw
-        if abs(new_est - est) <= tol * abs(new_est):
-            return new_est
-        est = new_est
+    with np.errstate(over="ignore"):  # the norm below handles an overflow
+        for _ in range(max_iter):
+            # sqrt of w.dot(w) is np.linalg.norm of a 1-D vector, without its dispatch
+            w = At.dot(A.dot(v))
+            nw = math.sqrt(float(w.dot(w)))
+            if nw == math.inf and np.isfinite(w).all():  # only w.w overflows: scale w to 1 first
+                scale = float(np.max(np.abs(w)))
+                nw = scale * math.sqrt(float((w / scale).dot(w / scale)))
+            if not 0.0 < nw < math.inf:  # a zero matrix, or a product that overflows or holds NaN
+                return 0.0 if nw == 0.0 else math.inf
+            new_est = float(v.dot(w))  # Rayleigh quotient, since ||v|| = 1
+            v = w / nw
+            if abs(new_est - est) <= tol * abs(new_est):
+                return new_est
+            est = new_est
     return est
 
 

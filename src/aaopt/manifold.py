@@ -71,11 +71,8 @@ class IdentificationTracker:
     Feed the int8 patterns of iterations 0, 1, ... in order, one at a time
     with ``push`` or a block of rows at a time with ``push_block``;
     ``identified_at`` is then what ``identification_iter`` returns for the
-    patterns fed so far.  The final pattern may already have held for a full
-    window before it changed and came back, so the tracker remembers, for
-    each pattern that has held for ``window`` consecutive iterations, where
-    that run began the first time; its memory grows with the number of
-    such patterns, not with the number of iterations.
+    patterns fed so far.  The tracker keeps only the newest pattern and
+    where its current run began.
     """
 
     def __init__(self, window: int = 10) -> None:
@@ -85,7 +82,6 @@ class IdentificationTracker:
         self._count = 0
         self._key: bytes | None = None  # the newest pattern's bytes
         self._run_start = 0  # where the newest pattern's current run began
-        self._first_stable: dict[bytes, int] = {}
 
     def push(self, pattern: np.ndarray) -> None:
         self.push_block(np.reshape(pattern, (1, -1)))
@@ -95,28 +91,23 @@ class IdentificationTracker:
         rows = np.ascontiguousarray(patterns, dtype=np.int8)
         raw, (n, width) = rows.tobytes(), rows.shape
         count, key, start = self._count, self._key, self._run_start
-        if key is not None and raw == key * n:  # the newest pattern holds throughout
-            if count < start + self.window <= count + n:
-                self._first_stable.setdefault(key, start)
-        else:
+        if key is None or raw != key * n:  # the newest pattern changes within the block
             for j in range(n):
                 row = raw[j * width : (j + 1) * width]
                 if row != key:
                     key, start = row, count + j
-                if count + j + 1 - start == self.window:
-                    self._first_stable.setdefault(key, start)
         self._count, self._key, self._run_start = count + n, key, start
 
     @property
     def identified_at(self) -> int | None:
-        return self._first_stable.get(self._key)
+        return self._run_start if self._count - self._run_start >= self.window else None
 
 
 def identification_iter(patterns: Sequence[np.ndarray], window: int = 10) -> int | None:
-    """First index k whose next ``window`` patterns all equal the final one.
+    """Where the final pattern's current run began, once it spans ``window`` patterns.
 
-    Returns None when no such run exists (including sequences shorter than
-    the window).
+    Every pattern from there on is the final one.  None when that run is
+    shorter than the window, as in any sequence shorter than the window.
     """
     tracker = IdentificationTracker(window)
     for pattern in patterns:

@@ -61,15 +61,16 @@ def shrink_objective(t, v: float, w: float, s: float):
 
 
 def identification_brute_force(patterns, window: int):
-    """Earliest k such that patterns[k : k + window] all equal the last pattern.
+    """Start of the final pattern's run if it spans at least ``window`` patterns.
 
-    Tries every start and compares every pattern of its window element by
-    element; None when no start qualifies (including fewer than ``window``
-    patterns).
+    Tries every start k that leaves ``window`` patterns and compares every
+    pattern from k to the end with the last one, element by element; the
+    earliest start that qualifies is where the final run began.  None when no
+    start qualifies (including fewer than ``window`` patterns).
     """
     n = len(patterns)
     for k in range(n - window + 1):
-        if all(np.array_equal(patterns[j], patterns[-1]) for j in range(k, k + window)):
+        if all(np.array_equal(patterns[j], patterns[-1]) for j in range(k, n)):
             return k
     return None
 

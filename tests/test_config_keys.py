@@ -236,7 +236,7 @@ def unusable_lipschitz_data(tmp_path_factory):
     return [str(zero), str(huge)]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # svm's row norms
+@pytest.mark.filterwarnings("error")  # an overflowing estimate is inf without a warning
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_a_zero_lipschitz_estimate_names_the_beta_rule_and_the_dataset(unusable_lipschitz_data, family):
     """The rule algorithm.beta = auto (1/L) cannot apply: the error names the key and the file.

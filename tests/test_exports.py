@@ -19,7 +19,7 @@ ALLOWED_WITHOUT_CALLER = {
     "irl1_beta_window": "criterion 12 checks the contractivity window formula with it",
     "svm_dual_grad": "criterion 04 checks it against central differences",
     "nnls_grad": "criterion 04 checks it against central differences",
-    "identification_iter": "criterion 10 uses it on a stored pattern sequence",
+    "identification_iter": "criterion 10 uses it, and the benchmark's tracer patches it by name",
     "cg_solve_spd": "the benchmark's tracer patches it by name",
     "phi_value": "the reference for phi_deriv's difference-quotient test",
     "read_trace": "the round-trip partner of write_trace",

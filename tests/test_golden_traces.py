@@ -64,9 +64,9 @@ GOLDEN = {
     ("lasso", "ista", True, 1): (
         "67c4133a1f549af985230326b692e93de026e71645846169861293d88e7be478", 653, 75, 396, 9.780620215512286e-11),
     ("lasso", "fista", False, 0): (
-        "4539388ddf6fc29699c5c773d58ffa655a30a33e1fe5b1cc438b126acfcb7f65", 1500, 0, 174, 6.79126844304827e-07),
+        "d972d0a589fdf1e8fb3c368a3d71b7df08c1428564602b09df71ebe4ce50b8c8", 1500, 0, 848, 6.79126844304827e-07),
     ("lasso", "fista", False, 1): (
-        "0a4450c00a1eabe82e276e30c0ea09af0617464ebf7a80631d92464159a0d014", 1500, 0, 204, 2.1275229875515146e-06),
+        "a42b142044eaf78cad42d9997f2aedd83fd0af2e6fb339ffd0483fccab79b3ad", 1500, 0, 309, 2.1275229875515146e-06),
     ("svm", "pcd", False, 0): (
         "1edc9212ca3b573580ff0b53006f9570deffc4a44df322d552eb1646390def62", 400, 0, 330, 0.017953053555458717),
     ("svm", "pcd", False, 1): (

@@ -462,12 +462,8 @@ def block_edge_cfg(family: str, max_iter: int) -> ExperimentConfig:
                                 "run.tol": "1e-300", "run.window": "3"})
 
 
-# a run of max_iter iterations records max_iter + 1 iterates, so these end
-# short of a block, on a block's edge and past it
-@pytest.mark.parametrize("max_iter", [TRACE_BLOCK - 2, TRACE_BLOCK - 1, TRACE_BLOCK, TRACE_BLOCK + 1,
-                                      2 * TRACE_BLOCK])
-@pytest.mark.parametrize("family", BLOCK_EDGE_RUNS)
-def test_block_patterns_match_a_pattern_per_iterate(monkeypatch, family, max_iter):
+def run_with_patterns(monkeypatch, cfg):
+    """run_experiment(cfg)'s trace and summary, and the pattern of each iterate's monitor vector."""
     monitors = []
 
     def capture(monitor):
@@ -476,11 +472,20 @@ def test_block_patterns_match_a_pattern_per_iterate(monkeypatch, family, max_ite
             return monitors[-1]
         return captured
 
-    cfg = block_edge_cfg(family, max_iter)
     (trace, summary), ctx = spied_run(monkeypatch, cfg, monitor=capture)
     limits = pattern_limits(cfg.zero_tol, ctx.bounds)
-    patterns = [pattern_of(v, limits) for v in monitors]
-    assert len(trace) == len(monitors) == max_iter + 1
+    return trace, summary, [pattern_of(v, limits) for v in monitors]
+
+
+# a run of max_iter iterations records max_iter + 1 iterates, so these end
+# short of a block, on a block's edge and past it
+@pytest.mark.parametrize("max_iter", [TRACE_BLOCK - 2, TRACE_BLOCK - 1, TRACE_BLOCK, TRACE_BLOCK + 1,
+                                      2 * TRACE_BLOCK])
+@pytest.mark.parametrize("family", BLOCK_EDGE_RUNS)
+def test_block_patterns_match_a_pattern_per_iterate(monkeypatch, family, max_iter):
+    cfg = block_edge_cfg(family, max_iter)
+    trace, summary, patterns = run_with_patterns(monkeypatch, cfg)
+    assert len(trace) == len(patterns) == max_iter + 1
     assert list(trace.support_size) == [support_size(p) for p in patterns]
     assert summary["identification_iter"] == identification_iter(patterns, cfg.window)
 
@@ -492,6 +497,19 @@ def test_block_edge_runs_identify_across_an_edge():
     assert TRACE_BLOCK == 16
     assert run_experiment(block_edge_cfg("lasso", 16))[1]["identification_iter"] == 14
     assert run_experiment(block_edge_cfg("svm", 32))[1]["identification_iter"] == 18
+
+
+def test_every_iterate_from_identification_lies_on_the_final_pattern(monkeypatch):
+    # the golden lasso FISTA run, seed 0: its final pattern held for a full
+    # window early on, was left, and was entered for the last time at 848
+    cfg = config_from_mapping({"problem.kind": "lasso", "problem.rows": "40", "problem.cols": "200",
+                               "problem.lambda": "0.01", "algorithm.kind": "fista", "run.seed": "0",
+                               "run.tol": "1e-10", "run.max_iter": "1500"})
+    _, summary, patterns = run_with_patterns(monkeypatch, cfg)
+    ident = summary["identification_iter"]
+    assert ident is not None and len(patterns) - ident >= cfg.window
+    assert all(np.array_equal(p, patterns[-1]) for p in patterns[ident:])
+    assert ident == 0 or not np.array_equal(patterns[ident - 1], patterns[-1])
 
 
 @pytest.mark.parametrize("keys", [

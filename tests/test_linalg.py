@@ -62,6 +62,13 @@ def test_spectral_norm_sq_is_inf_at_a_non_finite_norm(A):
     assert spectral_norm_sq(A) == math.inf
 
 
+@pytest.mark.filterwarnings("error")
+def test_spectral_norm_sq_is_finite_where_only_the_square_of_a_norm_overflows():
+    # ||A||^2 is about 9.2e160, so w.w passes 1e308 while w stays finite
+    A = np.random.default_rng(0).standard_normal((5, 4)) * 1e80
+    assert spectral_norm_sq(A) == pytest.approx(np.linalg.svd(A, compute_uv=False)[0] ** 2, rel=1e-6)
+
+
 def test_spectral_norm_sq_row_orthonormal_is_one():
     rng = np.random.default_rng(0)
     Q, _ = np.linalg.qr(rng.standard_normal((30, 8)))

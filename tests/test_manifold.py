@@ -160,16 +160,20 @@ def test_identification_iter_monotone_in_window():
             prev = k
 
 
-def test_identification_is_the_first_full_window_not_the_last_change():
-    # the final pattern held for a full window, left, and came back briefly
+def test_identification_is_the_final_run_not_an_earlier_full_window():
+    # the final pattern held for a full window, left, and came back briefly:
+    # the iterates after its first run are not all on it, so nothing is identified
     a, b = np.array([1, 0], dtype=np.int8), np.array([0, 0], dtype=np.int8)
     patterns = [b, a, a, a, b, b, a]
-    assert identification_iter(patterns, window=3) == 1
-    assert identification_iter(patterns, window=4) is None
+    assert identification_iter(patterns, window=3) is None
+    assert identification_iter(patterns, window=1) == 6
+    # once the final run spans the window, identification is where it began
+    assert identification_iter(patterns + [a, a], window=3) == 6
+    assert identification_iter(patterns + [a], window=3) is None
 
 
 # Patterns drawn from a small alphabet, so runs of the final pattern that
-# start, break off and resume are common.
+# start, break off and resume are common; only the last run counts.
 ALPHABET = [np.array(p, dtype=np.int8) for p in ([0, 0, 0], [1, 0, -1], [1, 1, 0], [-1, 0, 0])]
 
 
@@ -177,8 +181,8 @@ ALPHABET = [np.array(p, dtype=np.int8) for p in ([0, 0, 0], [1, 0, -1], [1, 1, 0
 @given(symbols=st.lists(st.integers(0, len(ALPHABET) - 1), max_size=40), window=st.integers(1, 6))
 @example(symbols=[], window=1)
 @example(symbols=[1, 1], window=3)
-@example(symbols=[0, 1, 1, 1, 2, 1], window=1)
-@example(symbols=[0, 1, 1, 1, 2, 2, 2, 1], window=3)
+@example(symbols=[0, 1, 1, 1, 2, 1], window=1)  # the final pattern returns: only its last run, at 5, counts
+@example(symbols=[0, 1, 1, 1, 2, 2, 2, 1], window=3)  # an earlier full window of it identifies nothing
 def test_streaming_identification_matches_brute_force(symbols, window):
     patterns = [ALPHABET[s].copy() for s in symbols]
     tracker = IdentificationTracker(window)
@@ -193,9 +197,9 @@ def test_streaming_identification_matches_brute_force(symbols, window):
 @settings(max_examples=300, deadline=None)
 @given(symbols=st.lists(st.integers(0, len(ALPHABET) - 1), max_size=60), window=st.integers(1, 6),
        cuts=st.lists(st.integers(0, 60), max_size=8), order=st.sampled_from("CF"))
-@example(symbols=[1] * 20, window=3, cuts=[16], order="C")
-@example(symbols=[0, 1, 1] + [1] * 16, window=4, cuts=[3], order="C")
-@example(symbols=[2] * 5 + [1] * 3 + [2] * 8, window=5, cuts=[5, 8], order="F")
+@example(symbols=[1] * 20, window=3, cuts=[16], order="C")  # one run across a cut, from 0
+@example(symbols=[0, 1, 1] + [1] * 16, window=4, cuts=[3], order="C")  # reaches the window in the next block
+@example(symbols=[2] * 5 + [1] * 3 + [2] * 8, window=5, cuts=[5, 8], order="F")  # the final run starts at 8, on a cut
 def test_any_split_into_blocks_identifies_as_one_at_a_time(symbols, window, cuts, order):
     patterns = [ALPHABET[s] for s in symbols]
     bounds = sorted({0, len(patterns), *(c for c in cuts if c <= len(patterns))})
