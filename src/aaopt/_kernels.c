@@ -11,7 +11,8 @@
  *   - u[j] = u[j] + delta*z[j], with no FMA (build with -ffp-contract=off).
  *
  * q, lower, upper and x are arrays of length m; x and u = Z.T x are
- * updated in place.
+ * updated in place.  A dense Z is C-ordered, so each row dot reads it with
+ * stride 1, as numpy's row dot of a C-ordered Z does.
  */
 #include <float.h>
 #include <math.h>
@@ -34,14 +35,14 @@ void aaopt_set_blas(void *ddot_address, void *dgelsd_address)
     dgelsd = (dgelsd_fn)dgelsd_address;
 }
 
-static double row_dot(int64_t n, const double *z, int64_t inc, const double *u)
+static double row_dot(int64_t n, const double *z, const double *u)
 {
-    int len = (int)n, zinc = (int)inc, one = 1;
+    int len = (int)n, one = 1;
     double d = 0.0;
     if (n == 1)
         return z[0] * u[0];
     if (n > 1)
-        d += ddot(&len, z, &zinc, u, &one);
+        d += ddot(&len, z, &one, u, &one);
     return d;
 }
 
@@ -52,40 +53,36 @@ static double coordinate(double xi, double d, double qi, double lo, double hi, d
     return hi < w ? hi : w;
 }
 
-void aaopt_pcd_dense(int64_t m, int64_t n, const double *Z, int64_t row_stride, int64_t col_stride,
-                     const double *q, const double *lo, const double *hi, double beta,
-                     double *x, double *u)
+void aaopt_pcd_dense(int64_t m, int64_t n, const double *Z, const double *q, const double *lo,
+                     const double *hi, double beta, double *x, double *u)
 {
     for (int64_t i = 0; i < m; i++) {
-        const double *z = Z + i * row_stride;
+        const double *z = Z + i * n;
         double xi = x[i];
-        double next = coordinate(xi, row_dot(n, z, col_stride, u), q[i], lo[i], hi[i], beta);
+        double next = coordinate(xi, row_dot(n, z, u), q[i], lo[i], hi[i], beta);
         double delta = next - xi;
         if (delta != 0.0) {
             for (int64_t j = 0; j < n; j++)
-                u[j] = u[j] + delta * z[j * col_stride];
+                u[j] = u[j] + delta * z[j];
             x[i] = next;
         }
     }
 }
 
-/* Returns -1 if the gather buffer cannot be allocated, else 0. */
-int aaopt_pcd_csr(int64_t m, const int64_t *indptr, const int64_t *indices, const double *data,
-                  int64_t max_row, const double *q, const double *lo, const double *hi,
-                  double beta, double *x, double *u)
+/* g holds at least the longest row's count of doubles */
+void aaopt_pcd_csr(int64_t m, const int64_t *indptr, const int64_t *indices, const double *data,
+                   double *g, const double *q, const double *lo, const double *hi, double beta,
+                   double *x, double *u)
 {
-    /* u[idx] of the current row, gathered so that ddot reads it with stride 1 */
-    double *g = malloc((size_t)(max_row > 0 ? max_row : 1) * sizeof(double));
-    if (!g)
-        return -1;
     for (int64_t i = 0; i < m; i++) {
         int64_t start = indptr[i], len = indptr[i + 1] - start;
         const int64_t *idx = indices + start;
         const double *z = data + start;
+        /* u[idx] of the current row, gathered so that ddot reads it with stride 1 */
         for (int64_t k = 0; k < len; k++)
             g[k] = u[idx[k]];
         double xi = x[i];
-        double next = coordinate(xi, row_dot(len, z, 1, g), q[i], lo[i], hi[i], beta);
+        double next = coordinate(xi, row_dot(len, z, g), q[i], lo[i], hi[i], beta);
         double delta = next - xi;
         if (delta != 0.0) {
             /* u[idx] += delta*data: gather, add, then scatter in order */
@@ -94,8 +91,6 @@ int aaopt_pcd_csr(int64_t m, const int64_t *indptr, const int64_t *indices, cons
             x[i] = next;
         }
     }
-    free(g);
-    return 0;
 }
 
 /*

@@ -17,6 +17,7 @@ scipy's documented Cython API (``scipy.linalg.cython_blas`` and
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import subprocess
@@ -38,8 +39,8 @@ _i64, _f64, _ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 _TAIL = [_ptr, _ptr, _ptr, _f64, _ptr, _ptr]
 _SIGNATURES = {
     "aaopt_set_blas": ([_ptr, _ptr], None),
-    "aaopt_pcd_dense": ([_i64, _i64, _ptr, _i64, _i64] + _TAIL, None),
-    "aaopt_pcd_csr": ([_i64, _ptr, _ptr, _ptr, _i64] + _TAIL, ctypes.c_int),
+    "aaopt_pcd_dense": ([_i64, _i64, _ptr] + _TAIL, None),
+    "aaopt_pcd_csr": ([_i64, _ptr, _ptr, _ptr, _ptr] + _TAIL, None),
     "aaopt_aa_weights": ([_i64, _i64, _ptr, _i64, _i64, _f64, _ptr], _i64),
 }
 
@@ -101,6 +102,19 @@ def load(cache_dir: Path) -> ctypes.CDLL:
     capsules = cython_blas.__pyx_capi__["ddot"], cython_lapack.__pyx_capi__["dgelsd"]
     lib.aaopt_set_blas(*(get_pointer(c, get_name(c)) for c in capsules))
     return lib
+
+
+def bound(name: str, *values) -> functools.partial:
+    """The kernel ``name`` bound to ``values``, each converted once to its declared type.
+
+    The returned call takes no argument and converts nothing: its function
+    pointer has no ``argtypes``, and it passes the ctypes objects made here.
+    Pointers are given as addresses; the caller keeps what they point at alive.
+    """
+    argtypes, restype = _SIGNATURES[name]
+    fn = library()[name]  # a pointer of its own, so the one ``load`` typed keeps its argtypes
+    fn.restype = restype
+    return functools.partial(fn, *(t(v) for t, v in zip(argtypes, values, strict=True)))
 
 
 def library() -> ctypes.CDLL:

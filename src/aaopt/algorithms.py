@@ -8,8 +8,6 @@ its map's step beta: ``prox(v)`` = argmin g(y) + ||y - v||^2 / (2 beta).
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -103,11 +101,22 @@ def pcd_sweep(Z, q, box: BoxBounds, beta: float) -> Callable[[np.ndarray], np.nd
     compiles the C source on first use into the package's ``__pycache__``,
     or into ``~/.cache/aaopt`` where the package cannot be written, and later
     runs find it there (see ``aaopt._kernels``).  A CSR Z is checked in full
-    first.
+    first.  A dense Z that is not C-ordered and aligned is swept as a
+    C-ordered copy: the bits of numpy's Z.T x and of a BLAS dot at a stride
+    other than one depend on the layout, and the copy gives every layout the
+    C layout's.
+
+    The first sweep binds the compiled call: it allocates the buffers the
+    sweep keeps, one for the iterate, one for u and, for a CSR Z, one to
+    gather a row's entries of u, and converts every argument to ctypes
+    once.  Each sweep then copies x and Z.T x into those buffers, makes one
+    call and returns a copy of the iterate buffer, so a result never shares
+    memory with the sweep.  Those buffers make a sweep not reentrant: two
+    threads must not call the same sweep at once.
     """
     if not beta > 0:
         raise ValueError("pcd_sweep: beta must be positive")
-    lib = _kernels.library()
+    _kernels.library()  # built or loaded now, so a missing gcc fails here, not at a sweep
     sparse = hasattr(Z, "tocsr") and not isinstance(Z, np.ndarray)
     Z = Z.tocsr() if sparse else np.asarray(Z)
     m, n = Z.shape
@@ -122,46 +131,44 @@ def pcd_sweep(Z, q, box: BoxBounds, beta: float) -> Callable[[np.ndarray], np.nd
             Z.check_format(full_check=True)
         except ValueError as exc:
             raise ValueError("pcd_sweep: Z is not a valid CSR matrix: %s" % exc) from None
-    else:
-        Z = Z.astype(float, copy=False)
-    rows = (_per_row(q, m, "q"), _per_row(box.lower, m, "lower"), _per_row(box.upper, m, "upper"))
-    bounds = [address(row) for row in rows] + [float(beta)]
-
-    # the iterate and u pass as ctypes arrays, which check their buffers' size
-    Xm, Un = ctypes.c_double * m, ctypes.c_double * n
-    if sparse:
         indptr = np.ascontiguousarray(Z.indptr, dtype=np.int64)
         indices = np.ascontiguousarray(Z.indices, dtype=np.int64)
+        data = np.ascontiguousarray(Z.data)
         # Z.T as CSR, built once, so each sweep's u costs one product
         Zt = Z.T.tocsr()
-        data = np.ascontiguousarray(Z.data)
-        call = functools.partial(lib.aaopt_pcd_csr, m, address(indptr), address(indices),
-                                 address(data), longest, *bounds)
-        buffers = (indptr, indices, data)
     else:
+        # aligned and in C order: the row dots then read Z with stride 1, and
+        # numpy's Z.T x, whose bits depend on the layout, is the C layout's
+        Z = np.require(Z, float, "CA")
         Zt = Z.T
-        # numpy hands a row whose stride BLAS cannot take to ddot as a
-        # contiguous copy, so the C loop reads such rows from one
-        whole = all(s % Z.itemsize == 0 for s in Z.strides)
-        if not (Z.flags.aligned and whole and 0 < Z.strides[1] // Z.itemsize <= C_INT_MAX):
-            Z = np.ascontiguousarray(Z)
-        row_stride, col_stride = (s // Z.itemsize for s in Z.strides)
-        call = functools.partial(lib.aaopt_pcd_dense, m, n, address(Z), row_stride, col_stride, *bounds)
-        buffers = (Z,)
+    rows = (_per_row(q, m, "q"), _per_row(box.lower, m, "lower"), _per_row(box.upper, m, "upper"))
+    bound = None
+
+    def bind():
+        x_buf, u_buf = np.empty(m), np.empty(n)
+        if sparse:
+            gather = np.empty(max(longest, 1))
+            head = ("aaopt_pcd_csr", m, address(indptr), address(indices), address(data), address(gather))
+        else:
+            gather = None
+            head = ("aaopt_pcd_dense", m, n, address(Z))
+        call = _kernels.bound(*head, *(address(row) for row in rows), float(beta),
+                              address(x_buf), address(u_buf))
+        return call, x_buf, u_buf, gather
 
     def sweep(x: np.ndarray) -> np.ndarray:
+        nonlocal bound
         x = np.asarray(x, dtype=float)
         if x.shape != (m,):
             raise ValueError("pcd_sweep: x has shape %s, expected (%d,)" % (x.shape, m))
-        u = Zt.dot(x)
-        out = x.copy()
-        # only the CSR call can fail, when it cannot allocate its row buffer
-        if call(Xm.from_buffer(out), Un.from_buffer(u)):
-            raise MemoryError("pcd_sweep: no memory to gather a row of Z")
-        return out
+        if bound is None:
+            bound = bind()
+        call, x_buf, u_buf, _ = bound
+        x_buf[:] = x
+        u_buf[:] = Zt.dot(x)
+        call()
+        return x_buf.copy()
 
-    # the compiled call holds these arrays' addresses; they live as long as the sweep
-    sweep.buffers = buffers + rows
     return sweep
 
 

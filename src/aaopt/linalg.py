@@ -31,7 +31,8 @@ def spectral_norm_sq(A, tol: float = 1e-6, max_iter: int = 500) -> float:
     v /= np.linalg.norm(v)
     est = 0.0
     At = A.T
-    with np.errstate(over="ignore"):  # the norm below handles an overflow
+    # the norm below handles an overflow, and a product that sums infs of both signs is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter):
             # sqrt of w.dot(w) is np.linalg.norm of a 1-D vector, without its dispatch
             w = At.dot(A.dot(v))

@@ -133,8 +133,10 @@ def _per_row(value, m: int, what: str) -> list[float]:
 def pcd_sweep_reference(Z, q, lower, upper, beta: float):
     """``pcd_sweep`` as it stood before its row loop moved to C.
 
-    The compiled sweep must agree with it bit for bit.  Its original
-    docstring follows.
+    The compiled sweep must agree with it bit for bit.  A dense Z is swept
+    as a C-ordered copy, as the compiled sweep does: numpy's Z.T x and its
+    row dots at a stride other than one need not give the C layout's bits.
+    Its original docstring follows.
 
     One cyclic sweep of proximal coordinate descent, built once for many calls.
 
@@ -153,7 +155,7 @@ def pcd_sweep_reference(Z, q, lower, upper, beta: float):
     if beta <= 0:
         raise ValueError("pcd_sweep: beta must be positive")
     sparse = hasattr(Z, "tocsr") and not isinstance(Z, np.ndarray)
-    Z = Z.tocsr() if sparse else np.asarray(Z, dtype=float)
+    Z = Z.tocsr() if sparse else np.array(Z, dtype=float, order="C")
     m = Z.shape[0]
     q, lower, upper = _per_row(q, m, "q"), _per_row(lower, m, "lower"), _per_row(upper, m, "upper")
 

@@ -56,7 +56,7 @@ def test_spectral_norm_sq_zero_matrix():
     np.array([[1.0, np.nan], [0.0, 1.0]]),
     sp.csr_matrix(np.array([[1e200, 0.0], [3e200, -1e200]])),
 ])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's dot warns of the overflow
+@pytest.mark.filterwarnings("error")  # inf, and no warning of numpy's on the way
 def test_spectral_norm_sq_is_inf_at_a_non_finite_norm(A):
     # it returned inf or NaN by chance, and 1/L then made a step size of 0 or NaN
     assert spectral_norm_sq(A) == math.inf

@@ -91,6 +91,11 @@ def sweeps(draw):
 @example(case=(sp.csr_matrix((3, 4)), -1.0, 0.0, 1.0, 0.5, np.array([-0.0, 1.0, 2.0])))
 @example(case=(np.ones((3, 1)), np.array([1.0, -1.0, 0.0]), -np.inf, np.inf, 0.5,
                np.array([1e150, -1e150, 0.0])))
+# Fortran order: scipy's and numpy's BLAS ddot disagreed at a stride other than one
+@example(case=(np.asfortranarray(np.array([[0.0] * 4, [0.0] * 4, [0.0, -234.0, 0.0, 0.0], [0.0] * 4,
+                                           [0.0, -3.0, 0.0, 1.0], [0.0] * 4, [0.0] * 4])),
+               0.0, np.array([-np.inf] * 4 + [0.0] + [-np.inf] * 2), np.array([0.0] * 4 + [np.inf] + [0.0] * 2),
+               2.0, np.eye(7)[2]))
 def test_compiled_sweep_is_bitwise_the_python_loop(case):
     Z, q, lower, upper, beta, x = case
     inputs = [np.asarray(a).tobytes() for a in (q, lower, upper, x)]
@@ -107,6 +112,32 @@ def test_compiled_sweep_is_bitwise_the_python_loop(case):
     assert dense_before is None or Z.tobytes() == dense_before
 
 
+def test_every_dense_layout_sweeps_as_the_c_layout():
+    # numpy's Z.T x, and a BLAS row dot at a stride other than one, differ
+    # in their last bits between these layouts for most draws
+    rng = np.random.default_rng(11)
+    box = BoxBounds(-np.inf, np.inf)
+    for _ in range(10):
+        Z = rng.standard_normal((7, 24)) * 10.0 ** rng.uniform(-3.0, 3.0, (7, 24))
+        x = rng.standard_normal(7)
+        c = pcd_sweep(Z, 0.5, box, 1e-3)
+        want = c(c(c(x))).tobytes()
+        for layout in LAYOUTS:
+            if not layout.startswith("csr"):
+                got = pcd_sweep(laid_out(Z, Z != 0.0, layout), 0.5, box, 1e-3)
+                assert got(got(got(x))).tobytes() == want, layout
+
+
+def litter_the_heap():
+    """Frees what was collectable and fills the freed memory with NaN arrays.
+
+    numpy keeps freed blocks of under 1 KiB for reuse by size, so every size up
+    to a row of Z and an iterate is asked for, more times than it keeps.
+    """
+    gc.collect()
+    return [np.full(size, np.nan) for size in [*range(1, 41), 360, 400] for _ in range(10)]
+
+
 @pytest.mark.parametrize("sparse", [False, True])
 def test_a_sweep_built_from_temporaries_keeps_its_buffers(sparse):
     rng = np.random.default_rng(5)
@@ -116,18 +147,58 @@ def test_a_sweep_built_from_temporaries_keeps_its_buffers(sparse):
     # every array handed over is a temporary: the sweep alone keeps it alive
     sweep = pcd_sweep(scaled(), np.linspace(-1.0, 1.0, 40), BoxBounds(-np.ones(40), np.full(40, 1.5)),
                       0.01)
-    gc.collect()
-    litter = [np.full(size, np.nan) for size in (9, 40, 360, 400) for _ in range(20)]
+    litter = litter_the_heap()
     want = pcd_sweep_reference(scaled(), np.linspace(-1.0, 1.0, 40), -np.ones(40), np.full(40, 1.5), 0.01)
     assert sweep(x).tobytes() == want(x).tobytes()
+    # the first sweep made the buffers it works in (for a CSR, the gather buffer too)
+    litter += litter_the_heap()
+    a, b = sweep(sweep(x)), want(want(x))
+    assert a.tobytes() == b.tobytes()
+    assert all(np.isnan(v).all() for v in litter)  # nor did it write into freed memory
     del litter
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_a_result_shares_no_memory_with_the_sweep(sparse):
+    rng = np.random.default_rng(6)
+    Z = rng.standard_normal((30, 8))
+    Z = sp.csr_matrix(Z * (rng.random(Z.shape) < 0.5)) if sparse else Z
+    sweep = pcd_sweep(Z, -1.0, BoxBounds(0.0, 1.0), 0.05)
+    x, y = rng.uniform(0.0, 1.0, 30), rng.uniform(0.0, 1.0, 30)
+    first = sweep(x)
+    kept = first.copy()
+    second = sweep(y)
+    assert first.tobytes() == kept.tobytes()  # the next sweep did not write into it
+    assert not np.shares_memory(first, second) and not np.shares_memory(second, y)
+    second[:] = np.nan
+    assert sweep(x).tobytes() == kept.tobytes()
+    assert sweep(y).tobytes() == pcd_sweep_reference(Z, -1.0, 0.0, 1.0, 0.05)(y).tobytes()
+
+
+def test_two_sweeps_called_in_turn_keep_their_own_buffers():
+    rng = np.random.default_rng(7)
+    cases = [(rng.standard_normal((12, 5)), 0.1), (sp.csr_matrix(rng.standard_normal((12, 9))), 0.02),
+             (rng.standard_normal((12, 3)), 0.2)]
+    sweeps = [(pcd_sweep(Z, -1.0, BoxBounds(0.0, 2.0), beta), pcd_sweep_reference(Z, -1.0, 0.0, 2.0, beta))
+              for Z, beta in cases]
+    points = [rng.uniform(0.0, 2.0, 12) for _ in cases]
+    for _ in range(4):
+        for k, (got, want) in enumerate(sweeps):
+            a, b = got(points[k]), want(points[k])
+            assert a.tobytes() == b.tobytes()
+            points[k] = a
 
 
 @pytest.mark.parametrize("x", [np.zeros(4), np.zeros((3, 1)), np.zeros((1, 3)), np.float64(0.0)])
 def test_an_iterate_of_the_wrong_shape_is_rejected(x):
-    for Z in (np.eye(3), sp.identity(3, format="csr")):
-        with pytest.raises(ValueError, match=r"x has shape .*expected \(3,\)"):
-            pcd_sweep(Z, 0.0, BoxBounds(-1.0, 1.0), 0.5)(x)
+    Z, good = np.array([[1.0, 2.0], [0.0, -1.0], [3.0, 0.5]]), np.array([0.5, -0.25, 1.0])
+    for Z in (Z, sp.csr_matrix(Z)):
+        sweep = pcd_sweep(Z, -1.0, BoxBounds(-1.0, 1.0), 0.1)
+        want = pcd_sweep_reference(Z, -1.0, -1.0, 1.0, 0.1)(good)
+        for _ in range(2):  # before the first sweep binds the call, then after it
+            with pytest.raises(ValueError, match=r"x has shape .*expected \(3,\)"):
+                sweep(x)
+            assert sweep(good).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("indices, indptr, why", [
@@ -351,6 +422,12 @@ def test_the_declared_signatures_match_the_c_prototypes():
     for ret, name, params in re.findall(r"^(\w+)\s+(aaopt_\w+)\(([^)]*)\)", source, re.M):
         found[name] = ([c_type(p) for p in params.split(",")], c_type(ret))
     assert found == _kernels._SIGNATURES
+
+
+def test_a_kernel_bound_to_the_wrong_count_of_arguments_is_refused():
+    # without argtypes, ctypes would pass any count, and C would read past them
+    with pytest.raises(ValueError, match="zip"):
+        _kernels.bound("aaopt_pcd_dense", 1, 1, 0)
 
 
 def test_the_source_compiles_clean_under_strict_warnings(tmp_path):
