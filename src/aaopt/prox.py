@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.blas import ddot
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.blas import ddot, dtrsv
+from scipy.linalg.lapack import dpotrf
 
 __all__ = [
     "BoxBounds",
@@ -90,11 +90,16 @@ def quadratic_ls_prox(
     s = scale_m*(1/beta + 2*lam): the first-order condition
     grad f(x) + (x - z)/beta = 0 multiplied by scale_m.  That matrix does not
     depend on z, so this factory forms the dense n x n Gram matrix A.T A once
-    (for a CSR A too), takes its Cholesky factor with LAPACK dpotrf and hoists
-    A.T y.  Each call of the returned ``prox(z)`` builds one right-hand side
-    and runs one dpotrs pair of triangular solves; ``z`` is not modified.
+    (for a CSR A too), takes its Cholesky factor L with LAPACK dpotrf and
+    hoists A.T y.  Each call of the returned ``prox(z)`` builds one fresh
+    right-hand side and overwrites it with two BLAS dtrsv solves, by L and
+    then by L.T.  dtrsv reads the factor in place, which needs it
+    Fortran-ordered; LAPACK dpotrs would instead pack all of L for each of
+    its two one-column solves.  The result is checked with the ddot
+    finiteness test of ``soft_threshold``.  ``z`` is not modified.
 
-    Raises LinAlgError if the shifted Gram matrix is not positive definite.
+    Raises LinAlgError if the shifted Gram matrix is not positive definite;
+    ``prox(z)`` raises ValueError if z does not have shape (n,).
     """
     if not beta > 0:  # negated, so NaN fails too
         raise ValueError("quadratic_ls_prox: beta must be positive")
@@ -104,7 +109,7 @@ def quadratic_ls_prox(
     gram = gram.toarray() if hasattr(gram, "toarray") else np.asarray(gram, dtype=float)
     gram.flat[:: gram.shape[0] + 1] += scale_m * (1.0 / beta + 2.0 * lam)
     # gram is symmetric and gram.T is Fortran-ordered, so LAPACK factors it in
-    # place without a copy
+    # place without a copy, and dtrsv reads the factor without one
     factor, info = dpotrf(gram.T, lower=True, clean=False, overwrite_a=True)
     if info != 0:
         raise np.linalg.LinAlgError(
@@ -112,10 +117,17 @@ def quadratic_ls_prox(
         )
     aty = A.T.dot(np.asarray(y, dtype=float))
     z_weight = scale_m / beta
+    n = aty.shape[0]
 
     def prox(z: np.ndarray) -> np.ndarray:
-        x, _ = dpotrs(factor, aty + z_weight * np.asarray(z, dtype=float), lower=True, overwrite_b=True)
-        if not np.isfinite(x).all():
+        z = np.asarray(z, dtype=float)
+        if z.shape != (n,):
+            raise ValueError("quadratic_ls_prox: z has shape %s, expected (%d,)" % (z.shape, n))
+        x = dtrsv(factor, aty + z_weight * z, lower=1, overwrite_x=1)
+        x = dtrsv(factor, x, lower=1, trans=1, overwrite_x=1)
+        # a finite x.x rules out NaN and inf; only an overflowing dot of a
+        # finite x needs the full scan
+        if not math.isfinite(ddot(x, x)) and not np.isfinite(x).all():
             raise FloatingPointError("quadratic_ls_prox: non-finite result")
         return x
 

@@ -9,7 +9,9 @@ the sparse datasets that the CSR tests load.  ``ListAaState`` with
 ``list_aa_step`` is the Anderson engine as it stood before its history moved
 into buffers, kept as the reference the buffered engine must match bit for
 bit.  ``pcd_sweep_reference`` is the coordinate sweep as a Python loop, the
-reference for the compiled one.
+reference for the compiled one.  ``quadratic_ls_prox_reference`` is the
+least-squares prox solved by LAPACK dpotrs, as it stood before its solve
+moved to two BLAS dtrsv calls.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 def grid_minimize_1d(fun, lo: float, hi: float, npts: int = 201, rounds: int = 12) -> float:
@@ -199,6 +202,27 @@ def pcd_sweep_reference(Z, q, lower, upper, beta: float):
         return np.array(xs, dtype=float)
 
     return sweep
+
+
+def quadratic_ls_prox_reference(A, y, lam: float, scale_m: float, beta: float):
+    """prox_{beta f} for f(x) = ||A x - y||^2 / (2*scale_m) + lam*||x||^2, by dpotrs.
+
+    Solves (A.T A + scale_m*(1/beta + 2*lam) I) x = A.T y + (scale_m/beta) z
+    with one dpotrs call on the dpotrf factor of the shifted Gram matrix.
+    """
+    gram = A.T @ A
+    gram = gram.toarray() if hasattr(gram, "toarray") else np.array(gram, dtype=float)
+    gram.flat[:: gram.shape[0] + 1] += scale_m * (1.0 / beta + 2.0 * lam)
+    factor, info = dpotrf(gram, lower=True, clean=False)
+    assert info == 0
+    aty = A.T.dot(np.asarray(y, dtype=float))
+
+    def prox(z):
+        x, info = dpotrs(factor, aty + (scale_m / beta) * np.asarray(z, dtype=float), lower=True)
+        assert info == 0
+        return x
+
+    return prox
 
 
 def soft_threshold_reference(v, t: float) -> np.ndarray:

@@ -76,13 +76,13 @@ GOLDEN = {
     ("svm", "pcd", True, 1): (
         "6e7d9b401d44a5ca1601679be5b344a7eefaccd5d1dae50d9f8c897d9a82f08c", 175, 75, 148, 9.384547544934582e-11),
     ("nnls", "drs", False, 0): (
-        "9a79895f036ff8be69483458d9a405204a5a5f183f9ca9107541726352582e75", 300, 0, 86, 1.4029411513765396e-06),
+        "129acdd77d90426c15f603dde732f885eb9f63c6823c4774f48ff6470239800d", 300, 0, 86, 1.4029411510769017e-06),
     ("nnls", "drs", False, 1): (
-        "d527abf7611ce64103ce533f91615ee73c037c9bf75fb5fe0934462218f62309", 300, 0, 92, 9.87199493600815e-09),
+        "01414852101238bebde136af150c11c6c4a8ad2cfda913b63a79cb3b0ece11c0", 300, 0, 92, 9.871994598775739e-09),
     ("nnls", "drs", True, 0): (
-        "ada19db07a24fa287fe0fdd1d50e73c4211730fe2b6ba5ae6932420a30bf5e8f", 61, 6, 27, 4.7541951401316775e-11),
+        "96ced182a72fff1304af6f9cf93bc90738b4334bfa4331075094460714ad0e14", 61, 6, 27, 4.755250143403705e-11),
     ("nnls", "drs", True, 1): (
-        "588accbe2ada752943d0e2a0e31ff7fc45293d420a34cdd0ce6c8d2087e0e7fe", 59, 5, 31, 4.825439320329522e-11),
+        "b5903a4e619f45809fd8dfbc395dd86d5cdb7af715fc6b5bf1b73d5966058bf4", 59, 5, 31, 4.824590397958746e-11),
     ("logreg", "irl1", False, 0): (
         "546eea8798a483ad18f3be1e003e398fefa9e9786977b4d87e38373a9cf8ed68", 300, 0, 58, 5.5677985521675604e-08),
     ("logreg", "irl1", False, 1): (
@@ -125,13 +125,13 @@ GOLDEN_CSR = {
     ("svm", "pcd", True, 1): (
         "d55cdef8f2e3be359d22ae7b21346f524e5b191d5a8960d5e372b9b01485d7fa", 193, 89, 130, 8.974284376141008e-11),
     ("nnls", "drs", False, 0): (
-        "d8dbcdadddfea175d03dcbe3d7bed53281f1463dc44050e73b304f40278d67bb", 290, 0, 43, 9.917355524908626e-11),
+        "c165206e1e194eec28a4d83df8f30f73bd6d1767fdfa711112cf440bb10d9510", 290, 0, 43, 9.917369682383122e-11),
     ("nnls", "drs", False, 1): (
-        "692ae322e50c4d79e0bbbbaadf918a9398fcbda8d8369e873e72233972b198fb", 244, 0, 17, 9.427504997064315e-11),
+        "f4832cae8142d8a4cb0d52732ea9ead744ab2c1d12d4cada76e430d95c4acf28", 244, 0, 17, 9.427503064073281e-11),
     ("nnls", "drs", True, 0): (
-        "bc42f89e8e4592806626077f919ef46101fa118abfc5449c7369e36a91993cf4", 47, 10, 19, 9.198699023978511e-11),
+        "0fb235f6573c1f1ff3e0518fea2e9825f73e95d5bb477e201d1369bfd956bf91", 47, 10, 19, 9.198773890251324e-11),
     ("nnls", "drs", True, 1): (
-        "80701207802fe2aec705e08fdf07959ea3b7ce5c1b7a38cb288c17e9b59f6580", 47, 9, 13, 7.473962077276369e-11),
+        "9e6ad536d8f661f038f26aa0646cb76543db79bc01776185d26f14a5747780ff", 47, 9, 13, 7.473954336484464e-11),
 }
 
 

@@ -711,6 +711,18 @@ def nnls_reference_parts():
     return inst, lambda z: drs_parts(f_prox, nonneg_project, 1.0, z)
 
 
+def count_solve_pairs(monkeypatch, count):
+    """Patch the least-squares prox's dtrsv so that count() runs once per pair of solves."""
+    real_solve = aaopt.prox.dtrsv
+
+    def counted_solve(*args, **kwargs):
+        if kwargs.get("trans"):  # the second solve of a pair, by the transposed factor
+            count()
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(aaopt.prox, "dtrsv", counted_solve)
+
+
 @pytest.mark.parametrize("aa", ["false", "true"])
 def test_nnls_run_solves_each_drs_point_once(monkeypatch, aa):
     cfg = config_from_mapping({**NNLS_SMALL, "aa.enabled": aa})
@@ -718,11 +730,9 @@ def test_nnls_run_solves_each_drs_point_once(monkeypatch, aa):
     caller = ["loop"]
     calls = {"apply": 0, "monitor": 0, "objective": 0}
     solves = {"loop": 0, "apply": 0, "monitor": 0, "objective": 0}
-    real_solve = aaopt.prox.dpotrs
 
-    def counted_solve(*args, **kwargs):
+    def count():
         solves[caller[0]] += 1
-        return real_solve(*args, **kwargs)
 
     def inside(name, fn):
         def wrapped(z):
@@ -735,7 +745,7 @@ def test_nnls_run_solves_each_drs_point_once(monkeypatch, aa):
         return wrapped
 
     ctx.op = replace(ctx.op, **{name: inside(name, getattr(ctx.op, name)) for name in calls})
-    monkeypatch.setattr(aaopt.prox, "dpotrs", counted_solve)
+    count_solve_pairs(monkeypatch, count)
     monkeypatch.setattr(aaopt.harness, "build_operator", lambda _cfg: ctx)
     records, summary = run_experiment(cfg)
     assert summary["status"] == "converged"
@@ -775,8 +785,7 @@ def test_nnls_memo_is_not_stale_after_in_place_mutation():
 
 def test_nnls_memo_treats_signed_zeros_as_different_points(monkeypatch):
     solves = []
-    real_solve = aaopt.prox.dpotrs
-    monkeypatch.setattr(aaopt.prox, "dpotrs", lambda *a, **k: solves.append(None) or real_solve(*a, **k))
+    count_solve_pairs(monkeypatch, lambda: solves.append(None))
     ctx = build_operator(config_from_mapping(NNLS_SMALL))
     _, parts = nnls_reference_parts()
     z = soft_threshold(ctx.x0, 1.0)  # +0.0 off the support

@@ -1,4 +1,7 @@
+import inspect
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +17,12 @@ from aaopt.prox import (
     weighted_soft_threshold,
 )
 
-from oracles import grid_minimize_1d, shrink_objective, soft_threshold_reference
+from oracles import (
+    grid_minimize_1d,
+    quadratic_ls_prox_reference,
+    shrink_objective,
+    soft_threshold_reference,
+)
 
 
 def test_soft_threshold_basic():
@@ -201,6 +209,71 @@ def test_prox_quadratic_ls_matches_dense_solve(problem):
     want = np.linalg.solve(S, z / beta + D.T @ y / m)
     got = quadratic_ls_prox(A, y, lam, float(m), beta)(z)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=ls_problems())
+def test_prox_quadratic_ls_matches_the_dpotrs_solve(problem):
+    A, y, z, lam, beta = problem
+    m, n = A.shape
+    want = quadratic_ls_prox_reference(A, y, lam, float(m), beta)(z)
+    got = quadratic_ls_prox(A, y, lam, float(m), beta)(z)
+    # relative to ||S^-1|| ||b|| >= ||want||: two solves on one factor part by
+    # more than 1e-13 * ||want|| when b lies along S's largest eigenvalues
+    D = dense(A)
+    S = D.T @ D + m * (1.0 / beta + 2.0 * lam) * np.eye(n)
+    b = D.T @ y + (m / beta) * z
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(b) / np.linalg.eigvalsh(S)[0]
+
+
+def test_prox_quadratic_ls_reads_its_factor_without_a_copy():
+    rng = np.random.default_rng(0)
+    prox = quadratic_ls_prox(rng.standard_normal((300, 200)), rng.standard_normal(300), 1e-3, 300.0, 0.5)
+    z = rng.standard_normal(200)
+    prox(z)
+    tracemalloc.start()
+    try:
+        prox(z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32_000  # a copy of the 200 x 200 factor takes 320_000 bytes
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+def test_prox_quadratic_ls_repeats_its_bytes_and_keeps_its_inputs(sparse):
+    rng = np.random.default_rng(1)
+    A = rng.standard_normal((30, 20))
+    prox = quadratic_ls_prox(sp.csr_matrix(A) if sparse else A, rng.standard_normal(30), 1e-3, 30.0, 0.5)
+    aty = inspect.getclosurevars(prox).nonlocals["aty"]
+    aty_before = aty.tobytes()
+    z = rng.standard_normal(20)
+    z_before = z.tobytes()
+    first = prox(z)
+    first_bytes = first.tobytes()
+    second = prox(z)
+    prox(rng.standard_normal(20))
+    third = prox(z)
+    assert second.tobytes() == first_bytes and third.tobytes() == first_bytes
+    assert first.tobytes() == first_bytes  # later calls do not write into an earlier result
+    assert z.tobytes() == z_before and aty.tobytes() == aty_before
+
+
+@pytest.mark.parametrize("z", [1.0, np.ones(1), np.ones((3, 1)), np.ones((1, 3)), np.ones(4)],
+                         ids=["scalar", "length 1", "column", "row", "length 4"])
+def test_prox_quadratic_ls_refuses_a_point_of_the_wrong_shape(z):
+    prox = quadratic_ls_prox(2 * np.eye(3), np.ones(3), 0.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match=re.escape("z has shape %s, expected (3,)" % (np.shape(z),))):
+        prox(z)
+    assert prox(np.ones(3)).shape == (3,)
+
+
+@pytest.mark.filterwarnings("error")
+def test_prox_quadratic_ls_returns_a_finite_result_whose_square_overflows():
+    # A = 0 gives I x = z, so x = z exactly; x.x overflows, so the full scan decides
+    prox = quadratic_ls_prox(np.zeros((1, 3)), np.zeros(1), 0.0, 1.0, 1.0)
+    z = np.array([1e200, -1e200, 1.0])
+    assert prox(z).tobytes() == z.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
