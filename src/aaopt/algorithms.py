@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.blas import ddot
+from scipy.sparse import issparse
 
 from . import _kernels
 from ._kernels import C_INT_MAX, address
+from .linalg import all_finite
 from .problems import phi_deriv
 from .prox import BoxBounds, weighted_soft_threshold
 
@@ -55,10 +56,7 @@ class FixedPointOperator:
 
 
 def _require_finite(v: np.ndarray, what: str) -> np.ndarray:
-    # a finite v.v rules out NaN and inf; only an overflowing dot of a
-    # finite vector needs the full scan.  BLAS ddot overflows without
-    # numpy's warning, but it takes no empty vector.
-    if v.size and not math.isfinite(ddot(v, v)) and not np.isfinite(v).all():
+    if not all_finite(v):
         raise FloatingPointError("%s is non-finite" % what)
     return v
 
@@ -117,7 +115,7 @@ def pcd_sweep(Z, q, box: BoxBounds, beta: float) -> Callable[[np.ndarray], np.nd
     if not beta > 0:
         raise ValueError("pcd_sweep: beta must be positive")
     _kernels.library()  # built or loaded now, so a missing gcc fails here, not at a sweep
-    sparse = hasattr(Z, "tocsr") and not isinstance(Z, np.ndarray)
+    sparse = issparse(Z)
     Z = Z.tocsr() if sparse else np.asarray(Z)
     m, n = Z.shape
     longest = (int(np.diff(Z.indptr).max()) if m else 0) if sparse else n  # before anything copies Z

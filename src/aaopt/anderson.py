@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.blas import ddot
 
 from . import _kernels
 from ._kernels import C_INT_MAX, address
+from .linalg import all_finite
 
 __all__ = [
     "AaConfig",
@@ -285,9 +285,7 @@ def safeguarded_step(
     best_stored = min(state.r_norms)
     accepted = False
     h_cand = r_cand = None
-    # a finite c.c rules out NaN and inf; only an overflowing dot of a finite
-    # candidate needs the full scan.  BLAS ddot takes no empty vector.
-    if not candidate.size or math.isfinite(ddot(candidate, candidate)) or np.isfinite(candidate).all():
+    if all_finite(candidate):
         h_cand = np.asarray(apply(candidate), dtype=float)
         r_cand = h_cand - candidate
         norm_cand = math.sqrt(float(r_cand.dot(r_cand)))

@@ -19,6 +19,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
+from scipy.sparse import issparse
 
 from .algorithms import (
     FixedPointOperator,
@@ -284,7 +285,7 @@ def _build_lasso(cfg: ExperimentConfig, params: dict) -> RunContext:
     threshold = beta * inst.lam
     g_prox = lambda v: soft_threshold(v, threshold)
     # a CSR A.T, built once, sums as A.T.dot(r) does without a transpose per product
-    At = inst.A.T.tocsr() if hasattr(inst.A, "tocsr") and not isinstance(inst.A, np.ndarray) else None
+    At = inst.A.T.tocsr() if issparse(inst.A) else None
     grad = lambda x: lasso_grad(inst, x, At)
     op = FixedPointOperator(
         dimension=inst.A.shape[1],
@@ -305,7 +306,7 @@ def _build_svm(cfg: ExperimentConfig, params: dict) -> RunContext:
     inst = _instance(cfg, params, gen_svm, SvmDualInstance, C=params["c"])
     m = inst.A.shape[0]
     # the dual is 0.5*||Z^T x||^2 - sum(x) on [0, C]^m with Z = y .* A
-    if hasattr(inst.A, "tocsr") and not isinstance(inst.A, np.ndarray):
+    if issparse(inst.A):
         A = inst.A.tocsr()
         Z = A.copy()  # A's sparsity structure, so the sweep sums in A's order
         Z.data *= np.repeat(inst.y, np.diff(Z.indptr))

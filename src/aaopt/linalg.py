@@ -1,4 +1,5 @@
-"""Power iteration for a Lipschitz constant, and conjugate gradients.
+"""Power iteration for a Lipschitz constant, conjugate gradients, and the
+finiteness check the maps and the Anderson engine share.
 
 Matrices are numpy 2-D arrays or scipy CSR matrices.  Both have ``.dot`` and
 ``.T``, so the package forms its products as ``A.dot(x)`` and ``A.T.dot(r)``
@@ -12,8 +13,19 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.blas import ddot
 
-__all__ = ["spectral_norm_sq", "cg_solve_spd", "CgResult"]
+__all__ = ["all_finite", "spectral_norm_sq", "cg_solve_spd", "CgResult"]
+
+
+def all_finite(v: np.ndarray) -> bool:
+    """Whether every entry of the float vector v is finite.
+
+    A finite v.v rules out NaN and inf, so one BLAS ddot decides most calls;
+    only a finite vector whose dot overflows needs the full scan.  ddot
+    overflows without numpy's warning, but it takes no empty vector.
+    """
+    return not v.size or math.isfinite(ddot(v, v)) or bool(np.isfinite(v).all())
 
 
 def spectral_norm_sq(A, tol: float = 1e-6, max_iter: int = 500) -> float:

@@ -44,11 +44,15 @@ __all__ = [
 
 
 def phi_value(p: float, t: np.ndarray) -> np.ndarray:
-    """The power penalty t**p, 0 < p < 1, on t >= 0 elementwise."""
+    """The power penalty t**p, 0 < p < 1, on t >= 0 elementwise.
+
+    Computed with ``**``, which numpy may take to a shortcut (``sqrt`` at
+    p = 0.5) that ``np.power`` does not.
+    """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("phi_value: penalty arguments must be nonnegative")
-    return np.power(t, p)
+    return t ** p
 
 
 def phi_deriv(p: float, t: np.ndarray) -> np.ndarray:
@@ -240,7 +244,7 @@ def logreg_grad(inst: LogRegInstance, x: np.ndarray) -> np.ndarray:
 
 def logreg_objective(inst: LogRegInstance, X: np.ndarray) -> np.ndarray:
     """Mean logistic loss + lam * sum |x_i|^p for each row x of X."""
-    return logreg_loss(inst, X) + inst.lam * (np.abs(X) ** inst.p).sum(axis=-1)
+    return logreg_loss(inst, X) + inst.lam * phi_value(inst.p, np.abs(X)).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------

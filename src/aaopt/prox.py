@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.blas import ddot, dtrsv
+from scipy.linalg.blas import dtrsv
 from scipy.linalg.lapack import dpotrf
+from scipy.sparse import issparse
+
+from .linalg import all_finite
 
 __all__ = [
     "BoxBounds",
@@ -45,14 +47,13 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     v - clip(v, -t, t), which is exactly v - t, v + t or v - v = +0.0.  At
     t == 0 numpy may clip -0.0 to +0.0 and leave -0.0 - +0.0 = -0.0, so that
     case is v + 0.0 instead.  NaN passes the clip; its entries are zeroed
-    once a dot product of the result shows some entry is not finite.  That
-    dot is BLAS ddot, which overflows to inf without numpy's warning.
+    once ``linalg.all_finite`` finds some entry of the result is not finite.
     """
     if not t >= 0:  # negated, so NaN fails too
         raise ValueError("soft_threshold: threshold must be nonnegative")
     v = np.asarray(v, dtype=float)
     out = v + 0.0 if t == 0 else v - np.minimum(np.maximum(v, -t), t)
-    if out.size and not math.isfinite(ddot(out, out)):
+    if not all_finite(out):
         out = np.where(np.isnan(out), 0.0, out)
     return out
 
@@ -95,18 +96,21 @@ def quadratic_ls_prox(
     right-hand side and overwrites it with two BLAS dtrsv solves, by L and
     then by L.T.  dtrsv reads the factor in place, which needs it
     Fortran-ordered; LAPACK dpotrs would instead pack all of L for each of
-    its two one-column solves.  The result is checked with the ddot
-    finiteness test of ``soft_threshold``.  ``z`` is not modified.
+    its two one-column solves.  The result is checked with
+    ``linalg.all_finite``.  ``z`` is not modified.
 
-    Raises LinAlgError if the shifted Gram matrix is not positive definite;
-    ``prox(z)`` raises ValueError if z does not have shape (n,).
+    Raises ValueError if A has no columns, and LinAlgError if the shifted
+    Gram matrix is not positive definite; ``prox(z)`` raises ValueError if
+    z does not have shape (n,).
     """
     if not beta > 0:  # negated, so NaN fails too
         raise ValueError("quadratic_ls_prox: beta must be positive")
     if not scale_m > 0:
         raise ValueError("quadratic_ls_prox: scale_m must be positive")
+    if A.shape[1] == 0:
+        raise ValueError("quadratic_ls_prox: A has shape %s, with no columns" % (A.shape,))
     gram = A.T @ A
-    gram = gram.toarray() if hasattr(gram, "toarray") else np.asarray(gram, dtype=float)
+    gram = gram.toarray() if issparse(gram) else np.asarray(gram, dtype=float)
     gram.flat[:: gram.shape[0] + 1] += scale_m * (1.0 / beta + 2.0 * lam)
     # gram is symmetric and gram.T is Fortran-ordered, so LAPACK factors it in
     # place without a copy, and dtrsv reads the factor without one
@@ -125,9 +129,7 @@ def quadratic_ls_prox(
             raise ValueError("quadratic_ls_prox: z has shape %s, expected (%d,)" % (z.shape, n))
         x = dtrsv(factor, aty + z_weight * z, lower=1, overwrite_x=1)
         x = dtrsv(factor, x, lower=1, trans=1, overwrite_x=1)
-        # a finite x.x rules out NaN and inf; only an overflowing dot of a
-        # finite x needs the full scan
-        if not math.isfinite(ddot(x, x)) and not np.isfinite(x).all():
+        if not all_finite(x):
             raise FloatingPointError("quadratic_ls_prox: non-finite result")
         return x
 

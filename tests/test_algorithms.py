@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aaopt.algorithms import (
@@ -61,23 +61,6 @@ def test_pga_step_fixed_point_at_minimizer():
 def test_pga_step_nonfinite_gradient_raises():
     with pytest.raises(FloatingPointError):
         pga_step(lambda x: x * np.nan, l1_prox(1.0, 1.0), 1.0, np.ones(3))
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.lists(st.one_of(st.floats(), st.sampled_from([1e200, -1e200, 1.7e308, math.nan, math.inf])),
-                max_size=16))
-@example([1e200, -1e200, 3.0])  # finite, but v.v overflows to inf
-@example([1e200, math.nan])
-@example([-math.inf, 1.0])
-@example([])
-def test_require_finite_raises_iff_an_entry_is_not_finite(entries):
-    v = np.array(entries, dtype=float)
-    with np.errstate(all="ignore"):  # the fast test's dot may overflow
-        if np.isfinite(v).all():
-            assert _require_finite(v, "v") is v
-        else:
-            with pytest.raises(FloatingPointError, match="v is non-finite"):
-                _require_finite(v, "v")
 
 
 @pytest.mark.filterwarnings("error")

@@ -3,14 +3,18 @@
 Each module's ``__all__`` is the package's surface.  A name that nothing in
 ``src/aaopt`` uses is code that only the tests run, so it either gets a caller
 or goes, unless it is listed below with the reason it stays.  The package's
-``__init__.py`` is left out of the search: it re-exports most of those names,
-and each one it imports must be in its module's ``__all__``.
+``__init__.py`` is left out of the search: it star-imports each public module,
+so ``aaopt`` exposes exactly the names in those ``__all__`` lists.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import types
 from pathlib import Path
+
+import aaopt
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "aaopt"
 
@@ -21,7 +25,6 @@ ALLOWED_WITHOUT_CALLER = {
     "nnls_grad": "criterion 04 checks it against central differences",
     "identification_iter": "criterion 10 uses it, and the benchmark's tracer patches it by name",
     "cg_solve_spd": "the benchmark's tracer patches it by name",
-    "phi_value": "the reference for phi_deriv's difference-quotient test",
     "read_trace": "the round-trip partner of write_trace",
 }
 
@@ -36,6 +39,11 @@ def exported(tree: ast.Module) -> list[str]:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
             return [elt.value for elt in node.value.elts]
     return []
+
+
+def public_modules() -> list[str]:
+    """The modules whose ``__all__`` the package star-imports."""
+    return [mod for mod, tree in modules().items() if not mod.startswith("_") and exported(tree)]
 
 
 def references(tree: ast.Module) -> set[str]:
@@ -66,11 +74,24 @@ def test_every_export_has_a_caller_in_the_package():
     assert stale == [], "allowlisted names that are gone or now have a caller: %s" % stale
 
 
-def test_the_package_reexports_only_exported_names():
-    trees = modules()
+def test_the_package_star_imports_each_public_module():
     init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
-    imported = [(node.module, alias.name) for node in init.body if isinstance(node, ast.ImportFrom)
-                for alias in node.names]
-    assert imported
-    outside = sorted("%s.%s" % (mod, name) for mod, name in imported if name not in exported(trees[mod]))
-    assert outside == [], "imported by __init__.py but not in the module's __all__: %s" % outside
+    imports = [node for node in init.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    named = sorted("%s.%s" % (node.module, alias.name) for node in imports for alias in node.names
+                   if alias.name != "*")
+    assert named == [], "__init__.py imports names by hand: %s" % named
+    assert sorted(node.module for node in imports) == public_modules()
+
+
+def test_the_package_exposes_each_exported_name_as_its_modules_object():
+    expected: dict[str, object] = {}
+    for mod in public_modules():
+        module = importlib.import_module("aaopt." + mod)
+        for name in module.__all__:
+            assert name not in expected, "%s is exported by two modules" % name
+            expected[name] = getattr(module, name)
+    mismatched = sorted(n for n, obj in expected.items() if getattr(aaopt, n, expected) is not obj)
+    assert mismatched == [], "aaopt does not expose these as their modules' objects: %s" % mismatched
+    extra = sorted(n for n, obj in vars(aaopt).items()
+                   if not n.startswith("_") and not isinstance(obj, types.ModuleType) and n not in expected)
+    assert extra == [], "aaopt exposes names outside every __all__: %s" % extra

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aaopt.linalg import CgResult, cg_solve_spd, spectral_norm_sq
+from aaopt.linalg import CgResult, all_finite, cg_solve_spd, spectral_norm_sq
 
 SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, 1e-300, 1e150, -1e150])
 
@@ -39,6 +39,19 @@ def test_csr_transpose_built_once_is_bitwise_the_transposed_matvec(case):
     S, v = case
     At = S.T.tocsr()
     assert At.dot(v).tobytes() == S.T.dot(v).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.sampled_from([1e200, -1e200, 1.7e308, math.nan, math.inf, -math.inf])),
+                max_size=16))
+@example([1e200, -1e200, 3.0])  # finite, but v.v overflows to inf
+@example([1e200, math.nan])
+@example([-math.inf, 1.0])
+@example([])
+def test_all_finite_is_true_iff_every_entry_is_finite(entries):
+    v = np.array(entries, dtype=float)
+    assert all_finite(v) is bool(np.isfinite(v).all())
 
 
 def test_spectral_norm_sq_diag():

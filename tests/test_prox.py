@@ -158,6 +158,11 @@ def test_prox_quadratic_ls_zero_data_is_identity():
     z = np.array([1.0, -2.0, 0.5])
     out = quadratic_ls_prox(np.zeros((2, 3)), np.zeros(2), 0.0, 1.0, 1.0)(z)
     assert np.allclose(out, z, atol=1e-12)
+    # an A with no rows is zero data too: A.T A = 0, A.T y = 0, and I x = z is solved exactly
+    for A in (np.zeros((0, 3)), sp.csr_matrix((0, 3))):
+        prox = quadratic_ls_prox(A, np.zeros(0), 0.0, 1.0, 1.0)
+        assert prox(z).tobytes() == z.tobytes()
+        assert prox(np.zeros(3)).tobytes() == np.zeros(3).tobytes()
 
 
 def test_prox_quadratic_ls_scalar_example():
@@ -294,3 +299,6 @@ def test_prox_quadratic_ls_argument_checks():
     # lam = -1 shifts the diagonal of A.T A = I by 1 + 2*lam = -1
     with pytest.raises(np.linalg.LinAlgError):
         quadratic_ls_prox(A, y, -1.0, 1.0, 1.0)
+    for no_columns in (np.zeros((3, 0)), sp.csr_matrix((3, 0))):
+        with pytest.raises(ValueError, match=re.escape("A has shape (3, 0), with no columns")):
+            quadratic_ls_prox(no_columns, np.ones(3), 0.0, 1.0, 1.0)
