@@ -19,7 +19,7 @@ from . import _kernels
 from ._kernels import C_INT_MAX, address
 from .linalg import all_finite
 from .problems import phi_deriv
-from .prox import BoxBounds, weighted_soft_threshold
+from .prox import BoxBounds, soft_threshold
 
 __all__ = [
     "FixedPointOperator",
@@ -254,7 +254,7 @@ def irl1_step(
     if inside.any():
         w[inside] = phi_deriv(p, t[inside])
     g = _require_finite(np.asarray(grad_f(x), dtype=float), "irl1_step: gradient")
-    x_new = np.where(inside, weighted_soft_threshold(x - beta * g, w, beta * lam), 0.0)
+    x_new = np.where(inside, soft_threshold(x - beta * g, (beta * lam) * w), 0.0)
     return np.concatenate([x_new, mu * eps])
 
 

@@ -7,6 +7,7 @@ import sys
 
 from .harness import (
     ConfigError,
+    _check_writable,
     format_summary,
     load_config,
     run_experiment,
@@ -59,22 +60,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        cfg = _apply_overrides(load_config(args.config), args)
+        if args.summary:  # fail now, not after every run
+            _check_writable(args.summary, "summary")
         if args.command == "run":
-            cfg = _apply_overrides(load_config(args.config), args)
-            _, summary = run_experiment(cfg)
-            text = format_summary(summary)
-            print(text)
-            if args.summary:
-                write_summary([summary], args.summary)
+            summaries = [run_experiment(cfg)[1]]
         else:  # sweep
-            cfg = _apply_overrides(load_config(args.config), args)
             summaries = run_sweep(cfg, _parse_memory_list(args.memory))
-            print("\n\n".join(format_summary(s) for s in summaries))
-            if args.summary:
-                write_summary(summaries, args.summary)
+        print("\n\n".join(map(format_summary, summaries)))
+        if args.summary:
+            write_summary(summaries, args.summary)
     except (ConfigError, ValueError, OSError, FloatingPointError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

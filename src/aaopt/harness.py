@@ -36,6 +36,7 @@ from .problems import (
     LogRegInstance,
     NnlsInstance,
     SvmDualInstance,
+    _open_text,
     gen_lasso,
     gen_logreg,
     gen_nnls,
@@ -222,11 +223,8 @@ def config_from_mapping(kv: dict[str, str]) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise OSError("reading config from %s: %s" % (path, exc)) from exc
+    with _open_text(path, "config") as handle:
+        text = handle.read()
     return config_from_mapping(parse_config_text(text))
 
 
@@ -496,7 +494,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Trace, dict]:
     evaluated at the momentum method's main iterate.
     """
     if cfg.trace_path:  # fail now, not after the whole run
-        _check_writable(cfg.trace_path)
+        _check_writable(cfg.trace_path, "trace")
     ctx = build_operator(cfg)
     op = ctx.op
     t_start = time.perf_counter()
@@ -609,13 +607,13 @@ def run_sweep(cfg: ExperimentConfig, memories: Sequence[int]) -> list[dict]:
 _TRACE_ROW = "%d,%.17g,%.17g,%.17g,%d,%d,%d\n"
 
 
-def _check_writable(path: str) -> None:
-    """Fail as write_trace would on a path it cannot write, leaving the file as it was."""
+def _check_writable(path: str, what: str) -> None:
+    """Fail as writing a trace or summary (``what``) to ``path`` would, leaving the file as it was."""
     existed = os.path.exists(path)
     try:
         open(path, "a", encoding="utf-8").close()
     except OSError as exc:
-        raise OSError("writing trace to %s: %s" % (path, exc)) from exc
+        raise OSError("writing %s to %s: %s" % (what, path, exc)) from exc
     if not existed:
         os.remove(path)
 
@@ -646,11 +644,8 @@ def write_trace(records: Sequence[TraceRecord], path: str) -> None:
 
 def read_trace(path: str) -> list[TraceRecord]:
     """The records of a trace CSV; a malformed or blank row raises ValueError naming its line."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        raise OSError("reading trace from %s: %s" % (path, exc)) from exc
+    with _open_text(path, "trace") as handle:
+        lines = handle.read().splitlines()
     if not lines or lines[0] != TRACE_HEADER:
         raise ValueError("%s: missing trace header" % path)
     out = []

@@ -10,8 +10,9 @@ single point gives a single value.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -312,15 +313,23 @@ def parse_libsvm(lines: Iterable[str] | IO[str]) -> tuple[sp.csr_matrix, np.ndar
     return X, y
 
 
-def load_libsvm(path: str) -> tuple[sp.csr_matrix, np.ndarray]:
-    """parse_libsvm over the contents of a file."""
+@contextmanager
+def _open_text(path: str, what: str) -> Iterator[IO[str]]:
+    """``path`` open as UTF-8 text holding a ``what``; an OSError or bytes that are
+    not UTF-8 (a binary file, such as an .npz archive) raise an error naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return parse_libsvm(handle)
+            yield handle
     except OSError as exc:
-        raise OSError("reading LIBSVM data from %s: %s" % (path, exc)) from exc
-    except UnicodeDecodeError as exc:  # a binary file, such as an .npz archive
-        raise ValueError("not LIBSVM text: the file is not UTF-8 (%s)" % exc.reason) from None
+        raise OSError("reading %s from %s: %s" % (what, path, exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError("%s is not %s text: it is not UTF-8 (%s)" % (path, what, exc.reason)) from None
+
+
+def load_libsvm(path: str) -> tuple[sp.csr_matrix, np.ndarray]:
+    """parse_libsvm over the lines of a file."""
+    with _open_text(path, "LIBSVM") as handle:
+        return parse_libsvm(handle)
 
 
 def subsample(X, y: np.ndarray, k: int, seed: int = 0):

@@ -15,7 +15,6 @@ from .linalg import all_finite
 __all__ = [
     "BoxBounds",
     "soft_threshold",
-    "weighted_soft_threshold",
     "nonneg_project",
     "quadratic_ls_prox",
 ]
@@ -39,42 +38,30 @@ class BoxBounds:
             raise ValueError("BoxBounds: lower exceeds upper somewhere")
 
 
-def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
-    """sign(v) * max(|v| - t, 0), i.e. the prox of t * ||.||_1, for a vector v.
+def soft_threshold(v: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """sign(v) * max(|v| - t, 0), the prox of t * ||.||_1, for a vector v and a
+    threshold t that is one number or an array of v's shape (IRL1's weights).
 
     Bit for bit the three-branch form: v - t above t, v + t below -t, and
     +0.0 in between, at ties |v| == t and at NaN.  It is computed as
-    v - clip(v, -t, t), which is exactly v - t, v + t or v - v = +0.0.  At
-    t == 0 numpy may clip -0.0 to +0.0 and leave -0.0 - +0.0 = -0.0, so that
-    case is v + 0.0 instead.  NaN passes the clip; its entries are zeroed
-    once ``linalg.all_finite`` finds some entry of the result is not finite.
+    v - clip(v, -t, t), which is exactly v - t, v + t or v - v = +0.0.  Where
+    t is 0 numpy may clip -0.0 to +0.0 and leave -0.0 - +0.0 = -0.0, so unless
+    t is one positive number 0.0 is added, which changes nothing but -0.0.
+    NaN passes the clip; its entries are zeroed once ``linalg.all_finite``
+    finds some entry of the result is not finite.
     """
-    if not t >= 0:  # negated, so NaN fails too
-        raise ValueError("soft_threshold: threshold must be nonnegative")
     v = np.asarray(v, dtype=float)
-    out = v + 0.0 if t == 0 else v - np.minimum(np.maximum(v, -t), t)
+    vector = isinstance(t, np.ndarray)
+    if vector and t.shape != v.shape:
+        raise ValueError("soft_threshold: threshold shape %s != input shape %s" % (t.shape, v.shape))
+    if not ((t >= 0).all() if vector else t >= 0):  # negated, so NaN fails too
+        raise ValueError("soft_threshold: threshold must be nonnegative")
+    out = v - np.minimum(np.maximum(v, -t), t)
+    if vector or t == 0:
+        out += 0.0
     if not all_finite(out):
         out = np.where(np.isnan(out), 0.0, out)
     return out
-
-
-def weighted_soft_threshold(v: np.ndarray, w: np.ndarray, s: float) -> np.ndarray:
-    """Coordinatewise shrinkage with per-coordinate thresholds s * w_i.
-
-    Minimizes 0.5*(t - v_i)^2 + s*w_i*|t| in each coordinate; the three cases
-    are v_i - s*w_i above, v_i + s*w_i below, 0 in between (ties to 0).
-    """
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if not s >= 0:  # negated, so NaN fails too
-        raise ValueError("weighted_soft_threshold: scale must be nonnegative")
-    if np.any(w < 0):
-        raise ValueError("weighted_soft_threshold: weights must be nonnegative")
-    if w.shape != v.shape:
-        raise ValueError("weighted_soft_threshold: weight shape %s != input shape %s" % (w.shape, v.shape))
-    thresh = s * w
-    # three-branch shrinkage; ties |v| == thresh map to exactly 0
-    return np.where(v > thresh, v - thresh, np.where(v < -thresh, v + thresh, 0.0))
 
 
 def nonneg_project(v: np.ndarray) -> np.ndarray:

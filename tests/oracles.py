@@ -225,11 +225,13 @@ def quadratic_ls_prox_reference(A, y, lam: float, scale_m: float, beta: float):
     return prox
 
 
-def soft_threshold_reference(v, t: float) -> np.ndarray:
+def soft_threshold_reference(v, t) -> np.ndarray:
     """Three-branch shrinkage: v - t above t, v + t below -t, else 0.0.
 
-    The library's ``soft_threshold`` as it stood before it moved to a clip;
-    ties |v| == t and NaN map to +0.0, and the two must agree bit for bit.
+    The library's ``soft_threshold`` as it stood before it moved to a clip,
+    and, for an array ``t`` of v's shape, its ``weighted_soft_threshold``
+    (with t = s * w) before IRL1 moved to ``soft_threshold``; ties |v| == t
+    and NaN map to +0.0, and the library must agree with it bit for bit.
     """
     v = np.asarray(v, dtype=float)
     return np.where(v > t, v - t, np.where(v < -t, v + t, 0.0))

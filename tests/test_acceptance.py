@@ -53,7 +53,7 @@ from aaopt.problems import (
     svm_dual_grad,
     svm_dual_objective,
 )
-from aaopt.prox import BoxBounds, nonneg_project, quadratic_ls_prox, weighted_soft_threshold
+from aaopt.prox import BoxBounds, nonneg_project, quadratic_ls_prox, soft_threshold
 
 
 def _report(num: int, label: str, ok: bool, detail: str) -> None:
@@ -192,7 +192,7 @@ def test_criterion_03_shrinkage_oracle():
         v = float(rng.normal(scale=2.0))
         w = float(rng.uniform(0.05, 3.0))
         s = float(rng.uniform(0.01, 2.0))
-        got = float(weighted_soft_threshold(np.array([v]), np.array([w]), s)[0])
+        got = float(soft_threshold(np.array([v]), s * np.array([w]))[0])
         span = abs(v) + 1.0
         ref = grid_minimize_1d(lambda t: shrink_objective(t, v, w, s), -span, span, rounds=8)
         worst = max(worst, abs(got - ref))

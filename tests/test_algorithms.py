@@ -18,7 +18,7 @@ from aaopt.algorithms import (
 )
 from aaopt.algorithms import _require_finite
 from aaopt.problems import phi_deriv
-from aaopt.prox import BoxBounds, quadratic_ls_prox, soft_threshold, weighted_soft_threshold
+from aaopt.prox import BoxBounds, quadratic_ls_prox, soft_threshold
 
 
 def l1_prox(lam, beta):
@@ -93,8 +93,6 @@ NAN_STEPS = [
     ("quadratic_ls_prox: scale_m must be positive",
      lambda: quadratic_ls_prox(np.eye(2), np.ones(2), 0.0, math.nan, 1.0)),
     ("soft_threshold: threshold must be nonnegative", lambda: soft_threshold(np.ones(2), math.nan)),
-    ("weighted_soft_threshold: scale must be nonnegative",
-     lambda: weighted_soft_threshold(np.ones(2), np.ones(2), math.nan)),
 ]
 
 

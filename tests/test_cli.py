@@ -116,3 +116,41 @@ def test_a_map_that_raises_floating_point_error_is_an_error_line(tmp_path, capsy
     assert main(["run", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: pga_step: gradient is non-finite\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--memory", "5,10"]], ids=["run", "sweep"])
+def test_an_unwritable_summary_path_is_refused_before_any_run(tmp_path, command, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(LASSO_CFG + "run.trace = %s\n" % (tmp_path / "t.csv"), encoding="utf-8")
+    target = tmp_path / "absent" / "s.txt"
+    assert main([command[0], str(cfg), *command[1:], "--summary", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no run printed its summary
+    assert captured.err.startswith("error: writing summary to %s: " % target), captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]  # no trace written
+
+
+def test_a_failed_sweep_leaves_no_summary_file(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(LASSO_CFG, encoding="utf-8")
+    assert main(["sweep", str(cfg), "--memory", "5,5", "--summary", str(tmp_path / "s.txt")]) == 2
+    assert capsys.readouterr().err == "error: sweep lists aa.memory 5 twice\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--memory", "2,3"]], ids=["run", "sweep"])
+def test_stdout_is_the_summary_file(cfg_path, tmp_path, command, capsys):
+    target = tmp_path / "s.txt"
+    assert main([command[0], cfg_path, *command[1:], "--tol", "1e-6", "--summary", str(target)]) == 0
+    text = target.read_text(encoding="utf-8")
+    # print ends the text with the newline that ends the file
+    assert text.endswith("\n") and capsys.readouterr().out == text
+
+
+def test_run_on_a_binary_config_names_the_file(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR")
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s is not config text: it is not UTF-8 (invalid start byte)\n" % path
+    assert captured.out == ""

@@ -983,6 +983,13 @@ def test_read_trace_requires_header(tmp_path):
         read_trace(str(path))
 
 
+def test_read_trace_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR")
+    with pytest.raises(ValueError, match="^%s is not trace text: it is not UTF-8" % re.escape(str(path))):
+        read_trace(str(path))
+
+
 @pytest.mark.parametrize("row,why", [
     ("1,0.5,2,0,0,3", "expected 7|not enough values"),
     ("1,0.5,2,0,zero,3,7", "invalid literal for int"),

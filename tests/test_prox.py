@@ -14,7 +14,6 @@ from aaopt.prox import (
     nonneg_project,
     quadratic_ls_prox,
     soft_threshold,
-    weighted_soft_threshold,
 )
 
 from oracles import (
@@ -80,32 +79,69 @@ def test_soft_threshold_is_bitwise_the_three_branch_form(case):
     assert got.tobytes() == want.tobytes()
 
 
+@st.composite
+def weighted_shrink_inputs(draw):
+    """(v, t) with t an array of v's shape: zero, -0.0 and infinite thresholds among
+    finite ones, and NaN, +-inf, +-0, subnormals and ties |v_i| == t_i among the entries."""
+    threshold = st.one_of(st.sampled_from([0.0, -0.0, math.inf]),
+                          st.floats(0.0, 1e300, allow_subnormal=True))
+    t = draw(st.lists(threshold, max_size=24))
+    v = [draw(st.one_of(st.floats(), st.sampled_from(SPECIALS + [ti, -ti]))) for ti in t]
+    return np.array(v, dtype=float), np.array(t, dtype=float)
+
+
+@settings(max_examples=500, deadline=None)
+@given(weighted_shrink_inputs())
+@example((np.array([-0.0, 0.0, -0.0, 0.0, math.nan, math.nan]), np.array([0.0, 0.0, -0.0, -0.0, 0.0, 1.0])))
+@example((np.array([math.inf, -math.inf, 2.0, -2.0, math.inf]), np.array([math.inf, math.inf, 2.0, 2.0, 1.0])))
+@example((np.array([0.5, -0.5, 1e308, -1e308, 5e-324]), np.array([0.25, 0.0, math.inf, 1e308, 5e-324])))
+def test_soft_threshold_with_a_threshold_per_coordinate_is_bitwise_the_three_branch_form(case):
+    v, t = case
+    before = v.tobytes(), t.tobytes()
+    with np.errstate(all="ignore"):  # inf - inf is the point here
+        got = soft_threshold(v, t)
+        want = soft_threshold_reference(v, t)
+    assert (v.tobytes(), t.tobytes()) == before
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("t, why", [
+    (np.array([1.0, math.nan]), "soft_threshold: threshold must be nonnegative"),
+    (math.nan * np.ones(2), "soft_threshold: threshold must be nonnegative"),
+    (np.ones(3), "soft_threshold: threshold shape (3,) != input shape (2,)"),
+], ids=["nan-entry", "nan-scale", "shape"])
+def test_a_bad_threshold_array_is_refused(t, why):
+    with pytest.raises(ValueError, match=re.escape(why)):
+        soft_threshold(np.ones(2), t)
+
+
 def test_weighted_matches_uniform_bitwise():
     rng = np.random.default_rng(1)
     for _ in range(100):
         v = rng.standard_normal(12) * 3
         s = float(rng.random() * 2)
         a = soft_threshold(v, s)
-        b = weighted_soft_threshold(v, np.ones_like(v), s)
-        assert np.array_equal(a, b)
+        b = soft_threshold(v, s * np.ones_like(v))
+        assert a.tobytes() == b.tobytes()
 
 
 def test_weighted_soft_threshold_three_branches():
     v = np.array([5.0, -5.0, 0.1])
     w = np.array([2.0, 2.0, 2.0])
-    out = weighted_soft_threshold(v, w, 1.0)
+    out = soft_threshold(v, 1.0 * w)
     assert np.array_equal(out, np.array([3.0, -3.0, 0.0]))
 
 
 def test_weighted_soft_threshold_zero_weight_passthrough():
     v = np.array([0.3, -0.7])
-    out = weighted_soft_threshold(v, np.zeros(2), 5.0)
+    out = soft_threshold(v, 5.0 * np.zeros(2))
     assert np.array_equal(out, v)
 
 
 def test_weighted_soft_threshold_rejects_negative_weights():
-    with pytest.raises(ValueError):
-        weighted_soft_threshold(np.ones(2), np.array([1.0, -1.0]), 1.0)
+    with pytest.raises(ValueError, match="soft_threshold: threshold must be nonnegative"):
+        soft_threshold(np.ones(2), 1.0 * np.array([1.0, -1.0]))
 
 
 def test_weighted_soft_threshold_matches_grid_oracle():
@@ -114,7 +150,7 @@ def test_weighted_soft_threshold_matches_grid_oracle():
         v = float(rng.uniform(-5, 5))
         w = float(rng.uniform(0, 3))
         s = float(rng.uniform(0, 2))
-        got = weighted_soft_threshold(np.array([v]), np.array([w]), s)[0]
+        got = soft_threshold(np.array([v]), s * np.array([w]))[0]
         lo = -abs(v) - 1.0
         hi = abs(v) + 1.0
         want = grid_minimize_1d(lambda t: shrink_objective(t, v, w, s), lo, hi)
