@@ -41,9 +41,9 @@ class FixedPointOperator:
 
     ``apply`` must be deterministic.  ``monitor`` maps an iterate to the
     vector whose sign/activity pattern identifies the active manifold
-    (defaults to the iterate itself).  ``objective`` (if given) takes a block
-    of monitor vectors, one per row, and returns the merit function being
-    minimized at each row's iterate as an array of one value per row.
+    (defaults to the iterate itself).  ``objective`` takes a block of monitor
+    vectors, one per row, and returns the merit at each row's iterate, one
+    value per row; ``run_experiment`` needs it, and every builder sets it.
     """
 
     dimension: int
@@ -231,9 +231,9 @@ def irl1_step(
     eps+ = mu * eps.  Returns the new (x, eps) as one vector.
 
     Anderson candidates may leave the domain eps >= 0, hence the clamp in the
-    weights.  Where |x_i| + max(eps_i, 0) is 0 the coordinate is pinned at 0
-    (the power penalty's infinite-weight limit), so the safeguard can judge
-    such a candidate by its residual.
+    weights.  Where |x_i| + max(eps_i, 0) is 0 the weight and threshold are
+    +inf, which pins x_i at 0, so the safeguard can judge such a candidate
+    by its residual; with beta * lam = 0 the threshold is 0: no shrinkage.
     """
     if not beta > 0:  # negated, so NaN fails too
         raise ValueError("irl1_step: beta must be positive")
@@ -248,13 +248,11 @@ def irl1_step(
         raise ValueError("irl1_step: theta must be a vector (x, eps) of even length")
     n = theta.shape[0] // 2
     x, eps = theta[:n], theta[n:]
-    t = np.abs(x) + np.maximum(eps, 0.0)
-    inside = t > 0.0
-    w = np.zeros(n)
-    if inside.any():
-        w[inside] = phi_deriv(p, t[inside])
+    w = phi_deriv(p, np.abs(x) + np.maximum(eps, 0.0))
     g = _require_finite(np.asarray(grad_f(x), dtype=float), "irl1_step: gradient")
-    x_new = np.where(inside, soft_threshold(x - beta * g, (beta * lam) * w), 0.0)
+    scale = beta * lam
+    # a zero scale would make 0 * inf = NaN where a weight is infinite
+    x_new = soft_threshold(x - beta * g, scale * w if scale > 0 else 0.0)
     return np.concatenate([x_new, mu * eps])
 
 

@@ -70,7 +70,7 @@ class AaConfig:
 
 @dataclass
 class AaState:
-    """Iteration state: the current iterate plus the newest-first history.
+    """Iteration state: the newest-first history and the run of rejections.
 
     The history sits in two buffers with room for 2*(memory+1) entries,
     allocated at the first step.  The ncol stored entries occupy the window
@@ -91,7 +91,6 @@ class AaState:
     (ncol x n) views of the stored evaluations and residuals, newest first.
     """
 
-    x: np.ndarray
     hbuf: np.ndarray
     rbuf: np.ndarray
     r_norms: list[float]
@@ -135,16 +134,16 @@ def init_state(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray) -> AaS
     """Evaluate H(x0) once and seed the history.
 
     The buffers hold this one entry; the first step grows them to the
-    configured memory.
+    configured memory.  The compiled weight solve loads first, so a missing
+    compiler fails before H is evaluated, not at the first two-column solve.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1:
         raise ValueError("init_state: x0 must be a vector, got shape %s" % (x0.shape,))
+    _kernels.library()
     h0 = np.asarray(apply(x0), dtype=float)
     r0 = h0 - x0
-    return AaState(
-        x=x0, hbuf=h0[None, :].copy(), rbuf=r0[:, None].copy(), r_norms=[math.sqrt(float(r0.dot(r0)))]
-    )
+    return AaState(hbuf=h0[None, :].copy(), rbuf=r0[:, None].copy(), r_norms=[math.sqrt(float(r0.dot(r0)))])
 
 
 _NONFINITE_R = "compute_alpha: residual matrix contains non-finite entries"
@@ -312,7 +311,6 @@ def safeguarded_step(
             state.reject_streak = 0
 
     _push(state, h_next, r_next, norm_next, cfg.memory)
-    state.x = x_next
     diag = AaDiagnostics(alpha=alpha, alpha_l1=alpha_l1, accepted=accepted, residual_norm=norm_next)
     return x_next, diag
 

@@ -464,8 +464,9 @@ def _plain_iterates(apply: Callable, x0: np.ndarray):
 
 
 def _aa_iterates(apply: Callable, x0: np.ndarray, aa: AaConfig):
+    x0 = np.asarray(x0, dtype=float)
     state = init_state(apply, x0)
-    yield state.x, state.r_norms[0], 0.0, 0
+    yield x0, state.r_norms[0], 0.0, 0
     while True:
         x, diag = safeguarded_step(apply, state, aa)
         yield x, diag.residual_norm, diag.alpha_l1, int(diag.accepted)
@@ -510,7 +511,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Trace, dict]:
         iterates = _aa_iterates(op.apply, ctx.x0, cfg.aa)
     else:
         iterates = _plain_iterates(op.apply, ctx.x0)
-    objective = op.objective if op.objective is not None else lambda block: np.full(len(block), math.nan)
     residual, _, alphas, accepts, _, elapsed = (column.append for column in trace.columns)
     tol, max_iter, clock = cfg.tol, cfg.max_iter, time.perf_counter
     monitors, rows = None, 0  # the monitor vectors whose objectives and patterns are not taken yet
@@ -526,7 +526,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Trace, dict]:
         elapsed(int((clock() - t_start) * 1e6))
         done = not (tol < rnorm <= DIVERGENCE_LIMIT and k < max_iter)  # NaN and +-inf fail both
         if rows == TRACE_BLOCK or done:
-            trace.objective.extend(objective(monitors[:rows]).tolist())
+            trace.objective.extend(op.objective(monitors[:rows]).tolist())
             patterns = pattern_of(monitors[:rows], limits)
             trace.support_size.extend(support_size(patterns).tolist())
             identification.push_block(patterns)

@@ -32,14 +32,11 @@ def spectral_norm_sq(A, tol: float = 1e-6, max_iter: int = 500) -> float:
     """Largest eigenvalue of A.T @ A (squared spectral norm) by power iteration.
 
     Deterministic: the start vector comes from a fixed-seed generator.  A zero
-    matrix returns 0.0, and inf comes at the first norm that is not finite.
-    Stops when the Rayleigh estimate changes by less than ``tol`` relatively,
-    or after ``max_iter`` rounds.
+    or empty matrix returns 0.0 (its first product is 0), and inf comes at
+    the first norm that is not finite.  Stops when the Rayleigh estimate
+    changes by less than ``tol`` relatively, or after ``max_iter`` rounds.
     """
-    rows, cols = A.shape
-    if rows == 0 or cols == 0:
-        return 0.0
-    v = np.random.default_rng(0).standard_normal(cols)
+    v = np.random.default_rng(0).standard_normal(A.shape[1])
     v /= np.linalg.norm(v)
     est = 0.0
     At = A.T

@@ -68,11 +68,10 @@ def pattern_of(x: np.ndarray, limits: tuple) -> np.ndarray:
 class IdentificationTracker:
     """``identification_iter`` over a stream of patterns, without storing them.
 
-    Feed the int8 patterns of iterations 0, 1, ... in order, one at a time
-    with ``push`` or a block of rows at a time with ``push_block``;
-    ``identified_at`` is then what ``identification_iter`` returns for the
-    patterns fed so far.  The tracker keeps only the newest pattern and
-    where its current run began.
+    Feed the int8 patterns of iterations 0, 1, ... in order, as the rows of
+    blocks, to ``push_block``; ``identified_at`` is then what
+    ``identification_iter`` returns for the patterns fed so far.  The tracker
+    keeps only the newest pattern and where its current run began.
     """
 
     def __init__(self, window: int = 10) -> None:
@@ -83,11 +82,8 @@ class IdentificationTracker:
         self._key: bytes | None = None  # the newest pattern's bytes
         self._run_start = 0  # where the newest pattern's current run began
 
-    def push(self, pattern: np.ndarray) -> None:
-        self.push_block(np.reshape(pattern, (1, -1)))
-
     def push_block(self, patterns: np.ndarray) -> None:
-        """``push`` each row of a 2-D block of patterns, first row first."""
+        """Feed each row of a 2-D block of patterns, first row first."""
         rows = np.ascontiguousarray(patterns, dtype=np.int8)
         raw, (n, width) = rows.tobytes(), rows.shape
         count, key, start = self._count, self._key, self._run_start
@@ -111,7 +107,7 @@ def identification_iter(patterns: Sequence[np.ndarray], window: int = 10) -> int
     """
     tracker = IdentificationTracker(window)
     for pattern in patterns:
-        tracker.push(pattern)
+        tracker.push_block(np.reshape(pattern, (1, -1)))
     return tracker.identified_at
 
 

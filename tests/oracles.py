@@ -11,7 +11,9 @@ into buffers, kept as the reference the buffered engine must match bit for
 bit.  ``pcd_sweep_reference`` is the coordinate sweep as a Python loop, the
 reference for the compiled one.  ``quadratic_ls_prox_reference`` is the
 least-squares prox solved by LAPACK dpotrs, as it stood before its solve
-moved to two BLAS dtrsv calls.
+moved to two BLAS dtrsv calls.  ``irl1_step_reference`` is the reweighted
+step with its pinned coordinates masked out, as it stood before an infinite
+threshold pinned them.
 """
 
 from __future__ import annotations
@@ -237,6 +239,27 @@ def soft_threshold_reference(v, t) -> np.ndarray:
     return np.where(v > t, v - t, np.where(v < -t, v + t, 0.0))
 
 
+def irl1_step_reference(grad_f, p: float, lam: float, beta: float, mu: float, theta) -> np.ndarray:
+    """One IRL1 step on theta = (x, eps) with the pinned coordinates masked out.
+
+    The library's ``irl1_step`` as it stood before an infinite weight pinned
+    them: where |x_i| + max(eps_i, 0) is 0 the weight is left at 0 and
+    ``np.where`` sets x_i to 0.0; elsewhere x shrinks by the three-branch
+    form with threshold beta * lam * p * t_i**(p - 1).  For lam > 0 the
+    library must agree with it bit for bit.
+    """
+    theta = np.asarray(theta, dtype=float)
+    n = theta.shape[0] // 2
+    x, eps = theta[:n], theta[n:]
+    t = np.abs(x) + np.maximum(eps, 0.0)
+    inside = t > 0.0
+    w = np.zeros(n)
+    w[inside] = p * np.power(t[inside], p - 1.0)
+    g = np.asarray(grad_f(x), dtype=float)
+    x_new = np.where(inside, soft_threshold_reference(x - beta * g, (beta * lam) * w), 0.0)
+    return np.concatenate([x_new, mu * eps])
+
+
 def pattern_of_reference(x, zero_tol: float = 1e-9, bounds=None) -> np.ndarray:
     """Activity pattern built by sign, broadcast bounds and masked writes.
 
@@ -309,7 +332,6 @@ def write_libsvm(path, A: np.ndarray, labels: np.ndarray, drop_below: float = 0.
 class ListAaState:
     """Newest-first history lists: h[j] = H(x^(k-j)), r[j] its residual."""
 
-    x: np.ndarray
     h: list = field(default_factory=list)
     r: list = field(default_factory=list)
     norms: list = field(default_factory=list)
@@ -320,7 +342,7 @@ def list_init_state(apply, x0) -> ListAaState:
     x0 = np.asarray(x0, dtype=float)
     h0 = np.asarray(apply(x0), dtype=float)
     r0 = h0 - x0
-    return ListAaState(x=x0, h=[h0], r=[r0], norms=[float(np.linalg.norm(r0))])
+    return ListAaState(h=[h0], r=[r0], norms=[float(np.linalg.norm(r0))])
 
 
 def list_compute_alpha(R: np.ndarray, tau: float) -> np.ndarray:
@@ -408,5 +430,4 @@ def list_aa_step(apply, state: ListAaState, cfg):
     del state.h[cfg.memory + 1 :]
     del state.r[cfg.memory + 1 :]
     del state.norms[cfg.memory + 1 :]
-    state.x = x_next
     return x_next, alpha, alpha_l1, accepted, norm_next

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aaopt.algorithms import (
@@ -19,6 +19,7 @@ from aaopt.algorithms import (
 from aaopt.algorithms import _require_finite
 from aaopt.problems import phi_deriv
 from aaopt.prox import BoxBounds, quadratic_ls_prox, soft_threshold
+from oracles import irl1_step_reference
 
 
 def l1_prox(lam, beta):
@@ -330,17 +331,67 @@ def test_irl1_eps_decays_geometrically():
     assert np.array_equal(theta[3:], np.array([1.0, 2.0, 4.0]) * 0.5**5)
 
 
+@pytest.mark.filterwarnings("error")
 def test_irl1_step_pins_coordinates_where_the_power_weight_is_infinite():
     # An eps below the domain counts as 0 in the weights.  Coordinate 0 then
     # gets the weight 0.5 * 1^-0.5 (not 0.5 * 0.25^-0.5), so its threshold is
     # beta * lam * 0.5 = 0.025.  At coordinates 1 and 2 |x_i| + max(eps_i, 0)
-    # is 0, where the LPN weight is undefined: they stay at 0 although the
+    # is 0, where the LPN weight is +inf: they stay at 0 although the
     # gradient pushes them away.
-    with pytest.raises(ValueError, match="coordinate 1"):
-        phi_deriv(0.5, np.array([1.0, 0.0, 0.0]))
+    assert phi_deriv(0.5, np.array([1.0, 0.0, 0.0])).tolist() == [0.5, math.inf, math.inf]
     theta = np.array([1.0, 0.0, -0.0, -0.75, 0.0, -2.0])
     out = irl1_step(lambda x: np.full_like(x, -1.0), 0.5, 0.1, 0.5, 0.5, theta)
     assert out.tolist() == [1.0 + 0.5 - 0.025, 0.0, 0.0, -0.375, 0.0, -1.0]
+
+
+TINY = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308])
+# at most 1e300 in size, so that with beta <= 1 neither x - beta * g nor |x| + eps overflows
+FINITE = st.one_of(TINY, st.floats(-1e300, 1e300, allow_subnormal=True))
+NONPOSITIVE = st.one_of(st.sampled_from([0.0, -0.0, -5e-324]), st.floats(-1e300, 0.0))
+
+
+@st.composite
+def irl1_inputs(draw):
+    """(p, lam, beta, mu, theta, g) with pinned coordinates, signed zeros and subnormal sums."""
+    n = draw(st.integers(1, 6))
+    x = [draw(FINITE) for _ in range(n)]
+    # x = +-0 with eps <= 0 pins a coordinate
+    eps = [draw(st.one_of(NONPOSITIVE, FINITE)) for _ in range(n)]
+    g = [draw(st.one_of(st.just(0.0), FINITE)) for _ in range(n)]
+    p = draw(st.one_of(st.just(0.01), st.floats(0.01, 0.99)))
+    lam, beta, mu = draw(st.floats(1e-6, 1.0)), draw(st.floats(1e-3, 1.0)), draw(st.floats(0.01, 0.99))
+    return p, lam, beta, mu, np.array(x + eps), np.array(g)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=500, deadline=None)
+@given(irl1_inputs())
+@example((0.5, 0.1, 0.5, 0.5, np.array([1.0, 0.0, -0.0, -0.75, 0.0, -2.0]), np.array([-1.0, -1.0, 1.0])))
+@example((0.01, 0.5, 1.0, 0.9, np.array([1e-320, -0.0, 0.0, 5e-324, -0.0, 0.0]), np.array([2.0, -3.0, 1e-310])))
+@example((0.3, 1e-6, 1e-3, 0.5, np.array([-0.0, 1e300, -1e300, 0.0]), np.array([1e300, -1e300])))
+def test_irl1_step_matches_the_masked_step_bitwise(case):
+    # an infinite threshold pins a coordinate as the masked step's np.where did
+    p, lam, beta, mu, theta, g = case
+    out = irl1_step(lambda x: g, p, lam, beta, mu, theta)
+    with np.errstate(over="ignore"):  # the reference's weights overflow where the library's are inf
+        want = irl1_step_reference(lambda x: g, p, lam, beta, mu, theta)
+    assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_irl1_step_without_a_penalty_leaves_an_overflowing_weight_unshrunk():
+    # p = 0.01 at |x_0| = 1e-320 overflows the weight to inf, and lam = 0 makes
+    # the threshold 0, not 0 * inf = NaN
+    out = irl1_step(lambda x: 0 * x, 0.01, 0.0, 0.5, 0.9, np.array([1e-320, 1.0, 0.0, 0.0]))
+    assert out.tolist() == [1e-320, 1.0, 0.0, 0.0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_irl1_step_without_a_penalty_takes_the_gradient_step_at_a_pinned_coordinate():
+    # |x_0| + max(eps_0, 0) = 0 pins x_0 only under a penalty; lam = 0 steps it to -beta * g_0
+    theta = np.array([0.0, 2.0, -0.5, 0.0])
+    out = irl1_step(lambda x: np.array([-1.0, 0.5]), 0.5, 0.0, 0.5, 0.5, theta)
+    assert out.tolist() == [0.5, 1.75, -0.25, 0.0]
 
 
 def test_irl1_step_parameter_validation():

@@ -27,12 +27,13 @@ from oracles import (
 
 
 def run_aa(apply, x0, cfg, iters):
+    """The state, the step diagnostics and the last iterate after ``iters`` steps."""
     state = init_state(apply, x0)
     diags = []
     for _ in range(iters):
-        _, d = safeguarded_step(apply, state, cfg)
+        x, d = safeguarded_step(apply, state, cfg)
         diags.append(d)
-    return state, diags
+    return state, diags, x
 
 
 def test_compute_alpha_single_column():
@@ -194,10 +195,10 @@ def test_aa_candidate_length_mismatch():
 
 def test_scalar_linear_map_two_steps():
     apply = lambda x: 0.5 * x
-    state, diags = run_aa(apply, np.array([1.0]), AaConfig(memory=5, tikhonov=0.0), 2)
+    _, diags, x = run_aa(apply, np.array([1.0]), AaConfig(memory=5, tikhonov=0.0), 2)
     assert np.allclose(diags[0].alpha, [1.0])
     assert np.allclose(diags[1].alpha, [2.0, -1.0], atol=1e-12)
-    assert state.x[0] == pytest.approx(0.0, abs=1e-15)
+    assert x[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_affine_exactness_small_dims():
@@ -213,12 +214,12 @@ def test_affine_exactness_small_dims():
         state = init_state(apply, rng.standard_normal(n))
         hit = None
         for k in range(1, n + 3):
-            _, d = safeguarded_step(apply, state, cfg)
+            x, d = safeguarded_step(apply, state, cfg)
             if d.residual_norm <= 1e-10:
                 hit = k
                 break
         assert hit is not None and hit <= n + 2
-        assert np.linalg.norm(state.x - affine_fixed_point(G, c)) <= 1e-8
+        assert np.linalg.norm(x - affine_fixed_point(G, c)) <= 1e-8
 
 
 def test_memory_one_column_reduces_to_plain_iteration():
@@ -415,7 +416,7 @@ def test_init_state_needs_a_vector():
 
 
 def test_history_views_are_read_only():
-    state, _ = run_aa(lambda x: 0.5 * x + 1.0, np.array([3.0, -1.0]), AaConfig(memory=3), 5)
+    state, _, _ = run_aa(lambda x: 0.5 * x + 1.0, np.array([3.0, -1.0]), AaConfig(memory=3), 5)
     with pytest.raises(ValueError):
         state.h_hist[0, 0] = 0.0
     with pytest.raises(ValueError):
@@ -467,7 +468,6 @@ def test_buffered_engine_matches_list_reference_bitwise(seed, n, memory, restart
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
         assert got[2:] == want[2:]
-        assert state.x.tobytes() == ref.x.tobytes()
         assert state.h_hist.tobytes() == np.array(ref.h).tobytes()
         assert state.r_hist.tobytes() == np.array(ref.r).tobytes()
         assert state.r_norms == ref.norms and state.reject_streak == ref.reject_streak

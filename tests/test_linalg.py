@@ -63,6 +63,15 @@ def test_spectral_norm_sq_zero_matrix():
     assert spectral_norm_sq(np.zeros((4, 3))) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+@pytest.mark.parametrize("form", ["dense", "csr"])
+def test_spectral_norm_sq_of_an_empty_matrix_is_zero(shape, form):
+    # the power loop's first product is a zero vector, as for a zero matrix
+    A = np.zeros(shape) if form == "dense" else sp.csr_matrix(shape)
+    assert spectral_norm_sq(A) == 0.0
+
+
 @pytest.mark.parametrize("A", [
     np.full((5, 4), 1e200),  # the products overflow to inf
     np.random.default_rng(0).standard_normal((5, 4)) * 1e155,  # w.w overflows and v goes NaN

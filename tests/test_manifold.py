@@ -187,7 +187,7 @@ def test_streaming_identification_matches_brute_force(symbols, window):
     patterns = [ALPHABET[s].copy() for s in symbols]
     tracker = IdentificationTracker(window)
     for n, pattern in enumerate(patterns, start=1):
-        tracker.push(pattern)
+        tracker.push_block(pattern[None, :])
         assert tracker.identified_at == identification_brute_force(patterns[:n], window)
     assert identification_iter(patterns, window) == identification_brute_force(patterns, window)
     if len(patterns) < window:
@@ -207,7 +207,7 @@ def test_any_split_into_blocks_identifies_as_one_at_a_time(symbols, window, cuts
     for lo, hi in zip(bounds, bounds[1:]):
         blocks.push_block(np.array(patterns[lo:hi], order=order))
         for pattern in patterns[lo:hi]:
-            single.push(pattern)
+            single.push_block(pattern[None, :])
         assert blocks.identified_at == single.identified_at == identification_brute_force(patterns[:hi], window)
     blocks.push_block(np.empty((0, 3), dtype=np.int8))
     assert blocks.identified_at == identification_brute_force(patterns, window)

@@ -75,9 +75,11 @@ def test_phi_rejects_negative_arguments():
         phi_deriv(0.5, np.array([-0.1]))
 
 
-def test_lpn_deriv_at_zero_names_coordinate():
-    with pytest.raises(ValueError, match="coordinate 2"):
-        phi_deriv(0.5, np.array([1.0, 2.0, 0.0]))
+@pytest.mark.filterwarnings("error")
+def test_lpn_deriv_is_infinite_at_zero():
+    # the slope of t**p is unbounded at 0, and p * t**(p - 1) overflows at a subnormal t for small p
+    assert phi_deriv(0.5, np.array([1.0, 0.0, -0.0])).tolist() == [0.5, math.inf, math.inf]
+    assert phi_deriv(0.01, np.array([5e-324, 1e-320])).tolist() == [math.inf, math.inf]
 
 
 def test_regularizer_validation():

@@ -19,6 +19,7 @@ import re
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aaopt import _kernels
+from aaopt import _kernels, harness
 from aaopt.algorithms import pcd_sweep
 from aaopt.prox import BoxBounds
 from conftest import zeros_view
@@ -324,6 +325,49 @@ def test_a_failed_compile_names_gcc_and_the_source(tmp_path, monkeypatch):
     with pytest.raises(OSError, match=r"gcc failed to compile .*_kernels\.c"):
         _kernels.load(tmp_path / "cache")
     assert cache_files(tmp_path / "cache") == []
+
+
+ALGORITHM = {"lasso": "ista", "nnls": "drs", "logreg": "irl1", "svm": "pcd"}
+
+
+def run_without_a_compiler(tmp_path, monkeypatch, kind: str, aa: bool):
+    """Run ``kind`` with a cold library cache and no gcc on PATH; return the
+    outcome and how many times H was evaluated."""
+    monkeypatch.setattr(_kernels, "CACHE_DIRS", (tmp_path / "cache",))
+    monkeypatch.setattr(_kernels, "_loaded", None)
+    monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+    evaluations = []
+    build = harness.build_operator
+
+    def counting(cfg):
+        ctx = build(cfg)
+        apply = ctx.op.apply
+        ctx.op = replace(ctx.op, apply=lambda x: evaluations.append(1) or apply(x))
+        return ctx
+
+    monkeypatch.setattr(harness, "build_operator", counting)
+    cfg = harness.config_from_mapping({"problem.kind": kind, "algorithm.kind": ALGORITHM[kind],
+                                       "aa.enabled": str(aa).lower(), "aa.memory": "5", "run.max_iter": "20"})
+    try:
+        return harness.run_experiment(cfg)[1], len(evaluations)
+    except OSError as exc:
+        return exc, len(evaluations)
+
+
+@pytest.mark.parametrize("kind", ["lasso", "nnls", "logreg"])
+def test_a_plain_run_of_lasso_nnls_or_logreg_needs_no_compiler(tmp_path, monkeypatch, kind):
+    summary, evaluations = run_without_a_compiler(tmp_path, monkeypatch, kind, aa=False)
+    assert isinstance(summary, dict), summary
+    assert summary["iterations"] == 20 and evaluations == 21
+    assert _kernels._loaded is None
+
+
+@pytest.mark.parametrize("kind, aa", [("lasso", True), ("nnls", True), ("logreg", True),
+                                      ("svm", False), ("svm", True)])
+def test_a_run_that_needs_the_compiler_fails_before_evaluating_the_map(tmp_path, monkeypatch, kind, aa):
+    error, evaluations = run_without_a_compiler(tmp_path, monkeypatch, kind, aa)
+    assert isinstance(error, OSError) and re.search(r"gcc not found.*_kernels\.c", str(error)), error
+    assert evaluations == 0
 
 
 @pytest.fixture
