@@ -37,18 +37,18 @@ Grad = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class FixedPointOperator:
-    """A fixed-point map together with optional run-time diagnostics.
+    """A fixed-point map together with its run-time diagnostics.
 
     ``apply`` must be deterministic.  ``monitor`` maps an iterate to the
     vector whose sign/activity pattern identifies the active manifold
     (defaults to the iterate itself).  ``objective`` takes a block of monitor
     vectors, one per row, and returns the merit at each row's iterate, one
-    value per row; ``run_experiment`` needs it, and every builder sets it.
+    value per row.
     """
 
     dimension: int
     apply: Callable[[np.ndarray], np.ndarray]
-    objective: Callable[[np.ndarray], np.ndarray] | None = None
+    objective: Callable[[np.ndarray], np.ndarray]
     monitor: Callable[[np.ndarray], np.ndarray] | None = None
 
     def monitor_vector(self, x: np.ndarray) -> np.ndarray:

@@ -11,12 +11,14 @@ timing column varies.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+import stat
 import time
 from array import array
-from collections.abc import Callable, Sequence
-from dataclasses import astuple, dataclass, field, replace
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.sparse import issparse
@@ -430,7 +432,11 @@ class TraceRecord:
     elapsed_us: int
 
 
-TRACE_HEADER = "k,residual_norm,objective,alpha_l1,accepted,support_size,elapsed_us"
+TRACE_HEADER = ",".join(f.name for f in fields(TraceRecord))
+
+# k's typecode, then each Trace column's: they set how a row is written and read
+_TRACE_CODES = "qdddbqq"
+_TRACE_ROW = ",".join("%.17g" if code == "d" else "%d" for code in _TRACE_CODES) + "\n"
 
 TRACE_BLOCK = 16  # iterates whose objectives and patterns are taken in one call; 8 to 128 time level
 
@@ -439,7 +445,7 @@ class Trace(Sequence):
     """A run's trace, one typed column per TraceRecord field after k; records are built when read."""
 
     def __init__(self) -> None:
-        self.columns = tuple(array(code) for code in "dddbqq")
+        self.columns = tuple(array(code) for code in _TRACE_CODES[1:])
         (self.residual_norm, self.objective, self.alpha_l1, self.accepted, self.support_size,
          self.elapsed_us) = self.columns
 
@@ -572,9 +578,11 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Trace, dict]:
 
 
 def _variant_path(path: str | None, tag: str) -> str | None:
-    if path is None:
-        return None
-    stem, ext = os.path.splitext(path)  # the file name's extension, never a directory's
+    """``path`` with ``.tag`` before the file name's extension (never a directory's);
+    a path that exists and is not a regular file (/dev/null, a pipe, a directory), as it is."""
+    if path is None or os.path.exists(path) and not os.path.isfile(path):
+        return path
+    stem, ext = os.path.splitext(path)
     return "%s.%s%s" % (stem, tag, ext)
 
 
@@ -586,25 +594,17 @@ def run_sweep(cfg: ExperimentConfig, memories: Sequence[int]) -> list[dict]:
         CONFIG_KEYS["aa.memory"].check("aa.memory", m)
         if m in memories[:i]:  # each run writes its trace under its memory value
             raise ConfigError("sweep lists aa.memory %r twice" % m)
-    summaries = []
-    base = replace(cfg, aa_enabled=False, trace_path=_variant_path(cfg.trace_path, "baseline"))
-    summaries.append(run_experiment(base)[1])
-    for m in memories:
-        accel = replace(
-            cfg,
-            aa_enabled=True,
-            aa=replace(cfg.aa, memory=int(m)),
-            trace_path=_variant_path(cfg.trace_path, "m%d" % m),
-        )
-        summaries.append(run_experiment(accel)[1])
-    return summaries
+    legs = [replace(cfg, aa_enabled=False, trace_path=_variant_path(cfg.trace_path, "baseline"))]
+    legs += [replace(cfg, aa_enabled=True, aa=replace(cfg.aa, memory=int(m)),
+                     trace_path=_variant_path(cfg.trace_path, "m%d" % m)) for m in memories]
+    for leg in legs:  # every leg's trace path, before the baseline runs
+        if leg.trace_path:
+            _check_writable(leg.trace_path, "trace")
+    return [run_experiment(leg)[1] for leg in legs]
 
 
 # ---------------------------------------------------------------------------
 # trace / summary I/O
-
-
-_TRACE_ROW = "%d,%.17g,%.17g,%.17g,%d,%d,%d\n"
 
 
 def _check_writable(path: str, what: str) -> None:
@@ -618,47 +618,50 @@ def _check_writable(path: str, what: str) -> None:
         os.remove(path)
 
 
-def write_trace(records: Sequence[TraceRecord], path: str) -> None:
-    """CSV with 17-significant-digit floats so values round-trip exactly.
+def _write_lines(path: str, what: str, lines: Iterable[str]) -> None:
+    """Write ``lines`` to ``path`` as UTF-8; an OSError reads ``writing <what> to <path>: ...``.
 
-    An existing file is overwritten in place and then cut to the new length,
-    never truncated to zero first: on ext4 (``auto_da_alloc``) closing a file
-    that was truncated to zero and rewritten forces a flush to disk, which
-    stalls each rewrite of a trace by tens of milliseconds.  A Trace's rows
-    are formatted straight from its columns.
+    The file is opened without ``O_TRUNC``.  A regular file is written from its
+    start and then cut to the new length, never truncated to zero first: on
+    ext4 (``auto_da_alloc``) closing a file that was truncated to zero and
+    rewritten forces a flush to disk, which stalls each rewrite of a trace by
+    tens of milliseconds.  Anything else (/dev/null, a pipe) is never cut.
     """
-    rows = (zip(range(len(records)), *records.columns) if isinstance(records, Trace)
-            else map(astuple, records))
+    keep = lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)
     try:
-        try:
-            handle = open(path, "r+", encoding="utf-8")
-        except FileNotFoundError:
-            handle = open(path, "w", encoding="utf-8")
-        with handle:
-            handle.write(TRACE_HEADER + "\n")
-            handle.writelines(map(_TRACE_ROW.__mod__, rows))
-            handle.truncate()
+        with open(path, "w", encoding="utf-8", opener=keep) as handle:
+            handle.writelines(lines)
+            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                handle.truncate()
     except OSError as exc:
-        raise OSError("writing trace to %s: %s" % (path, exc)) from exc
+        raise OSError("writing %s to %s: %s" % (what, path, exc)) from exc
 
 
-def read_trace(path: str) -> list[TraceRecord]:
-    """The records of a trace CSV; a malformed or blank row raises ValueError naming its line."""
+def write_trace(trace: Trace, path: str) -> None:
+    """CSV with 17-significant-digit floats so values round-trip exactly, one row
+    formatted straight from the columns per record; the rows stream, never held at once."""
+    rows = map(_TRACE_ROW.__mod__, zip(range(len(trace)), *trace.columns))
+    _write_lines(path, "trace", itertools.chain((TRACE_HEADER + "\n",), rows))
+
+
+def read_trace(path: str) -> Trace:
+    """The Trace of a trace CSV; a malformed or blank row, or a field that its column
+    cannot hold, raises ValueError naming its line."""
     with _open_text(path, "trace") as handle:
         lines = handle.read().splitlines()
     if not lines or lines[0] != TRACE_HEADER:
         raise ValueError("%s: missing trace header" % path)
-    out = []
+    trace = Trace()
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             k, rn, obj, al1, acc, sup, el = line.split(",")
-            record = TraceRecord(int(k), float(rn), float(obj), float(al1), int(acc), int(sup), int(el))
-            if record.k != len(out):
-                raise ValueError("k is %d, not the row's index %d" % (record.k, len(out)))
-        except ValueError as exc:
+            if int(k) != len(trace):
+                raise ValueError("k is %d, not the row's index %d" % (int(k), len(trace)))
+            for column, text in zip(trace.columns, (rn, obj, al1, acc, sup, el)):
+                column.append(float(text) if column.typecode == "d" else int(text))
+        except (ValueError, OverflowError) as exc:  # OverflowError: an integer its column cannot hold
             raise ValueError("%s line %d: %s" % (path, lineno, exc)) from None
-        out.append(record)
-    return out
+    return trace
 
 
 def _summary_value(value) -> str:
@@ -673,12 +676,7 @@ def _summary_value(value) -> str:
 
 def write_summary(summaries: Sequence[dict], path: str) -> None:
     """key=value blocks, one per run, separated by blank lines."""
-    text = "\n\n".join(format_summary(summary) for summary in summaries) + "\n"
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise OSError("writing summary to %s: %s" % (path, exc)) from exc
+    _write_lines(path, "summary", ("\n\n".join(map(format_summary, summaries)) + "\n",))
 
 
 def format_summary(summary: dict) -> str:

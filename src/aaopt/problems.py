@@ -313,10 +313,10 @@ def parse_libsvm(lines: Iterable[str] | IO[str]) -> tuple[sp.csr_matrix, np.ndar
 
 @contextmanager
 def _open_text(path: str, what: str) -> Iterator[IO[str]]:
-    """``path`` open as UTF-8 text holding a ``what``; an OSError or bytes that are
-    not UTF-8 (a binary file, such as an .npz archive) raise an error naming the file."""
+    """``path`` open as UTF-8 text, past any byte order mark, holding a ``what``; an OSError or
+    bytes that are not UTF-8 (a binary file, such as an .npz archive) raise an error naming the file."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             yield handle
     except OSError as exc:
         raise OSError("reading %s from %s: %s" % (what, path, exc)) from exc

@@ -32,12 +32,18 @@ def l1_prox(lam, beta):
 
 
 def test_fixed_point_operator_monitor():
-    op = FixedPointOperator(dimension=3, apply=lambda x: 0.5 * x)
+    objective = lambda X: np.zeros(len(X))
+    op = FixedPointOperator(dimension=3, apply=lambda x: 0.5 * x, objective=objective)
     x = np.array([2.0, -4.0, 0.0])
     assert op.monitor_vector(x) is x  # defaults to the iterate itself
 
-    op2 = FixedPointOperator(dimension=3, apply=lambda x: x, monitor=lambda x: x[:2])
+    op2 = FixedPointOperator(dimension=3, apply=lambda x: x, objective=objective, monitor=lambda x: x[:2])
     assert np.array_equal(op2.monitor_vector(x), x[:2])
+
+
+def test_fixed_point_operator_requires_an_objective():
+    with pytest.raises(TypeError, match="objective"):
+        FixedPointOperator(dimension=3, apply=lambda x: 0.5 * x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import aaopt
 from aaopt.cli import main
+from aaopt.harness import TRACE_HEADER
 from aaopt.problems import gen_lasso
 from oracles import write_libsvm
 
@@ -154,3 +161,35 @@ def test_run_on_a_binary_config_names_the_file(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: %s is not config text: it is not UTF-8 (invalid start byte)\n" % path
     assert captured.out == ""
+
+
+def test_dev_null_takes_the_trace_and_the_summary(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(LASSO_CFG + "run.trace = %s\n" % os.devnull, encoding="utf-8")
+    assert main(["run", str(cfg), "--summary", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
+def test_a_trace_to_piped_stdout_comes_before_the_summary(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(LASSO_CFG + "run.trace = /dev/stdout\n", encoding="utf-8")
+    src = str(Path(aaopt.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-m", "aaopt.cli", "run", str(cfg), "--max-iter", "30", "--tol", "1e-30"],
+                         capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0 and out.stderr == ""
+    lines = out.stdout.splitlines()
+    assert lines[0] == TRACE_HEADER
+    assert [int(row.split(",")[0]) for row in lines[1:32]] == list(range(31))
+    assert lines[32] == "problem=lasso" and summary_map("\n".join(lines[32:]))["iterations"] == "30"
+
+
+def test_a_sweep_refuses_a_trace_path_of_a_later_leg_before_any_run(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(LASSO_CFG + "run.trace = %s\n" % (tmp_path / "t.csv"), encoding="utf-8")
+    (tmp_path / "t.m10.csv").mkdir()
+    assert main(["sweep", str(cfg), "--memory", "5,10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no run printed its summary
+    assert captured.err.startswith("error: writing trace to %s: [Errno 21]" % (tmp_path / "t.m10.csv"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "t.m10.csv"]  # no trace written

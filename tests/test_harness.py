@@ -1,9 +1,10 @@
 import gc
 import math
+import os
 import re
 import textwrap
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -77,6 +78,15 @@ def svm_beta(A, y) -> float:
 
 def numeric_fields(records):
     return [(r.k, r.residual_norm, r.objective, r.alpha_l1, r.accepted, r.support_size) for r in records]
+
+
+def trace_of(rows) -> Trace:
+    """A Trace holding ``rows``, each one record's fields after k."""
+    trace = Trace()
+    for row in rows:
+        for column, value in zip(trace.columns, row, strict=True):
+            column.append(value)
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +197,15 @@ def test_load_config(tmp_path):
     assert cfg.problem_kind == "lasso"
     with pytest.raises(OSError, match="missing.cfg"):
         load_config(str(tmp_path / "missing.cfg"))
+
+
+def test_a_config_saved_with_a_byte_order_mark_runs(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("\ufeffproblem.kind = lasso\nalgorithm.kind = ista\nrun.max_iter = 5\n", encoding="utf-8")
+    cfg = load_config(str(path))
+    assert cfg.problem_kind == "lasso" and cfg.max_iter == 5
+    _, summary = run_experiment(cfg)
+    assert summary["iterations"] == 5
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +597,7 @@ def test_a_trace_that_cannot_be_written_fails_before_the_run(monkeypatch, tmp_pa
 def test_a_run_that_raises_leaves_the_trace_path_as_it_was(monkeypatch, tmp_path, old):
     path = tmp_path / "t.csv"
     if old:
-        write_trace([TraceRecord(k, 1.0 / (k + 1), 2.0, 0.0, 0, 3, k) for k in range(50)], str(path))
+        write_trace(trace_of((1.0 / (k + 1), 2.0, 0.0, 0, 3, k) for k in range(50)), str(path))
         before = path.read_bytes()
 
     def failing(fn):
@@ -618,11 +637,24 @@ def test_trace_reads_as_a_sequence_of_records():
 
 def test_write_trace_writes_a_trace_as_its_records(tmp_path):
     trace, _ = run_experiment(lasso_cfg(**{"aa.enabled": "true", "run.max_iter": "60", "run.tol": "1e-30"}))
-    columns, records = tmp_path / "columns.csv", tmp_path / "records.csv"
-    write_trace(trace, str(columns))
-    write_trace(list(trace), str(records))
-    assert columns.read_bytes() == records.read_bytes()
-    assert read_trace(str(columns)) == list(trace)
+    path = tmp_path / "t.csv"
+    write_trace(trace, str(path))
+    rows = ("%d,%.17g,%.17g,%.17g,%d,%d,%d\n" % astuple(record) for record in trace)
+    header = "k,residual_norm,objective,alpha_l1,accepted,support_size,elapsed_us\n"
+    assert path.read_text(encoding="utf-8") == header + "".join(rows)
+    assert list(read_trace(str(path))) == list(trace)
+
+
+def test_read_trace_gives_back_the_runs_trace_bitwise(tmp_path):
+    path, again = tmp_path / "t.csv", tmp_path / "again.csv"
+    trace, _ = run_experiment(lasso_cfg(**{"aa.enabled": "true", "run.max_iter": "60", "run.tol": "1e-30",
+                                           "run.trace": str(path)}))
+    back = read_trace(str(path))
+    assert type(back) is Trace and len(back) == len(trace) == 61
+    for column, read in zip(trace.columns, back.columns, strict=True):
+        assert read.typecode == column.typecode and read.tobytes() == column.tobytes()
+    write_trace(back, str(again))
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_a_run_holds_at_most_64_bytes_per_record():
@@ -933,6 +965,27 @@ def test_run_sweep_refuses_a_repeated_memory_before_any_run(tmp_path):
     assert list(tmp_path.iterdir()) == []  # not even the baseline's trace
 
 
+def test_run_sweep_keeps_a_trace_directory_as_it_is_and_refuses_it(tmp_path):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    cfg = lasso_cfg(**{"run.trace": str(runs) + os.sep, "run.max_iter": "5"})
+    with pytest.raises(OSError, match=r"^writing trace to %s: \[Errno 21\]" % re.escape(str(runs) + os.sep)):
+        run_sweep(cfg, [5])
+    assert list(runs.iterdir()) == []
+
+
+def test_a_trace_path_that_is_not_a_regular_file_keeps_its_name_in_every_leg(tmp_path):
+    variant = aaopt.harness._variant_path
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    for path in (os.devnull, str(fifo), str(tmp_path), str(tmp_path) + os.sep):
+        assert variant(path, "baseline") == variant(path, "m5") == path
+    (tmp_path / "t.csv").write_text("", encoding="utf-8")
+    for name in ("t.csv", "new.csv"):  # a regular file, or none yet
+        assert variant(str(tmp_path / name), "m5") == str(tmp_path / name.replace(".csv", ".m5.csv"))
+    assert variant(None, "m5") is None
+
+
 def test_sweep_trace_names_keep_their_directory(tmp_path):
     runs = tmp_path / "runs.v2"
     runs.mkdir()
@@ -952,28 +1005,28 @@ def test_trace_roundtrip_is_exact(tmp_path):
         TraceRecord(1, 1e-300, 2.0**-1074, 1.0 + 2**-52, 1, 0, 123456),
     ]
     path = tmp_path / "t.csv"
-    write_trace(records, path=str(path))
+    write_trace(trace_of(astuple(record)[1:] for record in records), path=str(path))
     back = read_trace(str(path))
-    assert back == records
+    assert list(back) == records
 
 
 def test_trace_overwrite_leaves_no_stale_tail(tmp_path):
-    long = [TraceRecord(k, 1.0 / (k + 1), -float(k), 0.5 * k, k % 2, k % 7, 1000 * k) for k in range(500)]
-    short = [TraceRecord(k, math.pi * k, 1e-300, 0.0, 1, 3, k) for k in range(7)]
+    long = trace_of((1.0 / (k + 1), -float(k), 0.5 * k, k % 2, k % 7, 1000 * k) for k in range(500))
+    short = trace_of((math.pi * k, 1e-300, 0.0, 1, 3, k) for k in range(7))
     path, fresh = tmp_path / "t.csv", tmp_path / "fresh.csv"
     write_trace(long, str(path))
     write_trace(short, str(path))
     write_trace(short, str(fresh))
     assert path.read_bytes() == fresh.read_bytes()
-    assert read_trace(str(path)) == short
+    assert list(read_trace(str(path))) == list(short)
     write_trace(long, str(path))  # growing again over the shorter file
-    assert read_trace(str(path)) == long
+    assert list(read_trace(str(path))) == list(long)
 
 
 def test_write_trace_names_the_path_on_failure(tmp_path):
     path = tmp_path / "missing" / "t.csv"
     with pytest.raises(OSError, match="writing trace to .*missing"):
-        write_trace([TraceRecord(0, 1.0, 1.0, 0.0, 0, 0, 0)], str(path))
+        write_trace(trace_of([(1.0, 1.0, 0.0, 0, 0, 0)]), str(path))
 
 
 def test_read_trace_requires_header(tmp_path):
@@ -996,7 +1049,10 @@ def test_read_trace_names_a_file_that_is_not_utf8(tmp_path):
     ("1,0.5,2,0,0,3,7,8", "too many values"),
     ("5,0.5,2,0,0,3,7", "k is 5, not the row's index 1"),
     ("", "not enough values"),
-], ids=["six-fields", "not-an-integer", "eight-fields", "k-out-of-order", "blank"])
+    ("1,0.5,2,0,300,3,7", "signed char is greater than maximum"),
+    ("1,0.5,2,0,0,3,%d" % 2**63, "int too big to convert"),
+], ids=["six-fields", "not-an-integer", "eight-fields", "k-out-of-order", "blank", "accepted-300",
+        "elapsed-2**63"])
 def test_read_trace_names_the_line_of_a_malformed_row(tmp_path, row, why):
     path = tmp_path / "bad.csv"
     path.write_text("\n".join([TRACE_HEADER, "0,1,2,0,0,3,7", row, "2,0.25,2,0,0,3,9"]) + "\n", encoding="utf-8")
@@ -1020,3 +1076,15 @@ def test_summary_formatting(tmp_path):
     content = path.read_text(encoding="utf-8")
     assert content.count("problem=lasso") == 2
     assert "\n\n" in content
+
+
+def test_write_summary_writes_to_dev_null_and_through_a_pipe():
+    summaries = [{"problem": "lasso", "tol": 0.5}, {"problem": "svm", "aa": False}]
+    write_summary(summaries, os.devnull)
+    read_end, write_end = os.pipe()
+    with open(read_end, encoding="utf-8") as reader:
+        try:
+            write_summary(summaries, "/dev/fd/%d" % write_end)
+        finally:
+            os.close(write_end)
+        assert reader.read() == "problem=lasso\ntol=0.5\n\nproblem=svm\naa=false\n"
