@@ -42,8 +42,8 @@ class AaConfig:
 
     Parameters
     ----------
-    memory : history depth m >= 1; up to m+1 residual columns are kept.
-    tikhonov : absolute ridge weight tau for the alpha solve, or None to use
+    memory : history depth, an integer m >= 1; up to m+1 residual columns are kept.
+    tikhonov : finite absolute ridge weight tau for the alpha solve, or None to use
         the scale-aware default 1e-10 * ||R||_F^2 each iteration.
     safeguard_factor : acceptance slack theta >= 1; the candidate is accepted
         iff its residual norm is <= theta * (smallest stored residual norm).
@@ -58,10 +58,10 @@ class AaConfig:
 
     def __post_init__(self):
         # negated comparisons, so NaN fails each check
-        if not self.memory >= 1:
-            raise ValueError("AaConfig: memory must be >= 1")
-        if self.tikhonov is not None and not self.tikhonov >= 0:
-            raise ValueError("AaConfig: tikhonov must be nonnegative")
+        if not (isinstance(self.memory, (int, np.integer)) and self.memory >= 1):
+            raise ValueError("AaConfig: memory must be an integer >= 1")
+        if self.tikhonov is not None and not 0 <= self.tikhonov < math.inf:
+            raise ValueError("AaConfig: tikhonov must be finite and nonnegative")
         if not self.safeguard_factor >= 1.0:
             raise ValueError("AaConfig: safeguard_factor must be >= 1")
         if not self.restart_after_rejects >= 1:

@@ -4,29 +4,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .harness import (
     ConfigError,
     _check_writable,
+    _write_lines,
     format_summary,
     load_config,
     run_experiment,
     run_sweep,
-    write_summary,
 )
-
-
-def _apply_overrides(cfg, args):
-    from dataclasses import replace
-
-    updates = {}
-    if args.tol is not None:
-        updates["tol"] = args.tol
-    if args.max_iter is not None:
-        updates["max_iter"] = args.max_iter
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    return replace(cfg, **updates) if updates else cfg
 
 
 def _parse_memory_list(text: str) -> list[int]:
@@ -62,17 +50,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
+        # the flags' destinations are ExperimentConfig fields; replace checks the whole config
+        # again, so a bad value is named as its run.* key
+        cfg = replace(load_config(args.config), **{k: v for k, v in vars(args).items()
+                                                   if k in ("tol", "max_iter", "seed") and v is not None})
         if args.summary:  # fail now, not after every run
             _check_writable(args.summary, "summary")
         if args.command == "run":
             summaries = [run_experiment(cfg)[1]]
         else:  # sweep
             summaries = run_sweep(cfg, _parse_memory_list(args.memory))
-        print("\n\n".join(map(format_summary, summaries)))
+        text = "\n\n".join(map(format_summary, summaries))
+        print(text)
         if args.summary:
-            write_summary(summaries, args.summary)
-    except (ConfigError, ValueError, OSError, FloatingPointError) as exc:
+            _write_lines(args.summary, "summary", (text + "\n",))
+    except (ValueError, OSError, FloatingPointError) as exc:  # ConfigError is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return 2
     return 0

@@ -15,6 +15,7 @@ import itertools
 import math
 import os
 import stat
+import sys
 import time
 from array import array
 from collections.abc import Callable, Iterable, Sequence
@@ -68,7 +69,6 @@ __all__ = [
     "run_sweep",
     "write_trace",
     "read_trace",
-    "write_summary",
 ]
 
 DIVERGENCE_LIMIT = 1e12
@@ -578,9 +578,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Trace, dict]:
 
 
 def _variant_path(path: str | None, tag: str) -> str | None:
-    """``path`` with ``.tag`` before the file name's extension (never a directory's);
-    a path that exists and is not a regular file (/dev/null, a pipe, a directory), as it is."""
-    if path is None or os.path.exists(path) and not os.path.isfile(path):
+    """``path`` with ``.tag`` before the file name's extension (never a directory's); as it is
+    if it exists and is not a regular file (/dev/null, a pipe, a directory) or is stdout."""
+    if path is None or os.path.exists(path) and not os.path.isfile(path) or _is_stdout(path):
         return path
     stem, ext = os.path.splitext(path)
     return "%s.%s%s" % (stem, tag, ext)
@@ -611,27 +611,41 @@ def _check_writable(path: str, what: str) -> None:
     """Fail as writing a trace or summary (``what``) to ``path`` would, leaving the file as it was."""
     existed = os.path.exists(path)
     try:
-        open(path, "a", encoding="utf-8").close()
+        # closed again, a FIFO would end its reader's stream, so one that may be written is not
+        # opened; one that may not fails the open before it would wait for a reader
+        if not (existed and stat.S_ISFIFO(os.stat(path).st_mode) and os.access(path, os.W_OK)):
+            open(path, "a", encoding="utf-8").close()
     except OSError as exc:
         raise OSError("writing %s to %s: %s" % (what, path, exc)) from exc
     if not existed:
         os.remove(path)
 
 
+def _is_stdout(path: str) -> bool:
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:  # no such file yet, or no fd 1
+        return False
+
+
 def _write_lines(path: str, what: str, lines: Iterable[str]) -> None:
     """Write ``lines`` to ``path`` as UTF-8; an OSError reads ``writing <what> to <path>: ...``.
 
-    The file is opened without ``O_TRUNC``.  A regular file is written from its
-    start and then cut to the new length, never truncated to zero first: on
-    ext4 (``auto_da_alloc``) closing a file that was truncated to zero and
-    rewritten forces a flush to disk, which stalls each rewrite of a trace by
-    tens of milliseconds.  Anything else (/dev/null, a pipe) is never cut.
+    A regular file is rewritten in place and cut to length, never truncated to zero
+    first: on ext4 (``auto_da_alloc``) closing a file truncated to zero and rewritten
+    forces a flush to disk, which stalls each rewrite of a trace by tens of milliseconds.
+    /dev/null and pipes are never cut.  The process's own stdout is written through fd 1
+    after ``sys.stdout`` is flushed: reopened by name, a file would be written from offset 0.
     """
-    keep = lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)
+    own_stdout = _is_stdout(path)
+    # a duplicate of fd 1 shares its offset; any other file is opened by name, without O_TRUNC
+    keep = lambda name, flags: os.dup(1) if own_stdout else os.open(name, flags & ~os.O_TRUNC, 0o666)
     try:
+        if own_stdout:
+            sys.stdout.flush()
         with open(path, "w", encoding="utf-8", opener=keep) as handle:
             handle.writelines(lines)
-            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            if not own_stdout and stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
                 handle.truncate()
     except OSError as exc:
         raise OSError("writing %s to %s: %s" % (what, path, exc)) from exc
@@ -674,11 +688,6 @@ def _summary_value(value) -> str:
     return str(value)
 
 
-def write_summary(summaries: Sequence[dict], path: str) -> None:
-    """key=value blocks, one per run, separated by blank lines."""
-    _write_lines(path, "summary", ("\n\n".join(map(format_summary, summaries)) + "\n",))
-
-
 def format_summary(summary: dict) -> str:
-    """One key=value block (also what the CLI prints)."""
+    """One key=value block; the CLI prints the blocks separated by blank lines."""
     return "\n".join("%s=%s" % (k, _summary_value(v)) for k, v in summary.items())

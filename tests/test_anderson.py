@@ -406,6 +406,10 @@ def test_config_validation():
         AaConfig(safeguard_factor=0.5)
     with pytest.raises(ValueError):
         AaConfig(tikhonov=-1.0)
+    with pytest.raises(ValueError, match="tikhonov must be finite and nonnegative"):
+        AaConfig(tikhonov=math.inf)  # the first step's weight solve would refuse it
+    with pytest.raises(ValueError, match="memory must be an integer >= 1"):
+        AaConfig(memory=2.5)  # the first step would size its history buffers with it
     with pytest.raises(ValueError):
         AaConfig(restart_after_rejects=0)
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,24 @@ def cfg_path(tmp_path):
 
 def summary_map(text: str) -> dict:
     return dict(line.split("=", 1) for line in text.strip().splitlines() if "=" in line)
+
+
+def run_cli(tmp_path, *args: str, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m aaopt.cli *args`` in a child process, which must end within a minute."""
+    src = str(Path(aaopt.__file__).parents[1])
+    return subprocess.run([sys.executable, "-m", "aaopt.cli", *args], text=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, **kwargs)
+
+
+def assert_trace_then_summary(lines: list[str]) -> int:
+    """A trace CSV, then the summary of its run; returns the run's iterations."""
+    iterations = int(summary_map("\n".join(lines[lines.index("problem=lasso"):]))["iterations"])
+    rows = lines[1:iterations + 2]
+    assert lines[0] == TRACE_HEADER
+    assert [int(row.split(",")[0]) for row in rows] == list(range(iterations + 1))
+    assert {len(row.split(",")) for row in rows} == {len(TRACE_HEADER.split(","))}
+    assert lines[iterations + 2] == "problem=lasso"
+    return iterations
 
 
 def test_run_prints_summary(cfg_path, capsys):
@@ -80,6 +99,18 @@ def test_sweep_produces_block_per_run(cfg_path, capsys):
 def test_sweep_rejects_bad_memory_list(cfg_path, capsys):
     assert main(["sweep", cfg_path, "--memory", "five"]) == 2
     assert "comma-separated integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,why", [
+    ("--tol", "-1", "run.tol must lie in (0, inf), got -1.0"),
+    ("--tol", "nan", "run.tol must lie in (0, inf), got nan"),
+    ("--max-iter", "0", "run.max_iter must lie in [1, inf), got 0"),
+    ("--seed", "-2", "run.seed must lie in [0, inf), got -2"),
+])
+def test_a_bad_override_is_named_as_its_config_key(cfg_path, flag, value, why, capsys):
+    assert main(["run", cfg_path, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s\n" % why and captured.out == ""
 
 
 @pytest.mark.parametrize("memory,why", [
@@ -174,14 +205,64 @@ def test_dev_null_takes_the_trace_and_the_summary(tmp_path, capsys):
 def test_a_trace_to_piped_stdout_comes_before_the_summary(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(LASSO_CFG + "run.trace = /dev/stdout\n", encoding="utf-8")
-    src = str(Path(aaopt.__file__).parents[1])
-    out = subprocess.run([sys.executable, "-m", "aaopt.cli", "run", str(cfg), "--max-iter", "30", "--tol", "1e-30"],
-                         capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
+    out = run_cli(tmp_path, "run", str(cfg), "--max-iter", "30", "--tol", "1e-30", capture_output=True)
     assert out.returncode == 0 and out.stderr == ""
-    lines = out.stdout.splitlines()
-    assert lines[0] == TRACE_HEADER
-    assert [int(row.split(",")[0]) for row in lines[1:32]] == list(range(31))
-    assert lines[32] == "problem=lasso" and summary_map("\n".join(lines[32:]))["iterations"] == "30"
+    assert assert_trace_then_summary(out.stdout.splitlines()) == 30
+
+
+@pytest.mark.parametrize("mode", ["w", "a"], ids=[">", ">>"])
+def test_a_trace_to_stdout_on_a_file_keeps_its_place(tmp_path, mode):
+    # opened again by name, /dev/stdout would be written from offset 0 of the file
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(LASSO_CFG + "run.trace = /dev/stdout\n", encoding="utf-8")
+    log = tmp_path / "log.txt"
+    log.write_text("earlier line 1\nearlier line 2\n", encoding="utf-8")
+    with open(log, mode, encoding="utf-8") as stdout:
+        out = run_cli(tmp_path, "run", str(cfg), "--max-iter", "30", "--tol", "1e-30",
+                      stdout=stdout, stderr=subprocess.PIPE)
+    assert out.returncode == 0 and out.stderr == ""
+    lines = log.read_text(encoding="utf-8").splitlines()
+    earlier = ["earlier line 1", "earlier line 2"] if mode == "a" else []
+    assert lines[:len(earlier)] == earlier
+    assert assert_trace_then_summary(lines[len(earlier):]) == 30
+
+
+def test_a_sweep_writes_each_trace_to_stdout_on_a_file(tmp_path):
+    # /dev/stdout onto a regular file is used as it is by every leg, as a pipe is
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(LASSO_CFG + "run.trace = /dev/stdout\n", encoding="utf-8")
+    log = tmp_path / "log.txt"
+    with open(log, "w", encoding="utf-8") as stdout:
+        out = run_cli(tmp_path, "sweep", str(cfg), "--memory", "2", "--max-iter", "30", "--tol", "1e-30",
+                      stdout=stdout, stderr=subprocess.PIPE)
+    assert out.returncode == 0 and out.stderr == ""
+    lines = log.read_text(encoding="utf-8").splitlines()
+    assert assert_trace_then_summary(lines[:32] + lines[64:]) == 30  # the baseline's trace
+    assert assert_trace_then_summary(lines[32:]) == 30  # the m = 2 leg's
+    assert [summary_map(block)["memory"] for block in "\n".join(lines[64:]).split("\n\n")] == ["0", "2"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "log.txt"]
+
+
+def test_a_trace_to_a_fifo_reaches_its_reader(tmp_path):
+    # a check that opened and closed the FIFO would end the reader's stream,
+    # and the writer's open would then wait for a reader that never comes
+    fifo = tmp_path / "trace.fifo"
+    os.mkfifo(fifo)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(LASSO_CFG + "run.trace = %s\n" % fifo, encoding="utf-8")
+    received: list[str] = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text(encoding="utf-8")), daemon=True)
+    reader.start()
+    try:  # some 300 steps, so that a reader ended by such a check reads its end of file first
+        out = run_cli(tmp_path, "run", str(cfg), "--tol", "1e-30", capture_output=True)
+    finally:
+        if reader.is_alive():  # a writer's open lets a reader still waiting in its own open go
+            with open(fifo, "w", encoding="utf-8"):
+                pass
+        reader.join(10)
+    assert not reader.is_alive()
+    assert out.returncode == 0 and out.stderr == ""
+    assert assert_trace_then_summary(received[0].splitlines() + out.stdout.splitlines()) > 100
 
 
 def test_a_sweep_refuses_a_trace_path_of_a_later_leg_before_any_run(tmp_path, capsys):

@@ -15,6 +15,7 @@ import aaopt.harness
 import aaopt.linalg
 import aaopt.prox
 from aaopt.algorithms import drs_parts, pga_step
+from aaopt.cli import main
 from aaopt.manifold import identification_iter, pattern_limits, pattern_of, support_size
 from aaopt.harness import (
     TRACE_BLOCK,
@@ -31,7 +32,6 @@ from aaopt.harness import (
     read_trace,
     run_experiment,
     run_sweep,
-    write_summary,
     write_trace,
 )
 from aaopt.problems import (
@@ -1067,24 +1067,33 @@ def test_read_trace_rejects_a_trace_whose_k_goes_back(tmp_path):
         read_trace(str(path))
 
 
-def test_summary_formatting(tmp_path):
+def summary_option(tmp_path, monkeypatch, summaries: list[dict], target: str) -> None:
+    """``aaopt sweep --summary target``, its runs giving ``summaries``."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("problem.kind = lasso\nalgorithm.kind = ista\n", encoding="utf-8")
+    monkeypatch.setattr("aaopt.cli.run_sweep", lambda cfg, memories: summaries)
+    assert main(["sweep", str(cfg), "--summary", target]) == 0
+
+
+def test_summary_formatting(tmp_path, monkeypatch, capsys):
     summary = {"problem": "lasso", "aa": True, "identification_iter": None, "tol": 0.5}
     text = format_summary(summary)
     assert text.splitlines() == ["problem=lasso", "aa=true", "identification_iter=none", "tol=0.5"]
     path = tmp_path / "s.txt"
-    write_summary([summary, summary], str(path))
+    summary_option(tmp_path, monkeypatch, [summary, summary], str(path))
     content = path.read_text(encoding="utf-8")
     assert content.count("problem=lasso") == 2
     assert "\n\n" in content
+    assert capsys.readouterr().out == content
 
 
-def test_write_summary_writes_to_dev_null_and_through_a_pipe():
+def test_the_summary_option_writes_to_dev_null_and_through_a_pipe(tmp_path, monkeypatch):
     summaries = [{"problem": "lasso", "tol": 0.5}, {"problem": "svm", "aa": False}]
-    write_summary(summaries, os.devnull)
+    summary_option(tmp_path, monkeypatch, summaries, os.devnull)
     read_end, write_end = os.pipe()
     with open(read_end, encoding="utf-8") as reader:
         try:
-            write_summary(summaries, "/dev/fd/%d" % write_end)
+            summary_option(tmp_path, monkeypatch, summaries, "/dev/fd/%d" % write_end)
         finally:
             os.close(write_end)
         assert reader.read() == "problem=lasso\ntol=0.5\n\nproblem=svm\naa=false\n"

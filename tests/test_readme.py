@@ -1,12 +1,14 @@
 """The README runs as documented: the quick-start config, the Library example, the keys and the CLI."""
 
 import argparse
+import importlib
 import re
 from decimal import Decimal
 from pathlib import Path
 
 from aaopt.cli import build_parser
 from aaopt.harness import CONFIG_KEYS, FAMILIES, config_from_mapping, format_summary, parse_config_text, run_experiment
+from test_exports import public_modules
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -86,3 +88,10 @@ def test_readme_cli_block_lists_exactly_the_subcommands():
     parser = build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert sorted(documented) == sorted(subparsers.choices)
+
+
+def test_readme_counts_the_names_aaopt_exposes():
+    """The Library section's count is the number of names in the public modules' ``__all__``."""
+    documented = re.search(r"that makes (\d+) names", README.read_text(encoding="utf-8")).group(1)
+    names = {name for mod in public_modules() for name in importlib.import_module("aaopt." + mod).__all__}
+    assert int(documented) == len(names)
