@@ -1,7 +1,7 @@
 /*
  * The compiled kernels: one cyclic sweep of proximal coordinate descent,
- * dense and CSR, and the Anderson weight solve.  They call the ddot and
- * dgelsd of scipy's Cython API, set once by aaopt_set_blas.
+ * dense and CSR, the Anderson weight solve and the Anderson candidate.  They
+ * call the ddot and dgelsd of scipy's Cython API, set once by aaopt_set_blas.
  *
  * The sweep's arithmetic is the Python sweep's, operation for operation, so
  * the results are bitwise equal to it:
@@ -94,6 +94,39 @@ void aaopt_pcd_csr(int64_t m, const int64_t *indptr, const int64_t *indices, con
 }
 
 /*
+ * The sum of v[0..n), or of |v[0..n)| if absolute, added as numpy's
+ * pairwise_sum adds it: below 8 terms in order from -0.0; up to 128 terms
+ * in 8 interleaved partial sums, joined in pairs, then the leftover terms
+ * in order; above 128, the halves split at a multiple of 8.  numpy's
+ * ndarray.sum of a contiguous array is 0.0 + this sum in memory order.
+ */
+static double pairwise_sum(const double *v, int64_t n, int absolute)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += absolute ? fabs(v[i]) : v[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = absolute ? fabs(v[j]) : v[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += absolute ? fabs(v[i + j]) : v[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += absolute ? fabs(v[i]) : v[i];
+        return res;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(v, half, absolute) + pairwise_sum(v + half, n - half, absolute);
+}
+
+/*
  * The Anderson weights of the n x ncol residual matrix R, whose entry
  * (i, j) is R[i*row_stride + j*col_stride], as numpy.linalg.lstsq finds
  * them.  With p = ncol - 1 >= 1 and D = R[:, :-1] - R[:, 1:], theta solves
@@ -102,28 +135,59 @@ void aaopt_pcd_csr(int64_t m, const int64_t *indptr, const int64_t *indices, con
  *
  * by dgelsd, C being the ncol x p backward-difference map (-1 on the
  * diagonal, +1 just below it); with root == 0 only the n x p system D,
- * R[:, 0] is solved.  The Fortran-ordered system, its -0.0 entries, rcond =
- * eps*max(rows, p), the workspace query and the queried lwork are those of
- * numpy's lstsq, so theta is its theta bit for bit.  p >= 1, so max(rows, p)
- * is also b's leading dimension.  alpha (length ncol) gets e0 + C theta:
- * every other term of that product is an exact zero, and 0.0 + turns a -0.0
- * into the +0.0 the product gives.
+ * R[:, 0] is solved, where root = sqrt(tau) if tau > 0, else 0.  A negative
+ * tau asks for the automatic tau = 1e-10*||R||_F^2, its squares summed as
+ * numpy's (R*R).sum() sums them: R*R keeps R's memory order, which is
+ * column-major only if both strides are nonzero and the columns lie farther
+ * apart than the rows, and the sum adds in that order.  The Fortran-ordered
+ * system, its -0.0 entries, rcond = eps*max(rows, p), the workspace query
+ * and the queried lwork are those of numpy's lstsq, so theta is its theta
+ * bit for bit.  p >= 1, so max(rows, p) is also b's leading dimension.
+ * alpha (length ncol) gets e0 + C theta: every other term of that product
+ * is an exact zero, and 0.0 + turns a -0.0 into the +0.0 the product gives.
+ * alpha is then divided by its sum, taken as numpy's alpha.sum() takes it.
  *
  * Returns the rank of the system, or AAOPT_NONFINITE if R has a NaN or
- * infinite entry, AAOPT_NO_CONVERGENCE if dgelsd reports info != 0 or an
- * entry of D overflows (numpy's lstsq fails on both), or AAOPT_NO_MEMORY.
+ * infinite entry, AAOPT_TAU_OVERFLOW if the automatic tau is infinite,
+ * AAOPT_NO_CONVERGENCE if dgelsd reports info != 0 or an entry of D
+ * overflows (numpy's lstsq fails on both), AAOPT_SINGULAR if alpha's sum is
+ * zero or not finite, or AAOPT_NO_MEMORY.
  */
 #define AAOPT_NONFINITE (-1)
 #define AAOPT_NO_CONVERGENCE (-2)
 #define AAOPT_NO_MEMORY (-3)
+#define AAOPT_TAU_OVERFLOW (-4)
+#define AAOPT_SINGULAR (-5)
 
 int64_t aaopt_aa_weights(int64_t n, int64_t ncol, const double *R, int64_t row_stride,
-                         int64_t col_stride, double root, double *alpha)
+                         int64_t col_stride, double tau, double *alpha)
 {
+    /* the squares of R in R's memory order, for the automatic tau */
+    double *squares = NULL;
+    int by_columns = row_stride != 0 && col_stride != 0 && llabs(col_stride) > llabs(row_stride);
+    if (tau < 0.0) {
+        size_t size = (size_t)(n * ncol) * sizeof(double);
+        squares = malloc(size ? size : 1);
+        if (!squares)
+            return AAOPT_NO_MEMORY;
+    }
     for (int64_t i = 0; i < n; i++)
-        for (int64_t j = 0; j < ncol; j++)
-            if (!isfinite(R[i * row_stride + j * col_stride]))
+        for (int64_t j = 0; j < ncol; j++) {
+            double r = R[i * row_stride + j * col_stride];
+            if (!isfinite(r)) {
+                free(squares);
                 return AAOPT_NONFINITE;
+            }
+            if (squares)
+                squares[by_columns ? j * n + i : i * ncol + j] = r * r;
+        }
+    if (squares) {
+        tau = 1e-10 * (0.0 + pairwise_sum(squares, n * ncol, 0));
+        free(squares);
+        if (!isfinite(tau))
+            return AAOPT_TAU_OVERFLOW;
+    }
+    double root = tau > 0.0 ? sqrt(tau) : 0.0;
 
     int p = (int)(ncol - 1), nrhs = 1, rank = 0, info = 0, query = -1;
     int m = (int)(root > 0.0 ? n + ncol : n);
@@ -183,8 +247,34 @@ int64_t aaopt_aa_weights(int64_t n, int64_t ncol, const double *R, int64_t row_s
         for (int i = 1; i < p; i++)
             alpha[i] = 0.0 + (b[i - 1] - b[i]);
         alpha[p] = 0.0 + b[p - 1];
+        double total = 0.0 + pairwise_sum(alpha, ncol, 0);
+        if (!isfinite(total) || total == 0.0)
+            status = AAOPT_SINGULAR;
+        else
+            for (int64_t i = 0; i < ncol; i++)
+                alpha[i] /= total;
     }
     free(work);
     free(a);
     return status;
+}
+
+/*
+ * The Anderson candidate: out = sum_j alpha[j] * H_j over the ncol rows of
+ * the stack H, whose row j has its entry k at H[j*row_stride + k*col_stride].
+ * Each entry of out adds its terms alpha[j]*H_j[k] in index order onto
+ * -0.0, as a loop over the rows does.  Returns the l1 norm of alpha as
+ * numpy's np.abs(alpha).sum() gives it.
+ */
+double aaopt_aa_combine(int64_t ncol, int64_t n, const double *H, int64_t row_stride,
+                        int64_t col_stride, const double *alpha, double *out)
+{
+    for (int64_t k = 0; k < n; k++) {
+        const double *h = H + k * col_stride;
+        double sum = -0.0;
+        for (int64_t j = 0; j < ncol; j++)
+            sum = sum + alpha[j] * h[j * row_stride];
+        out[k] = sum;
+    }
+    return 0.0 + pairwise_sum(alpha, ncol, 1);
 }

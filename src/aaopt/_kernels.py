@@ -42,6 +42,7 @@ _SIGNATURES = {
     "aaopt_pcd_dense": ([_i64, _i64, _ptr] + _TAIL, None),
     "aaopt_pcd_csr": ([_i64, _ptr, _ptr, _ptr, _ptr] + _TAIL, None),
     "aaopt_aa_weights": ([_i64, _i64, _ptr, _i64, _i64, _f64, _ptr], _i64),
+    "aaopt_aa_combine": ([_i64, _i64, _ptr, _i64, _i64, _ptr, _ptr], _f64),
 }
 
 _loaded: ctypes.CDLL | None = None

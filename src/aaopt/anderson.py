@@ -14,7 +14,7 @@ otherwise it falls back to the plain step H(x^k).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,10 +45,10 @@ class AaConfig:
     memory : history depth, an integer m >= 1; up to m+1 residual columns are kept.
     tikhonov : finite absolute ridge weight tau for the alpha solve, or None to use
         the scale-aware default 1e-10 * ||R||_F^2 each iteration.
-    safeguard_factor : acceptance slack theta >= 1; the candidate is accepted
+    safeguard_factor : finite acceptance slack theta >= 1; the candidate is accepted
         iff its residual norm is <= theta * (smallest stored residual norm).
     restart_after_rejects : consecutive rejections that trigger a history
-        restart from the current iterate.
+        restart from the current iterate, an integer >= 1.
     """
 
     memory: int = 10
@@ -62,10 +62,10 @@ class AaConfig:
             raise ValueError("AaConfig: memory must be an integer >= 1")
         if self.tikhonov is not None and not 0 <= self.tikhonov < math.inf:
             raise ValueError("AaConfig: tikhonov must be finite and nonnegative")
-        if not self.safeguard_factor >= 1.0:
-            raise ValueError("AaConfig: safeguard_factor must be >= 1")
-        if not self.restart_after_rejects >= 1:
-            raise ValueError("AaConfig: restart_after_rejects must be >= 1")
+        if not 1.0 <= self.safeguard_factor < math.inf:
+            raise ValueError("AaConfig: safeguard_factor must be finite and >= 1")
+        if not (isinstance(self.restart_after_rejects, (int, np.integer)) and self.restart_after_rejects >= 1):
+            raise ValueError("AaConfig: restart_after_rejects must be an integer >= 1")
 
 
 @dataclass
@@ -89,6 +89,10 @@ class AaState:
     entry; only when the window reaches index 0 are the kept entries moved
     to the end of the buffers.  ``h_hist`` and ``r_hist`` are read-only
     (ncol x n) views of the stored evaluations and residuals, newest first.
+
+    The state also holds the scratch that the compiled weight solve and
+    candidate write, with the addresses of the buffers and the scratch,
+    taken once for each pair of buffers (see ``_Scratch``).
     """
 
     hbuf: np.ndarray
@@ -96,6 +100,17 @@ class AaState:
     r_norms: list[float]
     head: int = 0
     reject_streak: int = 0
+    _scratch: _Scratch = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._scratch = _Scratch(self.hbuf, self.rbuf)
+
+    def _bound(self) -> _Scratch:
+        """The scratch of the current buffers, taken anew when they were replaced."""
+        scratch = self._scratch
+        if scratch.hbuf is not self.hbuf or scratch.rbuf is not self.rbuf:
+            scratch = self._scratch = _Scratch(self.hbuf, self.rbuf)
+        return scratch
 
     @property
     def h_hist(self) -> np.ndarray:
@@ -104,6 +119,31 @@ class AaState:
     @property
     def r_hist(self) -> np.ndarray:
         return _read_only(self.rbuf[:, self.head : self.head + len(self.r_norms)].T)
+
+
+class _Scratch:
+    """The history buffers, the kernels' output arrays, and the addresses of all four.
+
+    Reading an array's address through numpy takes microseconds (about
+    2.5 us on a 2-core x86 host), so the engine takes them here, once for
+    each pair of buffers: at ``init_state`` and after ``_push`` grows them.
+    ``alpha`` has room for a weight per buffer entry and ``candidate`` for
+    one evaluation; ``alpha_l1`` is the l1 norm of the weights of the last
+    candidate formed here.  Holding the buffers keeps alive all that the
+    addresses point at.
+    """
+
+    __slots__ = ("hbuf", "rbuf", "alpha", "candidate", "h_at", "r_at", "alpha_at", "candidate_at", "alpha_l1")
+
+    def __init__(self, hbuf: np.ndarray, rbuf: np.ndarray):
+        width, n = hbuf.shape
+        for buf, shape in ((hbuf, (width, n)), (rbuf, (n, width))):
+            if buf.dtype != np.float64 or buf.shape != shape or not (buf.flags.c_contiguous and buf.flags.aligned):
+                raise ValueError("AaState: hbuf and rbuf must be C-ordered float arrays of shapes (w, n) and (n, w)")
+        self.hbuf, self.rbuf = hbuf, rbuf
+        self.alpha, self.candidate = np.empty(width), np.empty(n)
+        self.h_at, self.r_at, self.alpha_at, self.candidate_at = map(address, (hbuf, rbuf, self.alpha, self.candidate))
+        self.alpha_l1 = math.nan
 
 
 def _read_only(view: np.ndarray) -> np.ndarray:
@@ -152,31 +192,43 @@ _WEIGHT_FAILURES = {
     -1: (ValueError, _NONFINITE_R),
     -2: (np.linalg.LinAlgError, "SVD did not converge in Linear Least Squares"),
     -3: (MemoryError, "compute_alpha: no memory for the weight solve"),
+    -4: (ValueError, "compute_alpha: the automatic tau 1e-10*||R||_F^2 overflows"),
+    -5: (np.linalg.LinAlgError, "compute_alpha: weight solve is singular"),
 }
+# the tau that asks aaopt_aa_weights for the automatic one
+_AUTOMATIC_TAU = -1.0
 
 
-def compute_alpha(R: np.ndarray, tau: float = 0.0) -> np.ndarray:
+def compute_alpha(R: np.ndarray | AaState, tau: float | None = None) -> np.ndarray:
     """Solve min ||R a||^2 + tau*||a||^2 subject to sum(a) = 1.
 
-    Columns of R are residuals ordered newest first.  The constraint is
-    eliminated by the difference parametrization a = e_0 + C theta (which
-    enforces the sum exactly), the resulting unconstrained least-squares
-    problem is solved with an SVD, and the weights are renormalized before
-    being returned.  With tau = 0 there is no ridge: a rank-deficient system
-    gets LAPACK's minimum-norm solution.
+    Columns of R are residuals ordered newest first; an ``AaState`` in place
+    of R stands for its stored residuals.  ``tau=None`` is the automatic
+    1e-10 * ||R||_F^2, bit for bit ``1e-10 * float((R*R).sum())``.  The
+    constraint is eliminated by the difference parametrization a = e_0 +
+    C theta (which enforces the sum exactly), the resulting unconstrained
+    least-squares problem is solved with an SVD, and the weights are
+    renormalized before being returned.  With tau = 0 there is no ridge: a
+    rank-deficient system gets LAPACK's minimum-norm solution.
 
     The solve runs in C (``aaopt_aa_weights`` in ``_kernels.c``), which
-    reads R in place, writes the system exactly as numpy's SVD least-squares
-    solver would and calls LAPACK dgelsd through scipy's Cython API, so the
-    system may have at most 2**31 - 1 rows.  The first solve with two or more
-    columns loads the compiled library (see ``aaopt._kernels``).
+    reads R in place, sums the automatic tau's squares in numpy's pairwise
+    order, writes the system exactly as numpy's SVD least-squares solver
+    would, calls LAPACK dgelsd through scipy's Cython API, and divides the
+    weights by their sum as numpy sums them.  So the system may have at most
+    2**31 - 1 rows.  The first solve with two or more columns loads the
+    compiled library (see ``aaopt._kernels``).
     """
-    R = np.asarray(R, dtype=float)
+    if isinstance(R, AaState):
+        scratch, head = R._bound(), R.head
+        R = scratch.rbuf[:, head : head + len(R.r_norms)]
+    else:
+        scratch, R = None, np.asarray(R, dtype=float)
     if R.ndim != 2 or R.shape[1] < 1:
         raise ValueError("compute_alpha: R must have at least one column")
     n, ncol = R.shape
     # negated, so NaN fails too
-    bad_tau = not 0.0 <= tau < math.inf
+    bad_tau = tau is not None and not 0.0 <= tau < math.inf
     if ncol == 1 or bad_tau:
         # no C call here, so R is scanned in Python; as in C, its check comes first
         if not np.isfinite(R).all():
@@ -184,23 +236,25 @@ def compute_alpha(R: np.ndarray, tau: float = 0.0) -> np.ndarray:
         if bad_tau:
             raise ValueError("compute_alpha: tau must be finite and nonnegative")
         return np.ones(1)
-    if max(n + ncol if tau > 0 else n, ncol) > C_INT_MAX:  # the rows and columns of the system
+    # the rows and columns of the system; the automatic tau counts as a ridge
+    if max(n if tau == 0.0 else n + ncol, ncol) > C_INT_MAX:
         raise ValueError("compute_alpha: R of shape %s makes a system larger than LAPACK takes" % (R.shape,))
 
-    # an aligned R has whole-element strides in every dimension longer than one
-    held = R if R.flags.aligned else R.copy()
-    alpha = np.empty(ncol)
+    if scratch is None:
+        # an aligned R has whole-element strides in every dimension longer than
+        # one; a copy keeps R's memory order, the order of the automatic tau's sum
+        R = R if R.flags.aligned else R.copy(order="K")
+        out = np.empty(ncol)
+        at, out_at = address(R), address(out)
+    else:
+        out, at, out_at = scratch.alpha, scratch.r_at + 8 * head, scratch.alpha_at
     rank = _kernels.library().aaopt_aa_weights(
-        n, ncol, address(held), held.strides[0] // 8, held.strides[1] // 8,
-        math.sqrt(tau) if tau > 0 else 0.0, address(alpha))
+        n, ncol, at, R.strides[0] // 8, R.strides[1] // 8, _AUTOMATIC_TAU if tau is None else tau, out_at)
     if rank < 0:
         error, message = _WEIGHT_FAILURES[rank]
         raise error(message)
 
-    total = float(alpha.sum())
-    if not math.isfinite(total) or total == 0.0:
-        raise np.linalg.LinAlgError("compute_alpha: weight solve is singular")
-    alpha /= total
+    alpha = out if scratch is None else out[:ncol].copy()
     # An ill-conditioned solve can return weights so large that plain float
     # summation no longer resolves the sum constraint (the safeguard rejects
     # such candidates, but the weights it sees must still sum to one).
@@ -212,28 +266,46 @@ def compute_alpha(R: np.ndarray, tau: float = 0.0) -> np.ndarray:
             break
         alpha[int(pick(np.abs(alpha)))] -= excess
         excess = math.fsum(alpha.tolist()) - 1.0
-    if not np.isfinite(alpha).all() or abs(excess) > 1e-12:
+    # a non-finite weight makes the excess inf or NaN, which fails this test too
+    if not abs(excess) <= 1e-12:
         raise np.linalg.LinAlgError("compute_alpha: weights failed the sum-to-one contract")
     return alpha
 
 
-def aa_candidate(h_values: Sequence[np.ndarray] | np.ndarray, alpha: np.ndarray) -> np.ndarray:
+def aa_candidate(h_values: Sequence[np.ndarray] | np.ndarray | AaState, alpha: np.ndarray) -> np.ndarray:
     """Affine combination sum_j alpha_j h_values[j] (newest-first pairing).
 
-    ``h_values`` is a sequence of evaluations or their (ncol x n) stack.  The
-    weighted rows are added one at a time, in index order.
+    ``h_values`` is a sequence of evaluations, their (ncol x n) stack in any
+    memory layout, or an ``AaState``, which stands for its stored
+    evaluations.  The weighted rows are added one at a time, in index order,
+    by ``aaopt_aa_combine`` in ``_kernels.c``.
     """
     alpha = np.asarray(alpha, dtype=float)
-    H = np.asarray(h_values, dtype=float)
-    if H.shape[0] != alpha.shape[0]:
-        raise ValueError("aa_candidate: %d stored evaluations but %d weights" % (H.shape[0], alpha.shape[0]))
-    terms = alpha[:, None] * H
-    if terms.shape[1] > 1:
-        # axis 0 is the outer loop of a C-ordered stack; the initial -0.0
-        # keeps the first row's signed zeros
-        return np.add.reduce(terms, axis=0, initial=-0.0)
-    # numpy sums a single column pairwise; accumulate keeps the order
-    return np.add.accumulate(terms, axis=0)[-1]
+    if isinstance(h_values, AaState):
+        scratch, head = h_values._bound(), h_values.head
+        H = scratch.hbuf[head : head + len(h_values.r_norms)]
+    else:
+        scratch, H = None, np.asarray(h_values, dtype=float)
+    if H.ndim != 2:
+        raise ValueError("aa_candidate: expected evaluations or their stack, got shape %s" % (H.shape,))
+    if alpha.shape != H.shape[:1]:
+        raise ValueError("aa_candidate: %d stored evaluations but weights of shape %s" % (H.shape[0], alpha.shape))
+    ncol, n = H.shape
+    if scratch is None:
+        # aligned, so every stride is whole elements; the weights also in C order
+        H, alpha = np.require(H, requirements="A"), np.require(alpha, requirements="CA")
+        out = np.empty(n)
+        at, alpha_at, out_at = address(H), address(alpha), address(out)
+    else:
+        scratch.alpha[:ncol] = alpha
+        out = scratch.candidate
+        at, alpha_at, out_at = scratch.h_at + 8 * n * head, scratch.alpha_at, scratch.candidate_at
+    alpha_l1 = _kernels.library().aaopt_aa_combine(
+        ncol, n, at, H.strides[0] // 8, H.strides[1] // 8, alpha_at, out_at)
+    if scratch is None:
+        return out
+    scratch.alpha_l1 = alpha_l1
+    return out.copy()
 
 
 def _push(state: AaState, h_new: np.ndarray, r_new: np.ndarray, r_norm: float, memory: int) -> None:
@@ -272,14 +344,9 @@ def safeguarded_step(
     current iterate.
     """
     head, ncol = state.head, len(state.r_norms)
-    R = state.rbuf[:, head : head + ncol]
-    tau = cfg.tikhonov
-    if tau is None:
-        # one column needs no solve, and huge residuals would make the sum inf
-        tau = 1e-10 * float((R * R).sum()) if ncol > 1 else 0.0
-    alpha = compute_alpha(R, tau)
-    alpha_l1 = float(np.abs(alpha).sum())
-    candidate = aa_candidate(state.hbuf[head : head + ncol], alpha)
+    alpha = compute_alpha(state, cfg.tikhonov)
+    candidate = aa_candidate(state, alpha)
+    alpha_l1 = state._scratch.alpha_l1
 
     best_stored = min(state.r_norms)
     accepted = False

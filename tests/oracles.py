@@ -8,7 +8,8 @@ the rate fit by ``np.polyfit``.  ``write_libsvm`` writes
 the sparse datasets that the CSR tests load.  ``ListAaState`` with
 ``list_aa_step`` is the Anderson engine as it stood before its history moved
 into buffers, kept as the reference the buffered engine must match bit for
-bit.  ``pcd_sweep_reference`` is the coordinate sweep as a Python loop, the
+bit; ``candidate_reference`` is its candidate, a loop over the rows.
+``pcd_sweep_reference`` is the coordinate sweep as a Python loop, the
 reference for the compiled one.  ``quadratic_ls_prox_reference`` is the
 least-squares prox solved by LAPACK dpotrs, as it stood before its solve
 moved to two BLAS dtrsv calls.  ``irl1_step_reference`` is the reweighted
@@ -382,6 +383,14 @@ def list_compute_alpha(R: np.ndarray, tau: float) -> np.ndarray:
     return alpha
 
 
+def candidate_reference(H, alpha) -> np.ndarray:
+    """sum_j alpha[j] * H[j] by a loop over the rows of H, each added whole in index order."""
+    out = alpha[0] * H[0]
+    for j in range(1, len(alpha)):
+        out = out + alpha[j] * H[j]
+    return out
+
+
 def list_aa_step(apply, state: ListAaState, cfg):
     """One safeguarded AA step; returns (x_next, alpha, alpha_l1, accepted, norm).
 
@@ -393,9 +402,7 @@ def list_aa_step(apply, state: ListAaState, cfg):
     tau = cfg.tikhonov if cfg.tikhonov is not None else 1e-10 * float(np.sum(R * R))
     alpha = list_compute_alpha(R, tau)
     alpha_l1 = float(np.sum(np.abs(alpha)))
-    candidate = alpha[0] * state.h[0]
-    for j in range(1, alpha.shape[0]):
-        candidate += alpha[j] * state.h[j]
+    candidate = candidate_reference(state.h, alpha)
 
     best_stored = min(state.norms)
     accepted = False

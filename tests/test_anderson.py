@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from aaopt.prox import soft_threshold
 from conftest import zeros_view
 from oracles import (
     affine_fixed_point,
+    candidate_reference,
     list_aa_step,
     list_compute_alpha,
     list_init_state,
@@ -124,6 +127,29 @@ def test_a_one_column_step_takes_residuals_whose_squares_overflow():
         safeguarded_step(apply, state, cfg)
 
 
+_TAU_OVERFLOWS = re.escape("compute_alpha: the automatic tau 1e-10*||R||_F^2 overflows")
+
+
+def test_an_overflowing_automatic_tau_is_named_without_a_warning():
+    # each entry is finite, but the squares' sum is not; numpy's (R*R).sum()
+    # warned, and the step then refused a tau that no caller gave
+    R = np.array([[1e160, 2e160], [1.0, -3e160]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=_TAU_OVERFLOWS):
+            compute_alpha(R, None)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")  # the norms are inf
+def test_a_step_whose_automatic_tau_overflows_names_it():
+    apply = lambda x: x + np.array([1e160, -3e160]) * (1.5 + np.sin(x / 1e160))
+    state = init_state(apply, np.zeros(2))
+    cfg = AaConfig(memory=3)
+    safeguarded_step(apply, state, cfg)  # one column: no solve, so no tau
+    with pytest.raises(ValueError, match=_TAU_OVERFLOWS):
+        safeguarded_step(apply, state, cfg)
+
+
 def laid_out_residuals(R: np.ndarray, layout: str) -> np.ndarray:
     """R in the given memory layout, each with the values of R."""
     n, ncol = R.shape
@@ -153,7 +179,8 @@ def weight_systems(draw):
         R = rng.standard_normal(n)[:, None] + spread * rng.standard_normal((n, ncol))
     max_exp = draw(st.integers(0, 150))
     R = R * 10.0 ** rng.integers(-max_exp, max_exp, size=ncol, endpoint=True)
-    tau = draw(st.one_of(st.just(0.0), st.just("auto"), st.floats(1e-300, 1e3)))
+    # None is the automatic tau; "auto" passes the same tau explicitly
+    tau = draw(st.one_of(st.just(0.0), st.just(None), st.just("auto"), st.floats(1e-300, 1e3)))
     if tau == "auto":
         tau = 1e-10 * float((R * R).sum())
     return laid_out_residuals(R, draw(st.sampled_from(["C", "F", "window", "reversed", "unaligned"]))), tau
@@ -167,11 +194,13 @@ def weight_systems(draw):
 @example(case=(np.array([[1.0, 2.0, 2.0], [0.0, -1.0, -1.0], [3.0, 1.0, 1.0]]), 0.0))
 @example(case=(np.zeros((3, 3)), 0.0))  # rank 0: theta = 0, so alpha = e_0
 @example(case=(np.array([[-0.0, -1.0], [1.0, 1.0]]), 0.0))
+@example(case=(np.array([[1.0, 1.0 + 2**-52], [2.0, 2.0]]), None))  # nearly collinear: the ridge decides
+@example(case=(np.zeros((3, 3)), None))  # the automatic tau is 0: no ridge
 def test_compute_alpha_is_bitwise_the_lstsq_reference(case):
     R, tau = case
     before = R.tobytes()
     try:
-        want = list_compute_alpha(R, tau)
+        want = list_compute_alpha(R, 1e-10 * float((R * R).sum()) if tau is None else tau)
     except (ValueError, np.linalg.LinAlgError) as exc:
         with pytest.raises(type(exc)):
             compute_alpha(R, tau)
@@ -180,6 +209,55 @@ def test_compute_alpha_is_bitwise_the_lstsq_reference(case):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     assert R.tobytes() == before
+
+
+@pytest.mark.parametrize("n, ncol", [(1, 5), (3, 2), (2, 4), (9, 5), (40, 3), (30, 5), (1000, 9), (20000, 11)])
+def test_the_automatic_tau_is_numpys_sum_of_squares(n, ncol):
+    # n*ncol below 8, from 8 to 128, above 128 and above numpy's 8192-element
+    # buffer.  The columns are so nearly collinear that their differences
+    # weigh about as much as the ridge, so tau's last bits move the weights;
+    # the rows span 4 decades, so the order of the sum moves tau's last bits.
+    # numpy sums a Fortran-ordered R*R column by column.
+    rng = np.random.default_rng(n * 100 + ncol)
+    for layout in ("window", "F"):
+        for spread in (1e-6, 1e-5, 1e-4):
+            R = rng.standard_normal(n)[:, None] + spread * rng.standard_normal((n, ncol))
+            R = laid_out_residuals(R * 10.0 ** rng.uniform(-2, 2, size=(n, 1)), layout)
+            want = compute_alpha(R, 1e-10 * float((R * R).sum()))
+            assert compute_alpha(R, None).tobytes() == want.tobytes()
+            assert compute_alpha(R).tobytes() == want.tobytes()
+
+
+def stacked(H: np.ndarray, layout: str):
+    """The rows of H as a sequence, or their stack in the given memory layout."""
+    if layout == "list":
+        return list(H)
+    if layout == "F":
+        return np.asfortranarray(H)
+    if layout == "transposed":  # as AaState.r_hist is: columns of a wider C-ordered buffer, transposed
+        buf = np.full((H.shape[1], H.shape[0] + 5), np.nan)
+        buf[:, 2 : 2 + H.shape[0]] = H.T
+        return buf[:, 2 : 2 + H.shape[0]].T
+    return np.ascontiguousarray(H)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ncol=st.integers(1, 29), n=st.integers(1, 6), zeros=st.floats(0.0, 0.9),
+       layout=st.sampled_from(["C", "F", "transposed", "list"]), seed=st.integers(0, 2**32 - 1))
+@example(ncol=9, n=1, zeros=0.0, layout="C", seed=0)  # one coordinate
+@example(ncol=1, n=4, zeros=0.5, layout="F", seed=1)  # one row
+@example(ncol=12, n=3, zeros=0.0, layout="F", seed=2)
+def test_aa_candidate_adds_the_rows_in_index_order(ncol, n, zeros, layout, seed):
+    # A Fortran-ordered or transposed stack of 8 or more rows was summed
+    # pairwise.  Entries span 16 decades, so the order moves bits, and a
+    # share of them are zeros of either sign, whose sign the sum must keep.
+    rng = np.random.default_rng(seed)
+    H = rng.standard_normal((ncol, n)) * 10.0 ** rng.integers(-8, 8, size=(ncol, n))
+    H[rng.random((ncol, n)) < zeros] = 0.0
+    H *= rng.choice([-1.0, 1.0], size=(ncol, n))
+    alpha = rng.standard_normal(ncol) * 10.0 ** rng.integers(-3, 3, size=ncol)
+    got = aa_candidate(stacked(H, layout), alpha)
+    assert got.tobytes() == candidate_reference(H, alpha).tobytes()
 
 
 def test_aa_candidate_scalar_example():
@@ -191,6 +269,22 @@ def test_aa_candidate_scalar_example():
 def test_aa_candidate_length_mismatch():
     with pytest.raises(ValueError):
         aa_candidate([np.zeros(2)], np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="expected evaluations or their stack"):
+        aa_candidate(np.array([0.25, 0.5]), np.array([2.0, -1.0]))  # was broadcast to a 2 x 2 sum
+
+
+@pytest.mark.parametrize("tau", [None, 0.0, 1e-6])
+def test_the_state_stands_for_its_history(tau):
+    state, _, _ = run_aa(lambda x: np.cos(x) + 0.1 * x, np.linspace(-1.0, 2.0, 7), AaConfig(memory=4), 9)
+    assert len(state.r_norms) == 5
+    alpha = compute_alpha(state, tau)
+    assert alpha.tobytes() == compute_alpha(state.r_hist.T, tau).tobytes()
+    candidate = aa_candidate(state, alpha)
+    assert candidate.tobytes() == aa_candidate(state.h_hist, alpha).tobytes()
+    # both are copies: a second candidate leaves the first and the weights as they were
+    kept = candidate.copy(), alpha.copy()
+    aa_candidate(state, alpha[::-1].copy())
+    assert candidate.tobytes() == kept[0].tobytes() and alpha.tobytes() == kept[1].tobytes()
 
 
 def test_scalar_linear_map_two_steps():
@@ -412,6 +506,12 @@ def test_config_validation():
         AaConfig(memory=2.5)  # the first step would size its history buffers with it
     with pytest.raises(ValueError):
         AaConfig(restart_after_rejects=0)
+    # the config refuses these too (aa.safeguard, aa.restart)
+    with pytest.raises(ValueError, match="safeguard_factor must be finite and >= 1"):
+        AaConfig(safeguard_factor=math.inf)
+    for restart in (2.5, math.inf):
+        with pytest.raises(ValueError, match="restart_after_rejects must be an integer >= 1"):
+            AaConfig(restart_after_rejects=restart)
 
 
 def test_init_state_needs_a_vector():
