@@ -1,7 +1,8 @@
 /*
  * The compiled kernels: one cyclic sweep of proximal coordinate descent,
- * dense and CSR, the Anderson weight solve and the Anderson candidate.  They
- * call the ddot and dgelsd of scipy's Cython API, set once by aaopt_set_blas.
+ * dense and CSR, the lasso proximal-gradient map, dense and CSR, the
+ * Anderson weight solve and the Anderson candidate.  They call the ddot,
+ * dgemv and dgelsd of scipy's Cython API, set once by aaopt_set_blas.
  *
  * The sweep's arithmetic is the Python sweep's, operation for operation, so
  * the results are bitwise equal to it:
@@ -22,18 +23,30 @@
 /* Fortran BLAS and LAPACK, every argument by reference; the callers check the int sizes */
 typedef double (*ddot_fn)(const int *n, const double *x, const int *incx, const double *y,
                           const int *incy);
+typedef void (*dgemv_fn)(const char *trans, const int *m, const int *n, const double *alpha,
+                         const double *a, const int *lda, const double *x, const int *incx,
+                         const double *beta, double *y, const int *incy);
 typedef void (*dgelsd_fn)(const int *m, const int *n, const int *nrhs, double *a, const int *lda,
                           double *b, const int *ldb, double *s, const double *rcond, int *rank,
                           double *work, const int *lwork, int *iwork, int *info);
 
 static ddot_fn ddot;
+static dgemv_fn dgemv;
 static dgelsd_fn dgelsd;
 
-void aaopt_set_blas(void *ddot_address, void *dgelsd_address)
+void aaopt_set_blas(void *ddot_address, void *dgemv_address, void *dgelsd_address)
 {
     ddot = (ddot_fn)ddot_address;
+    dgemv = (dgemv_fn)dgemv_address;
     dgelsd = (dgelsd_fn)dgelsd_address;
 }
+
+/* the status codes the kernels return */
+#define AAOPT_NONFINITE (-1)
+#define AAOPT_NO_CONVERGENCE (-2)
+#define AAOPT_NO_MEMORY (-3)
+#define AAOPT_TAU_OVERFLOW (-4)
+#define AAOPT_SINGULAR (-5)
 
 static double row_dot(int64_t n, const double *z, const double *u)
 {
@@ -91,6 +104,91 @@ void aaopt_pcd_csr(int64_t m, const int64_t *indptr, const int64_t *indices, con
             x[i] = next;
         }
     }
+}
+
+/*
+ * The lasso proximal-gradient map, out = H(x) = soft_threshold(x - beta*g,
+ * t) with g = A.T (A x - y), as numpy computes it from A.dot(x) - y,
+ * A.T.dot(r), x - beta*g and v - minimum(maximum(v, -t), t).  x and out
+ * have length n, y and r length m; r is scratch.
+ *
+ * A dense A is m x n, C-ordered and at least 1 x 1.  A product M v (M = A
+ * or A.T) with one output entry is numpy's dot of M's one row, which lies
+ * at stride 1 in A, with v: row_dot.  Any other is dgemv: 'T' on A's C
+ * order for A x, 'N' for A.T r, as numpy calls it, except that numpy forms
+ * a product with a v of length 1 by daxpy.  That differs from dgemv only
+ * in the sign of a zero entry (or in a NaN where daxpy skips v[0] = 0 and M
+ * holds an inf, which makes the gradient non-finite either way), and H
+ * turns every zero into +0.0: the dot adds its terms onto 0.0, and the tail
+ * below maps |v| <= t to v - v or, when t is 0, adds 0.0.
+ *
+ * A CSR A has its transpose given as CSR too; each product adds a row's
+ * terms in stored order onto 0.0, as scipy's csr_matvec does.
+ *
+ * The tail is numpy's: NaN passes maximum and minimum, 0.0 is added when t
+ * is zero (which turns a -0.0 into +0.0), and a NaN entry becomes +0.0.
+ * Returns 0, or AAOPT_NONFINITE, leaving out undefined, if g has a NaN or
+ * infinite entry.
+ */
+static void dense_product(int transpose, int m, int n, const double *A, const double *v,
+                          double *out)
+{
+    int one = 1;
+    double unit = 1.0, zero = 0.0;
+    if ((transpose ? n : m) == 1)
+        out[0] = row_dot(transpose ? m : n, A, v);
+    else
+        dgemv(transpose ? "N" : "T", &n, &m, &unit, A, &n, v, &one, &zero, out, &one);
+}
+
+static void csr_product(int64_t rows, const int64_t *indptr, const int64_t *indices,
+                        const double *data, const double *v, double *out)
+{
+    for (int64_t i = 0; i < rows; i++) {
+        double sum = 0.0;
+        for (int64_t k = indptr[i]; k < indptr[i + 1]; k++)
+            sum += data[k] * v[indices[k]];
+        out[i] = sum;
+    }
+}
+
+/* out holds g on entry and H(x) on return */
+static int64_t pga_tail(int64_t n, const double *x, double beta, double t, double *out)
+{
+    for (int64_t j = 0; j < n; j++)
+        if (!isfinite(out[j]))
+            return AAOPT_NONFINITE;
+    for (int64_t j = 0; j < n; j++) {
+        double v = x[j] - beta * out[j];
+        double w = -t > v ? -t : v;
+        double h = v - (t < w ? t : w);
+        if (t == 0.0)
+            h += 0.0;
+        out[j] = isnan(h) ? 0.0 : h;
+    }
+    return 0;
+}
+
+int64_t aaopt_pga_dense(int64_t m, int64_t n, const double *A, const double *y, double beta,
+                        double t, const double *x, double *r, double *out)
+{
+    dense_product(0, (int)m, (int)n, A, x, r);
+    for (int64_t i = 0; i < m; i++)
+        r[i] = r[i] - y[i];
+    dense_product(1, (int)m, (int)n, A, r, out);
+    return pga_tail(n, x, beta, t, out);
+}
+
+int64_t aaopt_pga_csr(int64_t m, int64_t n, const int64_t *indptr, const int64_t *indices,
+                      const double *data, const int64_t *t_indptr, const int64_t *t_indices,
+                      const double *t_data, const double *y, double beta, double t,
+                      const double *x, double *r, double *out)
+{
+    csr_product(m, indptr, indices, data, x, r);
+    for (int64_t i = 0; i < m; i++)
+        r[i] = r[i] - y[i];
+    csr_product(n, t_indptr, t_indices, t_data, r, out);
+    return pga_tail(n, x, beta, t, out);
 }
 
 /*
@@ -153,12 +251,6 @@ static double pairwise_sum(const double *v, int64_t n, int absolute)
  * overflows (numpy's lstsq fails on both), AAOPT_SINGULAR if alpha's sum is
  * zero or not finite, or AAOPT_NO_MEMORY.
  */
-#define AAOPT_NONFINITE (-1)
-#define AAOPT_NO_CONVERGENCE (-2)
-#define AAOPT_NO_MEMORY (-3)
-#define AAOPT_TAU_OVERFLOW (-4)
-#define AAOPT_SINGULAR (-5)
-
 int64_t aaopt_aa_weights(int64_t n, int64_t ncol, const double *R, int64_t row_stride,
                          int64_t col_stride, double tau, double *alpha)
 {

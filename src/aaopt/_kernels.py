@@ -8,8 +8,10 @@ that can be written: the package's ``__pycache__``, else ``~/.cache/aaopt``
 written under a temporary name and moved into place with ``os.replace``, so
 concurrent processes never load a partial file.
 
-The coordinate sweep's row dots call BLAS ``ddot`` and the Anderson weight
-solve calls LAPACK ``dgelsd``, both taken from the function pointers that
+The kernels are the coordinate sweep, the lasso proximal-gradient map, the
+Anderson weight solve and the Anderson candidate.  The sweep's row dots call
+BLAS ``ddot``, the dense lasso map ``dgemv`` and ``ddot``, and the weight
+solve LAPACK ``dgelsd``, all taken from the function pointers that
 scipy's documented Cython API (``scipy.linalg.cython_blas`` and
 ``cython_lapack``) publishes in every scipy build, whatever its BLAS.
 """
@@ -37,10 +39,14 @@ C_INT_MAX = 2**31 - 1
 _i64, _f64, _ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 # both sweeps end with the arrays q, lower, upper, then beta, x, u
 _TAIL = [_ptr, _ptr, _ptr, _f64, _ptr, _ptr]
+# both lasso maps end with y, beta, the threshold, then x, r, out
+_PGA_TAIL = [_ptr, _f64, _f64, _ptr, _ptr, _ptr]
 _SIGNATURES = {
-    "aaopt_set_blas": ([_ptr, _ptr], None),
+    "aaopt_set_blas": ([_ptr, _ptr, _ptr], None),
     "aaopt_pcd_dense": ([_i64, _i64, _ptr] + _TAIL, None),
     "aaopt_pcd_csr": ([_i64, _ptr, _ptr, _ptr, _ptr] + _TAIL, None),
+    "aaopt_pga_dense": ([_i64, _i64, _ptr] + _PGA_TAIL, _i64),
+    "aaopt_pga_csr": ([_i64, _i64] + [_ptr] * 6 + _PGA_TAIL, _i64),
     "aaopt_aa_weights": ([_i64, _i64, _ptr, _i64, _i64, _f64, _ptr], _i64),
     "aaopt_aa_combine": ([_i64, _i64, _ptr, _i64, _i64, _ptr, _ptr], _f64),
 }
@@ -100,7 +106,8 @@ def load(cache_dir: Path) -> ctypes.CDLL:
     api, obj = ctypes.pythonapi, ctypes.py_object
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, obj)(("PyCapsule_GetName", api))
     get_pointer = ctypes.PYFUNCTYPE(_ptr, obj, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
-    capsules = cython_blas.__pyx_capi__["ddot"], cython_lapack.__pyx_capi__["dgelsd"]
+    blas = cython_blas.__pyx_capi__
+    capsules = blas["ddot"], blas["dgemv"], cython_lapack.__pyx_capi__["dgelsd"]
     lib.aaopt_set_blas(*(get_pointer(c, get_name(c)) for c in capsules))
     return lib
 

@@ -1,9 +1,10 @@
 """Fixed-point maps for nonsmooth first-order algorithms.
 
-Each step function (for pcd_sweep, the sweep it builds) implements one
-application x -> H(x) of the underlying iteration, so any of them can be
-driven plainly or through the Anderson engine.  A prox callable is built for
-its map's step beta: ``prox(v)`` = argmin g(y) + ||y - v||^2 / (2 beta).
+Each step function (for pga_step and pcd_sweep, the map each builds)
+implements one application x -> H(x) of the underlying iteration, so any of
+them can be driven plainly or through the Anderson engine.  A prox callable
+is built for its map's step beta: ``prox(v)`` = argmin g(y) + ||y - v||^2 /
+(2 beta).
 """
 
 from __future__ import annotations
@@ -61,15 +62,96 @@ def _require_finite(v: np.ndarray, what: str) -> np.ndarray:
     return v
 
 
-def pga_step(grad_f: Grad, g_prox: Prox, beta: float, x: np.ndarray) -> np.ndarray:
-    """Proximal-gradient step: H(x) = prox_{beta g}(x - beta grad f(x)).
+def _checked_csr(M, what: str):
+    """A new CSR on M's arrays, with float data, checked in full: scipy builds a CSR
+    without checking its column indices or that indptr does not decrease, and C
+    indexes with both.  ``what`` names M in the error."""
+    try:
+        M = type(M)((M.data.astype(float, copy=False), M.indices, M.indptr), shape=M.shape)
+        M.check_format(full_check=True)
+    except ValueError as exc:
+        raise ValueError("%s is not a valid CSR matrix: %s" % (what, exc)) from None
+    return M
 
-    ``g_prox`` is prox_{beta g}, built for this ``beta``.
+
+def _csr_arrays(M) -> list[np.ndarray]:
+    """The CSR M's indptr and indices as int64 and its data, each contiguous, for C."""
+    return [np.ascontiguousarray(M.indptr, dtype=np.int64), np.ascontiguousarray(M.indices, dtype=np.int64),
+            np.ascontiguousarray(M.data)]
+
+
+def pga_step(A, y, lam: float, beta: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The lasso's proximal-gradient map, built once for many calls.
+
+    For f(x) = 0.5*||A x - y||^2 and g = lam*||.||_1, with A an m x n dense
+    array or CSR matrix (m, n >= 1) and y of length m, the returned
+    ``step(x)`` is H(x) = soft_threshold(x - beta*A.T(A x - y), beta*lam).
+    It does not modify ``x``, and raises FloatingPointError if the gradient
+    A.T(A x - y) has a NaN or infinite entry.
+
+    One C call (``_kernels.c``) forms H(x) bit for bit as numpy and scipy
+    form A.dot(x) - y, A.T.dot(r), x - beta*g and ``prox.soft_threshold``.
+    A dense A makes its products with the BLAS dgemv of scipy's Cython API,
+    or with its ddot where numpy would, for a product with one output entry,
+    so m and n are at most 2**31 - 1; a dense A that is not C-ordered and
+    aligned is used as a C-ordered copy, whose bits every layout then gets.
+    A CSR A is checked in full first, and its products add their terms in
+    scipy's csr_matvec order, by A and by an A.T built once as CSR.  gcc
+    compiles the C source on first use (see ``aaopt._kernels``), which
+    ``pga_step`` itself makes happen.
+
+    The first call binds the compiled call: it allocates the buffers the
+    map keeps, one for x, one for A x - y and one for H(x), and converts
+    every argument to ctypes once.  Each call then copies x into its buffer,
+    makes one call and returns a copy of the result buffer, so a result
+    never shares memory with the map.  Those buffers make the map not
+    reentrant: two threads must not call the same map at once.
     """
     if not beta > 0:  # negated, so NaN fails too
         raise ValueError("pga_step: beta must be positive")
-    g = _require_finite(np.asarray(grad_f(x), dtype=float), "pga_step: gradient")
-    return g_prox(x - beta * g)
+    if not lam >= 0:
+        raise ValueError("pga_step: lam must be nonnegative")
+    _kernels.library()  # built or loaded now, so a missing gcc fails here, not at a step
+    sparse = issparse(A)
+    A = A.tocsr() if sparse else np.asarray(A)
+    m, n = A.shape
+    if not m or not n:
+        raise ValueError("pga_step: A has shape %s, with no rows or no columns" % (A.shape,))
+    y = np.require(y, float, "CA")
+    if y.shape != (m,):
+        raise ValueError("pga_step: y has shape %s, expected (%d,)" % (y.shape, m))
+    if sparse:
+        A = _checked_csr(A, "pga_step: A")
+        # A.T as CSR, built once; each row's terms come in A's row order, as A.T.dot sums them
+        arrays = _csr_arrays(A) + _csr_arrays(A.T.tocsr())
+    else:
+        if max(m, n) > C_INT_MAX:
+            raise ValueError("pga_step: A has shape %s, larger than BLAS takes" % (A.shape,))
+        A = np.require(A, float, "CA")
+        arrays = [A]
+    bound = None
+
+    def bind():
+        x_buf, r_buf, out = np.empty(n), np.empty(m), np.empty(n)
+        name = "aaopt_pga_csr" if sparse else "aaopt_pga_dense"
+        call = _kernels.bound(name, m, n, *(address(a) for a in arrays), address(y), float(beta),
+                              float(beta * lam), address(x_buf), address(r_buf), address(out))
+        return call, x_buf, out, r_buf
+
+    def step(x: np.ndarray) -> np.ndarray:
+        nonlocal bound
+        x = np.asarray(x, dtype=float)
+        if x.shape != (n,):
+            raise ValueError("pga_step: x has shape %s, expected (%d,)" % (x.shape, n))
+        if bound is None:
+            bound = bind()
+        call, x_buf, out, _ = bound
+        x_buf[:] = x
+        if call():
+            raise FloatingPointError("pga_step: gradient is non-finite")
+        return out.copy()
+
+    return step
 
 
 def _per_row(value, m: int, what: str) -> np.ndarray:
@@ -122,16 +204,8 @@ def pcd_sweep(Z, q, box: BoxBounds, beta: float) -> Callable[[np.ndarray], np.nd
     if longest > C_INT_MAX:
         raise ValueError("pcd_sweep: a row of Z has %d entries, more than BLAS takes" % longest)
     if sparse:
-        # a new CSR on Z's arrays, checked in full: scipy builds a CSR without checking
-        # its column indices or that indptr does not decrease, and C indexes with both
-        try:
-            Z = type(Z)((Z.data.astype(float, copy=False), Z.indices, Z.indptr), shape=Z.shape)
-            Z.check_format(full_check=True)
-        except ValueError as exc:
-            raise ValueError("pcd_sweep: Z is not a valid CSR matrix: %s" % exc) from None
-        indptr = np.ascontiguousarray(Z.indptr, dtype=np.int64)
-        indices = np.ascontiguousarray(Z.indices, dtype=np.int64)
-        data = np.ascontiguousarray(Z.data)
+        Z = _checked_csr(Z, "pcd_sweep: Z")
+        indptr, indices, data = _csr_arrays(Z)
         # Z.T as CSR, built once, so each sweep's u costs one product
         Zt = Z.T.tocsr()
     else:

@@ -44,7 +44,6 @@ from .problems import (
     gen_logreg,
     gen_nnls,
     gen_svm,
-    lasso_grad,
     lasso_objective,
     load_libsvm,
     logreg_grad,
@@ -53,7 +52,7 @@ from .problems import (
     subsample,
     svm_dual_objective,
 )
-from .prox import BoxBounds, nonneg_project, quadratic_ls_prox, soft_threshold
+from .prox import BoxBounds, nonneg_project, quadratic_ls_prox
 
 __all__ = [
     "ConfigError",
@@ -282,14 +281,9 @@ def _build_lasso(cfg: ExperimentConfig, params: dict) -> RunContext:
     generate = lambda m, n, seed, lam: gen_lasso(m, n, lam, params["noise_var"], seed=seed)
     inst = _instance(cfg, params, generate, LassoInstance, lam=params["lambda"])
     beta = _resolve_beta(cfg, params, spectral_norm_sq(inst.A))
-    threshold = beta * inst.lam
-    g_prox = lambda v: soft_threshold(v, threshold)
-    # a CSR A.T, built once, sums as A.T.dot(r) does without a transpose per product
-    At = inst.A.T.tocsr() if issparse(inst.A) else None
-    grad = lambda x: lasso_grad(inst, x, At)
     op = FixedPointOperator(
         dimension=inst.A.shape[1],
-        apply=lambda x: pga_step(grad, g_prox, beta, x),
+        apply=pga_step(inst.A, inst.y, inst.lam, beta),
         objective=lambda X: lasso_objective(inst, X),
     )
     x0 = _x0_rng(cfg.seed).standard_normal(op.dimension)
@@ -594,9 +588,15 @@ def run_sweep(cfg: ExperimentConfig, memories: Sequence[int]) -> list[dict]:
         CONFIG_KEYS["aa.memory"].check("aa.memory", m)
         if m in memories[:i]:  # each run writes its trace under its memory value
             raise ConfigError("sweep lists aa.memory %r twice" % m)
-    legs = [replace(cfg, aa_enabled=False, trace_path=_variant_path(cfg.trace_path, "baseline"))]
+    trace = cfg.trace_path
+    # each leg opens its trace again, and a FIFO's reader takes the first leg's close for the end;
+    # stat opens nothing, so a FIFO without a reader does not block here
+    if trace and os.path.exists(trace) and stat.S_ISFIFO(os.stat(trace).st_mode) and not _is_stdout(trace):
+        raise ConfigError("run.trace: %s is a pipe or FIFO, which sweep does not write: "
+                          "each leg would open it again" % trace)
+    legs = [replace(cfg, aa_enabled=False, trace_path=_variant_path(trace, "baseline"))]
     legs += [replace(cfg, aa_enabled=True, aa=replace(cfg.aa, memory=int(m)),
-                     trace_path=_variant_path(cfg.trace_path, "m%d" % m)) for m in memories]
+                     trace_path=_variant_path(trace, "m%d" % m)) for m in memories]
     for leg in legs:  # every leg's trace path, before the baseline runs
         if leg.trace_path:
             _check_writable(leg.trace_path, "trace")

@@ -180,9 +180,9 @@ def gen_logreg(
 # objectives and gradients
 
 
-def lasso_grad(inst: LassoInstance, x: np.ndarray, At=None) -> np.ndarray:
-    """Gradient of the smooth part 0.5||A x - y||^2; ``At`` is an A.T the caller built once."""
-    return (inst.A.T if At is None else At).dot(inst.A.dot(x) - inst.y)
+def lasso_grad(inst: LassoInstance, x: np.ndarray) -> np.ndarray:
+    """Gradient A.T (A x - y) of the smooth part 0.5||A x - y||^2."""
+    return inst.A.T.dot(inst.A.dot(x) - inst.y)
 
 
 def _row_dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:

@@ -14,7 +14,9 @@ reference for the compiled one.  ``quadratic_ls_prox_reference`` is the
 least-squares prox solved by LAPACK dpotrs, as it stood before its solve
 moved to two BLAS dtrsv calls.  ``irl1_step_reference`` is the reweighted
 step with its pinned coordinates masked out, as it stood before an infinite
-threshold pinned them.
+threshold pinned them.  ``lasso_pga_reference`` is the lasso's
+proximal-gradient map composed in numpy, as it stood before it moved to one
+compiled call.
 """
 
 from __future__ import annotations
@@ -238,6 +240,32 @@ def soft_threshold_reference(v, t) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     return np.where(v > t, v - t, np.where(v < -t, v + t, 0.0))
+
+
+def lasso_pga_reference(A, y, lam: float, beta: float):
+    """H(x) = soft_threshold(x - beta*A.T(A x - y), beta*lam), composed in numpy.
+
+    The library's ``pga_step``, ``lasso_grad`` and ``soft_threshold`` as they
+    stood before the map moved to one compiled call: A.dot(x) - y, then a
+    product with A.T (for a CSR A, an A.T built once as CSR), a check that
+    the gradient is finite, then v - clip(v, -t, t), with 0.0 added when t
+    is 0 and NaN entries set to 0.0.  numpy's overflow warnings are off.
+    """
+    At = A.T.tocsr() if hasattr(A, "tocsr") else A.T
+    t = beta * lam
+
+    def step(x):
+        with np.errstate(all="ignore"):
+            g = np.asarray(At.dot(A.dot(x) - y), dtype=float)
+            if not np.isfinite(g).all():
+                raise FloatingPointError("pga_step: gradient is non-finite")
+            v = x - beta * g
+            out = v - np.minimum(np.maximum(v, -t), t)
+            if t == 0:
+                out += 0.0
+            return np.where(np.isnan(out), 0.0, out)
+
+    return step
 
 
 def irl1_step_reference(grad_f, p: float, lam: float, beta: float, mu: float, theta) -> np.ndarray:

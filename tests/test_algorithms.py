@@ -51,23 +51,23 @@ def test_fixed_point_operator_requires_an_objective():
 
 
 def test_pga_step_hand_value():
-    # f(x) = 0.5||x - a||^2, g = 0.3 ||.||_1, beta = 1: one step from a lands
-    # on the exact minimizer soft(a, 0.3).
+    # A = I and y = a: f(x) = 0.5||x - a||^2, g = 0.3 ||.||_1, beta = 1: one
+    # step from a lands on the exact minimizer soft(a, 0.3).
     a = np.array([1.0, -0.1, 0.5])
-    out = pga_step(lambda x: x - a, l1_prox(0.3, 1.0), 1.0, a)
+    out = pga_step(np.eye(3), a, 0.3, 1.0)(a)
     assert np.array_equal(out, soft_threshold(a, 0.3))
 
 
 def test_pga_step_fixed_point_at_minimizer():
     a = np.array([1.0])
     star = soft_threshold(a, 0.3)  # argmin 0.5(x-1)^2 + 0.3|x|
-    out = pga_step(lambda x: x - a, l1_prox(0.3, 1.0), 1.0, star)
+    out = pga_step(np.eye(1), a, 0.3, 1.0)(star)
     assert np.allclose(out, star, atol=1e-15)
 
 
 def test_pga_step_nonfinite_gradient_raises():
     with pytest.raises(FloatingPointError):
-        pga_step(lambda x: x * np.nan, l1_prox(1.0, 1.0), 1.0, np.ones(3))
+        pga_step(np.eye(3), np.array([np.nan, 0.0, 0.0]), 1.0, 1.0)(np.ones(3))
 
 
 @pytest.mark.filterwarnings("error")
@@ -75,20 +75,21 @@ def test_pga_step_nonfinite_gradient_raises():
 def test_huge_finite_gradients_pass_silently_and_non_finite_ones_raise(bad):
     huge = np.array([1e200, -1e200, 3.0])  # finite, but huge.huge overflows
     assert _require_finite(huge, "v") is huge
-    out = pga_step(lambda x: huge, l1_prox(0.5, 1.0), 1.0, np.zeros(3))
+    # A = I and y = -g make the gradient at 0 equal g
+    out = pga_step(np.eye(3), -huge, 0.5, 1.0)(np.zeros(3))
     assert np.array_equal(out, [-1e200, 1e200, -2.5])
     with pytest.raises(FloatingPointError, match="gradient is non-finite"):
-        pga_step(lambda x: np.array([1e200, bad, 3.0]), l1_prox(0.5, 1.0), 1.0, np.zeros(3))
+        pga_step(np.eye(3), -np.array([1e200, bad, 3.0]), 0.5, 1.0)(np.zeros(3))
 
 
 def test_pga_step_rejects_bad_beta():
     with pytest.raises(ValueError):
-        pga_step(lambda x: x, l1_prox(1.0, 1.0), -1.0, np.ones(2))
+        pga_step(np.eye(2), np.ones(2), 1.0, -1.0)
 
 
 NAN_STEPS = [
-    ("pga_step: beta must be positive",
-     lambda: pga_step(lambda x: x, l1_prox(1.0, 1.0), math.nan, np.ones(2))),
+    ("pga_step: beta must be positive", lambda: pga_step(np.eye(2), np.ones(2), 1.0, math.nan)),
+    ("pga_step: lam must be nonnegative", lambda: pga_step(np.eye(2), np.ones(2), math.nan, 1.0)),
     ("pcd_sweep: beta must be positive",
      lambda: pcd_sweep(np.eye(2), 0.0, BoxBounds(0.0, 1.0), math.nan)),
     ("irl1_step: beta must be positive",

@@ -265,6 +265,19 @@ def test_a_trace_to_a_fifo_reaches_its_reader(tmp_path):
     assert assert_trace_then_summary(received[0].splitlines() + out.stdout.splitlines()) > 100
 
 
+def test_a_sweep_refuses_a_fifo_trace_before_any_run(tmp_path):
+    # each leg opened the FIFO again: with no reader the baseline's open waited
+    # forever, and a reader that read once saw its end of file after the baseline
+    fifo = tmp_path / "trace.fifo"
+    os.mkfifo(fifo)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(LASSO_CFG + "run.trace = %s\n" % fifo, encoding="utf-8")
+    out = run_cli(tmp_path, "sweep", str(cfg), "--memory", "2", capture_output=True)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == ("error: run.trace: %s is a pipe or FIFO, which sweep does not write: "
+                          "each leg would open it again\n" % fifo)
+
+
 def test_a_sweep_refuses_a_trace_path_of_a_later_leg_before_any_run(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(LASSO_CFG + "run.trace = %s\n" % (tmp_path / "t.csv"), encoding="utf-8")

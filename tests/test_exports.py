@@ -22,6 +22,7 @@ ALLOWED_WITHOUT_CALLER = {
     "admm_step": "criterion 08 checks the ADMM/DRS correspondence with it",
     "irl1_beta_window": "criterion 12 checks the contractivity window formula with it",
     "svm_dual_grad": "criterion 04 checks it against central differences",
+    "lasso_grad": "criterion 04 checks it against central differences",
     "nnls_grad": "criterion 04 checks it against central differences",
     "identification_iter": "criterion 10 uses it, and the benchmark's tracer patches it by name",
     "cg_solve_spd": "the benchmark's tracer patches it by name",

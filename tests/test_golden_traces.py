@@ -102,7 +102,7 @@ GOLDEN = {
 # labels are +-1.  Without the family's problem keys, lasso keeps the default
 # of five rejections before a restart.
 CSR_CELLS = [
-    ("lasso", "ista", False), ("lasso", "ista", True),
+    ("lasso", "ista", False), ("lasso", "ista", True), ("lasso", "fista", False),
     ("svm", "pcd", False), ("svm", "pcd", True),
     ("nnls", "drs", False), ("nnls", "drs", True),
 ]
@@ -116,6 +116,10 @@ GOLDEN_CSR = {
         "3febbab3b1fc72fefab194ccb397094fe4bcaa44cd28455fc58d2c25528a585d", 1352, 573, 1035, 7.623351100767888e-11),
     ("lasso", "ista", True, 1): (
         "8090929830ce51e05252b495c3ce8d509f50b31b2069120515ec953e4e7d0457", 1500, 440, 868, 3.0321109842299654e-06),
+    ("lasso", "fista", False, 0): (
+        "e092215d47811281438c42b001bdc1dc3d6c18533940e8c02e89d2e46ee79866", 1500, 0, 844, 6.678468798161759e-06),
+    ("lasso", "fista", False, 1): (
+        "de59241f314a3995835b0b8c6f5d6ff341165f17e55567d8ff228745c917a3d6", 1500, 0, 661, 6.578533033820033e-06),
     ("svm", "pcd", False, 0): (
         "9a2eecb9ec98e19dee950e76ecac5efdfc0e9b7592f6489d8b95004afe3f65b7", 400, 0, 341, 0.008748418608834478),
     ("svm", "pcd", False, 1): (

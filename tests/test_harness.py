@@ -11,10 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import aaopt._kernels
 import aaopt.harness
 import aaopt.linalg
 import aaopt.prox
-from aaopt.algorithms import drs_parts, pga_step
+from aaopt.algorithms import drs_parts
 from aaopt.cli import main
 from aaopt.manifold import identification_iter, pattern_limits, pattern_of, support_size
 from aaopt.harness import (
@@ -39,14 +40,13 @@ from aaopt.problems import (
     gen_lasso,
     gen_nnls,
     gen_svm,
-    lasso_grad,
     lasso_objective,
     load_libsvm,
     nnls_objective,
     subsample,
 )
 from aaopt.prox import nonneg_project, quadratic_ls_prox, soft_threshold
-from oracles import objective_terms, svm_pcd_sweep_reference, write_libsvm
+from oracles import lasso_pga_reference, objective_terms, svm_pcd_sweep_reference, write_libsvm
 
 LASSO_SMALL = {
     "problem.kind": "lasso",
@@ -836,21 +836,23 @@ LASSO_40X200 = {**LASSO_SMALL, "problem.rows": "40", "problem.cols": "200", "pro
 
 
 def lasso_reference():
-    """The LASSO_40X200 instance and its map, built without the harness."""
+    """The LASSO_40X200 instance and its map composed in numpy, built without the harness."""
     inst = gen_lasso(40, 200, lam=0.01, seed=0)
     beta = 1.0 / aaopt.linalg.spectral_norm_sq(inst.A)
-    g_prox = lambda v: soft_threshold(v, beta * inst.lam)
-    return inst, lambda x: pga_step(lambda z: lasso_grad(inst, z), g_prox, beta, x)
+    return inst, lasso_pga_reference(inst.A, inst.y, inst.lam, beta)
 
 
-def build_counting_lasso(monkeypatch, cfg, caller: list, products: dict):
-    """build_operator(cfg), with products by A (not by A^T) counted by caller from then on.
+def build_counting_lasso(monkeypatch, cfg, caller: list, products: dict, kernel_calls: dict):
+    """build_operator(cfg), with products by A (not by A^T) and calls of the compiled
+    map counted by caller from then on.
 
     The instance's matrix is an ndarray subclass, injected through the
     harness's gen_lasso, that counts ``A.dot(x)`` and ``X @ A.T`` and then
     returns the plain product, so the run computes what it computes without it.
+    The compiled map's bound call is wrapped, through ``_kernels.bound``, in a
+    count of its own.
     """
-    real = aaopt.harness.gen_lasso
+    real, real_bound = aaopt.harness.gen_lasso, aaopt._kernels.bound
     shape = None
 
     class CountingMatrix(np.ndarray):
@@ -870,7 +872,16 @@ def build_counting_lasso(monkeypatch, cfg, caller: list, products: dict):
         shape = inst.A.shape
         return replace(inst, A=inst.A.view(CountingMatrix))
 
+    def bound_counting(*args):
+        call = real_bound(*args)
+
+        def counted():
+            kernel_calls[caller[0]] += 1
+            return call()
+        return counted
+
     monkeypatch.setattr(aaopt.harness, "gen_lasso", gen_counting)
+    monkeypatch.setattr(aaopt._kernels, "bound", bound_counting)
     ctx = build_operator(cfg)
     products.update(dict.fromkeys(products, 0))  # the set-up's power iteration
     return ctx
@@ -883,7 +894,8 @@ def test_lasso_run_forms_one_residual_per_evaluation(monkeypatch, algorithm, aa)
     caller = ["loop"]
     calls = {"apply": 0, "objective": 0}
     products = {"loop": 0, "apply": 0, "objective": 0}
-    ctx = build_counting_lasso(monkeypatch, cfg, caller, products)
+    kernel_calls = dict(products)
+    ctx = build_counting_lasso(monkeypatch, cfg, caller, products, kernel_calls)
 
     def inside(name, fn):
         def wrapped(x):
@@ -903,8 +915,10 @@ def test_lasso_run_forms_one_residual_per_evaluation(monkeypatch, algorithm, aa)
         assert any(r.accepted for r in records[1:]) and not all(r.accepted for r in records[1:])
     elif algorithm == "ista":
         assert calls["apply"] == len(records)
-    # one A x per evaluation of H, and one product per block of objectives
-    assert products == {"loop": 0, "apply": calls["apply"], "objective": calls["objective"]}
+    # no product by A outside the compiled map, and one per block of objectives
+    assert products == {"loop": 0, "apply": 0, "objective": calls["objective"]}
+    # one compiled call per evaluation of H, which forms A x once
+    assert kernel_calls == {"loop": 0, "apply": calls["apply"], "objective": 0}
 
 
 def test_lasso_map_and_objective_match_direct_evaluation():

@@ -1,12 +1,15 @@
-"""The compiled coordinate sweep: bitwise equal to the Python loop, and the loader
-of the compiled kernels.
+"""The compiled coordinate sweep and lasso map: bitwise equal to the Python code
+they replaced, and the loader of the compiled kernels.
 
 ``pcd_sweep`` runs its row loop in C (``aaopt/_kernels.c``), compiled on first
 use and cached; the Anderson weight solve in the same library is checked in
 ``test_anderson.py``.  ``oracles.pcd_sweep_reference`` is the Python loop it
 replaced; the two must agree byte for byte on every layout of Z numpy and
 scipy can hand over, on every kind of bound, and on signed zeros, values at
-the bounds and huge coordinates.
+the bounds and huge coordinates.  ``pga_step`` forms the lasso map in one C
+call; ``oracles.lasso_pga_reference`` is the numpy composition it replaced,
+and the two must agree byte for byte on dense and CSR matrices of any shape,
+on signed zeros, NaN and infinite iterates, and on zero thresholds.
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aaopt import _kernels, harness
-from aaopt.algorithms import pcd_sweep
+from aaopt.algorithms import pcd_sweep, pga_step
 from aaopt.prox import BoxBounds
 from conftest import zeros_view
-from oracles import pcd_sweep_reference
+from oracles import lasso_pga_reference, pcd_sweep_reference
 
 VALUE = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-10.0, 10.0), st.floats(-1e150, 1e150))
 LAYOUTS = ["C", "F", "rows reversed", "columns reversed", "unaligned", "csr32", "csr64"]
@@ -243,6 +246,162 @@ def test_a_csr_is_checked_without_changing_it():
 
 
 # ---------------------------------------------------------------------------
+# the lasso map
+
+
+@st.composite
+def lasso_maps(draw):
+    """A, y, lam, beta and x for ``pga_step``.
+
+    Shapes of one row or one column come often: there numpy forms a product
+    by ddot or daxpy instead of dgemv.  A CSR stores each row's entries in
+    any order, a column more than once, and zeros of either sign.
+    """
+    size = st.one_of(st.just(1), st.integers(1, 6), st.integers(16, 40))  # BLAS unrolls by 16 and more
+    m, n = draw(size), draw(size)
+    if draw(st.booleans()):
+        if draw(st.booleans()):  # values of every magnitude, whose sums round differently in each order
+            rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+            values = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (m, n))
+        else:
+            values = np.array(draw(st.lists(VALUE, min_size=m * n, max_size=m * n))).reshape(m, n)
+        keep = np.array(draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))).reshape(m, n)
+        A = np.where(keep, values, 0.0)
+    else:
+        indptr, indices, data = [0], [], []
+        for _ in range(m):
+            row = draw(st.lists(st.tuples(st.integers(0, n - 1), VALUE), max_size=min(2 * n, 12)))
+            indices += [j for j, _ in row]
+            data += [v for _, v in row]
+            indptr.append(len(indices))
+        matrix = draw(st.sampled_from([sp.csr_matrix, sp.csr_array]))
+        A = matrix((np.array(data, dtype=float), np.array(indices, dtype=np.int32), np.array(indptr)),
+                   shape=(m, n))
+    y = np.array(draw(st.lists(VALUE, min_size=m, max_size=m)))
+    lam = draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(0.0, 1e150)))
+    beta = draw(st.floats(1e-6, 10.0))
+    special = st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+    x = np.array(draw(st.lists(st.one_of(VALUE, special), min_size=n, max_size=n)))
+    return A, y, lam, beta, x
+
+
+def outcome(step, x):
+    """``step(x)``, or the message of the FloatingPointError it raised."""
+    try:
+        return step(x)
+    except FloatingPointError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=lasso_maps())
+@example(case=(np.array([[1e-200], [-1e-200], [3.0]]), np.zeros(3), 0.0, 1.0, np.array([1e-200])))
+@example(case=(np.array([[math.inf], [2.0]]), np.zeros(2), 0.5, 1.0, np.array([-0.0])))
+@example(case=(np.array([[2.0, -1e-200, 0.5]]), np.array([1.0]), 0.0, 0.5, np.array([1e-200, 3.0, -0.0])))
+@example(case=(sp.csr_matrix((np.array([-0.0, 1.0, 2.0, 0.0]), np.array([2, 0, 2, 1]), np.array([0, 3, 4])),
+                             shape=(2, 3)), np.array([1.0, -1.0]), 0.1, 0.5, np.array([-0.0, math.nan, 1.0])))
+def test_compiled_lasso_map_is_bitwise_the_numpy_composition(case):
+    A, y, lam, beta, x = case
+    before = [a.tobytes() for a in (y, x)] + [A.data.tobytes() if sp.issparse(A) else A.tobytes()]
+    got, want = pga_step(A, y, lam, beta), lasso_pga_reference(A, y, lam, beta)
+    point = x
+    for _ in range(3):  # chained, so each step starts from a point the last one produced
+        a, b = outcome(got, point), outcome(want, point)
+        if isinstance(b, str):
+            assert a == b == "pga_step: gradient is non-finite"
+            break
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        again = got(point)
+        assert again.tobytes() == a.tobytes()
+        assert not np.shares_memory(again, a) and not np.shares_memory(a, point)
+        point = a
+    assert [a.tobytes() for a in (y, x)] + [A.data.tobytes() if sp.issparse(A) else A.tobytes()] == before
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_a_lasso_map_with_one_row_or_column_is_bitwise_the_numpy_composition(sparse):
+    # numpy forms a product whose matrix has one row by ddot, which sums in
+    # another order than dgemv, and a product with a vector of length 1 by daxpy
+    rng = np.random.default_rng(13)
+    for k in range(2, 65):
+        for shape in ((1, k), (k, 1)):
+            A = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+            y, x = rng.standard_normal(shape[0]), rng.standard_normal(shape[1])
+            A = sp.csr_matrix(A) if sparse else A
+            got = pga_step(A, y, 0.0, 0.1)(x)
+            assert got.tobytes() == lasso_pga_reference(A, y, 0.0, 0.1)(x).tobytes(), shape
+
+
+def test_every_dense_layout_maps_as_the_c_layout():
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        A = rng.standard_normal((7, 24)) * 10.0 ** rng.uniform(-3.0, 3.0, (7, 24))
+        y, x = rng.standard_normal(7), rng.standard_normal(24)
+        c = pga_step(A, y, 0.1, 1e-3)
+        want = c(c(c(x))).tobytes()
+        assert want == lasso_pga_reference(A, y, 0.1, 1e-3)(c(c(x))).tobytes()
+        for layout in LAYOUTS:
+            if not layout.startswith("csr"):
+                got = pga_step(laid_out(A, A != 0.0, layout), y, 0.1, 1e-3)
+                assert got(got(got(x))).tobytes() == want, layout
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_a_lasso_map_built_from_temporaries_keeps_its_buffers(sparse):
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((9, 40)) * (rng.random((9, 40)) < 0.6)
+    x = rng.standard_normal(40)
+    scaled = lambda: sp.csr_matrix(2.0 * A) if sparse else 2.0 * A
+    # every array handed over is a temporary: the map alone keeps it alive
+    step = pga_step(scaled(), np.linspace(-1.0, 1.0, 9), 0.05, 0.01)
+    litter = litter_the_heap()
+    want = lasso_pga_reference(scaled(), np.linspace(-1.0, 1.0, 9), 0.05, 0.01)
+    assert step(x).tobytes() == want(x).tobytes()
+    litter += litter_the_heap()  # the first step made the buffers it works in
+    a, b = step(step(x)), want(want(x))
+    assert a.tobytes() == b.tobytes()
+    assert all(np.isnan(v).all() for v in litter)  # nor did it write into freed memory
+    del litter
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_a_lasso_map_binds_its_call_at_the_first_step(monkeypatch, sparse):
+    # binding when the map is made would put the buffers and ctypes conversions into every set-up
+    binds = []
+    real = _kernels.bound
+    monkeypatch.setattr(_kernels, "bound", lambda *args: binds.append(args[0]) or real(*args))
+    A = np.arange(12.0).reshape(3, 4)
+    step = pga_step(sp.csr_matrix(A) if sparse else A, np.ones(3), 0.1, 0.01)
+    assert binds == []
+    want = lasso_pga_reference(A, np.ones(3), 0.1, 0.01)
+    for x in (np.ones(4), np.zeros(4)):
+        assert step(x).tobytes() == want(x).tobytes()
+    assert binds == ["aaopt_pga_csr" if sparse else "aaopt_pga_dense"]
+
+
+@pytest.mark.parametrize("args, why", [
+    ((np.zeros((0, 3)), np.zeros(0)), r"A has shape \(0, 3\), with no rows or no columns"),
+    ((sp.csr_matrix((2, 0)), np.zeros(2)), r"A has shape \(2, 0\), with no rows or no columns"),
+    ((np.ones((2, 3)), np.zeros(3)), r"y has shape \(3,\), expected \(2,\)"),
+    ((sp.csr_matrix((np.ones(2), np.array([0, 3]), np.array([0, 1, 2])), shape=(2, 3)), np.zeros(2)),
+     "A is not a valid CSR matrix: indices must be < 3"),
+])
+def test_a_lasso_map_refuses_what_c_cannot_take(args, why):
+    with pytest.raises(ValueError, match="^pga_step: " + why):
+        pga_step(*args, 0.1, 1.0)
+
+
+def test_a_lasso_iterate_of_the_wrong_shape_is_rejected():
+    A = np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0]])
+    for A in (A, sp.csr_matrix(A)):
+        step, want = pga_step(A, np.ones(2), 0.1, 0.2), lasso_pga_reference(A, np.ones(2), 0.1, 0.2)
+        for _ in range(2):  # before the first step binds the call, then after it
+            with pytest.raises(ValueError, match=r"^pga_step: x has shape \(2,\), expected \(3,\)"):
+                step(np.zeros(2))
+            assert step(np.ones(3)).tobytes() == want(np.ones(3)).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # building, caching and loading the library
 
 
@@ -354,15 +513,15 @@ def run_without_a_compiler(tmp_path, monkeypatch, kind: str, aa: bool):
         return exc, len(evaluations)
 
 
-@pytest.mark.parametrize("kind", ["lasso", "nnls", "logreg"])
-def test_a_plain_run_of_lasso_nnls_or_logreg_needs_no_compiler(tmp_path, monkeypatch, kind):
+@pytest.mark.parametrize("kind", ["nnls", "logreg"])
+def test_a_plain_run_of_nnls_or_logreg_needs_no_compiler(tmp_path, monkeypatch, kind):
     summary, evaluations = run_without_a_compiler(tmp_path, monkeypatch, kind, aa=False)
     assert isinstance(summary, dict), summary
     assert summary["iterations"] == 20 and evaluations == 21
     assert _kernels._loaded is None
 
 
-@pytest.mark.parametrize("kind, aa", [("lasso", True), ("nnls", True), ("logreg", True),
+@pytest.mark.parametrize("kind, aa", [("lasso", False), ("lasso", True), ("nnls", True), ("logreg", True),
                                       ("svm", False), ("svm", True)])
 def test_a_run_that_needs_the_compiler_fails_before_evaluating_the_map(tmp_path, monkeypatch, kind, aa):
     error, evaluations = run_without_a_compiler(tmp_path, monkeypatch, kind, aa)
