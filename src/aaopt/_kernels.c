@@ -1,8 +1,10 @@
 /*
  * The compiled kernels: one cyclic sweep of proximal coordinate descent,
- * dense and CSR, the lasso proximal-gradient map, dense and CSR, the
- * Anderson weight solve and the Anderson candidate.  They call the ddot,
- * dgemv and dgelsd of scipy's Cython API, set once by aaopt_set_blas.
+ * dense and CSR, the lasso proximal-gradient map, dense and CSR, and the
+ * Anderson step around the evaluations of H: the weight solve with its
+ * sum-to-one fix-up (a port of CPython's math.fsum), the candidate, and the
+ * safeguard with the push into the history.  They call the ddot, dgemv and
+ * dgelsd of scipy's Cython API, set once by aaopt_set_blas.
  *
  * The sweep's arithmetic is the Python sweep's, operation for operation, so
  * the results are bitwise equal to it:
@@ -19,6 +21,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* Fortran BLAS and LAPACK, every argument by reference; the callers check the int sizes */
 typedef double (*ddot_fn)(const int *n, const double *x, const int *incx, const double *y,
@@ -47,6 +50,9 @@ void aaopt_set_blas(void *ddot_address, void *dgemv_address, void *dgelsd_addres
 #define AAOPT_NO_MEMORY (-3)
 #define AAOPT_TAU_OVERFLOW (-4)
 #define AAOPT_SINGULAR (-5)
+#define AAOPT_FSUM_OVERFLOW (-6)
+#define AAOPT_FSUM_INF_MINUS_INF (-7)
+#define AAOPT_NOT_SUMMING_TO_ONE (-8)
 
 static double row_dot(int64_t n, const double *z, const double *u)
 {
@@ -225,6 +231,127 @@ static double pairwise_sum(const double *v, int64_t n, int absolute)
 }
 
 /*
+ * CPython's math.fsum (Modules/mathmodule.c), ported: Shewchuk's exact
+ * partials, then the top partials added until the sum turns inexact, with
+ * the half-even fix-up across partials.  That sum is correctly rounded, so
+ * *sum is Python's, bit for bit.  p has room for n doubles: each term adds
+ * at most one partial.  Returns 0, or what Python raises as a status:
+ * AAOPT_FSUM_OVERFLOW for OverflowError("intermediate overflow in fsum"),
+ * AAOPT_FSUM_INF_MINUS_INF for ValueError("-inf + inf in fsum").  A NaN
+ * term, or infinite terms of one sign, make *sum their plain sum.
+ */
+int64_t aaopt_fsum(int64_t n, const double *v, double *p, double *sum)
+{
+    int64_t count = 0;
+    double special_sum = 0.0, inf_sum = 0.0, x, y, t, hi, yr, lo = 0.0;
+    for (int64_t k = 0; k < n; k++) {
+        double xsave = x = v[k];
+        int64_t i = 0;
+        for (int64_t j = 0; j < count; j++) {
+            y = p[j];
+            if (fabs(x) < fabs(y)) {
+                t = x;
+                x = y;
+                y = t;
+            }
+            hi = x + y;
+            yr = hi - x;
+            lo = y - yr;
+            if (lo != 0.0)
+                p[i++] = lo;
+            x = hi;
+        }
+        count = i;
+        if (x != 0.0) {
+            if (!isfinite(x)) {
+                /* x is inf or NaN; from a finite term, the partials overflowed */
+                if (isfinite(xsave))
+                    return AAOPT_FSUM_OVERFLOW;
+                if (isinf(xsave))
+                    inf_sum += xsave;
+                special_sum += xsave;
+                count = 0;
+            } else
+                p[count++] = x;
+        }
+    }
+    if (special_sum != 0.0) {
+        if (isnan(inf_sum))
+            return AAOPT_FSUM_INF_MINUS_INF;
+        *sum = special_sum;
+        return 0;
+    }
+    hi = 0.0;
+    if (count > 0) {
+        hi = p[--count];
+        while (count > 0) {
+            x = hi;
+            y = p[--count];
+            hi = x + y;
+            yr = hi - x;
+            lo = y - yr;
+            if (lo != 0.0)
+                break;
+        }
+        /* round half-even across partials: sum([1e-16, 1, 1e16]) is 1e16 + 2 */
+        if (count > 0 && ((lo < 0.0 && p[count - 1] < 0.0) || (lo > 0.0 && p[count - 1] > 0.0))) {
+            y = lo * 2.0;
+            x = hi + y;
+            yr = x - hi;
+            if (y == yr)
+                hi = x;
+        }
+    }
+    *sum = hi;
+    return 0;
+}
+
+/*
+ * The index of the largest |v[i]|, or of the smallest: the first of equals,
+ * or the first NaN, as np.argmax (np.argmin) of np.abs(v) picks it.
+ */
+static int64_t pick(const double *v, int64_t n, int largest)
+{
+    int64_t best = 0;
+    double m = fabs(v[0]);
+    for (int64_t i = 1; i < n && !isnan(m); i++) {
+        double a = fabs(v[i]);
+        if (largest ? !(a <= m) : !(a >= m)) {
+            m = a;
+            best = i;
+        }
+    }
+    return best;
+}
+
+/*
+ * The sum-to-one contract of the n >= 1 weights alpha.  An ill-conditioned
+ * solve can return weights so large that plain float summation no longer
+ * resolves the sum: the excess fsum(alpha) - 1 goes into the largest
+ * |alpha[i]|, and the excess left after that into the smallest.  Returns 0,
+ * aaopt_fsum's failure, AAOPT_NO_MEMORY, or AAOPT_NOT_SUMMING_TO_ONE if the
+ * excess left exceeds 1e-12 in magnitude or is NaN.
+ */
+static int64_t sum_to_one(double *alpha, int64_t n)
+{
+    double stack[64], *p = n <= 64 ? stack : malloc((size_t)n * sizeof(double)), total = 0.0;
+    if (!p)
+        return AAOPT_NO_MEMORY;
+    int64_t status = aaopt_fsum(n, alpha, p, &total);
+    double excess = total - 1.0;
+    for (int largest = 1; status == 0 && largest >= 0 && excess != 0.0; largest--) {
+        alpha[pick(alpha, n, largest)] -= excess;
+        status = aaopt_fsum(n, alpha, p, &total);
+        excess = total - 1.0;
+    }
+    if (p != stack)
+        free(p);
+    if (status == 0 && !(fabs(excess) <= 1e-12))
+        status = AAOPT_NOT_SUMMING_TO_ONE;
+    return status;
+}
+
+/*
  * The Anderson weights of the n x ncol residual matrix R, whose entry
  * (i, j) is R[i*row_stride + j*col_stride], as numpy.linalg.lstsq finds
  * them.  With p = ncol - 1 >= 1 and D = R[:, :-1] - R[:, 1:], theta solves
@@ -243,13 +370,15 @@ static double pairwise_sum(const double *v, int64_t n, int absolute)
  * bit for bit.  p >= 1, so max(rows, p) is also b's leading dimension.
  * alpha (length ncol) gets e0 + C theta: every other term of that product
  * is an exact zero, and 0.0 + turns a -0.0 into the +0.0 the product gives.
- * alpha is then divided by its sum, taken as numpy's alpha.sum() takes it.
+ * alpha is then divided by its sum, taken as numpy's alpha.sum() takes it,
+ * and fixed up by sum_to_one.  With one column (p = 0) there is no system:
+ * alpha is [1] once R is finite.
  *
  * Returns the rank of the system, or AAOPT_NONFINITE if R has a NaN or
  * infinite entry, AAOPT_TAU_OVERFLOW if the automatic tau is infinite,
  * AAOPT_NO_CONVERGENCE if dgelsd reports info != 0 or an entry of D
  * overflows (numpy's lstsq fails on both), AAOPT_SINGULAR if alpha's sum is
- * zero or not finite, or AAOPT_NO_MEMORY.
+ * zero or not finite, sum_to_one's failures, or AAOPT_NO_MEMORY.
  */
 int64_t aaopt_aa_weights(int64_t n, int64_t ncol, const double *R, int64_t row_stride,
                          int64_t col_stride, double tau, double *alpha)
@@ -257,6 +386,13 @@ int64_t aaopt_aa_weights(int64_t n, int64_t ncol, const double *R, int64_t row_s
     /* the squares of R in R's memory order, for the automatic tau */
     double *squares = NULL;
     int by_columns = row_stride != 0 && col_stride != 0 && llabs(col_stride) > llabs(row_stride);
+    if (ncol == 1) {
+        for (int64_t i = 0; i < n; i++)
+            if (!isfinite(R[i * row_stride]))
+                return AAOPT_NONFINITE;
+        alpha[0] = 1.0;
+        return 1;
+    }
     if (tau < 0.0) {
         size_t size = (size_t)(n * ncol) * sizeof(double);
         squares = malloc(size ? size : 1);
@@ -342,9 +478,13 @@ int64_t aaopt_aa_weights(int64_t n, int64_t ncol, const double *R, int64_t row_s
         double total = 0.0 + pairwise_sum(alpha, ncol, 0);
         if (!isfinite(total) || total == 0.0)
             status = AAOPT_SINGULAR;
-        else
+        else {
             for (int64_t i = 0; i < ncol; i++)
                 alpha[i] /= total;
+            int64_t fixed = sum_to_one(alpha, ncol);
+            if (fixed < 0)
+                status = fixed;
+        }
     }
     free(work);
     free(a);
@@ -355,13 +495,30 @@ int64_t aaopt_aa_weights(int64_t n, int64_t ncol, const double *R, int64_t row_s
  * The Anderson candidate: out = sum_j alpha[j] * H_j over the ncol rows of
  * the stack H, whose row j has its entry k at H[j*row_stride + k*col_stride].
  * Each entry of out adds its terms alpha[j]*H_j[k] in index order onto
- * -0.0, as a loop over the rows does.  Returns the l1 norm of alpha as
+ * -0.0, as a loop over the rows does; four entries at a time keep their
+ * sums in registers, which changes no bit.  Returns the l1 norm of alpha as
  * numpy's np.abs(alpha).sum() gives it.
  */
 double aaopt_aa_combine(int64_t ncol, int64_t n, const double *H, int64_t row_stride,
                         int64_t col_stride, const double *alpha, double *out)
 {
-    for (int64_t k = 0; k < n; k++) {
+    int64_t k = 0;
+    for (; k + 4 <= n; k += 4) {
+        const double *h = H + k * col_stride;
+        double s0 = -0.0, s1 = -0.0, s2 = -0.0, s3 = -0.0;
+        for (int64_t j = 0; j < ncol; j++) {
+            const double a = alpha[j], *row = h + j * row_stride;
+            s0 = s0 + a * row[0];
+            s1 = s1 + a * row[col_stride];
+            s2 = s2 + a * row[2 * col_stride];
+            s3 = s3 + a * row[3 * col_stride];
+        }
+        out[k] = s0;
+        out[k + 1] = s1;
+        out[k + 2] = s2;
+        out[k + 3] = s3;
+    }
+    for (; k < n; k++) {
         const double *h = H + k * col_stride;
         double sum = -0.0;
         for (int64_t j = 0; j < ncol; j++)
@@ -369,4 +526,103 @@ double aaopt_aa_combine(int64_t ncol, int64_t n, const double *H, int64_t row_st
         out[k] = sum;
     }
     return 0.0 + pairwise_sum(alpha, ncol, 1);
+}
+
+/*
+ * The engine's state, which anderson.AaState binds once per allocation of
+ * its buffers.  The int64 array s holds the scalars below; the float64
+ * array f holds tau (negative: the automatic one), the safeguard factor
+ * theta and the newest residual norm.  The ncol stored entries occupy the
+ * window [head, head + ncol) of three buffers, newest first: the rows of
+ * hbuf (width x n, C order) hold H(x), the columns of rbuf (n x width,
+ * C order) the residuals, and norms (width) their norms.
+ */
+#define S_N 0
+#define S_WIDTH 1
+#define S_HEAD 2
+#define S_NCOL 3
+#define S_MEMORY 4
+#define S_FINITE 5
+#define F_TAU 0
+#define F_THETA 1
+#define F_NORM 2
+
+/* the weights of the stored residuals; returns ncol, or aaopt_aa_weights' failure */
+int64_t aaopt_aa_weights_state(const int64_t *s, const double *f, const double *rbuf,
+                               double *alpha)
+{
+    int64_t status = aaopt_aa_weights(s[S_N], s[S_NCOL], rbuf + s[S_HEAD], s[S_WIDTH], 1,
+                                      f[F_TAU], alpha);
+    return status < 0 ? status : s[S_NCOL];
+}
+
+/* the candidate of the stored evaluations; s[S_FINITE] says whether it is finite */
+double aaopt_aa_combine_state(int64_t *s, const double *hbuf, const double *alpha, double *out)
+{
+    int64_t n = s[S_N];
+    double l1 = aaopt_aa_combine(s[S_NCOL], n, hbuf + s[S_HEAD] * n, n, 1, alpha, out);
+    s[S_FINITE] = 1;
+    for (int64_t k = 0; k < n; k++)
+        if (!isfinite(out[k])) {
+            s[S_FINITE] = 0;
+            break;
+        }
+    return l1;
+}
+
+/*
+ * The rest of a step, given H's value h at a point x.  mode says what to do:
+ *   - AAOPT_JUDGE: x is the candidate.  Form r = h - x and its norm
+ *     sqrt(0.0 + ddot(r, r)) (numpy's r.dot(r)), and push the entry only if
+ *     the norm is finite and at most theta times the smallest stored norm
+ *     (a NaN stored norm is skipped unless it comes first, as Python's min
+ *     does, and a NaN bound rejects);
+ *   - AAOPT_PLAIN: x is the newest stored evaluation; form r and push;
+ *   - AAOPT_KEEP: push the h, r and norm that the last judge formed.
+ * Returns 1 if the entry was pushed.  A push keeps the newest
+ * min(ncol, memory) entries and writes the new one just before them; when
+ * the window starts at 0, the kept entries move to the end of the buffers
+ * first, which width >= 2*(memory + 1) keeps clear of them.  A restart sets
+ * s[S_NCOL] to 0 before the push.
+ */
+#define AAOPT_JUDGE 0
+#define AAOPT_PLAIN 1
+#define AAOPT_KEEP 2
+
+int64_t aaopt_aa_push(int64_t *s, double *f, double *hbuf, double *rbuf, double *norms,
+                      const double *h, const double *x, double *r, int64_t mode)
+{
+    int64_t n = s[S_N], width = s[S_WIDTH], head = s[S_HEAD], ncol = s[S_NCOL];
+    if (mode != AAOPT_KEEP) {
+        if (mode == AAOPT_PLAIN)
+            x = hbuf + head * n;
+        for (int64_t k = 0; k < n; k++)
+            r[k] = h[k] - x[k];
+        f[F_NORM] = sqrt(row_dot(n, r, r));
+    }
+    double norm = f[F_NORM];
+    if (mode == AAOPT_JUDGE) {
+        double best = norms[head];
+        for (int64_t j = 1; j < ncol; j++)
+            if (norms[head + j] < best)
+                best = norms[head + j];
+        if (!(isfinite(norm) && norm <= f[F_THETA] * best))
+            return 0;
+    }
+    int64_t keep = ncol < s[S_MEMORY] ? ncol : s[S_MEMORY];
+    if (head == 0) {
+        head = width - keep;
+        memcpy(hbuf + head * n, hbuf, (size_t)(keep * n) * sizeof(double));
+        for (int64_t i = 0; i < n; i++)
+            memcpy(rbuf + i * width + head, rbuf + i * width, (size_t)keep * sizeof(double));
+        memcpy(norms + head, norms, (size_t)keep * sizeof(double));
+    }
+    head -= 1;
+    memcpy(hbuf + head * n, h, (size_t)n * sizeof(double));
+    for (int64_t i = 0; i < n; i++)
+        rbuf[i * width + head] = r[i];
+    norms[head] = norm;
+    s[S_HEAD] = head;
+    s[S_NCOL] = keep + 1;
+    return 1;
 }

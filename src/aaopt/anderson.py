@@ -20,8 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _kernels
-from ._kernels import C_INT_MAX, address
-from .linalg import all_finite
+from ._kernels import C_INT_MAX
 
 __all__ = [
     "AaConfig",
@@ -68,82 +67,141 @@ class AaConfig:
             raise ValueError("AaConfig: restart_after_rejects must be an integer >= 1")
 
 
+# the slots of AaState.ints and AaState.reals, as _kernels.c numbers them
+_N, _WIDTH, _HEAD, _NCOL, _MEMORY, _FINITE = range(6)
+_TAU, _THETA, _NORM = range(3)
+# the tau that asks aaopt_aa_weights for the automatic one
+_AUTOMATIC_TAU = -1.0
+_WRONG_SHAPE = "%s: H returned an array of shape %s, expected %s"
+_BAD_LAYOUT = "AaState: the history arrays do not have the layout that init_state makes"
+
+
 @dataclass
 class AaState:
     """Iteration state: the newest-first history and the run of rejections.
 
-    The history sits in two buffers with room for 2*(memory+1) entries,
-    allocated at the first step.  The ncol stored entries occupy the window
-    [head, head + ncol), newest first:
+    The history sits in three buffers with room for ``width`` entries, which
+    the first step grows to 2*(memory+1).  The ncol stored entries occupy the
+    window [head, head + ncol), newest first:
 
-    - ``hbuf`` is C-ordered with one evaluation per row; row head + j is
-      H(x^(k-j)).
-    - ``rbuf`` is C-ordered with one residual per column; column head + j is
+    - ``hbuf`` is (width x n), C-ordered; row head + j is H(x^(k-j)).
+    - ``rbuf`` is (n x width), C-ordered; column head + j is
       r^j = H(x^(k-j)) - x^(k-j).  The window's columns are the weight
-      solve's residual matrix R as a view, with the element layout of a
-      column stack of the residuals.
-    - ``r_norms[j]`` caches the norm of r^j; its length is ncol, at most
-      memory+1.
+      solve's residual matrix R, which the solve reads in place.
+    - ``norms[head + j]`` caches the norm of r^j.
 
-    A new entry goes in just before the window, so a step copies no stored
-    entry; only when the window reaches index 0 are the kept entries moved
-    to the end of the buffers.  ``h_hist`` and ``r_hist`` are read-only
-    (ncol x n) views of the stored evaluations and residuals, newest first.
+    ``ints`` holds the scalars that the compiled kernels read and write: n,
+    width, head, ncol, memory, and whether the last candidate was finite.
+    ``reals`` holds tau (negative for the automatic one), the safeguard
+    factor theta and the newest residual norm.  A new entry goes in just
+    before the window, so a step copies no stored entry; only when the
+    window reaches index 0 are the kept entries moved to the end of the
+    buffers.  ``head``, ``r_norms`` (a list), ``h_hist`` and ``r_hist``
+    read the state; the last two are read-only (ncol x n) views of the
+    stored evaluations and residuals, newest first.
 
-    The state also holds the scratch that the compiled weight solve and
-    candidate write, with the addresses of the buffers and the scratch,
-    taken once for each pair of buffers (see ``_Scratch``).
+    The first step grows the buffers and binds the kernels to them (see
+    ``_Bound``), so later steps take no address and convert no argument.
     """
 
     hbuf: np.ndarray
     rbuf: np.ndarray
-    r_norms: list[float]
-    head: int = 0
+    norms: np.ndarray
+    ints: np.ndarray
+    reals: np.ndarray
     reject_streak: int = 0
-    _scratch: _Scratch = field(init=False, repr=False, compare=False)
+    _bound: _Bound | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self._scratch = _Scratch(self.hbuf, self.rbuf)
+    @property
+    def head(self) -> int:
+        return self.ints.item(_HEAD)
 
-    def _bound(self) -> _Scratch:
-        """The scratch of the current buffers, taken anew when they were replaced."""
-        scratch = self._scratch
-        if scratch.hbuf is not self.hbuf or scratch.rbuf is not self.rbuf:
-            scratch = self._scratch = _Scratch(self.hbuf, self.rbuf)
-        return scratch
+    @property
+    def r_norms(self) -> list[float]:
+        head = self.ints.item(_HEAD)
+        return self.norms[head : head + self.ints.item(_NCOL)].tolist()
 
     @property
     def h_hist(self) -> np.ndarray:
-        return _read_only(self.hbuf[self.head : self.head + len(self.r_norms)])
+        head = self.ints.item(_HEAD)
+        return _read_only(self.hbuf[head : head + self.ints.item(_NCOL)])
 
     @property
     def r_hist(self) -> np.ndarray:
-        return _read_only(self.rbuf[:, self.head : self.head + len(self.r_norms)].T)
+        head = self.ints.item(_HEAD)
+        return _read_only(self.rbuf[:, head : head + self.ints.item(_NCOL)].T)
 
 
-class _Scratch:
-    """The history buffers, the kernels' output arrays, and the addresses of all four.
+class _Bound:
+    """The kernels of a step, bound to a state's arrays and to the step's scratch.
 
-    Reading an array's address through numpy takes microseconds (about
-    2.5 us on a 2-core x86 host), so the engine takes them here, once for
-    each pair of buffers: at ``init_state`` and after ``_push`` grows them.
-    ``alpha`` has room for a weight per buffer entry and ``candidate`` for
-    one evaluation; ``alpha_l1`` is the l1 norm of the weights of the last
-    candidate formed here.  Holding the buffers keeps alive all that the
-    addresses point at.
+    ``alpha`` and ``candidate`` receive the weights and the candidate,
+    ``h_in`` a value of H (see ``take``) and ``r`` its residual.  Reading an
+    array's address through numpy takes about 2.5 us on a 2-core x86 host,
+    and ctypes converts each argument of a call anew, so both happen here,
+    once for each allocation of the buffers.  ``arrays`` keeps alive all
+    that the bound calls point at.  ``given`` is the weights that
+    ``compute_alpha`` last returned for the current window, and
+    ``alpha_l1`` their l1 norm once ``aa_candidate`` has used them.
     """
 
-    __slots__ = ("hbuf", "rbuf", "alpha", "candidate", "h_at", "r_at", "alpha_at", "candidate_at", "alpha_l1")
+    __slots__ = ("memory", "theta", "arrays", "alpha", "candidate", "h_in", "weights", "combine",
+                 "judge", "plain", "keep", "given", "alpha_l1")
 
-    def __init__(self, hbuf: np.ndarray, rbuf: np.ndarray):
-        width, n = hbuf.shape
-        for buf, shape in ((hbuf, (width, n)), (rbuf, (n, width))):
-            if buf.dtype != np.float64 or buf.shape != shape or not (buf.flags.c_contiguous and buf.flags.aligned):
-                raise ValueError("AaState: hbuf and rbuf must be C-ordered float arrays of shapes (w, n) and (n, w)")
-        self.hbuf, self.rbuf = hbuf, rbuf
-        self.alpha, self.candidate = np.empty(width), np.empty(n)
-        self.h_at, self.r_at, self.alpha_at, self.candidate_at = map(address, (hbuf, rbuf, self.alpha, self.candidate))
-        self.alpha_l1 = math.nan
+    def __init__(self, state: AaState, memory: int, theta: float):
+        n, width = state.ints.item(_N), state.ints.item(_WIDTH)
+        self.memory, self.theta = memory, theta
+        self.alpha, self.candidate, self.h_in, r = np.empty(width), np.empty(n), np.empty(n), np.empty(n)
+        self.arrays = (state.ints, state.reals, state.hbuf, state.rbuf, state.norms, self.alpha,
+                       self.candidate, self.h_in, r)
+        ints, reals, hbuf, rbuf, norms, alpha, candidate, h_in, r = map(_kernels.address, self.arrays)
+        self.weights = _kernels.bound("aaopt_aa_weights_state", ints, reals, rbuf, alpha)
+        self.combine = _kernels.bound("aaopt_aa_combine_state", ints, hbuf, alpha, candidate)
+        # aaopt_aa_push's modes: judge the candidate, push the plain step, keep the judged entry
+        self.judge, self.plain, self.keep = (
+            _kernels.bound("aaopt_aa_push", ints, reals, hbuf, rbuf, norms, h_in, candidate, r, mode)
+            for mode in range(3))
+        self.given, self.alpha_l1 = None, math.nan
+
+    def take(self, value) -> None:
+        """Copy a value of H into ``h_in``; one of another shape is refused, not broadcast."""
+        h = np.asarray(value, dtype=float)
+        if h.shape != self.h_in.shape:
+            raise ValueError(_WRONG_SHAPE % ("safeguarded_step", h.shape, self.h_in.shape))
+        self.h_in[...] = h
+
+
+def _bind(state: AaState, memory: int, theta: float) -> _Bound:
+    """Grow the buffers to 2*(memory+1) entries if they are narrower, and bind the kernels.
+
+    The kernels trust the layout that ``init_state`` makes, so a state
+    built another way is checked first.
+    """
+    ints = state.ints
+    if not (ints.dtype == np.int64 and ints.shape == (6,) and ints.flags.c_contiguous and ints.flags.writeable):
+        raise ValueError(_BAD_LAYOUT)
+    n, width, head, ncol = (ints.item(i) for i in (_N, _WIDTH, _HEAD, _NCOL))
+    layout = ((state.hbuf, (width, n)), (state.rbuf, (n, width)), (state.norms, (width,)), (state.reals, (3,)))
+    if not (0 <= head and 1 <= ncol and head + ncol <= width) or any(
+            a.dtype != np.float64 or a.shape != shape or not (a.flags.c_contiguous and a.flags.aligned)
+            or not a.flags.writeable for a, shape in layout):
+        raise ValueError(_BAD_LAYOUT)
+    want = 2 * (memory + 1)
+    if width < want:
+        # the stored entries go to the end of the new buffers
+        start = want - ncol
+        hbuf, rbuf, norms = np.empty((want, n)), np.empty((n, want)), np.empty(want)
+        hbuf[start:] = state.hbuf[head : head + ncol]
+        rbuf[:, start:] = state.rbuf[:, head : head + ncol]
+        norms[start:] = state.norms[head : head + ncol]
+        state.hbuf, state.rbuf, state.norms = hbuf, rbuf, norms
+        ints[_WIDTH], ints[_HEAD] = want, start
+    # a weight solve has at most n + memory + 1 rows
+    if n + memory + 1 > C_INT_MAX:
+        raise ValueError("safeguarded_step: vectors of length %d make a weight system larger than LAPACK takes" % n)
+    ints[_MEMORY], state.reals[_THETA] = memory, theta
+    state._bound = _Bound(state, memory, theta)
+    return state._bound
 
 
 def _read_only(view: np.ndarray) -> np.ndarray:
@@ -182,28 +240,43 @@ def init_state(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray) -> AaS
         raise ValueError("init_state: x0 must be a vector, got shape %s" % (x0.shape,))
     _kernels.library()
     h0 = np.asarray(apply(x0), dtype=float)
+    if h0.shape != x0.shape:
+        raise ValueError(_WRONG_SHAPE % ("init_state", h0.shape, x0.shape))
     r0 = h0 - x0
-    return AaState(hbuf=h0[None, :].copy(), rbuf=r0[:, None].copy(), r_norms=[math.sqrt(float(r0.dot(r0)))])
+    norm = math.sqrt(float(r0.dot(r0)))
+    return AaState(hbuf=h0[None, :].copy(), rbuf=r0[:, None].copy(), norms=np.array([norm]),
+                   ints=np.array([x0.size, 1, 0, 1, 0, 1], dtype=np.int64),
+                   reals=np.array([_AUTOMATIC_TAU, 1.0, norm]))
 
 
 _NONFINITE_R = "compute_alpha: residual matrix contains non-finite entries"
-# aaopt_aa_weights's negative returns
+# the negative returns of aaopt_aa_weights
 _WEIGHT_FAILURES = {
     -1: (ValueError, _NONFINITE_R),
     -2: (np.linalg.LinAlgError, "SVD did not converge in Linear Least Squares"),
     -3: (MemoryError, "compute_alpha: no memory for the weight solve"),
     -4: (ValueError, "compute_alpha: the automatic tau 1e-10*||R||_F^2 overflows"),
     -5: (np.linalg.LinAlgError, "compute_alpha: weight solve is singular"),
+    # math.fsum's own errors
+    -6: (OverflowError, "intermediate overflow in fsum"),
+    -7: (ValueError, "-inf + inf in fsum"),
+    -8: (np.linalg.LinAlgError, "compute_alpha: weights failed the sum-to-one contract"),
 }
-# the tau that asks aaopt_aa_weights for the automatic one
-_AUTOMATIC_TAU = -1.0
+
+
+def _check_weights(status: int) -> int:
+    if status < 0:
+        error, message = _WEIGHT_FAILURES[status]
+        raise error(message)
+    return status
 
 
 def compute_alpha(R: np.ndarray | AaState, tau: float | None = None) -> np.ndarray:
     """Solve min ||R a||^2 + tau*||a||^2 subject to sum(a) = 1.
 
     Columns of R are residuals ordered newest first; an ``AaState`` in place
-    of R stands for its stored residuals.  ``tau=None`` is the automatic
+    of R stands for its stored residuals, and once a step has bound the
+    state, its weights come back read-only.  ``tau=None`` is the automatic
     1e-10 * ||R||_F^2, bit for bit ``1e-10 * float((R*R).sum())``.  The
     constraint is eliminated by the difference parametrization a = e_0 +
     C theta (which enforces the sum exactly), the resulting unconstrained
@@ -214,62 +287,45 @@ def compute_alpha(R: np.ndarray | AaState, tau: float | None = None) -> np.ndarr
     The solve runs in C (``aaopt_aa_weights`` in ``_kernels.c``), which
     reads R in place, sums the automatic tau's squares in numpy's pairwise
     order, writes the system exactly as numpy's SVD least-squares solver
-    would, calls LAPACK dgelsd through scipy's Cython API, and divides the
-    weights by their sum as numpy sums them.  So the system may have at most
-    2**31 - 1 rows.  The first solve with two or more columns loads the
-    compiled library (see ``aaopt._kernels``).
+    would, calls LAPACK dgelsd through scipy's Cython API (so the system
+    may have at most 2**31 - 1 rows), and divides the weights by their sum
+    as numpy sums them.  An ill-conditioned solve can return weights so
+    large that plain float summation no longer resolves the sum constraint
+    (the safeguard rejects such candidates, but the weights it sees must
+    still sum to one), so the kernel then moves the excess that
+    ``math.fsum`` finds, ported to C, into the largest weight, and what is
+    left into the smallest.  The first call loads the compiled library (see
+    ``aaopt._kernels``).
     """
     if isinstance(R, AaState):
-        scratch, head = R._bound(), R.head
-        R = scratch.rbuf[:, head : head + len(R.r_norms)]
-    else:
-        scratch, R = None, np.asarray(R, dtype=float)
+        bound = R._bound
+        # negated, so NaN fails too; a bad tau is refused by the array form
+        if bound is not None and (tau is None or 0.0 <= tau < math.inf):
+            R.reals[_TAU] = _AUTOMATIC_TAU if tau is None else tau
+            alpha = bound.given = bound.alpha[: _check_weights(bound.weights())].copy()
+            return _read_only(alpha)
+        R = R.r_hist.T
+    R = np.asarray(R, dtype=float)
     if R.ndim != 2 or R.shape[1] < 1:
         raise ValueError("compute_alpha: R must have at least one column")
     n, ncol = R.shape
     # negated, so NaN fails too
-    bad_tau = tau is not None and not 0.0 <= tau < math.inf
-    if ncol == 1 or bad_tau:
+    if tau is not None and not 0.0 <= tau < math.inf:
         # no C call here, so R is scanned in Python; as in C, its check comes first
         if not np.isfinite(R).all():
             raise ValueError(_NONFINITE_R)
-        if bad_tau:
-            raise ValueError("compute_alpha: tau must be finite and nonnegative")
-        return np.ones(1)
+        raise ValueError("compute_alpha: tau must be finite and nonnegative")
     # the rows and columns of the system; the automatic tau counts as a ridge
-    if max(n if tau == 0.0 else n + ncol, ncol) > C_INT_MAX:
+    if ncol > 1 and max(n if tau == 0.0 else n + ncol, ncol) > C_INT_MAX:
         raise ValueError("compute_alpha: R of shape %s makes a system larger than LAPACK takes" % (R.shape,))
-
-    if scratch is None:
-        # an aligned R has whole-element strides in every dimension longer than
-        # one; a copy keeps R's memory order, the order of the automatic tau's sum
-        R = R if R.flags.aligned else R.copy(order="K")
-        out = np.empty(ncol)
-        at, out_at = address(R), address(out)
-    else:
-        out, at, out_at = scratch.alpha, scratch.r_at + 8 * head, scratch.alpha_at
-    rank = _kernels.library().aaopt_aa_weights(
-        n, ncol, at, R.strides[0] // 8, R.strides[1] // 8, _AUTOMATIC_TAU if tau is None else tau, out_at)
-    if rank < 0:
-        error, message = _WEIGHT_FAILURES[rank]
-        raise error(message)
-
-    alpha = out if scratch is None else out[:ncol].copy()
-    # An ill-conditioned solve can return weights so large that plain float
-    # summation no longer resolves the sum constraint (the safeguard rejects
-    # such candidates, but the weights it sees must still sum to one).
-    # Redistribute the compensated-summation slack: first into the largest
-    # weight, then the leftover rounding into the smallest.
-    excess = math.fsum(alpha.tolist()) - 1.0
-    for pick in (np.argmax, np.argmin):
-        if excess == 0.0:
-            break
-        alpha[int(pick(np.abs(alpha)))] -= excess
-        excess = math.fsum(alpha.tolist()) - 1.0
-    # a non-finite weight makes the excess inf or NaN, which fails this test too
-    if not abs(excess) <= 1e-12:
-        raise np.linalg.LinAlgError("compute_alpha: weights failed the sum-to-one contract")
-    return alpha
+    # an aligned R has whole-element strides in every dimension longer than
+    # one; a copy keeps R's memory order, the order of the automatic tau's sum
+    R = R if R.flags.aligned else R.copy(order="K")
+    out = np.empty(ncol)
+    _check_weights(_kernels.library().aaopt_aa_weights(
+        n, ncol, _kernels.address(R), R.strides[0] // 8, R.strides[1] // 8,
+        _AUTOMATIC_TAU if tau is None else tau, _kernels.address(out)))
+    return out
 
 
 def aa_candidate(h_values: Sequence[np.ndarray] | np.ndarray | AaState, alpha: np.ndarray) -> np.ndarray:
@@ -278,56 +334,31 @@ def aa_candidate(h_values: Sequence[np.ndarray] | np.ndarray | AaState, alpha: n
     ``h_values`` is a sequence of evaluations, their (ncol x n) stack in any
     memory layout, or an ``AaState``, which stands for its stored
     evaluations.  The weighted rows are added one at a time, in index order,
-    by ``aaopt_aa_combine`` in ``_kernels.c``.
+    by ``aaopt_aa_combine`` in ``_kernels.c``.  Given a state with the
+    weights that ``compute_alpha`` returned for it, the kernel reads them
+    where the solve wrote them, and keeps their l1 norm and whether the
+    candidate is finite in the state for the engine.
     """
-    alpha = np.asarray(alpha, dtype=float)
     if isinstance(h_values, AaState):
-        scratch, head = h_values._bound(), h_values.head
-        H = scratch.hbuf[head : head + len(h_values.r_norms)]
-    else:
-        scratch, H = None, np.asarray(h_values, dtype=float)
+        bound = h_values._bound
+        if bound is not None and alpha is bound.given:
+            bound.alpha_l1 = bound.combine()
+            return bound.candidate.copy()
+        h_values = h_values.h_hist
+    alpha = np.asarray(alpha, dtype=float)
+    H = np.asarray(h_values, dtype=float)
     if H.ndim != 2:
         raise ValueError("aa_candidate: expected evaluations or their stack, got shape %s" % (H.shape,))
     if alpha.shape != H.shape[:1]:
         raise ValueError("aa_candidate: %d stored evaluations but weights of shape %s" % (H.shape[0], alpha.shape))
     ncol, n = H.shape
-    if scratch is None:
-        # aligned, so every stride is whole elements; the weights also in C order
-        H, alpha = np.require(H, requirements="A"), np.require(alpha, requirements="CA")
-        out = np.empty(n)
-        at, alpha_at, out_at = address(H), address(alpha), address(out)
-    else:
-        scratch.alpha[:ncol] = alpha
-        out = scratch.candidate
-        at, alpha_at, out_at = scratch.h_at + 8 * n * head, scratch.alpha_at, scratch.candidate_at
-    alpha_l1 = _kernels.library().aaopt_aa_combine(
-        ncol, n, at, H.strides[0] // 8, H.strides[1] // 8, alpha_at, out_at)
-    if scratch is None:
-        return out
-    scratch.alpha_l1 = alpha_l1
-    return out.copy()
-
-
-def _push(state: AaState, h_new: np.ndarray, r_new: np.ndarray, r_norm: float, memory: int) -> None:
-    """Store a new newest entry, keeping at most memory older ones."""
-    keep = min(len(state.r_norms), memory)
-    head = state.head
-    if head == 0 or state.hbuf.shape[0] < 2 * (memory + 1):
-        # no room before the window: move the kept entries to the end of
-        # buffers wide enough that the two ranges never overlap
-        hbuf, rbuf = state.hbuf, state.rbuf
-        width = max(hbuf.shape[0], 2 * (memory + 1))
-        if width > hbuf.shape[0]:
-            state.hbuf = np.empty((width, hbuf.shape[1]))
-            state.rbuf = np.empty((rbuf.shape[0], width))
-        state.hbuf[width - keep :] = hbuf[head : head + keep]
-        state.rbuf[:, width - keep :] = rbuf[:, head : head + keep]
-        head = width - keep
-    head -= 1
-    state.hbuf[head] = h_new
-    state.rbuf[:, head] = r_new
-    state.head = head
-    state.r_norms = [r_norm, *state.r_norms[:keep]]
+    # aligned, so every stride is whole elements; the weights also in C order
+    H, alpha = np.require(H, requirements="A"), np.require(alpha, requirements="CA")
+    out = np.empty(n)
+    _kernels.library().aaopt_aa_combine(
+        ncol, n, _kernels.address(H), H.strides[0] // 8, H.strides[1] // 8, _kernels.address(alpha),
+        _kernels.address(out))
+    return out
 
 
 def safeguarded_step(
@@ -341,44 +372,46 @@ def safeguarded_step(
     rejected (falling back to the plain step H(x^k), which is already stored)
     when it is non-finite or when its residual norm fails the safeguard test;
     ``restart_after_rejects`` consecutive rejections clear the history to the
-    current iterate.
+    current iterate.  H must return a vector of x's shape.  Everything but
+    the evaluations of H runs in the kernels that the first step binds:
+    the residual, its norm, the safeguard and the push into the history
+    run in ``aaopt_aa_push``.
     """
-    head, ncol = state.head, len(state.r_norms)
+    bound = state._bound
+    if bound is None or bound.memory != cfg.memory or bound.theta != cfg.safeguard_factor:
+        bound = _bind(state, cfg.memory, cfg.safeguard_factor)
+    ints = state.ints
+    ncol = ints.item(_NCOL)
     alpha = compute_alpha(state, cfg.tikhonov)
     candidate = aa_candidate(state, alpha)
-    alpha_l1 = state._scratch.alpha_l1
 
-    best_stored = min(state.r_norms)
+    finite = ints.item(_FINITE)
     accepted = False
-    h_cand = r_cand = None
-    if all_finite(candidate):
-        h_cand = np.asarray(apply(candidate), dtype=float)
-        r_cand = h_cand - candidate
-        norm_cand = math.sqrt(float(r_cand.dot(r_cand)))
-        # NaN residuals fail this comparison, i.e. reject
-        accepted = math.isfinite(norm_cand) and norm_cand <= cfg.safeguard_factor * best_stored
+    if finite:
+        bound.take(apply(candidate))
+        accepted = bound.judge() == 1
 
     if accepted:
-        x_next, h_next, r_next, norm_next = candidate, h_cand, r_cand, norm_cand
+        x_next = candidate
         state.reject_streak = 0
     else:
         # plain step H(x^k), already evaluated; copied, as later pushes reuse its row
-        x_next = state.hbuf[head].copy()
-        if h_cand is not None and ncol == 1:
+        x_next = state.hbuf[ints.item(_HEAD)].copy()
+        if finite and ncol == 1:
             # with one column alpha = [1] and the candidate is x_next bit for
-            # bit, so H was just evaluated there
-            h_next, r_next, norm_next = h_cand, r_cand, norm_cand
+            # bit, so H was just evaluated there: the judged entry is pushed
+            push = bound.keep
         else:
-            h_next = np.asarray(apply(x_next), dtype=float)
-            r_next = h_next - x_next
-            norm_next = math.sqrt(float(r_next.dot(r_next)))
+            bound.take(apply(x_next))
+            push = bound.plain
         state.reject_streak += 1
         if state.reject_streak >= cfg.restart_after_rejects:
-            state.r_norms = []
+            ints[_NCOL] = 0
             state.reject_streak = 0
-
-    _push(state, h_next, r_next, norm_next, cfg.memory)
-    diag = AaDiagnostics(alpha=alpha, alpha_l1=alpha_l1, accepted=accepted, residual_norm=norm_next)
+        push()
+    bound.given = None  # the window moved
+    diag = AaDiagnostics(alpha=alpha, alpha_l1=bound.alpha_l1, accepted=accepted,
+                         residual_norm=state.reals.item(_NORM))
     return x_next, diag
 
 

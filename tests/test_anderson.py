@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aaopt import _kernels
 from aaopt.anderson import (
+    _WEIGHT_FAILURES,
     AaConfig,
     aa_candidate,
     compute_alpha,
@@ -525,6 +527,153 @@ def test_history_views_are_read_only():
         state.h_hist[0, 0] = 0.0
     with pytest.raises(ValueError):
         state.r_hist[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("value", [np.array([0.25]), np.zeros(5), np.zeros((4, 1)), 0.25])
+def test_a_map_value_of_the_wrong_shape_is_refused(value):
+    # a (1,) value was broadcast into the history as four rows of 0.25
+    x0 = np.array([1.0, -2.0, 0.5, 3.0])
+    shape = np.shape(value)
+    with pytest.raises(ValueError, match=re.escape("init_state: H returned an array of shape %s, expected (4,)" % (shape,))):
+        init_state(lambda x: value, x0)
+    state, _, _ = run_aa(lambda x: 0.5 * x, x0, AaConfig(memory=3), 2)
+    kept = state.h_hist.copy(), state.r_hist.copy(), state.r_norms
+    message = "safeguarded_step: H returned an array of shape %s, expected (4,)" % (shape,)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        safeguarded_step(lambda x: value, state, AaConfig(memory=3))
+    assert state.h_hist.tobytes() == kept[0].tobytes() and state.r_hist.tobytes() == kept[1].tobytes()
+    assert state.r_norms == kept[2]
+
+
+def test_a_step_after_the_first_takes_no_address_and_binds_nothing(monkeypatch):
+    # the first step grows the buffers and binds its kernels once
+    calls = []
+    for name in ("address", "bound"):
+        real = getattr(_kernels, name)
+        monkeypatch.setattr(_kernels, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+    rng = np.random.default_rng(3)
+    G = rng.standard_normal((6, 6))
+    G *= 1.1 / np.linalg.norm(G, 2)
+    apply = lambda x: soft_threshold(G @ x + 1.0, 0.2)
+    cfg = AaConfig(memory=3, restart_after_rejects=2)
+    state = init_state(apply, rng.standard_normal(6))
+    assert calls == []
+    safeguarded_step(apply, state, cfg)
+    assert "bound" in calls and "address" in calls
+    calls.clear()
+    diags = [safeguarded_step(apply, state, cfg)[1] for _ in range(40)]
+    # accepted and rejected candidates, restarts, and the window moved to the end of the buffers
+    assert any(d.accepted for d in diags) and not all(d.accepted for d in diags)
+    assert calls == []
+
+
+def test_a_new_memory_or_safeguard_rebinds_and_matches_the_list_reference():
+    # each step may take another config; the history keeps min(ncol, memory) + 1 entries
+    rng = np.random.default_rng(11)
+    G = rng.standard_normal((5, 5))
+    G *= 0.9 / np.linalg.norm(G, 2)
+    apply = lambda x: soft_threshold(G @ x + 0.5, 0.1)
+    x0 = rng.standard_normal(5)
+    state, ref = init_state(apply, x0), list_init_state(apply, x0)
+    for memory, safeguard in [(2, 1.0), (2, 1.0), (6, 1.0), (6, 1.5), (1, 1.5), (9, 1.0)] * 3:
+        cfg = AaConfig(memory=memory, safeguard_factor=safeguard, restart_after_rejects=3)
+        want = list_aa_step(apply, ref, cfg)
+        x, diag = safeguarded_step(apply, state, cfg)
+        assert x.tobytes() == want[0].tobytes() and diag.alpha.tobytes() == want[1].tobytes()
+        assert (diag.alpha_l1, diag.accepted, diag.residual_norm) == want[2:]
+        assert state.h_hist.tobytes() == np.array(ref.h).tobytes() and state.r_norms == ref.norms
+
+
+def test_a_numpy_integer_memory_runs_as_its_int():
+    # AaConfig takes np.integer memories; the head they made was a numpy
+    # integer, which ctypes refused as an address at the second step
+    apply = lambda x: soft_threshold(0.5 * x + 1.0, 0.1)
+    _, want, x_want = run_aa(apply, np.zeros(3), AaConfig(memory=3), 12)
+    _, got, x_got = run_aa(apply, np.zeros(3), AaConfig(memory=np.int64(3)), 12)
+    assert x_got.tobytes() == x_want.tobytes()
+    assert [(d.alpha.tobytes(), d.residual_norm) for d in got] == [(d.alpha.tobytes(), d.residual_norm) for d in want]
+
+
+def test_the_state_weights_are_read_only_and_serve_only_their_window():
+    apply = lambda x: np.cos(x) + 0.1 * x
+    state, diags, _ = run_aa(apply, np.linspace(-1.0, 2.0, 7), AaConfig(memory=4), 3)
+    alpha = diags[-1].alpha  # what compute_alpha(state) returned in the last step
+    with pytest.raises(ValueError):
+        alpha[0] = 0.5
+    # the window has grown since they were solved: they are combined as any
+    # weights are, not read where the solve wrote them
+    assert len(alpha) == 3 and len(state.h_hist) == 4
+    with pytest.raises(ValueError, match="4 stored evaluations but weights of shape"):
+        aa_candidate(state, alpha)
+    fresh = compute_alpha(state)
+    assert aa_candidate(state, fresh).tobytes() == candidate_reference(state.h_hist, fresh).tobytes()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("hbuf", np.zeros((1, 3))),                      # another n
+    ("rbuf", np.zeros((1, 2))),                      # transposed
+    ("norms", np.zeros(2)),
+    ("reals", np.zeros(3, dtype=np.float32)),
+    ("ints", np.array([2, 1, 0, 2, 0, 1])),          # more columns than the buffers hold
+    ("ints", np.array([2, 1, 0, 1, 0, 1], dtype=np.int32)),
+    ("hbuf", np.zeros((2, 2))[:, :1].T),             # (1, 2), but not C-ordered
+])
+def test_a_state_the_kernels_cannot_read_is_refused_before_binding(field, value):
+    # the bound kernels read and write through raw addresses, by the layout init_state makes
+    state = init_state(lambda x: 0.5 * x, np.array([1.0, 2.0]))
+    setattr(state, field, value)
+    with pytest.raises(ValueError, match="do not have the layout that init_state makes"):
+        safeguarded_step(lambda x: 0.5 * x, state, AaConfig(memory=2))
+
+
+def fsum_in_c(values):
+    """``aaopt_fsum`` of the values: the sum, or the error ``compute_alpha`` raises for its status."""
+    v = np.array(values, dtype=float)
+    partials, out = np.empty(v.size), np.empty(1)
+    status = _kernels.library().aaopt_fsum(v.size, _kernels.address(v), _kernels.address(partials),
+                                           _kernels.address(out))
+    return out.tobytes() if status == 0 else _WEIGHT_FAILURES[status]
+
+
+def fsum_in_python(values):
+    try:
+        return np.float64(math.fsum(values)).tobytes()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("values, want", [
+    ([1e-16, 1.0, 1e16], 1e16 + 2.0),  # the half-even fix-up across partials
+    ([math.inf, 1.0], math.inf),
+    ([math.inf, -math.inf], (ValueError, "-inf + inf in fsum")),
+    ([1e308, 1e308], (OverflowError, "intermediate overflow in fsum")),
+    ([1.0, math.nan, 2.0], math.nan),
+    ([-0.0, -0.0], 0.0),
+    ([], 0.0),
+])
+def test_the_c_fsum_gives_math_fsum_on_its_edge_cases(values, want):
+    got = fsum_in_c(values)
+    assert got == fsum_in_python(values)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got == np.float64(want).tobytes()
+
+
+_WIDE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-16, 1e16])
+
+
+@settings(max_examples=1500, deadline=None)
+@given(terms=st.lists(_WIDE, max_size=40), negated=st.lists(st.integers(0, 39), max_size=12),
+       nudged=st.lists(st.integers(0, 39), max_size=6), specials=st.lists(
+           st.sampled_from([math.inf, -math.inf, math.nan]), max_size=2))
+def test_the_c_fsum_is_math_fsum_bit_for_bit(terms, negated, nudged, specials):
+    # terms spread over every exponent, with exact and near cancellations
+    # (a term's negation, or its neighbour's) and now and then inf or NaN
+    terms = terms + [-terms[i] for i in negated if i < len(terms)]
+    terms += [-math.nextafter(terms[i], 0.0) for i in nudged if i < len(terms)]
+    terms[len(terms) // 2 : len(terms) // 2] = specials
+    assert fsum_in_c(terms) == fsum_in_python(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -850,7 +850,7 @@ def build_counting_lasso(monkeypatch, cfg, caller: list, products: dict, kernel_
     harness's gen_lasso, that counts ``A.dot(x)`` and ``X @ A.T`` and then
     returns the plain product, so the run computes what it computes without it.
     The compiled map's bound call is wrapped, through ``_kernels.bound``, in a
-    count of its own.
+    count of its own; the Anderson engine's bound kernels are left uncounted.
     """
     real, real_bound = aaopt.harness.gen_lasso, aaopt._kernels.bound
     shape = None
@@ -872,8 +872,10 @@ def build_counting_lasso(monkeypatch, cfg, caller: list, products: dict, kernel_
         shape = inst.A.shape
         return replace(inst, A=inst.A.view(CountingMatrix))
 
-    def bound_counting(*args):
-        call = real_bound(*args)
+    def bound_counting(name, *args):
+        call = real_bound(name, *args)
+        if not name.startswith("aaopt_pga_"):
+            return call
 
         def counted():
             kernel_calls[caller[0]] += 1
