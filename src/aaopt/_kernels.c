@@ -1,10 +1,11 @@
 /*
  * The compiled kernels: one cyclic sweep of proximal coordinate descent,
  * dense and CSR, the lasso proximal-gradient map, dense and CSR, and the
- * Anderson step around the evaluations of H: the weight solve with its
- * sum-to-one fix-up (a port of CPython's math.fsum), the candidate, and the
- * safeguard with the push into the history.  They call the ddot, dgemv and
- * dgelsd of scipy's Cython API, set once by aaopt_set_blas.
+ * Anderson step around the evaluations of H, on the engine's state in
+ * place: the weight solve with its sum-to-one fix-up (a port of CPython's
+ * math.fsum), the candidate, and the safeguard with the push into the
+ * history.  They call the ddot, dgemv and dgelsd of scipy's Cython API,
+ * set once by aaopt_set_blas.
  *
  * The sweep's arithmetic is the Python sweep's, operation for operation, so
  * the results are bitwise equal to it:
@@ -352,43 +353,60 @@ static int64_t sum_to_one(double *alpha, int64_t n)
 }
 
 /*
- * The Anderson weights of the n x ncol residual matrix R, whose entry
- * (i, j) is R[i*row_stride + j*col_stride], as numpy.linalg.lstsq finds
- * them.  With p = ncol - 1 >= 1 and D = R[:, :-1] - R[:, 1:], theta solves
+ * The engine's state, which the kernels below read and write in place;
+ * anderson.AaState binds them once per allocation of its buffers.  The
+ * int64 array s holds the scalars below; the float64 array f holds tau
+ * (negative: the automatic one), the safeguard factor theta and the newest
+ * residual norm.  The ncol stored entries occupy the
+ * window [head, head + ncol) of three buffers, newest first: the rows of
+ * hbuf (width x n, C order) hold H(x), the columns of rbuf (n x width,
+ * C order) the residuals, and norms (width) their norms.
+ */
+#define S_N 0
+#define S_WIDTH 1
+#define S_HEAD 2
+#define S_NCOL 3
+#define S_MEMORY 4
+#define S_FINITE 5
+#define F_TAU 0
+#define F_THETA 1
+#define F_NORM 2
+
+/*
+ * The Anderson weights of the n x ncol residual matrix R, the window's
+ * columns of rbuf, for tau = f[F_TAU], as numpy.linalg.lstsq finds them.
+ * With p = ncol - 1 >= 1 and D = R[:, :-1] - R[:, 1:], theta solves
  *
  *   [D; root*C] theta ~ [R[:, 0]; -root*e0]
  *
  * by dgelsd, C being the ncol x p backward-difference map (-1 on the
  * diagonal, +1 just below it); with root == 0 only the n x p system D,
  * R[:, 0] is solved, where root = sqrt(tau) if tau > 0, else 0.  A negative
- * tau asks for the automatic tau = 1e-10*||R||_F^2, its squares summed as
- * numpy's (R*R).sum() sums them: R*R keeps R's memory order, which is
- * column-major only if both strides are nonzero and the columns lie farther
- * apart than the rows, and the sum adds in that order.  The Fortran-ordered
- * system, its -0.0 entries, rcond = eps*max(rows, p), the workspace query
- * and the queried lwork are those of numpy's lstsq, so theta is its theta
- * bit for bit.  p >= 1, so max(rows, p) is also b's leading dimension.
- * alpha (length ncol) gets e0 + C theta: every other term of that product
- * is an exact zero, and 0.0 + turns a -0.0 into the +0.0 the product gives.
- * alpha is then divided by its sum, taken as numpy's alpha.sum() takes it,
- * and fixed up by sum_to_one.  With one column (p = 0) there is no system:
- * alpha is [1] once R is finite.
+ * tau asks for the automatic tau = 1e-10*||R||_F^2, its squares summed row
+ * by row, as numpy's (R*R).sum() sums them for a C-ordered R.  The
+ * Fortran-ordered system, its -0.0 entries, rcond = eps*max(rows, p), the
+ * workspace query and the queried lwork are those of numpy's lstsq, so
+ * theta is its theta bit for bit.  p >= 1, so max(rows, p) is also b's
+ * leading dimension.  alpha (length ncol) gets e0 + C theta: every other
+ * term of that product is an exact zero, and 0.0 + turns a -0.0 into the
+ * +0.0 the product gives.  alpha is then divided by its sum, taken as
+ * numpy's alpha.sum() takes it, and fixed up by sum_to_one.  With one
+ * column (p = 0) there is no system: alpha is [1] once R is finite.
  *
- * Returns the rank of the system, or AAOPT_NONFINITE if R has a NaN or
- * infinite entry, AAOPT_TAU_OVERFLOW if the automatic tau is infinite,
- * AAOPT_NO_CONVERGENCE if dgelsd reports info != 0 or an entry of D
- * overflows (numpy's lstsq fails on both), AAOPT_SINGULAR if alpha's sum is
- * zero or not finite, sum_to_one's failures, or AAOPT_NO_MEMORY.
+ * Returns ncol, or AAOPT_NONFINITE if R has a NaN or infinite entry,
+ * AAOPT_TAU_OVERFLOW if the automatic tau is infinite, AAOPT_NO_CONVERGENCE
+ * if dgelsd reports info != 0 or an entry of D overflows (numpy's lstsq
+ * fails on both), AAOPT_SINGULAR if alpha's sum is zero or not finite,
+ * sum_to_one's failures, or AAOPT_NO_MEMORY.
  */
-int64_t aaopt_aa_weights(int64_t n, int64_t ncol, const double *R, int64_t row_stride,
-                         int64_t col_stride, double tau, double *alpha)
+int64_t aaopt_aa_weights(const int64_t *s, const double *f, const double *rbuf, double *alpha)
 {
-    /* the squares of R in R's memory order, for the automatic tau */
-    double *squares = NULL;
-    int by_columns = row_stride != 0 && col_stride != 0 && llabs(col_stride) > llabs(row_stride);
+    int64_t n = s[S_N], ncol = s[S_NCOL], width = s[S_WIDTH];
+    const double *R = rbuf + s[S_HEAD];
+    double tau = f[F_TAU], *squares = NULL; /* the squares of R, for the automatic tau */
     if (ncol == 1) {
         for (int64_t i = 0; i < n; i++)
-            if (!isfinite(R[i * row_stride]))
+            if (!isfinite(R[i * width]))
                 return AAOPT_NONFINITE;
         alpha[0] = 1.0;
         return 1;
@@ -401,13 +419,13 @@ int64_t aaopt_aa_weights(int64_t n, int64_t ncol, const double *R, int64_t row_s
     }
     for (int64_t i = 0; i < n; i++)
         for (int64_t j = 0; j < ncol; j++) {
-            double r = R[i * row_stride + j * col_stride];
+            double r = R[i * width + j];
             if (!isfinite(r)) {
                 free(squares);
                 return AAOPT_NONFINITE;
             }
             if (squares)
-                squares[by_columns ? j * n + i : i * ncol + j] = r * r;
+                squares[i * ncol + j] = r * r;
         }
     if (squares) {
         tau = 1e-10 * (0.0 + pairwise_sum(squares, n * ncol, 0));
@@ -421,18 +439,18 @@ int64_t aaopt_aa_weights(int64_t n, int64_t ncol, const double *R, int64_t row_s
     int m = (int)(root > 0.0 ? n + ncol : n);
     int lda = m > 1 ? m : 1, ldb = m > p ? m : p, min_mp = m < p ? m : p;
     double rcond = DBL_EPSILON * (double)ldb;
-    /* a (lda x p), b (ldb), then s (min_mp); b's rows past m are zero */
+    /* a (lda x p), b (ldb), then the singular values sv (min_mp); b's rows past m are zero */
     size_t a_size = (size_t)lda * (size_t)p;
     double *a = calloc(a_size + (size_t)ldb + (size_t)min_mp, sizeof(double));
     if (!a)
         return AAOPT_NO_MEMORY;
-    double *b = a + a_size, *s = b + ldb, *work = NULL;
+    double *b = a + a_size, *sv = b + ldb, *work = NULL;
 
     for (int j = 0; j < p; j++) {
         double *col = a + (size_t)j * (size_t)lda;
         for (int64_t i = 0; i < n; i++) {
-            const double *r = R + i * row_stride + j * col_stride;
-            col[i] = r[0] - r[col_stride];
+            const double *r = R + i * width + j;
+            col[i] = r[0] - r[1];
             /* dgelsd would print a DLASCL error, and may never return */
             if (!isfinite(col[i]))
                 info = 1;
@@ -443,7 +461,7 @@ int64_t aaopt_aa_weights(int64_t n, int64_t ncol, const double *R, int64_t row_s
         }
     }
     for (int64_t i = 0; i < n; i++)
-        b[i] = R[i * row_stride];
+        b[i] = R[i * width];
     if (root > 0.0) {
         b[n] = -root;
         for (int64_t i = 1; i < ncol; i++)
@@ -454,7 +472,7 @@ int64_t aaopt_aa_weights(int64_t n, int64_t ncol, const double *R, int64_t row_s
     int iwork_query;
     double work_query;
     if (info == 0)
-        dgelsd(&m, &p, &nrhs, a, &lda, b, &ldb, s, &rcond, &rank, &work_query, &query,
+        dgelsd(&m, &p, &nrhs, a, &lda, b, &ldb, sv, &rcond, &rank, &work_query, &query,
                &iwork_query, &info);
     if (info == 0) {
         int lwork = (int)work_query; /* which dgelsd computed as an int */
@@ -463,10 +481,10 @@ int64_t aaopt_aa_weights(int64_t n, int64_t ncol, const double *R, int64_t row_s
         if (!work)
             status = AAOPT_NO_MEMORY;
         else {
-            dgelsd(&m, &p, &nrhs, a, &lda, b, &ldb, s, &rcond, &rank, work, &lwork,
+            dgelsd(&m, &p, &nrhs, a, &lda, b, &ldb, sv, &rcond, &rank, work, &lwork,
                    (int *)(work + lwork), &info);
             if (info == 0)
-                status = rank;
+                status = ncol;
         }
     }
     if (status >= 0) {
@@ -492,26 +510,25 @@ int64_t aaopt_aa_weights(int64_t n, int64_t ncol, const double *R, int64_t row_s
 }
 
 /*
- * The Anderson candidate: out = sum_j alpha[j] * H_j over the ncol rows of
- * the stack H, whose row j has its entry k at H[j*row_stride + k*col_stride].
- * Each entry of out adds its terms alpha[j]*H_j[k] in index order onto
- * -0.0, as a loop over the rows does; four entries at a time keep their
- * sums in registers, which changes no bit.  Returns the l1 norm of alpha as
- * numpy's np.abs(alpha).sum() gives it.
+ * The Anderson candidate: out = sum_j alpha[j] * H_j over the window's rows
+ * H_j of hbuf.  Each entry of out adds its terms alpha[j]*H_j[k] in index
+ * order onto -0.0, as a loop over the rows does; four entries at a time
+ * keep their sums in registers, which changes no bit.  s[S_FINITE] says
+ * whether out is finite.  Returns the l1 norm of alpha as numpy's
+ * np.abs(alpha).sum() gives it.
  */
-double aaopt_aa_combine(int64_t ncol, int64_t n, const double *H, int64_t row_stride,
-                        int64_t col_stride, const double *alpha, double *out)
+double aaopt_aa_combine(int64_t *s, const double *hbuf, const double *alpha, double *out)
 {
-    int64_t k = 0;
+    int64_t n = s[S_N], ncol = s[S_NCOL], k = 0;
+    const double *H = hbuf + s[S_HEAD] * n;
     for (; k + 4 <= n; k += 4) {
-        const double *h = H + k * col_stride;
         double s0 = -0.0, s1 = -0.0, s2 = -0.0, s3 = -0.0;
         for (int64_t j = 0; j < ncol; j++) {
-            const double a = alpha[j], *row = h + j * row_stride;
+            const double a = alpha[j], *row = H + j * n + k;
             s0 = s0 + a * row[0];
-            s1 = s1 + a * row[col_stride];
-            s2 = s2 + a * row[2 * col_stride];
-            s3 = s3 + a * row[3 * col_stride];
+            s1 = s1 + a * row[1];
+            s2 = s2 + a * row[2];
+            s3 = s3 + a * row[3];
         }
         out[k] = s0;
         out[k + 1] = s1;
@@ -519,55 +536,18 @@ double aaopt_aa_combine(int64_t ncol, int64_t n, const double *H, int64_t row_st
         out[k + 3] = s3;
     }
     for (; k < n; k++) {
-        const double *h = H + k * col_stride;
         double sum = -0.0;
         for (int64_t j = 0; j < ncol; j++)
-            sum = sum + alpha[j] * h[j * row_stride];
+            sum = sum + alpha[j] * H[j * n + k];
         out[k] = sum;
     }
-    return 0.0 + pairwise_sum(alpha, ncol, 1);
-}
-
-/*
- * The engine's state, which anderson.AaState binds once per allocation of
- * its buffers.  The int64 array s holds the scalars below; the float64
- * array f holds tau (negative: the automatic one), the safeguard factor
- * theta and the newest residual norm.  The ncol stored entries occupy the
- * window [head, head + ncol) of three buffers, newest first: the rows of
- * hbuf (width x n, C order) hold H(x), the columns of rbuf (n x width,
- * C order) the residuals, and norms (width) their norms.
- */
-#define S_N 0
-#define S_WIDTH 1
-#define S_HEAD 2
-#define S_NCOL 3
-#define S_MEMORY 4
-#define S_FINITE 5
-#define F_TAU 0
-#define F_THETA 1
-#define F_NORM 2
-
-/* the weights of the stored residuals; returns ncol, or aaopt_aa_weights' failure */
-int64_t aaopt_aa_weights_state(const int64_t *s, const double *f, const double *rbuf,
-                               double *alpha)
-{
-    int64_t status = aaopt_aa_weights(s[S_N], s[S_NCOL], rbuf + s[S_HEAD], s[S_WIDTH], 1,
-                                      f[F_TAU], alpha);
-    return status < 0 ? status : s[S_NCOL];
-}
-
-/* the candidate of the stored evaluations; s[S_FINITE] says whether it is finite */
-double aaopt_aa_combine_state(int64_t *s, const double *hbuf, const double *alpha, double *out)
-{
-    int64_t n = s[S_N];
-    double l1 = aaopt_aa_combine(s[S_NCOL], n, hbuf + s[S_HEAD] * n, n, 1, alpha, out);
     s[S_FINITE] = 1;
-    for (int64_t k = 0; k < n; k++)
+    for (k = 0; k < n; k++)
         if (!isfinite(out[k])) {
             s[S_FINITE] = 0;
             break;
         }
-    return l1;
+    return 0.0 + pairwise_sum(alpha, ncol, 1);
 }
 
 /*

@@ -11,8 +11,8 @@ concurrent processes never load a partial file.
 The kernels are the coordinate sweep, the lasso proximal-gradient map and
 the Anderson step around the evaluations of H: the weight solve with its
 sum-to-one fix-up (a port of CPython's ``math.fsum``), the candidate, and the
-safeguard with the push into the history, each in an array form and in a
-form that reads the engine's state.  The sweep's row dots and the residual
+safeguard with the push into the history, each reading and writing the
+engine's state in place.  The sweep's row dots and the residual
 norms call BLAS ``ddot``, the dense lasso map ``dgemv`` and ``ddot``, and the
 weight solve LAPACK ``dgelsd``, all taken from the function pointers that
 scipy's documented Cython API (``scipy.linalg.cython_blas`` and
@@ -51,10 +51,8 @@ _SIGNATURES = {
     "aaopt_pga_dense": ([_i64, _i64, _ptr] + _PGA_TAIL, _i64),
     "aaopt_pga_csr": ([_i64, _i64] + [_ptr] * 6 + _PGA_TAIL, _i64),
     "aaopt_fsum": ([_i64, _ptr, _ptr, _ptr], _i64),
-    "aaopt_aa_weights": ([_i64, _i64, _ptr, _i64, _i64, _f64, _ptr], _i64),
-    "aaopt_aa_combine": ([_i64, _i64, _ptr, _i64, _i64, _ptr, _ptr], _f64),
-    "aaopt_aa_weights_state": ([_ptr] * 4, _i64),
-    "aaopt_aa_combine_state": ([_ptr] * 4, _f64),
+    "aaopt_aa_weights": ([_ptr] * 4, _i64),
+    "aaopt_aa_combine": ([_ptr] * 4, _f64),
     "aaopt_aa_push": ([_ptr] * 8 + [_i64], _i64),
 }
 

@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AaConfig:
     """Tuning knobs for the accelerated iteration.
 
@@ -96,12 +96,13 @@ class AaState:
     factor theta and the newest residual norm.  A new entry goes in just
     before the window, so a step copies no stored entry; only when the
     window reaches index 0 are the kept entries moved to the end of the
-    buffers.  ``head``, ``r_norms`` (a list), ``h_hist`` and ``r_hist``
-    read the state; the last two are read-only (ncol x n) views of the
-    stored evaluations and residuals, newest first.
+    buffers.  ``r_norms`` (a list), ``h_hist`` and ``r_hist`` read the
+    state; the last two are read-only (ncol x n) views of the stored
+    evaluations and residuals, newest first.
 
-    The first step grows the buffers and binds the kernels to them (see
-    ``_Bound``), so later steps take no address and convert no argument.
+    The kernels are bound to the buffers once (see ``_Bound``), so later
+    steps take no address and convert no argument.  A step grows the
+    buffers, and so rebinds, only when its memory needs wider ones.
     """
 
     hbuf: np.ndarray
@@ -111,10 +112,6 @@ class AaState:
     reals: np.ndarray
     reject_streak: int = 0
     _bound: _Bound | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def head(self) -> int:
-        return self.ints.item(_HEAD)
 
     @property
     def r_norms(self) -> list[float]:
@@ -133,7 +130,7 @@ class AaState:
 
 
 class _Bound:
-    """The kernels of a step, bound to a state's arrays and to the step's scratch.
+    """The kernels of a step, bound to a state's buffers and to the step's scratch.
 
     ``alpha`` and ``candidate`` receive the weights and the candidate,
     ``h_in`` a value of H (see ``take``) and ``r`` its residual.  Reading an
@@ -141,22 +138,21 @@ class _Bound:
     and ctypes converts each argument of a call anew, so both happen here,
     once for each allocation of the buffers.  ``arrays`` keeps alive all
     that the bound calls point at.  ``given`` is the weights that
-    ``compute_alpha`` last returned for the current window, and
-    ``alpha_l1`` their l1 norm once ``aa_candidate`` has used them.
+    ``compute_alpha`` last returned for the current window, None until then,
+    and ``alpha_l1`` their l1 norm once ``aa_candidate`` has used them.
     """
 
-    __slots__ = ("memory", "theta", "arrays", "alpha", "candidate", "h_in", "weights", "combine",
-                 "judge", "plain", "keep", "given", "alpha_l1")
+    __slots__ = ("arrays", "alpha", "candidate", "h_in", "weights", "combine", "judge", "plain", "keep",
+                 "given", "alpha_l1")
 
-    def __init__(self, state: AaState, memory: int, theta: float):
+    def __init__(self, state: AaState):
         n, width = state.ints.item(_N), state.ints.item(_WIDTH)
-        self.memory, self.theta = memory, theta
         self.alpha, self.candidate, self.h_in, r = np.empty(width), np.empty(n), np.empty(n), np.empty(n)
         self.arrays = (state.ints, state.reals, state.hbuf, state.rbuf, state.norms, self.alpha,
                        self.candidate, self.h_in, r)
         ints, reals, hbuf, rbuf, norms, alpha, candidate, h_in, r = map(_kernels.address, self.arrays)
-        self.weights = _kernels.bound("aaopt_aa_weights_state", ints, reals, rbuf, alpha)
-        self.combine = _kernels.bound("aaopt_aa_combine_state", ints, hbuf, alpha, candidate)
+        self.weights = _kernels.bound("aaopt_aa_weights", ints, reals, rbuf, alpha)
+        self.combine = _kernels.bound("aaopt_aa_combine", ints, hbuf, alpha, candidate)
         # aaopt_aa_push's modes: judge the candidate, push the plain step, keep the judged entry
         self.judge, self.plain, self.keep = (
             _kernels.bound("aaopt_aa_push", ints, reals, hbuf, rbuf, norms, h_in, candidate, r, mode)
@@ -171,12 +167,8 @@ class _Bound:
         self.h_in[...] = h
 
 
-def _bind(state: AaState, memory: int, theta: float) -> _Bound:
-    """Grow the buffers to 2*(memory+1) entries if they are narrower, and bind the kernels.
-
-    The kernels trust the layout that ``init_state`` makes, so a state
-    built another way is checked first.
-    """
+def _check_layout(state: AaState) -> None:
+    """Refuse a state whose arrays lack the layout that ``init_state`` makes, which the kernels trust."""
     ints = state.ints
     if not (ints.dtype == np.int64 and ints.shape == (6,) and ints.flags.c_contiguous and ints.flags.writeable):
         raise ValueError(_BAD_LAYOUT)
@@ -186,22 +178,36 @@ def _bind(state: AaState, memory: int, theta: float) -> _Bound:
             a.dtype != np.float64 or a.shape != shape or not (a.flags.c_contiguous and a.flags.aligned)
             or not a.flags.writeable for a, shape in layout):
         raise ValueError(_BAD_LAYOUT)
+
+
+def _bind(state: AaState) -> _Bound:
+    """Bind the kernels to the state's buffers as they are."""
+    _check_layout(state)
+    state._bound = _Bound(state)
+    return state._bound
+
+
+def _configure(state: AaState, memory: int, theta: float) -> _Bound:
+    """Write a new memory and theta into the state, first growing its buffers to 2*(memory+1) entries if narrower."""
+    if state._bound is None:
+        _check_layout(state)
+    ints = state.ints
+    n, width, head, ncol = (ints.item(i) for i in (_N, _WIDTH, _HEAD, _NCOL))
     want = 2 * (memory + 1)
     if width < want:
+        # a weight solve has at most n + memory + 1 rows
+        if n + memory + 1 > C_INT_MAX:
+            raise ValueError("safeguarded_step: vectors of length %d make a weight system larger than LAPACK takes" % n)
         # the stored entries go to the end of the new buffers
         start = want - ncol
         hbuf, rbuf, norms = np.empty((want, n)), np.empty((n, want)), np.empty(want)
         hbuf[start:] = state.hbuf[head : head + ncol]
         rbuf[:, start:] = state.rbuf[:, head : head + ncol]
         norms[start:] = state.norms[head : head + ncol]
-        state.hbuf, state.rbuf, state.norms = hbuf, rbuf, norms
+        state.hbuf, state.rbuf, state.norms, state._bound = hbuf, rbuf, norms, None
         ints[_WIDTH], ints[_HEAD] = want, start
-    # a weight solve has at most n + memory + 1 rows
-    if n + memory + 1 > C_INT_MAX:
-        raise ValueError("safeguarded_step: vectors of length %d make a weight system larger than LAPACK takes" % n)
     ints[_MEMORY], state.reals[_THETA] = memory, theta
-    state._bound = _Bound(state, memory, theta)
-    return state._bound
+    return state._bound or _bind(state)
 
 
 def _read_only(view: np.ndarray) -> np.ndarray:
@@ -271,94 +277,57 @@ def _check_weights(status: int) -> int:
     return status
 
 
-def compute_alpha(R: np.ndarray | AaState, tau: float | None = None) -> np.ndarray:
+def compute_alpha(state: AaState, tau: float | None = None) -> np.ndarray:
     """Solve min ||R a||^2 + tau*||a||^2 subject to sum(a) = 1.
 
-    Columns of R are residuals ordered newest first; an ``AaState`` in place
-    of R stands for its stored residuals, and once a step has bound the
-    state, its weights come back read-only.  ``tau=None`` is the automatic
-    1e-10 * ||R||_F^2, bit for bit ``1e-10 * float((R*R).sum())``.  The
-    constraint is eliminated by the difference parametrization a = e_0 +
-    C theta (which enforces the sum exactly), the resulting unconstrained
+    The columns of R are the state's stored residuals, newest first.  The
+    weights come back read-only, and ``aa_candidate`` combines them until
+    the window moves.  ``tau=None`` is the automatic 1e-10 * ||R||_F^2, bit
+    for bit ``1e-10 * float((R*R).sum())`` of R in C order.  The constraint
+    is eliminated by the difference parametrization a = e_0 + C theta
+    (which enforces the sum exactly), the resulting unconstrained
     least-squares problem is solved with an SVD, and the weights are
     renormalized before being returned.  With tau = 0 there is no ridge: a
     rank-deficient system gets LAPACK's minimum-norm solution.
 
     The solve runs in C (``aaopt_aa_weights`` in ``_kernels.c``), which
-    reads R in place, sums the automatic tau's squares in numpy's pairwise
-    order, writes the system exactly as numpy's SVD least-squares solver
-    would, calls LAPACK dgelsd through scipy's Cython API (so the system
-    may have at most 2**31 - 1 rows), and divides the weights by their sum
-    as numpy sums them.  An ill-conditioned solve can return weights so
-    large that plain float summation no longer resolves the sum constraint
-    (the safeguard rejects such candidates, but the weights it sees must
-    still sum to one), so the kernel then moves the excess that
-    ``math.fsum`` finds, ported to C, into the largest weight, and what is
-    left into the smallest.  The first call loads the compiled library (see
-    ``aaopt._kernels``).
+    reads R in the state's buffer, writes the system exactly as numpy's SVD
+    least-squares solver would, calls LAPACK dgelsd through scipy's Cython
+    API, and divides the weights by their sum as numpy sums them.  An
+    ill-conditioned solve can return weights so large that plain float
+    summation no longer resolves the sum constraint (the safeguard rejects
+    such candidates, but the weights it sees must still sum to one), so the
+    kernel then moves the excess that ``math.fsum`` finds, ported to C, into
+    the largest weight, and what is left into the smallest.  The kernels
+    are bound to an unbound state here, as its buffers are.
     """
-    if isinstance(R, AaState):
-        bound = R._bound
-        # negated, so NaN fails too; a bad tau is refused by the array form
-        if bound is not None and (tau is None or 0.0 <= tau < math.inf):
-            R.reals[_TAU] = _AUTOMATIC_TAU if tau is None else tau
-            alpha = bound.given = bound.alpha[: _check_weights(bound.weights())].copy()
-            return _read_only(alpha)
-        R = R.r_hist.T
-    R = np.asarray(R, dtype=float)
-    if R.ndim != 2 or R.shape[1] < 1:
-        raise ValueError("compute_alpha: R must have at least one column")
-    n, ncol = R.shape
+    bound = state._bound or _bind(state)
     # negated, so NaN fails too
     if tau is not None and not 0.0 <= tau < math.inf:
         # no C call here, so R is scanned in Python; as in C, its check comes first
-        if not np.isfinite(R).all():
+        if not np.isfinite(state.r_hist).all():
             raise ValueError(_NONFINITE_R)
         raise ValueError("compute_alpha: tau must be finite and nonnegative")
-    # the rows and columns of the system; the automatic tau counts as a ridge
-    if ncol > 1 and max(n if tau == 0.0 else n + ncol, ncol) > C_INT_MAX:
-        raise ValueError("compute_alpha: R of shape %s makes a system larger than LAPACK takes" % (R.shape,))
-    # an aligned R has whole-element strides in every dimension longer than
-    # one; a copy keeps R's memory order, the order of the automatic tau's sum
-    R = R if R.flags.aligned else R.copy(order="K")
-    out = np.empty(ncol)
-    _check_weights(_kernels.library().aaopt_aa_weights(
-        n, ncol, _kernels.address(R), R.strides[0] // 8, R.strides[1] // 8,
-        _AUTOMATIC_TAU if tau is None else tau, _kernels.address(out)))
-    return out
+    state.reals[_TAU] = _AUTOMATIC_TAU if tau is None else tau
+    alpha = bound.given = bound.alpha[: _check_weights(bound.weights())].copy()
+    return _read_only(alpha)
 
 
-def aa_candidate(h_values: Sequence[np.ndarray] | np.ndarray | AaState, alpha: np.ndarray) -> np.ndarray:
-    """Affine combination sum_j alpha_j h_values[j] (newest-first pairing).
+def aa_candidate(state: AaState) -> np.ndarray:
+    """Affine combination sum_j alpha_j H^(k-j) of the state's stored evaluations.
 
-    ``h_values`` is a sequence of evaluations, their (ncol x n) stack in any
-    memory layout, or an ``AaState``, which stands for its stored
-    evaluations.  The weighted rows are added one at a time, in index order,
-    by ``aaopt_aa_combine`` in ``_kernels.c``.  Given a state with the
-    weights that ``compute_alpha`` returned for it, the kernel reads them
-    where the solve wrote them, and keeps their l1 norm and whether the
-    candidate is finite in the state for the engine.
+    alpha is the weights that ``compute_alpha`` returned for the current
+    window, read where the solve wrote them; a window whose weights were not
+    solved is refused.  The weighted rows are added one at a time, in index
+    order, by ``aaopt_aa_combine`` in ``_kernels.c``, which keeps the
+    weights' l1 norm and whether the candidate is finite in the state for
+    the engine.
     """
-    if isinstance(h_values, AaState):
-        bound = h_values._bound
-        if bound is not None and alpha is bound.given:
-            bound.alpha_l1 = bound.combine()
-            return bound.candidate.copy()
-        h_values = h_values.h_hist
-    alpha = np.asarray(alpha, dtype=float)
-    H = np.asarray(h_values, dtype=float)
-    if H.ndim != 2:
-        raise ValueError("aa_candidate: expected evaluations or their stack, got shape %s" % (H.shape,))
-    if alpha.shape != H.shape[:1]:
-        raise ValueError("aa_candidate: %d stored evaluations but weights of shape %s" % (H.shape[0], alpha.shape))
-    ncol, n = H.shape
-    # aligned, so every stride is whole elements; the weights also in C order
-    H, alpha = np.require(H, requirements="A"), np.require(alpha, requirements="CA")
-    out = np.empty(n)
-    _kernels.library().aaopt_aa_combine(
-        ncol, n, _kernels.address(H), H.strides[0] // 8, H.strides[1] // 8, _kernels.address(alpha),
-        _kernels.address(out))
-    return out
+    bound = state._bound or _bind(state)
+    if bound.given is None:
+        raise ValueError("aa_candidate: the weights of the stored window were not solved; call compute_alpha first")
+    bound.alpha_l1 = bound.combine()
+    return bound.candidate.copy()
 
 
 def safeguarded_step(
@@ -373,17 +342,18 @@ def safeguarded_step(
     when it is non-finite or when its residual norm fails the safeguard test;
     ``restart_after_rejects`` consecutive rejections clear the history to the
     current iterate.  H must return a vector of x's shape.  Everything but
-    the evaluations of H runs in the kernels that the first step binds:
-    the residual, its norm, the safeguard and the push into the history
-    run in ``aaopt_aa_push``.
+    the evaluations of H runs in the kernels bound to the state: the
+    residual, its norm, the safeguard and the push into the history run in
+    ``aaopt_aa_push``.  The buffers grow, and the kernels are bound anew,
+    only when ``cfg.memory`` needs wider buffers; a new memory or
+    safeguard factor is written into the state.
     """
-    bound = state._bound
-    if bound is None or bound.memory != cfg.memory or bound.theta != cfg.safeguard_factor:
-        bound = _bind(state, cfg.memory, cfg.safeguard_factor)
-    ints = state.ints
+    bound, ints = state._bound, state.ints
+    if bound is None or ints.item(_MEMORY) != cfg.memory or state.reals.item(_THETA) != cfg.safeguard_factor:
+        bound = _configure(state, cfg.memory, cfg.safeguard_factor)
     ncol = ints.item(_NCOL)
     alpha = compute_alpha(state, cfg.tikhonov)
-    candidate = aa_candidate(state, alpha)
+    candidate = aa_candidate(state)
 
     finite = ints.item(_FINITE)
     accepted = False

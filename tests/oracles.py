@@ -9,6 +9,8 @@ the sparse datasets that the CSR tests load.  ``ListAaState`` with
 ``list_aa_step`` is the Anderson engine as it stood before its history moved
 into buffers, kept as the reference the buffered engine must match bit for
 bit; ``candidate_reference`` is its candidate, a loop over the rows.
+``state_with_window`` lays given residuals and evaluations out as the
+buffered engine holds them, for ``compute_alpha`` and ``aa_candidate``.
 ``pcd_sweep_reference`` is the coordinate sweep as a Python loop, the
 reference for the compiled one.  ``quadratic_ls_prox_reference`` is the
 least-squares prox solved by LAPACK dpotrs, as it stood before its solve
@@ -26,6 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
+
+from aaopt.anderson import AaState
 
 
 def grid_minimize_1d(fun, lo: float, hi: float, npts: int = 201, rounds: int = 12) -> float:
@@ -409,6 +413,26 @@ def list_compute_alpha(R: np.ndarray, tau: float) -> np.ndarray:
     if not np.all(np.isfinite(alpha)) or abs(math.fsum(alpha) - 1.0) > 1e-12:
         raise np.linalg.LinAlgError("weights failed the sum-to-one contract")
     return alpha
+
+
+def state_with_window(R=None, H=None, head: int = 0, spare: int = 2) -> AaState:
+    """An unbound ``AaState`` whose window holds the columns of R and the rows of H, newest first.
+
+    R is n x ncol and H is ncol x n; either may be left out for zeros.  The
+    window starts at ``head`` in buffers with ``spare`` entries after it, as
+    ``init_state`` and the steps lay them out; every entry outside it is
+    NaN, so a kernel that read one would show it.
+    """
+    R = np.zeros(np.shape(H)[::-1]) if R is None else np.asarray(R, dtype=float)
+    n, ncol = R.shape
+    H = np.zeros((ncol, n)) if H is None else np.asarray(H, dtype=float)
+    width = head + ncol + spare
+    hbuf, rbuf, norms = np.full((width, n), np.nan), np.full((n, width), np.nan), np.full(width, np.nan)
+    hbuf[head : head + ncol], rbuf[:, head : head + ncol] = H, R
+    with np.errstate(all="ignore"):
+        norms[head : head + ncol] = [math.sqrt(float(r.dot(r))) for r in R.T]
+    return AaState(hbuf=hbuf, rbuf=rbuf, norms=norms, ints=np.array([n, width, head, ncol, 0, 1], dtype=np.int64),
+                   reals=np.array([-1.0, 1.0, norms[head]]))
 
 
 def candidate_reference(H, alpha) -> np.ndarray:

@@ -20,6 +20,7 @@ from oracles import (
     central_diff_grad,
     grid_minimize_1d,
     shrink_objective,
+    state_with_window,
 )
 
 from aaopt.anderson import (
@@ -148,7 +149,7 @@ def test_criterion_02_alpha_contract():
     # Direct solves including the ill-conditioned shapes an extended-variable
     # run produces: near-parallel geometric columns at extreme scales, exact
     # duplicates (with tau = 0 LAPACK gives the minimum-norm solution), and
-    # generic Gaussian batches.
+    # generic Gaussian batches, each R held as a state's stored residuals.
     rng = np.random.default_rng(2024)
     u = rng.standard_normal(60)
     for scale in (1e-8, 1.0, 1e8):
@@ -157,17 +158,17 @@ def test_criterion_02_alpha_contract():
             axis=1,
         )
         for tau in (0.0, 1e-10 * float(np.sum(R * R)), 1e-8 * float(np.sum(R * R))):
-            collected.append(compute_alpha(R, tau))
+            collected.append(compute_alpha(state_with_window(R), tau))
     dup = rng.standard_normal((12, 4))
     dup[:, 2] = dup[:, 1]
-    collected.append(compute_alpha(dup, 0.0))
+    collected.append(compute_alpha(state_with_window(dup), 0.0))
     for _ in range(50):
         R = rng.standard_normal((9, 5)) * 10.0 ** rng.integers(-6, 7)
-        collected.append(compute_alpha(R, 1e-10 * float(np.sum(R * R))))
+        collected.append(compute_alpha(state_with_window(R), 1e-10 * float(np.sum(R * R))))
 
     worst = max(abs(math.fsum(a) - 1.0) for a in collected)
     R_orth = np.array([[1.0, 0.0], [0.0, 2.0]])
-    pair = compute_alpha(R_orth, 0.0)
+    pair = compute_alpha(state_with_window(R_orth), 0.0)
     pair_gap = float(np.max(np.abs(pair - np.array([0.8, 0.2]))))
 
     ok = worst <= 1e-12 and pair_gap <= 1e-10

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aaopt import _kernels
+from aaopt import _kernels, anderson
 from aaopt.anderson import (
     _WEIGHT_FAILURES,
     AaConfig,
@@ -20,7 +21,6 @@ from aaopt.anderson import (
 )
 
 from aaopt.prox import soft_threshold
-from conftest import zeros_view
 from oracles import (
     affine_fixed_point,
     candidate_reference,
@@ -28,6 +28,7 @@ from oracles import (
     list_compute_alpha,
     list_init_state,
     polyfit_rate_reference,
+    state_with_window,
 )
 
 
@@ -42,31 +43,19 @@ def run_aa(apply, x0, cfg, iters):
 
 
 def test_compute_alpha_single_column():
-    assert np.array_equal(compute_alpha(np.array([[2.0], [1.0]])), np.array([1.0]))
+    assert np.array_equal(compute_alpha(state_with_window(np.array([[2.0], [1.0]]))), np.array([1.0]))
 
 
 def test_compute_alpha_orthogonal_columns():
-    R = np.array([[1.0, 0.0], [0.0, 2.0]])
-    alpha = compute_alpha(R, 0.0)
+    alpha = compute_alpha(state_with_window(np.array([[1.0, 0.0], [0.0, 2.0]])), 0.0)
     # weights split inversely to the squared norms; heavier on the unit column
     assert np.allclose(alpha, [0.8, 0.2], atol=1e-10)
 
 
 def test_compute_alpha_identical_columns_regularized():
     c = np.array([1.0, 2.0, -1.0])
-    alpha = compute_alpha(np.column_stack([c, c]), 1e-8)
+    alpha = compute_alpha(state_with_window(np.column_stack([c, c])), 1e-8)
     assert np.allclose(alpha, [0.5, 0.5], atol=1e-8)
-
-
-def test_compute_alpha_sum_contract_random():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        n = int(rng.integers(1, 8))
-        p = int(rng.integers(1, 7))
-        R = rng.standard_normal((n, p))
-        tau = float(rng.choice([0.0, 1e-10, 1e-6]))
-        alpha = compute_alpha(R, tau)
-        assert abs(alpha.sum() - 1.0) <= 1e-12
 
 
 def test_compute_alpha_reduces_residual_norm():
@@ -74,13 +63,13 @@ def test_compute_alpha_reduces_residual_norm():
     rng = np.random.default_rng(1)
     for _ in range(100):
         R = rng.standard_normal((6, int(rng.integers(2, 6))))
-        alpha = compute_alpha(R, 0.0)
+        alpha = compute_alpha(state_with_window(R), 0.0)
         assert np.linalg.norm(R @ alpha) <= np.linalg.norm(R[:, 0]) + 1e-9
 
 
 def test_compute_alpha_rejects_nonfinite():
     with pytest.raises(ValueError):
-        compute_alpha(np.array([[np.nan, 1.0], [0.0, 1.0]]))
+        compute_alpha(state_with_window(np.array([[np.nan, 1.0], [0.0, 1.0]])))
 
 
 @pytest.mark.parametrize("R", [np.array([[np.inf], [1.0]]), np.array([[1.0, 2.0], [np.nan, 0.0]])])
@@ -88,7 +77,7 @@ def test_compute_alpha_rejects_nonfinite():
 def test_a_non_finite_residual_matrix_is_named_first(R, tau):
     # one column included: its weight needs no solve, but R is still checked
     with pytest.raises(ValueError, match="residual matrix contains non-finite entries"):
-        compute_alpha(R, tau)
+        compute_alpha(state_with_window(R), tau)
 
 
 @pytest.mark.parametrize("ncol", [1, 3])
@@ -98,7 +87,7 @@ def test_compute_alpha_rejects_a_bad_tau_without_calling_lapack(tau, ncol, capfd
     # LAPACK print a complaint about an illegal argument before failing
     R = np.arange(1.0, 1.0 + 4 * ncol).reshape(4, ncol) ** 2
     with pytest.raises(ValueError, match="compute_alpha: tau must be finite and nonnegative"):
-        compute_alpha(R, tau)
+        compute_alpha(state_with_window(R), tau)
     assert capfd.readouterr() == ("", "")
 
 
@@ -107,15 +96,22 @@ def test_an_overflowing_column_difference_fails_without_calling_lapack(tau, capf
     # R is finite but 1e308 - (-1e308) is not; given it, dgelsd printed a
     # DLASCL error before failing, and on some systems never returned
     with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge in Linear Least Squares"):
-        compute_alpha(np.array([[1e308, -1e308], [1.0, 2.0]]), tau)
+        compute_alpha(state_with_window(np.array([[1e308, -1e308], [1.0, 2.0]])), tau)
     assert capfd.readouterr() == ("", "")
 
 
-@pytest.mark.parametrize("shape, tau", [((2**31, 2), 0.0), ((2**31 - 2, 2), 1.0), ((1, 2**31), 0.0)])
-def test_a_weight_system_larger_than_lapack_takes_is_rejected_before_any_copy(shape, tau, no_big_allocation):
-    # scipy's dgelsd takes C int sizes; with tau > 0 the system has ncol more rows than R
-    with pytest.raises(ValueError, match="makes a system larger than LAPACK takes"):
-        compute_alpha(zeros_view(shape), tau)
+def test_a_weight_system_larger_than_lapack_takes_is_refused_before_the_buffers_grow(monkeypatch):
+    # a 6-vector with memory m makes systems of up to 6 + m + 1 rows; the
+    # buffers of 2*(m+1) entries were allocated and filled before the refusal
+    monkeypatch.setattr(anderson, "C_INT_MAX", 9)
+    apply = lambda x: 0.5 * x + 1.0
+    state = init_state(apply, np.arange(6.0))
+    for width in (1, 6):
+        hbuf = state.hbuf
+        with pytest.raises(ValueError, match="vectors of length 6 make a weight system larger than LAPACK takes"):
+            safeguarded_step(apply, state, AaConfig(memory=3))
+        assert state.hbuf is hbuf and hbuf.shape == (width, 6) and state.ints.item(1) == width
+        safeguarded_step(apply, state, AaConfig(memory=2))  # 6 + 2 + 1 rows fit
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")  # the norms are inf
@@ -135,11 +131,11 @@ _TAU_OVERFLOWS = re.escape("compute_alpha: the automatic tau 1e-10*||R||_F^2 ove
 def test_an_overflowing_automatic_tau_is_named_without_a_warning():
     # each entry is finite, but the squares' sum is not; numpy's (R*R).sum()
     # warned, and the step then refused a tau that no caller gave
-    R = np.array([[1e160, 2e160], [1.0, -3e160]])
+    state = state_with_window(np.array([[1e160, 2e160], [1.0, -3e160]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=_TAU_OVERFLOWS):
-            compute_alpha(R, None)
+            compute_alpha(state, None)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")  # the norms are inf
@@ -150,22 +146,6 @@ def test_a_step_whose_automatic_tau_overflows_names_it():
     safeguarded_step(apply, state, cfg)  # one column: no solve, so no tau
     with pytest.raises(ValueError, match=_TAU_OVERFLOWS):
         safeguarded_step(apply, state, cfg)
-
-
-def laid_out_residuals(R: np.ndarray, layout: str) -> np.ndarray:
-    """R in the given memory layout, each with the values of R."""
-    n, ncol = R.shape
-    if layout == "F":
-        return np.asfortranarray(R)
-    if layout == "window":  # the engine's view: columns of a wider C-ordered buffer
-        buf = np.full((n, ncol + 5), np.nan)
-        buf[:, 2 : 2 + ncol] = R
-        return buf[:, 2 : 2 + ncol]
-    if layout == "reversed":
-        return np.ascontiguousarray(R[::-1, ::-1])[::-1, ::-1]
-    if layout == "unaligned":
-        return np.frombuffer(b"\0" + R.tobytes(), dtype=float, offset=1).reshape(n, ncol)
-    return np.ascontiguousarray(R)
 
 
 @st.composite
@@ -185,32 +165,34 @@ def weight_systems(draw):
     tau = draw(st.one_of(st.just(0.0), st.just(None), st.just("auto"), st.floats(1e-300, 1e3)))
     if tau == "auto":
         tau = 1e-10 * float((R * R).sum())
-    return laid_out_residuals(R, draw(st.sampled_from(["C", "F", "window", "reversed", "unaligned"]))), tau
+    return R, tau, draw(st.integers(0, 4))
 
 
 @settings(max_examples=400, deadline=None)
 @given(case=weight_systems())
-@example(case=(np.array([[1.0, 2.0, 4.0]]), 0.0))  # underdetermined: one row, two unknowns
-@example(case=(np.array([[1.0, 1.0], [2.0, 2.0]]), 0.0))  # rank deficient: the minimum-norm solution
+@example(case=(np.array([[1.0, 2.0, 4.0]]), 0.0, 0))  # underdetermined: one row, two unknowns
+@example(case=(np.array([[1.0, 1.0], [2.0, 2.0]]), 0.0, 1))  # rank deficient: the minimum-norm solution
 # a duplicated column with tau = 0: no ridge, LAPACK's minimum-norm solution
-@example(case=(np.array([[1.0, 2.0, 2.0], [0.0, -1.0, -1.0], [3.0, 1.0, 1.0]]), 0.0))
-@example(case=(np.zeros((3, 3)), 0.0))  # rank 0: theta = 0, so alpha = e_0
-@example(case=(np.array([[-0.0, -1.0], [1.0, 1.0]]), 0.0))
-@example(case=(np.array([[1.0, 1.0 + 2**-52], [2.0, 2.0]]), None))  # nearly collinear: the ridge decides
-@example(case=(np.zeros((3, 3)), None))  # the automatic tau is 0: no ridge
+@example(case=(np.array([[1.0, 2.0, 2.0], [0.0, -1.0, -1.0], [3.0, 1.0, 1.0]]), 0.0, 2))
+@example(case=(np.zeros((3, 3)), 0.0, 0))  # rank 0: theta = 0, so alpha = e_0
+@example(case=(np.array([[-0.0, -1.0], [1.0, 1.0]]), 0.0, 3))
+@example(case=(np.array([[1.0, 1.0 + 2**-52], [2.0, 2.0]]), None, 0))  # nearly collinear: the ridge decides
+@example(case=(np.zeros((3, 3)), None, 4))  # the automatic tau is 0: no ridge
 def test_compute_alpha_is_bitwise_the_lstsq_reference(case):
-    R, tau = case
-    before = R.tobytes()
+    # the window sits at head in buffers of NaN, as the engine's moves along them
+    R, tau, head = case
+    state = state_with_window(R, head=head)
+    before = state.rbuf.tobytes()
     try:
         want = list_compute_alpha(R, 1e-10 * float((R * R).sum()) if tau is None else tau)
     except (ValueError, np.linalg.LinAlgError) as exc:
         with pytest.raises(type(exc)):
-            compute_alpha(R, tau)
+            compute_alpha(state, tau)
     else:
-        got = compute_alpha(R, tau)
+        got = compute_alpha(state, tau)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-    assert R.tobytes() == before
+    assert state.rbuf.tobytes() == before
 
 
 @pytest.mark.parametrize("n, ncol", [(1, 5), (3, 2), (2, 4), (9, 5), (40, 3), (30, 5), (1000, 9), (20000, 11)])
@@ -219,73 +201,92 @@ def test_the_automatic_tau_is_numpys_sum_of_squares(n, ncol):
     # buffer.  The columns are so nearly collinear that their differences
     # weigh about as much as the ridge, so tau's last bits move the weights;
     # the rows span 4 decades, so the order of the sum moves tau's last bits.
-    # numpy sums a Fortran-ordered R*R column by column.
     rng = np.random.default_rng(n * 100 + ncol)
-    for layout in ("window", "F"):
-        for spread in (1e-6, 1e-5, 1e-4):
-            R = rng.standard_normal(n)[:, None] + spread * rng.standard_normal((n, ncol))
-            R = laid_out_residuals(R * 10.0 ** rng.uniform(-2, 2, size=(n, 1)), layout)
-            want = compute_alpha(R, 1e-10 * float((R * R).sum()))
-            assert compute_alpha(R, None).tobytes() == want.tobytes()
-            assert compute_alpha(R).tobytes() == want.tobytes()
-
-
-def stacked(H: np.ndarray, layout: str):
-    """The rows of H as a sequence, or their stack in the given memory layout."""
-    if layout == "list":
-        return list(H)
-    if layout == "F":
-        return np.asfortranarray(H)
-    if layout == "transposed":  # as AaState.r_hist is: columns of a wider C-ordered buffer, transposed
-        buf = np.full((H.shape[1], H.shape[0] + 5), np.nan)
-        buf[:, 2 : 2 + H.shape[0]] = H.T
-        return buf[:, 2 : 2 + H.shape[0]].T
-    return np.ascontiguousarray(H)
+    for spread in (1e-6, 1e-5, 1e-4):
+        R = rng.standard_normal(n)[:, None] + spread * rng.standard_normal((n, ncol))
+        R *= 10.0 ** rng.uniform(-2, 2, size=(n, 1))
+        state = state_with_window(R, head=2)
+        want = compute_alpha(state, 1e-10 * float((R * R).sum()))
+        assert compute_alpha(state, None).tobytes() == want.tobytes()
+        assert compute_alpha(state).tobytes() == want.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
-@given(ncol=st.integers(1, 29), n=st.integers(1, 6), zeros=st.floats(0.0, 0.9),
-       layout=st.sampled_from(["C", "F", "transposed", "list"]), seed=st.integers(0, 2**32 - 1))
-@example(ncol=9, n=1, zeros=0.0, layout="C", seed=0)  # one coordinate
-@example(ncol=1, n=4, zeros=0.5, layout="F", seed=1)  # one row
-@example(ncol=12, n=3, zeros=0.0, layout="F", seed=2)
-def test_aa_candidate_adds_the_rows_in_index_order(ncol, n, zeros, layout, seed):
+@given(ncol=st.integers(1, 29), n=st.integers(1, 6), zeros=st.floats(0.0, 0.9), head=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+@example(ncol=9, n=1, zeros=0.0, head=0, seed=0)  # one coordinate
+@example(ncol=1, n=4, zeros=0.5, head=1, seed=1)  # one row
+@example(ncol=12, n=3, zeros=0.0, head=3, seed=2)
+def test_aa_candidate_adds_the_rows_in_index_order(ncol, n, zeros, head, seed):
     # A Fortran-ordered or transposed stack of 8 or more rows was summed
     # pairwise.  Entries span 16 decades, so the order moves bits, and a
     # share of them are zeros of either sign, whose sign the sum must keep.
+    # The residuals' columns span 6 decades, and so do the weights.
     rng = np.random.default_rng(seed)
     H = rng.standard_normal((ncol, n)) * 10.0 ** rng.integers(-8, 8, size=(ncol, n))
     H[rng.random((ncol, n)) < zeros] = 0.0
     H *= rng.choice([-1.0, 1.0], size=(ncol, n))
-    alpha = rng.standard_normal(ncol) * 10.0 ** rng.integers(-3, 3, size=ncol)
-    got = aa_candidate(stacked(H, layout), alpha)
-    assert got.tobytes() == candidate_reference(H, alpha).tobytes()
+    R = rng.standard_normal((n, ncol)) * 10.0 ** rng.integers(-3, 3, size=ncol)
+    state = state_with_window(R, H, head=head)
+    alpha = compute_alpha(state)
+    assert aa_candidate(state).tobytes() == candidate_reference(H, alpha).tobytes()
 
 
 def test_aa_candidate_scalar_example():
-    # weights (2, -1) on evaluations 0.25 and 0.5 land exactly on 0
-    out = aa_candidate([np.array([0.25]), np.array([0.5])], np.array([2.0, -1.0]))
-    assert out[0] == 0.0
+    # the residuals -0.25 and -0.5 of 0.5*x from 0.5 and 1 give the weights
+    # (2, -1), which land the evaluations 0.25 and 0.5 exactly on 0
+    state = state_with_window(np.array([[-0.25, -0.5]]), np.array([[0.25], [0.5]]))
+    assert compute_alpha(state, 0.0).tolist() == [2.0, -1.0]
+    assert aa_candidate(state)[0] == 0.0
 
 
-def test_aa_candidate_length_mismatch():
-    with pytest.raises(ValueError):
-        aa_candidate([np.zeros(2)], np.array([0.5, 0.5]))
-    with pytest.raises(ValueError, match="expected evaluations or their stack"):
-        aa_candidate(np.array([0.25, 0.5]), np.array([2.0, -1.0]))  # was broadcast to a 2 x 2 sum
+def test_aa_candidate_refuses_a_window_whose_weights_were_not_solved():
+    # it takes no weights: it combines those compute_alpha solved for the stored window
+    apply = lambda x: 0.5 * x + 1.0
+    for state in (state_with_window(np.ones((2, 3)), np.ones((3, 2)), head=1), init_state(apply, np.ones(2))):
+        with pytest.raises(ValueError, match="aa_candidate: the weights of the stored window were not solved"):
+            aa_candidate(state)
+        alpha = compute_alpha(state)
+        assert aa_candidate(state).tobytes() == candidate_reference(state.h_hist, alpha).tobytes()
+    safeguarded_step(apply, state, AaConfig(memory=2))
+    with pytest.raises(ValueError, match="were not solved"):
+        aa_candidate(state)
+
+
+def test_compute_alpha_and_aa_candidate_bind_a_state_without_growing_it(monkeypatch):
+    # binding follows the buffers: the first step grows only what its memory needs
+    binds = []
+    real = _kernels.bound
+    monkeypatch.setattr(_kernels, "bound", lambda *args: binds.append(args[0]) or real(*args))
+    R, H = np.array([[1.0, 0.5, -2.0], [3.0, 1.0, 0.25]]), np.arange(6.0).reshape(3, 2)
+    state = state_with_window(R, H, head=1, spare=4)
+    buffers = state.hbuf, state.rbuf, state.norms
+    alpha = compute_alpha(state, 0.0)
+    assert aa_candidate(state).tobytes() == candidate_reference(H, alpha).tobytes()
+    assert all(a is b for a, b in zip((state.hbuf, state.rbuf, state.norms), buffers))
+    assert state.ints.tolist()[:4] == [2, 8, 1, 3]
+    assert len(binds) == 5
+    # its 8 entries serve memory 3, so the step binds nothing anew
+    apply = lambda x: 0.5 * x + 1.0
+    safeguarded_step(apply, state, AaConfig(memory=3))
+    assert state.hbuf is buffers[0] and len(binds) == 5
+    safeguarded_step(apply, state, AaConfig(memory=4))
+    assert state.hbuf.shape == (10, 2) and len(binds) == 10
 
 
 @pytest.mark.parametrize("tau", [None, 0.0, 1e-6])
 def test_the_state_stands_for_its_history(tau):
     state, _, _ = run_aa(lambda x: np.cos(x) + 0.1 * x, np.linspace(-1.0, 2.0, 7), AaConfig(memory=4), 9)
     assert len(state.r_norms) == 5
+    R = np.array(state.r_hist.T)
     alpha = compute_alpha(state, tau)
-    assert alpha.tobytes() == compute_alpha(state.r_hist.T, tau).tobytes()
-    candidate = aa_candidate(state, alpha)
-    assert candidate.tobytes() == aa_candidate(state.h_hist, alpha).tobytes()
-    # both are copies: a second candidate leaves the first and the weights as they were
+    assert alpha.tobytes() == list_compute_alpha(R, 1e-10 * float((R * R).sum()) if tau is None else tau).tobytes()
+    candidate = aa_candidate(state)
+    assert candidate.tobytes() == candidate_reference(state.h_hist, alpha).tobytes()
+    # both are copies: a second solve and candidate leave the first ones as they were
     kept = candidate.copy(), alpha.copy()
-    aa_candidate(state, alpha[::-1].copy())
+    compute_alpha(state, 1.0)
+    aa_candidate(state)
     assert candidate.tobytes() == kept[0].tobytes() and alpha.tobytes() == kept[1].tobytes()
 
 
@@ -516,6 +517,15 @@ def test_config_validation():
             AaConfig(restart_after_rejects=restart)
 
 
+def test_a_config_cannot_be_changed_after_it_is_checked():
+    # memory 0 ran a one-entry history, and a NaN safeguard rejected every candidate
+    cfg = AaConfig(memory=3)
+    for name, value in [("memory", 0), ("safeguard_factor", math.nan), ("tikhonov", -1.0)]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+    assert cfg == AaConfig(memory=3)
+
+
 def test_init_state_needs_a_vector():
     with pytest.raises(ValueError):
         init_state(lambda x: x, np.zeros((2, 2)))
@@ -584,6 +594,21 @@ def test_a_new_memory_or_safeguard_rebinds_and_matches_the_list_reference():
         assert state.h_hist.tobytes() == np.array(ref.h).tobytes() and state.r_norms == ref.norms
 
 
+def test_a_new_safeguard_or_a_memory_that_fits_the_buffers_binds_nothing(monkeypatch):
+    # they are written into the state, which the bound kernels read at each call
+    binds = []
+    real = _kernels.bound
+    monkeypatch.setattr(_kernels, "bound", lambda *args: binds.append(args[0]) or real(*args))
+    apply = lambda x: soft_threshold(0.6 * x + 1.0, 0.1)
+    state, ref = init_state(apply, np.zeros(4)), list_init_state(apply, np.zeros(4))
+    for memory, safeguard in [(5, 1.0), (5, 1.5), (2, 1.5), (1, 1.0), (5, 2.0)] * 2:
+        cfg = AaConfig(memory=memory, safeguard_factor=safeguard)
+        x, diag = safeguarded_step(apply, state, cfg)
+        assert x.tobytes() == list_aa_step(apply, ref, cfg)[0].tobytes()
+        assert state.ints.item(4) == memory and state.reals.item(1) == safeguard
+    assert len(binds) == 5
+
+
 def test_a_numpy_integer_memory_runs_as_its_int():
     # AaConfig takes np.integer memories; the head they made was a numpy
     # integer, which ctypes refused as an address at the second step
@@ -600,13 +625,12 @@ def test_the_state_weights_are_read_only_and_serve_only_their_window():
     alpha = diags[-1].alpha  # what compute_alpha(state) returned in the last step
     with pytest.raises(ValueError):
         alpha[0] = 0.5
-    # the window has grown since they were solved: they are combined as any
-    # weights are, not read where the solve wrote them
+    # the window has grown since they were solved: no candidate until the new window's are
     assert len(alpha) == 3 and len(state.h_hist) == 4
-    with pytest.raises(ValueError, match="4 stored evaluations but weights of shape"):
-        aa_candidate(state, alpha)
+    with pytest.raises(ValueError, match="the weights of the stored window were not solved"):
+        aa_candidate(state)
     fresh = compute_alpha(state)
-    assert aa_candidate(state, fresh).tobytes() == candidate_reference(state.h_hist, fresh).tobytes()
+    assert aa_candidate(state).tobytes() == candidate_reference(state.h_hist, fresh).tobytes()
 
 
 @pytest.mark.parametrize("field, value", [
@@ -763,17 +787,21 @@ def test_history_and_norm_cache_stay_in_step(seed, n, memory, safeguard, steps):
     ncol=st.integers(1, 8),
     spread=st.sampled_from([0.0, 1e-15, 1e-8, 1.0]),
     max_exp=st.integers(0, 150),
-    auto_tau=st.booleans(),
+    tau=st.sampled_from([None, 0.0, 1e-10, 1e-6]),
+    head=st.integers(0, 4),
 )
-def test_compute_alpha_sums_to_one_or_raises(seed, n, ncol, spread, max_exp, auto_tau):
+# Gaussian columns of one scale, with small fixed ridges
+@example(seed=0, n=7, ncol=6, spread=1.0, max_exp=0, tau=1e-10, head=0)
+@example(seed=1, n=1, ncol=7, spread=1.0, max_exp=0, tau=1e-6, head=2)
+@example(seed=2, n=3, ncol=2, spread=1.0, max_exp=0, tau=0.0, head=1)
+def test_compute_alpha_sums_to_one_or_raises(seed, n, ncol, spread, max_exp, tau, head):
     # columns near one shared direction (collinear when spread is 0), each
-    # scaled by up to 10**+-max_exp
+    # scaled by up to 10**+-max_exp; None is the automatic tau
     rng = np.random.default_rng(seed)
     R = rng.standard_normal(n)[:, None] + spread * rng.standard_normal((n, ncol))
     R = R * 10.0 ** rng.integers(-max_exp, max_exp, size=ncol, endpoint=True)
-    tau = 1e-10 * float(np.sum(R * R)) if auto_tau else 0.0
     try:
-        alpha = compute_alpha(R, tau)
+        alpha = compute_alpha(state_with_window(R, head=head), tau)
     except np.linalg.LinAlgError:
         return
     assert alpha.shape == (ncol,)

@@ -5,6 +5,10 @@ Each module's ``__all__`` is the package's surface.  A name that nothing in
 or goes, unless it is listed below with the reason it stays.  The package's
 ``__init__.py`` is left out of the search: it star-imports each public module,
 so ``aaopt`` exposes exactly the names in those ``__all__`` lists.
+
+The compiled surface is held to the same rule: each kernel that
+``_kernels._SIGNATURES`` declares is bound or called from ``src/aaopt``,
+unless it is listed with its reason.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import types
 from pathlib import Path
 
 import aaopt
+from aaopt import _kernels
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "aaopt"
 
@@ -27,6 +32,10 @@ ALLOWED_WITHOUT_CALLER = {
     "identification_iter": "criterion 10 uses it, and the benchmark's tracer patches it by name",
     "cg_solve_spd": "the benchmark's tracer patches it by name",
     "read_trace": "the round-trip partner of write_trace",
+}
+
+KERNELS_ALLOWED_WITHOUT_CALLER = {
+    "aaopt_fsum": "the tests hold the port to math.fsum",
 }
 
 
@@ -63,6 +72,36 @@ def references(tree: ast.Module) -> set[str]:
 
     visit(tree, None)
     return found
+
+
+def kernel_references(tree: ast.Module) -> set[str]:
+    """Strings and attribute names, outside the ``_SIGNATURES`` table that declares the kernels.
+
+    A kernel is bound by its name as a string, or called as an attribute of the library.
+    """
+    found: set[str] = set()
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_SIGNATURES" for t in node.targets):
+            return
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_every_compiled_kernel_has_a_caller_in_the_package():
+    used = set().union(*(kernel_references(tree) for tree in modules().values()))
+    declared = _kernels._SIGNATURES
+    unused = sorted(n for n in declared if n not in used and n not in KERNELS_ALLOWED_WITHOUT_CALLER)
+    assert unused == [], "compiled kernels never bound or called in src/aaopt: %s" % unused
+    stale = sorted(n for n in KERNELS_ALLOWED_WITHOUT_CALLER if n not in declared or n in used)
+    assert stale == [], "allowlisted kernels that are gone or now have a caller: %s" % stale
 
 
 def test_every_export_has_a_caller_in_the_package():
