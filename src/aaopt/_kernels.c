@@ -354,7 +354,7 @@ static int64_t sum_to_one(double *alpha, int64_t n)
 
 /*
  * The engine's state, which the kernels below read and write in place;
- * anderson.AaState binds them once per allocation of its buffers.  The
+ * anderson.AaState binds them once, when it is built for one config.  The
  * int64 array s holds the scalars below; the float64 array f holds tau
  * (negative: the automatic one), the safeguard factor theta and the newest
  * residual norm.  The ncol stored entries occupy the

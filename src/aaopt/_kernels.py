@@ -12,7 +12,8 @@ The kernels are the coordinate sweep, the lasso proximal-gradient map and
 the Anderson step around the evaluations of H: the weight solve with its
 sum-to-one fix-up (a port of CPython's ``math.fsum``), the candidate, and the
 safeguard with the push into the history, each reading and writing the
-engine's state in place.  The sweep's row dots and the residual
+engine's state in place, to which ``anderson.init_state`` binds them once
+when it builds the state.  The sweep's row dots and the residual
 norms call BLAS ``ddot``, the dense lasso map ``dgemv`` and ``ddot``, and the
 weight solve LAPACK ``dgelsd``, all taken from the function pointers that
 scipy's documented Cython API (``scipy.linalg.cython_blas`` and

@@ -14,7 +14,7 @@ otherwise it falls back to the plain step H(x^k).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,6 +33,11 @@ __all__ = [
     "safeguarded_step",
     "fit_linear_rate",
 ]
+
+
+def _is_count(value) -> bool:
+    """An integer >= 1.  A bool is an int to Python, and True would run as 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -57,31 +62,31 @@ class AaConfig:
 
     def __post_init__(self):
         # negated comparisons, so NaN fails each check
-        if not (isinstance(self.memory, (int, np.integer)) and self.memory >= 1):
+        if not _is_count(self.memory):
             raise ValueError("AaConfig: memory must be an integer >= 1")
         if self.tikhonov is not None and not 0 <= self.tikhonov < math.inf:
             raise ValueError("AaConfig: tikhonov must be finite and nonnegative")
         if not 1.0 <= self.safeguard_factor < math.inf:
             raise ValueError("AaConfig: safeguard_factor must be finite and >= 1")
-        if not (isinstance(self.restart_after_rejects, (int, np.integer)) and self.restart_after_rejects >= 1):
+        if not _is_count(self.restart_after_rejects):
             raise ValueError("AaConfig: restart_after_rejects must be an integer >= 1")
 
 
-# the slots of AaState.ints and AaState.reals, as _kernels.c numbers them
-_N, _WIDTH, _HEAD, _NCOL, _MEMORY, _FINITE = range(6)
-_TAU, _THETA, _NORM = range(3)
+# the slots of AaState.ints and AaState.reals: the first six of ints and the
+# first three of reals as _kernels.c numbers them, then those only Python uses
+_N, _WIDTH, _HEAD, _NCOL, _MEMORY, _FINITE, _STREAK, _SOLVED = range(8)
+_TAU, _THETA, _NORM, _L1 = range(4)
 # the tau that asks aaopt_aa_weights for the automatic one
 _AUTOMATIC_TAU = -1.0
 _WRONG_SHAPE = "%s: H returned an array of shape %s, expected %s"
 _BAD_LAYOUT = "AaState: the history arrays do not have the layout that init_state makes"
 
 
-@dataclass
 class AaState:
-    """Iteration state: the newest-first history and the run of rejections.
+    """Iteration state for one ``AaConfig``: the newest-first history, its bound kernels, the rejections.
 
-    The history sits in three buffers with room for ``width`` entries, which
-    the first step grows to 2*(memory+1).  The ncol stored entries occupy the
+    ``init_state`` builds it.  The history sits in three buffers with room
+    for ``width`` = 2*(memory+1) entries.  The ncol stored entries occupy the
     window [head, head + ncol), newest first:
 
     - ``hbuf`` is (width x n), C-ordered; row head + j is H(x^(k-j)).
@@ -91,27 +96,54 @@ class AaState:
     - ``norms[head + j]`` caches the norm of r^j.
 
     ``ints`` holds the scalars that the compiled kernels read and write: n,
-    width, head, ncol, memory, and whether the last candidate was finite.
-    ``reals`` holds tau (negative for the automatic one), the safeguard
-    factor theta and the newest residual norm.  A new entry goes in just
-    before the window, so a step copies no stored entry; only when the
-    window reaches index 0 are the kept entries moved to the end of the
-    buffers.  ``r_norms`` (a list), ``h_hist`` and ``r_hist`` read the
-    state; the last two are read-only (ncol x n) views of the stored
-    evaluations and residuals, newest first.
+    width, head, ncol, memory, and whether the last candidate was finite;
+    then the run of consecutive rejections (``reject_streak``) and whether
+    the window's weights were solved.  ``reals`` holds tau (negative for
+    the automatic one), the safeguard factor theta, the newest residual
+    norm, and the l1 norm of the weights the last candidate used.  A new
+    entry goes in just before the window, so a step copies no stored entry;
+    only when the window reaches index 0 are the kept entries moved to the
+    end of the buffers.  ``r_norms`` (a list), ``h_hist`` and ``r_hist``
+    read the state; the last two are read-only (ncol x n) views of the
+    stored evaluations and residuals, newest first.
 
-    The kernels are bound to the buffers once (see ``_Bound``), so later
-    steps take no address and convert no argument.  A step grows the
-    buffers, and so rebinds, only when its memory needs wider ones.
+    Building a state checks the layout that the kernels trust and binds
+    them, once, to its arrays and to the step's scratch: ``_alpha`` and
+    ``_candidate`` receive the weights and the candidate, ``_h_in`` a value
+    of H and ``_r`` its residual.  Reading an array's address through numpy
+    takes about 2.5 us on a 2-core x86 host, and ctypes converts each
+    argument of a call anew, so no step does either.  The kernels would go
+    on reading the arrays they were bound to, so a built state refuses to
+    have any attribute set or deleted.
     """
 
-    hbuf: np.ndarray
-    rbuf: np.ndarray
-    norms: np.ndarray
-    ints: np.ndarray
-    reals: np.ndarray
-    reject_streak: int = 0
-    _bound: _Bound | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("hbuf", "rbuf", "norms", "ints", "reals", "_alpha", "_candidate", "_h_in", "_r",
+                 "_weights", "_combine", "_judge", "_plain", "_keep", "cfg")
+
+    def __init__(self, hbuf: np.ndarray, rbuf: np.ndarray, norms: np.ndarray, ints: np.ndarray,
+                 reals: np.ndarray, cfg: AaConfig):
+        _check_layout(hbuf, rbuf, norms, ints, reals, cfg)
+        n, width = ints.item(_N), ints.item(_WIDTH)
+        arrays = (hbuf, rbuf, norms, ints, reals, np.empty(width), np.empty(n), np.empty(n), np.empty(n))
+        hbuf, rbuf, norms, ints, reals, alpha, candidate, h_in, r = map(_kernels.address, arrays)
+        calls = (_kernels.bound("aaopt_aa_weights", ints, reals, rbuf, alpha),
+                 _kernels.bound("aaopt_aa_combine", ints, hbuf, alpha, candidate),
+                 # aaopt_aa_push's modes: judge the candidate, push the plain step, keep the judged entry
+                 *(_kernels.bound("aaopt_aa_push", ints, reals, hbuf, rbuf, norms, h_in, candidate, r, mode)
+                   for mode in range(3)))
+        for name, value in zip(self.__slots__, (*arrays, *calls, cfg), strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AaState: its kernels are bound to the arrays it was built with, so %s cannot "
+                             "change; build a new state with init_state" % name)
+
+    def __delattr__(self, name):
+        self.__setattr__(name, None)
+
+    @property
+    def reject_streak(self) -> int:
+        return self.ints.item(_STREAK)
 
     @property
     def r_norms(self) -> list[float]:
@@ -128,86 +160,26 @@ class AaState:
         head = self.ints.item(_HEAD)
         return _read_only(self.rbuf[:, head : head + self.ints.item(_NCOL)].T)
 
-
-class _Bound:
-    """The kernels of a step, bound to a state's buffers and to the step's scratch.
-
-    ``alpha`` and ``candidate`` receive the weights and the candidate,
-    ``h_in`` a value of H (see ``take``) and ``r`` its residual.  Reading an
-    array's address through numpy takes about 2.5 us on a 2-core x86 host,
-    and ctypes converts each argument of a call anew, so both happen here,
-    once for each allocation of the buffers.  ``arrays`` keeps alive all
-    that the bound calls point at.  ``given`` is the weights that
-    ``compute_alpha`` last returned for the current window, None until then,
-    and ``alpha_l1`` their l1 norm once ``aa_candidate`` has used them.
-    """
-
-    __slots__ = ("arrays", "alpha", "candidate", "h_in", "weights", "combine", "judge", "plain", "keep",
-                 "given", "alpha_l1")
-
-    def __init__(self, state: AaState):
-        n, width = state.ints.item(_N), state.ints.item(_WIDTH)
-        self.alpha, self.candidate, self.h_in, r = np.empty(width), np.empty(n), np.empty(n), np.empty(n)
-        self.arrays = (state.ints, state.reals, state.hbuf, state.rbuf, state.norms, self.alpha,
-                       self.candidate, self.h_in, r)
-        ints, reals, hbuf, rbuf, norms, alpha, candidate, h_in, r = map(_kernels.address, self.arrays)
-        self.weights = _kernels.bound("aaopt_aa_weights", ints, reals, rbuf, alpha)
-        self.combine = _kernels.bound("aaopt_aa_combine", ints, hbuf, alpha, candidate)
-        # aaopt_aa_push's modes: judge the candidate, push the plain step, keep the judged entry
-        self.judge, self.plain, self.keep = (
-            _kernels.bound("aaopt_aa_push", ints, reals, hbuf, rbuf, norms, h_in, candidate, r, mode)
-            for mode in range(3))
-        self.given, self.alpha_l1 = None, math.nan
-
-    def take(self, value) -> None:
-        """Copy a value of H into ``h_in``; one of another shape is refused, not broadcast."""
+    def _take(self, value) -> None:
+        """Copy a value of H into ``_h_in``; one of another shape is refused, not broadcast."""
         h = np.asarray(value, dtype=float)
-        if h.shape != self.h_in.shape:
-            raise ValueError(_WRONG_SHAPE % ("safeguarded_step", h.shape, self.h_in.shape))
-        self.h_in[...] = h
+        if h.shape != self._h_in.shape:
+            raise ValueError(_WRONG_SHAPE % ("safeguarded_step", h.shape, self._h_in.shape))
+        self._h_in[...] = h
 
 
-def _check_layout(state: AaState) -> None:
-    """Refuse a state whose arrays lack the layout that ``init_state`` makes, which the kernels trust."""
-    ints = state.ints
-    if not (ints.dtype == np.int64 and ints.shape == (6,) and ints.flags.c_contiguous and ints.flags.writeable):
+def _check_layout(hbuf, rbuf, norms, ints, reals, cfg: AaConfig) -> None:
+    """Refuse arrays that lack the layout that ``init_state`` makes for ``cfg``, which the kernels trust."""
+    if not (ints.dtype == np.int64 and ints.shape == (8,) and ints.flags.c_contiguous and ints.flags.writeable):
         raise ValueError(_BAD_LAYOUT)
-    n, width, head, ncol = (ints.item(i) for i in (_N, _WIDTH, _HEAD, _NCOL))
-    layout = ((state.hbuf, (width, n)), (state.rbuf, (n, width)), (state.norms, (width,)), (state.reals, (3,)))
-    if not (0 <= head and 1 <= ncol and head + ncol <= width) or any(
+    n, width, head, ncol, memory = (ints.item(i) for i in (_N, _WIDTH, _HEAD, _NCOL, _MEMORY))
+    layout = ((hbuf, (width, n)), (rbuf, (n, width)), (norms, (width,)), (reals, (4,)))
+    # a push may move memory entries from the buffers' start to their end; 2*(memory+1) keeps them apart
+    if not (0 <= head and 1 <= ncol and head + ncol <= width and memory == cfg.memory
+            and 2 * (memory + 1) <= width) or any(
             a.dtype != np.float64 or a.shape != shape or not (a.flags.c_contiguous and a.flags.aligned)
-            or not a.flags.writeable for a, shape in layout):
+            or not a.flags.writeable for a, shape in layout) or reals.item(_THETA) != cfg.safeguard_factor:
         raise ValueError(_BAD_LAYOUT)
-
-
-def _bind(state: AaState) -> _Bound:
-    """Bind the kernels to the state's buffers as they are."""
-    _check_layout(state)
-    state._bound = _Bound(state)
-    return state._bound
-
-
-def _configure(state: AaState, memory: int, theta: float) -> _Bound:
-    """Write a new memory and theta into the state, first growing its buffers to 2*(memory+1) entries if narrower."""
-    if state._bound is None:
-        _check_layout(state)
-    ints = state.ints
-    n, width, head, ncol = (ints.item(i) for i in (_N, _WIDTH, _HEAD, _NCOL))
-    want = 2 * (memory + 1)
-    if width < want:
-        # a weight solve has at most n + memory + 1 rows
-        if n + memory + 1 > C_INT_MAX:
-            raise ValueError("safeguarded_step: vectors of length %d make a weight system larger than LAPACK takes" % n)
-        # the stored entries go to the end of the new buffers
-        start = want - ncol
-        hbuf, rbuf, norms = np.empty((want, n)), np.empty((n, want)), np.empty(want)
-        hbuf[start:] = state.hbuf[head : head + ncol]
-        rbuf[:, start:] = state.rbuf[:, head : head + ncol]
-        norms[start:] = state.norms[head : head + ncol]
-        state.hbuf, state.rbuf, state.norms, state._bound = hbuf, rbuf, norms, None
-        ints[_WIDTH], ints[_HEAD] = want, start
-    ints[_MEMORY], state.reals[_THETA] = memory, theta
-    return state._bound or _bind(state)
 
 
 def _read_only(view: np.ndarray) -> np.ndarray:
@@ -234,25 +206,32 @@ class RateFit:
     defined: bool = True
 
 
-def init_state(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray) -> AaState:
-    """Evaluate H(x0) once and seed the history.
+def init_state(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, cfg: AaConfig) -> AaState:
+    """Evaluate H(x0) once and build the state that runs ``cfg``.
 
-    The buffers hold this one entry; the first step grows them to the
-    configured memory.  The compiled weight solve loads first, so a missing
-    compiler fails before H is evaluated, not at the first two-column solve.
+    The buffers get their 2*(memory+1) entries here, H(x0) is stored as
+    their last entry, and the kernels are bound to them.  Before H is
+    evaluated, a vector too long for the weight solve is refused and the
+    compiled kernels load, so a missing compiler fails here, not at the
+    first two-column solve.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1:
         raise ValueError("init_state: x0 must be a vector, got shape %s" % (x0.shape,))
+    n, width = x0.size, 2 * (cfg.memory + 1)
+    # a weight solve has at most n + memory + 1 rows
+    if n + cfg.memory + 1 > C_INT_MAX:
+        raise ValueError("init_state: vectors of length %d make a weight system larger than LAPACK takes" % n)
     _kernels.library()
     h0 = np.asarray(apply(x0), dtype=float)
     if h0.shape != x0.shape:
         raise ValueError(_WRONG_SHAPE % ("init_state", h0.shape, x0.shape))
     r0 = h0 - x0
     norm = math.sqrt(float(r0.dot(r0)))
-    return AaState(hbuf=h0[None, :].copy(), rbuf=r0[:, None].copy(), norms=np.array([norm]),
-                   ints=np.array([x0.size, 1, 0, 1, 0, 1], dtype=np.int64),
-                   reals=np.array([_AUTOMATIC_TAU, 1.0, norm]))
+    hbuf, rbuf, norms = np.empty((width, n)), np.empty((n, width)), np.empty(width)
+    hbuf[-1], rbuf[:, -1], norms[-1] = h0, r0, norm
+    return AaState(hbuf, rbuf, norms, ints=np.array([n, width, width - 1, 1, cfg.memory, 1, 0, 0], dtype=np.int64),
+                   reals=np.array([_AUTOMATIC_TAU, cfg.safeguard_factor, norm, math.nan]), cfg=cfg)
 
 
 _NONFINITE_R = "compute_alpha: residual matrix contains non-finite entries"
@@ -298,10 +277,8 @@ def compute_alpha(state: AaState, tau: float | None = None) -> np.ndarray:
     summation no longer resolves the sum constraint (the safeguard rejects
     such candidates, but the weights it sees must still sum to one), so the
     kernel then moves the excess that ``math.fsum`` finds, ported to C, into
-    the largest weight, and what is left into the smallest.  The kernels
-    are bound to an unbound state here, as its buffers are.
+    the largest weight, and what is left into the smallest.
     """
-    bound = state._bound or _bind(state)
     # negated, so NaN fails too
     if tau is not None and not 0.0 <= tau < math.inf:
         # no C call here, so R is scanned in Python; as in C, its check comes first
@@ -309,8 +286,9 @@ def compute_alpha(state: AaState, tau: float | None = None) -> np.ndarray:
             raise ValueError(_NONFINITE_R)
         raise ValueError("compute_alpha: tau must be finite and nonnegative")
     state.reals[_TAU] = _AUTOMATIC_TAU if tau is None else tau
-    alpha = bound.given = bound.alpha[: _check_weights(bound.weights())].copy()
-    return _read_only(alpha)
+    status = state._weights()
+    state.ints[_SOLVED] = status > 0
+    return _read_only(state._alpha[: _check_weights(status)].copy())
 
 
 def aa_candidate(state: AaState) -> np.ndarray:
@@ -323,34 +301,28 @@ def aa_candidate(state: AaState) -> np.ndarray:
     weights' l1 norm and whether the candidate is finite in the state for
     the engine.
     """
-    bound = state._bound or _bind(state)
-    if bound.given is None:
+    if not state.ints.item(_SOLVED):
         raise ValueError("aa_candidate: the weights of the stored window were not solved; call compute_alpha first")
-    bound.alpha_l1 = bound.combine()
-    return bound.candidate.copy()
+    state.reals[_L1] = state._combine()
+    return state._candidate.copy()
 
 
 def safeguarded_step(
     apply: Callable[[np.ndarray], np.ndarray],
     state: AaState,
-    cfg: AaConfig,
 ) -> tuple[np.ndarray, AaDiagnostics]:
-    """Advance one iteration, mutating ``state`` in place.
+    """Advance one iteration of the state's config, mutating ``state`` in place.
 
     Returns the next iterate and the step diagnostics.  The candidate is
     rejected (falling back to the plain step H(x^k), which is already stored)
     when it is non-finite or when its residual norm fails the safeguard test;
     ``restart_after_rejects`` consecutive rejections clear the history to the
     current iterate.  H must return a vector of x's shape.  Everything but
-    the evaluations of H runs in the kernels bound to the state: the
-    residual, its norm, the safeguard and the push into the history run in
-    ``aaopt_aa_push``.  The buffers grow, and the kernels are bound anew,
-    only when ``cfg.memory`` needs wider buffers; a new memory or
-    safeguard factor is written into the state.
+    the evaluations of H runs in the kernels that ``init_state`` bound to
+    the state: the residual, its norm, the safeguard and the push into the
+    history run in ``aaopt_aa_push``.
     """
-    bound, ints = state._bound, state.ints
-    if bound is None or ints.item(_MEMORY) != cfg.memory or state.reals.item(_THETA) != cfg.safeguard_factor:
-        bound = _configure(state, cfg.memory, cfg.safeguard_factor)
+    ints, cfg = state.ints, state.cfg
     ncol = ints.item(_NCOL)
     alpha = compute_alpha(state, cfg.tikhonov)
     candidate = aa_candidate(state)
@@ -358,30 +330,30 @@ def safeguarded_step(
     finite = ints.item(_FINITE)
     accepted = False
     if finite:
-        bound.take(apply(candidate))
-        accepted = bound.judge() == 1
+        state._take(apply(candidate))
+        accepted = state._judge() == 1
 
     if accepted:
         x_next = candidate
-        state.reject_streak = 0
+        ints[_STREAK] = 0
     else:
         # plain step H(x^k), already evaluated; copied, as later pushes reuse its row
         x_next = state.hbuf[ints.item(_HEAD)].copy()
         if finite and ncol == 1:
             # with one column alpha = [1] and the candidate is x_next bit for
             # bit, so H was just evaluated there: the judged entry is pushed
-            push = bound.keep
+            push = state._keep
         else:
-            bound.take(apply(x_next))
-            push = bound.plain
-        state.reject_streak += 1
-        if state.reject_streak >= cfg.restart_after_rejects:
-            ints[_NCOL] = 0
-            state.reject_streak = 0
+            state._take(apply(x_next))
+            push = state._plain
+        streak = ints.item(_STREAK) + 1
+        if streak >= cfg.restart_after_rejects:
+            ints[_NCOL] = streak = 0
+        ints[_STREAK] = streak
         push()
-    bound.given = None  # the window moved
-    diag = AaDiagnostics(alpha=alpha, alpha_l1=bound.alpha_l1, accepted=accepted,
-                         residual_norm=state.reals.item(_NORM))
+    ints[_SOLVED] = 0  # the window moved
+    reals = state.reals
+    diag = AaDiagnostics(alpha=alpha, alpha_l1=reals.item(_L1), accepted=accepted, residual_norm=reals.item(_NORM))
     return x_next, diag
 
 

@@ -465,10 +465,10 @@ def _plain_iterates(apply: Callable, x0: np.ndarray):
 
 def _aa_iterates(apply: Callable, x0: np.ndarray, aa: AaConfig):
     x0 = np.asarray(x0, dtype=float)
-    state = init_state(apply, x0)
+    state = init_state(apply, x0, aa)
     yield x0, state.r_norms[0], 0.0, 0
     while True:
-        x, diag = safeguarded_step(apply, state, aa)
+        x, diag = safeguarded_step(apply, state)
         yield x, diag.residual_norm, diag.alpha_l1, int(diag.accepted)
 
 

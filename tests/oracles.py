@@ -10,8 +10,11 @@ the sparse datasets that the CSR tests load.  ``ListAaState`` with
 into buffers, kept as the reference the buffered engine must match bit for
 bit; ``candidate_reference`` is its candidate, a loop over the rows.
 ``state_with_window`` lays given residuals and evaluations out as the
-buffered engine holds them, for ``compute_alpha`` and ``aa_candidate``.
-``pcd_sweep_reference`` is the coordinate sweep as a Python loop, the
+buffered engine holds them, in a state built for ``compute_alpha``,
+``aa_candidate`` and ``safeguarded_step``.
+``gmres_iterates`` is GMRES by a least-squares solve over an orthonormal
+Krylov basis, which Anderson acceleration without truncation matches on an
+affine map.  ``pcd_sweep_reference`` is the coordinate sweep as a Python loop, the
 reference for the compiled one.  ``quadratic_ls_prox_reference`` is the
 least-squares prox solved by LAPACK dpotrs, as it stood before its solve
 moved to two BLAS dtrsv calls.  ``irl1_step_reference`` is the reweighted
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from aaopt.anderson import AaState
+from aaopt.anderson import AaConfig, AaState
 
 
 def grid_minimize_1d(fun, lo: float, hi: float, npts: int = 201, rounds: int = 12) -> float:
@@ -415,24 +418,43 @@ def list_compute_alpha(R: np.ndarray, tau: float) -> np.ndarray:
     return alpha
 
 
-def state_with_window(R=None, H=None, head: int = 0, spare: int = 2) -> AaState:
-    """An unbound ``AaState`` whose window holds the columns of R and the rows of H, newest first.
+def state_with_window(R=None, H=None, head: int = 0, spare: int = 2, cfg: AaConfig = AaConfig(memory=1)) -> AaState:
+    """An ``AaState`` for ``cfg`` whose window holds the columns of R and the rows of H, newest first.
 
     R is n x ncol and H is ncol x n; either may be left out for zeros.  The
-    window starts at ``head`` in buffers with ``spare`` entries after it, as
-    ``init_state`` and the steps lay them out; every entry outside it is
-    NaN, so a kernel that read one would show it.
+    window starts at ``head`` in buffers with at least ``spare`` entries
+    after it, and at least the 2*(memory+1) entries that ``init_state``
+    gives them; every entry outside it is NaN, so a kernel that read one
+    would show it.  Building the state binds its kernels, as
+    ``init_state``'s are bound.
     """
     R = np.zeros(np.shape(H)[::-1]) if R is None else np.asarray(R, dtype=float)
     n, ncol = R.shape
     H = np.zeros((ncol, n)) if H is None else np.asarray(H, dtype=float)
-    width = head + ncol + spare
+    width = max(head + ncol + spare, 2 * (cfg.memory + 1))
     hbuf, rbuf, norms = np.full((width, n), np.nan), np.full((n, width), np.nan), np.full(width, np.nan)
     hbuf[head : head + ncol], rbuf[:, head : head + ncol] = H, R
     with np.errstate(all="ignore"):
         norms[head : head + ncol] = [math.sqrt(float(r.dot(r))) for r in R.T]
-    return AaState(hbuf=hbuf, rbuf=rbuf, norms=norms, ints=np.array([n, width, head, ncol, 0, 1], dtype=np.int64),
-                   reals=np.array([-1.0, 1.0, norms[head]]))
+    return AaState(hbuf, rbuf, norms, ints=np.array([n, width, head, ncol, cfg.memory, 1, 0, 0], dtype=np.int64),
+                   reals=np.array([-1.0, cfg.safeguard_factor, norms[head], np.nan]), cfg=cfg)
+
+
+def gmres_iterates(A: np.ndarray, b: np.ndarray, x0: np.ndarray, steps: int) -> list[np.ndarray]:
+    """GMRES's iterates x_0, ..., x_steps on A x = b from x0.
+
+    x_k minimizes ||b - A x|| over x0 + K_k(A, r0), with r0 = b - A x0: a
+    least-squares solve over an orthonormal basis of the Krylov space, which
+    each step extends by A times the basis' newest vector.
+    """
+    r0 = b - A @ x0
+    iterates, krylov = [x0], [r0]
+    for _ in range(steps):
+        Q = np.linalg.qr(np.column_stack(krylov))[0]
+        y = np.linalg.lstsq(A @ Q, r0, rcond=None)[0]
+        iterates.append(x0 + Q @ y)
+        krylov.append(A @ Q[:, -1])
+    return iterates
 
 
 def candidate_reference(H, alpha) -> np.ndarray:

@@ -87,10 +87,10 @@ def test_criterion_01_affine_exactness():
     apply = lambda x: G @ x + c
 
     cfg = AaConfig(memory=8, safeguard_factor=10.0, tikhonov=0.0)
-    state = init_state(apply, x0)
+    state = init_state(apply, x0, cfg)
     aa_iters = None
     for k in range(1, 8):
-        x, diag = safeguarded_step(apply, state, cfg)
+        x, diag = safeguarded_step(apply, state)
         if diag.residual_norm <= 1e-10:
             aa_iters = k
             break
@@ -130,18 +130,18 @@ def test_criterion_02_alpha_contract():
     # Safeguarded drives: the affine problem above and a desk lasso run.
     G, c, x0 = _affine_problem()
     apply = lambda x: G @ x + c
-    state = init_state(apply, x0)
+    state = init_state(apply, x0, AaConfig(memory=8, safeguard_factor=10.0))
     for _ in range(30):
-        _, diag = safeguarded_step(apply, state, AaConfig(memory=8, safeguard_factor=10.0))
+        _, diag = safeguarded_step(apply, state)
         collected.append(diag.alpha)
 
     ctx = build_operator(
         _cfg({"problem.kind": "lasso", "problem.rows": "40", "problem.cols": "200",
               "problem.lambda": "0.01", "algorithm.kind": "ista", "run.seed": "0"})
     )
-    state = init_state(ctx.op.apply, ctx.x0)
+    state = init_state(ctx.op.apply, ctx.x0, AaConfig(memory=10))
     for _ in range(400):
-        _, diag = safeguarded_step(ctx.op.apply, state, AaConfig(memory=10))
+        _, diag = safeguarded_step(ctx.op.apply, state)
         collected.append(diag.alpha)
         if diag.residual_norm <= 1e-10:
             break
@@ -526,10 +526,10 @@ def test_criterion_11_safeguard_monotonicity():
         # Engine-level form of the same guarantee: an accepted candidate never
         # exceeds the smallest residual the window currently holds.
         ctx = build_operator(cfg)
-        state = init_state(ctx.op.apply, ctx.x0)
+        state = init_state(ctx.op.apply, ctx.x0, cfg.aa)
         for _ in range(cfg.max_iter):
             window_min = min(float(np.linalg.norm(r)) for r in state.r_hist)
-            _, diag = safeguarded_step(ctx.op.apply, state, cfg.aa)
+            _, diag = safeguarded_step(ctx.op.apply, state)
             if diag.accepted and diag.residual_norm > window_min * (1.0 + 1e-12):
                 acceptance_ok = False
             if diag.residual_norm <= cfg.tol:

@@ -13,6 +13,7 @@ from aaopt import _kernels, anderson
 from aaopt.anderson import (
     _WEIGHT_FAILURES,
     AaConfig,
+    AaState,
     aa_candidate,
     compute_alpha,
     fit_linear_rate,
@@ -24,6 +25,7 @@ from aaopt.prox import soft_threshold
 from oracles import (
     affine_fixed_point,
     candidate_reference,
+    gmres_iterates,
     list_aa_step,
     list_compute_alpha,
     list_init_state,
@@ -34,10 +36,10 @@ from oracles import (
 
 def run_aa(apply, x0, cfg, iters):
     """The state, the step diagnostics and the last iterate after ``iters`` steps."""
-    state = init_state(apply, x0)
+    state = init_state(apply, x0, cfg)
     diags = []
     for _ in range(iters):
-        x, d = safeguarded_step(apply, state, cfg)
+        x, d = safeguarded_step(apply, state)
         diags.append(d)
     return state, diags, x
 
@@ -111,29 +113,29 @@ def test_an_overflowing_column_difference_fails_without_calling_lapack(tau, capf
     assert capfd.readouterr() == ("", "")
 
 
-def test_a_weight_system_larger_than_lapack_takes_is_refused_before_the_buffers_grow(monkeypatch):
+def test_a_weight_system_larger_than_lapack_takes_is_refused_before_h_is_evaluated(monkeypatch):
     # a 6-vector with memory m makes systems of up to 6 + m + 1 rows; the
-    # buffers of 2*(m+1) entries were allocated and filled before the refusal
+    # refusal came at the first step, after H(x0) and buffers of 2*(m+1) entries
     monkeypatch.setattr(anderson, "C_INT_MAX", 9)
-    apply = lambda x: 0.5 * x + 1.0
-    state = init_state(apply, np.arange(6.0))
-    for width in (1, 6):
-        hbuf = state.hbuf
-        with pytest.raises(ValueError, match="vectors of length 6 make a weight system larger than LAPACK takes"):
-            safeguarded_step(apply, state, AaConfig(memory=3))
-        assert state.hbuf is hbuf and hbuf.shape == (width, 6) and state.ints.item(1) == width
-        safeguarded_step(apply, state, AaConfig(memory=2))  # 6 + 2 + 1 rows fit
+    x0, evaluations = np.arange(6.0), []
+    apply = lambda x: evaluations.append(x) or 0.5 * x + 1.0
+    message = "init_state: vectors of length 6 make a weight system larger than LAPACK takes"
+    with pytest.raises(ValueError, match=message):
+        init_state(apply, x0, AaConfig(memory=3))
+    assert evaluations == []
+    state = init_state(apply, x0, AaConfig(memory=2))  # 6 + 2 + 1 rows fit
+    safeguarded_step(apply, state)
+    assert len(evaluations) == 2 and state.hbuf.shape == (6, 6)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")  # the norms are inf
 def test_a_one_column_step_takes_residuals_whose_squares_overflow():
     # the automatic tau of such a history is inf, but one column needs no solve
     apply = lambda x: x + np.array([1e160, -3e160]) * (1.5 + np.sin(x / 1e160))
-    state = init_state(apply, np.zeros(2))
-    cfg = AaConfig(memory=3, restart_after_rejects=1)
+    state = init_state(apply, np.zeros(2), AaConfig(memory=3, restart_after_rejects=1))
     for _ in range(4):
         assert len(state.r_norms) == 1
-        safeguarded_step(apply, state, cfg)
+        safeguarded_step(apply, state)
 
 
 _TAU_OVERFLOWS = re.escape("compute_alpha: the automatic tau 1e-10*||R||_F^2 overflows")
@@ -152,11 +154,10 @@ def test_an_overflowing_automatic_tau_is_named_without_a_warning():
 @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")  # the norms are inf
 def test_a_step_whose_automatic_tau_overflows_names_it():
     apply = lambda x: x + np.array([1e160, -3e160]) * (1.5 + np.sin(x / 1e160))
-    state = init_state(apply, np.zeros(2))
-    cfg = AaConfig(memory=3)
-    safeguarded_step(apply, state, cfg)  # one column: no solve, so no tau
+    state = init_state(apply, np.zeros(2), AaConfig(memory=3))
+    safeguarded_step(apply, state)  # one column: no solve, so no tau
     with pytest.raises(ValueError, match=_TAU_OVERFLOWS):
-        safeguarded_step(apply, state, cfg)
+        safeguarded_step(apply, state)
 
 
 @st.composite
@@ -254,35 +255,35 @@ def test_aa_candidate_scalar_example():
 def test_aa_candidate_refuses_a_window_whose_weights_were_not_solved():
     # it takes no weights: it combines those compute_alpha solved for the stored window
     apply = lambda x: 0.5 * x + 1.0
-    for state in (state_with_window(np.ones((2, 3)), np.ones((3, 2)), head=1), init_state(apply, np.ones(2))):
+    for state in (state_with_window(np.ones((2, 3)), np.ones((3, 2)), head=1),
+                  init_state(apply, np.ones(2), AaConfig(memory=2))):
         with pytest.raises(ValueError, match="aa_candidate: the weights of the stored window were not solved"):
             aa_candidate(state)
         alpha = compute_alpha(state)
         assert aa_candidate(state).tobytes() == candidate_reference(state.h_hist, alpha).tobytes()
-    safeguarded_step(apply, state, AaConfig(memory=2))
+    safeguarded_step(apply, state)
     with pytest.raises(ValueError, match="were not solved"):
         aa_candidate(state)
 
 
-def test_compute_alpha_and_aa_candidate_bind_a_state_without_growing_it(monkeypatch):
-    # binding follows the buffers: the first step grows only what its memory needs
+def test_a_hand_built_state_is_bound_once_as_built(monkeypatch):
+    # building it binds the five kernels; the solve, the candidate and the
+    # steps bind nothing, and leave the buffers where they were
     binds = []
     real = _kernels.bound
     monkeypatch.setattr(_kernels, "bound", lambda *args: binds.append(args[0]) or real(*args))
     R, H = np.array([[1.0, 0.5, -2.0], [3.0, 1.0, 0.25]]), np.arange(6.0).reshape(3, 2)
-    state = state_with_window(R, H, head=1, spare=4)
+    state = state_with_window(R, H, head=1, spare=4, cfg=AaConfig(memory=3))
+    assert len(binds) == 5
     buffers = state.hbuf, state.rbuf, state.norms
     alpha = compute_alpha(state, 0.0)
     assert aa_candidate(state).tobytes() == candidate_reference(H, alpha).tobytes()
-    assert all(a is b for a, b in zip((state.hbuf, state.rbuf, state.norms), buffers))
-    assert state.ints.tolist()[:4] == [2, 8, 1, 3]
-    assert len(binds) == 5
-    # its 8 entries serve memory 3, so the step binds nothing anew
+    assert state.ints.tolist()[:5] == [2, 8, 1, 3, 3]
     apply = lambda x: 0.5 * x + 1.0
-    safeguarded_step(apply, state, AaConfig(memory=3))
-    assert state.hbuf is buffers[0] and len(binds) == 5
-    safeguarded_step(apply, state, AaConfig(memory=4))
-    assert state.hbuf.shape == (10, 2) and len(binds) == 10
+    for _ in range(6):
+        safeguarded_step(apply, state)
+    assert all(a is b for a, b in zip((state.hbuf, state.rbuf, state.norms), buffers))
+    assert len(binds) == 5 and len(state.r_norms) == 4
 
 
 @pytest.mark.parametrize("tau", [None, 0.0, 1e-6])
@@ -319,10 +320,10 @@ def test_affine_exactness_small_dims():
         c = rng.standard_normal(n)
         apply = lambda x: G @ x + c
         cfg = AaConfig(memory=n + 2, safeguard_factor=10.0, tikhonov=0.0)
-        state = init_state(apply, rng.standard_normal(n))
+        state = init_state(apply, rng.standard_normal(n), cfg)
         hit = None
         for k in range(1, n + 3):
-            x, d = safeguarded_step(apply, state, cfg)
+            x, d = safeguarded_step(apply, state)
             if d.residual_norm <= 1e-10:
                 hit = k
                 break
@@ -341,9 +342,9 @@ def test_memory_one_column_reduces_to_plain_iteration():
     cfg = AaConfig(memory=1, safeguard_factor=1.0)
     x = x_plain = rng.standard_normal(3)
     for _ in range(10):
-        state = init_state(apply, x)
+        state = init_state(apply, x, cfg)
         assert len(state.h_hist) == len(state.r_hist) == len(state.r_norms) == 1
-        x, _ = safeguarded_step(apply, state, cfg)
+        x, _ = safeguarded_step(apply, state)
         x_plain = apply(x_plain)
         assert x.tobytes() == x_plain.tobytes()
 
@@ -351,9 +352,9 @@ def test_memory_one_column_reduces_to_plain_iteration():
 def test_history_never_exceeds_memory_plus_one():
     apply = lambda x: 0.9 * x + 1.0
     cfg = AaConfig(memory=3, safeguard_factor=2.0)
-    state = init_state(apply, np.array([5.0]))
+    state = init_state(apply, np.array([5.0]), cfg)
     for steps in range(1, 13):
-        safeguarded_step(apply, state, cfg)
+        safeguarded_step(apply, state)
         assert len(state.h_hist) == len(state.r_hist) <= 4
         if state.reject_streak == 0 and steps <= 3:
             assert len(state.r_hist) == min(cfg.memory, steps) + 1
@@ -368,10 +369,10 @@ def test_safeguard_rejects_and_restarts():
         return np.array([1.0]) if x[0] < 0.5 else np.array([0.0])
 
     cfg = AaConfig(memory=4, safeguard_factor=1.0, restart_after_rejects=3)
-    state = init_state(nasty, np.array([0.0]))
+    state = init_state(nasty, np.array([0.0]), cfg)
     rejected = 0
     for _ in range(6):
-        _, d = safeguarded_step(nasty, state, cfg)
+        _, d = safeguarded_step(nasty, state)
         rejected += not d.accepted
     assert rejected > 0
     # after a restart the history was rebuilt from the current iterate
@@ -390,10 +391,10 @@ def test_rejected_one_column_step_evaluates_h_once():
 
     x0 = np.array([1.0, -0.5])
     cfg = AaConfig(memory=3, restart_after_rejects=1)
-    state = init_state(apply, x0)
+    state = init_state(apply, x0, cfg)
     for k in range(1, 6):
         before = calls["n"]
-        x, d = safeguarded_step(apply, state, cfg)
+        x, d = safeguarded_step(apply, state)
         assert calls["n"] == before + 1
         assert not d.accepted
         assert np.array_equal(x, 2.0**k * x0)
@@ -411,9 +412,9 @@ def test_nonfinite_candidate_is_rejected_not_raised():
         return 0.5 * x
 
     cfg = AaConfig(memory=3, safeguard_factor=1.0)
-    state = init_state(apply, np.array([8.0]))
+    state = init_state(apply, np.array([8.0]), cfg)
     for _ in range(5):
-        x, d = safeguarded_step(apply, state, cfg)
+        x, d = safeguarded_step(apply, state)
         assert np.all(np.isfinite(x))
 
 
@@ -424,10 +425,10 @@ def test_monotone_residual_envelope_with_strict_safeguard():
     c = rng.standard_normal(6)
     apply = lambda x: G @ x + c
     cfg = AaConfig(memory=5, safeguard_factor=1.0)
-    state = init_state(apply, rng.standard_normal(6))
+    state = init_state(apply, rng.standard_normal(6), cfg)
     norms = [float(np.linalg.norm(state.r_hist[0]))]
     for _ in range(40):
-        _, d = safeguarded_step(apply, state, cfg)
+        _, d = safeguarded_step(apply, state)
         norms.append(d.residual_norm)
     running = np.minimum.accumulate(norms)
     assert np.all(np.diff(running) <= 0)
@@ -526,6 +527,10 @@ def test_config_validation():
     for restart in (2.5, math.inf):
         with pytest.raises(ValueError, match="restart_after_rejects must be an integer >= 1"):
             AaConfig(restart_after_rejects=restart)
+    # True is an int to Python: AaConfig(memory=True) ran memory 1 and showed True
+    for name in ("memory", "restart_after_rejects"):
+        with pytest.raises(ValueError, match="%s must be an integer >= 1" % name):
+            AaConfig(**{name: True})
 
 
 def test_a_config_cannot_be_changed_after_it_is_checked():
@@ -539,7 +544,7 @@ def test_a_config_cannot_be_changed_after_it_is_checked():
 
 def test_init_state_needs_a_vector():
     with pytest.raises(ValueError):
-        init_state(lambda x: x, np.zeros((2, 2)))
+        init_state(lambda x: x, np.zeros((2, 2)), AaConfig())
 
 
 def test_history_views_are_read_only():
@@ -556,18 +561,18 @@ def test_a_map_value_of_the_wrong_shape_is_refused(value):
     x0 = np.array([1.0, -2.0, 0.5, 3.0])
     shape = np.shape(value)
     with pytest.raises(ValueError, match=re.escape("init_state: H returned an array of shape %s, expected (4,)" % (shape,))):
-        init_state(lambda x: value, x0)
+        init_state(lambda x: value, x0, AaConfig(memory=3))
     state, _, _ = run_aa(lambda x: 0.5 * x, x0, AaConfig(memory=3), 2)
     kept = state.h_hist.copy(), state.r_hist.copy(), state.r_norms
     message = "safeguarded_step: H returned an array of shape %s, expected (4,)" % (shape,)
     with pytest.raises(ValueError, match=re.escape(message)):
-        safeguarded_step(lambda x: value, state, AaConfig(memory=3))
+        safeguarded_step(lambda x: value, state)
     assert state.h_hist.tobytes() == kept[0].tobytes() and state.r_hist.tobytes() == kept[1].tobytes()
     assert state.r_norms == kept[2]
 
 
 def test_a_step_after_the_first_takes_no_address_and_binds_nothing(monkeypatch):
-    # the first step grows the buffers and binds its kernels once
+    # init_state sizes the buffers and binds the kernels once
     calls = []
     for name in ("address", "bound"):
         real = getattr(_kernels, name)
@@ -576,48 +581,30 @@ def test_a_step_after_the_first_takes_no_address_and_binds_nothing(monkeypatch):
     G = rng.standard_normal((6, 6))
     G *= 1.1 / np.linalg.norm(G, 2)
     apply = lambda x: soft_threshold(G @ x + 1.0, 0.2)
-    cfg = AaConfig(memory=3, restart_after_rejects=2)
-    state = init_state(apply, rng.standard_normal(6))
-    assert calls == []
-    safeguarded_step(apply, state, cfg)
+    state = init_state(apply, rng.standard_normal(6), AaConfig(memory=3, restart_after_rejects=2))
     assert "bound" in calls and "address" in calls
     calls.clear()
-    diags = [safeguarded_step(apply, state, cfg)[1] for _ in range(40)]
+    diags = [safeguarded_step(apply, state)[1] for _ in range(41)]
     # accepted and rejected candidates, restarts, and the window moved to the end of the buffers
     assert any(d.accepted for d in diags) and not all(d.accepted for d in diags)
     assert calls == []
 
 
-def test_a_new_memory_or_safeguard_rebinds_and_matches_the_list_reference():
-    # each step may take another config; the history keeps min(ncol, memory) + 1 entries
-    rng = np.random.default_rng(11)
-    G = rng.standard_normal((5, 5))
-    G *= 0.9 / np.linalg.norm(G, 2)
-    apply = lambda x: soft_threshold(G @ x + 0.5, 0.1)
-    x0 = rng.standard_normal(5)
-    state, ref = init_state(apply, x0), list_init_state(apply, x0)
-    for memory, safeguard in [(2, 1.0), (2, 1.0), (6, 1.0), (6, 1.5), (1, 1.5), (9, 1.0)] * 3:
-        cfg = AaConfig(memory=memory, safeguard_factor=safeguard, restart_after_rejects=3)
-        want = list_aa_step(apply, ref, cfg)
-        x, diag = safeguarded_step(apply, state, cfg)
-        assert x.tobytes() == want[0].tobytes() and diag.alpha.tobytes() == want[1].tobytes()
-        assert (diag.alpha_l1, diag.accepted, diag.residual_norm) == want[2:]
-        assert state.h_hist.tobytes() == np.array(ref.h).tobytes() and state.r_norms == ref.norms
-
-
-def test_a_new_safeguard_or_a_memory_that_fits_the_buffers_binds_nothing(monkeypatch):
-    # they are written into the state, which the bound kernels read at each call
-    binds = []
-    real = _kernels.bound
-    monkeypatch.setattr(_kernels, "bound", lambda *args: binds.append(args[0]) or real(*args))
+def test_a_built_state_refuses_a_swapped_buffer():
+    # the kernels stay bound to the arrays the state was built with: a
+    # swapped hbuf was taken, and h_hist read it while the steps wrote the old one
     apply = lambda x: soft_threshold(0.6 * x + 1.0, 0.1)
-    state, ref = init_state(apply, np.zeros(4)), list_init_state(apply, np.zeros(4))
-    for memory, safeguard in [(5, 1.0), (5, 1.5), (2, 1.5), (1, 1.0), (5, 2.0)] * 2:
-        cfg = AaConfig(memory=memory, safeguard_factor=safeguard)
-        x, diag = safeguarded_step(apply, state, cfg)
-        assert x.tobytes() == list_aa_step(apply, ref, cfg)[0].tobytes()
-        assert state.ints.item(4) == memory and state.reals.item(1) == safeguard
-    assert len(binds) == 5
+    state, _, _ = run_aa(apply, np.zeros(4), AaConfig(memory=2), 3)
+    kept, swapped = state.h_hist.copy(), np.zeros_like(state.hbuf)
+    for name in ("hbuf", "rbuf", "norms", "ints", "reals", "cfg", "reject_streak", "_alpha", "_weights"):
+        with pytest.raises(AttributeError, match="build a new state with init_state"):
+            setattr(state, name, swapped)
+        with pytest.raises(AttributeError, match="build a new state with init_state"):
+            delattr(state, name)
+    ref = list_init_state(apply, np.zeros(4))
+    for _ in range(3):
+        list_aa_step(apply, ref, state.cfg)
+    assert state.h_hist.tobytes() == kept.tobytes() == np.array(ref.h).tobytes()
 
 
 def test_a_numpy_integer_memory_runs_as_its_int():
@@ -645,20 +632,26 @@ def test_the_state_weights_are_read_only_and_serve_only_their_window():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("hbuf", np.zeros((1, 3))),                      # another n
-    ("rbuf", np.zeros((1, 2))),                      # transposed
+    ("hbuf", np.zeros((4, 3))),                      # another n
+    ("rbuf", np.zeros((4, 2))),                      # transposed
     ("norms", np.zeros(2)),
-    ("reals", np.zeros(3, dtype=np.float32)),
-    ("ints", np.array([2, 1, 0, 2, 0, 1])),          # more columns than the buffers hold
-    ("ints", np.array([2, 1, 0, 1, 0, 1], dtype=np.int32)),
-    ("hbuf", np.zeros((2, 2))[:, :1].T),             # (1, 2), but not C-ordered
+    ("reals", np.zeros(4, dtype=np.float32)),
+    ("ints", np.array([2, 4, 0, 5, 1, 1, 0, 0])),    # more columns than the buffers hold
+    ("ints", np.array([2, 4, 3, 1, 1, 1, 0, 0], dtype=np.int32)),
+    ("hbuf", np.zeros((2, 4)).T),                    # (4, 2), but not C-ordered
+    ("ints", np.array([2, 4, 3, 1, 2, 1, 0, 0])),    # memory 2 needs 6 entries
+    ("cfg", AaConfig(memory=1, safeguard_factor=2.0)),  # a theta that reals do not hold
 ])
-def test_a_state_the_kernels_cannot_read_is_refused_before_binding(field, value):
+def test_a_state_the_kernels_cannot_read_is_refused_before_binding(field, value, monkeypatch):
     # the bound kernels read and write through raw addresses, by the layout init_state makes
-    state = init_state(lambda x: 0.5 * x, np.array([1.0, 2.0]))
-    setattr(state, field, value)
+    state = init_state(lambda x: 0.5 * x, np.array([1.0, 2.0]), AaConfig(memory=1))
+    parts = {name: getattr(state, name) for name in ("hbuf", "rbuf", "norms", "ints", "reals", "cfg")}
+    AaState(**parts)
+    binds = []
+    monkeypatch.setattr(_kernels, "bound", lambda *args: binds.append(args[0]))
     with pytest.raises(ValueError, match="do not have the layout that init_state makes"):
-        safeguarded_step(lambda x: 0.5 * x, state, AaConfig(memory=2))
+        AaState(**{**parts, field: value})
+    assert binds == []
 
 
 def fsum_in_c(values):
@@ -742,16 +735,16 @@ def test_buffered_engine_matches_list_reference_bitwise(seed, n, memory, restart
     cfg = AaConfig(memory=memory, tikhonov=tikhonov, safeguard_factor=safeguard,
                    restart_after_rejects=restart)
     x0 = rng.standard_normal(n)
-    state, ref = init_state(apply, x0), list_init_state(apply, x0)
+    state, ref = init_state(apply, x0, cfg), list_init_state(apply, x0)
     assert state.r_norms == ref.norms
     for _ in range(steps):
         try:
             want = list_aa_step(apply, ref, cfg)
         except (ValueError, np.linalg.LinAlgError) as exc:
             with pytest.raises(type(exc)):
-                safeguarded_step(apply, state, cfg)
+                safeguarded_step(apply, state)
             return
-        x, diag = safeguarded_step(apply, state, cfg)
+        x, diag = safeguarded_step(apply, state)
         got = (x, diag.alpha, diag.alpha_l1, diag.accepted, diag.residual_norm)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
@@ -778,10 +771,10 @@ def test_history_and_norm_cache_stay_in_step(seed, n, memory, safeguard, steps):
     lam = rng.uniform(0.0, 0.5)
     apply = lambda x: soft_threshold(G @ x + c, lam)
     cfg = AaConfig(memory=memory, safeguard_factor=safeguard, restart_after_rejects=1)
-    state = init_state(apply, rng.standard_normal(n))
+    state = init_state(apply, rng.standard_normal(n), cfg)
     for _ in range(steps):
         window_min = min(state.r_norms)
-        _, diag = safeguarded_step(apply, state, cfg)
+        _, diag = safeguarded_step(apply, state)
         assert len(state.h_hist) == len(state.r_hist) == len(state.r_norms) <= memory + 1
         assert all(cached == float(np.linalg.norm(r)) for r, cached in zip(state.r_hist, state.r_norms))
         assert diag.residual_norm == state.r_norms[0]
@@ -814,3 +807,57 @@ def test_compute_alpha_sums_to_one_or_raises(seed, n, ncol, spread, max_exp, tau
     assert alpha.shape == (ncol,)
     assert np.all(np.isfinite(alpha))
     assert abs(math.fsum(alpha) - 1.0) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), radius=st.floats(0.1, 0.95),
+       steps=st.integers(1, 8), spare=st.integers(0, 4))
+def test_aa_without_truncation_steps_to_the_map_of_the_gmres_iterates(seed, n, radius, steps, spare):
+    # Walker & Ni (SIAM J. Numer. Anal. 2011), Thm 2.2: on g(x) = G x + b, with
+    # no truncation, no ridge and no rejection, x^AA_(k+1) = g(x^GMRES_k), GMRES
+    # run on (I - G) x = b from the same x0.  At most n - 1 steps, so GMRES
+    # has not solved the system and the residual differences keep full rank.
+    steps = min(steps, n - 1)
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    G = radius * M / np.abs(np.linalg.eigvals(M)).max()  # nonsymmetric, spectral radius `radius`
+    b, x0 = rng.standard_normal(n), rng.standard_normal(n)
+    apply = lambda x: G @ x + b
+    state = init_state(apply, x0, AaConfig(memory=steps + spare, tikhonov=0.0, safeguard_factor=1e300))
+    for x_gmres in gmres_iterates(np.eye(n) - G, b, x0, steps - 1):
+        x, diag = safeguarded_step(apply, state)
+        want = apply(x_gmres)
+        assert diag.accepted
+        assert np.linalg.norm(x - want) <= 1e-9 * np.linalg.norm(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10), exponent=st.integers(-40, 40),
+       memory=st.integers(1, 8), restart=st.integers(1, 3), safeguard=st.sampled_from([1.0, 1.5]),
+       steps=st.integers(1, 30))
+def test_a_map_scaled_by_a_power_of_two_runs_the_scaled_iterates(seed, n, exponent, memory, restart, safeguard,
+                                                                 steps):
+    # g_c(x) = c g(x/c) from c x0, with c a power of two: the automatic tau
+    # scales with ||R||^2 and the safeguard compares norms, so every iterate,
+    # weight and decision is g's, scaled by c bit for bit
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    G = rng.uniform(0.3, 1.3) * M / max(np.linalg.norm(M, 2), 1e-12)
+    b, lam, signs = rng.standard_normal(n), rng.uniform(0.0, 1.0), rng.choice([-1.0, 1.0], size=n)
+    apply = lambda x: signs * soft_threshold(G @ x + b, lam)
+    c = 2.0**exponent
+    scaled = lambda x: c * apply(x / c)
+    cfg = AaConfig(memory=memory, safeguard_factor=safeguard, restart_after_rejects=restart)
+    x0 = rng.standard_normal(n)
+    state, state_c = init_state(apply, x0, cfg), init_state(scaled, c * x0, cfg)
+    for _ in range(steps):
+        try:
+            x, diag = safeguarded_step(apply, state)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            with pytest.raises(type(exc)):
+                safeguarded_step(scaled, state_c)
+            return
+        x_c, diag_c = safeguarded_step(scaled, state_c)
+        assert x_c.tobytes() == (c * x).tobytes()
+        assert diag_c.alpha.tobytes() == diag.alpha.tobytes() and diag_c.accepted == diag.accepted
+        assert diag_c.residual_norm == c * diag.residual_norm
