@@ -7,6 +7,11 @@
  * history.  They call the ddot, dgemv and dgelsd of scipy's Cython API,
  * set once by aaopt_set_blas.
  *
+ * Each map also writes a readout of every evaluation out = H(x), for the run
+ * loop: readout[0] = ||H(x) - x||, as numpy's sqrt of d.dot(d) for
+ * d = H(x) - x, and readout[1] = f(x), the objective at x, from the products
+ * the map forms anyway.  d is formed in x, so x holds it on return.
+ *
  * The sweep's arithmetic is the Python sweep's, operation for operation, so
  * the results are bitwise equal to it:
  *   - a row dot is numpy's DOUBLE_dot: d = 0.0; d += ddot(...); a length-1
@@ -14,9 +19,11 @@
  *   - the box step is max(v, lo) then min(w, hi) as Python picks them;
  *   - u[j] = u[j] + delta*z[j], with no FMA (build with -ffp-contract=off).
  *
- * q, lower, upper and x are arrays of length m; x and u = Z.T x are
- * updated in place.  A dense Z is C-ordered, so each row dot reads it with
- * stride 1, as numpy's row dot of a C-ordered Z does.
+ * q, lower, upper, x and out are arrays of length m; the sweep runs on out,
+ * which starts as x and ends as H(x), and keeps u = Z.T x current in place.
+ * f(x) = 0.5*u.u + q.x is read off the u the sweep starts with.  A dense Z
+ * is C-ordered, so each row dot reads it with stride 1, as numpy's row dot
+ * of a C-ordered Z does.
  */
 #include <float.h>
 #include <math.h>
@@ -73,27 +80,46 @@ static double coordinate(double xi, double d, double qi, double lo, double hi, d
     return hi < w ? hi : w;
 }
 
-void aaopt_pcd_dense(int64_t m, int64_t n, const double *Z, const double *q, const double *lo,
-                     const double *hi, double beta, double *x, double *u)
+static void residual_readout(int64_t n, double *x, const double *out, double *readout)
 {
+    for (int64_t j = 0; j < n; j++)
+        x[j] = out[j] - x[j];
+    readout[0] = sqrt(row_dot(n, x, x));
+}
+
+static void pcd_start(int64_t m, int64_t n, const double *q, const double *x, const double *u,
+                      double *out, double *readout)
+{
+    readout[1] = 0.5 * row_dot(n, u, u) + row_dot(m, q, x);
+    memcpy(out, x, (size_t)m * sizeof(double));
+}
+
+void aaopt_pcd_dense(int64_t m, int64_t n, const double *Z, const double *q, const double *lo,
+                     const double *hi, double beta, double *x, double *u, double *out,
+                     double *readout)
+{
+    pcd_start(m, n, q, x, u, out, readout);
     for (int64_t i = 0; i < m; i++) {
         const double *z = Z + i * n;
-        double xi = x[i];
+        double xi = out[i];
         double next = coordinate(xi, row_dot(n, z, u), q[i], lo[i], hi[i], beta);
         double delta = next - xi;
         if (delta != 0.0) {
             for (int64_t j = 0; j < n; j++)
                 u[j] = u[j] + delta * z[j];
-            x[i] = next;
+            out[i] = next;
         }
     }
+    residual_readout(m, x, out, readout);
 }
 
 /* g holds at least the longest row's count of doubles */
-void aaopt_pcd_csr(int64_t m, const int64_t *indptr, const int64_t *indices, const double *data,
-                   double *g, const double *q, const double *lo, const double *hi, double beta,
-                   double *x, double *u)
+void aaopt_pcd_csr(int64_t m, int64_t n, const int64_t *indptr, const int64_t *indices,
+                   const double *data, double *g, const double *q, const double *lo,
+                   const double *hi, double beta, double *x, double *u, double *out,
+                   double *readout)
 {
+    pcd_start(m, n, q, x, u, out, readout);
     for (int64_t i = 0; i < m; i++) {
         int64_t start = indptr[i], len = indptr[i + 1] - start;
         const int64_t *idx = indices + start;
@@ -101,23 +127,25 @@ void aaopt_pcd_csr(int64_t m, const int64_t *indptr, const int64_t *indices, con
         /* u[idx] of the current row, gathered so that ddot reads it with stride 1 */
         for (int64_t k = 0; k < len; k++)
             g[k] = u[idx[k]];
-        double xi = x[i];
+        double xi = out[i];
         double next = coordinate(xi, row_dot(len, z, g), q[i], lo[i], hi[i], beta);
         double delta = next - xi;
         if (delta != 0.0) {
             /* u[idx] += delta*data: gather, add, then scatter in order */
             for (int64_t k = 0; k < len; k++)
                 u[idx[k]] = g[k] + delta * z[k];
-            x[i] = next;
+            out[i] = next;
         }
     }
+    residual_readout(m, x, out, readout);
 }
 
 /*
  * The lasso proximal-gradient map, out = H(x) = soft_threshold(x - beta*g,
- * t) with g = A.T (A x - y), as numpy computes it from A.dot(x) - y,
- * A.T.dot(r), x - beta*g and v - minimum(maximum(v, -t), t).  x and out
- * have length n, y and r length m; r is scratch.
+ * t) with g = A.T (A x - y) and t = beta*lam, as numpy computes it from
+ * A.dot(x) - y, A.T.dot(r), x - beta*g and v - minimum(maximum(v, -t), t).
+ * x and out have length n, y and r length m; r holds A x - y on return, and
+ * f(x) = 0.5*r.r + lam*||x||_1 is read off it.
  *
  * A dense A is m x n, C-ordered and at least 1 x 1.  A product M v (M = A
  * or A.T) with one output entry is numpy's dot of M's one row, which lies
@@ -134,8 +162,8 @@ void aaopt_pcd_csr(int64_t m, const int64_t *indptr, const int64_t *indices, con
  *
  * The tail is numpy's: NaN passes maximum and minimum, 0.0 is added when t
  * is zero (which turns a -0.0 into +0.0), and a NaN entry becomes +0.0.
- * Returns 0, or AAOPT_NONFINITE, leaving out undefined, if g has a NaN or
- * infinite entry.
+ * Returns 0, or AAOPT_NONFINITE, leaving out and the readout undefined, if
+ * g has a NaN or infinite entry.
  */
 static void dense_product(int transpose, int m, int n, const double *A, const double *v,
                           double *out)
@@ -159,9 +187,13 @@ static void csr_product(int64_t rows, const int64_t *indptr, const int64_t *indi
     }
 }
 
+static double pairwise_sum(const double *v, int64_t n, int absolute);
+
 /* out holds g on entry and H(x) on return */
-static int64_t pga_tail(int64_t n, const double *x, double beta, double t, double *out)
+static int64_t pga_tail(int64_t m, int64_t n, const double *r, double beta, double lam, double *x,
+                        double *out, double *readout)
 {
+    double t = beta * lam;
     for (int64_t j = 0; j < n; j++)
         if (!isfinite(out[j]))
             return AAOPT_NONFINITE;
@@ -173,29 +205,31 @@ static int64_t pga_tail(int64_t n, const double *x, double beta, double t, doubl
             h += 0.0;
         out[j] = isnan(h) ? 0.0 : h;
     }
+    readout[1] = 0.5 * row_dot(m, r, r) + lam * pairwise_sum(x, n, 1);
+    residual_readout(n, x, out, readout);
     return 0;
 }
 
 int64_t aaopt_pga_dense(int64_t m, int64_t n, const double *A, const double *y, double beta,
-                        double t, const double *x, double *r, double *out)
+                        double lam, double *x, double *r, double *out, double *readout)
 {
     dense_product(0, (int)m, (int)n, A, x, r);
     for (int64_t i = 0; i < m; i++)
         r[i] = r[i] - y[i];
     dense_product(1, (int)m, (int)n, A, r, out);
-    return pga_tail(n, x, beta, t, out);
+    return pga_tail(m, n, r, beta, lam, x, out, readout);
 }
 
 int64_t aaopt_pga_csr(int64_t m, int64_t n, const int64_t *indptr, const int64_t *indices,
                       const double *data, const int64_t *t_indptr, const int64_t *t_indices,
-                      const double *t_data, const double *y, double beta, double t,
-                      const double *x, double *r, double *out)
+                      const double *t_data, const double *y, double beta, double lam,
+                      double *x, double *r, double *out, double *readout)
 {
     csr_product(m, indptr, indices, data, x, r);
     for (int64_t i = 0; i < m; i++)
         r[i] = r[i] - y[i];
     csr_product(n, t_indptr, t_indices, t_data, r, out);
-    return pga_tail(n, x, beta, t, out);
+    return pga_tail(m, n, r, beta, lam, x, out, readout);
 }
 
 /*

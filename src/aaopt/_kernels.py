@@ -13,11 +13,14 @@ the Anderson step around the evaluations of H: the weight solve with its
 sum-to-one fix-up (a port of CPython's ``math.fsum``), the candidate, and the
 safeguard with the push into the history, each reading and writing the
 engine's state in place, to which ``anderson.init_state`` binds them once
-when it builds the state.  The sweep's row dots and the residual
-norms call BLAS ``ddot``, the dense lasso map ``dgemv`` and ``ddot``, and the
-weight solve LAPACK ``dgelsd``, all taken from the function pointers that
-scipy's documented Cython API (``scipy.linalg.cython_blas`` and
-``cython_lapack``) publishes in every scipy build, whatever its BLAS.
+when it builds the state.  The two maps also write, at every evaluation,
+a readout of ||H(x) - x|| and the objective at x into a 2-entry array that
+each map owns, from the products it forms anyway.  The sweep's row dots and
+the residual norms call BLAS ``ddot``, the dense lasso map ``dgemv`` and
+``ddot``, and the weight solve LAPACK ``dgelsd``, all taken from the
+function pointers that scipy's documented Cython API
+(``scipy.linalg.cython_blas`` and ``cython_lapack``) publishes in every
+scipy build, whatever its BLAS.
 """
 
 from __future__ import annotations
@@ -41,14 +44,14 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 C_INT_MAX = 2**31 - 1
 
 _i64, _f64, _ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-# both sweeps end with the arrays q, lower, upper, then beta, x, u
-_TAIL = [_ptr, _ptr, _ptr, _f64, _ptr, _ptr]
-# both lasso maps end with y, beta, the threshold, then x, r, out
-_PGA_TAIL = [_ptr, _f64, _f64, _ptr, _ptr, _ptr]
+# both sweeps end with the arrays q, lower, upper, then beta, x, u, out, readout
+_TAIL = [_ptr, _ptr, _ptr, _f64, _ptr, _ptr, _ptr, _ptr]
+# both lasso maps end with y, beta, lam, then x, r, out, readout
+_PGA_TAIL = [_ptr, _f64, _f64, _ptr, _ptr, _ptr, _ptr]
 _SIGNATURES = {
     "aaopt_set_blas": ([_ptr, _ptr, _ptr], None),
     "aaopt_pcd_dense": ([_i64, _i64, _ptr] + _TAIL, None),
-    "aaopt_pcd_csr": ([_i64, _ptr, _ptr, _ptr, _ptr] + _TAIL, None),
+    "aaopt_pcd_csr": ([_i64, _i64, _ptr, _ptr, _ptr, _ptr] + _TAIL, None),
     "aaopt_pga_dense": ([_i64, _i64, _ptr] + _PGA_TAIL, _i64),
     "aaopt_pga_csr": ([_i64, _i64] + [_ptr] * 6 + _PGA_TAIL, _i64),
     "aaopt_fsum": ([_i64, _ptr, _ptr, _ptr], _i64),

@@ -44,13 +44,17 @@ class FixedPointOperator:
     vector whose sign/activity pattern identifies the active manifold
     (defaults to the iterate itself).  ``objective`` takes a block of monitor
     vectors, one per row, and returns the merit at each row's iterate, one
-    value per row.
+    value per row.  ``readout``, where the map has one (``pga_step`` and
+    ``pcd_sweep``), is the array that every call of ``apply`` at x
+    overwrites with ||H(x) - x|| and the objective at x; the run loop reads
+    it in place of ``objective`` and of the residual it would form.
     """
 
     dimension: int
     apply: Callable[[np.ndarray], np.ndarray]
     objective: Callable[[np.ndarray], np.ndarray]
     monitor: Callable[[np.ndarray], np.ndarray] | None = None
+    readout: np.ndarray | None = None
 
     def monitor_vector(self, x: np.ndarray) -> np.ndarray:
         return x if self.monitor is None else self.monitor(x)
@@ -100,12 +104,19 @@ def pga_step(A, y, lam: float, beta: float) -> Callable[[np.ndarray], np.ndarray
     compiles the C source on first use (see ``aaopt._kernels``), which
     ``pga_step`` itself makes happen.
 
+    The same call writes the map's ``readout``, a read-only array of two
+    entries: ||H(x) - x||, bit for bit numpy's sqrt of d.dot(d) for
+    d = H(x) - x, and the objective f(x) = 0.5*||A x - y||^2 + lam*||x||_1,
+    from the A x - y that H forms.  Each call overwrites it.  Its dots call
+    ddot, so a CSR A too has m and n at most 2**31 - 1.
+
     The first call binds the compiled call: it allocates the buffers the
-    map keeps, one for x, one for A x - y and one for H(x), and converts
-    every argument to ctypes once.  Each call then copies x into its buffer,
-    makes one call and returns a copy of the result buffer, so a result
-    never shares memory with the map.  Those buffers make the map not
-    reentrant: two threads must not call the same map at once.
+    map keeps, one for x (which holds H(x) - x after a call), one for
+    A x - y and one for H(x), and converts every argument to ctypes once.
+    Each call then copies x into its buffer, makes one call and returns a
+    copy of the result buffer, so a result never shares memory with the
+    map.  Those buffers and the readout make the map not reentrant: two
+    threads must not call the same map at once.
     """
     if not beta > 0:  # negated, so NaN fails too
         raise ValueError("pga_step: beta must be positive")
@@ -117,6 +128,9 @@ def pga_step(A, y, lam: float, beta: float) -> Callable[[np.ndarray], np.ndarray
     m, n = A.shape
     if not m or not n:
         raise ValueError("pga_step: A has shape %s, with no rows or no columns" % (A.shape,))
+    # the readout's dots run over A x - y and H(x) - x
+    if max(m, n) > C_INT_MAX:
+        raise ValueError("pga_step: A has shape %s, larger than BLAS takes" % (A.shape,))
     y = np.require(y, float, "CA")
     if y.shape != (m,):
         raise ValueError("pga_step: y has shape %s, expected (%d,)" % (y.shape, m))
@@ -125,17 +139,16 @@ def pga_step(A, y, lam: float, beta: float) -> Callable[[np.ndarray], np.ndarray
         # A.T as CSR, built once; each row's terms come in A's row order, as A.T.dot sums them
         arrays = _csr_arrays(A) + _csr_arrays(A.T.tocsr())
     else:
-        if max(m, n) > C_INT_MAX:
-            raise ValueError("pga_step: A has shape %s, larger than BLAS takes" % (A.shape,))
         A = np.require(A, float, "CA")
         arrays = [A]
+    readout = _readout()
     bound = None
 
     def bind():
         x_buf, r_buf, out = np.empty(n), np.empty(m), np.empty(n)
         name = "aaopt_pga_csr" if sparse else "aaopt_pga_dense"
         call = _kernels.bound(name, m, n, *(address(a) for a in arrays), address(y), float(beta),
-                              float(beta * lam), address(x_buf), address(r_buf), address(out))
+                              float(lam), address(x_buf), address(r_buf), address(out), address(readout))
         return call, x_buf, out, r_buf
 
     def step(x: np.ndarray) -> np.ndarray:
@@ -151,7 +164,15 @@ def pga_step(A, y, lam: float, beta: float) -> Callable[[np.ndarray], np.ndarray
             raise FloatingPointError("pga_step: gradient is non-finite")
         return out.copy()
 
+    step.readout = readout
     return step
+
+
+def _readout() -> np.ndarray:
+    """A map's readout before its first call: two NaNs, read-only to Python, written by C."""
+    readout = np.full(2, math.nan)
+    readout.flags.writeable = False
+    return readout
 
 
 def _per_row(value, m: int, what: str) -> np.ndarray:
@@ -176,8 +197,9 @@ def pcd_sweep(Z, q, box: BoxBounds, beta: float) -> Callable[[np.ndarray], np.nd
 
     numpy forms u = Z.T x once per sweep; the loop over the rows runs in C
     (``_kernels.c``), with the same IEEE operations in the same order as the
-    Python loop it replaced; its row dots call the BLAS ddot of scipy's
-    Cython API, so a row of Z may hold at most 2**31 - 1 entries.  gcc
+    Python loop it replaced; its row dots and the readout's call the BLAS
+    ddot of scipy's Cython API, so Z may have at most 2**31 - 1 rows,
+    columns or entries in a row.  gcc
     compiles the C source on first use into the package's ``__pycache__``,
     or into ``~/.cache/aaopt`` where the package cannot be written, and later
     runs find it there (see ``aaopt._kernels``).  A CSR Z is checked in full
@@ -186,13 +208,19 @@ def pcd_sweep(Z, q, box: BoxBounds, beta: float) -> Callable[[np.ndarray], np.nd
     other than one depend on the layout, and the copy gives every layout the
     C layout's.
 
+    The same call writes the sweep's ``readout``, a read-only array of two
+    entries: ||H(x) - x||, bit for bit numpy's sqrt of d.dot(d) for
+    d = H(x) - x, and the objective f(x) = 0.5*||Z.T x||^2 + q.T x, from
+    the u the sweep starts with.  Each sweep overwrites it.
+
     The first sweep binds the compiled call: it allocates the buffers the
-    sweep keeps, one for the iterate, one for u and, for a CSR Z, one to
-    gather a row's entries of u, and converts every argument to ctypes
-    once.  Each sweep then copies x and Z.T x into those buffers, makes one
-    call and returns a copy of the iterate buffer, so a result never shares
-    memory with the sweep.  Those buffers make a sweep not reentrant: two
-    threads must not call the same sweep at once.
+    sweep keeps, one for x (which holds H(x) - x after a sweep), one for the
+    iterate the sweep updates, one for u and, for a CSR Z, one to gather a
+    row's entries of u, and converts every argument to ctypes once.  Each
+    sweep then copies x and Z.T x into those buffers, makes one call and
+    returns a copy of the iterate buffer, so a result never shares memory
+    with the sweep.  Those buffers and the readout make a sweep not
+    reentrant: two threads must not call the same sweep at once.
     """
     if not beta > 0:
         raise ValueError("pcd_sweep: beta must be positive")
@@ -203,6 +231,9 @@ def pcd_sweep(Z, q, box: BoxBounds, beta: float) -> Callable[[np.ndarray], np.nd
     longest = (int(np.diff(Z.indptr).max()) if m else 0) if sparse else n  # before anything copies Z
     if longest > C_INT_MAX:
         raise ValueError("pcd_sweep: a row of Z has %d entries, more than BLAS takes" % longest)
+    # the readout's dots run over u and H(x) - x
+    if max(m, n) > C_INT_MAX:
+        raise ValueError("pcd_sweep: Z has shape %s, larger than BLAS takes" % (Z.shape,))
     if sparse:
         Z = _checked_csr(Z, "pcd_sweep: Z")
         indptr, indices, data = _csr_arrays(Z)
@@ -214,19 +245,20 @@ def pcd_sweep(Z, q, box: BoxBounds, beta: float) -> Callable[[np.ndarray], np.nd
         Z = np.require(Z, float, "CA")
         Zt = Z.T
     rows = (_per_row(q, m, "q"), _per_row(box.lower, m, "lower"), _per_row(box.upper, m, "upper"))
+    readout = _readout()
     bound = None
 
     def bind():
-        x_buf, u_buf = np.empty(m), np.empty(n)
+        x_buf, u_buf, out = np.empty(m), np.empty(n), np.empty(m)
         if sparse:
             gather = np.empty(max(longest, 1))
-            head = ("aaopt_pcd_csr", m, address(indptr), address(indices), address(data), address(gather))
+            head = ("aaopt_pcd_csr", m, n, address(indptr), address(indices), address(data), address(gather))
         else:
             gather = None
             head = ("aaopt_pcd_dense", m, n, address(Z))
         call = _kernels.bound(*head, *(address(row) for row in rows), float(beta),
-                              address(x_buf), address(u_buf))
-        return call, x_buf, u_buf, gather
+                              address(x_buf), address(u_buf), address(out), address(readout))
+        return call, x_buf, u_buf, out, gather
 
     def sweep(x: np.ndarray) -> np.ndarray:
         nonlocal bound
@@ -235,12 +267,16 @@ def pcd_sweep(Z, q, box: BoxBounds, beta: float) -> Callable[[np.ndarray], np.nd
             raise ValueError("pcd_sweep: x has shape %s, expected (%d,)" % (x.shape, m))
         if bound is None:
             bound = bind()
-        call, x_buf, u_buf, _ = bound
+        call, x_buf, u_buf, out, _ = bound
         x_buf[:] = x
-        u_buf[:] = Zt.dot(x)
+        if sparse:
+            u_buf[:] = Zt.dot(x)
+        else:
+            np.dot(Zt, x, out=u_buf)
         call()
-        return x_buf.copy()
+        return out.copy()
 
+    sweep.readout = readout
     return sweep
 
 

@@ -114,24 +114,29 @@ class AaState:
     takes about 2.5 us on a 2-core x86 host, and ctypes converts each
     argument of a call anew, so no step does either.  The kernels would go
     on reading the arrays they were bound to, so a built state refuses to
-    have any attribute set or deleted.
+    have any attribute set or deleted.  They trust what the arrays hold as
+    well (a head or ncol out of range reads past the buffers), so the five
+    arrays are handed out as read-only views; the engine writes ``ints``
+    and ``reals`` through its own handles, ``_ints`` and ``_reals``.
     """
 
-    __slots__ = ("hbuf", "rbuf", "norms", "ints", "reals", "_alpha", "_candidate", "_h_in", "_r",
-                 "_weights", "_combine", "_judge", "_plain", "_keep", "cfg")
+    __slots__ = ("hbuf", "rbuf", "norms", "ints", "reals", "_ints", "_reals", "_alpha", "_candidate", "_h_in",
+                 "_r", "_weights", "_combine", "_judge", "_plain", "_keep", "cfg")
 
     def __init__(self, hbuf: np.ndarray, rbuf: np.ndarray, norms: np.ndarray, ints: np.ndarray,
                  reals: np.ndarray, cfg: AaConfig):
         _check_layout(hbuf, rbuf, norms, ints, reals, cfg)
         n, width = ints.item(_N), ints.item(_WIDTH)
-        arrays = (hbuf, rbuf, norms, ints, reals, np.empty(width), np.empty(n), np.empty(n), np.empty(n))
-        hbuf, rbuf, norms, ints, reals, alpha, candidate, h_in, r = map(_kernels.address, arrays)
+        arrays = (hbuf, rbuf, norms, ints, reals)
+        scratch = (np.empty(width), np.empty(n), np.empty(n), np.empty(n))
+        hbuf, rbuf, norms, ints, reals, alpha, candidate, h_in, r = map(_kernels.address, arrays + scratch)
         calls = (_kernels.bound("aaopt_aa_weights", ints, reals, rbuf, alpha),
                  _kernels.bound("aaopt_aa_combine", ints, hbuf, alpha, candidate),
                  # aaopt_aa_push's modes: judge the candidate, push the plain step, keep the judged entry
                  *(_kernels.bound("aaopt_aa_push", ints, reals, hbuf, rbuf, norms, h_in, candidate, r, mode)
                    for mode in range(3)))
-        for name, value in zip(self.__slots__, (*arrays, *calls, cfg), strict=True):
+        views = tuple(_read_only(a.view()) for a in arrays)
+        for name, value in zip(self.__slots__, (*views, *arrays[3:], *scratch, *calls, cfg), strict=True):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -285,9 +290,9 @@ def compute_alpha(state: AaState, tau: float | None = None) -> np.ndarray:
         if not np.isfinite(state.r_hist).all():
             raise ValueError(_NONFINITE_R)
         raise ValueError("compute_alpha: tau must be finite and nonnegative")
-    state.reals[_TAU] = _AUTOMATIC_TAU if tau is None else tau
+    state._reals[_TAU] = _AUTOMATIC_TAU if tau is None else tau
     status = state._weights()
-    state.ints[_SOLVED] = status > 0
+    state._ints[_SOLVED] = status > 0
     return _read_only(state._alpha[: _check_weights(status)].copy())
 
 
@@ -303,7 +308,7 @@ def aa_candidate(state: AaState) -> np.ndarray:
     """
     if not state.ints.item(_SOLVED):
         raise ValueError("aa_candidate: the weights of the stored window were not solved; call compute_alpha first")
-    state.reals[_L1] = state._combine()
+    state._reals[_L1] = state._combine()
     return state._candidate.copy()
 
 
@@ -322,7 +327,7 @@ def safeguarded_step(
     the state: the residual, its norm, the safeguard and the push into the
     history run in ``aaopt_aa_push``.
     """
-    ints, cfg = state.ints, state.cfg
+    ints, cfg = state._ints, state.cfg
     ncol = ints.item(_NCOL)
     alpha = compute_alpha(state, cfg.tikhonov)
     candidate = aa_candidate(state)

@@ -281,10 +281,12 @@ def _build_lasso(cfg: ExperimentConfig, params: dict) -> RunContext:
     generate = lambda m, n, seed, lam: gen_lasso(m, n, lam, params["noise_var"], seed=seed)
     inst = _instance(cfg, params, generate, LassoInstance, lam=params["lambda"])
     beta = _resolve_beta(cfg, params, spectral_norm_sq(inst.A))
+    step = pga_step(inst.A, inst.y, inst.lam, beta)
     op = FixedPointOperator(
         dimension=inst.A.shape[1],
-        apply=pga_step(inst.A, inst.y, inst.lam, beta),
+        apply=step,
         objective=lambda X: lasso_objective(inst, X),
+        readout=step.readout,
     )
     x0 = _x0_rng(cfg.seed).standard_normal(op.dimension)
     return RunContext(op=op, x0=x0)
@@ -312,10 +314,12 @@ def _build_svm(cfg: ExperimentConfig, params: dict) -> RunContext:
     lipschitz = float(row_norm_sq.max()) if m else 0.0
     beta = _resolve_beta(cfg, params, lipschitz)
     box = BoxBounds(0.0, inst.C)
+    sweep = pcd_sweep(Z, -1.0, box, beta)
     op = FixedPointOperator(
         dimension=m,
-        apply=pcd_sweep(Z, -1.0, box, beta),
+        apply=sweep,
         objective=lambda X: svm_dual_objective(inst, X),
+        readout=sweep.readout,
     )
     x0 = _x0_rng(cfg.seed).standard_normal(m)
     return RunContext(op=op, x0=x0, bounds=box)
@@ -453,33 +457,41 @@ class Trace(Sequence):
         return TraceRecord(k, *(column[k] for column in self.columns))
 
 
-def _plain_iterates(apply: Callable, x0: np.ndarray):
+def _measured(readout: np.ndarray | None, x: np.ndarray, h: np.ndarray) -> list:
+    """[||H(x) - x||, f(x) or None] for h = H(x), the map's last evaluation: its readout if it has one."""
+    if readout is not None:
+        return readout.tolist()
+    d = h - x  # its norm as np.linalg.norm takes it, without the dispatch
+    return [math.sqrt(float(d.dot(d))), None]
+
+
+def _plain_iterates(apply: Callable, x0: np.ndarray, readout: np.ndarray | None):
     x = np.asarray(x0, dtype=float)
     h = np.asarray(apply(x), dtype=float)
     while True:
-        d = h - x  # its norm as np.linalg.norm takes it, without the dispatch
-        yield x, math.sqrt(float(d.dot(d))), 0.0, 0
+        yield x, *_measured(readout, x, h), 0.0, 0
         x = h
         h = np.asarray(apply(x), dtype=float)
 
 
-def _aa_iterates(apply: Callable, x0: np.ndarray, aa: AaConfig):
+def _aa_iterates(apply: Callable, x0: np.ndarray, aa: AaConfig, readout: np.ndarray | None):
+    # every step's last evaluation of H is at the iterate it returns, so the readout is that iterate's
+    objective = (lambda: None) if readout is None else (lambda: readout.item(1))
     x0 = np.asarray(x0, dtype=float)
     state = init_state(apply, x0, aa)
-    yield x0, state.r_norms[0], 0.0, 0
+    yield x0, state.r_norms[0], objective(), 0.0, 0
     while True:
         x, diag = safeguarded_step(apply, state)
-        yield x, diag.residual_norm, diag.alpha_l1, int(diag.accepted)
+        yield x, diag.residual_norm, objective(), diag.alpha_l1, int(diag.accepted)
 
 
-def _fista_iterates(apply: Callable, x0: np.ndarray):
+def _fista_iterates(apply: Callable, x0: np.ndarray, readout: np.ndarray | None):
     # the FISTA baseline runs its own momentum sequence and is never fed to
     # the engine; with t = 1 its first step is one application of H
     x = y = np.asarray(x0, dtype=float)
     t = 1.0
     while True:
-        d = apply(x) - x
-        yield x, math.sqrt(float(d.dot(d))), 0.0, 0
+        yield x, *_measured(readout, x, apply(x)), 0.0, 0
         x_new = apply(y)
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t**2))
         y = x_new + ((t - 1.0) / t_new) * (x_new - x)
@@ -502,31 +514,36 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Trace, dict]:
     trace = Trace()
     identification = IdentificationTracker(cfg.window)
     limits = pattern_limits(cfg.zero_tol, ctx.bounds)
-    # Each mode yields (iterate, residual norm, alpha_l1, accepted) for
-    # k = 0, 1, ...; the loop stops before it asks for an iterate it does not
-    # record, so no evaluation of H is wasted.
+    # Each mode yields (iterate, residual norm, objective, alpha_l1, accepted)
+    # for k = 0, 1, ..., the objective read off the map's readout, or None
+    # for a map without one, whose objectives are taken a block at a time;
+    # the loop stops before it asks for an iterate it does not record, so no
+    # evaluation of H is wasted.
     if cfg.algorithm == "fista":
-        iterates = _fista_iterates(op.apply, ctx.x0)
+        iterates = _fista_iterates(op.apply, ctx.x0, op.readout)
     elif cfg.aa_enabled:
-        iterates = _aa_iterates(op.apply, ctx.x0, cfg.aa)
+        iterates = _aa_iterates(op.apply, ctx.x0, cfg.aa, op.readout)
     else:
-        iterates = _plain_iterates(op.apply, ctx.x0)
-    residual, _, alphas, accepts, _, elapsed = (column.append for column in trace.columns)
+        iterates = _plain_iterates(op.apply, ctx.x0, op.readout)
+    residual, objectives, alphas, accepts, _, elapsed = (column.append for column in trace.columns)
     tol, max_iter, clock = cfg.tol, cfg.max_iter, time.perf_counter
     monitors, rows = None, 0  # the monitor vectors whose objectives and patterns are not taken yet
-    for k, (x, rnorm, alpha_l1, accepted) in enumerate(iterates):
+    for k, (x, rnorm, objective, alpha_l1, accepted) in enumerate(iterates):
         vector = op.monitor_vector(x)
         if monitors is None:
             monitors = np.empty((TRACE_BLOCK, np.size(vector)))
         monitors[rows] = vector
         rows += 1
         residual(rnorm)
+        if objective is not None:
+            objectives(objective)
         alphas(alpha_l1)
         accepts(accepted)
         elapsed(int((clock() - t_start) * 1e6))
         done = not (tol < rnorm <= DIVERGENCE_LIMIT and k < max_iter)  # NaN and +-inf fail both
         if rows == TRACE_BLOCK or done:
-            trace.objective.extend(op.objective(monitors[:rows]).tolist())
+            if op.readout is None:
+                trace.objective.extend(op.objective(monitors[:rows]).tolist())
             patterns = pattern_of(monitors[:rows], limits)
             trace.support_size.extend(support_size(patterns).tolist())
             identification.push_block(patterns)

@@ -17,7 +17,7 @@ from aaopt.algorithms import (
     pga_step,
 )
 from aaopt.algorithms import _require_finite
-from aaopt.problems import phi_deriv
+from aaopt.problems import LassoInstance, SvmDualInstance, lasso_objective, phi_deriv, svm_dual_objective
 from aaopt.prox import BoxBounds, quadratic_ls_prox, soft_threshold
 from oracles import irl1_step_reference
 
@@ -211,6 +211,74 @@ def test_pcd_sweep_on_csr_matches_the_dense_sweep(problem):
     assert csr.shape == dense.shape == x.shape
     scale = 1.0 + float(np.max(np.abs(x))) + float(np.max(np.abs(dense)))
     assert float(np.max(np.abs(csr - dense))) <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# the maps' readout
+
+U = 2.0**-53  # the unit roundoff of float64
+
+
+@st.composite
+def readout_maps(draw):
+    """A lasso or svm map, dense or CSR, as the harness builds it; its objective; a point.
+
+    The rows of the matrix span ten decades and about a third of its entries
+    are exact zeros.  Returns the map, the problem's objective at one point,
+    the matrix |M| by which the objective's quadratic vector is formed (A for
+    lasso, Z = y .* A for svm), the vector |y| taken off it, and the weight
+    of the linear term (lam for lasso, 1 for svm).
+    """
+    family, csr = draw(st.sampled_from(["lasso", "svm"])), draw(st.booleans())
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-5.0, 5.0, size=(m, 1))
+    A[rng.random((m, n)) < 0.3] = 0.0
+    y = rng.standard_normal(m) * 10.0 ** rng.uniform(-2.0, 2.0)
+    step = draw(st.floats(0.1, 1.9))
+    if family == "lasso":
+        lam = draw(st.floats(0.0, 2.0))
+        inst = LassoInstance(A=sp.csr_matrix(A) if csr else A, y=y, lam=lam)
+        apply = pga_step(inst.A, y, lam, step / max(np.linalg.norm(A, 2) ** 2, 1e-300))
+        return apply, lambda x: lasso_objective(inst, x), np.abs(A), np.abs(y), lam, n
+    y = np.sign(y) + (y == 0.0)  # labels +-1
+    Z = y[:, None] * A
+    inst = SvmDualInstance(A=sp.csr_matrix(A) if csr else A, y=y, C=draw(st.floats(1e-3, 1e3)))
+    if csr:  # A's sparsity structure, scaled row by row, as the harness builds it
+        Zc = inst.A.copy()
+        Zc.data *= np.repeat(y, np.diff(Zc.indptr))
+    apply = pcd_sweep(Zc if csr else Z, -1.0, BoxBounds(0.0, inst.C),
+                      step / max(float(np.max(np.einsum("ij,ij->i", Z, Z))), 1e-300))
+    return apply, lambda x: svm_dual_objective(inst, x), np.abs(Z).T, np.zeros(n), 1.0, m
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=readout_maps(), seed=st.integers(0, 2**32 - 1))
+def test_each_evaluation_reads_out_the_residual_norm_and_the_objective(case, seed):
+    apply, objective, M, y_abs, weight, dim = case
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3.0, 3.0, size=dim)
+    assert np.isnan(apply.readout).all()
+    with pytest.raises(ValueError, match="read-only"):
+        apply.readout[0] = 0.0
+    for _ in range(3):  # each evaluation overwrites the readout
+        h = apply(x)
+        d = h - x
+        got_norm, got = apply.readout.tolist()
+        assert got_norm == math.sqrt(float(d.dot(d)))
+        # Each form of f = 0.5*w.w + weight*sum|x_i| (lasso) or - sum x_i (svm),
+        # with w = M x - y, lies within gamma_k*(b.b + weight*||x||_1) + u*|f|
+        # of the exact value, where b = |M||x| + |y| bounds each term of w and
+        # gamma_k = k*u/(1 - k*u) with k = 2*(m + n) + 4 bounds the
+        # accumulated rounding of w, of w.w and of the sums, in any order
+        # (Higham, Accuracy and Stability of Numerical Algorithms, 3.1).  Two
+        # forms are within twice that of each other.
+        want = float(objective(x))
+        b = M @ np.abs(x) + y_abs
+        k = 2 * (M.shape[0] + M.shape[1]) + 4
+        bound = 2.0 * k * U / (1.0 - k * U) * (float(b @ b) + weight * float(np.abs(x).sum()))
+        assert abs(got - want) <= bound + U * (abs(got) + abs(want)), (got, want, bound)
+        x = h
 
 
 # ---------------------------------------------------------------------------

@@ -607,6 +607,28 @@ def test_a_built_state_refuses_a_swapped_buffer():
     assert state.h_hist.tobytes() == kept.tobytes() == np.array(ref.h).tobytes()
 
 
+@pytest.mark.parametrize("name", ["hbuf", "rbuf", "norms", "ints", "reals"])
+def test_a_built_state_hands_out_its_arrays_read_only(name):
+    # the bound kernels trust what the arrays hold: state.ints[2] = 40 was
+    # taken, and moved the head past the buffers, so that the next step's
+    # weight solve read out of bounds
+    apply = lambda x: soft_threshold(0.6 * x + 1.0, 0.1)
+    state, _, _ = run_aa(apply, np.zeros(4), AaConfig(memory=2), 3)
+    array = getattr(state, name)
+    before = array.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        array.flat[2] = 40
+    assert array.tobytes() == before
+    # the engine writes through its own handles, and the views show what it wrote
+    ref = list_init_state(apply, np.zeros(4))
+    for k in range(8):
+        list_aa_step(apply, ref, state.cfg)
+        if k >= 3:
+            safeguarded_step(apply, state)
+    assert state.h_hist.tobytes() == np.array(ref.h).tobytes() and state.r_norms == ref.norms
+    assert getattr(state, name) is array
+
+
 def test_a_numpy_integer_memory_runs_as_its_int():
     # AaConfig takes np.integer memories; the head they made was a numpy
     # integer, which ctypes refused as an address at the second step
@@ -645,7 +667,9 @@ def test_the_state_weights_are_read_only_and_serve_only_their_window():
 def test_a_state_the_kernels_cannot_read_is_refused_before_binding(field, value, monkeypatch):
     # the bound kernels read and write through raw addresses, by the layout init_state makes
     state = init_state(lambda x: 0.5 * x, np.array([1.0, 2.0]), AaConfig(memory=1))
-    parts = {name: getattr(state, name) for name in ("hbuf", "rbuf", "norms", "ints", "reals", "cfg")}
+    # a built state hands its arrays out read-only; writable copies of them build one again
+    parts = {name: getattr(state, name).copy() for name in ("hbuf", "rbuf", "norms", "ints", "reals")}
+    parts["cfg"] = state.cfg
     AaState(**parts)
     binds = []
     monkeypatch.setattr(_kernels, "bound", lambda *args: binds.append(args[0]))

@@ -4,10 +4,12 @@ Each cell runs one small configured experiment through ``run_experiment``,
 writes its trace CSV, and hashes (SHA-256) the CSV with the ``elapsed_us``
 column dropped together with the summary block without ``elapsed_s``.  A
 change that moves any recorded number in its last bit changes the hash; one
-that only changes timing does not.  Beside the hash each cell records its
-iterations, rejected AA steps, ``identification_iter`` and final residual,
-which are compared too, so a failure names each field that moved and both
-of its values.  A change that is meant to move numbers regenerates the
+that only changes timing does not.  A second hash leaves out the
+``objective`` column and ``final_objective`` as well, so a change that moves
+only the objective's bits shows as ``sha256`` moving alone.  Beside the
+hashes each cell records its iterations, rejected AA steps,
+``identification_iter`` and final residual, which are compared too, so a
+failure names each field that moved and both of its values.  A change that is meant to move numbers regenerates the
 tables and says so in CHANGES.md; from the repository root,
 
     python3 tests/test_golden_traces.py
@@ -51,46 +53,64 @@ CELLS = [
     ("logreg", "irl1", False), ("logreg", "irl1", True),
 ]
 
-# what each cell records: the digest, then what a changed digest moved
-FIELDS = ("sha256", "iterations", "rejections", "identification_iter", "final_residual")
+# what each cell records: the two digests, then what a changed digest moved
+FIELDS = ("sha256", "sha256_sans_objective", "iterations", "rejections", "identification_iter", "final_residual")
 
 GOLDEN = {
     ("lasso", "ista", False, 0): (
-        "931cd5e66cb309fba2fba5f93c724f74096516e01e6ea53ff14e9125862b0ed9", 1500, 0, 1129, 0.0003027451237377348),
+        "862759674fe5422fd1703ec9f8a5029d33acd1293e686908f6f44600a3a09c4d",
+        "825a64e2865108e8b1265e8e0f87753ba3f5a1ec69e626d31c121102a4722821", 1500, 0, 1129, 0.0003027451237377348),
     ("lasso", "ista", False, 1): (
-        "9e78b14c5392ec7614d43390cd39ea5c587614d538fae345910b630cfed27e6b", 1500, 0, 1269, 0.00019066421291868258),
+        "71db05c77d45d78fac77c30ab82caef06adaa953a2b277c6d3d0d69d53c6680a",
+        "707e312e3699ee42f2b0ab6acdc81a5b6581fbda32ef752448895a9620bd9b7f", 1500, 0, 1269, 0.00019066421291868258),
     ("lasso", "ista", True, 0): (
-        "23fce070e3cb0fab59bc3567dc2f697ffd3adc311e9cd656e9382983892bd30d", 583, 87, 482, 9.62863262766949e-11),
+        "cb4517f9d3e8b35a304d653f9d0c59de4e15506d495fda86b0874bd6510bdc55",
+        "be1fc06dc9f3d781fede3d50ee09cdee921a184fd4cf75fa27fa470df8f000ae", 583, 87, 482, 9.62863262766949e-11),
     ("lasso", "ista", True, 1): (
-        "67c4133a1f549af985230326b692e93de026e71645846169861293d88e7be478", 653, 75, 396, 9.780620215512286e-11),
+        "72942e85439782d12d0eca2d4d3a6d70e152c27aa9c0033696d29566389fe2e1",
+        "efe20f514f80b70a027d8ec50a0f254e1e57a7b37d34484e23e329dbee2293c2", 653, 75, 396, 9.780620215512286e-11),
     ("lasso", "fista", False, 0): (
-        "d972d0a589fdf1e8fb3c368a3d71b7df08c1428564602b09df71ebe4ce50b8c8", 1500, 0, 848, 6.79126844304827e-07),
+        "c2e356ccd4e50a436404dd78c28069cc6da0cedf247940f3c519ab0230c4dc8e",
+        "1ee65c68633539864f375270d088bfc1b62038caf6fba93c49c0be02447a82dc", 1500, 0, 848, 6.79126844304827e-07),
     ("lasso", "fista", False, 1): (
-        "a42b142044eaf78cad42d9997f2aedd83fd0af2e6fb339ffd0483fccab79b3ad", 1500, 0, 309, 2.1275229875515146e-06),
+        "7c66adee0b774ab1d955932d927a48f52c82736a0e4013b361b9c9328d5f3459",
+        "1bb39204aecdb9e5a4c7694c08ffbd7b112638c20233b27f8bcf4173d5f3f685", 1500, 0, 309, 2.1275229875515146e-06),
     ("svm", "pcd", False, 0): (
-        "1edc9212ca3b573580ff0b53006f9570deffc4a44df322d552eb1646390def62", 400, 0, 330, 0.017953053555458717),
+        "54ca3af46d4fe9a610f63f0799a6b37b1df3cc7df28925e618c9753abce65ad0",
+        "681794d56fedc11cb6618aaef52306be3124c4bd1c038b3c199ba48cbf6dd54a", 400, 0, 330, 0.017953053555458717),
     ("svm", "pcd", False, 1): (
-        "29026a9210abb252c5eaf36e869dd09ebb82e5237c5e924b287a00e53072fea3", 400, 0, 383, 0.0013572779959019827),
+        "7edc6e5afe2078218972dd761d2e87209885f41a0c1aad3f5100f9d2f3d015cb",
+        "3511cb3b972bb7be5d43902bed5c4f6d13bd0798ecffd370cd916076c71c2e36", 400, 0, 383, 0.0013572779959019827),
     ("svm", "pcd", True, 0): (
-        "f543a0455c201ec1406fd23db8dcfcb1126c6d80e8093e14b5ff2777a578d716", 190, 95, 137, 8.738037839419379e-11),
+        "a3eb5c38a6611ba958632bb8198ba39afc88e892eab59434ff7880640303642b",
+        "e35a169d43e425a416c4b129d3e3f7787d99d2e4991addcdb78abbd8cf60dacd", 190, 95, 137, 8.738037839419379e-11),
     ("svm", "pcd", True, 1): (
-        "6e7d9b401d44a5ca1601679be5b344a7eefaccd5d1dae50d9f8c897d9a82f08c", 175, 75, 148, 9.384547544934582e-11),
+        "7556aad888ee01e78bc4a1abc9977db77aefd02f8e7059747168317d83f4b733",
+        "45df06df7bb1c20c6c2f2294fe0b095914add264361b98c6f0b6ccb7eb35685d", 175, 75, 148, 9.384547544934582e-11),
     ("nnls", "drs", False, 0): (
-        "129acdd77d90426c15f603dde732f885eb9f63c6823c4774f48ff6470239800d", 300, 0, 86, 1.4029411510769017e-06),
+        "129acdd77d90426c15f603dde732f885eb9f63c6823c4774f48ff6470239800d",
+        "2081e209c132903b17d57b90d87389aefaa36ef3df68a4588cc9f5c711ad7702", 300, 0, 86, 1.4029411510769017e-06),
     ("nnls", "drs", False, 1): (
-        "01414852101238bebde136af150c11c6c4a8ad2cfda913b63a79cb3b0ece11c0", 300, 0, 92, 9.871994598775739e-09),
+        "01414852101238bebde136af150c11c6c4a8ad2cfda913b63a79cb3b0ece11c0",
+        "dcee039c2926fa05d6187067a7852cb321f5a44d06b43991b6a41d7f4a25f806", 300, 0, 92, 9.871994598775739e-09),
     ("nnls", "drs", True, 0): (
-        "96ced182a72fff1304af6f9cf93bc90738b4334bfa4331075094460714ad0e14", 61, 6, 27, 4.755250143403705e-11),
+        "96ced182a72fff1304af6f9cf93bc90738b4334bfa4331075094460714ad0e14",
+        "ea8f0e7e141705e1d781fa717213e945a11952f121d396f0a57c6a5867ec8ad9", 61, 6, 27, 4.755250143403705e-11),
     ("nnls", "drs", True, 1): (
-        "b5903a4e619f45809fd8dfbc395dd86d5cdb7af715fc6b5bf1b73d5966058bf4", 59, 5, 31, 4.824590397958746e-11),
+        "b5903a4e619f45809fd8dfbc395dd86d5cdb7af715fc6b5bf1b73d5966058bf4",
+        "94fc893d6da315729c9ec9b49f22db8089b0e7160be2f362a448bf9f58b3be30", 59, 5, 31, 4.824590397958746e-11),
     ("logreg", "irl1", False, 0): (
-        "546eea8798a483ad18f3be1e003e398fefa9e9786977b4d87e38373a9cf8ed68", 300, 0, 58, 5.5677985521675604e-08),
+        "546eea8798a483ad18f3be1e003e398fefa9e9786977b4d87e38373a9cf8ed68",
+        "e1890ab580094821842830e3abe6de19e82e89311c90c48128573ff36f1af4a1", 300, 0, 58, 5.5677985521675604e-08),
     ("logreg", "irl1", False, 1): (
-        "fb8b23c5507a6b57d54f1103a548744e41f854cf058ad3cf2401175baf913af5", 300, 0, 51, 1.3251636111757961e-07),
+        "fb8b23c5507a6b57d54f1103a548744e41f854cf058ad3cf2401175baf913af5",
+        "758209beec89ae11963d3324983712179c37047f02c9ec7a40f6db428eecb805", 300, 0, 51, 1.3251636111757961e-07),
     ("logreg", "irl1", True, 0): (
-        "473cd3c5429132b52b08caaecc9d35a06f10dd363938d338b1de3a8f799534ca", 68, 8, 32, 6.725943616494415e-11),
+        "473cd3c5429132b52b08caaecc9d35a06f10dd363938d338b1de3a8f799534ca",
+        "40329caf367c58cd7c8106d370d0e471335ed923309db049cfd8cf8b155c776f", 68, 8, 32, 6.725943616494415e-11),
     ("logreg", "irl1", True, 1): (
-        "5327114215ab231f67ccac96dcd0bd6ccf7200d08fd252702670234e76f6112d", 62, 2, 27, 9.594861356667695e-11),
+        "5327114215ab231f67ccac96dcd0bd6ccf7200d08fd252702670234e76f6112d",
+        "6bc0f28fad745658b721479c6c1c0c0b662695b9a08de75d6e141efe6719d30a", 62, 2, 27, 9.594861356667695e-11),
 }
 
 
@@ -109,33 +129,47 @@ CSR_CELLS = [
 
 GOLDEN_CSR = {
     ("lasso", "ista", False, 0): (
-        "ab80ed8c22b6befca74646bba4838dc7651422f290360b5011c329f031cd1798", 1500, 0, 1474, 0.003001636648751936),
+        "0015b1a5cb97c6d5b4a8c3c4bf8dbd0bb9b1851caf1a1a24c8e9b5001391eee4",
+        "1bc3e3c38e834f9332643fff06ca5d385f4a0c4901aa9d42e0d37edc85812dff", 1500, 0, 1474, 0.003001636648751936),
     ("lasso", "ista", False, 1): (
-        "a5db6554a046713aa4806bbfc259ba6366c561af4d4665f293614e1f9a5ed415", 1500, 0, 1148, 0.0018742140900652223),
+        "59d5bcaf422e67acea3bb65c2c93276b6d6a8ea39bac4cc29f0a367e00f060e2",
+        "b4ead5cab95cc5497aee597e06a259db7c9457695c215a99c4fe7e32d69ea5d9", 1500, 0, 1148, 0.0018742140900652223),
     ("lasso", "ista", True, 0): (
-        "3febbab3b1fc72fefab194ccb397094fe4bcaa44cd28455fc58d2c25528a585d", 1352, 573, 1035, 7.623351100767888e-11),
+        "82d152227afb29f326a442d9e172717e4d007c91572da1d77fab0c4222f5c1d6",
+        "38e3e9e2b13fe54459ba8322bd40c977e4c376d8c9a31ea44e7f6efc3eb24e97", 1352, 573, 1035, 7.623351100767888e-11),
     ("lasso", "ista", True, 1): (
-        "8090929830ce51e05252b495c3ce8d509f50b31b2069120515ec953e4e7d0457", 1500, 440, 868, 3.0321109842299654e-06),
+        "535ce824036750286eee519cc0cb19d73a722597263de933180de945926b63d3",
+        "1724620080eacbf6063725c0624c175836ea59bdedf8c20f71173d03467e1e3c", 1500, 440, 868, 3.0321109842299654e-06),
     ("lasso", "fista", False, 0): (
-        "e092215d47811281438c42b001bdc1dc3d6c18533940e8c02e89d2e46ee79866", 1500, 0, 844, 6.678468798161759e-06),
+        "bed23d1b0f82e0b86007b9b47ba5b0ed58b51a86e378933b6da6479508e24cc8",
+        "e41fe1835bcfe5f2952dacb5db2fa32aacebe8314c805e19bfbb5f4d1812e68b", 1500, 0, 844, 6.678468798161759e-06),
     ("lasso", "fista", False, 1): (
-        "de59241f314a3995835b0b8c6f5d6ff341165f17e55567d8ff228745c917a3d6", 1500, 0, 661, 6.578533033820033e-06),
+        "1e2cac0460dd231dce281b5ead30aa45e9c8e59d6d6cfcee31b9262e2c877d4b",
+        "f91b6be45847c343f058edee16714b1dffbad9b8d71466e69eda45b7137d305c", 1500, 0, 661, 6.578533033820033e-06),
     ("svm", "pcd", False, 0): (
-        "9a2eecb9ec98e19dee950e76ecac5efdfc0e9b7592f6489d8b95004afe3f65b7", 400, 0, 341, 0.008748418608834478),
+        "b1b3b5466473151efa1049b6afbbfef99a849e1933622a4016ce0c8f6c633c47",
+        "9b48f9cd5157be6d1aec0d12c7fb42c57824c47f6a6be53af2e1e85bc4187f7e", 400, 0, 341, 0.008748418608834478),
     ("svm", "pcd", False, 1): (
-        "5067080212300d1fc20d5879a75356469230dff70d4c21e74d77cc1c244c14bf", 400, 0, 289, 0.008953047122368003),
+        "03f5bae18a6cb19936f0e0c74851109426158c6e0e64ed1fb6a6bd691c8db256",
+        "928221ed990c43e6f051c0e38c121fa632ab29ff60770f89796863587605941c", 400, 0, 289, 0.008953047122368003),
     ("svm", "pcd", True, 0): (
-        "07616dac2f590265065e231a4f458df8f3e64495a0c3964d2bebd2e3cb836348", 159, 61, 97, 7.16461569548593e-11),
+        "dbd8986e936d8cd2b3e22cfe67f94e44556c341a30cf71c4d3cf628b17677d60",
+        "c2ba3d9454a3fe6d2cd5fcba00d21bcfb0c2b57bc121c85e3ac04d9505004387", 159, 61, 97, 7.16461569548593e-11),
     ("svm", "pcd", True, 1): (
-        "d55cdef8f2e3be359d22ae7b21346f524e5b191d5a8960d5e372b9b01485d7fa", 193, 89, 130, 8.974284376141008e-11),
+        "a5278f7e48bc444cefd926cb627f0f4c507b3f91b1adc2db1c870f6df38b65e8",
+        "0fc7515b25c8164901a33911c7426daea1a728667295a5b5b718426e232bbe6e", 193, 89, 130, 8.974284376141008e-11),
     ("nnls", "drs", False, 0): (
-        "c165206e1e194eec28a4d83df8f30f73bd6d1767fdfa711112cf440bb10d9510", 290, 0, 43, 9.917369682383122e-11),
+        "c165206e1e194eec28a4d83df8f30f73bd6d1767fdfa711112cf440bb10d9510",
+        "ebcca5f4d3bc46d8d6c4a72af81042d083329beb710fec38411a0f7dd961341b", 290, 0, 43, 9.917369682383122e-11),
     ("nnls", "drs", False, 1): (
-        "f4832cae8142d8a4cb0d52732ea9ead744ab2c1d12d4cada76e430d95c4acf28", 244, 0, 17, 9.427503064073281e-11),
+        "f4832cae8142d8a4cb0d52732ea9ead744ab2c1d12d4cada76e430d95c4acf28",
+        "47f3c94b5ae590f0ee59f7e344e10e2e3b5c1c45c8143f863782308e75042ca1", 244, 0, 17, 9.427503064073281e-11),
     ("nnls", "drs", True, 0): (
-        "0fb235f6573c1f1ff3e0518fea2e9825f73e95d5bb477e201d1369bfd956bf91", 47, 10, 19, 9.198773890251324e-11),
+        "0fb235f6573c1f1ff3e0518fea2e9825f73e95d5bb477e201d1369bfd956bf91",
+        "65c145b84c04139a492bc4b4bfa876a6cc32f4047d25fe7364c13d052a80d54a", 47, 10, 19, 9.198773890251324e-11),
     ("nnls", "drs", True, 1): (
-        "9e6ad536d8f661f038f26aa0646cb76543db79bc01776185d26f14a5747780ff", 47, 9, 13, 7.473954336484464e-11),
+        "9e6ad536d8f661f038f26aa0646cb76543db79bc01776185d26f14a5747780ff",
+        "83d9fffa2dfe53027bdbd6bb9132cb914ac9c4cd26c7218e78c80dc91fd2fbab", 47, 9, 13, 7.473954336484464e-11),
 }
 
 
@@ -149,6 +183,13 @@ def write_dataset(family: str, path: str) -> None:
     else:
         inst = gen_nnls(50, 30, seed=0)
         write_libsvm(path, inst.A, np.where(inst.y >= 0.0, 1.0, -1.0))
+
+
+def digest_of(rows: list[str], summary: dict) -> str:
+    digest = hashlib.sha256()
+    digest.update(("\n".join(rows) + "\n").encode())
+    digest.update(format_summary(summary).encode())
+    return digest.hexdigest()
 
 
 def golden_cell(
@@ -172,12 +213,13 @@ def golden_cell(
     with open(trace_path, "r", encoding="utf-8") as handle:
         rows = [line.rsplit(",", 1)[0] for line in handle.read().splitlines()]
     summary.pop("elapsed_s")
-    digest = hashlib.sha256()
-    digest.update(("\n".join(rows) + "\n").encode())
-    digest.update(format_summary(summary).encode())
+    # the objective is the trace's third column
+    sans_objective = [",".join(fields[:2] + fields[3:]) for fields in (row.split(",") for row in rows)]
+    digests = (digest_of(rows, summary),
+               digest_of(sans_objective, {k: v for k, v in summary.items() if k != "final_objective"}))
     # record 0 is the starting point; only an AA step can be rejected
     rejections = sum(not r.accepted for r in trace[1:]) if aa else 0
-    return (digest.hexdigest(), summary["iterations"], rejections, summary["identification_iter"],
+    return (*digests, summary["iterations"], rejections, summary["identification_iter"],
             summary["final_residual"])
 
 
@@ -228,7 +270,7 @@ def print_tables() -> None:
         cells, fields = 0, set()
         for key, cell in table.items():
             print('    ("%s", "%s", %r, %d): (' % key)
-            print('        "%s", %r, %r, %r, %r),' % cell)
+            print('        "%s",\n        "%s", %r, %r, %r, %r),' % cell)
             want = globals()[name][key]
             lines = moved(key, cell, want)
             changes += ["%s %s" % (name, line) for line in lines]

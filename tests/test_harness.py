@@ -327,25 +327,11 @@ def lasso_libsvm(tmp_path):
 
 
 def final_iterate(monkeypatch, cfg):
-    """run_experiment(cfg) and the last iterate it recorded: the last row of the last block
-    whose objectives the loop takes (for lasso the monitor is the iterate)."""
-    build = aaopt.harness.build_operator
-    last = []
-
-    def recording_build(cfg):
-        ctx = build(cfg)
-        objective = ctx.op.objective
-
-        def recording_objective(block):
-            last.append(block[-1].copy())
-            return objective(block)
-
-        ctx.op = replace(ctx.op, objective=recording_objective)
-        return ctx
-
-    monkeypatch.setattr(aaopt.harness, "build_operator", recording_build)
-    _, summary = run_experiment(cfg)
-    return last[-1], summary
+    """run_experiment(cfg) and the last iterate it recorded: the last monitor vector
+    the loop takes (for lasso the monitor is the iterate)."""
+    monitors = []
+    (_, summary), _ = spied_run(monkeypatch, cfg, monitor=monitor_capture(monitors))
+    return monitors[-1], summary
 
 
 @pytest.mark.parametrize("aa", ["false", "true"])
@@ -470,9 +456,12 @@ def spied_run(monkeypatch, cfg, **wrappers):
     return run_experiment(cfg), spying_build.ctx
 
 
+# lasso and svm read each iterate's objective off their map's readout; nnls
+# takes its objectives a block at a time
 BLOCK_EDGE_RUNS = {
     "lasso": {"problem.kind": "lasso", "algorithm.kind": "ista", "problem.lambda": "0.3"},
     "svm": {"problem.kind": "svm", "algorithm.kind": "pcd", "aa.enabled": "true", "problem.c": "0.01"},
+    "nnls": {"problem.kind": "nnls", "algorithm.kind": "drs", "aa.enabled": "true"},
 }
 
 
@@ -481,17 +470,20 @@ def block_edge_cfg(family: str, max_iter: int) -> ExperimentConfig:
                                 "run.tol": "1e-300", "run.window": "3"})
 
 
-def run_with_patterns(monkeypatch, cfg):
-    """run_experiment(cfg)'s trace and summary, and the pattern of each iterate's monitor vector."""
-    monitors = []
-
+def monitor_capture(monitors: list):
+    """A ``spied_run`` wrapper for ``monitor`` that appends each monitor vector the loop takes to ``monitors``."""
     def capture(monitor):
         def captured(x):
             monitors.append(np.array(x if monitor is None else monitor(x)))  # unset: the iterate
             return monitors[-1]
         return captured
+    return capture
 
-    (trace, summary), ctx = spied_run(monkeypatch, cfg, monitor=capture)
+
+def run_with_patterns(monkeypatch, cfg):
+    """run_experiment(cfg)'s trace and summary, and the pattern of each iterate's monitor vector."""
+    monitors = []
+    (trace, summary), ctx = spied_run(monkeypatch, cfg, monitor=monitor_capture(monitors))
     limits = pattern_limits(cfg.zero_tol, ctx.bounds)
     return trace, summary, [pattern_of(v, limits) for v in monitors]
 
@@ -545,36 +537,35 @@ def test_a_run_takes_its_objectives_a_block_at_a_time(monkeypatch, keys):
         return block_objective
 
     cfg = config_from_mapping({**keys, "run.max_iter": "100", "run.tol": "1e-300"})
-    (trace, _), _ = spied_run(monkeypatch, cfg, objective=counted)
-    assert len(trace) == 101 and sum(blocks) == 101
-    assert len(blocks) == math.ceil(101 / TRACE_BLOCK) == 7
+    (trace, _), ctx = spied_run(monkeypatch, cfg, objective=counted)
+    assert len(trace) == len(trace.objective) == 101
+    if ctx.op.readout is not None:  # the lasso map reads each iterate's objective out
+        assert blocks == []
+    else:
+        assert sum(blocks) == 101 and len(blocks) == math.ceil(101 / TRACE_BLOCK) == 7
 
 
 @pytest.mark.parametrize("max_iter", [TRACE_BLOCK - 1, TRACE_BLOCK, TRACE_BLOCK + 1])
 @pytest.mark.parametrize("family", BLOCK_EDGE_RUNS)
 def test_block_objectives_match_an_objective_per_iterate(monkeypatch, family, max_iter):
-    monitors, values = [], []
-
-    def capture_monitor(monitor):
-        def captured(x):
-            monitors.append(np.array(x if monitor is None else monitor(x)))  # unset: the iterate
-            return monitors[-1]
-        return captured
+    monitors, taken = [], []
 
     def capture_objective(objective):
         def captured(block):
-            values.extend(objective(block).tolist())
-            return np.array(values[-len(block):])
+            taken.extend(objective(block).tolist())
+            return np.array(taken[-len(block):])
         captured.unwrapped = objective
         return captured
 
     cfg = block_edge_cfg(family, max_iter)
-    (trace, summary), ctx = spied_run(monkeypatch, cfg, monitor=capture_monitor, objective=capture_objective)
-    assert len(trace.objective) == len(values) == len(monitors) == max_iter + 1
-    assert list(trace.objective) == values
-    assert summary["final_objective"] == trace[-1].objective == values[-1]
+    (trace, summary), ctx = spied_run(monkeypatch, cfg, monitor=monitor_capture(monitors),
+                                      objective=capture_objective)
+    assert len(trace.objective) == len(monitors) == max_iter + 1
+    # a map with a readout leaves the operator's objective uncalled
+    assert taken == ([] if ctx.op.readout is not None else list(trace.objective))
+    assert summary["final_objective"] == trace[-1].objective
     objective = ctx.op.objective.unwrapped
-    for value, monitor in zip(values, monitors):  # one point's product sums apart from a block's
+    for value, monitor in zip(trace.objective, monitors):  # one point's product sums apart from a block's
         assert math.isclose(value, objective(monitor[None])[0], rel_tol=1e-12)
 
 
@@ -912,15 +903,38 @@ def test_lasso_run_forms_one_residual_per_evaluation(monkeypatch, algorithm, aa)
     ctx.op = replace(ctx.op, **{name: inside(name, getattr(ctx.op, name)) for name in calls})
     monkeypatch.setattr(aaopt.harness, "build_operator", lambda _cfg: ctx)
     records, _ = run_experiment(cfg)
-    assert calls["objective"] == math.ceil(len(records) / TRACE_BLOCK)
+    # the objective is read off the map's readout, never taken by the operator's
+    assert calls["objective"] == 0 and len(records.objective) == len(records)
     if aa == "true":  # the engine both accepts and rejects on this run
         assert any(r.accepted for r in records[1:]) and not all(r.accepted for r in records[1:])
     elif algorithm == "ista":
         assert calls["apply"] == len(records)
-    # no product by A outside the compiled map, and one per block of objectives
-    assert products == {"loop": 0, "apply": 0, "objective": calls["objective"]}
+    # no product by A outside the compiled map
+    assert products == {"loop": 0, "apply": 0, "objective": 0}
     # one compiled call per evaluation of H, which forms A x once
     assert kernel_calls == {"loop": 0, "apply": calls["apply"], "objective": 0}
+
+
+@pytest.mark.parametrize("keys", [
+    {**LASSO_40X200, "algorithm.kind": "ista"},
+    {**LASSO_40X200, "algorithm.kind": "ista", "aa.enabled": "true"},  # a restart at every rejection
+    {**LASSO_40X200, "algorithm.kind": "fista"},
+    {"problem.kind": "svm", "algorithm.kind": "pcd"},
+    {"problem.kind": "svm", "algorithm.kind": "pcd", "aa.enabled": "true", "aa.restart": "2"},
+], ids=["lasso", "lasso-aa", "lasso-fista", "svm", "svm-aa"])
+def test_the_objective_column_is_the_operators_objective_at_each_recorded_iterate(monkeypatch, keys):
+    # the readout is read after the map's last evaluation at the recorded
+    # iterate: an accepted candidate, the plain step after a rejection, or
+    # FISTA's main iterate before its momentum point
+    monitors = []
+    cfg = config_from_mapping({**keys, "run.max_iter": "400", "run.tol": "1e-12"})
+    (trace, summary), ctx = spied_run(monkeypatch, cfg, monitor=monitor_capture(monitors))
+    assert ctx.op.readout is not None and len(monitors) == len(trace)
+    if cfg.aa_enabled:
+        assert 0 < sum(not r.accepted for r in trace[1:]) < len(trace) - 1
+    want = ctx.op.objective(np.array(monitors))
+    assert all(math.isclose(got, value, rel_tol=1e-12) for got, value in zip(trace.objective, want))
+    assert summary["final_objective"] == trace[-1].objective
 
 
 def test_lasso_map_and_objective_match_direct_evaluation():

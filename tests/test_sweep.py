@@ -232,6 +232,16 @@ def test_a_csr_row_longer_than_blas_takes_is_rejected_before_any_copy(no_big_all
         pcd_sweep(Z, 0.0, BoxBounds(-1.0, 1.0), 0.5)
 
 
+def test_a_csr_wider_than_blas_takes_is_rejected_before_any_copy(no_big_allocation):
+    # the readout's dots run over all of u = Z.T x, and over all of H(x) - x for the lasso map
+    Z = sp.csr_matrix((2, 1))
+    Z._shape = (2, 2**31)  # set directly, as scipy would build A.T's 2**31 rows
+    with pytest.raises(ValueError, match=re.escape("Z has shape (2, 2147483648), larger than BLAS takes")):
+        pcd_sweep(Z, 0.0, BoxBounds(-1.0, 1.0), 0.5)
+    with pytest.raises(ValueError, match=re.escape("A has shape (2, 2147483648), larger than BLAS takes")):
+        pga_step(Z, np.zeros(2), 0.1, 0.5)
+
+
 def test_a_csr_is_checked_without_changing_it():
     Z = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]))
     # int64 indices, and stored arrays longer than indptr uses: a full check casts and prunes
