@@ -14,8 +14,10 @@
  *
  * The sweep's arithmetic is the Python sweep's, operation for operation, so
  * the results are bitwise equal to it:
- *   - a row dot is numpy's DOUBLE_dot: d = 0.0; d += ddot(...); a length-1
- *     row is a plain product and an empty row 0.0, as ndarray.dot gives them;
+ *   - a row dot is numpy's DOUBLE_dot: d = 0.0; d += ddot(...) over chunks
+ *     of at most INT_MAX/2 + 1 entries, so any length fits ddot's int; a
+ *     length-1 row is a plain product and an empty row 0.0, as ndarray.dot
+ *     gives them;
  *   - the box step is max(v, lo) then min(w, hi) as Python picks them;
  *   - u[j] = u[j] + delta*z[j], with no FMA (build with -ffp-contract=off).
  *
@@ -26,12 +28,14 @@
  * of a C-ordered Z does.
  */
 #include <float.h>
+#include <limits.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-/* Fortran BLAS and LAPACK, every argument by reference; the callers check the int sizes */
+/* Fortran BLAS and LAPACK, every argument by reference; row_dot splits ddot's length, and the
+   callers of dgemv and dgelsd check theirs */
 typedef double (*ddot_fn)(const int *n, const double *x, const int *incx, const double *y,
                           const int *incy);
 typedef void (*dgemv_fn)(const char *trans, const int *m, const int *n, const double *alpha,
@@ -62,14 +66,24 @@ void aaopt_set_blas(void *ddot_address, void *dgemv_address, void *dgelsd_addres
 #define AAOPT_FSUM_INF_MINUS_INF (-7)
 #define AAOPT_NOT_SUMMING_TO_ONE (-8)
 
+/* numpy's NPY_CBLAS_CHUNK; a test builds with a smaller one to run the chunk loop on short rows */
+#ifndef DOT_CHUNK
+#define DOT_CHUNK (INT_MAX / 2 + 1)
+#endif
+
 static double row_dot(int64_t n, const double *z, const double *u)
 {
-    int len = (int)n, one = 1;
+    int one = 1;
     double d = 0.0;
     if (n == 1)
         return z[0] * u[0];
-    if (n > 1)
+    while (n > 0) {
+        int len = n < DOT_CHUNK ? (int)n : DOT_CHUNK;
         d += ddot(&len, z, &one, u, &one);
+        z += len;
+        u += len;
+        n -= len;
+    }
     return d;
 }
 

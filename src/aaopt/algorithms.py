@@ -107,8 +107,7 @@ def pga_step(A, y, lam: float, beta: float) -> Callable[[np.ndarray], np.ndarray
     The same call writes the map's ``readout``, a read-only array of two
     entries: ||H(x) - x||, bit for bit numpy's sqrt of d.dot(d) for
     d = H(x) - x, and the objective f(x) = 0.5*||A x - y||^2 + lam*||x||_1,
-    from the A x - y that H forms.  Each call overwrites it.  Its dots call
-    ddot, so a CSR A too has m and n at most 2**31 - 1.
+    from the A x - y that H forms.  Each call overwrites it.
 
     The first call binds the compiled call: it allocates the buffers the
     map keeps, one for x (which holds H(x) - x after a call), one for
@@ -128,9 +127,6 @@ def pga_step(A, y, lam: float, beta: float) -> Callable[[np.ndarray], np.ndarray
     m, n = A.shape
     if not m or not n:
         raise ValueError("pga_step: A has shape %s, with no rows or no columns" % (A.shape,))
-    # the readout's dots run over A x - y and H(x) - x
-    if max(m, n) > C_INT_MAX:
-        raise ValueError("pga_step: A has shape %s, larger than BLAS takes" % (A.shape,))
     y = np.require(y, float, "CA")
     if y.shape != (m,):
         raise ValueError("pga_step: y has shape %s, expected (%d,)" % (y.shape, m))
@@ -139,6 +135,8 @@ def pga_step(A, y, lam: float, beta: float) -> Callable[[np.ndarray], np.ndarray
         # A.T as CSR, built once; each row's terms come in A's row order, as A.T.dot sums them
         arrays = _csr_arrays(A) + _csr_arrays(A.T.tocsr())
     else:
+        if max(m, n) > C_INT_MAX:
+            raise ValueError("pga_step: A has shape %s, larger than BLAS takes" % (A.shape,))
         A = np.require(A, float, "CA")
         arrays = [A]
     readout = _readout()
@@ -198,11 +196,11 @@ def pcd_sweep(Z, q, box: BoxBounds, beta: float) -> Callable[[np.ndarray], np.nd
     numpy forms u = Z.T x once per sweep; the loop over the rows runs in C
     (``_kernels.c``), with the same IEEE operations in the same order as the
     Python loop it replaced; its row dots and the readout's call the BLAS
-    ddot of scipy's Cython API, so Z may have at most 2**31 - 1 rows,
-    columns or entries in a row.  gcc
-    compiles the C source on first use into the package's ``__pycache__``,
-    or into ``~/.cache/aaopt`` where the package cannot be written, and later
-    runs find it there (see ``aaopt._kernels``).  A CSR Z is checked in full
+    ddot of scipy's Cython API, in chunks that fit its C int length, as
+    numpy's dot does.  A row of Z may still hold at most 2**31 - 1 entries,
+    a limit from before the chunks.  gcc compiles the C source on first use
+    into the package's ``__pycache__``, or into ``~/.cache/aaopt`` where the
+    package cannot be written, and later runs find it there (see ``aaopt._kernels``).  A CSR Z is checked in full
     first.  A dense Z that is not C-ordered and aligned is swept as a
     C-ordered copy: the bits of numpy's Z.T x and of a BLAS dot at a stride
     other than one depend on the layout, and the copy gives every layout the
@@ -231,9 +229,6 @@ def pcd_sweep(Z, q, box: BoxBounds, beta: float) -> Callable[[np.ndarray], np.nd
     longest = (int(np.diff(Z.indptr).max()) if m else 0) if sparse else n  # before anything copies Z
     if longest > C_INT_MAX:
         raise ValueError("pcd_sweep: a row of Z has %d entries, more than BLAS takes" % longest)
-    # the readout's dots run over u and H(x) - x
-    if max(m, n) > C_INT_MAX:
-        raise ValueError("pcd_sweep: Z has shape %s, larger than BLAS takes" % (Z.shape,))
     if sparse:
         Z = _checked_csr(Z, "pcd_sweep: Z")
         indptr, indices, data = _csr_arrays(Z)
@@ -269,10 +264,7 @@ def pcd_sweep(Z, q, box: BoxBounds, beta: float) -> Callable[[np.ndarray], np.nd
             bound = bind()
         call, x_buf, u_buf, out, _ = bound
         x_buf[:] = x
-        if sparse:
-            u_buf[:] = Zt.dot(x)
-        else:
-            np.dot(Zt, x, out=u_buf)
+        u_buf[:] = Zt.dot(x)
         call()
         return out.copy()
 

@@ -326,6 +326,14 @@ def safeguarded_step(
     the evaluations of H runs in the kernels that ``init_state`` bound to
     the state: the residual, its norm, the safeguard and the push into the
     history run in ``aaopt_aa_push``.
+
+    The step's last evaluation of H is always at the iterate it returns: at
+    the candidate when it is accepted, and at the plain step when it is
+    rejected (with one column the candidate is the plain step bit for bit,
+    and is not evaluated again).  ``init_state``'s one evaluation is at x0.
+    So whatever H leaves behind of its last call, such as the lasso and svm
+    maps' ``readout``, belongs to the returned iterate; the run loop relies
+    on this, and ``test_harness.py`` checks it against the objective.
     """
     ints, cfg = state._ints, state.cfg
     ncol = ints.item(_NCOL)

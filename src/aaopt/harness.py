@@ -457,32 +457,28 @@ class Trace(Sequence):
         return TraceRecord(k, *(column[k] for column in self.columns))
 
 
-def _measured(readout: np.ndarray | None, x: np.ndarray, h: np.ndarray) -> list:
-    """[||H(x) - x||, f(x) or None] for h = H(x), the map's last evaluation: its readout if it has one."""
-    if readout is not None:
-        return readout.tolist()
-    d = h - x  # its norm as np.linalg.norm takes it, without the dispatch
-    return [math.sqrt(float(d.dot(d))), None]
-
-
 def _plain_iterates(apply: Callable, x0: np.ndarray, readout: np.ndarray | None):
     x = np.asarray(x0, dtype=float)
     h = np.asarray(apply(x), dtype=float)
     while True:
-        yield x, *_measured(readout, x, h), 0.0, 0
+        if readout is None:
+            d = h - x  # its norm as np.linalg.norm takes it, without the dispatch
+            yield x, math.sqrt(float(d.dot(d))), None, 0.0, 0
+        else:
+            yield x, *readout.tolist(), 0.0, 0
         x = h
         h = np.asarray(apply(x), dtype=float)
 
 
 def _aa_iterates(apply: Callable, x0: np.ndarray, aa: AaConfig, readout: np.ndarray | None):
-    # every step's last evaluation of H is at the iterate it returns, so the readout is that iterate's
-    objective = (lambda: None) if readout is None else (lambda: readout.item(1))
+    # the readout is the returned iterate's, as safeguarded_step's docstring promises
     x0 = np.asarray(x0, dtype=float)
     state = init_state(apply, x0, aa)
-    yield x0, state.r_norms[0], objective(), 0.0, 0
+    yield x0, state.r_norms[0], None if readout is None else readout.item(1), 0.0, 0
     while True:
         x, diag = safeguarded_step(apply, state)
-        yield x, diag.residual_norm, objective(), diag.alpha_l1, int(diag.accepted)
+        objective = None if readout is None else readout.item(1)
+        yield x, diag.residual_norm, objective, diag.alpha_l1, int(diag.accepted)
 
 
 def _fista_iterates(apply: Callable, x0: np.ndarray, readout: np.ndarray | None):
@@ -491,7 +487,12 @@ def _fista_iterates(apply: Callable, x0: np.ndarray, readout: np.ndarray | None)
     x = y = np.asarray(x0, dtype=float)
     t = 1.0
     while True:
-        yield x, *_measured(readout, x, apply(x)), 0.0, 0
+        if readout is None:
+            d = apply(x) - x
+            yield x, math.sqrt(float(d.dot(d))), None, 0.0, 0
+        else:
+            apply(x)
+            yield x, *readout.tolist(), 0.0, 0
         x_new = apply(y)
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t**2))
         y = x_new + ((t - 1.0) / t_new) * (x_new - x)

@@ -232,14 +232,34 @@ def test_a_csr_row_longer_than_blas_takes_is_rejected_before_any_copy(no_big_all
         pcd_sweep(Z, 0.0, BoxBounds(-1.0, 1.0), 0.5)
 
 
-def test_a_csr_wider_than_blas_takes_is_rejected_before_any_copy(no_big_allocation):
-    # the readout's dots run over all of u = Z.T x, and over all of H(x) - x for the lasso map
-    Z = sp.csr_matrix((2, 1))
-    Z._shape = (2, 2**31)  # set directly, as scipy would build A.T's 2**31 rows
-    with pytest.raises(ValueError, match=re.escape("Z has shape (2, 2147483648), larger than BLAS takes")):
-        pcd_sweep(Z, 0.0, BoxBounds(-1.0, 1.0), 0.5)
-    with pytest.raises(ValueError, match=re.escape("A has shape (2, 2147483648), larger than BLAS takes")):
-        pga_step(Z, np.zeros(2), 0.1, 0.5)
+def chunked_dot(a: np.ndarray, b: np.ndarray, chunk: int) -> float:
+    """numpy's dot of two vectors whose ddot calls take at most ``chunk`` entries each."""
+    if a.size == 1:
+        return a[0] * b[0]
+    total = 0.0
+    for start in range(0, a.size, chunk):
+        total += float(a[start:start + chunk].dot(b[start:start + chunk]))
+    return total
+
+
+def test_a_dot_longer_than_a_chunk_sums_its_chunks_as_numpy_does(tmp_path, monkeypatch):
+    # numpy hands ddot at most 2**30 entries a call; a 3-entry chunk runs the same loop on short rows
+    monkeypatch.setattr(_kernels, "FLAGS", _kernels.FLAGS + ("-DDOT_CHUNK=3",))
+    lib = _kernels.load(tmp_path)
+    rng = np.random.default_rng(7)
+    m, n = 7, 5  # chunks of 3, 3 and 1, and of 3 and 2
+    Z, q, x0 = rng.standard_normal((m, n)), rng.standard_normal(m), rng.standard_normal(m)
+    lower, upper = np.full(m, -0.5), np.full(m, 0.5)
+    u0 = Z.T.dot(x0)
+    x, u, out, readout = x0.copy(), u0.copy(), np.empty(m), np.empty(2)
+    addresses = [_kernels.address(a) for a in (Z, q, lower, upper)]
+    lib.aaopt_pcd_dense(m, n, *addresses, 0.25, *(_kernels.address(a) for a in (x, u, out, readout)))
+    d = out - x0
+    assert x.tobytes() == d.tobytes()
+    assert readout[0] == math.sqrt(chunked_dot(d, d, 3))
+    assert readout[1] == 0.5 * chunked_dot(u0, u0, 3) + chunked_dot(q, x0, 3)
+    # the rows went through the same loop: u is Z.T of the swept iterate, up to rounding
+    np.testing.assert_allclose(u, Z.T.dot(out), rtol=1e-12, atol=1e-12)
 
 
 def test_a_csr_is_checked_without_changing_it():
