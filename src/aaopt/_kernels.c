@@ -1,16 +1,17 @@
 /*
  * The compiled kernels: one cyclic sweep of proximal coordinate descent,
- * dense and CSR, the lasso proximal-gradient map, dense and CSR, and the
- * Anderson step around the evaluations of H, on the engine's state in
- * place: the weight solve with its sum-to-one fix-up (a port of CPython's
- * math.fsum), the candidate, and the safeguard with the push into the
- * history.  They call the ddot, dgemv and dgelsd of scipy's Cython API,
- * set once by aaopt_set_blas.
+ * dense and CSR, the lasso proximal-gradient map, dense and CSR, the
+ * nonnegative least-squares DRS map, and the Anderson step around the
+ * evaluations of H, on the engine's state in place: the weight solve with
+ * its sum-to-one fix-up (a port of CPython's math.fsum), the candidate, and
+ * the safeguard with the push into the history.  They call the ddot, dgemv,
+ * dtrsv and dgelsd of scipy's Cython API, set once by aaopt_set_blas.
  *
  * Each map also writes a readout of every evaluation out = H(x), for the run
  * loop: readout[0] = ||H(x) - x||, as numpy's sqrt of d.dot(d) for
- * d = H(x) - x, and readout[1] = f(x), the objective at x, from the products
- * the map forms anyway.  d is formed in x, so x holds it on return.
+ * d = H(x) - x, and, for the sweep and the lasso map, readout[1] = f(x),
+ * the objective at x, from the products the map forms anyway.  The sweep
+ * and the lasso map form d in x, so x holds it on return.
  *
  * The sweep's arithmetic is the Python sweep's, operation for operation, so
  * the results are bitwise equal to it:
@@ -35,24 +36,29 @@
 #include <string.h>
 
 /* Fortran BLAS and LAPACK, every argument by reference; row_dot splits ddot's length, and the
-   callers of dgemv and dgelsd check theirs */
+   callers of dgemv, dtrsv and dgelsd check theirs */
 typedef double (*ddot_fn)(const int *n, const double *x, const int *incx, const double *y,
                           const int *incy);
 typedef void (*dgemv_fn)(const char *trans, const int *m, const int *n, const double *alpha,
                          const double *a, const int *lda, const double *x, const int *incx,
                          const double *beta, double *y, const int *incy);
+typedef void (*dtrsv_fn)(const char *uplo, const char *trans, const char *diag, const int *n,
+                         const double *a, const int *lda, double *x, const int *incx);
 typedef void (*dgelsd_fn)(const int *m, const int *n, const int *nrhs, double *a, const int *lda,
                           double *b, const int *ldb, double *s, const double *rcond, int *rank,
                           double *work, const int *lwork, int *iwork, int *info);
 
 static ddot_fn ddot;
 static dgemv_fn dgemv;
+static dtrsv_fn dtrsv;
 static dgelsd_fn dgelsd;
 
-void aaopt_set_blas(void *ddot_address, void *dgemv_address, void *dgelsd_address)
+void aaopt_set_blas(void *ddot_address, void *dgemv_address, void *dtrsv_address,
+                    void *dgelsd_address)
 {
     ddot = (ddot_fn)ddot_address;
     dgemv = (dgemv_fn)dgemv_address;
+    dtrsv = (dtrsv_fn)dtrsv_address;
     dgelsd = (dgelsd_fn)dgelsd_address;
 }
 
@@ -94,11 +100,13 @@ static double coordinate(double xi, double d, double qi, double lo, double hi, d
     return hi < w ? hi : w;
 }
 
-static void residual_readout(int64_t n, double *x, const double *out, double *readout)
+/* d = out - x, which may be x itself */
+static void residual_readout(int64_t n, const double *x, const double *out, double *d,
+                             double *readout)
 {
     for (int64_t j = 0; j < n; j++)
-        x[j] = out[j] - x[j];
-    readout[0] = sqrt(row_dot(n, x, x));
+        d[j] = out[j] - x[j];
+    readout[0] = sqrt(row_dot(n, d, d));
 }
 
 static void pcd_start(int64_t m, int64_t n, const double *q, const double *x, const double *u,
@@ -124,7 +132,7 @@ void aaopt_pcd_dense(int64_t m, int64_t n, const double *Z, const double *q, con
             out[i] = next;
         }
     }
-    residual_readout(m, x, out, readout);
+    residual_readout(m, x, out, x, readout);
 }
 
 /* g holds at least the longest row's count of doubles */
@@ -151,7 +159,7 @@ void aaopt_pcd_csr(int64_t m, int64_t n, const int64_t *indptr, const int64_t *i
             out[i] = next;
         }
     }
-    residual_readout(m, x, out, readout);
+    residual_readout(m, x, out, x, readout);
 }
 
 /*
@@ -220,7 +228,7 @@ static int64_t pga_tail(int64_t m, int64_t n, const double *r, double beta, doub
         out[j] = isnan(h) ? 0.0 : h;
     }
     readout[1] = 0.5 * row_dot(m, r, r) + lam * pairwise_sum(x, n, 1);
-    residual_readout(n, x, out, readout);
+    residual_readout(n, x, out, x, readout);
     return 0;
 }
 
@@ -244,6 +252,38 @@ int64_t aaopt_pga_csr(int64_t m, int64_t n, const int64_t *indptr, const int64_t
         r[i] = r[i] - y[i];
     csr_product(n, t_indptr, t_indices, t_data, r, out);
     return pga_tail(m, n, r, beta, lam, x, out, readout);
+}
+
+/*
+ * The DRS map of nonnegative least squares, out = z + delta*(y - x) with
+ * x = (A.T A + s*I)^-1 (A.T y + w*z) and y = max(2x - z, 0), as
+ * prox.quadratic_ls_prox and algorithms.drs_parts compute it in numpy:
+ * aty + w*z, overwritten by dtrsv with the Cholesky factor L (n x n, lower,
+ * Fortran order) and then with L.T, a finiteness check, and
+ * np.maximum(2x - z, 0.0), which keeps a NaN and gives +0.0 for -0.0.
+ * readout[0] = ||out - z||, with d formed in x; z is left as it was and y
+ * holds the projection on return.  n fits an int: L holds n*n doubles.
+ * Returns 0, or AAOPT_NONFINITE, leaving y, out and the readout undefined,
+ * if x has a NaN or infinite entry.
+ */
+int64_t aaopt_drs_nonneg(int64_t n, const double *L, const double *aty, double w, double delta,
+                         const double *z, double *x, double *y, double *out, double *readout)
+{
+    int len = (int)n, one = 1;
+    for (int64_t j = 0; j < n; j++)
+        x[j] = aty[j] + w * z[j];
+    dtrsv("L", "N", "N", &len, L, &len, x, &one);
+    dtrsv("L", "T", "N", &len, L, &len, x, &one);
+    for (int64_t j = 0; j < n; j++)
+        if (!isfinite(x[j]))
+            return AAOPT_NONFINITE;
+    for (int64_t j = 0; j < n; j++) {
+        double v = 2.0 * x[j] - z[j];
+        y[j] = isnan(v) || v > 0.0 ? v : 0.0;
+        out[j] = z[j] + delta * (y[j] - x[j]);
+    }
+    residual_readout(n, z, out, x, readout);
+    return 0;
 }
 
 /*

@@ -8,19 +8,20 @@ that can be written: the package's ``__pycache__``, else ``~/.cache/aaopt``
 written under a temporary name and moved into place with ``os.replace``, so
 concurrent processes never load a partial file.
 
-The kernels are the coordinate sweep, the lasso proximal-gradient map and
-the Anderson step around the evaluations of H: the weight solve with its
-sum-to-one fix-up (a port of CPython's ``math.fsum``), the candidate, and the
-safeguard with the push into the history, each reading and writing the
-engine's state in place, to which ``anderson.init_state`` binds them once
-when it builds the state.  The two maps also write, at every evaluation,
-a readout of ||H(x) - x|| and the objective at x into a 2-entry array that
-each map owns, from the products it forms anyway.  The sweep's row dots and
-the residual norms call BLAS ``ddot``, the dense lasso map ``dgemv`` and
-``ddot``, and the weight solve LAPACK ``dgelsd``, all taken from the
-function pointers that scipy's documented Cython API
-(``scipy.linalg.cython_blas`` and ``cython_lapack``) publishes in every
-scipy build, whatever its BLAS.
+The kernels are the coordinate sweep, the lasso proximal-gradient map, the
+nonnegative least-squares DRS map and the Anderson step around the
+evaluations of H: the weight solve with its sum-to-one fix-up (a port of
+CPython's ``math.fsum``), the candidate, and the safeguard with the push
+into the history, each reading and writing the engine's state in place, to
+which ``anderson.init_state`` binds them once when it builds the state.  The
+three maps also write, at every evaluation, a readout of ||H(x) - x|| into
+an array that each map owns, followed, for the sweep and the lasso map, by
+the objective at x from the products they form anyway.  The sweep's row
+dots and the residual norms call BLAS ``ddot``, the dense lasso map
+``dgemv`` and ``ddot``, the DRS map's two triangular solves ``dtrsv``, and
+the weight solve LAPACK ``dgelsd``, all taken from the function pointers
+that scipy's documented Cython API (``scipy.linalg.cython_blas`` and
+``cython_lapack``) publishes in every scipy build, whatever its BLAS.
 """
 
 from __future__ import annotations
@@ -49,11 +50,12 @@ _TAIL = [_ptr, _ptr, _ptr, _f64, _ptr, _ptr, _ptr, _ptr]
 # both lasso maps end with y, beta, lam, then x, r, out, readout
 _PGA_TAIL = [_ptr, _f64, _f64, _ptr, _ptr, _ptr, _ptr]
 _SIGNATURES = {
-    "aaopt_set_blas": ([_ptr, _ptr, _ptr], None),
+    "aaopt_set_blas": ([_ptr] * 4, None),
     "aaopt_pcd_dense": ([_i64, _i64, _ptr] + _TAIL, None),
     "aaopt_pcd_csr": ([_i64, _i64, _ptr, _ptr, _ptr, _ptr] + _TAIL, None),
     "aaopt_pga_dense": ([_i64, _i64, _ptr] + _PGA_TAIL, _i64),
     "aaopt_pga_csr": ([_i64, _i64] + [_ptr] * 6 + _PGA_TAIL, _i64),
+    "aaopt_drs_nonneg": ([_i64, _ptr, _ptr, _f64, _f64] + [_ptr] * 5, _i64),
     "aaopt_fsum": ([_i64, _ptr, _ptr, _ptr], _i64),
     "aaopt_aa_weights": ([_ptr] * 4, _i64),
     "aaopt_aa_combine": ([_ptr] * 4, _f64),
@@ -116,7 +118,7 @@ def load(cache_dir: Path) -> ctypes.CDLL:
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, obj)(("PyCapsule_GetName", api))
     get_pointer = ctypes.PYFUNCTYPE(_ptr, obj, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
     blas = cython_blas.__pyx_capi__
-    capsules = blas["ddot"], blas["dgemv"], cython_lapack.__pyx_capi__["dgelsd"]
+    capsules = blas["ddot"], blas["dgemv"], blas["dtrsv"], cython_lapack.__pyx_capi__["dgelsd"]
     lib.aaopt_set_blas(*(get_pointer(c, get_name(c)) for c in capsules))
     return lib
 

@@ -1,8 +1,8 @@
 """Fixed-point maps for nonsmooth first-order algorithms.
 
-Each step function (for pga_step and pcd_sweep, the map each builds)
-implements one application x -> H(x) of the underlying iteration, so any of
-them can be driven plainly or through the Anderson engine.  A prox callable
+Each step function (for pga_step, pcd_sweep and drs_step, the map each
+builds) implements one application x -> H(x) of the underlying iteration, so
+any of them can be driven plainly or through the Anderson engine.  A prox callable
 is built for its map's step beta: ``prox(v)`` = argmin g(y) + ||y - v||^2 /
 (2 beta).
 """
@@ -26,6 +26,7 @@ __all__ = [
     "FixedPointOperator",
     "pga_step",
     "pcd_sweep",
+    "drs_step",
     "drs_parts",
     "admm_step",
     "irl1_step",
@@ -44,10 +45,12 @@ class FixedPointOperator:
     vector whose sign/activity pattern identifies the active manifold
     (defaults to the iterate itself).  ``objective`` takes a block of monitor
     vectors, one per row, and returns the merit at each row's iterate, one
-    value per row.  ``readout``, where the map has one (``pga_step`` and
-    ``pcd_sweep``), is the array that every call of ``apply`` at x
-    overwrites with ||H(x) - x|| and the objective at x; the run loop reads
-    it in place of ``objective`` and of the residual it would form.
+    value per row.  ``readout``, where the map has one (``pga_step``,
+    ``pcd_sweep`` and ``drs_step``), is the array that every call of
+    ``apply`` at x overwrites with ||H(x) - x|| and, if it has a second
+    entry (``pga_step`` and ``pcd_sweep``), the objective at x; the run loop
+    reads it in place of the residual it would form and, given the second
+    entry, of ``objective``.
     """
 
     dimension: int
@@ -166,9 +169,9 @@ def pga_step(A, y, lam: float, beta: float) -> Callable[[np.ndarray], np.ndarray
     return step
 
 
-def _readout() -> np.ndarray:
-    """A map's readout before its first call: two NaNs, read-only to Python, written by C."""
-    readout = np.full(2, math.nan)
+def _readout(size: int = 2) -> np.ndarray:
+    """A map's readout before its first call: NaNs, read-only to Python, written by C."""
+    readout = np.full(size, math.nan)
     readout.flags.writeable = False
     return readout
 
@@ -197,10 +200,10 @@ def pcd_sweep(Z, q, box: BoxBounds, beta: float) -> Callable[[np.ndarray], np.nd
     (``_kernels.c``), with the same IEEE operations in the same order as the
     Python loop it replaced; its row dots and the readout's call the BLAS
     ddot of scipy's Cython API, in chunks that fit its C int length, as
-    numpy's dot does.  A row of Z may still hold at most 2**31 - 1 entries,
-    a limit from before the chunks.  gcc compiles the C source on first use
-    into the package's ``__pycache__``, or into ``~/.cache/aaopt`` where the
-    package cannot be written, and later runs find it there (see ``aaopt._kernels``).  A CSR Z is checked in full
+    numpy's dot does, so a row may be of any length.  gcc compiles the C
+    source on first use into the package's ``__pycache__``, or into
+    ``~/.cache/aaopt`` where the package cannot be written, and later runs
+    find it there (see ``aaopt._kernels``).  A CSR Z is checked in full
     first.  A dense Z that is not C-ordered and aligned is swept as a
     C-ordered copy: the bits of numpy's Z.T x and of a BLAS dot at a stride
     other than one depend on the layout, and the copy gives every layout the
@@ -226,9 +229,6 @@ def pcd_sweep(Z, q, box: BoxBounds, beta: float) -> Callable[[np.ndarray], np.nd
     sparse = issparse(Z)
     Z = Z.tocsr() if sparse else np.asarray(Z)
     m, n = Z.shape
-    longest = (int(np.diff(Z.indptr).max()) if m else 0) if sparse else n  # before anything copies Z
-    if longest > C_INT_MAX:
-        raise ValueError("pcd_sweep: a row of Z has %d entries, more than BLAS takes" % longest)
     if sparse:
         Z = _checked_csr(Z, "pcd_sweep: Z")
         indptr, indices, data = _csr_arrays(Z)
@@ -246,7 +246,7 @@ def pcd_sweep(Z, q, box: BoxBounds, beta: float) -> Callable[[np.ndarray], np.nd
     def bind():
         x_buf, u_buf, out = np.empty(m), np.empty(n), np.empty(m)
         if sparse:
-            gather = np.empty(max(longest, 1))
+            gather = np.empty(int(np.diff(indptr).max(initial=1)))
             head = ("aaopt_pcd_csr", m, n, address(indptr), address(indices), address(data), address(gather))
         else:
             gather = None
@@ -270,6 +270,73 @@ def pcd_sweep(Z, q, box: BoxBounds, beta: float) -> Callable[[np.ndarray], np.nd
 
     sweep.readout = readout
     return sweep
+
+
+def drs_step(prox: Prox, delta: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The DRS map of nonnegative least squares, built once for many calls.
+
+    ``prox`` is the least-squares prox that ``prox.quadratic_ls_prox``
+    returns; its factor, A.T y and z weight are read, not formed again.  The
+    returned ``step(z)`` is the z_next of ``drs_parts(prox, nonneg_project,
+    delta, z)``, bit for bit: one C call (``_kernels.c``) makes the prox's
+    two BLAS dtrsv solves and its finiteness check, raising its
+    FloatingPointError, then forms y = max(2x - z, 0) and z + delta*(y - x)
+    as numpy does.  It does not modify ``z``.  gcc compiles the C source on
+    first use (see ``aaopt._kernels``), which ``drs_step`` itself makes
+    happen.
+
+    The same call writes the map's ``readout``, a read-only array of one
+    entry: ||z_next - z||, bit for bit numpy's sqrt of d.dot(d).
+    ``step.feasible_point(z)`` returns a new array holding drs_parts' y at
+    z: the last call's y when z is bitwise that call's point, else the y of
+    a new call at z, which overwrites the readout.
+
+    The first call binds the compiled call: it allocates the four buffers
+    the map keeps, for z, x (z_next - z after a call), y and z_next, and
+    converts every argument to ctypes once.  Each call copies z in, makes
+    one call and returns a copy of z_next.  The buffers and the readout make
+    the map not reentrant: two threads must not call the same map at once.
+    """
+    if not (0.0 < delta < 2.0):
+        raise ValueError("drs_step: delta must lie in (0, 2)")
+    _kernels.library()  # built or loaded now, so a missing gcc fails here, not at a step
+    factor, aty = np.require(prox.factor, float, "FA"), np.require(prox.aty, float, "CA")
+    z_weight = float(prox.z_weight)
+    n = aty.shape[0]
+    if aty.ndim != 1 or factor.shape != (n, n):
+        raise ValueError("drs_step: the prox's factor has shape %s and A.T y %s" % (factor.shape, aty.shape))
+    readout = _readout(1)
+    bound = last = None  # last: the z buffer while it holds the point of a call that succeeded
+
+    def bind():
+        z_buf, x_buf, y_buf, out = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+        call = _kernels.bound("aaopt_drs_nonneg", n, address(factor), address(aty), z_weight, float(delta),
+                              *(address(a) for a in (z_buf, x_buf, y_buf, out, readout)))
+        return call, z_buf, y_buf, out, (x_buf, factor, aty)  # kept alive with the call
+
+    def step(z: np.ndarray) -> np.ndarray:
+        nonlocal bound, last
+        z = np.asarray(z, dtype=float)
+        if z.shape != (n,):
+            raise ValueError("quadratic_ls_prox: z has shape %s, expected (%d,)" % (z.shape, n))
+        if bound is None:
+            bound = bind()
+        call, z_buf, _, out, _ = bound
+        z_buf[:] = z
+        if call():
+            last = None
+            raise FloatingPointError("quadratic_ls_prox: non-finite result")
+        last = z_buf
+        return out.copy()
+
+    def feasible_point(z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        if last is None or z.shape != last.shape or z.tobytes() != last.tobytes():
+            step(z)
+        return bound[2].copy()  # the y buffer
+
+    step.readout, step.feasible_point = readout, feasible_point
+    return step
 
 
 def drs_parts(

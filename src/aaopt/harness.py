@@ -26,7 +26,7 @@ from scipy.sparse import issparse
 
 from .algorithms import (
     FixedPointOperator,
-    drs_parts,
+    drs_step,
     irl1_step,
     pcd_sweep,
     pga_step,
@@ -52,7 +52,7 @@ from .problems import (
     subsample,
     svm_dual_objective,
 )
-from .prox import BoxBounds, nonneg_project, quadratic_ls_prox
+from .prox import BoxBounds, quadratic_ls_prox
 
 __all__ = [
     "ConfigError",
@@ -330,35 +330,24 @@ def _build_nnls(cfg: ExperimentConfig, params: dict) -> RunContext:
     m, n = inst.A.shape
     beta = _resolve_beta(cfg, params, spectral_norm_sq(inst.A) / m)
     delta = 1.0 if cfg.delta is None else cfg.delta
-    # factored here, so the set-up pays for it and every evaluation of H is
-    # one pair of triangular solves
+    # factored here, once, so the set-up pays for it and every evaluation of
+    # H is one compiled call around a pair of triangular solves
     try:
         f_prox = quadratic_ls_prox(inst.A, inst.y, inst.lam, m, beta)
     except np.linalg.LinAlgError:  # a shift m*(1/beta + 2*lambda) lost against A.T A
         raise ConfigError("algorithm.beta = %r with problem.lambda = %r leaves the DRS prox's "
                           "shifted Gram matrix not positive definite" % (beta, inst.lam)) from None
-    # (x, y, z_next) of the last DRS point, keyed by its bytes: the run loop
-    # records each iterate right after the map's last evaluation there, so
-    # the monitor reuses that solve.  Equal bytes are equal values; a mutated
-    # array or another point, -0.0 where the key holds +0.0 included, is solved.
-    last = [None, None]
-
-    def parts(z: np.ndarray) -> tuple:
-        point = np.asarray(z, dtype=float).tobytes()
-        if point != last[0]:
-            last[:] = point, drs_parts(f_prox, nonneg_project, delta, z)
-        return last[1]
-
-    def feasible_point(z: np.ndarray) -> np.ndarray:
-        return parts(z)[1]
-
+    # the run loop records each iterate right after the map's last evaluation
+    # there, so the monitor reads that call's y and solves nothing
+    step = drs_step(f_prox, delta)
     # a block's A y - b, held here so that a run allocates none (a dense A only)
     residuals = np.empty((TRACE_BLOCK, m)) if isinstance(inst.A, np.ndarray) else None
     op = FixedPointOperator(
         dimension=n,
-        apply=lambda z: parts(z)[2],
+        apply=step,
         objective=lambda Y: nnls_objective(inst, Y, residuals),
-        monitor=feasible_point,
+        monitor=step.feasible_point,
+        readout=step.readout,
     )
     x0 = _x0_rng(cfg.seed).standard_normal(n)
     return RunContext(op=op, x0=x0)
@@ -463,36 +452,31 @@ def _plain_iterates(apply: Callable, x0: np.ndarray, readout: np.ndarray | None)
     while True:
         if readout is None:
             d = h - x  # its norm as np.linalg.norm takes it, without the dispatch
-            yield x, math.sqrt(float(d.dot(d))), None, 0.0, 0
+            yield x, math.sqrt(float(d.dot(d))), 0.0, 0
         else:
-            yield x, *readout.tolist(), 0.0, 0
+            yield x, readout.item(0), 0.0, 0
         x = h
         h = np.asarray(apply(x), dtype=float)
 
 
-def _aa_iterates(apply: Callable, x0: np.ndarray, aa: AaConfig, readout: np.ndarray | None):
-    # the readout is the returned iterate's, as safeguarded_step's docstring promises
+def _aa_iterates(apply: Callable, x0: np.ndarray, aa: AaConfig):
     x0 = np.asarray(x0, dtype=float)
     state = init_state(apply, x0, aa)
-    yield x0, state.r_norms[0], None if readout is None else readout.item(1), 0.0, 0
+    yield x0, state.r_norms[0], 0.0, 0
     while True:
         x, diag = safeguarded_step(apply, state)
-        objective = None if readout is None else readout.item(1)
-        yield x, diag.residual_norm, objective, diag.alpha_l1, int(diag.accepted)
+        yield x, diag.residual_norm, diag.alpha_l1, int(diag.accepted)
 
 
-def _fista_iterates(apply: Callable, x0: np.ndarray, readout: np.ndarray | None):
+def _fista_iterates(apply: Callable, x0: np.ndarray, readout: np.ndarray):
     # the FISTA baseline runs its own momentum sequence and is never fed to
-    # the engine; with t = 1 its first step is one application of H
+    # the engine; with t = 1 its first step is one application of H.  It
+    # runs only on lasso, whose map has a readout.
     x = y = np.asarray(x0, dtype=float)
     t = 1.0
     while True:
-        if readout is None:
-            d = apply(x) - x
-            yield x, math.sqrt(float(d.dot(d))), None, 0.0, 0
-        else:
-            apply(x)
-            yield x, *readout.tolist(), 0.0, 0
+        apply(x)
+        yield x, readout.item(0), 0.0, 0
         x_new = apply(y)
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t**2))
         y = x_new + ((t - 1.0) / t_new) * (x_new - x)
@@ -515,35 +499,37 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Trace, dict]:
     trace = Trace()
     identification = IdentificationTracker(cfg.window)
     limits = pattern_limits(cfg.zero_tol, ctx.bounds)
-    # Each mode yields (iterate, residual norm, objective, alpha_l1, accepted)
-    # for k = 0, 1, ..., the objective read off the map's readout, or None
-    # for a map without one, whose objectives are taken a block at a time;
-    # the loop stops before it asks for an iterate it does not record, so no
-    # evaluation of H is wasted.
+    # Each mode yields (iterate, residual norm, alpha_l1, accepted) for
+    # k = 0, 1, ..., right after the map's last evaluation at the iterate (for
+    # AA, as safeguarded_step's docstring promises), so a readout of two
+    # entries holds the iterate's objective then; a map without one has its
+    # objectives taken a block at a time.  The loop stops before it asks for
+    # an iterate it does not record, so no evaluation of H is wasted.
     if cfg.algorithm == "fista":
         iterates = _fista_iterates(op.apply, ctx.x0, op.readout)
     elif cfg.aa_enabled:
-        iterates = _aa_iterates(op.apply, ctx.x0, cfg.aa, op.readout)
+        iterates = _aa_iterates(op.apply, ctx.x0, cfg.aa)
     else:
         iterates = _plain_iterates(op.apply, ctx.x0, op.readout)
+    readout = op.readout if op.readout is not None and op.readout.size == 2 else None
     residual, objectives, alphas, accepts, _, elapsed = (column.append for column in trace.columns)
     tol, max_iter, clock = cfg.tol, cfg.max_iter, time.perf_counter
     monitors, rows = None, 0  # the monitor vectors whose objectives and patterns are not taken yet
-    for k, (x, rnorm, objective, alpha_l1, accepted) in enumerate(iterates):
+    for k, (x, rnorm, alpha_l1, accepted) in enumerate(iterates):
+        if readout is not None:  # read before the monitor, which may evaluate the map
+            objectives(readout.item(1))
         vector = op.monitor_vector(x)
         if monitors is None:
             monitors = np.empty((TRACE_BLOCK, np.size(vector)))
         monitors[rows] = vector
         rows += 1
         residual(rnorm)
-        if objective is not None:
-            objectives(objective)
         alphas(alpha_l1)
         accepts(accepted)
         elapsed(int((clock() - t_start) * 1e6))
         done = not (tol < rnorm <= DIVERGENCE_LIMIT and k < max_iter)  # NaN and +-inf fail both
         if rows == TRACE_BLOCK or done:
-            if op.readout is None:
+            if readout is None:
                 trace.objective.extend(op.objective(monitors[:rows]).tolist())
             patterns = pattern_of(monitors[:rows], limits)
             trace.support_size.extend(support_size(patterns).tolist())

@@ -84,7 +84,10 @@ def quadratic_ls_prox(
     then by L.T.  dtrsv reads the factor in place, which needs it
     Fortran-ordered; LAPACK dpotrs would instead pack all of L for each of
     its two one-column solves.  The result is checked with
-    ``linalg.all_finite``.  ``z`` is not modified.
+    ``linalg.all_finite``.  ``z`` is not modified.  The prox carries what
+    its calls read as attributes: ``factor`` (L, Fortran-ordered), ``aty``
+    and ``z_weight`` (scale_m/beta), from which ``algorithms.drs_step``
+    builds its compiled map without factoring again.
 
     Raises ValueError if A has no columns, and LinAlgError if the shifted
     Gram matrix is not positive definite; ``prox(z)`` raises ValueError if
@@ -120,4 +123,5 @@ def quadratic_ls_prox(
             raise FloatingPointError("quadratic_ls_prox: non-finite result")
         return x
 
+    prox.factor, prox.aty, prox.z_weight = factor, aty, z_weight
     return prox

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import resource
 from pathlib import Path
@@ -31,3 +32,13 @@ def zeros_view(shape: tuple[int, ...], dtype=float) -> np.ndarray:
     """A read-only array of zeros of any shape, all of it one stored element."""
     one = np.zeros(1, dtype=dtype)
     return np.lib.stride_tricks.as_strided(one, shape, (0,) * len(shape), writeable=False)
+
+
+def litter_the_heap(sizes=(*range(1, 41), 360, 400)) -> list[np.ndarray]:
+    """Frees what was collectable and fills the freed memory with NaN arrays.
+
+    numpy keeps freed blocks of under 1 KiB for reuse by size, so every size up
+    to a row of Z and an iterate is asked for, more times than it keeps.
+    """
+    gc.collect()
+    return [np.full(size, np.nan) for size in sizes for _ in range(10)]

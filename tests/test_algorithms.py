@@ -11,6 +11,7 @@ from aaopt.algorithms import (
     FixedPointOperator,
     admm_step,
     drs_parts,
+    drs_step,
     irl1_beta_window,
     irl1_step,
     pcd_sweep,
@@ -18,7 +19,8 @@ from aaopt.algorithms import (
 )
 from aaopt.algorithms import _require_finite
 from aaopt.problems import LassoInstance, SvmDualInstance, lasso_objective, phi_deriv, svm_dual_objective
-from aaopt.prox import BoxBounds, quadratic_ls_prox, soft_threshold
+from aaopt.prox import BoxBounds, nonneg_project, quadratic_ls_prox, soft_threshold
+from conftest import litter_the_heap
 from oracles import irl1_step_reference
 
 
@@ -305,6 +307,111 @@ def test_drs_converges_to_shrunk_minimizer(delta):
     star = soft_threshold(a, 0.4)
     assert np.linalg.norm(x - star) <= 1e-10
     assert np.linalg.norm(y - star) <= 1e-10
+
+
+def drs_reference(A, y, lam: float, beta: float, delta: float):
+    """The nnls DRS map composed in numpy: z -> (y, z_next) of drs_parts."""
+    prox = quadratic_ls_prox(A, y, lam, float(A.shape[0]), beta)
+    return lambda z: drs_parts(prox, nonneg_project, delta, z)[1:]
+
+
+def drs_instance(rng: np.random.Generator, m: int, n: int, sparse: bool):
+    """A random m x n matrix, a third of it zero, as an ndarray or a CSR, and a target y."""
+    A = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.67)
+    return (sp.csr_matrix(A) if sparse else A), rng.standard_normal(m)
+
+
+def assert_drs_step_is_the_reference(step, reference, z: np.ndarray, evaluations: int) -> None:
+    for _ in range(evaluations):
+        want_y, want = reference(z)
+        got = step(z)
+        d = want - z
+        assert got.tobytes() == want.tobytes()
+        assert step.readout.tobytes() == np.array([math.sqrt(float(d.dot(d)))]).tobytes()
+        assert step.feasible_point(z).tobytes() == want_y.tobytes()
+        z = got
+
+
+@st.composite
+def drs_cases(draw):
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    # entries over ten decades, and signed zeros
+    decades = draw(st.lists(st.one_of(st.none(), st.floats(-5.0, 5.0)), min_size=n, max_size=n))
+    z = np.array([s * (0.0 if e is None else 10.0**e) for s, e in zip(signs, decades)])
+    delta = draw(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True))
+    return m, n, draw(st.booleans()), z, delta, draw(st.floats(1e-3, 10.0)), draw(st.sampled_from([0.0, 1e-3, 0.1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=drs_cases(), seed=st.integers(0, 2**32 - 1))
+@example(case=(1, 1, False, np.array([-0.0]), 1.0, 1.0, 0.0), seed=0)
+@example(case=(3, 4, True, np.array([0.0, -0.0, 1e5, -1e-5]), 1.9999999999999998, 0.5, 0.1), seed=1)
+def test_the_drs_map_is_drs_parts_bit_for_bit(case, seed):
+    m, n, sparse, z, delta, beta, lam = case
+    A, y = drs_instance(np.random.default_rng(seed), m, n, sparse)
+    step = drs_step(quadratic_ls_prox(A, y, lam, float(m), beta), delta)
+    assert step.readout.shape == (1,) and np.isnan(step.readout).all()
+    with pytest.raises(ValueError, match="read-only"):
+        step.readout[0] = 0.0
+    zin = z.copy()
+    assert_drs_step_is_the_reference(step, drs_reference(A, y, lam, beta, delta), z, 3)
+    assert z.tobytes() == zin.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e308])
+def test_a_non_finite_drs_solve_raises_and_leaves_no_stale_point(bad):
+    rng = np.random.default_rng(3)
+    A, y = drs_instance(rng, 6, 4, False)
+    step = drs_step(quadratic_ls_prox(A, y, 0.0, 6.0, 1e-3), 1.0)
+    z, reference = rng.standard_normal(4), drs_reference(A, y, 0.0, 1e-3, 1.0)
+    step(z)
+    z[2] = bad
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match=r"^quadratic_ls_prox: non-finite"):
+        reference(z)
+    # the monitor after a failed call solves again rather than read the failed call's y
+    for call in (step, step.feasible_point, step.feasible_point):
+        with pytest.raises(FloatingPointError, match=r"^quadratic_ls_prox: non-finite result$"):
+            call(z)
+    z[2] = 0.5
+    assert_drs_step_is_the_reference(step, reference, z, 2)
+
+
+def test_a_drs_map_refuses_a_point_of_the_wrong_shape_and_a_delta_outside_0_2():
+    prox = quadratic_ls_prox(np.eye(3), np.ones(3), 0.0, 1.0, 1.0)
+    for delta in (0.0, 2.0, math.nan):
+        with pytest.raises(ValueError, match=r"^drs_step: delta must lie in \(0, 2\)$"):
+            drs_step(prox, delta)
+    mismatched = quadratic_ls_prox(np.eye(3), np.ones(3), 0.0, 1.0, 1.0)
+    # C would read a 3 x 3 factor out of a 2 x 2 one
+    mismatched.factor = quadratic_ls_prox(np.eye(2), np.ones(2), 0.0, 1.0, 1.0).factor
+    with pytest.raises(ValueError, match=r"^drs_step: the prox's factor has shape \(2, 2\) and A.T y \(3,\)$"):
+        drs_step(mismatched, 1.0)
+    step = drs_step(prox, 1.0)
+    for _ in range(2):  # before the first call binds the map, then after it
+        with pytest.raises(ValueError, match=r"z has shape \(2,\), expected \(3,\)"):
+            step(np.zeros(2))
+        step(np.ones(3))
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_a_drs_map_built_from_temporaries_keeps_its_buffers(sparse):
+    # The map is the only reference to its prox, factor and A.T y, and makes
+    # its buffers at its first call; freed memory is filled with NaN, so a
+    # buffer the map did not keep would corrupt its results.
+    rng = np.random.default_rng(11)
+    A, y = drs_instance(rng, 30, 20, sparse)
+    z = rng.standard_normal(20)
+    step = drs_step(quadratic_ls_prox(2.0 * A, y.copy(), 1e-3, 30.0, 0.5), 1.5)
+    sizes = (*range(1, 41), 400, 20 * 20)
+    litter = litter_the_heap(sizes)
+    reference = drs_reference(2.0 * A, y, 1e-3, 0.5, 1.5)
+    want_y, want = reference(z)
+    assert step(z).tobytes() == want.tobytes()
+    litter += litter_the_heap(sizes)  # the first call made the buffers it works in
+    assert_drs_step_is_the_reference(step, reference, want, 5)
+    assert all(np.isnan(v).all() for v in litter)  # nor did it write into freed memory
+    del litter
 
 
 # ---------------------------------------------------------------------------

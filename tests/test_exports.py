@@ -25,6 +25,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "aaopt"
 
 ALLOWED_WITHOUT_CALLER = {
     "admm_step": "criterion 08 checks the ADMM/DRS correspondence with it",
+    "drs_parts": "criteria 07 and 08 check the nnls relations and the ADMM/DRS correspondence with it",
+    "nonneg_project": "criterion 07 checks the projected-gradient residual with it",
     "irl1_beta_window": "criterion 12 checks the contractivity window formula with it",
     "svm_dual_grad": "criterion 04 checks it against central differences",
     "lasso_grad": "criterion 04 checks it against central differences",

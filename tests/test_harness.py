@@ -456,13 +456,18 @@ def spied_run(monkeypatch, cfg, **wrappers):
     return run_experiment(cfg), spying_build.ctx
 
 
-# lasso and svm read each iterate's objective off their map's readout; nnls
-# takes its objectives a block at a time
+# lasso and svm read each iterate's objective off their map's readout; nnls,
+# whose readout holds only the residual norm, takes its objectives a block at a time
 BLOCK_EDGE_RUNS = {
     "lasso": {"problem.kind": "lasso", "algorithm.kind": "ista", "problem.lambda": "0.3"},
     "svm": {"problem.kind": "svm", "algorithm.kind": "pcd", "aa.enabled": "true", "problem.c": "0.01"},
     "nnls": {"problem.kind": "nnls", "algorithm.kind": "drs", "aa.enabled": "true"},
 }
+
+
+def reads_objective(op) -> bool:
+    """Whether the run loop reads the operator's objectives off its map's readout."""
+    return op.readout is not None and op.readout.size == 2
 
 
 def block_edge_cfg(family: str, max_iter: int) -> ExperimentConfig:
@@ -539,7 +544,7 @@ def test_a_run_takes_its_objectives_a_block_at_a_time(monkeypatch, keys):
     cfg = config_from_mapping({**keys, "run.max_iter": "100", "run.tol": "1e-300"})
     (trace, _), ctx = spied_run(monkeypatch, cfg, objective=counted)
     assert len(trace) == len(trace.objective) == 101
-    if ctx.op.readout is not None:  # the lasso map reads each iterate's objective out
+    if reads_objective(ctx.op):  # the lasso map reads each iterate's objective out
         assert blocks == []
     else:
         assert sum(blocks) == 101 and len(blocks) == math.ceil(101 / TRACE_BLOCK) == 7
@@ -561,8 +566,8 @@ def test_block_objectives_match_an_objective_per_iterate(monkeypatch, family, ma
     (trace, summary), ctx = spied_run(monkeypatch, cfg, monitor=monitor_capture(monitors),
                                       objective=capture_objective)
     assert len(trace.objective) == len(monitors) == max_iter + 1
-    # a map with a readout leaves the operator's objective uncalled
-    assert taken == ([] if ctx.op.readout is not None else list(trace.objective))
+    # a map whose readout holds the objective leaves the operator's objective uncalled
+    assert taken == ([] if reads_objective(ctx.op) else list(trace.objective))
     assert summary["final_objective"] == trace[-1].objective
     objective = ctx.op.objective.unwrapped
     for value, monitor in zip(trace.objective, monitors):  # one point's product sums apart from a block's
@@ -735,15 +740,21 @@ def nnls_reference_parts():
 
 
 def count_solve_pairs(monkeypatch, count):
-    """Patch the least-squares prox's dtrsv so that count() runs once per pair of solves."""
-    real_solve = aaopt.prox.dtrsv
+    """Wrap the compiled DRS map, bound from now on, so that count() runs once per call,
+    which makes one pair of triangular solves."""
+    real_bound = aaopt._kernels.bound
 
-    def counted_solve(*args, **kwargs):
-        if kwargs.get("trans"):  # the second solve of a pair, by the transposed factor
+    def bound_counting(name, *args):
+        call = real_bound(name, *args)
+        if name != "aaopt_drs_nonneg":
+            return call
+
+        def counted():
             count()
-        return real_solve(*args, **kwargs)
+            return call()
+        return counted
 
-    monkeypatch.setattr(aaopt.prox, "dtrsv", counted_solve)
+    monkeypatch.setattr(aaopt._kernels, "bound", bound_counting)
 
 
 @pytest.mark.parametrize("aa", ["false", "true"])

@@ -15,7 +15,6 @@ on signed zeros, NaN and infinite iterates, and on zero thresholds.
 from __future__ import annotations
 
 import ctypes
-import gc
 import math
 import os
 import re
@@ -34,7 +33,7 @@ from hypothesis import strategies as st
 from aaopt import _kernels, harness
 from aaopt.algorithms import pcd_sweep, pga_step
 from aaopt.prox import BoxBounds
-from conftest import zeros_view
+from conftest import litter_the_heap, zeros_view
 from oracles import lasso_pga_reference, pcd_sweep_reference
 
 VALUE = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-10.0, 10.0), st.floats(-1e150, 1e150))
@@ -132,16 +131,6 @@ def test_every_dense_layout_sweeps_as_the_c_layout():
                 assert got(got(got(x))).tobytes() == want, layout
 
 
-def litter_the_heap():
-    """Frees what was collectable and fills the freed memory with NaN arrays.
-
-    numpy keeps freed blocks of under 1 KiB for reuse by size, so every size up
-    to a row of Z and an iterate is asked for, more times than it keeps.
-    """
-    gc.collect()
-    return [np.full(size, np.nan) for size in [*range(1, 41), 360, 400] for _ in range(10)]
-
-
 @pytest.mark.parametrize("sparse", [False, True])
 def test_a_sweep_built_from_temporaries_keeps_its_buffers(sparse):
     rng = np.random.default_rng(5)
@@ -214,21 +203,6 @@ def test_an_invalid_csr_is_rejected_before_any_c_call(indices, indptr, why):
     # scipy builds each of these without complaint; C would read or write out of bounds
     Z = sp.csr_matrix((np.ones(2), np.array(indices), np.array(indptr)), shape=(2, 3))
     with pytest.raises(ValueError, match="Z is not a valid CSR matrix: " + why):
-        pcd_sweep(Z, 0.0, BoxBounds(-1.0, 1.0), 0.5)
-
-
-def test_a_row_longer_than_blas_takes_is_rejected_before_any_copy(no_big_allocation):
-    # scipy's ddot takes a C int length; a zero-stride Z would be copied whole
-    with pytest.raises(ValueError, match="a row of Z has 2147483648 entries, more than BLAS takes"):
-        pcd_sweep(zeros_view((2, 2**31)), 0.0, BoxBounds(-1.0, 1.0), 0.5)
-
-
-def test_a_csr_row_longer_than_blas_takes_is_rejected_before_any_copy(no_big_allocation):
-    Z = sp.csr_matrix((2, 1))
-    # set directly: scipy's constructor would scan every index
-    Z.data, Z.indices = zeros_view((2**31,)), zeros_view((2**31,), np.int64)
-    Z.indptr = np.array([0, 0, 2**31])
-    with pytest.raises(ValueError, match="a row of Z has 2147483648 entries, more than BLAS takes"):
         pcd_sweep(Z, 0.0, BoxBounds(-1.0, 1.0), 0.5)
 
 
@@ -421,6 +395,12 @@ def test_a_lasso_map_refuses_what_c_cannot_take(args, why):
         pga_step(*args, 0.1, 1.0)
 
 
+def test_a_dense_lasso_matrix_larger_than_blas_takes_is_rejected_before_any_copy(no_big_allocation):
+    # scipy's dgemv takes C int sizes; a zero-stride A would be copied whole
+    with pytest.raises(ValueError, match=r"^pga_step: A has shape \(2, 2147483648\), larger than BLAS takes"):
+        pga_step(zeros_view((2, 2**31)), np.zeros(2), 0.1, 1.0)
+
+
 def test_a_lasso_iterate_of_the_wrong_shape_is_rejected():
     A = np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0]])
     for A in (A, sp.csr_matrix(A)):
@@ -543,7 +523,8 @@ def run_without_a_compiler(tmp_path, monkeypatch, kind: str, aa: bool):
         return exc, len(evaluations)
 
 
-@pytest.mark.parametrize("kind", ["nnls", "logreg"])
+# a plain nnls run needs gcc for its DRS map, as the test below checks
+@pytest.mark.parametrize("kind", ["logreg"])
 def test_a_plain_run_of_nnls_or_logreg_needs_no_compiler(tmp_path, monkeypatch, kind):
     summary, evaluations = run_without_a_compiler(tmp_path, monkeypatch, kind, aa=False)
     assert isinstance(summary, dict), summary
@@ -551,8 +532,8 @@ def test_a_plain_run_of_nnls_or_logreg_needs_no_compiler(tmp_path, monkeypatch, 
     assert _kernels._loaded is None
 
 
-@pytest.mark.parametrize("kind, aa", [("lasso", False), ("lasso", True), ("nnls", True), ("logreg", True),
-                                      ("svm", False), ("svm", True)])
+@pytest.mark.parametrize("kind, aa", [("lasso", False), ("lasso", True), ("nnls", False), ("nnls", True),
+                                      ("logreg", True), ("svm", False), ("svm", True)])
 def test_a_run_that_needs_the_compiler_fails_before_evaluating_the_map(tmp_path, monkeypatch, kind, aa):
     error, evaluations = run_without_a_compiler(tmp_path, monkeypatch, kind, aa)
     assert isinstance(error, OSError) and re.search(r"gcc not found.*_kernels\.c", str(error)), error
